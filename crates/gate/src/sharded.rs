@@ -457,6 +457,10 @@ mod tests {
         (identity, token)
     }
 
+    /// SHA-256 of the decision log the serial replay below produces.
+    const SERIAL_REPLAY_LOG_SHA256: &str =
+        "55a8899c66d04af9149289251297480dfceb1b71c599bd9f4c6f033dc56fa1c8";
+
     #[test]
     fn serial_replay_is_byte_identical_to_the_monolithic_gate() {
         // The acceptance criterion: an identical churn replay (honest and
@@ -472,6 +476,11 @@ mod tests {
         let source = || DiskWorkload::open(&path).expect("open workload");
         let (mono, mono_report) = replay(source(), GateService::new(cfg.clone()), &rcfg);
         assert!(mono.counters().granted > 0, "replay must exercise the gate");
+        assert_eq!(
+            sybil_crypto::hex::encode(mono.fingerprint().as_bytes()),
+            SERIAL_REPLAY_LOG_SHA256,
+            "the monolithic decision log moved"
+        );
         for shards in [1usize, 2, 3, 8] {
             let (sharded, report) = replay(source(), ShardedGate::new(cfg.clone(), shards), &rcfg);
             // Wall-clock measurements differ run to run; the behavioral
