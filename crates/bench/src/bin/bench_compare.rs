@@ -482,52 +482,6 @@ fn shard_scaling_failures(fresh: &[Scenario], parallelism: f64) -> Vec<String> {
     failures
 }
 
-/// The gate-side twin of [`shard_scaling_failures`], over the fresh
-/// report's gate scenarios: every wide `_s<N≥4>` scenario must beat its
-/// `_s1` sibling by [`MIN_SHARD_SPEEDUP`]× in verifications/sec on a
-/// machine with at least [`MIN_SCALING_CORES`] cores, and — when both
-/// record one — carry the identical decision fingerprint. Scenarios with
-/// empty fingerprints (parallel drives, scheduler-ordered logs) are
-/// gated on throughput alone.
-fn gate_shard_scaling_failures(fresh: &[GateScenario], parallelism: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    for wide in fresh {
-        let Some((base, shards)) = shard_pair(&wide.name) else { continue };
-        if shards < MIN_SCALING_CORES as u32 {
-            continue;
-        }
-        let Some(narrow) = fresh.iter().find(|s| shard_pair(&s.name) == Some((base, 1))) else {
-            failures.push(format!(
-                "gate scenario {:?} has no 1-shard sibling {base:?}_s1 to scale against",
-                wide.name
-            ));
-            continue;
-        };
-        if !narrow.decision_fingerprint.is_empty()
-            && !wide.decision_fingerprint.is_empty()
-            && narrow.decision_fingerprint != wide.decision_fingerprint
-        {
-            failures.push(format!(
-                "gate scenario {:?}: decision fingerprint differs from its 1-shard sibling \
-                 {:?} — sharding changed the admission decisions\n  s1: {}\n  s{shards}: {}",
-                wide.name, narrow.name, narrow.decision_fingerprint, wide.decision_fingerprint
-            ));
-        }
-        if parallelism < MIN_SCALING_CORES {
-            continue; // Announced by the caller; not silently dropped.
-        }
-        let speedup = wide.verifications_per_sec / narrow.verifications_per_sec.max(1e-12);
-        if speedup < MIN_SHARD_SPEEDUP {
-            failures.push(format!(
-                "gate scenario {:?}: only {speedup:.2}× over {:?} on a {parallelism:.0}-core \
-                 machine (shard-scaling floor {MIN_SHARD_SPEEDUP}×)",
-                wide.name, narrow.name
-            ));
-        }
-    }
-    failures
-}
-
 fn usage() -> ! {
     eprintln!("Usage: bench_compare BASELINE.json FRESH.json [--tolerance 0.25]");
     std::process::exit(2);
@@ -612,12 +566,11 @@ fn main() -> ExitCode {
         // not silently skipped.
         println!(
             "shard speedup gate ACTIVE: fresh report ran on {fresh_cores:.0} cores — every \
-             _s4 scenario (engine and gate) must beat its _s1 sibling by \
+             _s4 engine scenario must beat its _s1 sibling by \
              {MIN_SHARD_SPEEDUP}×"
         );
     }
     failures.extend(shard_scaling_failures(&fresh, fresh_cores));
-    failures.extend(gate_shard_scaling_failures(&fresh_gate, fresh_cores));
     if fresh_counting {
         if !base_counting {
             println!(
@@ -942,7 +895,7 @@ mod tests {
         assert!(compare_gate(&baseline, &[], 0.25, 1.0)[0].contains("disappeared"));
     }
 
-    /// A gate scenario literal for the shard-scaling tests.
+    /// A gate scenario literal.
     fn gate_scenario(name: &str, vps: f64, fingerprint: &str) -> GateScenario {
         GateScenario {
             name: name.to_string(),
@@ -963,47 +916,6 @@ mod tests {
         let failures = compare_gate(&baseline, &slow, 0.25, 1.0);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("regression"), "{}", failures[0]);
-    }
-
-    #[test]
-    fn gate_shard_speedup_floor_fires_on_wide_machines_only() {
-        let fresh = vec![
-            gate_scenario("gate_parallel_s1", 10000.0, ""),
-            gate_scenario("gate_parallel_s4", 12000.0, ""), // 1.2× < 1.5×
-        ];
-        let failures = gate_shard_scaling_failures(&fresh, 8.0);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("1.20×"), "{}", failures[0]);
-        // The honest skip on a narrow machine: same data, no failure.
-        assert!(gate_shard_scaling_failures(&fresh, 1.0).is_empty());
-        // A healthy speedup passes.
-        let scaled = vec![
-            gate_scenario("gate_parallel_s1", 10000.0, ""),
-            gate_scenario("gate_parallel_s4", 21000.0, ""),
-        ];
-        assert!(gate_shard_scaling_failures(&scaled, 8.0).is_empty());
-        // A wide scenario without its s1 sibling is itself a failure.
-        let orphan = vec![gate_scenario("gate_parallel_s4", 10000.0, "")];
-        assert!(gate_shard_scaling_failures(&orphan, 1.0)[0].contains("no 1-shard sibling"));
-    }
-
-    #[test]
-    fn gate_shard_fingerprints_must_match_when_both_exist() {
-        // Serial sharded pairs carry real fingerprints: a mismatch is a
-        // behavior change even when the speedup passes.
-        let fresh = vec![
-            gate_scenario("gate_serial_s1", 10000.0, "aaa"),
-            gate_scenario("gate_serial_s4", 20000.0, "bbb"),
-        ];
-        let failures = gate_shard_scaling_failures(&fresh, 8.0);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("fingerprint differs"), "{}", failures[0]);
-        // One side empty (parallel drive): fingerprints are not compared.
-        let mixed = vec![
-            gate_scenario("gate_parallel_s1", 10000.0, ""),
-            gate_scenario("gate_parallel_s4", 20000.0, "bbb"),
-        ];
-        assert!(gate_shard_scaling_failures(&mixed, 8.0).is_empty());
     }
 
     #[test]

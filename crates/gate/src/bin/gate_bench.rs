@@ -2,19 +2,14 @@
 //!
 //! Replays a ~110k-session churn workload (written to disk and read back
 //! through the SYBWKLD0 loader, same as the engine benchmarks) through
-//! the loopback transport four times — honest and 30%-adversarial, each
-//! against the monolithic `GateService` and against a 4-shard
-//! `ShardedGate` (whose fingerprints must match the monolithic runs
-//! byte for byte; the bench asserts it) — and writes verification
-//! throughput, decision latency percentiles, and the decision-log
-//! fingerprints to `BENCH_gate.json`.
+//! the loopback transport twice — honest and 30%-adversarial, against a
+//! 1-shard `ShardedGate` — and writes verification throughput, decision
+//! latency percentiles, and the decision-log fingerprints to
+//! `BENCH_gate.json`.
 //!
-//! Two additional *parallel* scenarios, `gate_parallel_s1` and
-//! `gate_parallel_s4`, drive four client threads against the old
-//! global-mutex service and the 4-shard service respectively: the pair
-//! `bench_compare` uses to gate the sharded speedup on multi-core
-//! hardware. Their decision logs are scheduler-ordered, so they record
-//! an empty fingerprint.
+//! A *parallel* scenario, `gate_parallel_s4`, drives four client threads
+//! against a 4-shard gate. Its decision log is scheduler-ordered, so it
+//! records an empty fingerprint.
 //!
 //! ```text
 //! Usage: gate_bench [OUTPUT_PATH]
@@ -31,15 +26,14 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use sybil_churn::{ArrivalProcess, ChurnModel, SessionModel};
 use sybil_crypto::{hex, Challenge, Sha256, Solver};
 use sybil_gate::memhard::{mine, MemHardParams};
 use sybil_gate::wire::Frame;
 use sybil_gate::{
-    replay, GateConfig, GateCounters, GateHandler, GateService, ReplayConfig, ReplayReport,
-    Response, ShardedGate, SharedGate,
+    replay, GateConfig, GateCounters, ReplayConfig, ReplayReport, Response, ShardedGate,
 };
 use sybil_sim::{write_workload_file, DiskWorkload, Time, WorkloadSource};
 
@@ -78,26 +72,25 @@ struct ScenarioResult {
     wall_secs: f64,
 }
 
-fn run_scenario<G: GateHandler>(
+fn run_scenario(
     name: &'static str,
     source: DiskWorkload,
     adversarial_fraction: f64,
-    gate: G,
-    finish: impl FnOnce(G) -> (GateCounters, String),
+    gate: ShardedGate,
 ) -> ScenarioResult {
     let cfg = ReplayConfig { horizon: HORIZON, adversarial_fraction, seed: 23 };
     let started = Instant::now();
     let (gate, report) = replay(source, gate, &cfg);
     let wall_secs = started.elapsed().as_secs_f64();
-    let (counters, fingerprint) = finish(gate);
-    ScenarioResult { name, counters, fingerprint, report, wall_secs }
+    let fingerprint = hex::encode(gate.fingerprint().as_bytes());
+    ScenarioResult { name, counters: gate.counters(), fingerprint, report, wall_secs }
 }
 
-/// Threads driving each parallel scenario, and admissions per thread.
+/// Threads driving the parallel scenario, and admissions per thread.
 const PAR_THREADS: usize = 4;
 const PAR_PER_THREAD: u64 = 400;
 
-/// A constant-difficulty config for the parallel pair: floor == cap
+/// A constant-difficulty config for the parallel scenario: floor == cap
 /// pins every hello's quote, and the heavier fill/mix makes the
 /// server-side digest — the work sharding parallelizes — dominate.
 fn parallel_cfg() -> GateConfig {
@@ -113,7 +106,7 @@ fn parallel_cfg() -> GateConfig {
 
 /// Drives `PAR_THREADS` client threads of full two-phase admissions
 /// against a shared gate; returns wall seconds.
-fn drive_parallel<G: SharedGate + 'static>(gate: &Arc<G>) -> f64 {
+fn drive_parallel(gate: &Arc<ShardedGate>) -> f64 {
     let started = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..PAR_THREADS {
@@ -150,17 +143,13 @@ fn drive_parallel<G: SharedGate + 'static>(gate: &Arc<G>) -> f64 {
     started.elapsed().as_secs_f64()
 }
 
-/// One parallel scenario: `PAR_THREADS` threads against `gate`. The
+/// The parallel scenario: `PAR_THREADS` threads against `gate`. The
 /// replay-report fields that have no parallel meaning stay zero; the
 /// handle-time is the whole wall, so `verifications_per_sec` measures
 /// end-to-end concurrent throughput.
-fn run_parallel_scenario<G: SharedGate + 'static>(
-    name: &'static str,
-    gate: Arc<G>,
-    counters_of: impl FnOnce(&G) -> GateCounters,
-) -> ScenarioResult {
+fn run_parallel_scenario(name: &'static str, gate: Arc<ShardedGate>) -> ScenarioResult {
     let wall_secs = drive_parallel(&gate);
-    let counters = counters_of(&gate);
+    let counters = gate.counters();
     let total = PAR_THREADS as u64 * PAR_PER_THREAD;
     assert_eq!(counters.admitted, total, "{name}: every parallel admission must land");
     let report = ReplayReport {
@@ -292,13 +281,8 @@ fn main() {
     let open = || DiskWorkload::open(&wl_path).expect("reopen benchmark workload");
     let initial = workload.initial_size();
     let mut scenarios = Vec::new();
-    for (name, sharded_name, fraction) in
-        [("gate_honest", "gate_honest_n4", 0.0), ("gate_adversarial", "gate_adversarial_n4", 0.3)]
-    {
-        let result =
-            run_scenario(name, open(), fraction, GateService::new(gate_cfg(initial)), |g| {
-                (g.counters(), hex::encode(g.fingerprint().as_bytes()))
-            });
+    for (name, fraction) in [("gate_honest", 0.0), ("gate_adversarial", 0.3)] {
+        let result = run_scenario(name, open(), fraction, ShardedGate::new(gate_cfg(initial), 1));
         let c = result.counters;
         println!(
             "{name:>18}: {} conns, {} admitted, {} rejected, {:.0} verifications/s, p99 {} ns",
@@ -308,49 +292,12 @@ fn main() {
             c.pow_verifications as f64 / result.report.pow_handle_secs,
             result.report.hist.percentile(0.99),
         );
-        // The same replay through the 4-shard service: the decisions —
-        // and therefore the fingerprint — must be byte-identical.
-        let sharded = run_scenario(
-            sharded_name,
-            open(),
-            fraction,
-            ShardedGate::new(gate_cfg(initial), 4),
-            |g| (g.counters(), hex::encode(g.fingerprint().as_bytes())),
-        );
-        assert_eq!(
-            sharded.fingerprint, result.fingerprint,
-            "{sharded_name}: the sharded gate must reproduce the monolithic decision log"
-        );
-        assert_eq!(sharded.counters, result.counters, "{sharded_name}: counters");
-        println!(
-            "{sharded_name:>18}: fingerprint matches {name}, {:.0} verifications/s",
-            sharded.counters.pow_verifications as f64 / sharded.report.pow_handle_secs,
-        );
         scenarios.push(result);
-        scenarios.push(sharded);
     }
     let _ = std::fs::remove_file(&wl_path);
 
-    // The parallel pair: the old global-mutex path vs the sharded path,
-    // four client threads each. This is where shards > 1 pays off — on
-    // multi-core hardware — and what bench_compare's gate-shard-scaling
-    // rule reads.
-    let s1 = run_parallel_scenario(
-        "gate_parallel_s1",
-        Arc::new(Mutex::new(GateService::new(parallel_cfg()))),
-        |g| g.lock().unwrap_or_else(|p| p.into_inner()).counters(),
-    );
-    println!(
-        "  gate_parallel_s1: {:.0} verifications/s ({} threads, global mutex)",
-        s1.counters.pow_verifications as f64 / s1.wall_secs,
-        PAR_THREADS
-    );
-    scenarios.push(s1);
-    let s4 = run_parallel_scenario(
-        "gate_parallel_s4",
-        Arc::new(ShardedGate::new(parallel_cfg(), 4)),
-        |g| g.counters(),
-    );
+    let s4 =
+        run_parallel_scenario("gate_parallel_s4", Arc::new(ShardedGate::new(parallel_cfg(), 4)));
     println!(
         "  gate_parallel_s4: {:.0} verifications/s ({} threads, 4 shards)",
         s4.counters.pow_verifications as f64 / s4.wall_secs,

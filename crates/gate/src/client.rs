@@ -24,8 +24,8 @@ use sybil_sim::{Time, WorkloadSource, WorkloadStream};
 
 use crate::hist::LatencyHist;
 use crate::memhard::{mine, MemHardParams};
-use crate::service::GateHandler;
-use crate::transport::Loopback;
+use crate::sharded::ShardedGate;
+use crate::transport::{Loopback, SharedGate};
 use crate::wire::Frame;
 
 /// Replay parameters.
@@ -85,13 +85,12 @@ type DepartKey = Reverse<(u64, u64)>;
 
 /// Replays `source` against `gate` through the loopback transport.
 /// Returns the driven service (decision log, counters) and the
-/// client-side report. Works against any [`GateHandler`] — the replay is
-/// how the equivalence tests pin the sharded gate to the monolithic one.
-pub fn replay<S: WorkloadSource, G: GateHandler>(
+/// client-side report.
+pub fn replay<S: WorkloadSource>(
     source: S,
-    gate: G,
+    gate: ShardedGate,
     cfg: &ReplayConfig,
-) -> (G, ReplayReport) {
+) -> (ShardedGate, ReplayReport) {
     let mut lb = Loopback::new(gate);
     let mut report = ReplayReport::new();
     let mut stream = source.into_stream(cfg.horizon);
@@ -158,7 +157,7 @@ pub fn replay<S: WorkloadSource, G: GateHandler>(
 
 /// One honest join: solve the hello PoW, submit, mine, submit. Returns
 /// `(identity, token, client_tag, solution)` on full admission.
-fn honest_join<G: GateHandler>(
+fn honest_join<G: SharedGate>(
     lb: &mut Loopback<G>,
     report: &mut ReplayReport,
     cfg: &ReplayConfig,
@@ -196,7 +195,7 @@ fn honest_join<G: GateHandler>(
 /// completes phase two). Odd serials replay the last honest client's
 /// `(tag, solution)` on this fresh connection, which the per-connection
 /// nonce defeats.
-fn adversarial_join<G: GateHandler>(
+fn adversarial_join<G: SharedGate>(
     lb: &mut Loopback<G>,
     report: &mut ReplayReport,
     cfg: &ReplayConfig,
@@ -220,7 +219,7 @@ fn adversarial_join<G: GateHandler>(
     }
 }
 
-fn connect<G: GateHandler>(
+fn connect<G: SharedGate>(
     lb: &mut Loopback<G>,
     report: &mut ReplayReport,
     now: Time,
@@ -229,7 +228,7 @@ fn connect<G: GateHandler>(
     lb.connect(now)
 }
 
-fn depart<G: GateHandler>(
+fn depart<G: SharedGate>(
     lb: &mut Loopback<G>,
     report: &mut ReplayReport,
     identity: u64,
@@ -247,7 +246,7 @@ fn depart<G: GateHandler>(
 
 /// Issues one request, recording its round-trip in the latency histogram
 /// and the matching handle-time accumulator.
-fn timed_request<G: GateHandler>(
+fn timed_request<G: SharedGate>(
     lb: &mut Loopback<G>,
     report: &mut ReplayReport,
     conn: u64,
@@ -270,7 +269,7 @@ fn timed_request<G: GateHandler>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{GateConfig, GateService};
+    use crate::service::GateConfig;
     use sybil_churn::{ArrivalProcess, ChurnModel, SessionModel};
 
     fn workload() -> sybil_sim::Workload {
@@ -299,7 +298,7 @@ mod tests {
         let wl = workload();
         let initial = wl.initial_size();
         let cfg = ReplayConfig { horizon: Time(10.0), adversarial_fraction: 0.0, seed: 3 };
-        let (gate, report) = replay(wl, GateService::new(gate_cfg(initial)), &cfg);
+        let (gate, report) = replay(wl, ShardedGate::new(gate_cfg(initial), 1), &cfg);
         let c = gate.counters();
         assert!(c.granted > 10, "workload should produce joins, got {}", c.granted);
         assert_eq!(c.granted, c.admitted, "honest clients always finish phase two");
@@ -315,7 +314,7 @@ mod tests {
         let wl = workload();
         let initial = wl.initial_size();
         let cfg = ReplayConfig { horizon: Time(10.0), adversarial_fraction: 0.5, seed: 3 };
-        let (gate, report) = replay(wl, GateService::new(gate_cfg(initial)), &cfg);
+        let (gate, report) = replay(wl, ShardedGate::new(gate_cfg(initial), 1), &cfg);
         let c = gate.counters();
         assert!(c.rejected_pow > 0, "adversarial joins must be rejected");
         assert!(c.admitted > 0, "honest joins still get through");
@@ -331,8 +330,8 @@ mod tests {
         let run = || {
             let wl = workload();
             let initial = wl.initial_size();
-            let (gate, _) = replay(wl, GateService::new(gate_cfg(initial)), &cfg);
-            (gate.decision_log().to_vec(), gate.counters())
+            let (gate, _) = replay(wl, ShardedGate::new(gate_cfg(initial), 1), &cfg);
+            (gate.decision_log(), gate.counters())
         };
         let (log_a, counters_a) = run();
         let (log_b, counters_b) = run();

@@ -2,16 +2,15 @@
 //!
 //! The simulator crates model admission control as function calls inside
 //! one process; this crate puts the same machinery behind a wire. A
-//! [`GateService`] owns the identity ledger ([`sybil_sim::AdmissionMap`])
+//! [`ShardedGate`] owns the identity ledger ([`sybil_sim::AdmissionMap`])
 //! and the good-join-rate estimator ([`ergo_core::GoodJEst`]) and serves
 //! join / challenge-response / depart requests over a length-prefixed
 //! binary protocol ([`wire`]), either on TCP ([`transport::serve`]) or
 //! through an in-process loopback that exercises the identical byte path
-//! without sockets ([`transport::Loopback`]). The TCP path serves any
-//! [`SharedGate`]: the monolithic service behind one global mutex, or
-//! the [`ShardedGate`] — N shard workers routed by identity congruence,
-//! with every expensive verification outside all locks — which makes the
-//! same decisions byte for byte.
+//! without sockets ([`transport::Loopback`]). The gate is a thin router
+//! over N shard workers (N = 1 by default) routed by identity
+//! congruence, with every expensive verification outside all locks; it
+//! makes the same decisions, byte for byte, at every N.
 //!
 //! Two defense layers stand between a connection and membership:
 //!
@@ -35,8 +34,9 @@
 //! * [`wire`] — frame format, encode/decode, stream reader.
 //! * [`memhard`] — fill-and-mix digest, difficulty predicate, miner.
 //! * [`hist`] — fixed-footprint log-linear latency histogram.
-//! * [`service`] — the admission state machine and decision log.
-//! * [`sharded`] — the state-sharded service behind the same protocol.
+//! * [`service`] — configuration, counters and the protocol's pure
+//!   functions.
+//! * [`sharded`] — the admission state machine and decision log.
 //! * [`transport`] — loopback and TCP front ends.
 //! * [`client`] — deterministic workload replay driver.
 
@@ -54,7 +54,7 @@ pub mod wire;
 pub use client::{replay, ReplayConfig, ReplayReport};
 pub use hist::LatencyHist;
 pub use memhard::{fill_and_mix, meets_difficulty, mine, MemHardParams, MineResult};
-pub use service::{GateConfig, GateCounters, GateHandler, GateService, Response};
+pub use service::{GateConfig, GateCounters, Response};
 pub use sharded::ShardedGate;
 pub use transport::{Loopback, SharedGate};
 pub use wire::{read_frame, Frame, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};

@@ -1,9 +1,8 @@
-//! The admission service: per-connection state, the two defense
-//! phases, and the deterministic decision log.
-//!
-//! A [`GateService`] owns the [`AdmissionMap`] identity ledger and a
-//! [`GoodJEst`] estimator of good join rate, and turns wire frames into
-//! decisions:
+//! What every part of the gate shares: configuration, counters, the
+//! reply type, per-connection and per-identity records, and the pure
+//! functions (challenge nonce, identity token, difficulty quote) behind
+//! the two defense phases. The state machine itself is
+//! [`ShardedGate`](crate::sharded::ShardedGate).
 //!
 //! 1. **Pre-handshake PoW.** Every connection receives a fresh nonce
 //!    and a difficulty quote in its hello; the first [`Frame::Join`]
@@ -24,15 +23,13 @@
 //! produce byte-identical logs on any machine — the property the
 //! determinism tests and the benchmark fingerprint pin.
 
-use std::collections::HashMap;
-
 use ergo_core::window::JoinWindow;
 use ergo_core::{GoodJEst, GoodJEstConfig};
-use sybil_crypto::{hmac_sha256, Challenge, Digest, Sha256};
-use sybil_sim::{AdmissionMap, AdmissionState, Time};
+use sybil_crypto::{hmac_sha256, Digest, Sha256};
+use sybil_sim::Time;
 
-use crate::memhard::{fill_and_mix, meets_difficulty, MemHardParams};
-use crate::wire::{Frame, PROTOCOL_VERSION};
+use crate::memhard::MemHardParams;
+use crate::wire::Frame;
 
 /// Tuning knobs for a gate instance.
 #[derive(Clone, Debug)]
@@ -137,8 +134,6 @@ pub(crate) mod logkind {
 }
 
 /// The deterministic challenge nonce for connection `conn` under `seed`.
-/// Shared by the monolithic and sharded services so their hellos are
-/// byte-identical for the same connection sequence.
 pub(crate) fn challenge_nonce(seed: u64, conn: u64) -> [u8; 16] {
     let mut h = Sha256::new();
     h.update(&seed.to_be_bytes());
@@ -172,430 +167,4 @@ pub(crate) fn quote_difficulty(
     let width = if rate > 0.0 { 1.0 / rate } else { f64::INFINITY };
     let recent = window.count_within(now, width);
     (cfg.difficulty_floor.max(1) + recent).min(cfg.difficulty_cap.max(1))
-}
-
-/// The operations a transport or replay driver needs from an admission
-/// service: open a connection, handle one frame, mint a bootstrap
-/// credential. Implemented by the monolithic [`GateService`] and the
-/// sharded [`ShardedGate`](crate::sharded::ShardedGate), so the loopback
-/// transport and the replay client drive either through the identical
-/// byte path.
-pub trait GateHandler {
-    /// Opens a connection; returns its id and the hello frame.
-    fn connect(&mut self, now: Time) -> (u64, Frame);
-    /// Handles one inbound client frame on connection `conn`.
-    fn handle(&mut self, conn: u64, frame: &Frame, now: Time) -> Response;
-    /// The dealt credential of a pre-admitted bootstrap identity.
-    fn bootstrap_token(&self, identity: u64) -> Option<Digest>;
-}
-
-impl GateHandler for GateService {
-    fn connect(&mut self, now: Time) -> (u64, Frame) {
-        GateService::connect(self, now)
-    }
-    fn handle(&mut self, conn: u64, frame: &Frame, now: Time) -> Response {
-        GateService::handle(self, conn, frame, now)
-    }
-    fn bootstrap_token(&self, identity: u64) -> Option<Digest> {
-        GateService::bootstrap_token(self, identity)
-    }
-}
-
-/// A long-running admission service instance.
-pub struct GateService {
-    cfg: GateConfig,
-    est: GoodJEst,
-    window: JoinWindow,
-    admission: AdmissionMap,
-    identities: Vec<IdentityRecord>,
-    conns: HashMap<u64, ConnState>,
-    next_conn: u64,
-    counters: GateCounters,
-    /// Fixed-width decision records; see [`GateService::decision_log`].
-    log: Vec<u8>,
-}
-
-impl GateService {
-    /// Creates a gate with `cfg.initial_size` pre-admitted bootstrap
-    /// identities (tokens for them come from
-    /// [`bootstrap_token`](Self::bootstrap_token)).
-    pub fn new(cfg: GateConfig) -> Self {
-        let initial = cfg.initial_size;
-        let mut admission = AdmissionMap::new(initial);
-        let mut identities = Vec::with_capacity(initial as usize);
-        for i in 0..initial {
-            admission.set(i, AdmissionState::Admitted);
-            identities.push(IdentityRecord {
-                client_tag: i,
-                joined_at: Time::ZERO,
-                departed: false,
-            });
-        }
-        let est = GoodJEst::new(cfg.estimator, Time::ZERO, initial);
-        GateService {
-            cfg,
-            est,
-            window: JoinWindow::new(),
-            admission,
-            identities,
-            conns: HashMap::new(),
-            next_conn: 0,
-            counters: GateCounters::default(),
-            log: Vec::new(),
-        }
-    }
-
-    /// Opens a connection at time `now`: allocates an id, derives its
-    /// challenge nonce, quotes a difficulty, and returns the hello frame
-    /// the transport must send before reading anything.
-    pub fn connect(&mut self, now: Time) -> (u64, Frame) {
-        let conn = self.next_conn;
-        self.next_conn += 1;
-        let nonce = challenge_nonce(self.cfg.seed, conn);
-        let difficulty = quote_difficulty(&self.cfg, &self.est, &self.window, now);
-        self.conns.insert(conn, ConnState { nonce, difficulty });
-        self.push_record(logkind::HELLO, conn, difficulty);
-        let hello = Frame::Hello {
-            version: PROTOCOL_VERSION,
-            difficulty,
-            nonce,
-            mine_bits: self.cfg.mine_bits,
-            mem_blocks: self.cfg.mem.blocks,
-            mem_passes: self.cfg.mem.passes,
-        };
-        (conn, hello)
-    }
-
-    /// Handles one client frame on connection `conn` at time `now`.
-    pub fn handle(&mut self, conn: u64, frame: &Frame, now: Time) -> Response {
-        match *frame {
-            Frame::Join { client_tag, solution } => {
-                self.handle_join(conn, client_tag, solution, now)
-            }
-            Frame::MineSubmit { identity, token, salt } => {
-                self.conns.remove(&conn);
-                self.handle_mine(identity, &token, salt, now)
-            }
-            Frame::Depart { identity, token } => {
-                self.conns.remove(&conn);
-                self.handle_depart(identity, &token, now)
-            }
-            // Server-to-client frames arriving inbound are protocol
-            // violations; drop without state changes.
-            Frame::Hello { .. }
-            | Frame::Granted { .. }
-            | Frame::Admitted { .. }
-            | Frame::DepartAck { .. } => self.drop_conn(conn, 1),
-        }
-    }
-
-    fn handle_join(&mut self, conn: u64, client_tag: u64, solution: u64, now: Time) -> Response {
-        // Removing (not reading) the state means a second Join on the
-        // same connection — a replay — finds nothing and is dropped
-        // before any hash is computed.
-        let Some(state) = self.conns.remove(&conn) else {
-            return self.drop_conn(conn, 0);
-        };
-        let challenge =
-            match Challenge::try_new(&state.nonce, &client_tag.to_be_bytes(), state.difficulty) {
-                Ok(c) => c,
-                Err(_) => return self.drop_conn(conn, 2), // difficulty 0 cannot be quoted; defensive
-            };
-        self.counters.pow_verifications += 1;
-        if !challenge.verify(&sybil_crypto::Solution { nonce: solution }) {
-            self.counters.rejected_pow += 1;
-            self.push_record(logkind::REJECTED_POW, conn, state.difficulty);
-            return Response::Drop;
-        }
-        let identity = self.identities.len() as u64;
-        self.admission.grow(identity + 1);
-        self.identities.push(IdentityRecord { client_tag, joined_at: now, departed: false });
-        self.window.record(now, 1);
-        self.counters.granted += 1;
-        let token = self.token_for(identity, client_tag);
-        self.push_record(logkind::GRANTED, conn, identity);
-        Response::Reply(Frame::Granted { identity, token: *token.as_bytes() })
-    }
-
-    fn handle_mine(&mut self, identity: u64, token: &[u8; 32], salt: u64, now: Time) -> Response {
-        let Some(record) = self.identities.get(identity as usize) else {
-            return self.drop_unknown(identity);
-        };
-        if record.departed || self.admission.get(identity) != AdmissionState::Pending {
-            return self.drop_unknown(identity);
-        }
-        let expected = self.token_for(identity, record.client_tag);
-        if !sybil_crypto::hmac::verify_tag(&expected, &Digest(*token)) {
-            return self.drop_unknown(identity);
-        }
-        self.counters.mem_verifications += 1;
-        let digest = fill_and_mix(expected.as_bytes(), salt, &self.cfg.mem);
-        if meets_difficulty(&digest, self.cfg.mine_bits) {
-            self.admission.set(identity, AdmissionState::Admitted);
-            self.est.on_join(now, 1);
-            self.counters.admitted += 1;
-            self.push_record(logkind::ADMITTED, identity, salt);
-            Response::Reply(Frame::Admitted { identity })
-        } else {
-            self.admission.set(identity, AdmissionState::Refused);
-            self.counters.refused_mine += 1;
-            self.push_record(logkind::MINE_REFUSED, identity, salt);
-            Response::Drop
-        }
-    }
-
-    fn handle_depart(&mut self, identity: u64, token: &[u8; 32], now: Time) -> Response {
-        let Some(record) = self.identities.get(identity as usize) else {
-            return self.drop_unknown(identity);
-        };
-        if record.departed || self.admission.get(identity) != AdmissionState::Admitted {
-            return self.drop_unknown(identity);
-        }
-        let expected = self.token_for(identity, record.client_tag);
-        if !sybil_crypto::hmac::verify_tag(&expected, &Digest(*token)) {
-            return self.drop_unknown(identity);
-        }
-        let joined_at = record.joined_at;
-        self.identities[identity as usize].departed = true;
-        let old = self.est.classify_old(joined_at);
-        self.est.on_depart(now, old, 1);
-        self.counters.departed += 1;
-        self.push_record(logkind::DEPARTED, identity, 0);
-        Response::Reply(Frame::DepartAck { identity })
-    }
-
-    fn drop_conn(&mut self, conn: u64, code: u64) -> Response {
-        self.conns.remove(&conn);
-        self.counters.dropped += 1;
-        self.push_record(logkind::DROPPED, conn, code);
-        Response::Drop
-    }
-
-    fn drop_unknown(&mut self, identity: u64) -> Response {
-        self.counters.dropped += 1;
-        self.push_record(logkind::DROPPED, identity, 3);
-        Response::Drop
-    }
-
-    /// The HMAC credential for (`identity`, `client_tag`) under the
-    /// master secret.
-    fn token_for(&self, identity: u64, client_tag: u64) -> Digest {
-        token_for(&self.cfg.master_secret, identity, client_tag)
-    }
-
-    /// The credential of a pre-admitted bootstrap identity (`None` for
-    /// identities issued over the wire — those tokens exist only in the
-    /// [`Frame::Granted`] that delivered them). The replay client uses
-    /// this to depart initial members, standing in for the out-of-band
-    /// credential distribution the paper's bootstrap assumes.
-    pub fn bootstrap_token(&self, identity: u64) -> Option<Digest> {
-        if identity >= self.cfg.initial_size {
-            return None;
-        }
-        let tag = self.identities.get(identity as usize)?.client_tag;
-        Some(self.token_for(identity, tag))
-    }
-
-    fn push_record(&mut self, kind: u8, a: u64, b: u64) {
-        self.log.push(kind);
-        self.log.extend_from_slice(&a.to_le_bytes());
-        self.log.extend_from_slice(&b.to_le_bytes());
-    }
-
-    /// Lifetime counters.
-    pub fn counters(&self) -> GateCounters {
-        self.counters
-    }
-
-    /// The raw decision log: 17-byte records of `(kind, a, b)` with
-    /// little-endian `u64` operands. Contains connection ids, identities,
-    /// difficulties, and salts — but never wall-clock time, so equal
-    /// inputs give equal logs on any machine.
-    pub fn decision_log(&self) -> &[u8] {
-        &self.log
-    }
-
-    /// SHA-256 over the decision log: the run's decision fingerprint.
-    pub fn fingerprint(&self) -> Digest {
-        Sha256::digest(&self.log)
-    }
-
-    /// Current good-join-rate estimate (`J̃`).
-    pub fn estimated_join_rate(&self) -> f64 {
-        self.est.estimate()
-    }
-
-    /// Live (granted or bootstrap, not departed) identity count is not
-    /// tracked directly; this returns total identities ever issued.
-    pub fn identity_count(&self) -> u64 {
-        self.identities.len() as u64
-    }
-
-    /// The configuration the gate was built with.
-    pub fn config(&self) -> &GateConfig {
-        &self.cfg
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sybil_crypto::Solver;
-
-    fn test_cfg() -> GateConfig {
-        GateConfig {
-            difficulty_floor: 4,
-            mine_bits: 1,
-            mem: MemHardParams { blocks: 4, passes: 1 },
-            initial_size: 3,
-            ..GateConfig::default()
-        }
-    }
-
-    fn join(gate: &mut GateService, client_tag: u64, now: Time) -> (u64, [u8; 32]) {
-        let (conn, hello) = gate.connect(now);
-        let Frame::Hello { difficulty, nonce, .. } = hello else { panic!("expected hello") };
-        let challenge = Challenge::new(&nonce, &client_tag.to_be_bytes(), difficulty);
-        let solution = Solver::new().solve(&challenge);
-        let reply = gate.handle(conn, &Frame::Join { client_tag, solution: solution.nonce }, now);
-        let Response::Reply(Frame::Granted { identity, token }) = reply else {
-            panic!("expected grant, got {reply:?}")
-        };
-        (identity, token)
-    }
-
-    fn admit(gate: &mut GateService, client_tag: u64, now: Time) -> (u64, [u8; 32]) {
-        let (identity, token) = join(gate, client_tag, now);
-        let (bits, mem) = (gate.config().mine_bits, gate.config().mem);
-        let mined = crate::memhard::mine(&token, bits, &mem);
-        let (conn, _) = gate.connect(now);
-        let reply =
-            gate.handle(conn, &Frame::MineSubmit { identity, token, salt: mined.salt }, now);
-        assert_eq!(reply, Response::Reply(Frame::Admitted { identity }));
-        (identity, token)
-    }
-
-    #[test]
-    fn two_phase_admission_happy_path() {
-        let mut gate = GateService::new(test_cfg());
-        let (identity, token) = admit(&mut gate, 99, Time(1.0));
-        assert_eq!(identity, 3); // after the 3 bootstrap identities
-        let c = gate.counters();
-        assert_eq!((c.granted, c.admitted, c.rejected_pow), (1, 1, 0));
-        // Departing with the earned token works once.
-        let (conn, _) = gate.connect(Time(2.0));
-        let reply = gate.handle(conn, &Frame::Depart { identity, token }, Time(2.0));
-        assert_eq!(reply, Response::Reply(Frame::DepartAck { identity }));
-        // And never twice.
-        let (conn, _) = gate.connect(Time(3.0));
-        let reply = gate.handle(conn, &Frame::Depart { identity, token }, Time(3.0));
-        assert_eq!(reply, Response::Drop);
-    }
-
-    #[test]
-    fn invalid_pow_costs_exactly_one_verification_and_frees_state() {
-        // A high floor so the garbage solution cannot fluke past the
-        // verifier (fluke probability is 1/difficulty).
-        let mut gate = GateService::new(GateConfig { difficulty_floor: 1 << 30, ..test_cfg() });
-        let (conn, _) = gate.connect(Time(1.0));
-        let before = gate.counters().pow_verifications;
-        let reply =
-            gate.handle(conn, &Frame::Join { client_tag: 7, solution: u64::MAX }, Time(1.0));
-        assert_eq!(reply, Response::Drop);
-        let after = gate.counters();
-        assert_eq!(after.pow_verifications, before + 1, "exactly one hash verification");
-        assert_eq!(after.rejected_pow, 1);
-        assert_eq!(after.granted, 0);
-        // The connection's state is gone: a retry on the same connection
-        // is dropped with ZERO further verifications.
-        let reply = gate.handle(conn, &Frame::Join { client_tag: 7, solution: 0 }, Time(1.0));
-        assert_eq!(reply, Response::Drop);
-        assert_eq!(gate.counters().pow_verifications, before + 1);
-    }
-
-    #[test]
-    fn replayed_solution_fails_on_fresh_connection() {
-        let mut gate = GateService::new(test_cfg());
-        let (conn, hello) = gate.connect(Time(1.0));
-        let Frame::Hello { difficulty, nonce, .. } = hello else { panic!() };
-        let challenge = Challenge::new(&nonce, &7u64.to_be_bytes(), difficulty);
-        let solution = Solver::new().solve(&challenge).nonce;
-        assert!(matches!(
-            gate.handle(conn, &Frame::Join { client_tag: 7, solution }, Time(1.0)),
-            Response::Reply(Frame::Granted { .. })
-        ));
-        // Same (tag, solution) on a new connection: the nonce differs, so
-        // the old solution is worthless.
-        let (conn2, hello2) = gate.connect(Time(1.0));
-        let Frame::Hello { nonce: nonce2, .. } = hello2 else { panic!() };
-        assert_ne!(nonce, nonce2, "per-connection nonces must differ");
-        let reply = gate.handle(conn2, &Frame::Join { client_tag: 7, solution }, Time(1.0));
-        assert_eq!(reply, Response::Drop);
-        assert_eq!(gate.counters().rejected_pow, 1);
-    }
-
-    #[test]
-    fn forged_and_stale_tokens_are_dropped() {
-        let mut gate = GateService::new(test_cfg());
-        let (identity, token) = join(&mut gate, 5, Time(1.0));
-        // Forged token: flip a byte.
-        let mut forged = token;
-        forged[0] ^= 1;
-        let (conn, _) = gate.connect(Time(1.0));
-        let reply =
-            gate.handle(conn, &Frame::MineSubmit { identity, token: forged, salt: 0 }, Time(1.0));
-        assert_eq!(reply, Response::Drop);
-        assert_eq!(gate.counters().mem_verifications, 0, "forged token costs no digest");
-        // Unknown identity.
-        let (conn, _) = gate.connect(Time(1.0));
-        let reply =
-            gate.handle(conn, &Frame::MineSubmit { identity: 999, token, salt: 0 }, Time(1.0));
-        assert_eq!(reply, Response::Drop);
-        // A server-bound direction violation.
-        let (conn, _) = gate.connect(Time(1.0));
-        let reply = gate.handle(conn, &Frame::Admitted { identity }, Time(1.0));
-        assert_eq!(reply, Response::Drop);
-    }
-
-    #[test]
-    fn difficulty_rises_with_recent_joins_and_respects_cap() {
-        let mut gate = GateService::new(GateConfig { difficulty_cap: 6, ..test_cfg() });
-        let (_, hello) = gate.connect(Time(1.0));
-        let Frame::Hello { difficulty: d0, .. } = hello else { panic!() };
-        assert_eq!(d0, 4, "floor quote before any joins");
-        for i in 0..5 {
-            join(&mut gate, 100 + i, Time(1.0));
-        }
-        let (_, hello) = gate.connect(Time(1.0));
-        let Frame::Hello { difficulty: d1, .. } = hello else { panic!() };
-        assert!(d1 > d0, "recent joins must raise the quote");
-        assert!(d1 <= 6, "cap must bind, got {d1}");
-    }
-
-    #[test]
-    fn bootstrap_identities_can_depart_with_dealt_tokens() {
-        let mut gate = GateService::new(test_cfg());
-        let token = gate.bootstrap_token(1).expect("bootstrap identity");
-        assert!(gate.bootstrap_token(3).is_none(), "non-bootstrap has no dealt token");
-        let (conn, _) = gate.connect(Time(1.0));
-        let reply =
-            gate.handle(conn, &Frame::Depart { identity: 1, token: *token.as_bytes() }, Time(1.0));
-        assert_eq!(reply, Response::Reply(Frame::DepartAck { identity: 1 }));
-        assert_eq!(gate.counters().departed, 1);
-    }
-
-    #[test]
-    fn decision_log_is_time_free_and_fingerprint_stable() {
-        let run = |now_scale: f64| {
-            let mut gate = GateService::new(test_cfg());
-            admit(&mut gate, 42, Time(1.0 * now_scale));
-            join(&mut gate, 43, Time(2.0 * now_scale));
-            (gate.decision_log().to_vec(), gate.fingerprint())
-        };
-        let (log_a, fp_a) = run(1.0);
-        let (log_b, fp_b) = run(1000.0);
-        assert_eq!(log_a, log_b, "wall-clock must not leak into the log");
-        assert_eq!(fp_a, fp_b);
-        assert_eq!(log_a.len() % 17, 0, "records are fixed width");
-    }
 }

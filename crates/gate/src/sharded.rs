@@ -1,11 +1,7 @@
-//! The sharded admission service: N shard workers behind a thin router,
+//! The admission state machine: N shard workers behind a thin router,
 //! with identities routed by congruence (`identity mod N`) — the gate's
-//! counterpart of the simulator's sharded defense state.
-//!
-//! The monolithic [`GateService`] serves the TCP front end from behind a
-//! single mutex, so every expensive verification — the PoW hash check and
-//! above all the memory-hard [`fill_and_mix`] digest — serializes the
-//! whole service. [`ShardedGate`] splits the state instead of the lock:
+//! counterpart of the simulator's sharded defense state. N = 1 is the
+//! default deployment; the protocol is described in [`crate::service`].
 //!
 //! * Each **shard** owns the [`IdentityRecord`]s and the
 //!   [`AdmissionMap`] slice of the identities congruent to its index
@@ -21,12 +17,11 @@
 //!   state under the second lock, so a raced duplicate costs its sender
 //!   a digest but cannot double-admit.
 //!
-//! Driven serially, a `ShardedGate` produces a decision log
-//! **byte-identical** to the monolithic service's at every shard count —
-//! the equivalence the tests in this module pin. Driven concurrently,
-//! log record order follows the scheduler (so parallel benchmarks record
-//! no fingerprint), but the counters and per-identity outcomes remain
-//! exact.
+//! Driven serially, a `ShardedGate` produces the same decision log,
+//! byte for byte, at every shard count — the tests in this module pin
+//! it, and pin the log's SHA-256. Driven concurrently, log record order
+//! follows the scheduler (so parallel benchmarks record no fingerprint),
+//! but the counters and per-identity outcomes remain exact.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
@@ -39,7 +34,7 @@ use sybil_sim::{AdmissionMap, AdmissionState, Time};
 use crate::memhard::{fill_and_mix, meets_difficulty};
 use crate::service::{
     challenge_nonce, logkind, quote_difficulty, token_for, ConnState, GateConfig, GateCounters,
-    GateHandler, IdentityRecord, Response,
+    IdentityRecord, Response,
 };
 use crate::transport::SharedGate;
 use crate::wire::{Frame, PROTOCOL_VERSION};
@@ -114,9 +109,8 @@ impl GateShard {
     }
 }
 
-/// The sharded admission service. See the module docs for the layout;
-/// see [`GateService`] for the protocol itself — the two services make
-/// identical decisions, byte for byte, when driven serially.
+/// The admission service. See the module docs for the layout and
+/// [`crate::service`] for the protocol.
 pub struct ShardedGate {
     cfg: GateConfig,
     router: Mutex<Router>,
@@ -165,8 +159,9 @@ impl ShardedGate {
         f(&mut guard, (identity / n) as usize)
     }
 
-    /// Opens a connection at time `now`. Identical contract (and bytes)
-    /// to [`GateService::connect`].
+    /// Opens a connection at time `now`: allocates an id, derives its
+    /// challenge nonce, quotes a difficulty, and returns the hello frame
+    /// the transport must send before reading anything.
     pub fn connect(&self, now: Time) -> (u64, Frame) {
         let mut r = lock(&self.router);
         let conn = r.next_conn;
@@ -200,6 +195,8 @@ impl ShardedGate {
                 lock(&self.router).conns.remove(&conn);
                 self.handle_depart(identity, &token, now)
             }
+            // Server-to-client frames arriving inbound are protocol
+            // violations; drop without state changes.
             Frame::Hello { .. }
             | Frame::Granted { .. }
             | Frame::Admitted { .. }
@@ -208,8 +205,9 @@ impl ShardedGate {
     }
 
     fn handle_join(&self, conn: u64, client_tag: u64, solution: u64, now: Time) -> Response {
-        // Take (never read) the promised state, exactly like the
-        // monolithic path: a replayed Join finds nothing.
+        // Removing (not reading) the state means a second Join on the
+        // same connection — a replay — finds nothing and is dropped
+        // before any hash is computed.
         let state = {
             let mut r = lock(&self.router);
             match r.conns.remove(&conn) {
@@ -220,6 +218,7 @@ impl ShardedGate {
         let challenge =
             match Challenge::try_new(&state.nonce, &client_tag.to_be_bytes(), state.difficulty) {
                 Ok(c) => c,
+                // difficulty 0 cannot be quoted; defensive
                 Err(_) => return lock(&self.router).drop_conn(conn, 2),
             };
         // The hash verification runs outside every lock.
@@ -242,8 +241,7 @@ impl ShardedGate {
         let token = token_for(&self.cfg.master_secret, identity, client_tag);
         self.with_shard(identity, |shard, local| {
             shard.ensure(local);
-            // A fresh slot is Pending by construction — exactly the
-            // state a grown monolithic map reports.
+            // A fresh slot is Pending by construction.
             shard.records[local] =
                 Some(IdentityRecord { client_tag, joined_at: now, departed: false });
         });
@@ -268,8 +266,7 @@ impl ShardedGate {
             return lock(&self.router).drop_unknown(identity);
         }
         // The memory-hard digest — the dominant cost of the whole
-        // service — runs outside every lock. That is the point of the
-        // sharded gate.
+        // service — runs outside every lock.
         let digest = fill_and_mix(expected.as_bytes(), salt, &self.cfg.mem);
         let admitted = meets_difficulty(&digest, self.cfg.mine_bits);
         let transitioned = self.with_shard(identity, |shard, local| match shard.record(local) {
@@ -343,8 +340,11 @@ impl ShardedGate {
         Response::Reply(Frame::DepartAck { identity })
     }
 
-    /// The credential of a pre-admitted bootstrap identity; see
-    /// [`GateService::bootstrap_token`].
+    /// The credential of a pre-admitted bootstrap identity (`None` for
+    /// identities issued over the wire — those tokens exist only in the
+    /// [`Frame::Granted`] that delivered them). The replay client uses
+    /// this to depart initial members, standing in for the out-of-band
+    /// credential distribution the paper's bootstrap assumes.
     pub fn bootstrap_token(&self, identity: u64) -> Option<Digest> {
         if identity >= self.cfg.initial_size {
             return None;
@@ -359,14 +359,16 @@ impl ShardedGate {
         lock(&self.router).counters
     }
 
-    /// A copy of the raw decision log (same 17-byte record format as
-    /// [`GateService::decision_log`]). Byte-identical to the monolithic
-    /// log under serial driving; scheduler-ordered under concurrency.
+    /// A copy of the raw decision log: 17-byte records of `(kind, a, b)`
+    /// with little-endian `u64` operands. Contains connection ids,
+    /// identities, difficulties, and salts — but never wall-clock time,
+    /// so equal serially-driven inputs give equal logs on any machine;
+    /// under concurrency the record order follows the scheduler.
     pub fn decision_log(&self) -> Vec<u8> {
         lock(&self.router).log.clone()
     }
 
-    /// SHA-256 over the decision log.
+    /// SHA-256 over the decision log: the run's decision fingerprint.
     pub fn fingerprint(&self) -> Digest {
         Sha256::digest(&lock(&self.router).log)
     }
@@ -392,18 +394,6 @@ impl ShardedGate {
     }
 }
 
-impl GateHandler for ShardedGate {
-    fn connect(&mut self, now: Time) -> (u64, Frame) {
-        ShardedGate::connect(self, now)
-    }
-    fn handle(&mut self, conn: u64, frame: &Frame, now: Time) -> Response {
-        ShardedGate::handle(self, conn, frame, now)
-    }
-    fn bootstrap_token(&self, identity: u64) -> Option<Digest> {
-        ShardedGate::bootstrap_token(self, identity)
-    }
-}
-
 impl SharedGate for ShardedGate {
     fn connect(&self, now: Time) -> (u64, Frame) {
         ShardedGate::connect(self, now)
@@ -420,7 +410,6 @@ mod tests {
     use super::*;
     use crate::client::{replay, ReplayConfig};
     use crate::memhard::{mine, MemHardParams};
-    use crate::service::GateService;
     use sybil_churn::networks;
     use sybil_crypto::Solver;
     use sybil_sim::workload_io::{write_workload_file, DiskWorkload};
@@ -435,21 +424,23 @@ mod tests {
         }
     }
 
-    /// One full admission against any handler, via the trait.
-    fn admit<G: GateHandler>(gate: &mut G, client_tag: u64, now: Time) -> (u64, [u8; 32]) {
+    /// Phase one: solve the hello's PoW and collect the grant.
+    fn join(gate: &ShardedGate, client_tag: u64, now: Time) -> (u64, [u8; 32]) {
         let (conn, hello) = gate.connect(now);
-        let Frame::Hello { difficulty, nonce, mine_bits, mem_blocks, mem_passes, .. } = hello
-        else {
-            panic!("expected hello")
-        };
+        let Frame::Hello { difficulty, nonce, .. } = hello else { panic!("expected hello") };
         let challenge = Challenge::new(&nonce, &client_tag.to_be_bytes(), difficulty);
         let solution = Solver::new().solve(&challenge).nonce;
         let reply = gate.handle(conn, &Frame::Join { client_tag, solution }, now);
         let Response::Reply(Frame::Granted { identity, token }) = reply else {
             panic!("expected grant, got {reply:?}")
         };
-        let mem = MemHardParams { blocks: mem_blocks, passes: mem_passes };
-        let mined = mine(&token, mine_bits, &mem);
+        (identity, token)
+    }
+
+    /// One full two-phase admission.
+    fn admit(gate: &ShardedGate, client_tag: u64, now: Time) -> (u64, [u8; 32]) {
+        let (identity, token) = join(gate, client_tag, now);
+        let mined = mine(&token, gate.config().mine_bits, &gate.config().mem);
         let (conn, _) = gate.connect(now);
         let reply =
             gate.handle(conn, &Frame::MineSubmit { identity, token, salt: mined.salt }, now);
@@ -457,79 +448,146 @@ mod tests {
         (identity, token)
     }
 
-    /// SHA-256 of the decision log the serial replay below produces.
+    /// SHA-256 of the decision log the serial replay below produces,
+    /// recorded from the monolithic service this gate replaced.
     const SERIAL_REPLAY_LOG_SHA256: &str =
         "55a8899c66d04af9149289251297480dfceb1b71c599bd9f4c6f033dc56fa1c8";
 
     #[test]
-    fn serial_replay_is_byte_identical_to_the_monolithic_gate() {
-        // The acceptance criterion: an identical churn replay (honest and
-        // adversarial traffic) against the monolithic gate and against
-        // the sharded gate at every N produces the same decision log,
-        // byte for byte, the same counters, and the same fingerprint.
+    fn serial_replay_is_byte_identical_at_every_shard_count() {
+        // An identical churn replay (honest and adversarial traffic) at
+        // every N produces the same decision log, byte for byte, the
+        // same counters, and the pinned fingerprint.
         let workload = networks::gnutella().generate(Time(60.0), 17);
         let path =
             std::env::temp_dir().join(format!("sybil_gate_shard_eq_{}.wkld", std::process::id()));
         write_workload_file(&path, &workload).expect("write workload");
         let cfg = GateConfig { initial_size: 16, ..test_cfg() };
         let rcfg = ReplayConfig { horizon: Time(60.0), adversarial_fraction: 0.25, seed: 23 };
-        let source = || DiskWorkload::open(&path).expect("open workload");
-        let (mono, mono_report) = replay(source(), GateService::new(cfg.clone()), &rcfg);
-        assert!(mono.counters().granted > 0, "replay must exercise the gate");
+        let run = |shards| {
+            let source = DiskWorkload::open(&path).expect("open workload");
+            replay(source, ShardedGate::new(cfg.clone(), shards), &rcfg)
+        };
+        let (one, one_report) = run(1);
+        assert!(one.counters().granted > 0, "replay must exercise the gate");
         assert_eq!(
-            sybil_crypto::hex::encode(mono.fingerprint().as_bytes()),
+            sybil_crypto::hex::encode(one.fingerprint().as_bytes()),
             SERIAL_REPLAY_LOG_SHA256,
-            "the monolithic decision log moved"
+            "the decision log moved"
         );
-        for shards in [1usize, 2, 3, 8] {
-            let (sharded, report) = replay(source(), ShardedGate::new(cfg.clone(), shards), &rcfg);
+        for shards in [2usize, 3, 8] {
+            let (gate, report) = run(shards);
             // Wall-clock measurements differ run to run; the behavioral
             // client-side tallies must not.
-            assert_eq!(report.connections, mono_report.connections, "{shards} shards");
-            assert_eq!(report.admitted, mono_report.admitted, "{shards} shards");
-            assert_eq!(report.join_drops, mono_report.join_drops, "{shards} shards");
-            assert_eq!(report.departs, mono_report.departs, "{shards} shards");
-            assert_eq!(report.client_pow_work, mono_report.client_pow_work, "{shards} shards");
-            assert_eq!(report.mine_attempts, mono_report.mine_attempts, "{shards} shards");
-            assert_eq!(
-                sharded.decision_log(),
-                mono.decision_log().to_vec(),
-                "{shards} shards: decision log bytes"
-            );
-            assert_eq!(sharded.counters(), mono.counters(), "{shards} shards: counters");
-            assert_eq!(sharded.fingerprint(), mono.fingerprint(), "{shards} shards: fingerprint");
-            assert_eq!(sharded.identity_count(), mono.identity_count());
+            assert_eq!(report.connections, one_report.connections, "{shards} shards");
+            assert_eq!(report.admitted, one_report.admitted, "{shards} shards");
+            assert_eq!(report.join_drops, one_report.join_drops, "{shards} shards");
+            assert_eq!(report.departs, one_report.departs, "{shards} shards");
+            assert_eq!(report.client_pow_work, one_report.client_pow_work, "{shards} shards");
+            assert_eq!(report.mine_attempts, one_report.mine_attempts, "{shards} shards");
+            assert_eq!(gate.decision_log(), one.decision_log(), "{shards} shards: log bytes");
+            assert_eq!(gate.counters(), one.counters(), "{shards} shards: counters");
+            assert_eq!(gate.identity_count(), one.identity_count());
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn two_phase_admission_lands_on_the_congruent_shard() {
-        let mut gate = ShardedGate::new(test_cfg(), 4);
-        let (identity, token) = admit(&mut gate, 99, Time(1.0));
+        let gate = ShardedGate::new(test_cfg(), 4);
+        let (identity, token) = admit(&gate, 99, Time(1.0));
         assert_eq!(identity, 5, "first wire identity follows the bootstrap set");
         let c = gate.counters();
         assert_eq!((c.granted, c.admitted, c.rejected_pow), (1, 1, 0));
         // The record lives on shard identity % 4 and departs exactly once.
-        let (conn, _) = GateHandler::connect(&mut gate, Time(2.0));
-        let reply =
-            GateHandler::handle(&mut gate, conn, &Frame::Depart { identity, token }, Time(2.0));
+        let (conn, _) = gate.connect(Time(2.0));
+        let reply = gate.handle(conn, &Frame::Depart { identity, token }, Time(2.0));
         assert_eq!(reply, Response::Reply(Frame::DepartAck { identity }));
-        let (conn, _) = GateHandler::connect(&mut gate, Time(3.0));
-        let reply =
-            GateHandler::handle(&mut gate, conn, &Frame::Depart { identity, token }, Time(3.0));
+        let (conn, _) = gate.connect(Time(3.0));
+        let reply = gate.handle(conn, &Frame::Depart { identity, token }, Time(3.0));
         assert_eq!(reply, Response::Drop);
+    }
+
+    #[test]
+    fn invalid_pow_costs_exactly_one_verification_and_frees_state() {
+        // A high floor so the garbage solution cannot fluke past the
+        // verifier (fluke probability is 1/difficulty).
+        let gate = ShardedGate::new(GateConfig { difficulty_floor: 1 << 30, ..test_cfg() }, 2);
+        let (conn, _) = gate.connect(Time(1.0));
+        let reply =
+            gate.handle(conn, &Frame::Join { client_tag: 7, solution: u64::MAX }, Time(1.0));
+        assert_eq!(reply, Response::Drop);
+        let after = gate.counters();
+        assert_eq!(after.pow_verifications, 1, "exactly one hash verification");
+        assert_eq!((after.rejected_pow, after.granted), (1, 0));
+        assert!(lock(&gate.router).conns.is_empty(), "the connection's state is gone");
+        // A retry on the same connection is dropped with ZERO further
+        // verifications.
+        let reply = gate.handle(conn, &Frame::Join { client_tag: 7, solution: 0 }, Time(1.0));
+        assert_eq!(reply, Response::Drop);
+        assert_eq!(gate.counters().pow_verifications, 1);
+    }
+
+    #[test]
+    fn replayed_solution_fails_on_fresh_connection() {
+        let gate = ShardedGate::new(test_cfg(), 2);
+        let (conn, hello) = gate.connect(Time(1.0));
+        let Frame::Hello { difficulty, nonce, .. } = hello else { panic!() };
+        let challenge = Challenge::new(&nonce, &7u64.to_be_bytes(), difficulty);
+        let solution = Solver::new().solve(&challenge).nonce;
+        assert!(matches!(
+            gate.handle(conn, &Frame::Join { client_tag: 7, solution }, Time(1.0)),
+            Response::Reply(Frame::Granted { .. })
+        ));
+        // Same (tag, solution) on a new connection: the nonce differs, so
+        // the old solution is worthless.
+        let (conn2, hello2) = gate.connect(Time(1.0));
+        let Frame::Hello { nonce: nonce2, .. } = hello2 else { panic!() };
+        assert_ne!(nonce, nonce2, "per-connection nonces must differ");
+        let reply = gate.handle(conn2, &Frame::Join { client_tag: 7, solution }, Time(1.0));
+        assert_eq!(reply, Response::Drop);
+        assert_eq!(gate.counters().rejected_pow, 1);
+    }
+
+    #[test]
+    fn difficulty_rises_with_recent_joins_and_respects_cap() {
+        let gate = ShardedGate::new(GateConfig { difficulty_cap: 6, ..test_cfg() }, 1);
+        let (_, hello) = gate.connect(Time(1.0));
+        let Frame::Hello { difficulty: d0, .. } = hello else { panic!() };
+        assert_eq!(d0, 4, "floor quote before any joins");
+        for i in 0..5 {
+            join(&gate, 100 + i, Time(1.0));
+        }
+        let (_, hello) = gate.connect(Time(1.0));
+        let Frame::Hello { difficulty: d1, .. } = hello else { panic!() };
+        assert!(d1 > d0, "recent joins must raise the quote");
+        assert!(d1 <= 6, "cap must bind, got {d1}");
+    }
+
+    #[test]
+    fn decision_log_is_time_free_and_fingerprint_stable() {
+        let run = |now_scale: f64| {
+            let gate = ShardedGate::new(test_cfg(), 1);
+            admit(&gate, 42, Time(1.0 * now_scale));
+            join(&gate, 43, Time(2.0 * now_scale));
+            (gate.decision_log(), gate.fingerprint())
+        };
+        let (log_a, fp_a) = run(1.0);
+        let (log_b, fp_b) = run(1000.0);
+        assert_eq!(log_a, log_b, "wall-clock must not leak into the log");
+        assert_eq!(fp_a, fp_b);
+        assert_eq!(log_a.len() % 17, 0, "records are fixed width");
     }
 
     #[test]
     fn bootstrap_identities_shard_across_workers_and_can_depart() {
         let cfg = test_cfg();
-        let mono = GateService::new(cfg.clone());
+        let one = ShardedGate::new(cfg.clone(), 1);
         let gate = ShardedGate::new(cfg.clone(), 3);
         for i in 0..cfg.initial_size {
-            // Dealt tokens agree with the monolithic service's.
+            // Dealt tokens do not depend on the shard count.
             let token = gate.bootstrap_token(i).expect("bootstrap identity");
-            assert_eq!(Some(token), mono.bootstrap_token(i), "identity {i}");
+            assert_eq!(Some(token), one.bootstrap_token(i), "identity {i}");
             let (conn, _) = gate.connect(Time(1.0));
             let reply = gate.handle(
                 conn,
@@ -543,19 +601,9 @@ mod tests {
     }
 
     #[test]
-    fn forged_tokens_and_unknown_identities_cost_no_digest() {
-        let mut gate = ShardedGate::new(test_cfg(), 2);
-        let (conn, hello) = GateHandler::connect(&mut gate, Time(1.0));
-        let Frame::Hello { difficulty, nonce, .. } = hello else { panic!() };
-        let challenge = Challenge::new(&nonce, &7u64.to_be_bytes(), difficulty);
-        let solution = Solver::new().solve(&challenge).nonce;
-        let reply = GateHandler::handle(
-            &mut gate,
-            conn,
-            &Frame::Join { client_tag: 7, solution },
-            Time(1.0),
-        );
-        let Response::Reply(Frame::Granted { identity, token }) = reply else { panic!() };
+    fn forged_tokens_unknown_identities_and_inbound_server_frames_cost_no_digest() {
+        let gate = ShardedGate::new(test_cfg(), 2);
+        let (identity, token) = join(&gate, 7, Time(1.0));
         let mut forged = token;
         forged[0] ^= 1;
         let (conn, _) = gate.connect(Time(1.0));
@@ -567,9 +615,33 @@ mod tests {
         let reply =
             gate.handle(conn, &Frame::MineSubmit { identity: 999, token, salt: 0 }, Time(1.0));
         assert_eq!(reply, Response::Drop);
+        // A server-to-client frame arriving inbound.
+        let (conn, _) = gate.connect(Time(1.0));
+        let reply = gate.handle(conn, &Frame::Admitted { identity }, Time(1.0));
+        assert_eq!(reply, Response::Drop);
         let c = gate.counters();
-        assert_eq!(c.mem_verifications, 0, "neither probe may cost a digest");
-        assert_eq!(c.dropped, 2);
+        assert_eq!(c.mem_verifications, 0, "no probe may cost a digest");
+        assert_eq!(c.dropped, 3);
+    }
+
+    #[test]
+    fn poisoned_router_and_shard_locks_keep_serving() {
+        // A handler that panics while holding a lock poisons it; `lock`
+        // recovers the guard, because every gate state transition is
+        // complete before any panic point a handler could hit.
+        let gate = Arc::new(ShardedGate::new(test_cfg(), 2));
+        let poisoner = Arc::clone(&gate);
+        let _ = std::thread::spawn(move || {
+            let _router = poisoner.router.lock().unwrap();
+            let _shards: Vec<_> = poisoner.shards.iter().map(|s| s.lock().unwrap()).collect();
+            panic!("deliberate test panic to poison the gate's locks");
+        })
+        .join();
+        assert!(gate.router.lock().is_err(), "the router lock must actually be poisoned");
+        assert!(gate.shards.iter().all(|s| s.lock().is_err()), "and every shard lock");
+        let (identity, _) = admit(&gate, 9, Time(1.0));
+        assert_eq!(identity, 5);
+        assert_eq!(gate.counters().dropped, 0);
     }
 
     #[test]

@@ -4,27 +4,27 @@
 //! encoded to bytes and decoded back on both legs — without sockets, so
 //! tests and benchmarks exercise exactly the bytes a TCP peer would see
 //! while staying deterministic and sandbox-friendly. The TCP transport
-//! serves any [`SharedGate`] — the monolithic [`GateService`] behind one
-//! mutex, or the [`ShardedGate`](crate::sharded::ShardedGate) with its
-//! per-shard locks — one reader thread per connection with a hard cap.
+//! serves a [`SharedGate`] — the
+//! [`ShardedGate`](crate::sharded::ShardedGate), or a wrapper around it —
+//! one reader thread per connection with a hard cap.
 
 use std::io::Write;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sybil_sim::Time;
 
-use crate::service::{GateHandler, GateService, Response};
+use crate::service::Response;
 use crate::wire::{read_frame, Frame};
 
 /// An in-process connection to a gate, speaking real wire bytes.
-pub struct Loopback<G = GateService> {
+pub struct Loopback<G> {
     service: G,
 }
 
-impl<G: GateHandler> Loopback<G> {
+impl<G: SharedGate> Loopback<G> {
     /// Wraps a service in a loopback transport.
     pub fn new(service: G) -> Self {
         Loopback { service }
@@ -67,31 +67,15 @@ impl<G: GateHandler> Loopback<G> {
     }
 }
 
-/// A gate the TCP front end can drive through shared references from
-/// many handler threads at once. `Mutex<GateService>` serializes every
-/// frame behind one global lock — the pre-sharding behavior — while
-/// [`ShardedGate`](crate::sharded::ShardedGate) takes per-shard locks
-/// and keeps the expensive verifications outside all of them.
+/// A gate the transports can drive through shared references, from many
+/// handler threads at once.
 pub trait SharedGate: Send + Sync {
-    /// Opens a connection; see [`GateService::connect`].
+    /// Opens a connection; see
+    /// [`ShardedGate::connect`](crate::sharded::ShardedGate::connect).
     fn connect(&self, now: Time) -> (u64, Frame);
-    /// Handles one client frame; see [`GateService::handle`].
+    /// Handles one client frame; see
+    /// [`ShardedGate::handle`](crate::sharded::ShardedGate::handle).
     fn handle(&self, conn: u64, frame: &Frame, now: Time) -> Response;
-}
-
-impl SharedGate for Mutex<GateService> {
-    fn connect(&self, now: Time) -> (u64, Frame) {
-        lock(self).connect(now)
-    }
-    fn handle(&self, conn: u64, frame: &Frame, now: Time) -> Response {
-        lock(self).handle(conn, frame, now)
-    }
-}
-
-/// Locks a shared service, surviving a panic in another handler: the
-/// gate's state is append-only counters and maps, safe to keep serving.
-fn lock(service: &Mutex<GateService>) -> std::sync::MutexGuard<'_, GateService> {
-    service.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Serves a gate over TCP until the listener fails. Each accepted
@@ -151,6 +135,7 @@ mod tests {
     use super::*;
     use crate::memhard::{mine, MemHardParams};
     use crate::service::GateConfig;
+    use crate::sharded::ShardedGate;
     use sybil_crypto::{Challenge, Solver};
 
     fn small_cfg() -> GateConfig {
@@ -186,7 +171,7 @@ mod tests {
 
     #[test]
     fn loopback_full_admission_crosses_the_wire() {
-        let mut lb = Loopback::new(GateService::new(small_cfg()));
+        let mut lb = Loopback::new(ShardedGate::new(small_cfg(), 1));
         let (conn, hello) = lb.connect(Time(1.0));
         let identity = admit_via(&hello, |f| lb.request(conn, f, Time(1.0)), 7);
         // Note: after the Join the connection state is consumed, but the
@@ -201,37 +186,18 @@ mod tests {
         // A high floor so a garbage solution cannot fluke past the
         // verifier (at difficulty d the fluke probability is 1/d).
         let cfg = GateConfig { difficulty_floor: 1 << 30, ..small_cfg() };
-        let mut lb = Loopback::new(GateService::new(cfg));
+        let mut lb = Loopback::new(ShardedGate::new(cfg, 1));
         let (conn, _) = lb.connect(Time(1.0));
         let reply = lb.request(conn, &Frame::Join { client_tag: 1, solution: u64::MAX }, Time(1.0));
         assert_eq!(reply, None);
         assert_eq!(lb.service().counters().rejected_pow, 1);
     }
 
-    #[test]
-    fn poisoned_service_mutex_keeps_serving() {
-        // A handler that panics while holding the global mutex poisons
-        // it; the SharedGate impl recovers the guard, because every gate
-        // state transition is complete before any panic point a handler
-        // could hit.
-        let service = Arc::new(Mutex::new(GateService::new(small_cfg())));
-        let poisoner = Arc::clone(&service);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap();
-            panic!("deliberate test panic to poison the mutex");
-        })
-        .join();
-        assert!(service.lock().is_err(), "the mutex must actually be poisoned");
-        let (_, hello) = SharedGate::connect(&*service, Time(1.0));
-        assert!(matches!(hello, Frame::Hello { .. }));
-        assert_eq!(lock(&service).counters().dropped, 0);
-    }
-
     /// A gate whose N-th `connect` panics: the deterministic stand-in
     /// for a handler bug, used to pin that a panicking handler cannot
     /// take the acceptor down.
     struct FlakyGate {
-        inner: Mutex<GateService>,
+        inner: ShardedGate,
         calls: AtomicUsize,
         panic_on: usize,
     }
@@ -241,10 +207,10 @@ mod tests {
             if self.calls.fetch_add(1, Ordering::SeqCst) == self.panic_on {
                 panic!("deliberate test panic in a connection handler");
             }
-            SharedGate::connect(&self.inner, now)
+            self.inner.connect(now)
         }
         fn handle(&self, conn: u64, frame: &Frame, now: Time) -> Response {
-            SharedGate::handle(&self.inner, conn, frame, now)
+            self.inner.handle(conn, frame, now)
         }
     }
 
@@ -258,7 +224,7 @@ mod tests {
         };
         let addr = listener.local_addr().expect("bound listener has an address");
         let gate = Arc::new(FlakyGate {
-            inner: Mutex::new(GateService::new(small_cfg())),
+            inner: ShardedGate::new(small_cfg(), 1),
             calls: AtomicUsize::new(0),
             panic_on: 1,
         });

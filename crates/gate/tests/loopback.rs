@@ -6,11 +6,11 @@
 //! covers the thread-per-connection server with a real kernel socket
 //! pair on 127.0.0.1.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use sybil_churn::{ArrivalProcess, ChurnModel, SessionModel};
 use sybil_gate::memhard::{mine, MemHardParams};
-use sybil_gate::{replay, Frame, GateConfig, GateService, ReplayConfig, ShardedGate};
+use sybil_gate::{replay, Frame, GateConfig, ReplayConfig, ShardedGate};
 use sybil_sim::Time;
 
 fn workload() -> sybil_sim::Workload {
@@ -42,8 +42,8 @@ fn replay_decision_log_is_byte_identical() {
         let wl = workload();
         let initial = wl.initial_size();
         let cfg = ReplayConfig { horizon: Time(12.0), adversarial_fraction: 0.25, seed: 5 };
-        let (gate, report) = replay(wl, GateService::new(gate_cfg(initial)), &cfg);
-        (gate.decision_log().to_vec(), gate.fingerprint(), gate.counters(), report.connections)
+        let (gate, report) = replay(wl, ShardedGate::new(gate_cfg(initial), 1), &cfg);
+        (gate.decision_log(), gate.fingerprint(), gate.counters(), report.connections)
     };
     let (log_a, fp_a, counters_a, conns_a) = run();
     let (log_b, fp_b, counters_b, conns_b) = run();
@@ -71,7 +71,7 @@ fn fingerprint_is_sensitive_to_inputs() {
         let initial = wl.initial_size();
         let cfg =
             ReplayConfig { horizon: Time(12.0), adversarial_fraction: fraction, seed: replay_seed };
-        let (gate, _) = replay(wl, GateService::new(gate_cfg(initial)), &cfg);
+        let (gate, _) = replay(wl, ShardedGate::new(gate_cfg(initial), 1), &cfg);
         gate.fingerprint()
     };
     let base = fp(12, 5, 0.25);
@@ -81,10 +81,11 @@ fn fingerprint_is_sensitive_to_inputs() {
     assert_ne!(base, fp(12, 5, 0.0), "different adversary mix must shift the log");
 }
 
-/// Full two-phase admission over a real TCP socket on localhost,
-/// speaking the same bytes the loopback tests pin.
+/// Full two-phase admission and departure over a real TCP socket on
+/// localhost against a 3-shard gate, speaking the same bytes the
+/// loopback tests pin.
 #[test]
-fn tcp_round_trip_admits_one_identity() {
+fn tcp_round_trip_admits_and_departs_one_identity() {
     use std::io::Write;
     use sybil_crypto::{Challenge, Solver};
     use sybil_gate::{read_frame, transport};
@@ -94,7 +95,7 @@ fn tcp_round_trip_admits_one_identity() {
         return;
     };
     let addr = listener.local_addr().expect("bound listener has an address");
-    let service = Arc::new(Mutex::new(GateService::new(gate_cfg(0))));
+    let service = Arc::new(ShardedGate::new(gate_cfg(0), 3));
     let server = Arc::clone(&service);
     std::thread::spawn(move || {
         let _ = transport::serve(listener, server, 2);
@@ -125,60 +126,8 @@ fn tcp_round_trip_admits_one_identity() {
     let reply = read_frame(&mut stream).expect("read ack").expect("ack before EOF");
     assert_eq!(reply, Frame::DepartAck { identity });
 
-    let counters = service.lock().expect("service lock").counters();
-    assert_eq!((counters.granted, counters.admitted, counters.departed), (1, 1, 1));
-}
-
-/// The sharded service behind the same TCP front end: a full two-phase
-/// admission against a 3-shard gate, plus the serial replay equivalence
-/// that pins its fingerprint to the monolithic service's.
-#[test]
-fn tcp_sharded_service_admits_and_matches_monolithic_fingerprint() {
-    use std::io::Write;
-    use sybil_crypto::{Challenge, Solver};
-    use sybil_gate::{read_frame, transport};
-
-    // Serial replay equivalence first (no sockets needed): the sharded
-    // gate's decision fingerprint equals the monolithic gate's.
-    let run_cfg = ReplayConfig { horizon: Time(12.0), adversarial_fraction: 0.25, seed: 5 };
-    let wl = workload();
-    let initial = wl.initial_size();
-    let (mono, _) = replay(wl.clone(), GateService::new(gate_cfg(initial)), &run_cfg);
-    let (sharded, _) = replay(wl, ShardedGate::new(gate_cfg(initial), 3), &run_cfg);
-    assert_eq!(sharded.fingerprint(), mono.fingerprint(), "serial sharded replay must match");
-
-    let Ok(listener) = std::net::TcpListener::bind("127.0.0.1:0") else {
-        eprintln!("skipping TCP smoke test: cannot bind localhost in this environment");
-        return;
-    };
-    let addr = listener.local_addr().expect("bound listener has an address");
-    let service = Arc::new(ShardedGate::new(gate_cfg(0), 3));
-    let server = Arc::clone(&service);
-    std::thread::spawn(move || {
-        let _ = transport::serve(listener, server, 2);
-    });
-
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect to local gate");
-    let hello = read_frame(&mut stream).expect("read hello").expect("hello before EOF");
-    let Frame::Hello { difficulty, nonce, mine_bits, mem_blocks, mem_passes, .. } = hello else {
-        panic!("first frame must be the hello, got {hello:?}")
-    };
-    let client_tag = 99u64;
-    let challenge = Challenge::new(&nonce, &client_tag.to_be_bytes(), difficulty);
-    let solution = Solver::new().solve(&challenge).nonce;
-    stream.write_all(&Frame::Join { client_tag, solution }.encode()).expect("send join");
-    let reply = read_frame(&mut stream).expect("read grant").expect("grant before EOF");
-    let Frame::Granted { identity, token } = reply else { panic!("expected grant, got {reply:?}") };
-    let mem = MemHardParams { blocks: mem_blocks, passes: mem_passes };
-    let mined = mine(&token, mine_bits, &mem);
-    stream
-        .write_all(&Frame::MineSubmit { identity, token, salt: mined.salt }.encode())
-        .expect("send mine");
-    let reply = read_frame(&mut stream).expect("read admit").expect("admit before EOF");
-    assert_eq!(reply, Frame::Admitted { identity });
-
     let counters = service.counters();
-    assert_eq!((counters.granted, counters.admitted), (1, 1));
+    assert_eq!((counters.granted, counters.admitted, counters.departed), (1, 1, 1));
     assert_eq!(service.shard_count(), 3);
 }
 
@@ -194,7 +143,7 @@ fn tcp_malformed_frame_closes_connection() {
         return;
     };
     let addr = listener.local_addr().expect("bound listener has an address");
-    let service = Arc::new(Mutex::new(GateService::new(gate_cfg(0))));
+    let service = Arc::new(ShardedGate::new(gate_cfg(0), 1));
     std::thread::spawn({
         let server = Arc::clone(&service);
         move || {
@@ -211,5 +160,5 @@ fn tcp_malformed_frame_closes_connection() {
     let mut rest = Vec::new();
     let n = stream.read_to_end(&mut rest).unwrap_or(0);
     assert_eq!(n, 0, "no reply bytes for a malformed frame");
-    assert_eq!(service.lock().expect("service lock").counters().granted, 0);
+    assert_eq!(service.counters().granted, 0);
 }
