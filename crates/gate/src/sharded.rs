@@ -401,6 +401,9 @@ impl SharedGate for ShardedGate {
     fn handle(&self, conn: u64, frame: &Frame, now: Time) -> Response {
         ShardedGate::handle(self, conn, frame, now)
     }
+    fn disconnect(&self, conn: u64) {
+        lock(&self.router).conns.remove(&conn);
+    }
 }
 
 #[cfg(test)]
@@ -622,6 +625,46 @@ mod tests {
         let c = gate.counters();
         assert_eq!(c.mem_verifications, 0, "no probe may cost a digest");
         assert_eq!(c.dropped, 3);
+    }
+
+    #[test]
+    fn connect_and_close_leaves_no_connection_state() {
+        use std::io::Read;
+        use std::net::{TcpListener, TcpStream};
+
+        let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
+            eprintln!("skipping: cannot bind a localhost listener in this sandbox");
+            return;
+        };
+        let addr = listener.local_addr().expect("bound listener has an address");
+        let gate = Arc::new(ShardedGate::new(test_cfg(), 2));
+        let server = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            let _ = crate::transport::serve(listener, server, 1);
+        });
+        // Reads the hello, so the server's `connect` has happened.
+        let open = || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut prefix = [0u8; 4];
+            stream.read_exact(&mut prefix).expect("hello length prefix");
+            stream
+        };
+        // The first connection holds the only handler slot, so every
+        // later one is handled inline on the acceptor thread, one after
+        // the other: once `last` has its hello, the 1 000 before it have
+        // run to their end.
+        let _first = open();
+        for _ in 0..1000 {
+            drop(open());
+        }
+        let _last = open();
+        let router = lock(&gate.router);
+        let mut live: Vec<u64> = router.conns.keys().copied().collect();
+        live.sort_unstable();
+        assert_eq!(live, [0, 1001], "only the two open connections keep state");
+        assert_eq!(router.log.len(), 1002 * 17);
+        assert!(router.log.chunks(17).all(|record| record[0] == logkind::HELLO));
+        assert_eq!(router.counters, GateCounters::default());
     }
 
     #[test]

@@ -76,6 +76,9 @@ pub trait SharedGate: Send + Sync {
     /// Handles one client frame; see
     /// [`ShardedGate::handle`](crate::sharded::ShardedGate::handle).
     fn handle(&self, conn: u64, frame: &Frame, now: Time) -> Response;
+    /// Connection `conn` has ended: forget whatever `connect` promised
+    /// it. Not a decision, so it is never logged or counted.
+    fn disconnect(&self, _conn: u64) {}
 }
 
 /// Serves a gate over TCP until the listener fails. Each accepted
@@ -112,6 +115,15 @@ pub fn serve<G: SharedGate + 'static>(
     Ok(())
 }
 
+/// Tells the gate its connection ended, however `handle_conn` exits.
+struct Disconnect<'a, G: SharedGate>(&'a G, u64);
+
+impl<G: SharedGate> Drop for Disconnect<'_, G> {
+    fn drop(&mut self) {
+        self.0.disconnect(self.1);
+    }
+}
+
 /// One connection's lifecycle: hello, then frames until drop or EOF.
 fn handle_conn<G: SharedGate>(
     mut stream: std::net::TcpStream,
@@ -120,6 +132,7 @@ fn handle_conn<G: SharedGate>(
 ) -> std::io::Result<()> {
     let now = || Time(start.elapsed().as_secs_f64());
     let (conn, hello) = service.connect(now());
+    let _disconnect = Disconnect(service, conn);
     stream.write_all(&hello.encode())?;
     while let Some(frame) = read_frame(&mut stream)? {
         match service.handle(conn, &frame, now()) {
