@@ -621,7 +621,7 @@ mod tests {
             )
         };
         format!(
-            "{{\n  \"queue\": {{\n    \"queue_heap\": {{\"ops\": 1, \"wall_secs\": 1, \
+            "{{\n  \"queue\": {{\n    \"queue_calendar\": {{\"ops\": 1, \"wall_secs\": 1, \
              \"ops_per_sec\": 20000000}}\n  }},\n  \"scenarios\": {{\n    \"a\": {{\n      \
              \"events\": 10,\n      \"events_per_sec\": {eps},\n      \"fingerprint\": {}\n    \
              }},\n    \"b\": {{\n      \"events\": 5,\n      \"events_per_sec\": 50,\n      \
@@ -641,7 +641,7 @@ mod tests {
         assert_eq!(s[0].fingerprint, fp(7.0));
         assert_eq!(s[1].name, "b");
         assert_eq!(s[1].events_per_sec, 50.0);
-        assert_eq!(parse_queue(&json), vec![("queue_heap".to_string(), 20000000.0)]);
+        assert_eq!(parse_queue(&json), vec![("queue_calendar".to_string(), 20000000.0)]);
     }
 
     #[test]
@@ -649,7 +649,7 @@ mod tests {
         use sybil_bench::perf::{Fingerprint, PerfReport, QueueBenchResult, ScenarioResult};
         let report = PerfReport {
             queue: vec![QueueBenchResult {
-                name: "queue_heap".into(),
+                name: "queue_calendar".into(),
                 ops: 10,
                 wall_secs: 0.1,
                 ops_per_sec: 100.0,
@@ -682,7 +682,7 @@ mod tests {
         assert_eq!(parsed[0].fingerprint.purges, 3.0);
         assert_eq!(parsed[0].fingerprint.good_spend, 4.5);
         assert_eq!(parsed[0].allocs_per_event, Some(0.007));
-        assert_eq!(parse_queue(&json), vec![("queue_heap".to_string(), 100.0)]);
+        assert_eq!(parse_queue(&json), vec![("queue_calendar".to_string(), 100.0)]);
         // The self-describing counting flag round-trips too (this test
         // binary has no registered counting allocator, so it is false).
         assert_eq!(field_bool(&json, "alloc_counting"), Some(false));
@@ -751,8 +751,8 @@ mod tests {
 
     #[test]
     fn speed_ratio_is_geometric_mean_of_shared_queue_benches() {
-        let base = vec![("queue_heap".to_string(), 100.0), ("queue_calendar".to_string(), 100.0)];
-        let fresh = vec![("queue_heap".to_string(), 50.0), ("queue_calendar".to_string(), 200.0)];
+        let base = vec![("queue_calendar".to_string(), 100.0), ("sha256_64b".to_string(), 100.0)];
+        let fresh = vec![("queue_calendar".to_string(), 50.0), ("sha256_64b".to_string(), 200.0)];
         // sqrt(0.5 × 2.0) = 1.0
         assert!((speed_ratio(&base, &fresh) - 1.0).abs() < 1e-12);
         assert_eq!(speed_ratio(&[], &fresh), 1.0);

@@ -1,6 +1,6 @@
 //! `bench_report` — the engine performance baseline.
 //!
-//! Runs a fixed micro/macro suite (queue throughput for both backends, plus
+//! Runs a fixed micro/macro suite (queue throughput, plus
 //! deterministic full-engine sweep scenarios) and writes the results to
 //! `BENCH_engine.json` so subsequent PRs have a trajectory to beat.
 //!

@@ -4,9 +4,9 @@
 //!
 //! Two layers:
 //!
-//! * **Queue micro-benches** — raw [`EventQueue`] push/pop throughput for
-//!   both backends (binary heap vs calendar buckets) under an engine-like
-//!   access pattern (time advances monotonically, events land near-future).
+//! * **Queue micro-bench** — raw [`EventQueue`] push/pop throughput under
+//!   an engine-like access pattern (time advances monotonically, events
+//!   land near-future).
 //! * **Macro scenarios** — full [`Simulation`] runs through the same
 //!   [`crate::sweep::run_report`] path the figure sweeps use, measured in
 //!   engine events per wall second. `macro_sweep` is the headline number: a
@@ -81,7 +81,7 @@ pub struct Fingerprint {
 /// One measured queue micro-bench.
 #[derive(Clone, Debug)]
 pub struct QueueBenchResult {
-    /// Bench name (`queue_heap` / `queue_calendar`).
+    /// Bench name (`queue_calendar`).
     pub name: String,
     /// Push+pop operations performed.
     pub ops: u64,
@@ -463,16 +463,14 @@ fn run_queue_bench(name: &str, mut q: EventQueue<u64>, n_ops: u64) -> QueueBench
 /// numbers compare engine work, not scheduling luck.
 pub fn run_suite() -> PerfReport {
     let n_ops = if crate::sweep::fast_mode() { 400_000 } else { 2_000_000 };
-    let best_queue = |name: &str, make: &dyn Fn() -> EventQueue<u64>| {
-        (0..reps())
-            .map(|_| run_queue_bench(name, make(), n_ops))
-            .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
-            .expect("at least one rep")
-    };
-    let queue = vec![
-        best_queue("queue_heap", &|| EventQueue::with_capacity(8192)),
-        best_queue("queue_calendar", &|| EventQueue::with_horizon(Time(20_000.0), 8192)),
-    ];
+    let queue_calendar = (0..reps())
+        .map(|_| {
+            let q = EventQueue::with_horizon(Time(20_000.0), 8192);
+            run_queue_bench("queue_calendar", q, n_ops)
+        })
+        .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
+        .expect("at least one rep");
+    let queue = vec![queue_calendar];
     let mut scenarios: Vec<ScenarioResult> =
         scenario_specs().iter().map(|(name, cells)| run_scenario(name, cells)).collect();
     // Million-ID scale runs at full size even in FAST mode: the replay is
@@ -613,7 +611,7 @@ mod tests {
     fn json_is_well_formed_enough() {
         let report = PerfReport {
             queue: vec![QueueBenchResult {
-                name: "queue_heap".into(),
+                name: "queue_calendar".into(),
                 ops: 10,
                 wall_secs: 0.1,
                 ops_per_sec: 100.0,
@@ -633,7 +631,7 @@ mod tests {
             }],
         };
         let json = to_json(&report);
-        assert!(json.contains("\"queue_heap\""));
+        assert!(json.contains("\"queue_calendar\""));
         assert!(json.contains("\"events_per_sec\": 10"));
         assert!(json.contains("\"shards\": 4"));
         assert!(json.contains("\"loop_allocs\": 7"));
@@ -646,7 +644,7 @@ mod tests {
 
     #[test]
     fn queue_bench_runs() {
-        let r = run_queue_bench("q", EventQueue::new(), 10_000);
+        let r = run_queue_bench("q", EventQueue::with_horizon(Time(20_000.0), 8192), 10_000);
         assert!(r.ops >= 10_000);
         assert!(r.ops_per_sec > 0.0);
     }

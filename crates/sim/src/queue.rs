@@ -6,29 +6,21 @@
 //! server ordering apparent ties (Section 2.1.1) — the insertion sequence
 //! number plays that role here.
 //!
-//! # Two backends, one contract
+//! # The calendar
 //!
-//! The queue has two interchangeable backends sharing the exact ordering
-//! contract (strictly increasing `(time, seq)` pop order):
+//! The queue ([`EventQueue::with_horizon`]) is a static calendar over
+//! `[0, horizon]` divided into fixed-width buckets, each a small vector
+//! kept sorted. Simulation time only moves forward, so push and pop are
+//! `O(bucket occupancy)` — amortized `O(1)` when events spread over the
+//! horizon, which is exactly the engine's workload. Events past the
+//! horizon share one overflow bucket (the engine stops at the first such
+//! event anyway).
 //!
-//! * **Heap** (default): a plain binary heap, `O(log n)` push/pop for any
-//!   time distribution. [`EventQueue::new`] and
-//!   [`EventQueue::with_capacity`] build this.
-//! * **Calendar** ([`EventQueue::with_horizon`]): a static calendar over
-//!   `[0, horizon]` divided into fixed-width buckets, each a small vector
-//!   kept sorted. Simulation time only moves forward, so push and pop are
-//!   `O(bucket occupancy)` — amortized `O(1)` when events spread over the
-//!   horizon, which is exactly the engine's workload. Events past the
-//!   horizon share one overflow bucket (the engine stops at the first such
-//!   event anyway).
-//!
-//! Because every entry's `(time, seq)` key is unique, both backends pop the
-//! same total order; `tests::backends_agree_with_reference_model` pins this
-//! against a reference model.
+//! Every entry's `(time, seq)` key is unique, so the pop order is total
+//! and strictly increasing; `tests::calendar_agrees_with_reference_model`
+//! pins it against a reference model.
 
 use crate::time::Time;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A time-ordered event queue with FIFO tie-breaking.
 ///
@@ -38,7 +30,7 @@ use std::collections::BinaryHeap;
 /// use sybil_sim::queue::EventQueue;
 /// use sybil_sim::time::Time;
 ///
-/// let mut q = EventQueue::new();
+/// let mut q = EventQueue::with_horizon(Time(10.0), 64);
 /// q.push(Time(2.0), "b");
 /// q.push(Time(1.0), "a");
 /// q.push(Time(2.0), "c");
@@ -50,14 +42,8 @@ use std::collections::BinaryHeap;
 /// ```
 #[derive(Clone, Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    calendar: Calendar<E>,
     seq: u64,
-}
-
-#[derive(Clone, Debug)]
-enum Backend<E> {
-    Heap(BinaryHeap<Reverse<Entry<E>>>),
-    Calendar(Calendar<E>),
 }
 
 #[derive(Clone, Debug)]
@@ -73,27 +59,7 @@ impl<E> Entry<E> {
     }
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// The calendar backend: fixed-width buckets over `[0, horizon]`, plus one
+/// The calendar: fixed-width buckets over `[0, horizon]`, plus one
 /// overflow bucket for times past the horizon.
 ///
 /// Each bucket is a [`Bucket`]: an ascending-sorted vector consumed
@@ -247,25 +213,8 @@ impl<E> Calendar<E> {
     }
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> EventQueue<E> {
-    /// Creates an empty queue (heap backend).
-    pub fn new() -> Self {
-        EventQueue { backend: Backend::Heap(BinaryHeap::new()), seq: 0 }
-    }
-
-    /// Creates an empty queue with capacity for `n` events (heap backend).
-    pub fn with_capacity(n: usize) -> Self {
-        EventQueue { backend: Backend::Heap(BinaryHeap::with_capacity(n)), seq: 0 }
-    }
-
-    /// Creates a calendar-backed queue for a simulation over
-    /// `[0, horizon]`.
+    /// Creates an empty queue for a simulation over `[0, horizon]`.
     ///
     /// `expected_events` sizes the bucket array (one bucket per expected
     /// event, clamped to a sane range) so that average bucket occupancy
@@ -277,14 +226,18 @@ impl<E> EventQueue<E> {
     pub fn with_horizon(horizon: Time, expected_events: usize) -> Self {
         assert!(horizon > Time::ZERO, "calendar queue needs a positive horizon");
         let n_buckets = expected_events.clamp(64, 65_536);
-        EventQueue { backend: Backend::Calendar(Calendar::new(horizon, n_buckets)), seq: 0 }
+        EventQueue { calendar: Calendar::new(horizon, n_buckets), seq: 0 }
     }
 
     /// Schedules `event` at time `at`.
+    // Out of line, like `push_with_seq` and `pop`: inlined into the
+    // engine's event loop the calendar costs the in-memory replay
+    // scenarios 10-18 % of their events/sec (`bench_report`, PR 14).
+    #[inline(never)]
     pub fn push(&mut self, at: Time, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.push_entry(Entry { at, seq, event });
+        self.calendar.push(Entry { at, seq, event });
     }
 
     /// Schedules `event` at time `at` with an explicit tie-breaking
@@ -296,13 +249,14 @@ impl<E> EventQueue<E> {
     /// reserves the range via [`advance_seq_to`](Self::advance_seq_to).
     /// Pushing a seq at or above the reserved floor would collide with
     /// future [`push`](Self::push) assignments and panics.
+    #[inline(never)]
     pub fn push_with_seq(&mut self, at: Time, seq: u64, event: E) {
         assert!(
             seq < self.seq,
             "push_with_seq: seq {seq} not below the reserved floor {}",
             self.seq
         );
-        self.push_entry(Entry { at, seq, event });
+        self.calendar.push(Entry { at, seq, event });
     }
 
     /// Raises the internal sequence counter to at least `floor`, reserving
@@ -311,27 +265,10 @@ impl<E> EventQueue<E> {
         self.seq = self.seq.max(floor);
     }
 
-    /// Schedules a batch of `(time, event)` pairs in FIFO order (equivalent
-    /// to repeated [`push`](Self::push), one sequence number each).
-    pub fn push_many<I: IntoIterator<Item = (Time, E)>>(&mut self, items: I) {
-        for (at, event) in items {
-            self.push(at, event);
-        }
-    }
-
-    fn push_entry(&mut self, entry: Entry<E>) {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Reverse(entry)),
-            Backend::Calendar(cal) => cal.push(entry),
-        }
-    }
-
     /// Removes and returns the earliest event.
+    #[inline(never)]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|Reverse(e)| (e.at, e.event)),
-            Backend::Calendar(cal) => cal.pop().map(|e| (e.at, e.event)),
-        }
+        self.calendar.pop().map(|e| (e.at, e.event))
     }
 
     /// Removes and returns the earliest event together with its full
@@ -341,39 +278,22 @@ impl<E> EventQueue<E> {
     /// heads of external pre-ordered feeds, so it needs the sequence
     /// number [`pop`](Self::pop) discards.
     pub fn pop_keyed(&mut self) -> Option<(Time, u64, E)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|Reverse(e)| (e.at, e.seq, e.event)),
-            Backend::Calendar(cal) => cal.pop().map(|e| (e.at, e.seq, e.event)),
-        }
+        self.calendar.pop().map(|e| (e.at, e.seq, e.event))
     }
 
     /// The earliest pending event, if any, without removing it.
     pub fn peek(&self) -> Option<(Time, &E)> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|Reverse(e)| (e.at, &e.event)),
-            Backend::Calendar(cal) => cal.peek().map(|e| (e.at, &e.event)),
-        }
+        self.calendar.peek().map(|e| (e.at, &e.event))
     }
 
     /// Full `(time, seq)` ordering key of the earliest pending event.
     pub fn peek_key(&self) -> Option<(Time, u64)> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|Reverse(e)| e.key()),
-            Backend::Calendar(cal) => cal.peek().map(|e| e.key()),
-        }
-    }
-
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.peek().map(|(at, _)| at)
+        self.calendar.peek().map(|e| e.key())
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Calendar(cal) => cal.len,
-        }
+        self.calendar.len
     }
 
     /// True if no events are pending.
@@ -382,120 +302,90 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> Extend<(Time, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (Time, E)>>(&mut self, iter: I) {
-        self.push_many(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both_backends() -> Vec<EventQueue<i32>> {
-        vec![EventQueue::new(), EventQueue::with_horizon(Time(100.0), 64)]
+    fn queue() -> EventQueue<i32> {
+        EventQueue::with_horizon(Time(100.0), 64)
     }
 
     #[test]
     fn orders_by_time_then_fifo() {
-        for mut q in both_backends() {
-            q.push(Time(3.0), 30);
-            q.push(Time(1.0), 10);
-            q.push(Time(1.0), 11);
-            q.push(Time(2.0), 20);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![10, 11, 20, 30]);
-        }
+        let mut q = queue();
+        q.push(Time(3.0), 30);
+        q.push(Time(1.0), 10);
+        q.push(Time(1.0), 11);
+        q.push(Time(2.0), 20);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![10, 11, 20, 30]);
     }
 
     #[test]
     fn peek_and_len() {
-        for mut q in both_backends() {
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.push(Time(5.0), 0);
-            assert_eq!(q.peek_time(), Some(Time(5.0)));
-            assert_eq!(q.peek(), Some((Time(5.0), &0)));
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = queue();
+        assert!(q.is_empty());
+        assert_eq!(q.peek(), None);
+        q.push(Time(5.0), 0);
+        assert_eq!(q.peek(), Some((Time(5.0), &0)));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
-    fn keyed_accessors_expose_seq_on_both_backends() {
-        for mut q in both_backends() {
-            q.push(Time(2.0), 20); // seq 0
-            q.push(Time(1.0), 10); // seq 1
-            q.push(Time(2.0), 21); // seq 2
-            assert_eq!(q.peek_key(), Some((Time(1.0), 1)));
-            assert_eq!(q.pop_keyed(), Some((Time(1.0), 1, 10)));
-            assert_eq!(q.peek_key(), Some((Time(2.0), 0)));
-            assert_eq!(q.pop_keyed(), Some((Time(2.0), 0, 20)));
-            assert_eq!(q.pop_keyed(), Some((Time(2.0), 2, 21)));
-            assert_eq!(q.pop_keyed(), None);
-            assert_eq!(q.peek_key(), None);
-        }
-    }
-
-    #[test]
-    fn extend_works() {
-        let mut q = EventQueue::new();
-        q.extend(vec![(Time(2.0), 'b'), (Time(1.0), 'a')]);
-        assert_eq!(q.pop().unwrap().1, 'a');
-    }
-
-    #[test]
-    fn push_many_is_fifo() {
-        for mut q in both_backends() {
-            q.push_many([(Time(1.0), 1), (Time(1.0), 2), (Time(0.5), 0)]);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![0, 1, 2]);
-        }
+    fn keyed_accessors_expose_seq() {
+        let mut q = queue();
+        q.push(Time(2.0), 20); // seq 0
+        q.push(Time(1.0), 10); // seq 1
+        q.push(Time(2.0), 21); // seq 2
+        assert_eq!(q.peek_key(), Some((Time(1.0), 1)));
+        assert_eq!(q.pop_keyed(), Some((Time(1.0), 1, 10)));
+        assert_eq!(q.peek_key(), Some((Time(2.0), 0)));
+        assert_eq!(q.pop_keyed(), Some((Time(2.0), 0, 20)));
+        assert_eq!(q.pop_keyed(), Some((Time(2.0), 2, 21)));
+        assert_eq!(q.pop_keyed(), None);
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        for mut q in both_backends() {
-            q.push(Time(10.0), 1);
-            q.push(Time(5.0), 0);
-            assert_eq!(q.pop().unwrap().1, 0);
-            q.push(Time(7.0), 2);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert!(q.pop().is_none());
-        }
+        let mut q = queue();
+        q.push(Time(10.0), 1);
+        q.push(Time(5.0), 0);
+        assert_eq!(q.pop().unwrap().1, 0);
+        q.push(Time(7.0), 2);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn push_with_seq_reproduces_eager_order() {
-        for make in [(|| EventQueue::new()) as fn() -> EventQueue<u32>, || {
-            EventQueue::with_horizon(Time(10.0), 64)
-        }] {
-            // Eager: everything pushed up front.
-            let mut eager = make();
-            for (t, e) in [(2.0, 0u32), (2.0, 1), (1.0, 2), (2.0, 3)] {
-                eager.push(Time(t), e);
-            }
-            // Streaming: seqs 0..4 reserved, events fed in late and out of
-            // seq order.
-            let mut streaming = make();
-            streaming.advance_seq_to(4);
-            streaming.push_with_seq(Time(1.0), 2, 2);
-            assert_eq!(streaming.pop(), Some((Time(1.0), 2)));
-            assert_eq!(eager.pop(), Some((Time(1.0), 2)));
-            streaming.push_with_seq(Time(2.0), 3, 3);
-            streaming.push_with_seq(Time(2.0), 0, 0);
-            streaming.push_with_seq(Time(2.0), 1, 1);
-            for _ in 0..3 {
-                assert_eq!(streaming.pop(), eager.pop());
-            }
-            assert!(streaming.pop().is_none() && eager.pop().is_none());
+        let make = || EventQueue::<u32>::with_horizon(Time(10.0), 64);
+        // Eager: everything pushed up front.
+        let mut eager = make();
+        for (t, e) in [(2.0, 0u32), (2.0, 1), (1.0, 2), (2.0, 3)] {
+            eager.push(Time(t), e);
         }
+        // Streaming: seqs 0..4 reserved, events fed in late and out of
+        // seq order.
+        let mut streaming = make();
+        streaming.advance_seq_to(4);
+        streaming.push_with_seq(Time(1.0), 2, 2);
+        assert_eq!(streaming.pop(), Some((Time(1.0), 2)));
+        assert_eq!(eager.pop(), Some((Time(1.0), 2)));
+        streaming.push_with_seq(Time(2.0), 3, 3);
+        streaming.push_with_seq(Time(2.0), 0, 0);
+        streaming.push_with_seq(Time(2.0), 1, 1);
+        for _ in 0..3 {
+            assert_eq!(streaming.pop(), eager.pop());
+        }
+        assert!(streaming.pop().is_none() && eager.pop().is_none());
     }
 
     #[test]
     #[should_panic(expected = "not below the reserved floor")]
     fn push_with_seq_rejects_unreserved() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue<()> = EventQueue::with_horizon(Time(10.0), 64);
         q.push_with_seq(Time(1.0), 0, ());
     }
 
@@ -509,11 +399,11 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2]);
     }
 
-    /// Reference model: a sorted vector popped from the front. Both
-    /// backends must agree with it on interleaved push/pop sequences
+    /// Reference model: a sorted vector popped from the front. The
+    /// calendar must agree with it on interleaved push/pop sequences
     /// (FIFO tie-breaking included).
     #[test]
-    fn backends_agree_with_reference_model() {
+    fn calendar_agrees_with_reference_model() {
         // Deterministic pseudo-random op stream.
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
@@ -521,7 +411,6 @@ mod tests {
             state >> 33
         };
         for trial in 0..50u64 {
-            let mut heap_q: EventQueue<u64> = EventQueue::new();
             let mut cal_q: EventQueue<u64> = EventQueue::with_horizon(Time(64.0), 128);
             let mut reference: Vec<(Time, u64, u64)> = Vec::new(); // (at, seq, payload)
             let mut seq = 0u64;
@@ -531,7 +420,6 @@ mod tests {
                 if r % 3 != 0 || reference.is_empty() {
                     // Coarse times force plenty of exact ties.
                     let at = Time(((r / 7) % 64) as f64);
-                    heap_q.push(at, payload);
                     cal_q.push(at, payload);
                     reference.push((at, seq, payload));
                     seq += 1;
@@ -539,19 +427,15 @@ mod tests {
                 } else {
                     reference.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
                     let (at, _, want) = reference.remove(0);
-                    assert_eq!(heap_q.pop(), Some((at, want)), "trial {trial}");
                     assert_eq!(cal_q.pop(), Some((at, want)), "trial {trial}");
                 }
-                assert_eq!(heap_q.len(), reference.len());
                 assert_eq!(cal_q.len(), reference.len());
             }
-            // Drain; all three must agree to the end.
+            // Drain; both must agree to the end.
             reference.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
             for (at, _, want) in reference {
-                assert_eq!(heap_q.pop(), Some((at, want)), "trial {trial}");
                 assert_eq!(cal_q.pop(), Some((at, want)), "trial {trial}");
             }
-            assert!(heap_q.pop().is_none());
             assert!(cal_q.pop().is_none());
         }
     }
