@@ -83,60 +83,13 @@ fn ergo_sf_steady_state_allocates_nothing() {
     }
 }
 
-/// Regression pin for the buffer-reuse refactor: `drain_events_into`
-/// must yield exactly what the allocating `drain_events` wrapper yields —
-/// same events, same order, at every drain point — and must *append* to
-/// a non-empty buffer rather than clobber it.
+/// Regression pin for the buffer-reuse drain: `drain_events_into` must
+/// *append* to a non-empty buffer rather than clobber it.
 #[test]
-fn drain_events_into_matches_the_allocating_api() {
+fn drain_events_into_appends_to_a_non_empty_buffer() {
     use sybil_sim::defense::{Defense, DefenseEvent};
     use sybil_sim::time::Time;
 
-    // Two identical defenses driven through the identical call sequence;
-    // only the drain API differs.
-    let mut a = sybil_defenses::ergo();
-    let mut b = sybil_defenses::ergo();
-    let drive = |d: &mut dyn Defense, drains: &mut Vec<Vec<DefenseEvent>>, into: bool| {
-        let mut buf = Vec::new();
-        d.init(Time(0.0), 50, 10);
-        let mut now = 0.0;
-        for step in 0..200u64 {
-            now += 7.0;
-            d.good_join(Time(now));
-            if step % 5 == 0 {
-                d.bad_join_batch(Time(now), sybil_sim::cost::Cost(100.0), 4);
-            }
-            if step % 3 == 0 {
-                d.good_depart(Time(now), Time(now - 20.0));
-            }
-            if d.purge_due(Time(now)) {
-                d.purge(Time(now), 2);
-                if into {
-                    buf.clear();
-                    d.drain_events_into(&mut buf);
-                    drains.push(buf.clone());
-                } else {
-                    drains.push(d.drain_events());
-                }
-            }
-        }
-        if into {
-            buf.clear();
-            d.drain_events_into(&mut buf);
-            drains.push(buf);
-        } else {
-            drains.push(d.drain_events());
-        }
-    };
-    let mut via_vec = Vec::new();
-    let mut via_into = Vec::new();
-    drive(&mut a, &mut via_vec, false);
-    drive(&mut b, &mut via_into, true);
-    assert!(via_vec.iter().map(Vec::len).sum::<usize>() > 0, "the drive produced no events");
-    assert_eq!(via_vec, via_into, "drain_events and drain_events_into diverged");
-
-    // Append semantics: draining into a non-empty buffer keeps what was
-    // already there and appends after it.
     let mut c = sybil_defenses::ergo();
     c.init(Time(0.0), 50, 10);
     for step in 1..=100u64 {
@@ -150,4 +103,5 @@ fn drain_events_into_matches_the_allocating_api() {
     let mut seeded = vec![sentinel];
     c.drain_events_into(&mut seeded);
     assert_eq!(seeded[0], sentinel, "drain_events_into must append, not clobber");
+    assert!(seeded.len() > 1, "the drive produced no events");
 }

@@ -755,7 +755,8 @@ mod tests {
         for k in 1..=40 {
             e.good_join(Time(k as f64));
         }
-        let events = e.drain_events();
+        let mut events = Vec::new();
+        e.drain_events_into(&mut events);
         let estimates: Vec<_> =
             events.iter().filter(|ev| matches!(ev, DefenseEvent::EstimateUpdated { .. })).collect();
         assert!(!estimates.is_empty());
@@ -766,7 +767,8 @@ mod tests {
         let mut e = fresh(110);
         e.bad_join_batch(Time(1.0), Cost(1e9), u64::MAX);
         e.purge(Time(1.0), 0);
-        let events = e.drain_events();
+        let mut events = Vec::new();
+        e.drain_events_into(&mut events);
         assert!(events.iter().any(|ev| matches!(ev, DefenseEvent::PurgeCompleted { .. })));
     }
 

@@ -190,21 +190,11 @@ pub trait Defense {
     }
 
     /// Drains the defense's event log (estimator updates, purges, skips)
-    /// into `out`, appending in the same order [`Defense::drain_events`]
-    /// returns. The engine owns one recycled buffer and passes it here so
-    /// the steady-state hot path allocates nothing; implementations should
-    /// swap or append without leaving a copy behind.
+    /// into `out`, appending in the order the events occurred. The engine
+    /// owns one recycled buffer and passes it here so the steady-state hot
+    /// path allocates nothing; implementations should swap or append
+    /// without leaving a copy behind.
     fn drain_events_into(&mut self, out: &mut Vec<DefenseEvent>);
-
-    /// Drains the defense's event log as a fresh vector.
-    ///
-    /// Convenience wrapper over [`Defense::drain_events_into`] — allocates
-    /// one `Vec` per call, so hot paths should prefer the `_into` form.
-    fn drain_events(&mut self) -> Vec<DefenseEvent> {
-        let mut out = Vec::new();
-        self.drain_events_into(&mut out);
-        out
-    }
 }
 
 impl Defense for Box<dyn Defense> {
@@ -252,9 +242,6 @@ impl Defense for Box<dyn Defense> {
     }
     fn drain_events_into(&mut self, out: &mut Vec<DefenseEvent>) {
         (**self).drain_events_into(out)
-    }
-    fn drain_events(&mut self) -> Vec<DefenseEvent> {
-        (**self).drain_events()
     }
 }
 
