@@ -16,11 +16,10 @@
 //! run's counter fingerprint so regressions in *behavior* (not just speed)
 //! are visible in the artifact diff.
 
-use crate::sweep::{
-    defense_seed, run_report_measured, run_report_with_measured, Algo, LoopAllocs, RunParams,
-};
+use crate::sweep::{run_report_measured, run_report_with_measured, Algo, LoopAllocs, RunParams};
 use std::time::Instant;
 use sybil_churn::networks;
+use sybil_exp::defense_seed;
 use sybil_sim::engine::SimConfig;
 use sybil_sim::queue::EventQueue;
 use sybil_sim::time::Time;

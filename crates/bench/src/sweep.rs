@@ -1,22 +1,15 @@
 //! Shared experiment machinery: algorithm roster and spend-rate runs.
-//!
-//! The deterministic thread pool and the seed-derivation functions moved
-//! to the `sybil-exp` orchestration crate (so the experiment runner and
-//! the figure drivers share one scheduler); they are re-exported here
-//! under their original names.
 
 use ergo_core::defid::DefIdChecker;
 use sybil_churn::model::ChurnModel;
 use sybil_defenses as defs;
+use sybil_exp::defense_seed;
 use sybil_sim::adversary::BudgetJoiner;
 use sybil_sim::defense::Defense;
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
 use sybil_sim::workload::WorkloadSource;
 use sybil_sim::SimReport;
-
-pub use sybil_exp::pool::{run_parallel, run_parallel_stats, PoolStats};
-pub use sybil_exp::spec::{defense_seed, trial_seed};
 
 /// Every algorithm appearing in the paper's Figures 8 and 10.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -214,7 +207,7 @@ pub fn cached_workload(network: &ChurnModel, horizon: f64, seed: u64) -> sybil_s
 /// The run is monomorphized per defense type via [`Algo::dispatch`]: the
 /// engine's inner loop compiles with direct calls into the concrete
 /// defense instead of `Box<dyn Defense>` virtual dispatch. `defense_seed`
-/// must come from [`defense_seed`] for results to be comparable across
+/// must come from [`sybil_exp::defense_seed`] for results to be comparable across
 /// runners (the perf scenarios, the sweeps, and the `sybil-exp` grids all
 /// share that derivation).
 pub fn run_report_with<W: WorkloadSource>(
@@ -399,17 +392,6 @@ mod tests {
         assert_eq!(g[1], 1.0);
         assert_eq!(*g.last().unwrap(), (1u64 << 20) as f64);
         assert_eq!(g.len(), 12);
-    }
-
-    #[test]
-    fn reexported_pool_and_seeds_are_live() {
-        // The implementations live in sybil-exp; these aliases must keep
-        // working for the drivers and the perf scenarios.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..8usize).map(|i| Box::new(move || i * i) as _).collect();
-        assert_eq!(run_parallel(jobs, 3), (0..8usize).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(trial_seed(42, 7), sybil_exp::trial_seed(42, 7));
-        assert_eq!(defense_seed(9), sybil_exp::defense_seed(9));
     }
 
     #[test]

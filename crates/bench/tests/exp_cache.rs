@@ -4,9 +4,9 @@
 //! regenerated — never silently replayed.
 
 use std::path::PathBuf;
-use sybil_bench::sweep::{defense_seed, run_report_with, Algo};
+use sybil_bench::sweep::{run_report_with, Algo};
 use sybil_churn::networks;
-use sybil_exp::WorkloadCache;
+use sybil_exp::{defense_seed, WorkloadCache};
 use sybil_sim::engine::SimConfig;
 use sybil_sim::time::Time;
 use sybil_sim::SimReport;

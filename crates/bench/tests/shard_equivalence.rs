@@ -8,8 +8,9 @@
 //! as a full [`SimReport`] bit pattern across S ∈ {1, 2, 3, 5, 7, 16, 32},
 //! in memory and disk-streamed.
 
-use sybil_bench::sweep::{defense_seed, run_report_with, Algo, AlgoVisitor};
+use sybil_bench::sweep::{run_report_with, Algo, AlgoVisitor};
 use sybil_churn::networks;
+use sybil_exp::defense_seed;
 use sybil_sim::adversary::{build_strategy, Adversary, StrategyParams, STRATEGY_NAMES};
 use sybil_sim::defense::Defense;
 use sybil_sim::engine::{SimConfig, Simulation};

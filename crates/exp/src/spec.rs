@@ -12,9 +12,10 @@
 //! The spec serializes to a small versioned text format (see
 //! [`ExperimentSpec::to_text`]) so a results store can record exactly
 //! which grid produced it, and resumed runs can verify they are continuing
-//! the *same* experiment. The current writer emits **v2** (named axes);
-//! v1 texts (the fixed `networks`/`algos`/`t` keys) still parse and map
-//! onto the three canonical axes with bit-identical seed derivation.
+//! the *same* experiment. The format is **v2** (named axes); a v1 text
+//! (the fixed `networks`/`algos`/`t` keys no writer has produced since
+//! named axes landed) is rejected with a pointer to
+//! [`ExperimentSpec::three_axis`].
 //!
 //! # Cell identity
 //!
@@ -41,19 +42,19 @@
 //!
 //! All derivations are order-free (SplitMix64 finalizer / SHA-256), so
 //! results are identical regardless of worker count or cell scheduling.
-//! The grid-wide `workload_seed`/`defense_seed` derivation is unchanged
-//! from v1: existing three-axis grids keep bit-identical seeds.
+//! The grid-wide `workload_seed`/`defense_seed` derivation is frozen:
+//! the tests pin its values.
 
 /// Format tag on the first line of a serialized spec.
 pub const SPEC_MAGIC: &str = "sybil-exp-spec";
-/// Current spec format version (named axes). Version 1 still parses.
+/// Current spec format version (named axes).
 pub const SPEC_VERSION: u32 = 2;
 
-/// Canonical axis name for churn-network labels (v1 `networks`).
+/// Canonical axis name for churn-network labels.
 pub const AXIS_NETWORK: &str = "network";
-/// Canonical axis name for algorithm labels (v1 `algos`).
+/// Canonical axis name for algorithm labels.
 pub const AXIS_ALGO: &str = "algo";
-/// Canonical axis name for adversary spend rates (v1 `t`).
+/// Canonical axis name for adversary spend rates.
 pub const AXIS_T: &str = "T";
 /// Canonical axis name for adversary strategy labels.
 ///
@@ -317,7 +318,7 @@ pub fn unescape_component(s: &str) -> Result<String, String> {
 
 impl ExperimentSpec {
     /// The canonical three-axis (`network × algo × T`) grid every spend
-    /// sweep uses — the entire shape v1 specs could express.
+    /// sweep uses.
     #[allow(clippy::too_many_arguments)]
     pub fn three_axis(
         name: impl Into<String>,
@@ -446,8 +447,6 @@ impl ExperimentSpec {
 
     /// Workload seed for trial `index` — shared across the whole grid so
     /// cells replay identical schedules (and share cache entries).
-    /// Identical to the v1 derivation: migrating a spec to named axes
-    /// never changes its seeds.
     pub fn workload_seed(&self, index: u32) -> u64 {
         trial_seed(self.seed, index as u64)
     }
@@ -509,30 +508,26 @@ impl ExperimentSpec {
         out
     }
 
-    /// Parses the text format written by [`to_text`] — or, for
-    /// compatibility, the v1 format (fixed `networks`/`algos`/`t` keys),
-    /// which maps onto the three canonical axes [`AXIS_NETWORK`],
-    /// [`AXIS_ALGO`], [`AXIS_T`] with identical seed derivation. Unknown
-    /// keys are rejected (they indicate a newer writer), as is a missing
-    /// key or a version this build does not read.
+    /// Parses the text format written by [`to_text`]. Unknown keys are
+    /// rejected (they indicate a newer writer), as is a missing key or a
+    /// version this build does not read.
     pub fn from_text(text: &str) -> Result<ExperimentSpec, String> {
         let mut lines = text.lines();
-        let header = lines.next().ok_or("empty spec")?;
-        let version = match header.trim() {
-            h if h == format!("{SPEC_MAGIC} v1") => 1,
-            h if h == format!("{SPEC_MAGIC} v2") => 2,
-            h => {
-                return Err(format!(
-                    "bad spec header {h:?} (this build reads {SPEC_MAGIC} v1 and v2)"
-                ))
-            }
-        };
+        let header = lines.next().ok_or("empty spec")?.trim();
+        if header == format!("{SPEC_MAGIC} v1") {
+            return Err(format!(
+                "spec header {header:?}: the v1 format (networks/algos/t keys) is no longer \
+                 read; rebuild the grid with ExperimentSpec::three_axis and write it as \
+                 v{SPEC_VERSION}"
+            ));
+        }
+        if header != format!("{SPEC_MAGIC} v{SPEC_VERSION}") {
+            return Err(format!(
+                "bad spec header {header:?} (this build reads {SPEC_MAGIC} v{SPEC_VERSION})"
+            ));
+        }
         let mut name = None;
         let mut axes: Vec<Axis> = Vec::new();
-        // v1 legacy keys, mapped onto the canonical axes after the scan.
-        let mut networks = None;
-        let mut algos = None;
-        let mut t_grid = None;
         let mut trials = None;
         let mut horizon = None;
         let mut kappa = None;
@@ -545,13 +540,7 @@ impl ExperimentSpec {
             let (key, value) =
                 line.split_once('=').ok_or_else(|| format!("malformed line {line:?}"))?;
             let (key, value) = (key.trim(), value.trim());
-            let list = || -> Vec<String> {
-                value.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect()
-            };
             if let Some(axis_name) = key.strip_prefix("axis ") {
-                if version < 2 {
-                    return Err(format!("axis line {line:?} in a v1 spec"));
-                }
                 let name = unescape_component(axis_name.trim())?;
                 let (kind, values_text) = value
                     .split_once(':')
@@ -574,13 +563,6 @@ impl ExperimentSpec {
             }
             match key {
                 "name" => name = Some(value.to_string()),
-                "networks" if version == 1 => networks = Some(list()),
-                "algos" if version == 1 => algos = Some(list()),
-                "t" if version == 1 => {
-                    t_grid = Some(
-                        list().iter().map(|s| parse_f64_exact(s)).collect::<Result<Vec<_>, _>>()?,
-                    )
-                }
                 "trials" => {
                     trials = Some(
                         value.parse::<u32>().map_err(|e| format!("bad trials {value:?}: {e}"))?,
@@ -595,21 +577,8 @@ impl ExperimentSpec {
                 _ => return Err(format!("unknown spec key {key:?}")),
             }
         }
-        if version == 1 {
-            axes = vec![
-                Axis::strs(AXIS_NETWORK, networks.ok_or("missing key: networks")?),
-                Axis::strs(AXIS_ALGO, algos.ok_or("missing key: algos")?),
-                Axis {
-                    name: AXIS_T.into(),
-                    values: t_grid
-                        .ok_or("missing key: t")?
-                        .into_iter()
-                        .map(AxisValue::F64)
-                        .collect(),
-                },
-            ];
-        } else if axes.is_empty() {
-            return Err("v2 spec has no axis lines".into());
+        if axes.is_empty() {
+            return Err("spec has no axis lines".into());
         }
         let spec = ExperimentSpec {
             name: name.ok_or("missing key: name")?,
@@ -623,10 +592,8 @@ impl ExperimentSpec {
         Ok(spec)
     }
 
-    /// SHA-256 of the canonical (v2) text form — the identity a results
-    /// store records so resumes can detect a changed grid. A spec parsed
-    /// from a v1 text fingerprints identically to the same spec built via
-    /// [`three_axis`](Self::three_axis).
+    /// SHA-256 of the canonical text form — the identity a results store
+    /// records so resumes can detect a changed grid.
     pub fn fingerprint(&self) -> String {
         text_fingerprint(&self.to_text())
     }
@@ -699,20 +666,6 @@ mod tests {
         )
     }
 
-    /// The exact v1 text the previous writer produced for `spec()`.
-    fn v1_text() -> String {
-        "sybil-exp-spec v1\n\
-         name = figure8-test\n\
-         networks = gnutella,bitcoin\n\
-         algos = ERGO,CCOM\n\
-         t = 0,16,0x3fe0000000000000\n\
-         trials = 3\n\
-         horizon = 500\n\
-         kappa = 0x3fac71c71c71c71c\n\
-         seed = 7\n"
-            .into()
-    }
-
     #[test]
     fn text_roundtrip_is_bit_exact() {
         let s = spec();
@@ -727,19 +680,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_text_parses_onto_canonical_axes_with_identical_seeds() {
-        let parsed = ExperimentSpec::from_text(&v1_text()).unwrap();
-        assert_eq!(parsed, spec(), "v1 text must map onto the canonical three axes");
-        // Seed derivation is pinned: these values are what the v1
-        // implementation produced (grid-wide trial seeds, chained defense
-        // seeds) and must never drift.
-        assert_eq!(parsed.workload_seed(0), trial_seed(7, 0));
-        assert_eq!(parsed.workload_seed(0), 0x63cb_e1e4_5932_0dd7u64);
-        assert_eq!(parsed.workload_seed(2), 0xb5a7_c6fb_dbc4_2070u64);
-        assert_eq!(parsed.defense_seed(2), defense_seed(parsed.workload_seed(2)));
-        assert_eq!(parsed.defense_seed(2), 0x40f4_48e3_27e7_689du64);
-        // And re-serializing fingerprints stably (v2 canonical form).
-        assert_eq!(parsed.fingerprint(), spec().fingerprint());
+    fn seed_derivation_is_pinned() {
+        // These values are what every stored grid was produced under
+        // (grid-wide trial seeds, chained defense seeds) and must never
+        // drift.
+        let s = spec();
+        assert_eq!(s.workload_seed(0), trial_seed(7, 0));
+        assert_eq!(s.workload_seed(0), 0x63cb_e1e4_5932_0dd7u64);
+        assert_eq!(s.workload_seed(2), 0xb5a7_c6fb_dbc4_2070u64);
+        assert_eq!(s.defense_seed(2), defense_seed(s.workload_seed(2)));
+        assert_eq!(s.defense_seed(2), 0x40f4_48e3_27e7_689du64);
     }
 
     #[test]
@@ -802,15 +752,17 @@ mod tests {
         // Missing key.
         let partial = "sybil-exp-spec v2\nname = x\naxis a = f64:1\n";
         assert!(ExperimentSpec::from_text(partial).unwrap_err().contains("missing"));
-        // v2 without axes.
+        // No axes.
         let no_axes = "sybil-exp-spec v2\nname = x\ntrials = 1\nhorizon = 1\nkappa = 0\nseed = 1\n";
         assert!(ExperimentSpec::from_text(no_axes).unwrap_err().contains("axis"));
-        // v1 keys are not valid in v2 (and vice versa).
+        // The v1 keys are unknown keys now.
         let mixed = "sybil-exp-spec v2\nname = x\nnetworks = a\naxis T = f64:1\n\
                      trials = 1\nhorizon = 1\nkappa = 0\nseed = 1\n";
         assert!(ExperimentSpec::from_text(mixed).unwrap_err().contains("unknown"));
-        let v1_axis = "sybil-exp-spec v1\nname = x\naxis T = f64:1\n";
-        assert!(ExperimentSpec::from_text(v1_axis).unwrap_err().contains("v1"));
+        // A v1 text is refused with a pointer to its replacement.
+        let v1 = "sybil-exp-spec v1\nname = x\nnetworks = a\nalgos = b\nt = 1\n\
+                  trials = 1\nhorizon = 1\nkappa = 0\nseed = 1\n";
+        assert!(ExperimentSpec::from_text(v1).unwrap_err().contains("three_axis"));
         // Unknown axis kind.
         let bad_kind = "sybil-exp-spec v2\nname = x\naxis a = int:1\n\
                         trials = 1\nhorizon = 1\nkappa = 0\nseed = 1\n";
