@@ -89,5 +89,7 @@ fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
     );
 
     std::fs::remove_file(&store_path).ok();
+    // The bogus-fingerprint open displaced the cold store to `.prev`.
+    std::fs::remove_file(store_path.with_extension("store.prev")).ok();
     std::fs::remove_file(&spec_path).ok();
 }
