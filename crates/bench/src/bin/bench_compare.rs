@@ -42,12 +42,13 @@
 //! machine-adjusted floor the engine scenarios use. A report whose only
 //! payload is a gate section needs no `"scenarios"` block.
 //!
-//! The JSON is the hand-rolled format `bench_report` writes (the build
-//! environment has no serde); the scanner below reads exactly that shape
-//! and tolerates added per-scenario keys, so the baseline may predate
+//! Reports are read through `sybil_exp::json` (the codec `bench_report`
+//! and `gate_bench` write them with). Every lookup is by nesting level,
+//! and added per-scenario keys are ignored, so the baseline may predate
 //! fields the fresh report has.
 
 use std::process::ExitCode;
+use sybil_exp::json::Value;
 
 /// The seed-pinned behavior counters of one scenario.
 #[derive(Clone, Debug, PartialEq)]
@@ -107,76 +108,26 @@ const ZERO_ALLOC_SCENARIOS: &[&str] =
 /// 1.0 per event — three orders of magnitude above the slack.
 const ALLOC_ABS_SLACK: f64 = 0.001;
 
-/// Extracts the balanced `{...}` starting at `json[open..]` (which must
-/// point at a `{`).
-fn balanced_object(json: &str, open: usize) -> Option<&str> {
-    let bytes = json.as_bytes();
-    if bytes.get(open) != Some(&b'{') {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&json[open..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Walks a `"name": { ... }` map block, yielding `(name, body)` pairs.
-fn object_entries(block: &str) -> Result<Vec<(String, &str)>, String> {
-    let inner = &block[1..block.len() - 1];
-    let mut out = Vec::new();
-    let mut rest = inner;
-    while let Some(q0) = rest.find('"') {
-        let q1 = q0 + 1 + rest[q0 + 1..].find('"').ok_or("unterminated entry name")?;
-        let name = rest[q0 + 1..q1].to_string();
-        let obj_at = q1 + rest[q1..].find('{').ok_or_else(|| format!("{name}: no object"))?;
-        let offset = inner.len() - rest.len();
-        let body = balanced_object(inner, offset + obj_at)
-            .ok_or_else(|| format!("{name}: unbalanced object"))?;
-        rest = &rest[obj_at + body.len()..];
-        out.push((name, body));
-    }
-    Ok(out)
-}
-
-/// Extracts the balanced object value of a top-level `"key"` section.
-fn section<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\"");
-    let at = json.find(&pat)?;
-    let open = at + json[at..].find('{')?;
-    balanced_object(json, open)
+/// The `(name, body)` entries of the report's top-level section `key`
+/// (none when the section is absent).
+fn section<'a>(root: &'a Value, key: &str) -> &'a [(String, Value)] {
+    root.get(key).map_or(&[], Value::members)
 }
 
 /// Parses the `"scenarios"` section of a `BENCH_engine.json`. A report
 /// carrying only a `"gate"` section (`BENCH_gate.json`) legitimately has
 /// no scenarios; anything else without them is malformed.
-fn parse_scenarios(json: &str) -> Result<Vec<Scenario>, String> {
-    let Some(block) = section(json, "scenarios") else {
-        return if section(json, "gate").is_some() {
-            Ok(Vec::new())
-        } else {
-            Err("no \"scenarios\" section".to_string())
-        };
-    };
+fn parse_scenarios(root: &Value) -> Result<Vec<Scenario>, String> {
+    if root.get("scenarios").is_none() && root.get("gate").is_none() {
+        return Err("no \"scenarios\" section".to_string());
+    }
     let mut out = Vec::new();
-    for (name, body) in object_entries(block)? {
-        let fp =
-            field_object(body, "fingerprint").ok_or_else(|| format!("{name}: no fingerprint"))?;
-        let fp_field = |key: &str| {
-            field_f64(fp, key).ok_or_else(|| format!("{name}: fingerprint lacks {key}"))
-        };
+    for (name, body) in section(root, "scenarios") {
+        let fp = body.get("fingerprint").ok_or_else(|| format!("{name}: no fingerprint"))?;
+        let fp_field = |key: &str| fp.num(key).map_err(|e| format!("{name}: fingerprint: {e}"));
         out.push(Scenario {
-            events_per_sec: field_f64(body, "events_per_sec")
-                .ok_or_else(|| format!("{name}: no events_per_sec"))?,
+            name: name.clone(),
+            events_per_sec: body.num("events_per_sec").map_err(|e| format!("{name}: {e}"))?,
             fingerprint: Fp {
                 good_joins_admitted: fp_field("good_joins_admitted")?,
                 bad_joins_admitted: fp_field("bad_joins_admitted")?,
@@ -184,8 +135,7 @@ fn parse_scenarios(json: &str) -> Result<Vec<Scenario>, String> {
                 good_spend: fp_field("good_spend")?,
                 adv_spend: fp_field("adv_spend")?,
             },
-            allocs_per_event: field_f64(body, "allocs_per_event"),
-            name,
+            allocs_per_event: body.num("allocs_per_event").ok(),
         });
     }
     Ok(out)
@@ -203,16 +153,19 @@ struct GateScenario {
 }
 
 /// Parses the optional `"gate"` section into gate scenarios.
-fn parse_gate(json: &str) -> Result<Vec<GateScenario>, String> {
-    let Some(block) = section(json, "gate") else { return Ok(Vec::new()) };
+fn parse_gate(root: &Value) -> Result<Vec<GateScenario>, String> {
     let mut out = Vec::new();
-    for (name, body) in object_entries(block)? {
+    for (name, body) in section(root, "gate") {
         out.push(GateScenario {
-            verifications_per_sec: field_f64(body, "verifications_per_sec")
-                .ok_or_else(|| format!("{name}: no verifications_per_sec"))?,
-            decision_fingerprint: field_str(body, "decision_fingerprint")
-                .ok_or_else(|| format!("{name}: no decision_fingerprint"))?,
-            name,
+            name: name.clone(),
+            verifications_per_sec: body
+                .num("verifications_per_sec")
+                .map_err(|e| format!("{name}: {e}"))?,
+            decision_fingerprint: body
+                .get("decision_fingerprint")
+                .and_then(Value::as_str)
+                .ok_or_else(|| format!("{name}: no decision_fingerprint"))?
+                .to_string(),
         });
     }
     Ok(out)
@@ -265,13 +218,36 @@ fn compare_gate(
 }
 
 /// Parses the `"queue"` section into `(name, ops_per_sec)` pairs.
-fn parse_queue(json: &str) -> Vec<(String, f64)> {
-    let Some(block) = section(json, "queue") else { return Vec::new() };
-    let Ok(entries) = object_entries(block) else { return Vec::new() };
-    entries
-        .into_iter()
-        .filter_map(|(name, body)| Some((name, field_f64(body, "ops_per_sec")?)))
+fn parse_queue(root: &Value) -> Vec<(String, f64)> {
+    section(root, "queue")
+        .iter()
+        .filter_map(|(name, body)| Some((name.clone(), body.num("ops_per_sec").ok()?)))
         .collect()
+}
+
+/// Everything the gates read from one report.
+struct Report {
+    scenarios: Vec<Scenario>,
+    gate: Vec<GateScenario>,
+    queue: Vec<(String, f64)>,
+    /// Cores of the machine that produced the report. Reports predating
+    /// the shard work lack the field; they count as 1-core so the speedup
+    /// gate stays off.
+    parallelism: f64,
+    /// Whether the alloc fields are measurements. Reports predating (or
+    /// built without) the counting allocator carry structural zeros; the
+    /// alloc gates treat them as unmeasured.
+    counting: bool,
+}
+
+fn read_report(root: &Value) -> Result<Report, String> {
+    Ok(Report {
+        scenarios: parse_scenarios(root)?,
+        gate: parse_gate(root)?,
+        queue: parse_queue(root),
+        parallelism: root.num("available_parallelism").unwrap_or(1.0),
+        counting: root.get("alloc_counting") == Some(&Value::Bool(true)),
+    })
 }
 
 /// The fresh/baseline machine-speed ratio, from the queue micro-benches
@@ -292,46 +268,6 @@ fn speed_ratio(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> f64 {
     } else {
         (log_sum / n as f64).exp()
     }
-}
-
-/// Reads a numeric field `"key": <f64>` from an object body.
-fn field_f64(body: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = body.find(&pat)? + pat.len();
-    let tail = body[at..].trim_start();
-    let end =
-        tail.find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c))).unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Reads a boolean field `"key": true|false` from an object body.
-fn field_bool(body: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\":");
-    let at = body.find(&pat)? + pat.len();
-    let tail = body[at..].trim_start();
-    if tail.starts_with("true") {
-        Some(true)
-    } else if tail.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Reads a string field `"key": "..."` from an object body.
-fn field_str(body: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = body.find(&pat)? + pat.len();
-    let tail = body[at..].trim_start().strip_prefix('"')?;
-    Some(tail[..tail.find('"')?].to_string())
-}
-
-/// Reads a nested-object field `"key": {...}` from an object body.
-fn field_object<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = body.find(&pat)? + pat.len();
-    let open = at + body[at..].find('{')?;
-    balanced_object(body, open)
 }
 
 /// Compares baseline vs fresh; returns human-readable failures.
@@ -503,23 +439,26 @@ fn main() -> ExitCode {
     if paths.len() != 2 || !(0.0..1.0).contains(&tolerance) {
         usage();
     }
-    type Report = (Vec<Scenario>, Vec<GateScenario>, Vec<(String, f64)>, f64, bool);
     let read = |path: &str| -> Report {
-        let json =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let scenarios =
-            parse_scenarios(&json).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"));
-        let gate = parse_gate(&json).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"));
-        // Reports predating the shard work lack the field; treat them as
-        // 1-core so the speedup gate stays off.
-        let parallelism = field_f64(&json, "available_parallelism").unwrap_or(1.0);
-        // Reports predating (or built without) the counting allocator
-        // carry structural zeros; the alloc gates treat them as unmeasured.
-        let counting = field_bool(&json, "alloc_counting").unwrap_or(false);
-        (scenarios, gate, parse_queue(&json), parallelism, counting)
+        let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        sybil_exp::json::parse(&bytes)
+            .and_then(|root| read_report(&root))
+            .unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
     };
-    let (baseline, base_gate, base_queue, _, base_counting) = read(&paths[0]);
-    let (fresh, fresh_gate, fresh_queue, fresh_cores, fresh_counting) = read(&paths[1]);
+    let Report {
+        scenarios: baseline,
+        gate: base_gate,
+        queue: base_queue,
+        counting: base_counting,
+        ..
+    } = read(&paths[0]);
+    let Report {
+        scenarios: fresh,
+        gate: fresh_gate,
+        queue: fresh_queue,
+        parallelism: fresh_cores,
+        counting: fresh_counting,
+    } = read(&paths[1]);
     let ratio = speed_ratio(&base_queue, &fresh_queue);
     println!(
         "comparing {} baseline scenario(s) against {} (machine speed ratio {ratio:.2})",
@@ -613,27 +552,51 @@ mod tests {
         }
     }
 
-    fn sample_json(eps: f64, purges: u64) -> String {
-        let fp = |p: u64| {
-            format!(
-                "{{\"good_joins_admitted\": 1, \"bad_joins_admitted\": 2, \"purges\": {p}, \
-                 \"good_spend\": 1000, \"adv_spend\": 500}}"
-            )
+    /// A scenario literal without allocation data.
+    fn scale_scenario(name: &str, eps: f64, purges: f64) -> Scenario {
+        Scenario {
+            name: name.into(),
+            events_per_sec: eps,
+            fingerprint: fp(purges),
+            allocs_per_event: None,
+        }
+    }
+
+    /// A two-scenario engine report, built with the report writer.
+    fn sample_report(eps: f64, purges: u64) -> Value {
+        let scenario = |events: u64, eps: f64, purges: u64| {
+            Value::obj([
+                ("events", events.into()),
+                ("events_per_sec", eps.into()),
+                (
+                    "fingerprint",
+                    Value::obj([
+                        ("good_joins_admitted", 1u64.into()),
+                        ("bad_joins_admitted", 2u64.into()),
+                        ("purges", purges.into()),
+                        ("good_spend", 1000u64.into()),
+                        ("adv_spend", 500u64.into()),
+                    ]),
+                ),
+            ])
         };
-        format!(
-            "{{\n  \"queue\": {{\n    \"queue_calendar\": {{\"ops\": 1, \"wall_secs\": 1, \
-             \"ops_per_sec\": 20000000}}\n  }},\n  \"scenarios\": {{\n    \"a\": {{\n      \
-             \"events\": 10,\n      \"events_per_sec\": {eps},\n      \"fingerprint\": {}\n    \
-             }},\n    \"b\": {{\n      \"events\": 5,\n      \"events_per_sec\": 50,\n      \
-             \"fingerprint\": {}\n    }}\n  }}\n}}\n",
-            fp(purges),
-            fp(1),
-        )
+        let calibration = Value::obj([
+            ("ops", 1u64.into()),
+            ("wall_secs", 1u64.into()),
+            ("ops_per_sec", 20_000_000u64.into()),
+        ]);
+        Value::obj([
+            ("queue", Value::obj([("queue_calendar", calibration)])),
+            (
+                "scenarios",
+                Value::obj([("a", scenario(10, eps, purges)), ("b", scenario(5, 50.0, 1))]),
+            ),
+        ])
     }
 
     #[test]
     fn parses_scenarios_and_queue() {
-        let json = sample_json(1234.5, 7);
+        let json = sample_report(1234.5, 7);
         let s = parse_scenarios(&json).unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].name, "a");
@@ -674,7 +637,7 @@ mod tests {
                 },
             }],
         };
-        let json = sybil_bench::perf::to_json(&report);
+        let json = sybil_exp::json::parse(sybil_bench::perf::to_json(&report).as_bytes()).unwrap();
         let parsed = parse_scenarios(&json).unwrap();
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].name, "macro_sweep");
@@ -685,24 +648,14 @@ mod tests {
         assert_eq!(parse_queue(&json), vec![("queue_calendar".to_string(), 100.0)]);
         // The self-describing counting flag round-trips too (this test
         // binary has no registered counting allocator, so it is false).
-        assert_eq!(field_bool(&json, "alloc_counting"), Some(false));
+        assert!(!read_report(&json).unwrap().counting);
     }
 
     #[test]
     fn flags_regressions_and_disappearances_but_not_noise() {
-        let baseline = parse_scenarios(&sample_json(1000.0, 7)).unwrap();
-        let scenario = |eps: f64, p: f64| Scenario {
-            name: "a".into(),
-            events_per_sec: eps,
-            fingerprint: fp(p),
-            allocs_per_event: None,
-        };
-        let b = Scenario {
-            name: "b".into(),
-            events_per_sec: 50.0,
-            fingerprint: fp(1.0),
-            allocs_per_event: None,
-        };
+        let baseline = parse_scenarios(&sample_report(1000.0, 7)).unwrap();
+        let scenario = |eps: f64, p: f64| scale_scenario("a", eps, p);
+        let b = scale_scenario("b", 50.0, 1.0);
         // 10% slower: within a 25% tolerance.
         assert!(compare(&baseline, &[scenario(900.0, 7.0), b.clone()], 0.25, 1.0).is_empty());
         // 30% slower: flagged.
@@ -715,37 +668,16 @@ mod tests {
 
     #[test]
     fn speed_ratio_rescales_the_floor_for_slower_machines() {
-        let baseline = parse_scenarios(&sample_json(1000.0, 7)).unwrap();
-        let b = Scenario {
-            name: "b".into(),
-            events_per_sec: 25.0,
-            fingerprint: fp(1.0),
-            allocs_per_event: None,
-        };
+        let baseline = parse_scenarios(&sample_report(1000.0, 7)).unwrap();
+        let b = scale_scenario("b", 25.0, 1.0);
         // Fresh machine runs the queue proxy at half speed: 500 ev/s on
         // scenario "a" (and 25 on "b") is expected, not a regression.
-        let halved = vec![
-            Scenario {
-                name: "a".into(),
-                events_per_sec: 500.0,
-                fingerprint: fp(7.0),
-                allocs_per_event: None,
-            },
-            b.clone(),
-        ];
+        let halved = vec![scale_scenario("a", 500.0, 7.0), b.clone()];
         assert!(compare(&baseline, &halved, 0.25, 0.5).is_empty());
         // But at ratio 1.0 the same numbers fail.
         assert!(!compare(&baseline, &halved, 0.25, 1.0).is_empty());
         // And a real engine regression still fails under the scaled floor.
-        let engine_only = vec![
-            Scenario {
-                name: "a".into(),
-                events_per_sec: 300.0,
-                fingerprint: fp(7.0),
-                allocs_per_event: None,
-            },
-            b,
-        ];
+        let engine_only = vec![scale_scenario("a", 300.0, 7.0), b];
         assert_eq!(compare(&baseline, &engine_only, 0.25, 0.5).len(), 1);
     }
 
@@ -761,33 +693,11 @@ mod tests {
 
     #[test]
     fn flags_fingerprint_drift_even_when_fast() {
-        let baseline = parse_scenarios(&sample_json(1000.0, 7)).unwrap();
-        let drifted = vec![
-            Scenario {
-                name: "a".into(),
-                events_per_sec: 5000.0,
-                fingerprint: fp(8.0),
-                allocs_per_event: None,
-            },
-            Scenario {
-                name: "b".into(),
-                events_per_sec: 50.0,
-                fingerprint: fp(1.0),
-                allocs_per_event: None,
-            },
-        ];
+        let baseline = parse_scenarios(&sample_report(1000.0, 7)).unwrap();
+        let drifted = vec![scale_scenario("a", 5000.0, 8.0), scale_scenario("b", 50.0, 1.0)];
         let failures = compare(&baseline, &drifted, 0.25, 1.0);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("fingerprint"), "{}", failures[0]);
-    }
-
-    fn scale_scenario(name: &str, eps: f64, purges: f64) -> Scenario {
-        Scenario {
-            name: name.into(),
-            events_per_sec: eps,
-            fingerprint: fp(purges),
-            allocs_per_event: None,
-        }
     }
 
     #[test]
@@ -843,20 +753,30 @@ mod tests {
         assert!(shard_scaling_failures(&orphan, 1.0)[0].contains("no 1-shard sibling"));
     }
 
-    fn gate_json(vps: f64, fingerprint: &str) -> String {
-        format!(
-            "{{\n  \"generated_unix_secs\": 1,\n  \"available_parallelism\": 4,\n  \
-             \"queue\": {{\n    \"sha256_64b\": {{\"ops\": 1, \"wall_secs\": 1, \
-             \"ops_per_sec\": 3000000}}\n  }},\n  \"gate\": {{\n    \"gate_honest\": {{\n      \
-             \"connections\": 110000,\n      \"verifications_per_sec\": {vps},\n      \
-             \"latency_p99_ns\": 840,\n      \"decision_fingerprint\": \"{fingerprint}\"\n    \
-             }}\n  }}\n}}\n"
-        )
+    /// A gate-only report, built with the report writer.
+    fn gate_report(vps: f64, fingerprint: &str) -> Value {
+        let calibration = Value::obj([
+            ("ops", 1u64.into()),
+            ("wall_secs", 1u64.into()),
+            ("ops_per_sec", 3_000_000u64.into()),
+        ]);
+        let honest = Value::obj([
+            ("connections", 110_000u64.into()),
+            ("verifications_per_sec", vps.into()),
+            ("latency_p99_ns", 840u64.into()),
+            ("decision_fingerprint", fingerprint.into()),
+        ]);
+        Value::obj([
+            ("generated_unix_secs", 1u64.into()),
+            ("available_parallelism", 4u64.into()),
+            ("queue", Value::obj([("sha256_64b", calibration)])),
+            ("gate", Value::obj([("gate_honest", honest)])),
+        ])
     }
 
     #[test]
     fn gate_only_reports_parse_without_a_scenarios_section() {
-        let json = gate_json(50000.0, "abc123");
+        let json = gate_report(50000.0, "abc123");
         assert_eq!(parse_scenarios(&json).unwrap(), Vec::new());
         let gate = parse_gate(&json).unwrap();
         assert_eq!(gate.len(), 1);
@@ -866,25 +786,26 @@ mod tests {
         // The calibration entry feeds the shared speed-ratio machinery.
         assert_eq!(parse_queue(&json), vec![("sha256_64b".to_string(), 3000000.0)]);
         // But an engine report with neither section is still malformed.
-        assert!(parse_scenarios("{\"queue\": {}}").is_err());
+        let queue_only = Value::obj([("queue", Value::obj::<&str>([]))]);
+        assert!(parse_scenarios(&queue_only).is_err());
     }
 
     #[test]
     fn gate_fingerprint_drift_fails_even_when_fast() {
-        let baseline = parse_gate(&gate_json(50000.0, "abc123")).unwrap();
-        let drifted = parse_gate(&gate_json(90000.0, "def456")).unwrap();
+        let baseline = parse_gate(&gate_report(50000.0, "abc123")).unwrap();
+        let drifted = parse_gate(&gate_report(90000.0, "def456")).unwrap();
         let failures = compare_gate(&baseline, &drifted, 0.25, 1.0);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("decision fingerprint drifted"), "{}", failures[0]);
         // Identical fingerprints and healthy throughput: clean.
-        let same = parse_gate(&gate_json(48000.0, "abc123")).unwrap();
+        let same = parse_gate(&gate_report(48000.0, "abc123")).unwrap();
         assert!(compare_gate(&baseline, &same, 0.25, 1.0).is_empty());
     }
 
     #[test]
     fn gate_throughput_floor_is_machine_adjusted() {
-        let baseline = parse_gate(&gate_json(50000.0, "abc123")).unwrap();
-        let halved = parse_gate(&gate_json(25000.0, "abc123")).unwrap();
+        let baseline = parse_gate(&gate_report(50000.0, "abc123")).unwrap();
+        let halved = parse_gate(&gate_report(25000.0, "abc123")).unwrap();
         // On a machine whose sha256 proxy runs at half speed this is fine…
         assert!(compare_gate(&baseline, &halved, 0.25, 0.5).is_empty());
         // …but on an equal machine it is a real regression.
@@ -920,11 +841,30 @@ mod tests {
 
     #[test]
     fn parallelism_field_parses_from_the_real_report_shape() {
-        let json = "{\n  \"generated_unix_secs\": 1,\n  \"available_parallelism\": 64,\n  \
-                    \"queue\": {}\n}\n";
-        assert_eq!(field_f64(json, "available_parallelism"), Some(64.0));
+        let report = |members: Vec<(&str, Value)>| {
+            let mut all = vec![("gate", Value::obj::<&str>([]))];
+            all.extend(members);
+            read_report(&Value::obj(all)).unwrap()
+        };
+        assert_eq!(report(vec![("available_parallelism", 64u64.into())]).parallelism, 64.0);
         // Pre-shard baselines lack the field entirely.
-        assert_eq!(field_f64("{\"queue\": {}}", "available_parallelism"), None);
+        assert_eq!(report(vec![]).parallelism, 1.0);
+        // A same-named key one level down is not the report's field (the
+        // substring scanner this replaced would have read 64 here).
+        let nested = Value::obj([("available_parallelism", 64u64.into())]);
+        assert_eq!(report(vec![("shard_budget", nested)]).parallelism, 1.0);
+    }
+
+    /// A throughput written as `null` (the run produced a non-finite
+    /// number) is reported as such, not as a missing field.
+    #[test]
+    fn non_finite_throughput_is_named_in_the_parse_error() {
+        let written =
+            |report: Value| sybil_exp::json::parse(report.to_pretty().as_bytes()).unwrap();
+        let err = parse_scenarios(&written(sample_report(f64::NAN, 7))).unwrap_err();
+        assert!(err.contains("a: events_per_sec is non-finite"), "{err}");
+        let err = parse_gate(&written(gate_report(f64::INFINITY, "abc123"))).unwrap_err();
+        assert!(err.contains("gate_honest: verifications_per_sec is non-finite"), "{err}");
     }
 
     /// An alloc-measured scenario literal for the budget-gate tests.

@@ -482,80 +482,78 @@ pub fn run_suite() -> PerfReport {
     PerfReport { queue, scenarios }
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Serializes the report as pretty-printed JSON (hand-rolled; the build
-/// environment has no serde).
+/// Serializes the report as pretty-printed JSON through [`sybil_exp::json`].
 pub fn to_json(report: &PerfReport) -> String {
-    let mut out = String::from("{\n");
+    use sybil_exp::json::Value;
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    out.push_str(&format!("  \"generated_unix_secs\": {unix_secs},\n"));
-    // Recorded so `bench_compare` can make its shard-scaling gate
-    // hardware-aware: a 1-core runner cannot demonstrate a speedup.
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    out.push_str(&format!("  \"available_parallelism\": {parallelism},\n"));
     // The nested-parallelism split the experiment layer would use on
     // this machine: `workers` outer grid cells × `cell_shards` in-cell
     // shard workers (each also owning its slice of the defense state),
     // with the outer pool shrunk to keep the thread product bounded.
     let workers = crate::sweep::default_workers();
     let cell_shards = sybil_exp::pool::default_shards();
-    out.push_str(&format!(
-        "  \"shard_budget\": {{\"workers\": {workers}, \"cell_shards\": {cell_shards}, \
-         \"outer_pool\": {}}},\n",
-        sybil_exp::pool::shard_budget(workers, cell_shards)
-    ));
-    // Whether the alloc_* scenario fields are live measurements (counting
-    // allocator registered and not forced off) or structural zeros, plus
-    // the SYBIL_BENCH_ALLOC setting that produced them — so a JSON is
-    // self-describing no matter how its run was built or invoked.
-    out.push_str(&format!("  \"alloc_counting\": {},\n", alloc_counting()));
-    out.push_str(&format!("  \"alloc_mode\": \"{}\",\n", alloc_mode_label()));
-    out.push_str("  \"queue\": {\n");
-    for (i, q) in report.queue.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"ops\": {}, \"wall_secs\": {}, \"ops_per_sec\": {}}}{}\n",
-            q.name,
-            q.ops,
-            json_f64(q.wall_secs),
-            json_f64(q.ops_per_sec),
-            if i + 1 < report.queue.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"scenarios\": {\n");
-    for (i, s) in report.scenarios.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\n      \"events\": {},\n      \"wall_secs\": {},\n      \"events_per_sec\": {},\n      \"peak_queue_len\": {},\n      \"resident_bytes\": {},\n      \"shards\": {},\n      \"loop_allocs\": {},\n      \"loop_alloc_bytes\": {},\n      \"allocs_per_event\": {},\n      \"fingerprint\": {{\"good_joins_admitted\": {}, \"bad_joins_admitted\": {}, \"purges\": {}, \"good_spend\": {}, \"adv_spend\": {}}}\n    }}{}\n",
-            s.name,
-            s.events,
-            json_f64(s.wall_secs),
-            json_f64(s.events_per_sec),
-            s.peak_queue_len,
-            s.resident_bytes,
-            s.shards,
-            s.loop_allocs,
-            s.loop_alloc_bytes,
-            json_f64(s.allocs_per_event),
-            s.fingerprint.good_joins_admitted,
-            s.fingerprint.bad_joins_admitted,
-            s.fingerprint.purges,
-            json_f64(s.fingerprint.good_spend),
-            json_f64(s.fingerprint.adv_spend),
-            if i + 1 < report.scenarios.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
+    let queue = report.queue.iter().map(|q| {
+        let body = Value::obj([
+            ("ops", q.ops.into()),
+            ("wall_secs", q.wall_secs.into()),
+            ("ops_per_sec", q.ops_per_sec.into()),
+        ]);
+        (q.name.clone(), body)
+    });
+    let scenarios = report.scenarios.iter().map(|s| {
+        let fp = &s.fingerprint;
+        let body = Value::obj([
+            ("events", s.events.into()),
+            ("wall_secs", s.wall_secs.into()),
+            ("events_per_sec", s.events_per_sec.into()),
+            ("peak_queue_len", s.peak_queue_len.into()),
+            ("resident_bytes", s.resident_bytes.into()),
+            ("shards", s.shards.into()),
+            ("loop_allocs", s.loop_allocs.into()),
+            ("loop_alloc_bytes", s.loop_alloc_bytes.into()),
+            ("allocs_per_event", s.allocs_per_event.into()),
+            (
+                "fingerprint",
+                Value::obj([
+                    ("good_joins_admitted", fp.good_joins_admitted.into()),
+                    ("bad_joins_admitted", fp.bad_joins_admitted.into()),
+                    ("purges", fp.purges.into()),
+                    ("good_spend", fp.good_spend.into()),
+                    ("adv_spend", fp.adv_spend.into()),
+                ]),
+            ),
+        ]);
+        (s.name.clone(), body)
+    });
+    Value::obj([
+        ("generated_unix_secs", unix_secs.into()),
+        // Recorded so `bench_compare` can make its shard-scaling gate
+        // hardware-aware: a 1-core runner cannot demonstrate a speedup.
+        (
+            "available_parallelism",
+            std::thread::available_parallelism().map_or(1, |n| n.get()).into(),
+        ),
+        (
+            "shard_budget",
+            Value::obj([
+                ("workers", workers.into()),
+                ("cell_shards", cell_shards.into()),
+                ("outer_pool", sybil_exp::pool::shard_budget(workers, cell_shards).into()),
+            ]),
+        ),
+        // Whether the alloc_* scenario fields are live measurements (counting
+        // allocator registered and not forced off) or structural zeros, plus
+        // the SYBIL_BENCH_ALLOC setting that produced them — so a JSON is
+        // self-describing no matter how its run was built or invoked.
+        ("alloc_counting", alloc_counting().into()),
+        ("alloc_mode", alloc_mode_label().into()),
+        ("queue", Value::obj(queue)),
+        ("scenarios", Value::obj(scenarios)),
+    ])
+    .to_pretty()
 }
 
 /// Renders a human-readable summary table.
@@ -606,9 +604,12 @@ mod tests {
         assert!(a.events > 0);
     }
 
+    /// Every field `to_json` writes reads back through the `exp::json`
+    /// reader at the nesting level it was written at, with its value.
     #[test]
-    fn json_is_well_formed_enough() {
-        let report = PerfReport {
+    fn json_round_trips_field_for_field() {
+        use sybil_exp::json::{parse, Value};
+        let mut report = PerfReport {
             queue: vec![QueueBenchResult {
                 name: "queue_calendar".into(),
                 ops: 10,
@@ -626,19 +627,89 @@ mod tests {
                 loop_allocs: 7,
                 loop_alloc_bytes: 256,
                 allocs_per_event: 1.4,
-                fingerprint: Fingerprint::default(),
+                fingerprint: Fingerprint {
+                    good_joins_admitted: 11,
+                    bad_joins_admitted: 12,
+                    purges: 13,
+                    good_spend: 14.5,
+                    adv_spend: 1e-5,
+                },
             }],
         };
+        let root = parse(to_json(&report).as_bytes()).unwrap();
+        let keys: Vec<&str> = root.members().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "generated_unix_secs",
+                "available_parallelism",
+                "shard_budget",
+                "alloc_counting",
+                "alloc_mode",
+                "queue",
+                "scenarios"
+            ]
+        );
+        assert!(root.num("generated_unix_secs").unwrap() > 0.0);
+        assert!(root.num("available_parallelism").unwrap() >= 1.0);
+        let budget = root.get("shard_budget").unwrap();
+        assert!(budget.num("outer_pool").unwrap() >= 1.0);
+        assert!(budget.num("workers").unwrap() >= budget.num("outer_pool").unwrap());
+        assert_eq!(root.get("alloc_counting"), Some(&Value::Bool(alloc_counting())));
+        assert_eq!(root.get("alloc_mode").and_then(Value::as_str), Some(alloc_mode_label()));
+
+        let expect = |body: &Value, fields: &[(&str, f64)]| {
+            assert_eq!(body.members().len(), fields.len());
+            for ((key, value), &(want_key, want)) in body.members().iter().zip(fields) {
+                assert_eq!(key, want_key);
+                assert_eq!(value, &Value::Num(want), "{key}");
+            }
+        };
+        let queue = root.get("queue").unwrap();
+        assert_eq!(queue.members().len(), 1);
+        expect(
+            queue.get("queue_calendar").unwrap(),
+            &[("ops", 10.0), ("wall_secs", 0.1), ("ops_per_sec", 100.0)],
+        );
+        let scenarios = root.get("scenarios").unwrap();
+        assert_eq!(scenarios.members().len(), 1);
+        let s = scenarios.get("s").unwrap();
+        expect(
+            &Value::obj(s.members()[..9].iter().cloned()),
+            &[
+                ("events", 5.0),
+                ("wall_secs", 0.5),
+                ("events_per_sec", 10.0),
+                ("peak_queue_len", 3.0),
+                ("resident_bytes", 4096.0),
+                ("shards", 4.0),
+                ("loop_allocs", 7.0),
+                ("loop_alloc_bytes", 256.0),
+                ("allocs_per_event", 1.4),
+            ],
+        );
+        assert_eq!(s.members().len(), 10);
+        expect(
+            s.get("fingerprint").unwrap(),
+            &[
+                ("good_joins_admitted", 11.0),
+                ("bad_joins_admitted", 12.0),
+                ("purges", 13.0),
+                ("good_spend", 14.5),
+                ("adv_spend", 1e-5),
+            ],
+        );
+        // `purges` lives in the fingerprint, not at scenario level.
+        assert_eq!(s.get("purges"), None);
+
+        // A non-finite throughput is written as null and reads back as
+        // "non-finite", not as a missing field.
+        report.scenarios[0].events_per_sec = f64::INFINITY;
         let json = to_json(&report);
-        assert!(json.contains("\"queue_calendar\""));
-        assert!(json.contains("\"events_per_sec\": 10"));
-        assert!(json.contains("\"shards\": 4"));
-        assert!(json.contains("\"loop_allocs\": 7"));
-        assert!(json.contains("\"allocs_per_event\": 1.4"));
-        assert!(json.contains("\"alloc_counting\":"));
-        assert!(json.contains("\"alloc_mode\":"));
-        assert!(json.contains("\"available_parallelism\":"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(json.contains("\"events_per_sec\": null"), "{json}");
+        let root = parse(json.as_bytes()).unwrap();
+        let err = root.get("scenarios").unwrap().get("s").unwrap().num("events_per_sec");
+        assert!(err.unwrap_err().contains("non-finite"));
     }
 
     #[test]

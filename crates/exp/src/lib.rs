@@ -58,6 +58,7 @@ pub mod alloc;
 pub mod cache;
 pub mod env;
 pub mod fault;
+pub mod json;
 pub mod pool;
 pub mod runner;
 pub mod spec;

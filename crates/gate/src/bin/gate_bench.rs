@@ -175,33 +175,14 @@ fn sha256_calibration() -> (u64, f64) {
     (ops, started.elapsed().as_secs_f64())
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn to_json(calibration: (u64, f64), scenarios: &[ScenarioResult]) -> String {
-    let mut out = String::from("{\n");
+    use sybil_exp::json::Value;
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    out.push_str(&format!("  \"generated_unix_secs\": {unix_secs},\n"));
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    out.push_str(&format!("  \"available_parallelism\": {parallelism},\n"));
     let (ops, wall) = calibration;
-    out.push_str("  \"queue\": {\n");
-    out.push_str(&format!(
-        "    \"sha256_64b\": {{\"ops\": {ops}, \"wall_secs\": {}, \"ops_per_sec\": {}}}\n",
-        json_f64(wall),
-        json_f64(ops as f64 / wall)
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"gate\": {\n");
-    for (i, s) in scenarios.iter().enumerate() {
+    let gate = scenarios.iter().map(|s| {
         let c = s.counters;
         let r = &s.report;
         let verifications_per_sec = if r.pow_handle_secs > 0.0 {
@@ -212,53 +193,48 @@ fn to_json(calibration: (u64, f64), scenarios: &[ScenarioResult]) -> String {
         let decision_secs = r.pow_handle_secs + r.mine_handle_secs;
         let decisions_per_sec =
             if decision_secs > 0.0 { r.hist.count() as f64 / decision_secs } else { f64::NAN };
-        out.push_str(&format!(
-            concat!(
-                "    \"{}\": {{\n",
-                "      \"connections\": {},\n",
-                "      \"granted\": {},\n",
-                "      \"admitted\": {},\n",
-                "      \"rejected_pow\": {},\n",
-                "      \"refused_mine\": {},\n",
-                "      \"departed\": {},\n",
-                "      \"pow_verifications\": {},\n",
-                "      \"mem_verifications\": {},\n",
-                "      \"client_pow_work\": {},\n",
-                "      \"mine_attempts\": {},\n",
-                "      \"verifications_per_sec\": {},\n",
-                "      \"decisions_per_sec\": {},\n",
-                "      \"wall_secs\": {},\n",
-                "      \"latency_p50_ns\": {},\n",
-                "      \"latency_p99_ns\": {},\n",
-                "      \"latency_p999_ns\": {},\n",
-                "      \"latency_max_ns\": {},\n",
-                "      \"decision_fingerprint\": \"{}\"\n",
-                "    }}{}\n",
-            ),
-            s.name,
-            r.connections,
-            c.granted,
-            c.admitted,
-            c.rejected_pow,
-            c.refused_mine,
-            c.departed,
-            c.pow_verifications,
-            c.mem_verifications,
-            r.client_pow_work,
-            r.mine_attempts,
-            json_f64(verifications_per_sec),
-            json_f64(decisions_per_sec),
-            json_f64(s.wall_secs),
-            r.hist.percentile(0.50),
-            r.hist.percentile(0.99),
-            r.hist.percentile(0.999),
-            r.hist.max(),
-            s.fingerprint,
-            if i + 1 < scenarios.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
+        let body = Value::obj([
+            ("connections", r.connections.into()),
+            ("granted", c.granted.into()),
+            ("admitted", c.admitted.into()),
+            ("rejected_pow", c.rejected_pow.into()),
+            ("refused_mine", c.refused_mine.into()),
+            ("departed", c.departed.into()),
+            ("pow_verifications", c.pow_verifications.into()),
+            ("mem_verifications", c.mem_verifications.into()),
+            ("client_pow_work", r.client_pow_work.into()),
+            ("mine_attempts", r.mine_attempts.into()),
+            ("verifications_per_sec", verifications_per_sec.into()),
+            ("decisions_per_sec", decisions_per_sec.into()),
+            ("wall_secs", s.wall_secs.into()),
+            ("latency_p50_ns", r.hist.percentile(0.50).into()),
+            ("latency_p99_ns", r.hist.percentile(0.99).into()),
+            ("latency_p999_ns", r.hist.percentile(0.999).into()),
+            ("latency_max_ns", r.hist.max().into()),
+            ("decision_fingerprint", s.fingerprint.as_str().into()),
+        ]);
+        (s.name, body)
+    });
+    Value::obj([
+        ("generated_unix_secs", unix_secs.into()),
+        (
+            "available_parallelism",
+            std::thread::available_parallelism().map_or(1, |n| n.get()).into(),
+        ),
+        (
+            "queue",
+            Value::obj([(
+                "sha256_64b",
+                Value::obj([
+                    ("ops", ops.into()),
+                    ("wall_secs", wall.into()),
+                    ("ops_per_sec", (ops as f64 / wall).into()),
+                ]),
+            )]),
+        ),
+        ("gate", Value::obj(gate)),
+    ])
+    .to_pretty()
 }
 
 fn main() {
@@ -314,4 +290,96 @@ fn main() {
     file.write_all(json.as_bytes()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote {path}");
     println!("elapsed: {:.1?}", started.elapsed());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sybil_exp::json::{parse, Value};
+
+    /// Every field the writer emits reads back through the `exp::json`
+    /// reader at its nesting level, with its value.
+    #[test]
+    fn json_round_trips_field_for_field() {
+        let mut report = ReplayReport {
+            connections: 9,
+            client_pow_work: 70,
+            mine_attempts: 30,
+            pow_handle_secs: 0.5,
+            mine_handle_secs: 1.5,
+            ..ReplayReport::default()
+        };
+        for ns in [100, 200, 300, 400] {
+            report.hist.record(ns);
+        }
+        let counters = GateCounters {
+            pow_verifications: 8,
+            mem_verifications: 7,
+            granted: 6,
+            admitted: 5,
+            rejected_pow: 4,
+            refused_mine: 3,
+            departed: 2,
+            dropped: 1,
+        };
+        let serial = ScenarioResult {
+            name: "gate_honest",
+            report: report.clone(),
+            counters,
+            fingerprint: "abc123".into(),
+            wall_secs: 2.5,
+        };
+        // No handle time at all: both rates are 0/0, written as null.
+        let idle = ScenarioResult {
+            name: "gate_idle",
+            report: ReplayReport::default(),
+            counters: GateCounters::default(),
+            fingerprint: String::new(),
+            wall_secs: 0.0,
+        };
+        let root = parse(to_json((1000, 0.25), &[serial, idle]).as_bytes()).unwrap();
+        let keys: Vec<&str> = root.members().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["generated_unix_secs", "available_parallelism", "queue", "gate"]);
+        assert!(root.num("available_parallelism").unwrap() >= 1.0);
+        let calibration = root.get("queue").unwrap().get("sha256_64b").unwrap();
+        assert_eq!(calibration.num("ops"), Ok(1000.0));
+        assert_eq!(calibration.num("wall_secs"), Ok(0.25));
+        assert_eq!(calibration.num("ops_per_sec"), Ok(4000.0));
+
+        let gate = root.get("gate").unwrap();
+        assert_eq!(gate.members().len(), 2);
+        let s = gate.get("gate_honest").unwrap();
+        let numbers = [
+            ("connections", 9.0),
+            ("granted", 6.0),
+            ("admitted", 5.0),
+            ("rejected_pow", 4.0),
+            ("refused_mine", 3.0),
+            ("departed", 2.0),
+            ("pow_verifications", 8.0),
+            ("mem_verifications", 7.0),
+            ("client_pow_work", 70.0),
+            ("mine_attempts", 30.0),
+            ("verifications_per_sec", 16.0),
+            ("decisions_per_sec", 2.0),
+            ("wall_secs", 2.5),
+            ("latency_p50_ns", report.hist.percentile(0.50) as f64),
+            ("latency_p99_ns", report.hist.percentile(0.99) as f64),
+            ("latency_p999_ns", report.hist.percentile(0.999) as f64),
+            ("latency_max_ns", 400.0),
+        ];
+        assert_eq!(s.members().len(), numbers.len() + 1);
+        for ((key, value), (want_key, want)) in s.members().iter().zip(numbers) {
+            assert_eq!(key, want_key);
+            assert_eq!(value, &Value::Num(want), "{key}");
+        }
+        assert_eq!(s.get("decision_fingerprint").and_then(Value::as_str), Some("abc123"));
+
+        let idle = gate.get("gate_idle").unwrap();
+        assert_eq!(idle.get("decision_fingerprint").and_then(Value::as_str), Some(""));
+        for key in ["verifications_per_sec", "decisions_per_sec"] {
+            assert_eq!(idle.get(key), Some(&Value::Null));
+            assert!(idle.num(key).unwrap_err().contains("non-finite"));
+        }
+    }
 }
