@@ -17,13 +17,13 @@
 //! come from the shared disk cache), aggregated to `mean, ci95_lo,
 //! ci95_hi`, and is recorded in a resumable results store.
 
-use crate::grid::default_cache_dir;
+use crate::grid::{default_cache_dir, trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode};
 use crate::table::{fmt_num, results_dir, Table};
 use ergo_core::params::{ErgoConfig, GoodJEstConfig, Ratio};
 use ergo_core::Ergo;
 use sybil_churn::networks;
-use sybil_exp::spec::{text_fingerprint, AxisValue, CellSpec};
+use sybil_exp::spec::{AxisValue, CellSpec};
 use sybil_exp::{trial_seed, MetricSummary, Welford, WorkloadCache};
 use sybil_sim::adversary::BudgetJoiner;
 use sybil_sim::engine::{SimConfig, Simulation};
@@ -129,15 +129,19 @@ fn cell_spec(knob: &str, value: &str) -> CellSpec {
     ])
 }
 
-/// Runs all ablations (multi-trial, cached workloads, resumable) and
-/// returns the rows.
-pub fn run() -> Vec<AblationRow> {
-    let (horizon, t) = if fast_mode() { (400.0, 5_000.0) } else { (5_000.0, 20_000.0) };
-    let (trials, base_seed) = (trials(), 61u64);
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-    let grid = knob_grid();
+/// The `(horizon, T)` every knob cell runs at.
+fn scale(fast: bool) -> (f64, f64) {
+    if fast {
+        (400.0, 5_000.0)
+    } else {
+        (5_000.0, 20_000.0)
+    }
+}
 
+/// The ablation grid, declared: one explicit cell per knob value.
+pub(crate) fn grid(fast: bool) -> TrialGrid {
+    let ((horizon, t), trials, base_seed) = (scale(fast), trials_for(fast), 61u64);
+    let knobs = knob_grid();
     // The full knob grid (including the resolved ErgoConfigs) and the
     // churn model go into the fingerprint, so a code change to a default
     // constant or the Gnutella parameters re-runs the grid instead of
@@ -147,9 +151,30 @@ pub fn run() -> Vec<AblationRow> {
     // than resumed with every lookup missing (and its records orphaned).
     let config = format!(
         "ablation v3 (canonical cell ids)\nhorizon = {horizon}\nT = {t}\ntrials = {trials}\n\
-         seed = {base_seed}\nnetwork = {:?}\nknobs = {grid:?}\n",
+         seed = {base_seed}\nnetwork = {:?}\nknobs = {knobs:?}\n",
         networks::gnutella(),
     );
+    let cells = knobs.iter().map(|(knob, value, _, _)| cell_spec(knob, value)).collect();
+    TrialGrid::from_cells(
+        "ablation",
+        cells,
+        &config,
+        &[networks::gnutella()],
+        trials,
+        horizon,
+        base_seed,
+    )
+}
+
+/// Runs all ablations (multi-trial, cached workloads, resumable) and
+/// returns the rows.
+pub fn run() -> Vec<AblationRow> {
+    let declared = grid(fast_mode());
+    let (_, t) = scale(fast_mode());
+    let (horizon, trials, base_seed) = (declared.horizon, declared.trials, declared.seed);
+    let cache = WorkloadCache::open(default_cache_dir())
+        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
+    let grid = knob_grid();
 
     let cells: Vec<(CellSpec, (String, String, ErgoConfig, f64))> =
         grid.into_iter().map(|cell| (cell_spec(&cell.0, &cell.1), cell)).collect();
@@ -157,8 +182,8 @@ pub fn run() -> Vec<AblationRow> {
     let net = networks::gnutella();
     let cache_ref = &cache;
     let outcome = sybil_exp::run_cell_grid(
-        "ablation",
-        &text_fingerprint(&config),
+        &declared.name,
+        declared.fingerprint(),
         &results_dir().join("ablation.store"),
         cells,
         Some(cache_ref),

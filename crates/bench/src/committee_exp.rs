@@ -14,16 +14,15 @@
 //! never cloned resident, and the cost-equality comparison is exact by
 //! construction.
 
-use crate::grid::{default_cache_dir, default_trials};
+use crate::grid::{default_cache_dir, trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode};
 use crate::table::{fmt_num, results_dir, Table};
 use ergo_core::{Ergo, ErgoConfig};
-use std::collections::HashMap;
 use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
 use sybil_committee::{DecentralConfig, DecentralizedErgo};
 use sybil_exp::runner::RunSummary;
-use sybil_exp::spec::{text_fingerprint, AxisValue, CellSpec, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
+use sybil_exp::spec::{AxisValue, CellSpec, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
 use sybil_exp::{trial_seed, MetricSummary, Welford, WorkloadCache};
 use sybil_sim::adversary::{build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE};
 use sybil_sim::engine::{SimConfig, Simulation};
@@ -155,17 +154,7 @@ pub struct CommitteeOutcome {
 /// Runs the full committee experiment grid (network × strategy × T,
 /// multi-trial, cached disk-streamed workloads, resumable).
 pub fn run() -> Vec<CommitteeOutcome> {
-    let horizon = if fast_mode() { 300.0 } else { 10_000.0 };
-    let (rows, _) = run_committee_grid(
-        "committee",
-        &networks::all_networks(),
-        &crate::invariants_exp::strategy_roster(),
-        &[0.0, 10_000.0],
-        default_trials(),
-        horizon,
-        17,
-    );
-    rows
+    run_committee_on(&grid(fast_mode())).0
 }
 
 /// The explicit cell list: network × strategy × T, except that the T = 0
@@ -203,11 +192,22 @@ pub fn run_committee_grid(
     horizon: f64,
     base_seed: u64,
 ) -> (Vec<CommitteeOutcome>, RunSummary) {
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-    let net_by_name: HashMap<String, &ChurnModel> =
-        nets.iter().map(|n| (n.name.to_string(), n)).collect();
-    assert_eq!(net_by_name.len(), nets.len(), "duplicate network names in {name}");
+    let grid = committee_grid(name, nets, strategies, t_values, trials, horizon, base_seed);
+    run_committee_on(&grid)
+}
+
+/// Declares a committee grid. Cells are not a full cartesian product
+/// (the T = 0 baseline collapses the strategy axis, see [`grid_cells`]),
+/// so they are listed explicitly.
+fn committee_grid(
+    name: &str,
+    nets: &[ChurnModel],
+    strategies: &[&str],
+    t_values: &[f64],
+    trials: u32,
+    horizon: f64,
+    base_seed: u64,
+) -> TrialGrid {
     let config = format!(
         "committee grid v2 (explicit cells; T=0 baseline runs once per network as \
          strategy=none)\nhorizon = {horizon}\ntrials = {trials}\nseed = {base_seed}\n\
@@ -221,19 +221,39 @@ pub fn run_committee_grid(
             .collect::<Vec<_>>()
             .join(", "),
     );
-
     let cells = grid_cells(nets, strategies, t_values);
+    TrialGrid::from_cells(name, cells, &config, nets, trials, horizon, base_seed)
+}
+
+/// The paper-scale committee grid, declared.
+pub(crate) fn grid(fast: bool) -> TrialGrid {
+    committee_grid(
+        "committee",
+        &networks::all_networks(),
+        &crate::invariants_exp::strategy_roster(),
+        &[0.0, 10_000.0],
+        trials_for(fast),
+        if fast { 300.0 } else { 10_000.0 },
+        17,
+    )
+}
+
+fn run_committee_on(grid: &TrialGrid) -> (Vec<CommitteeOutcome>, RunSummary) {
+    let (name, cells) = (&grid.name, grid.cells());
+    let (trials, horizon, base_seed) = (grid.trials, grid.horizon, grid.seed);
+    let cache = WorkloadCache::open(default_cache_dir())
+        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
     let pairs: Vec<(CellSpec, CellSpec)> = cells.iter().map(|c| (c.clone(), c.clone())).collect();
     let cache_ref = &cache;
     let outcome = sybil_exp::run_cell_grid(
         name,
-        &text_fingerprint(&config),
+        grid.fingerprint(),
         &results_dir().join(format!("{name}.store")),
         pairs,
         Some(cache_ref),
         default_workers(),
         |cell: &CellSpec| {
-            let net = net_by_name[cell.str_value(AXIS_NETWORK)];
+            let net = grid.net(cell);
             let strategy = cell.str_value(AXIS_STRATEGY);
             let t = cell.f64_value(AXIS_T);
             let mut elections = Welford::new();

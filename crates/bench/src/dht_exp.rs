@@ -11,7 +11,7 @@
 //! the frozen [`cell_seed`] contract, and finished cells land in a
 //! resumable results store with `mean, ci95_lo, ci95_hi` aggregation.
 
-use crate::grid::{default_cache_dir, default_trials};
+use crate::grid::{default_cache_dir, trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode};
 use crate::table::{fmt_num, results_dir, Table};
 use ergo_core::{Ergo, ErgoConfig};
@@ -21,7 +21,7 @@ use sybil_churn::networks;
 use sybil_dht::experiment::{run_grid, DhtCell};
 use sybil_dht::{lookup_wide, Ring};
 use sybil_exp::runner::RunSummary;
-use sybil_exp::spec::{cell_seed, text_fingerprint, AxisValue, CellSpec, AXIS_STRATEGY, AXIS_T};
+use sybil_exp::spec::{cell_seed, AxisValue, CellSpec, AXIS_STRATEGY, AXIS_T};
 use sybil_exp::{trial_seed, MetricSummary, Welford, WorkloadCache};
 use sybil_sim::adversary::{
     build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE, STRATEGY_PURGE_SURVIVE,
@@ -104,7 +104,7 @@ pub fn run_end_to_end_trial<W: WorkloadSource>(
 /// form the quick tests use.
 pub fn run_end_to_end(t: f64, seed: u64) -> EndToEnd {
     let horizon = if fast_mode() { 300.0 } else { 2_000.0 };
-    let lookups = if fast_mode() { 150 } else { 500 };
+    let lookups = lookups(fast_mode());
     run_end_to_end_trial(
         networks::gnutella().generate(Time(horizon), seed),
         STRATEGY_PURGE_SURVIVE,
@@ -149,24 +149,23 @@ fn grid_cells(strategies: &[&str], t_values: &[f64]) -> Vec<CellSpec> {
     cells
 }
 
-/// Runs the end-to-end experiment as a (strategy × T) grid: Ergo
-/// membership under every registered attack strategy, the surviving ring
-/// measured with wide-path lookups. The attack rates are enormous — the
-/// point is that lookups stay near-perfect *because* Ergo bounds the
-/// Sybil fraction, not because the attack is small. The T = 0 baseline
-/// collapses the strategy axis (see [`grid_cells`]), so the cells run as
-/// explicit assignments through
-/// [`run_cell_grid`](sybil_exp::run_cell_grid).
-pub fn run_end_to_end_grid() -> (Vec<EndToEndSummary>, RunSummary) {
-    let horizon = if fast_mode() { 300.0 } else { 2_000.0 };
-    let lookups = if fast_mode() { 150 } else { 500 };
+/// Wide-path lookups per end-to-end trial.
+fn lookups(fast: bool) -> usize {
+    if fast {
+        150
+    } else {
+        500
+    }
+}
+
+/// The end-to-end grid, declared: explicit (strategy × T) cells over the
+/// Gnutella churn model.
+pub(crate) fn end_to_end_grid(fast: bool) -> TrialGrid {
+    let horizon = if fast { 300.0 } else { 2_000.0 };
+    let lookups = lookups(fast);
     let strategies = crate::invariants_exp::strategy_roster();
     let net = networks::gnutella();
-    let trials = default_trials();
-    let base_seed = 7u64;
-
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
+    let (trials, base_seed) = (trials_for(fast), 7u64);
     let config = format!(
         "dht end-to-end grid v2 (explicit cells; T=0 baseline runs once as strategy=none)\n\
          horizon = {horizon}\ntrials = {trials}\nseed = {base_seed}\nnetwork = {net:?}\n\
@@ -178,14 +177,31 @@ pub fn run_end_to_end_grid() -> (Vec<EndToEndSummary>, RunSummary) {
             .collect::<Vec<_>>()
             .join(", "),
     );
-
     let cells = grid_cells(&strategies, &[0.0, 1_000.0, 100_000.0]);
+    TrialGrid::from_cells("dht_end_to_end", cells, &config, &[net], trials, horizon, base_seed)
+}
+
+/// Runs the end-to-end experiment as a (strategy × T) grid: Ergo
+/// membership under every registered attack strategy, the surviving ring
+/// measured with wide-path lookups. The attack rates are enormous — the
+/// point is that lookups stay near-perfect *because* Ergo bounds the
+/// Sybil fraction, not because the attack is small. The T = 0 baseline
+/// collapses the strategy axis (see [`grid_cells`]), so the cells run as
+/// explicit assignments through
+/// [`run_cell_grid`](sybil_exp::run_cell_grid).
+pub fn run_end_to_end_grid() -> (Vec<EndToEndSummary>, RunSummary) {
+    let grid = end_to_end_grid(fast_mode());
+    let lookups = lookups(fast_mode());
+    let (cells, net) = (grid.cells(), grid.nets[0]);
+    let (trials, horizon, base_seed) = (grid.trials, grid.horizon, grid.seed);
+    let cache = WorkloadCache::open(default_cache_dir())
+        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
     let pairs: Vec<(CellSpec, CellSpec)> = cells.iter().map(|c| (c.clone(), c.clone())).collect();
     let cache_ref = &cache;
     let net_ref = &net;
     let outcome = sybil_exp::run_cell_grid(
-        "dht_end_to_end",
-        &text_fingerprint(&config),
+        &grid.name,
+        grid.fingerprint(),
         &results_dir().join("dht_end_to_end.store"),
         pairs,
         Some(cache_ref),

@@ -12,8 +12,9 @@
 //! curves pulling further ahead as `T` grows; CH1/CH2 give modest
 //! improvements concentrated at small `T` (purge-frequency effects).
 
-use crate::grid::{run_spend_grid, SpendSummary};
-use crate::sweep::{fast_mode, t_grid, Algo};
+use crate::figure8::sweep;
+use crate::grid::{run_spend, spend_grid, trials_for, SpendSummary, TrialGrid};
+use crate::sweep::{fast_mode, Algo};
 use crate::table::{fmt_num, Table};
 use sybil_churn::networks;
 
@@ -22,20 +23,23 @@ pub fn roster() -> Vec<Algo> {
     vec![Algo::Ergo, Algo::ErgoCh1, Algo::ErgoCh2, Algo::ErgoSfFull(0.92), Algo::ErgoSfFull(0.98)]
 }
 
-/// Runs the full Figure 10 sweep (multi-trial, resumable).
-pub fn run() -> Vec<SpendSummary> {
-    let (horizon, grid) =
-        if fast_mode() { (500.0, vec![0.0, 16.0, 1024.0, 65_536.0]) } else { (10_000.0, t_grid()) };
-    let (rows, _) = run_spend_grid(
+/// The Figure 10 grid, declared.
+pub(crate) fn grid(fast: bool) -> TrialGrid {
+    let (horizon, t_grid) = sweep(fast);
+    spend_grid(
         "figure10",
         &networks::all_networks(),
         &roster(),
-        &grid,
-        crate::figure8::trials(),
+        &t_grid,
+        trials_for(fast),
         horizon,
         1,
-    );
-    rows
+    )
+}
+
+/// Runs the full Figure 10 sweep (multi-trial, resumable).
+pub fn run() -> Vec<SpendSummary> {
+    run_spend(&grid(fast_mode()), &roster(), sybil_exp::default_shards()).0
 }
 
 /// Formats the sweep as the paper's per-panel series with trial means and

@@ -17,7 +17,7 @@
 //! `(1−κ)·Tmax/κ ≈ 1.7·10⁸`; SybilControl's curve is cut once it can no
 //! longer enforce a `< 1/6` bad fraction.
 
-use crate::grid::{run_spend_grid, SpendSummary};
+use crate::grid::{run_spend, run_spend_grid, spend_grid, trials_for, SpendSummary, TrialGrid};
 use crate::sweep::{fast_mode, t_grid, Algo};
 use crate::table::{fmt_num, Table};
 use sybil_churn::networks;
@@ -32,21 +32,33 @@ pub fn trials() -> u32 {
     crate::grid::default_trials()
 }
 
-/// Runs the full Figure 8 sweep (multi-trial, cached disk-streamed
-/// workloads, resumable) and returns the aggregated cells.
-pub fn run() -> Vec<SpendSummary> {
-    let (horizon, grid) =
-        if fast_mode() { (500.0, vec![0.0, 16.0, 1024.0, 65_536.0]) } else { (10_000.0, t_grid()) };
-    let (rows, _) = run_spend_grid(
+/// The `(horizon, T grid)` of the sweep Figures 8 and 10 share.
+pub(crate) fn sweep(fast: bool) -> (f64, Vec<f64>) {
+    if fast {
+        (500.0, vec![0.0, 16.0, 1024.0, 65_536.0])
+    } else {
+        (10_000.0, t_grid())
+    }
+}
+
+/// The Figure 8 grid, declared.
+pub(crate) fn grid(fast: bool) -> TrialGrid {
+    let (horizon, t_grid) = sweep(fast);
+    spend_grid(
         "figure8",
         &networks::all_networks(),
         &roster(),
-        &grid,
-        trials(),
+        &t_grid,
+        trials_for(fast),
         horizon,
         1,
-    );
-    rows
+    )
+}
+
+/// Runs the full Figure 8 sweep (multi-trial, cached disk-streamed
+/// workloads, resumable) and returns the aggregated cells.
+pub fn run() -> Vec<SpendSummary> {
+    run_spend(&grid(fast_mode()), &roster(), sybil_exp::default_shards()).0
 }
 
 /// The million-ID Figure-8-shaped grid (ROADMAP "scale sweeps to

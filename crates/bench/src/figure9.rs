@@ -23,7 +23,7 @@
 //! `T = 0` and within `(0.08, 4)` under attack — i.e. the estimate is always
 //! within about a factor of 10, usually much closer.
 
-use crate::grid::default_cache_dir;
+use crate::grid::{default_cache_dir, trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode};
 use crate::table::{fmt_num, results_dir, Table};
 use ergo_core::{Ergo, ErgoConfig};
@@ -152,17 +152,11 @@ pub fn run_cell(
     run_trial(network.generate(Time(horizon), seed), fraction, t, horizon)
 }
 
-/// Runs the full Figure 9 grid (multi-trial, cached workloads, resumable).
-pub fn run() -> Vec<EstimateQuality> {
-    let horizon = if fast_mode() { 5_000.0 } else { 100_000.0 };
-    let (trials, base_seed) = (trials(), 11u64);
+/// The Figure 9 grid, declared axis by axis: the Sybil-fraction labels
+/// (which contain `/`) are ordinary axis values — the canonical escaped
+/// cell ids cannot alias, unlike the former free-form id strings.
+pub(crate) fn grid(fast: bool) -> TrialGrid {
     let nets = networks::all_networks();
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-
-    // The grid, declared axis by axis: the Sybil-fraction labels (which
-    // contain `/`) are ordinary axis values — the canonical escaped cell
-    // ids cannot alias, unlike the former free-form id strings.
     let spec = ExperimentSpec {
         name: "figure9".into(),
         axes: vec![
@@ -170,12 +164,12 @@ pub fn run() -> Vec<EstimateQuality> {
             Axis::strs(AXIS_FRAC, fractions().into_iter().map(|(label, _)| label)),
             Axis::floats(AXIS_T, [0.0, 10_000.0]),
         ],
-        trials,
-        horizon,
+        trials: trials_for(fast),
+        horizon: if fast { 5_000.0 } else { 100_000.0 },
         // The effective purge cap is derived per cell from the fraction
         // (see run_trial); this is the base the derivation clamps to.
         kappa: SimConfig::default().kappa,
-        seed: base_seed,
+        seed: 11,
     };
     // The axes name networks and fractions by label; the fingerprint
     // context carries what those labels resolve to — churn-model
@@ -188,14 +182,24 @@ pub fn run() -> Vec<EstimateQuality> {
         fractions(),
         ErgoConfig::default(),
     );
+    TrialGrid::from_spec(spec, context, &nets)
+}
+
+/// Runs the full Figure 9 grid (multi-trial, cached workloads, resumable).
+pub fn run() -> Vec<EstimateQuality> {
+    let grid = grid(fast_mode());
+    let (spec, context) = grid.spec.as_ref().expect("figure9 is declarative");
+    let (horizon, nets) = (grid.horizon, &grid.nets);
+    let cache = WorkloadCache::open(default_cache_dir())
+        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
     let net_by_name: HashMap<String, &ChurnModel> =
         nets.iter().map(|n| (n.name.to_string(), n)).collect();
     let frac_by_label: HashMap<String, f64> = fractions().into_iter().collect();
 
     let cache_ref = &cache;
     let outcome = sybil_exp::run_spec_grid(
-        &spec,
-        &context,
+        spec,
+        context,
         &results_dir(),
         Some(cache_ref),
         default_workers(),
@@ -241,7 +245,7 @@ pub fn run() -> Vec<EstimateQuality> {
 
     let mut rows = Vec::new();
     let mut records = outcome.records.iter();
-    for net in &nets {
+    for net in nets {
         for (label, _) in fractions() {
             for t in [0.0, 10_000.0] {
                 // Quarantined cell → None → NaN → blank cells downstream.

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use sybil_churn::model::ChurnModel;
 use sybil_exp::runner::RunSummary;
-use sybil_exp::spec::{CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_T};
+use sybil_exp::spec::{text_fingerprint, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_T};
 use sybil_exp::{
     default_shards, shard_budget, ExperimentSpec, MetricSummary, Welford, WorkloadCache,
 };
@@ -58,10 +58,138 @@ fn summary_fields(trials: u64, summaries: &[(&str, MetricSummary)]) -> Vec<(Stri
 /// The trial count every figure experiment shares: 5 independent workload
 /// seeds per cell at paper scale, 2 in `SYBIL_BENCH_FAST` smoke mode.
 pub fn default_trials() -> u32 {
-    if crate::sweep::fast_mode() {
+    trials_for(crate::sweep::fast_mode())
+}
+
+/// [`default_trials`] for an explicit mode.
+pub(crate) fn trials_for(fast: bool) -> u32 {
+    if fast {
         2
     } else {
         5
+    }
+}
+
+/// A multi-trial experiment grid, declared as data: the ordered cells, the
+/// identity its results store is bound to, the networks its cells replay,
+/// and the trial parameters.
+///
+/// A *declarative* grid ([`from_spec`](Self::from_spec)) is the cartesian
+/// product of an [`ExperimentSpec`]'s named axes; its store fingerprint is
+/// the hash of the spec text plus a driver-supplied context string, and
+/// the spec is written next to the store as `<name>.spec`. An *explicit*
+/// grid ([`from_cells`](Self::from_cells)) lists its cells (for grids that
+/// are not a full product) and hashes a driver-supplied configuration
+/// text. Either way the context must carry everything the axis labels
+/// *resolve to* — churn-model parameters, defense configurations — so a
+/// code change to a label's meaning re-runs the grid instead of resuming
+/// stale cells.
+pub struct TrialGrid {
+    pub(crate) name: String,
+    pub(crate) cells: Vec<CellSpec>,
+    pub(crate) spec: Option<(ExperimentSpec, String)>,
+    pub(crate) fingerprint: String,
+    pub(crate) nets: Vec<ChurnModel>,
+    pub(crate) trials: u32,
+    pub(crate) horizon: f64,
+    pub(crate) seed: u64,
+}
+
+fn distinct_nets(name: &str, nets: &[ChurnModel]) -> Vec<ChurnModel> {
+    for (i, net) in nets.iter().enumerate() {
+        let seen = &nets[..i];
+        assert!(
+            seen.iter().all(|n| n.name != net.name),
+            "duplicate network {:?} in {name}",
+            net.name
+        );
+    }
+    nets.to_vec()
+}
+
+impl TrialGrid {
+    /// The grid of `spec`'s named axes; `context` is hashed into the store
+    /// fingerprint with the spec text.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two of `nets` share a name — cells could not tell them
+    /// apart.
+    pub fn from_spec(spec: ExperimentSpec, context: String, nets: &[ChurnModel]) -> TrialGrid {
+        TrialGrid {
+            name: spec.name.clone(),
+            cells: spec.cells(),
+            fingerprint: text_fingerprint(&format!("{}\n{context}", spec.to_text())),
+            nets: distinct_nets(&spec.name, nets),
+            trials: spec.trials,
+            horizon: spec.horizon,
+            seed: spec.seed,
+            spec: Some((spec, context)),
+        }
+    }
+
+    /// An explicit cell list; `config` is the text whose hash binds the
+    /// store (it must include the trial parameters too — no spec text
+    /// carries them here).
+    ///
+    /// # Panics
+    ///
+    /// Panics if two of `nets` share a name.
+    pub fn from_cells(
+        name: &str,
+        cells: Vec<CellSpec>,
+        config: &str,
+        nets: &[ChurnModel],
+        trials: u32,
+        horizon: f64,
+        seed: u64,
+    ) -> TrialGrid {
+        TrialGrid {
+            name: name.to_string(),
+            cells,
+            spec: None,
+            fingerprint: text_fingerprint(config),
+            nets: distinct_nets(name, nets),
+            trials,
+            horizon,
+            seed,
+        }
+    }
+
+    /// The cells, in grid (and row) order.
+    pub fn cells(&self) -> &[CellSpec] {
+        &self.cells
+    }
+
+    /// The fingerprint the results store is bound to.
+    pub fn fingerprint(&self) -> &str {
+        &self.fingerprint
+    }
+
+    /// The network `cell` replays: the one its `network` axis names, or —
+    /// for cells without that axis — the grid's only network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the axis names a network the grid was not given, or the
+    /// cell has no such axis and the grid has several networks.
+    pub fn net(&self, cell: &CellSpec) -> &ChurnModel {
+        match cell.value(AXIS_NETWORK) {
+            Some(_) => {
+                let name = cell.str_value(AXIS_NETWORK);
+                self.nets.iter().find(|n| n.name == name).unwrap_or_else(|| {
+                    panic!("{}: cell {} names an undeclared network", self.name, cell.id())
+                })
+            }
+            None => match self.nets.as_slice() {
+                [only] => only,
+                _ => panic!(
+                    "{}: cell {} does not say which network it replays",
+                    self.name,
+                    cell.id()
+                ),
+            },
+        }
     }
 }
 
@@ -106,6 +234,70 @@ pub fn run_spend_grid(
     run_spend_grid_sharded(name, nets, roster, t_grid, trials, horizon, base_seed, default_shards())
 }
 
+/// Declares the (networks × roster × T) spend grid Figures 8 and 10 run.
+///
+/// # Panics
+///
+/// Panics if a label in `roster`/`nets` is not unique — cells would alias
+/// in the store — or a spend rate is negative.
+pub(crate) fn spend_grid(
+    name: &str,
+    nets: &[ChurnModel],
+    roster: &[Algo],
+    t_grid: &[f64],
+    trials: u32,
+    horizon: f64,
+    base_seed: u64,
+) -> TrialGrid {
+    for (i, algo) in roster.iter().enumerate() {
+        let seen = &roster[..i];
+        assert!(
+            seen.iter().all(|a| a.label() != algo.label()),
+            "duplicate algorithm labels in {name}"
+        );
+    }
+    for &t in t_grid {
+        // Spec validation only guarantees finiteness (axes are generic);
+        // a spend rate is additionally a rate, so pin the domain here
+        // before anything lands in a durable store.
+        assert!(t >= 0.0, "{name}: spend rate {t} must be non-negative");
+    }
+    let spec = ExperimentSpec::three_axis(
+        name,
+        nets.iter().map(|n| n.name.to_string()).collect(),
+        roster.iter().map(|a| a.label()).collect(),
+        t_grid.to_vec(),
+        trials,
+        horizon,
+        sybil_sim::SimConfig::default().kappa,
+        base_seed,
+    );
+    // The spec names networks/algorithms by label; the fingerprint context
+    // carries what those labels currently *mean*: full churn-model
+    // parameters, the roster variants, and the default defense configs
+    // `Algo::dispatch` resolves them against — so editing a model, a
+    // roster entry, or a defense constant in code invalidates stored
+    // cells instead of silently resuming them.
+    let context = {
+        use ergo_core::params::{ErgoConfig, Heuristics};
+        // Every named config constructor `Algo::dispatch` can reach (see
+        // sybil_defenses::variants): the classifier gate's remaining
+        // inputs — accuracy and seed — are already covered by the roster
+        // Debug form and the spec seed.
+        format!(
+            "networks = {nets:?}\nroster = {roster:?}\nergo = {:?}\nccom = {:?}\n\
+             ch1 = {:?}\nch2 = {:?}\nsybilcontrol = {:?}\nremp = {:?}\n",
+            ErgoConfig::default(),
+            ErgoConfig::ccom(),
+            ErgoConfig::with_heuristics(Heuristics::ch1()),
+            ErgoConfig::with_heuristics(Heuristics::ch2()),
+            sybil_defenses::SybilControl::default(),
+            sybil_defenses::RempConfig::default(),
+        )
+    };
+    TrialGrid::from_spec(spec, context, nets)
+}
+
 /// [`run_spend_grid`] with an explicit per-cell shard count.
 ///
 /// Each cell's simulation replays its cached workload through `shards`
@@ -129,33 +321,25 @@ pub fn run_spend_grid_sharded(
     base_seed: u64,
     shards: usize,
 ) -> (Vec<SpendSummary>, RunSummary) {
-    let net_by_name: HashMap<String, &ChurnModel> =
-        nets.iter().map(|n| (n.name.to_string(), n)).collect();
-    let algo_by_label: HashMap<String, Algo> = roster.iter().map(|a| (a.label(), *a)).collect();
-    assert_eq!(net_by_name.len(), nets.len(), "duplicate network names in {name}");
-    assert_eq!(algo_by_label.len(), roster.len(), "duplicate algorithm labels in {name}");
-    for &t in t_grid {
-        // Spec validation only guarantees finiteness (axes are generic);
-        // a spend rate is additionally a rate, so pin the domain here
-        // before anything lands in a durable store.
-        assert!(t >= 0.0, "{name}: spend rate {t} must be non-negative");
-    }
+    let grid = spend_grid(name, nets, roster, t_grid, trials, horizon, base_seed);
+    run_spend(&grid, roster, shards)
+}
 
-    let spec = ExperimentSpec::three_axis(
-        name,
-        nets.iter().map(|n| n.name.to_string()).collect(),
-        roster.iter().map(|a| a.label()).collect(),
-        t_grid.to_vec(),
-        trials,
-        horizon,
-        sybil_sim::SimConfig::default().kappa,
-        base_seed,
-    );
+/// Runs a grid declared by [`spend_grid`] over `roster` (the same roster
+/// it was declared with: cells name algorithms by label).
+pub(crate) fn run_spend(
+    grid: &TrialGrid,
+    roster: &[Algo],
+    shards: usize,
+) -> (Vec<SpendSummary>, RunSummary) {
+    let name = &grid.name;
+    let (spec, context) = grid.spec.as_ref().expect("spend grids are declarative");
+    let algo_by_label: HashMap<String, Algo> = roster.iter().map(|a| (a.label(), *a)).collect();
     let cache = WorkloadCache::open(default_cache_dir())
         .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
 
     let run_cell = |cell: &CellSpec| -> Vec<(String, f64)> {
-        let net = net_by_name[cell.str_value(AXIS_NETWORK)];
+        let net = grid.net(cell);
         let algo = algo_by_label[cell.str_value(AXIS_ALGO)];
         let t = cell.f64_value(AXIS_T);
         let mut acc: [Welford; 4] = [Welford::new(); 4];
@@ -186,32 +370,9 @@ pub fn run_spend_grid_sharded(
         summary_fields(spec.trials as u64, &summaries)
     };
 
-    // The spec names networks/algorithms by label; the fingerprint context
-    // carries what those labels currently *mean*: full churn-model
-    // parameters, the roster variants, and the default defense configs
-    // `Algo::dispatch` resolves them against — so editing a model, a
-    // roster entry, or a defense constant in code invalidates stored
-    // cells instead of silently resuming them.
-    let context = {
-        use ergo_core::params::{ErgoConfig, Heuristics};
-        // Every named config constructor `Algo::dispatch` can reach (see
-        // sybil_defenses::variants): the classifier gate's remaining
-        // inputs — accuracy and seed — are already covered by the roster
-        // Debug form and the spec seed.
-        format!(
-            "networks = {nets:?}\nroster = {roster:?}\nergo = {:?}\nccom = {:?}\n\
-             ch1 = {:?}\nch2 = {:?}\nsybilcontrol = {:?}\nremp = {:?}\n",
-            ErgoConfig::default(),
-            ErgoConfig::ccom(),
-            ErgoConfig::with_heuristics(Heuristics::ch1()),
-            ErgoConfig::with_heuristics(Heuristics::ch2()),
-            sybil_defenses::SybilControl::default(),
-            sybil_defenses::RempConfig::default(),
-        )
-    };
     let outcome = sybil_exp::run_spec_grid(
-        &spec,
-        &context,
+        spec,
+        context,
         &results_dir(),
         Some(&cache),
         shard_budget(default_workers(), shards),
@@ -245,7 +406,7 @@ pub fn run_spend_grid_sharded(
                     trials,
                 ),
                 purges: MetricSummary::from_record_opt(record, "purges", trials),
-                guarantee: algo.guarantee_covers(t, net_by_name[network].initial_size),
+                guarantee: algo.guarantee_covers(t, grid.net(cell).initial_size),
             }
         })
         .collect();
@@ -256,6 +417,65 @@ pub fn run_spend_grid_sharded(
 mod tests {
     use super::*;
     use sybil_churn::networks;
+
+    /// Store compatibility, pinned per experiment driver at its
+    /// `SYBIL_BENCH_FAST` parameters: SHA-256 over the store fingerprint
+    /// and the ordered cell-id list. The values were captured from stores
+    /// the pre-`TrialGrid` drivers wrote (`SYBIL_BENCH_FAST=1
+    /// SYBIL_BENCH_WORKERS=1 cargo bench -p sybil-bench`); as long as they
+    /// hold, a `results/*.store` written by any earlier commit resumes
+    /// with zero cells re-executed. A pin may only change together with a
+    /// deliberate change to what the experiment computes.
+    #[test]
+    fn store_identities_are_pinned() {
+        use crate::{
+            ablation_exp, committee_exp, dht_exp, figure10, figure8, figure9, invariants_exp,
+            lower_bound_exp,
+        };
+        let pins = [
+            (
+                figure8::grid(true),
+                "60abe5a3dcb89ce59f203e50bed916daf1eec5231cc61820cf8c9a16f15434e4",
+            ),
+            (
+                figure10::grid(true),
+                "8b884d81d551f378ccf6f06657f5ba38afa776881ae3995ec6953b2a26ef820c",
+            ),
+            (
+                figure9::grid(true),
+                "127f855001bf3a5c32d953ec5f363fd1fcdd37befdd4b5564e6d6b71f8bb1b35",
+            ),
+            (
+                invariants_exp::invariants_grid(true),
+                "325e2cbcf48d04d6c8e04da73e0762415d75cb284174d4d4b3a0cd46fc9f450d",
+            ),
+            (
+                invariants_exp::scaling_grid(true),
+                "a513883f782489115c7ca10a50513d144d10898f255214204dd7856087925031",
+            ),
+            (
+                ablation_exp::grid(true),
+                "e8af4ab423404d06f76315a818d00075aed5d768c358e9c9815f9bb50e502758",
+            ),
+            (
+                committee_exp::grid(true),
+                "6fbc7b2e3c9e7ef6c2895d1fe59a245b404931d03651fe8bf79532916ff2b81e",
+            ),
+            (
+                dht_exp::end_to_end_grid(true),
+                "d12deec73b181b40b40252bcd548511e5874f2b983b1b5d6023a2cef9f8eb3fa",
+            ),
+            (
+                lower_bound_exp::grid(true),
+                "fa260e954918620ee12079b1ae30482a4e0afe28df9e348c848350c3edf96f8e",
+            ),
+        ];
+        for (grid, pin) in pins {
+            let ids: Vec<String> = grid.cells().iter().map(|c| c.id()).collect();
+            let identity = format!("{}\n{}", grid.fingerprint(), ids.join("\n"));
+            assert_eq!(text_fingerprint(&identity), pin, "{}: store identity drifted", grid.name);
+        }
+    }
 
     #[test]
     fn tiny_grid_end_to_end_with_resume() {

@@ -21,7 +21,7 @@
 //! [`run_invariants`], the 10⁶-ID [`run_invariants_millions`] bin, and the
 //! CI smoke's strategy-axis grid are all parameterizations of it.
 
-use crate::grid::{default_cache_dir, default_trials};
+use crate::grid::{default_cache_dir, default_trials, trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode, run_report_with, Algo};
 use crate::table::{fmt_num, results_dir, Table};
 use ergo_core::{Ergo, ErgoConfig};
@@ -95,6 +95,64 @@ pub struct InvariantOutcome {
     pub good_rate: MetricSummary,
 }
 
+/// Declares a (network × strategy × T) invariant grid. The per-strategy
+/// parameter fingerprints are folded into the store's configuration
+/// context, so a change to what a registry name *means* (a different
+/// burst period, say) re-runs the grid instead of resuming stale cells.
+fn invariant_grid(
+    name: &str,
+    nets: &[ChurnModel],
+    strategies: &[&str],
+    t_values: &[f64],
+    trials: u32,
+    horizon: f64,
+    base_seed: u64,
+) -> TrialGrid {
+    let spec = ExperimentSpec {
+        name: name.into(),
+        axes: vec![
+            Axis::strs(AXIS_NETWORK, nets.iter().map(|n| n.name.to_string())),
+            Axis::strs(AXIS_STRATEGY, strategies.iter().map(|s| s.to_string())),
+            Axis::floats(AXIS_T, t_values.to_vec()),
+        ],
+        trials,
+        horizon,
+        kappa: SimConfig::default().kappa,
+        seed: base_seed,
+    };
+    // The axes name networks and strategies by label; the context carries
+    // what the labels resolve to. The strategy fingerprint is taken at a
+    // sentinel rate (the actual rate is the cell's T-axis value, already
+    // part of the spec): it pins the *fixed* parameters a registry name
+    // implies, like the burst period.
+    let context = format!(
+        "invariants grid\nnetworks = {nets:?}\ndefense = {:?}\nstrategies = [{}]\n",
+        ErgoConfig::default(),
+        strategies
+            .iter()
+            .map(|s| strategy_fingerprint(s, &cell_params(1.0)))
+            .collect::<Vec<_>>()
+            .join(", "),
+    );
+    TrialGrid::from_spec(spec, context, nets)
+}
+
+/// The paper-scale invariant sweep, declared: Gnutella and Ethereum
+/// churn, every registered attack strategy, three spend-rate decades.
+pub(crate) fn invariants_grid(fast: bool) -> TrialGrid {
+    let horizon = if fast { 300.0 } else { 5_000.0 };
+    let t_values = if fast { vec![1e3] } else { vec![1e2, 1e4, 1e6] };
+    invariant_grid(
+        "invariants",
+        &[networks::gnutella(), networks::ethereum()],
+        &strategy_roster(),
+        &t_values,
+        trials_for(fast),
+        horizon,
+        23,
+    )
+}
+
 /// Runs a (network × strategy × T) invariant grid through the `sybil-exp`
 /// subsystem: multi-trial, cached disk-streamed workloads, resumable
 /// store at `results/<name>.store`.
@@ -145,51 +203,31 @@ pub fn run_invariant_grid_opts(
     base_seed: u64,
     opts: &sybil_exp::GridOptions,
 ) -> (Vec<InvariantOutcome>, RunSummary) {
-    let spec = ExperimentSpec {
-        name: name.into(),
-        axes: vec![
-            Axis::strs(AXIS_NETWORK, nets.iter().map(|n| n.name.to_string())),
-            Axis::strs(AXIS_STRATEGY, strategies.iter().map(|s| s.to_string())),
-            Axis::floats(AXIS_T, t_values.to_vec()),
-        ],
-        trials,
-        horizon,
-        kappa: SimConfig::default().kappa,
-        seed: base_seed,
-    };
+    let grid = invariant_grid(name, nets, strategies, t_values, trials, horizon, base_seed);
+    run_invariants_on(&grid, opts)
+}
+
+fn run_invariants_on(
+    grid: &TrialGrid,
+    opts: &sybil_exp::GridOptions,
+) -> (Vec<InvariantOutcome>, RunSummary) {
+    let name = &grid.name;
+    let (spec, context) = grid.spec.as_ref().expect("invariant grids are declarative");
     let bound = 3.0 * spec.kappa;
     let cache = WorkloadCache::open(default_cache_dir())
         .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-    let net_by_name: HashMap<String, &ChurnModel> =
-        nets.iter().map(|n| (n.name.to_string(), n)).collect();
-    assert_eq!(net_by_name.len(), nets.len(), "duplicate network names in {name}");
-
-    // The axes name networks and strategies by label; the context carries
-    // what the labels resolve to. The strategy fingerprint is taken at a
-    // sentinel rate (the actual rate is the cell's T-axis value, already
-    // part of the spec): it pins the *fixed* parameters a registry name
-    // implies, like the burst period.
-    let context = format!(
-        "invariants grid\nnetworks = {nets:?}\ndefense = {:?}\nstrategies = [{}]\n",
-        ErgoConfig::default(),
-        strategies
-            .iter()
-            .map(|s| strategy_fingerprint(s, &cell_params(1.0)))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
 
     let cache_ref = &cache;
-    let spec_ref = &spec;
+    let spec_ref = spec;
     let outcome = sybil_exp::run_spec_grid_opts(
-        &spec,
-        &context,
+        spec,
+        context,
         &results_dir(),
         Some(cache_ref),
         default_workers(),
         opts,
         |cell: &CellSpec| {
-            let net = net_by_name[cell.str_value(AXIS_NETWORK)];
+            let net = grid.net(cell);
             let strategy = cell.str_value(AXIS_STRATEGY);
             let t = cell.f64_value(AXIS_T);
             let mut frac = Welford::new();
@@ -257,18 +295,7 @@ pub fn run_invariant_grid_opts(
 /// Runs the paper-scale invariant sweep: Gnutella and Ethereum churn,
 /// every registered attack strategy, three spend-rate decades.
 pub fn run_invariants() -> Vec<InvariantOutcome> {
-    let horizon = if fast_mode() { 300.0 } else { 5_000.0 };
-    let t_values = if fast_mode() { vec![1e3] } else { vec![1e2, 1e4, 1e6] };
-    let (rows, _) = run_invariant_grid(
-        "invariants",
-        &[networks::gnutella(), networks::ethereum()],
-        &strategy_roster(),
-        &t_values,
-        default_trials(),
-        horizon,
-        23,
-    );
-    rows
+    run_invariants_on(&invariants_grid(fast_mode()), &sybil_exp::GridOptions::default()).0
 }
 
 /// The 10⁶-ID strategy × network invariant grid (the `invariants_millions`
@@ -311,6 +338,36 @@ pub struct ScalingFit {
     pub points: usize,
 }
 
+/// The scaling grid, declared: (network × algo × T) over the attack
+/// regime.
+pub(crate) fn scaling_grid(fast: bool) -> TrialGrid {
+    let exponents: &[u32] = if fast { &[12, 14, 16] } else { &[10, 12, 14, 16, 18, 20] };
+    let nets = [networks::gnutella(), networks::bittorrent()];
+    let roster = scaling_roster();
+    let spec = ExperimentSpec {
+        name: "scaling".into(),
+        axes: vec![
+            Axis::strs(AXIS_NETWORK, nets.iter().map(|n| n.name.to_string())),
+            Axis::strs(AXIS_ALGO, roster.iter().map(|a| a.label())),
+            Axis::floats(AXIS_T, exponents.iter().map(|&e| (1u64 << e) as f64)),
+        ],
+        trials: trials_for(fast),
+        horizon: if fast { 500.0 } else { 10_000.0 },
+        kappa: SimConfig::default().kappa,
+        seed: 23,
+    };
+    let context = format!(
+        "scaling grid\nnetworks = {nets:?}\nroster = {roster:?}\nergo = {:?}\nccom = {:?}\n",
+        ErgoConfig::default(),
+        ergo_core::params::ErgoConfig::ccom(),
+    );
+    TrialGrid::from_spec(spec, context, &nets)
+}
+
+fn scaling_roster() -> [Algo; 2] {
+    [Algo::Ergo, Algo::CCom]
+}
+
 /// Fits the spend-rate scaling exponents for Ergo and CCom (Theorem 1 says
 /// ≈ 0.5 for Ergo; CCom's `O(T+J)` gives ≈ 1).
 ///
@@ -319,47 +376,24 @@ pub struct ScalingFit {
 /// slope fit is computed afterwards from the per-trial columns — so a
 /// resumed grid re-fits from the store without re-running anything.
 pub fn run_scaling() -> Vec<ScalingFit> {
-    let horizon = if fast_mode() { 500.0 } else { 10_000.0 };
-    let exponents: Vec<u32> =
-        if fast_mode() { vec![12, 14, 16] } else { vec![10, 12, 14, 16, 18, 20] };
-    let ts: Vec<f64> = exponents.iter().map(|&e| (1u64 << e) as f64).collect();
-    let nets = [networks::gnutella(), networks::bittorrent()];
-    let roster = [Algo::Ergo, Algo::CCom];
-    let trials = default_trials();
-
-    let spec = ExperimentSpec {
-        name: "scaling".into(),
-        axes: vec![
-            Axis::strs(AXIS_NETWORK, nets.iter().map(|n| n.name.to_string())),
-            Axis::strs(AXIS_ALGO, roster.iter().map(|a| a.label())),
-            Axis::floats(AXIS_T, ts.clone()),
-        ],
-        trials,
-        horizon,
-        kappa: SimConfig::default().kappa,
-        seed: 23,
-    };
+    let grid = scaling_grid(fast_mode());
+    let (spec, context) = grid.spec.as_ref().expect("the scaling grid is declarative");
+    let (nets, trials, roster) = (&grid.nets, grid.trials, scaling_roster());
+    let ts = &spec.axis(AXIS_T).expect("T axis").values;
     let cache = WorkloadCache::open(default_cache_dir())
         .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-    let net_by_name: HashMap<String, &ChurnModel> =
-        nets.iter().map(|n| (n.name.to_string(), n)).collect();
     let algo_by_label: HashMap<String, Algo> = roster.iter().map(|a| (a.label(), *a)).collect();
-    let context = format!(
-        "scaling grid\nnetworks = {nets:?}\nroster = {roster:?}\nergo = {:?}\nccom = {:?}\n",
-        ErgoConfig::default(),
-        ergo_core::params::ErgoConfig::ccom(),
-    );
 
     let cache_ref = &cache;
-    let spec_ref = &spec;
+    let spec_ref = spec;
     let outcome = sybil_exp::run_spec_grid(
-        &spec,
-        &context,
+        spec,
+        context,
         &results_dir(),
         Some(cache_ref),
         default_workers(),
         |cell: &CellSpec| {
-            let net = net_by_name[cell.str_value(AXIS_NETWORK)];
+            let net = grid.net(cell);
             let algo = algo_by_label[cell.str_value(AXIS_ALGO)];
             let t = cell.f64_value(AXIS_T);
             let mut acc = Welford::new();
@@ -392,7 +426,7 @@ pub fn run_scaling() -> Vec<ScalingFit> {
     // trial across the T axis.
     let cells = spec.cells();
     let mut fits = Vec::new();
-    for net in &nets {
+    for net in nets {
         for algo in &roster {
             let label = algo.label();
             let mut slopes = Welford::new();

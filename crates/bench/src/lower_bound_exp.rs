@@ -10,6 +10,7 @@
 //! pool; cost-function labels (which contain spaces) are ordinary axis
 //! values under the canonical escaped cell ids.
 
+use crate::grid::TrialGrid;
 use crate::sweep::{default_workers, fast_mode};
 use crate::table::{fmt_num, results_dir, Table};
 use std::collections::HashMap;
@@ -30,24 +31,26 @@ pub fn cost_functions() -> Vec<CostFunction> {
     ]
 }
 
-/// Runs the lower-bound sweep (resumable).
-pub fn run() -> Vec<LowerBoundOutcome> {
-    let horizon = if fast_mode() { 1_000.0 } else { 10_000.0 };
-    let t_values: Vec<f64> =
-        if fast_mode() { vec![1e2, 1e4] } else { vec![0.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7] };
-    let (j, n0, delta) = (2.0, 10_000u64, 1.0 / 11.0);
+/// The bound parameters the axes do not carry: `(J, n0, δ)`.
+const BOUND_PARAMS: (f64, u64, f64) = (2.0, 10_000, 1.0 / 11.0);
 
-    // Deterministic closed-form cells: trials/seed are degenerate (one
-    // trial, seedless), but the axes are first-class, so the store keys
-    // are canonical and collision-free by construction.
+/// The lower-bound grid, declared: `cost × T`.
+///
+/// Deterministic closed-form cells: trials/seed are degenerate (one
+/// trial, seedless, no networks), but the axes are first-class, so the
+/// store keys are canonical and collision-free by construction.
+pub(crate) fn grid(fast: bool) -> TrialGrid {
+    let t_values: Vec<f64> =
+        if fast { vec![1e2, 1e4] } else { vec![0.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7] };
+    let (j, n0, delta) = BOUND_PARAMS;
     let spec = ExperimentSpec {
         name: "lower_bound".into(),
         axes: vec![
             Axis::strs(AXIS_COST, cost_functions().iter().map(|f| f.label())),
-            Axis::floats(AXIS_T, t_values.clone()),
+            Axis::floats(AXIS_T, t_values),
         ],
         trials: 1,
-        horizon,
+        horizon: if fast { 1_000.0 } else { 10_000.0 },
         kappa: 0.0,
         seed: 0,
     };
@@ -55,12 +58,23 @@ pub fn run() -> Vec<LowerBoundOutcome> {
     // do not carry.
     let context =
         format!("j = {j}\nn0 = {n0}\ndelta = {delta}\ncost_functions = {:?}\n", cost_functions());
+    TrialGrid::from_spec(spec, context, &[])
+}
+
+/// Runs the lower-bound sweep (resumable).
+pub fn run() -> Vec<LowerBoundOutcome> {
+    let grid = grid(fast_mode());
+    let (spec, context) = grid.spec.as_ref().expect("the lower-bound grid is declarative");
+    let horizon = grid.horizon;
+    let t_values: Vec<f64> =
+        spec.axis(AXIS_T).expect("T axis").values.iter().filter_map(|v| v.as_f64()).collect();
+    let (j, n0, delta) = BOUND_PARAMS;
     let cost_by_label: HashMap<String, CostFunction> =
         cost_functions().into_iter().map(|f| (f.label(), f)).collect();
 
     let outcome = sybil_exp::run_spec_grid(
-        &spec,
-        &context,
+        spec,
+        context,
         &results_dir(),
         None,
         default_workers(),
