@@ -17,14 +17,14 @@
 //! come from the shared disk cache), aggregated to `mean, ci95_lo,
 //! ci95_hi`, and is recorded in a resumable results store.
 
-use crate::grid::{default_cache_dir, trials_for, TrialGrid};
+use crate::grid::{trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode};
-use crate::table::{fmt_num, results_dir, Table};
+use crate::table::{fmt_num, Table};
 use ergo_core::params::{ErgoConfig, GoodJEstConfig, Ratio};
 use ergo_core::Ergo;
 use sybil_churn::networks;
 use sybil_exp::spec::{AxisValue, CellSpec};
-use sybil_exp::{trial_seed, MetricSummary, Welford, WorkloadCache};
+use sybil_exp::{GridOptions, MetricSummary, Welford};
 use sybil_sim::adversary::BudgetJoiner;
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
@@ -118,10 +118,10 @@ fn knob_grid() -> Vec<(String, String, ErgoConfig, f64)> {
 
 /// The axis assignment for one knob cell. The knob list is a union of
 /// per-knob sweeps rather than a cartesian product, so cells are built as
-/// explicit [`CellSpec`] assignments (axes `knob`, `value`) and run
-/// through [`sybil_exp::run_cell_grid`] — the canonical escaped ids keep
-/// values like `1/11` and `5/12` collision-free without the lossy
-/// character replacement the old free-form keys used.
+/// explicit [`CellSpec`] assignments (axes `knob`, `value`) — the
+/// canonical escaped ids keep values like `1/11` and `5/12`
+/// collision-free without the lossy character replacement the old
+/// free-form keys used.
 fn cell_spec(knob: &str, value: &str) -> CellSpec {
     CellSpec::new(vec![
         ("knob".into(), AxisValue::Str(knob.into())),
@@ -169,77 +169,37 @@ pub(crate) fn grid(fast: bool) -> TrialGrid {
 /// Runs all ablations (multi-trial, cached workloads, resumable) and
 /// returns the rows.
 pub fn run() -> Vec<AblationRow> {
-    let declared = grid(fast_mode());
     let (_, t) = scale(fast_mode());
-    let (horizon, trials, base_seed) = (declared.horizon, declared.trials, declared.seed);
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-    let grid = knob_grid();
-
-    let cells: Vec<(CellSpec, (String, String, ErgoConfig, f64))> =
-        grid.into_iter().map(|cell| (cell_spec(&cell.0, &cell.1), cell)).collect();
-
-    let net = networks::gnutella();
-    let cache_ref = &cache;
-    let outcome = sybil_exp::run_cell_grid(
-        &declared.name,
-        declared.fingerprint(),
-        &results_dir().join("ablation.store"),
-        cells,
-        Some(cache_ref),
-        default_workers(),
-        move |(_, _, cfg, round): &(String, String, ErgoConfig, f64)| {
+    let knobs = knob_grid();
+    let (results, _) =
+        grid(fast_mode()).run(default_workers(), &GridOptions::default(), |cell, trials| {
+            let (_, _, cfg, round) = knobs
+                .iter()
+                .find(|(knob, value, _, _)| cell_spec(knob, value) == *cell)
+                .expect("cell is a knob-grid entry");
             let mut rate = Welford::new();
             let mut purges = Welford::new();
             let mut frac = Welford::new();
-            for trial in 0..trials {
-                let wseed = trial_seed(base_seed, trial as u64);
-                let disk = cache_ref
-                    .get_or_create(&net, Time(horizon), wseed)
-                    .unwrap_or_else(|e| panic!("workload cache failed: {e}"));
-                let (a, p, f) = run_cfg_with(disk, *cfg, *round, t, horizon);
+            for trial in trials {
+                let (a, p, f) = run_cfg_with(trial.workload(), *cfg, *round, t, trial.horizon);
                 rate.push(a);
                 purges.push(p as f64);
                 frac.push(f);
             }
-            let (rate, purges, frac) = (rate.summary(), purges.summary(), frac.summary());
-            vec![
-                ("trials".into(), trials as f64),
-                ("good_rate_mean".into(), rate.mean),
-                ("good_rate_ci95_lo".into(), rate.ci95_lo),
-                ("good_rate_ci95_hi".into(), rate.ci95_hi),
-                ("purges_mean".into(), purges.mean),
-                ("purges_ci95_lo".into(), purges.ci95_lo),
-                ("purges_ci95_hi".into(), purges.ci95_hi),
-                ("max_bad_fraction_mean".into(), frac.mean),
-                ("max_bad_fraction_ci95_lo".into(), frac.ci95_lo),
-                ("max_bad_fraction_ci95_hi".into(), frac.ci95_hi),
-            ]
-        },
-    )
-    .unwrap_or_else(|e| panic!("ablation experiment failed: {e}"));
-    eprint!("{}", outcome.summary.render());
-
-    knob_grid()
+            let mut fields = vec![("trials".to_string(), trials.len() as f64)];
+            fields.extend(rate.summary().fields("good_rate"));
+            fields.extend(purges.summary().fields("purges"));
+            fields.extend(frac.summary().fields("max_bad_fraction"));
+            fields
+        });
+    results
         .iter()
-        .zip(&outcome.records)
-        .map(|((knob, value, _, _), r)| {
-            // Quarantined cell → None → all-NaN summaries → blank cells.
-            let r = r.as_ref();
-            let n = r.and_then(|r| r.get("trials")).unwrap_or(f64::NAN) as u64;
-            let metric = |name: &str| MetricSummary {
-                n,
-                mean: r.and_then(|r| r.get(&format!("{name}_mean"))).unwrap_or(f64::NAN),
-                ci95_lo: r.and_then(|r| r.get(&format!("{name}_ci95_lo"))).unwrap_or(f64::NAN),
-                ci95_hi: r.and_then(|r| r.get(&format!("{name}_ci95_hi"))).unwrap_or(f64::NAN),
-            };
-            AblationRow {
-                knob: knob.clone(),
-                value: value.clone(),
-                good_rate: metric("good_rate"),
-                purges: metric("purges"),
-                max_bad_fraction: metric("max_bad_fraction"),
-            }
+        .map(|r| AblationRow {
+            knob: r.cell.str_value("knob").to_string(),
+            value: r.cell.str_value("value").to_string(),
+            good_rate: r.summary("good_rate"),
+            purges: r.summary("purges"),
+            max_bad_fraction: r.summary("max_bad_fraction"),
         })
         .collect()
 }

@@ -22,15 +22,14 @@
 //! Exits nonzero on any violation. CI uploads the resulting stores as
 //! artifacts alongside `BENCH_engine.json`.
 
-use sybil_bench::grid::{default_cache_dir, run_spend_grid, run_spend_grid_sharded};
+use sybil_bench::grid::{run_spend_grid, run_spend_grid_sharded, TrialGrid};
 use sybil_bench::sweep::{default_workers, Algo};
 use sybil_bench::table::results_dir;
 use sybil_bench::{figure9, invariants_exp};
 use sybil_churn::networks;
-use sybil_exp::spec::{text_fingerprint, Axis, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_T};
-use sybil_exp::{ExperimentSpec, ResultsStore, WorkloadCache};
+use sybil_exp::spec::{Axis, AXIS_ALGO, AXIS_NETWORK, AXIS_T};
+use sybil_exp::{ExperimentSpec, GridOptions, ResultsStore};
 use sybil_sim::engine::SimConfig;
-use sybil_sim::time::Time;
 
 fn main() {
     three_axis_smoke();
@@ -100,7 +99,6 @@ fn four_axis_smoke() {
     std::fs::remove_file(&store_path).ok();
 
     let fracs: [(&str, f64); 2] = [("1/24", 1.0 / 24.0), ("1/6", 1.0 / 6.0)];
-    let horizon = 200.0;
     let spec = ExperimentSpec {
         name: name.into(),
         axes: vec![
@@ -110,61 +108,46 @@ fn four_axis_smoke() {
             Axis::strs(figure9::AXIS_FRAC, fracs.iter().map(|&(label, _)| label)),
         ],
         trials: 2,
-        horizon,
+        horizon: 200.0,
         kappa: SimConfig::default().kappa,
         seed: 1,
     };
     let context = format!("exp_smoke 4-axis\nfracs = {fracs:?}\n");
-    let cache = WorkloadCache::open(default_cache_dir()).expect("cannot open workload cache");
-    let net = networks::gnutella();
+    let grid = TrialGrid::from_spec(spec, context, &[networks::gnutella()]);
 
-    let cache_ref = &cache;
-    let spec_ref = &spec;
     let run = || {
-        sybil_exp::run_spec_grid(
-            spec_ref,
-            &context,
-            &results_dir(),
-            Some(cache_ref),
-            default_workers(),
-            |cell: &CellSpec| {
-                let frac_label = cell.str_value(figure9::AXIS_FRAC);
-                let fraction =
-                    fracs.iter().find(|(l, _)| *l == frac_label).expect("known fraction").1;
-                let t = cell.f64_value(AXIS_T);
-                let mut intervals = 0.0;
-                let mut median_sum = 0.0;
-                for trial in 0..spec_ref.trials {
-                    let disk = cache_ref
-                        .get_or_create(&net, Time(horizon), spec_ref.workload_seed(trial))
-                        .expect("workload cache failed");
-                    let q = figure9::run_trial(disk, fraction, t, horizon);
-                    intervals += q.intervals as f64;
-                    median_sum += q.median_ratio;
-                }
-                vec![("intervals".into(), intervals), ("median_sum".into(), median_sum)]
-            },
-        )
-        .expect("exp_smoke_axes grid failed")
+        grid.run(default_workers(), &GridOptions::default(), |cell, trials| {
+            let frac_label = cell.str_value(figure9::AXIS_FRAC);
+            let fraction = fracs.iter().find(|(l, _)| *l == frac_label).expect("known fraction").1;
+            let t = cell.f64_value(AXIS_T);
+            let mut intervals = 0.0;
+            let mut median_sum = 0.0;
+            for trial in trials {
+                let q = figure9::run_trial(trial.workload(), fraction, t, trial.horizon);
+                intervals += q.intervals as f64;
+                median_sum += q.median_ratio;
+            }
+            vec![("intervals".into(), intervals), ("median_sum".into(), median_sum)]
+        })
     };
 
     println!("--- 4-axis cold run (fresh store) ---");
-    let cold = run();
-    let grid_size = spec.cells().len();
+    let (cold_cells, cold) = run();
+    let grid_size = grid.cells().len();
     assert_eq!(grid_size, 4, "grid shape changed");
-    assert_eq!(cold.summary.cells_total, grid_size);
-    assert_eq!(cold.summary.cells_executed, grid_size, "cold run must execute every cell");
+    assert_eq!(cold.cells_total, grid_size);
+    assert_eq!(cold.cells_executed, grid_size, "cold run must execute every cell");
 
     println!("--- 4-axis warm run (resume from store) ---");
-    let warm = run();
-    assert_eq!(warm.summary.cells_executed, 0, "warm run must skip all completed cells");
-    assert_eq!(warm.summary.cells_skipped, grid_size);
-    assert!(warm.summary.resumed);
-    assert!(!cold.summary.has_holes(), "smoke run must not quarantine any cell");
-    assert!(!warm.summary.has_holes(), "warm smoke run must not quarantine any cell");
-    for (a, b) in cold.records.iter().zip(&warm.records) {
-        let a = a.as_ref().expect("no holes in smoke");
-        let b = b.as_ref().expect("no holes in smoke");
+    let (warm_cells, warm) = run();
+    assert_eq!(warm.cells_executed, 0, "warm run must skip all completed cells");
+    assert_eq!(warm.cells_skipped, grid_size);
+    assert!(warm.resumed);
+    assert!(!cold.has_holes(), "smoke run must not quarantine any cell");
+    assert!(!warm.has_holes(), "warm smoke run must not quarantine any cell");
+    for (a, b) in cold_cells.iter().zip(&warm_cells) {
+        let a = a.record.as_ref().expect("no holes in smoke");
+        let b = b.record.as_ref().expect("no holes in smoke");
         assert_eq!(a.cell_id, b.cell_id);
         for ((an, av), (bn, bv)) in a.fields.iter().zip(&b.fields) {
             assert_eq!(an, bn, "{}: field order changed", a.cell_id);
@@ -174,11 +157,11 @@ fn four_axis_smoke() {
 
     // The store must hold exactly |grid| distinct cell keys: the two
     // `/`-laden fraction labels may not collapse onto one key.
-    let fingerprint = text_fingerprint(&format!("{}\n{context}", spec.to_text()));
-    let (store, resumed) = ResultsStore::open(&store_path, &fingerprint).expect("reopen store");
-    assert!(resumed, "fingerprint recomputation must match the runner's");
+    let (store, resumed) =
+        ResultsStore::open(&store_path, grid.fingerprint()).expect("reopen store");
+    assert!(resumed, "the declared fingerprint must be the one the runner bound the store to");
     assert_eq!(store.len(), grid_size, "store must hold exactly |grid| distinct cell keys");
-    for cell in spec.cells() {
+    for cell in grid.cells() {
         assert!(store.is_done(&cell.id()), "missing cell {}", cell.id());
     }
 
@@ -200,8 +183,10 @@ fn strategy_axis_smoke() {
 
     let nets = [networks::gnutella()];
     let strategies = invariants_exp::strategy_roster();
-    let run =
-        || invariants_exp::run_invariant_grid(name, &nets, &strategies, &[1_024.0], 2, 200.0, 1);
+    let opts = GridOptions::default();
+    let run = || {
+        invariants_exp::run_invariant_grid(name, &nets, &strategies, &[1_024.0], 2, 200.0, 1, &opts)
+    };
 
     println!("--- strategy-axis cold run (fresh store) ---");
     let (cold_rows, cold) = run();

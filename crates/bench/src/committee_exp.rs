@@ -14,16 +14,16 @@
 //! never cloned resident, and the cost-equality comparison is exact by
 //! construction.
 
-use crate::grid::{default_cache_dir, trials_for, TrialGrid};
+use crate::grid::{trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode};
-use crate::table::{fmt_num, results_dir, Table};
+use crate::table::{fmt_num, Table};
 use ergo_core::{Ergo, ErgoConfig};
 use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
 use sybil_committee::{DecentralConfig, DecentralizedErgo};
 use sybil_exp::runner::RunSummary;
 use sybil_exp::spec::{AxisValue, CellSpec, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{trial_seed, MetricSummary, Welford, WorkloadCache};
+use sybil_exp::{GridOptions, MetricSummary, Welford};
 use sybil_sim::adversary::{build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE};
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
@@ -179,10 +179,7 @@ fn grid_cells(nets: &[ChurnModel], strategies: &[&str], t_values: &[f64]) -> Vec
     cells
 }
 
-/// The parameterized committee grid behind [`run`]. Cells are not a full
-/// cartesian product (the T = 0 baseline collapses the strategy axis, see
-/// [`grid_cells`]), so the grid runs through
-/// [`run_cell_grid`](sybil_exp::run_cell_grid) with explicit assignments.
+/// The parameterized committee grid behind [`run`].
 pub fn run_committee_grid(
     name: &str,
     nets: &[ChurnModel],
@@ -239,21 +236,8 @@ pub(crate) fn grid(fast: bool) -> TrialGrid {
 }
 
 fn run_committee_on(grid: &TrialGrid) -> (Vec<CommitteeOutcome>, RunSummary) {
-    let (name, cells) = (&grid.name, grid.cells());
-    let (trials, horizon, base_seed) = (grid.trials, grid.horizon, grid.seed);
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-    let pairs: Vec<(CellSpec, CellSpec)> = cells.iter().map(|c| (c.clone(), c.clone())).collect();
-    let cache_ref = &cache;
-    let outcome = sybil_exp::run_cell_grid(
-        name,
-        grid.fingerprint(),
-        &results_dir().join(format!("{name}.store")),
-        pairs,
-        Some(cache_ref),
-        default_workers(),
-        |cell: &CellSpec| {
-            let net = grid.net(cell);
+    let (results, summary) =
+        grid.run(default_workers(), &GridOptions::default(), |cell, trials| {
             let strategy = cell.str_value(AXIS_STRATEGY);
             let t = cell.f64_value(AXIS_T);
             let mut elections = Welford::new();
@@ -263,17 +247,11 @@ fn run_committee_on(grid: &TrialGrid) -> (Vec<CommitteeOutcome>, RunSummary) {
             let mut central_rate = Welford::new();
             let mut min_good_fraction = f64::INFINITY;
             let mut worst_bad = 0.0f64;
-            for trial in 0..trials {
+            for trial in trials {
                 // Two handles onto the same cached file: the decentralized
                 // and centralized runs replay one on-disk workload, no
                 // resident clone.
-                let wseed = trial_seed(base_seed, trial as u64);
-                let open = || {
-                    cache_ref
-                        .get_or_create(net, Time(horizon), wseed)
-                        .unwrap_or_else(|e| panic!("workload cache failed for {}: {e}", cell.id()))
-                };
-                let q = run_trial(open(), open(), strategy, t, horizon);
+                let q = run_trial(trial.workload(), trial.workload(), strategy, t, trial.horizon);
                 elections.push(q.elections as f64);
                 mean_size.push(q.mean_size);
                 messages.push(q.messages as f64);
@@ -282,7 +260,7 @@ fn run_committee_on(grid: &TrialGrid) -> (Vec<CommitteeOutcome>, RunSummary) {
                 min_good_fraction = min_good_fraction.min(q.min_good_fraction);
                 worst_bad = worst_bad.max(q.max_bad_fraction);
             }
-            let mut fields = vec![("trials".to_string(), trials as f64)];
+            let mut fields = vec![("trials".to_string(), trials.len() as f64)];
             fields.extend(elections.summary().fields("elections"));
             fields.extend(mean_size.summary().fields("mean_size"));
             fields.push(("min_good_fraction".into(), min_good_fraction));
@@ -291,43 +269,25 @@ fn run_committee_on(grid: &TrialGrid) -> (Vec<CommitteeOutcome>, RunSummary) {
             fields.extend(central_rate.summary().fields("centralized_rate"));
             fields.push(("max_bad_fraction".into(), worst_bad));
             fields
-        },
-    )
-    .unwrap_or_else(|e| panic!("experiment {name} failed: {e}"));
-    eprint!("{}", outcome.summary.render());
-
-    let rows = cells
+        });
+    let rows = results
         .iter()
-        .zip(&outcome.records)
-        .map(|(cell, record)| {
-            // Quarantined cell → None → all-NaN summaries → blank cells.
-            let record = record.as_ref();
-            let trials = record.and_then(|r| r.get("trials")).unwrap_or(f64::NAN) as u64;
-            CommitteeOutcome {
-                network: cell.str_value(AXIS_NETWORK).to_string(),
-                strategy: cell.str_value(AXIS_STRATEGY).to_string(),
-                t: cell.f64_value(AXIS_T),
-                trials,
-                elections: MetricSummary::from_record_opt(record, "elections", trials),
-                mean_size: MetricSummary::from_record_opt(record, "mean_size", trials),
-                min_good_fraction: record
-                    .and_then(|r| r.get("min_good_fraction"))
-                    .unwrap_or(f64::NAN),
-                bound: COMMITTEE_BOUND,
-                messages: MetricSummary::from_record_opt(record, "messages", trials),
-                good_rate: MetricSummary::from_record_opt(record, "good_rate", trials),
-                centralized_rate: MetricSummary::from_record_opt(
-                    record,
-                    "centralized_rate",
-                    trials,
-                ),
-                max_bad_fraction: record
-                    .and_then(|r| r.get("max_bad_fraction"))
-                    .unwrap_or(f64::NAN),
-            }
+        .map(|r| CommitteeOutcome {
+            network: r.cell.str_value(AXIS_NETWORK).to_string(),
+            strategy: r.cell.str_value(AXIS_STRATEGY).to_string(),
+            t: r.cell.f64_value(AXIS_T),
+            trials: r.trials(),
+            elections: r.summary("elections"),
+            mean_size: r.summary("mean_size"),
+            min_good_fraction: r.get("min_good_fraction"),
+            bound: COMMITTEE_BOUND,
+            messages: r.summary("messages"),
+            good_rate: r.summary("good_rate"),
+            centralized_rate: r.summary("centralized_rate"),
+            max_bad_fraction: r.get("max_bad_fraction"),
         })
         .collect();
-    (rows, outcome.summary)
+    (rows, summary)
 }
 
 /// Formats the outcomes as a table with trial means and 95 % confidence
@@ -373,6 +333,7 @@ pub fn to_table(outcomes: &[CommitteeOutcome]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sybil_exp::WorkloadCache;
     use sybil_sim::adversary::STRATEGY_PURGE_SURVIVE;
     use sybil_sim::workload_io::DiskWorkload;
 

@@ -11,9 +11,9 @@
 //! the frozen [`cell_seed`] contract, and finished cells land in a
 //! resumable results store with `mean, ci95_lo, ci95_hi` aggregation.
 
-use crate::grid::{default_cache_dir, trials_for, TrialGrid};
+use crate::grid::{trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode};
-use crate::table::{fmt_num, results_dir, Table};
+use crate::table::{fmt_num, Table};
 use ergo_core::{Ergo, ErgoConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,7 +22,7 @@ use sybil_dht::experiment::{run_grid, DhtCell};
 use sybil_dht::{lookup_wide, Ring};
 use sybil_exp::runner::RunSummary;
 use sybil_exp::spec::{cell_seed, AxisValue, CellSpec, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{trial_seed, MetricSummary, Welford, WorkloadCache};
+use sybil_exp::{GridOptions, MetricSummary, Welford};
 use sybil_sim::adversary::{
     build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE, STRATEGY_PURGE_SURVIVE,
 };
@@ -149,6 +149,9 @@ fn grid_cells(strategies: &[&str], t_values: &[f64]) -> Vec<CellSpec> {
     cells
 }
 
+/// Base seed of the end-to-end grid (workloads and lookup streams).
+const BASE_SEED: u64 = 7;
+
 /// Wide-path lookups per end-to-end trial.
 fn lookups(fast: bool) -> usize {
     if fast {
@@ -165,7 +168,7 @@ pub(crate) fn end_to_end_grid(fast: bool) -> TrialGrid {
     let lookups = lookups(fast);
     let strategies = crate::invariants_exp::strategy_roster();
     let net = networks::gnutella();
-    let (trials, base_seed) = (trials_for(fast), 7u64);
+    let (trials, base_seed) = (trials_for(fast), BASE_SEED);
     let config = format!(
         "dht end-to-end grid v2 (explicit cells; T=0 baseline runs once as strategy=none)\n\
          horizon = {horizon}\ntrials = {trials}\nseed = {base_seed}\nnetwork = {net:?}\n\
@@ -185,75 +188,56 @@ pub(crate) fn end_to_end_grid(fast: bool) -> TrialGrid {
 /// membership under every registered attack strategy, the surviving ring
 /// measured with wide-path lookups. The attack rates are enormous — the
 /// point is that lookups stay near-perfect *because* Ergo bounds the
-/// Sybil fraction, not because the attack is small. The T = 0 baseline
-/// collapses the strategy axis (see [`grid_cells`]), so the cells run as
-/// explicit assignments through
-/// [`run_cell_grid`](sybil_exp::run_cell_grid).
+/// Sybil fraction, not because the attack is small.
 pub fn run_end_to_end_grid() -> (Vec<EndToEndSummary>, RunSummary) {
-    let grid = end_to_end_grid(fast_mode());
     let lookups = lookups(fast_mode());
-    let (cells, net) = (grid.cells(), grid.nets[0]);
-    let (trials, horizon, base_seed) = (grid.trials, grid.horizon, grid.seed);
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-    let pairs: Vec<(CellSpec, CellSpec)> = cells.iter().map(|c| (c.clone(), c.clone())).collect();
-    let cache_ref = &cache;
-    let net_ref = &net;
-    let outcome = sybil_exp::run_cell_grid(
-        &grid.name,
-        grid.fingerprint(),
-        &results_dir().join("dht_end_to_end.store"),
-        pairs,
-        Some(cache_ref),
+    let (results, summary) = end_to_end_grid(fast_mode()).run(
         default_workers(),
-        |cell: &CellSpec| {
+        &GridOptions::default(),
+        |cell, trials| {
             let strategy = cell.str_value(AXIS_STRATEGY);
             let t = cell.f64_value(AXIS_T);
             let mut ring_size = Welford::new();
             let mut bad_fraction = Welford::new();
             let mut success = Welford::new();
-            for trial in 0..trials {
-                let disk = cache_ref
-                    .get_or_create(net_ref, Time(horizon), trial_seed(base_seed, trial as u64))
-                    .unwrap_or_else(|e| panic!("workload cache failed for {}: {e}", cell.id()));
+            for trial in trials {
                 // Lookup randomness must differ per cell and trial but be
                 // stable under resume: derive it from the canonical cell
                 // id (the frozen `cell_seed` contract), which inherits
                 // the id's no-collision guarantee.
-                let lookup_seed = cell_seed(base_seed, cell, trial as u64);
-                let q = run_end_to_end_trial(disk, strategy, t, horizon, lookup_seed, lookups);
+                let lookup_seed = cell_seed(BASE_SEED, cell, trial.index as u64);
+                let workload = trial.workload();
+                let q = run_end_to_end_trial(
+                    workload,
+                    strategy,
+                    t,
+                    trial.horizon,
+                    lookup_seed,
+                    lookups,
+                );
                 ring_size.push(q.ring_size as f64);
                 bad_fraction.push(q.bad_fraction);
                 success.push(q.success_rate);
             }
-            let mut fields = vec![("trials".to_string(), trials as f64)];
+            let mut fields = vec![("trials".to_string(), trials.len() as f64)];
             fields.extend(ring_size.summary().fields("ring_size"));
             fields.extend(bad_fraction.summary().fields("bad_fraction"));
             fields.extend(success.summary().fields("success_rate"));
             fields
         },
-    )
-    .unwrap_or_else(|e| panic!("experiment dht_end_to_end failed: {e}"));
-    eprint!("{}", outcome.summary.render());
-
-    let rows = cells
+    );
+    let rows = results
         .iter()
-        .zip(&outcome.records)
-        .map(|(cell, record)| {
-            // Quarantined cell → None → all-NaN summaries → blank cells.
-            let record = record.as_ref();
-            let trials = record.and_then(|r| r.get("trials")).unwrap_or(f64::NAN) as u64;
-            EndToEndSummary {
-                strategy: cell.str_value(AXIS_STRATEGY).to_string(),
-                t: cell.f64_value(AXIS_T),
-                trials,
-                ring_size: MetricSummary::from_record_opt(record, "ring_size", trials),
-                bad_fraction: MetricSummary::from_record_opt(record, "bad_fraction", trials),
-                success_rate: MetricSummary::from_record_opt(record, "success_rate", trials),
-            }
+        .map(|r| EndToEndSummary {
+            strategy: r.cell.str_value(AXIS_STRATEGY).to_string(),
+            t: r.cell.f64_value(AXIS_T),
+            trials: r.trials(),
+            ring_size: r.summary("ring_size"),
+            bad_fraction: r.summary("bad_fraction"),
+            success_rate: r.summary("success_rate"),
         })
         .collect();
-    (rows, outcome.summary)
+    (rows, summary)
 }
 
 /// Formats aggregated end-to-end outcomes with trial means and 95 %

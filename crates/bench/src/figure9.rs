@@ -23,15 +23,15 @@
 //! `T = 0` and within `(0.08, 4)` under attack — i.e. the estimate is always
 //! within about a factor of 10, usually much closer.
 
-use crate::grid::{default_cache_dir, trials_for, TrialGrid};
+use crate::grid::{trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode};
-use crate::table::{fmt_num, results_dir, Table};
+use crate::table::{fmt_num, Table};
 use ergo_core::{Ergo, ErgoConfig};
 use std::collections::HashMap;
 use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
-use sybil_exp::spec::{Axis, CellSpec, AXIS_NETWORK, AXIS_T};
-use sybil_exp::{ExperimentSpec, MetricSummary, Welford, WorkloadCache};
+use sybil_exp::spec::{Axis, AXIS_NETWORK, AXIS_T};
+use sybil_exp::{ExperimentSpec, GridOptions, MetricSummary, Welford};
 use sybil_sim::adversary::FractionKeeper;
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
@@ -187,36 +187,17 @@ pub(crate) fn grid(fast: bool) -> TrialGrid {
 
 /// Runs the full Figure 9 grid (multi-trial, cached workloads, resumable).
 pub fn run() -> Vec<EstimateQuality> {
-    let grid = grid(fast_mode());
-    let (spec, context) = grid.spec.as_ref().expect("figure9 is declarative");
-    let (horizon, nets) = (grid.horizon, &grid.nets);
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-    let net_by_name: HashMap<String, &ChurnModel> =
-        nets.iter().map(|n| (n.name.to_string(), n)).collect();
     let frac_by_label: HashMap<String, f64> = fractions().into_iter().collect();
-
-    let cache_ref = &cache;
-    let outcome = sybil_exp::run_spec_grid(
-        spec,
-        context,
-        &results_dir(),
-        Some(cache_ref),
-        default_workers(),
-        |cell: &CellSpec| {
-            let net = net_by_name[cell.str_value(AXIS_NETWORK)];
+    let (results, _) =
+        grid(fast_mode()).run(default_workers(), &GridOptions::default(), |cell, trials| {
             let fraction = frac_by_label[cell.str_value(AXIS_FRAC)];
             let t = cell.f64_value(AXIS_T);
             let mut intervals = 0usize;
             let mut min = f64::INFINITY;
             let mut max = f64::NEG_INFINITY;
             let mut medians = Welford::new();
-            for trial in 0..spec.trials {
-                let wseed = spec.workload_seed(trial);
-                let disk = cache_ref
-                    .get_or_create(net, Time(horizon), wseed)
-                    .unwrap_or_else(|e| panic!("workload cache failed: {e}"));
-                let q = run_trial(disk, fraction, t, horizon);
+            for trial in trials {
+                let q = run_trial(trial.workload(), fraction, t, trial.horizon);
                 intervals += q.intervals;
                 if q.intervals > 0 {
                     min = min.min(q.min_ratio);
@@ -224,8 +205,7 @@ pub fn run() -> Vec<EstimateQuality> {
                     medians.push(q.median_ratio);
                 }
             }
-            let med = medians.summary();
-            vec![
+            let mut fields = vec![
                 // Trials that actually contributed a median: a trial with
                 // zero completed estimator intervals is absent from the
                 // accumulator, and the CSV must not overstate the sample
@@ -233,42 +213,23 @@ pub fn run() -> Vec<EstimateQuality> {
                 ("trials".into(), medians.count() as f64),
                 ("intervals".into(), intervals as f64),
                 ("min_ratio".into(), if min.is_finite() { min } else { f64::NAN }),
-                ("median_mean".into(), med.mean),
-                ("median_ci95_lo".into(), med.ci95_lo),
-                ("median_ci95_hi".into(), med.ci95_hi),
-                ("max_ratio".into(), if max.is_finite() { max } else { f64::NAN }),
-            ]
-        },
-    )
-    .unwrap_or_else(|e| panic!("figure9 experiment failed: {e}"));
-    eprint!("{}", outcome.summary.render());
-
-    let mut rows = Vec::new();
-    let mut records = outcome.records.iter();
-    for net in nets {
-        for (label, _) in fractions() {
-            for t in [0.0, 10_000.0] {
-                // Quarantined cell → None → NaN → blank cells downstream.
-                let r = records.next().expect("record slot per cell").as_ref();
-                let get = |name: &str| r.and_then(|r| r.get(name)).unwrap_or(f64::NAN);
-                rows.push(EstimateQuality {
-                    network: net.name.to_string(),
-                    fraction: label.clone(),
-                    t,
-                    intervals: get("intervals") as usize,
-                    min_ratio: get("min_ratio"),
-                    median_ratio: MetricSummary {
-                        n: get("trials") as u64,
-                        mean: get("median_mean"),
-                        ci95_lo: get("median_ci95_lo"),
-                        ci95_hi: get("median_ci95_hi"),
-                    },
-                    max_ratio: get("max_ratio"),
-                });
-            }
-        }
-    }
-    rows
+            ];
+            fields.extend(medians.summary().fields("median"));
+            fields.push(("max_ratio".into(), if max.is_finite() { max } else { f64::NAN }));
+            fields
+        });
+    results
+        .iter()
+        .map(|r| EstimateQuality {
+            network: r.cell.str_value(AXIS_NETWORK).to_string(),
+            fraction: r.cell.str_value(AXIS_FRAC).to_string(),
+            t: r.cell.f64_value(AXIS_T),
+            intervals: r.get("intervals") as usize,
+            min_ratio: r.get("min_ratio"),
+            median_ratio: r.summary("median"),
+            max_ratio: r.get("max_ratio"),
+        })
+        .collect()
 }
 
 /// Formats the grid as the paper's per-panel series with trial means and
@@ -321,7 +282,7 @@ mod tests {
     /// ids must keep every label distinct and store-safe.
     #[test]
     fn fraction_labels_cannot_alias_in_cell_ids() {
-        use sybil_exp::spec::AxisValue;
+        use sybil_exp::spec::{AxisValue, CellSpec};
         let cell = |label: &str| {
             CellSpec::new(vec![
                 (AXIS_NETWORK.into(), AxisValue::Str("gnutella".into())),

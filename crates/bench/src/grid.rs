@@ -1,26 +1,32 @@
-//! Multi-trial spend-rate grids on the `sybil-exp` orchestration
+//! Multi-trial experiment grids on the `sybil-exp` orchestration
 //! subsystem.
 //!
-//! [`run_spend_grid`] is the engine behind Figures 8 and 10 (and the
-//! million-ID variant): it builds a declarative
-//! [`ExperimentSpec`], materializes each trial's workload once through the
-//! content-addressed [`WorkloadCache`], replays it disk-streamed into
-//! every (algorithm, T) cell, aggregates the trials through streaming
-//! Welford accumulators into `mean, ci95_lo, ci95_hi` triples, and records
-//! each finished cell in a resumable results store next to the CSVs.
+//! [`TrialGrid`] is the one driver every figure experiment runs through:
+//! a driver *declares* its grid (named axes or an explicit cell list, plus
+//! the context its store fingerprint hashes) and supplies the per-cell
+//! measurement; [`TrialGrid::run`] does the rest — opens the shared
+//! content-addressed [`WorkloadCache`], hands each cell its [`Trial`]s
+//! (seeds derived grid-wide, workloads materialized once and
+//! disk-streamed), executes on the `sybil-exp` pool with resume, retry and
+//! quarantine, prints the run summary, and returns the records zipped
+//! with their cells as [`CellResult`]s for the driver's row mapping.
+//!
+//! [`run_spend_grid`] is the (network × algorithm × T) instance behind
+//! Figures 8 and 10 and the million-ID variant.
 
 use crate::sweep::{default_workers, run_report_with, Algo};
 use crate::table::results_dir;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use sybil_churn::model::ChurnModel;
 use sybil_exp::runner::RunSummary;
 use sybil_exp::spec::{text_fingerprint, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_T};
 use sybil_exp::{
-    default_shards, shard_budget, ExperimentSpec, MetricSummary, Welford, WorkloadCache,
+    default_shards, defense_seed, shard_budget, trial_seed, ExperimentSpec, GridOptions,
+    MetricSummary, Record, Welford, WorkloadCache,
 };
 use sybil_sim::engine::SimConfig;
 use sybil_sim::time::Time;
+use sybil_sim::workload_io::DiskWorkload;
 use sybil_sim::ShardedWorkload;
 
 /// One aggregated cell of a spend-rate grid: per-metric trial statistics.
@@ -46,14 +52,6 @@ pub struct SpendSummary {
 
 /// The four metrics every spend cell records, in store-field order.
 const METRICS: [&str; 4] = ["good_rate", "adv_rate", "max_bad_fraction", "purges"];
-
-fn summary_fields(trials: u64, summaries: &[(&str, MetricSummary)]) -> Vec<(String, f64)> {
-    let mut fields = vec![("trials".to_string(), trials as f64)];
-    for (name, s) in summaries {
-        fields.extend(s.fields(name));
-    }
-    fields
-}
 
 /// The trial count every figure experiment shares: 5 independent workload
 /// seeds per cell at paper scale, 2 in `SYBIL_BENCH_FAST` smoke mode.
@@ -85,14 +83,77 @@ pub(crate) fn trials_for(fast: bool) -> u32 {
 /// code change to a label's meaning re-runs the grid instead of resuming
 /// stale cells.
 pub struct TrialGrid {
-    pub(crate) name: String,
-    pub(crate) cells: Vec<CellSpec>,
-    pub(crate) spec: Option<(ExperimentSpec, String)>,
-    pub(crate) fingerprint: String,
-    pub(crate) nets: Vec<ChurnModel>,
-    pub(crate) trials: u32,
-    pub(crate) horizon: f64,
-    pub(crate) seed: u64,
+    name: String,
+    cells: Vec<CellSpec>,
+    spec: Option<(ExperimentSpec, String)>,
+    fingerprint: String,
+    nets: Vec<ChurnModel>,
+    trials: u32,
+    horizon: f64,
+    seed: u64,
+}
+
+/// One trial of one cell: its seeds, and the cached workload it replays.
+///
+/// Seeds derive from the grid's base seed and the trial index only —
+/// never from the cell — so every cell of a trial replays the same
+/// good-ID schedule and one cache entry per (network, trial) serves the
+/// whole grid.
+pub struct Trial<'a> {
+    /// Trial index, `0..trials`.
+    pub index: u32,
+    /// Defense-construction seed, chained from the workload seed.
+    pub defense_seed: u64,
+    /// Simulated seconds per run.
+    pub horizon: f64,
+    workload_seed: u64,
+    cell: &'a CellSpec,
+    source: Option<(&'a WorkloadCache, &'a ChurnModel)>,
+}
+
+impl Trial<'_> {
+    /// A fresh disk-streamed handle onto this trial's workload for the
+    /// cell's network, generated into the cache on first use. Two calls
+    /// give two independent streams of the same file.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid declared no networks, or the cache is unusable.
+    pub fn workload(&self) -> DiskWorkload {
+        let cell = self.cell;
+        let (cache, net) =
+            self.source.unwrap_or_else(|| panic!("cell {}: grid has no networks", cell.id()));
+        cache
+            .get_or_create(net, Time(self.horizon), self.workload_seed)
+            .unwrap_or_else(|e| panic!("workload cache failed for {}: {e}", cell.id()))
+    }
+}
+
+/// One cell of a finished grid with what the store holds for it.
+pub struct CellResult {
+    /// The cell.
+    pub cell: CellSpec,
+    /// Its record; `None` for a quarantined cell, which every accessor
+    /// reads as NaN so tables and CSVs render it blank.
+    pub record: Option<Record>,
+}
+
+impl CellResult {
+    /// The recorded field `name` (NaN when quarantined or absent).
+    pub fn get(&self, name: &str) -> f64 {
+        self.record.as_ref().and_then(|r| r.get(name)).unwrap_or(f64::NAN)
+    }
+
+    /// The recorded trial count (0 when quarantined).
+    pub fn trials(&self) -> u64 {
+        self.get("trials") as u64
+    }
+
+    /// The `<name>_mean, _ci95_lo, _ci95_hi` triple written by
+    /// [`MetricSummary::fields`].
+    pub fn summary(&self, name: &str) -> MetricSummary {
+        MetricSummary::from_record_opt(self.record.as_ref(), name, self.trials())
+    }
 }
 
 fn distinct_nets(name: &str, nets: &[ChurnModel]) -> Vec<ChurnModel> {
@@ -190,6 +251,83 @@ impl TrialGrid {
                 ),
             },
         }
+    }
+
+    /// Runs the grid and returns one [`CellResult`] per cell, in cell
+    /// order, plus the run summary (also printed to stderr).
+    ///
+    /// `run_cell` measures one cell: it receives the cell and its
+    /// [`Trial`]s and returns the record fields (by convention a leading
+    /// `trials` count, then [`MetricSummary::fields`] triples). It must be
+    /// a pure function of its arguments — it runs on pool workers, and
+    /// again if an attempt fails. Finished cells land in
+    /// `results/<name>.store`; re-running the same grid resumes, skipping
+    /// them. A grid without networks opens no workload cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache or results directories are unusable.
+    pub fn run<F>(
+        &self,
+        workers: usize,
+        opts: &GridOptions,
+        run_cell: F,
+    ) -> (Vec<CellResult>, RunSummary)
+    where
+        F: Fn(&CellSpec, &[Trial<'_>]) -> Vec<(String, f64)> + Send + Sync,
+    {
+        let cache = (!self.nets.is_empty()).then(|| {
+            WorkloadCache::open(default_cache_dir())
+                .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"))
+        });
+        let run = |cell: &CellSpec| {
+            let source = cache.as_ref().map(|cache| (cache, self.net(cell)));
+            let trials: Vec<Trial<'_>> = (0..self.trials)
+                .map(|index| {
+                    let workload_seed = trial_seed(self.seed, index as u64);
+                    Trial {
+                        index,
+                        workload_seed,
+                        defense_seed: defense_seed(workload_seed),
+                        horizon: self.horizon,
+                        cell,
+                        source,
+                    }
+                })
+                .collect();
+            run_cell(cell, &trials)
+        };
+        let outcome = match &self.spec {
+            Some((spec, context)) => sybil_exp::run_spec_grid_opts(
+                spec,
+                context,
+                &results_dir(),
+                cache.as_ref(),
+                workers,
+                opts,
+                run,
+            ),
+            None => sybil_exp::run_grid_opts(
+                &self.name,
+                &self.fingerprint,
+                &results_dir().join(format!("{}.store", self.name)),
+                self.cells.iter().map(|cell| (cell.id(), cell.clone())).collect(),
+                cache.as_ref(),
+                workers,
+                opts,
+                run,
+            ),
+        }
+        .unwrap_or_else(|e| panic!("experiment {} failed: {e}", self.name));
+        eprint!("{}", outcome.summary.render());
+        let results = self
+            .cells
+            .iter()
+            .cloned()
+            .zip(outcome.records)
+            .map(|(cell, record)| CellResult { cell, record })
+            .collect();
+        (results, outcome.summary)
     }
 }
 
@@ -332,85 +470,52 @@ pub(crate) fn run_spend(
     roster: &[Algo],
     shards: usize,
 ) -> (Vec<SpendSummary>, RunSummary) {
-    let name = &grid.name;
-    let (spec, context) = grid.spec.as_ref().expect("spend grids are declarative");
-    let algo_by_label: HashMap<String, Algo> = roster.iter().map(|a| (a.label(), *a)).collect();
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-
-    let run_cell = |cell: &CellSpec| -> Vec<(String, f64)> {
-        let net = grid.net(cell);
-        let algo = algo_by_label[cell.str_value(AXIS_ALGO)];
-        let t = cell.f64_value(AXIS_T);
-        let mut acc: [Welford; 4] = [Welford::new(); 4];
-        for trial in 0..spec.trials {
-            let wseed = spec.workload_seed(trial);
-            let disk = cache
-                .get_or_create(net, Time(spec.horizon), wseed)
-                .unwrap_or_else(|e| panic!("workload cache failed for {}: {e}", cell.id()));
-            let cfg = SimConfig {
-                horizon: Time(spec.horizon),
-                kappa: spec.kappa,
-                adv_rate: t,
-                ..SimConfig::default()
-            };
+    let algo_of = |cell: &CellSpec| {
+        let label = cell.str_value(AXIS_ALGO);
+        *roster.iter().find(|a| a.label() == label).expect("cell names a roster algorithm")
+    };
+    let workers = shard_budget(default_workers(), shards);
+    let (results, summary) = grid.run(workers, &GridOptions::default(), |cell, trials| {
+        let (algo, t) = (algo_of(cell), cell.f64_value(AXIS_T));
+        let mut acc = [Welford::new(); 4];
+        for trial in trials {
+            let cfg =
+                SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
+            let disk = trial.workload();
             let report = if shards == 1 {
-                run_report_with(cfg, algo, t, spec.defense_seed(trial), disk)
+                run_report_with(cfg, algo, t, trial.defense_seed, disk)
             } else {
                 let source = ShardedWorkload::from_disk(disk, shards);
-                run_report_with(cfg, algo, t, spec.defense_seed(trial), source)
+                run_report_with(cfg, algo, t, trial.defense_seed, source)
             };
             acc[0].push(report.good_spend_rate());
             acc[1].push(report.adv_spend_rate());
             acc[2].push(report.max_bad_fraction);
             acc[3].push(report.purges as f64);
         }
-        let summaries: Vec<(&str, MetricSummary)> =
-            METRICS.iter().zip(acc.iter()).map(|(&m, w)| (m, w.summary())).collect();
-        summary_fields(spec.trials as u64, &summaries)
-    };
-
-    let outcome = sybil_exp::run_spec_grid(
-        spec,
-        context,
-        &results_dir(),
-        Some(&cache),
-        shard_budget(default_workers(), shards),
-        run_cell,
-    )
-    .unwrap_or_else(|e| panic!("experiment {name} failed: {e}"));
-    eprint!("{}", outcome.summary.render());
-
-    let rows = spec
-        .cells()
+        let mut fields = vec![("trials".to_string(), trials.len() as f64)];
+        for (name, w) in METRICS.iter().zip(&acc) {
+            fields.extend(w.summary().fields(name));
+        }
+        fields
+    });
+    let rows = results
         .iter()
-        .zip(&outcome.records)
-        .map(|(cell, record)| {
-            // A quarantined cell is `None`: its summaries go NaN, which
-            // the table/CSV renderers show as blank cells.
-            let record = record.as_ref();
-            let trials = record.and_then(|r| r.get("trials")).unwrap_or(f64::NAN) as u64;
-            let network = cell.str_value(AXIS_NETWORK);
-            let algo_label = cell.str_value(AXIS_ALGO);
-            let t = cell.f64_value(AXIS_T);
-            let algo = algo_by_label[algo_label];
+        .map(|r| {
+            let t = r.cell.f64_value(AXIS_T);
             SpendSummary {
-                network: network.to_string(),
-                algo: algo_label.to_string(),
+                network: r.cell.str_value(AXIS_NETWORK).to_string(),
+                algo: r.cell.str_value(AXIS_ALGO).to_string(),
                 t,
-                good_rate: MetricSummary::from_record_opt(record, "good_rate", trials),
-                adv_rate: MetricSummary::from_record_opt(record, "adv_rate", trials),
-                max_bad_fraction: MetricSummary::from_record_opt(
-                    record,
-                    "max_bad_fraction",
-                    trials,
-                ),
-                purges: MetricSummary::from_record_opt(record, "purges", trials),
-                guarantee: algo.guarantee_covers(t, grid.net(cell).initial_size),
+                good_rate: r.summary("good_rate"),
+                adv_rate: r.summary("adv_rate"),
+                max_bad_fraction: r.summary("max_bad_fraction"),
+                purges: r.summary("purges"),
+                guarantee: algo_of(&r.cell).guarantee_covers(t, grid.net(&r.cell).initial_size),
             }
         })
         .collect();
-    (rows, outcome.summary)
+    (rows, summary)
 }
 
 #[cfg(test)]

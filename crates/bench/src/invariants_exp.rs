@@ -21,16 +21,15 @@
 //! [`run_invariants`], the 10⁶-ID [`run_invariants_millions`] bin, and the
 //! CI smoke's strategy-axis grid are all parameterizations of it.
 
-use crate::grid::{default_cache_dir, default_trials, trials_for, TrialGrid};
+use crate::grid::{default_trials, trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode, run_report_with, Algo};
-use crate::table::{fmt_num, results_dir, Table};
+use crate::table::{fmt_num, Table};
 use ergo_core::{Ergo, ErgoConfig};
-use std::collections::HashMap;
 use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
 use sybil_exp::runner::RunSummary;
-use sybil_exp::spec::{Axis, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{ExperimentSpec, MetricSummary, Welford, WorkloadCache};
+use sybil_exp::spec::{Axis, AXIS_ALGO, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
+use sybil_exp::{ExperimentSpec, GridOptions, MetricSummary, Welford};
 use sybil_sim::adversary::{
     build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_BUDGET, STRATEGY_BURST,
     STRATEGY_CHURN_FORCE, STRATEGY_PURGE_SURVIVE,
@@ -158,15 +157,16 @@ pub(crate) fn invariants_grid(fast: bool) -> TrialGrid {
 /// store at `results/<name>.store`.
 ///
 /// The strategy axis carries registry names; each cell resolves its name
-/// through [`build_strategy`] with [`cell_params`]`(t)`. The per-strategy
-/// parameter fingerprints are folded into the store's configuration
-/// context, so a change to what a registry name *means* (a different
-/// burst period, say) re-runs the grid instead of resuming stale cells.
+/// through [`build_strategy`] with [`cell_params`]`(t)`. `opts` is the
+/// grid's retry/durability policy — the `invariants_millions` bin passes
+/// [`sybil_exp::Durability::Sync`] so acknowledged cells of a multi-hour
+/// run survive machine crashes, not just process kills.
 ///
 /// # Panics
 ///
 /// Panics if the cache or store directories are unusable, or if a
 /// strategy name is not registered.
+#[allow(clippy::too_many_arguments)]
 pub fn run_invariant_grid(
     name: &str,
     nets: &[ChurnModel],
@@ -175,127 +175,67 @@ pub fn run_invariant_grid(
     trials: u32,
     horizon: f64,
     base_seed: u64,
+    opts: &GridOptions,
 ) -> (Vec<InvariantOutcome>, RunSummary) {
-    run_invariant_grid_opts(
-        name,
-        nets,
-        strategies,
-        t_values,
-        trials,
-        horizon,
-        base_seed,
-        &sybil_exp::GridOptions::default(),
-    )
-}
-
-/// [`run_invariant_grid`] with explicit [`sybil_exp::GridOptions`] — the
-/// `invariants_millions` bin passes [`sybil_exp::Durability::Sync`] so
-/// acknowledged cells of a multi-hour run survive machine crashes, not
-/// just process kills.
-#[allow(clippy::too_many_arguments)] // mirrors run_invariant_grid plus opts
-pub fn run_invariant_grid_opts(
-    name: &str,
-    nets: &[ChurnModel],
-    strategies: &[&str],
-    t_values: &[f64],
-    trials: u32,
-    horizon: f64,
-    base_seed: u64,
-    opts: &sybil_exp::GridOptions,
-) -> (Vec<InvariantOutcome>, RunSummary) {
-    let grid = invariant_grid(name, nets, strategies, t_values, trials, horizon, base_seed);
-    run_invariants_on(&grid, opts)
-}
-
-fn run_invariants_on(
-    grid: &TrialGrid,
-    opts: &sybil_exp::GridOptions,
-) -> (Vec<InvariantOutcome>, RunSummary) {
-    let name = &grid.name;
-    let (spec, context) = grid.spec.as_ref().expect("invariant grids are declarative");
-    let bound = 3.0 * spec.kappa;
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-
-    let cache_ref = &cache;
-    let spec_ref = spec;
-    let outcome = sybil_exp::run_spec_grid_opts(
-        spec,
-        context,
-        &results_dir(),
-        Some(cache_ref),
-        default_workers(),
+    run_invariants_on(
+        &invariant_grid(name, nets, strategies, t_values, trials, horizon, base_seed),
         opts,
-        |cell: &CellSpec| {
-            let net = grid.net(cell);
-            let strategy = cell.str_value(AXIS_STRATEGY);
-            let t = cell.f64_value(AXIS_T);
-            let mut frac = Welford::new();
-            let mut rate = Welford::new();
-            let mut worst = 0.0f64;
-            for trial in 0..spec_ref.trials {
-                let disk = cache_ref
-                    .get_or_create(net, Time(spec_ref.horizon), spec_ref.workload_seed(trial))
-                    .unwrap_or_else(|e| panic!("workload cache failed for {}: {e}", cell.id()));
-                let cfg = SimConfig {
-                    horizon: Time(spec_ref.horizon),
-                    kappa: spec_ref.kappa,
-                    adv_rate: t,
-                    ..SimConfig::default()
-                };
-                let adversary = build_strategy(strategy, &cell_params(t))
-                    .unwrap_or_else(|e| panic!("cell {}: {e}", cell.id()));
-                let report =
-                    Simulation::new(cfg, Ergo::new(ErgoConfig::default()), adversary, disk).run();
-                frac.push(report.max_bad_fraction);
-                rate.push(report.good_spend_rate());
-                worst = worst.max(report.max_bad_fraction);
-            }
-            let mut fields = vec![("trials".to_string(), spec_ref.trials as f64)];
-            fields.extend(frac.summary().fields("max_bad_fraction"));
-            fields.push(("worst_bad_fraction".into(), worst));
-            fields.extend(rate.summary().fields("good_rate"));
-            fields
-        },
     )
-    .unwrap_or_else(|e| panic!("experiment {name} failed: {e}"));
-    eprint!("{}", outcome.summary.render());
+}
 
-    let rows = spec
-        .cells()
+fn run_invariants_on(grid: &TrialGrid, opts: &GridOptions) -> (Vec<InvariantOutcome>, RunSummary) {
+    let kappa = SimConfig::default().kappa;
+    let (results, summary) = grid.run(default_workers(), opts, |cell, trials| {
+        let strategy = cell.str_value(AXIS_STRATEGY);
+        let t = cell.f64_value(AXIS_T);
+        let mut frac = Welford::new();
+        let mut rate = Welford::new();
+        let mut worst = 0.0f64;
+        for trial in trials {
+            let cfg =
+                SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
+            let adversary = build_strategy(strategy, &cell_params(t))
+                .unwrap_or_else(|e| panic!("cell {}: {e}", cell.id()));
+            let defense = Ergo::new(ErgoConfig::default());
+            let report = Simulation::new(cfg, defense, adversary, trial.workload()).run();
+            frac.push(report.max_bad_fraction);
+            rate.push(report.good_spend_rate());
+            worst = worst.max(report.max_bad_fraction);
+        }
+        let mut fields = vec![("trials".to_string(), trials.len() as f64)];
+        fields.extend(frac.summary().fields("max_bad_fraction"));
+        fields.push(("worst_bad_fraction".into(), worst));
+        fields.extend(rate.summary().fields("good_rate"));
+        fields
+    });
+    let bound = 3.0 * kappa;
+    let rows = results
         .iter()
-        .zip(&outcome.records)
-        .map(|(cell, record)| {
-            // Quarantined cell → None → NaN: `held` goes false (NaN is
+        .map(|r| {
+            // A quarantined cell reads NaN: `held` goes false (NaN is
             // never `< bound`) and the table renders "no-data", not a
             // fabricated verdict either way.
-            let record = record.as_ref();
-            let trials = record.and_then(|r| r.get("trials")).unwrap_or(f64::NAN) as u64;
-            let worst = record.and_then(|r| r.get("worst_bad_fraction")).unwrap_or(f64::NAN);
+            let worst = r.get("worst_bad_fraction");
             InvariantOutcome {
-                network: cell.str_value(AXIS_NETWORK).to_string(),
-                strategy: cell.str_value(AXIS_STRATEGY).to_string(),
-                t: cell.f64_value(AXIS_T),
-                trials,
-                max_bad_fraction: MetricSummary::from_record_opt(
-                    record,
-                    "max_bad_fraction",
-                    trials,
-                ),
+                network: r.cell.str_value(AXIS_NETWORK).to_string(),
+                strategy: r.cell.str_value(AXIS_STRATEGY).to_string(),
+                t: r.cell.f64_value(AXIS_T),
+                trials: r.trials(),
+                max_bad_fraction: r.summary("max_bad_fraction"),
                 worst_bad_fraction: worst,
                 bound,
                 held: worst < bound,
-                good_rate: MetricSummary::from_record_opt(record, "good_rate", trials),
+                good_rate: r.summary("good_rate"),
             }
         })
         .collect();
-    (rows, outcome.summary)
+    (rows, summary)
 }
 
 /// Runs the paper-scale invariant sweep: Gnutella and Ethereum churn,
 /// every registered attack strategy, three spend-rate decades.
 pub fn run_invariants() -> Vec<InvariantOutcome> {
-    run_invariants_on(&invariants_grid(fast_mode()), &sybil_exp::GridOptions::default()).0
+    run_invariants_on(&invariants_grid(fast_mode()), &GridOptions::default()).0
 }
 
 /// The 10⁶-ID strategy × network invariant grid (the `invariants_millions`
@@ -307,7 +247,7 @@ pub fn run_invariants() -> Vec<InvariantOutcome> {
 /// fsynced, so a machine crash mid-run costs only in-flight cells. Returns
 /// the summary too, so the bin can exit nonzero on quarantined holes.
 pub fn run_invariants_millions() -> (Vec<InvariantOutcome>, RunSummary) {
-    run_invariant_grid_opts(
+    run_invariant_grid(
         "invariants_millions",
         &[networks::millions(1_000_000)],
         &strategy_roster(),
@@ -315,10 +255,7 @@ pub fn run_invariants_millions() -> (Vec<InvariantOutcome>, RunSummary) {
         default_trials(),
         500.0,
         23,
-        &sybil_exp::GridOptions {
-            durability: sybil_exp::Durability::Sync,
-            ..sybil_exp::GridOptions::default()
-        },
+        &GridOptions { durability: sybil_exp::Durability::Sync, ..GridOptions::default() },
     )
 }
 
@@ -377,89 +314,60 @@ fn scaling_roster() -> [Algo; 2] {
 /// resumed grid re-fits from the store without re-running anything.
 pub fn run_scaling() -> Vec<ScalingFit> {
     let grid = scaling_grid(fast_mode());
-    let (spec, context) = grid.spec.as_ref().expect("the scaling grid is declarative");
-    let (nets, trials, roster) = (&grid.nets, grid.trials, scaling_roster());
-    let ts = &spec.axis(AXIS_T).expect("T axis").values;
-    let cache = WorkloadCache::open(default_cache_dir())
-        .unwrap_or_else(|e| panic!("cannot open workload cache: {e}"));
-    let algo_by_label: HashMap<String, Algo> = roster.iter().map(|a| (a.label(), *a)).collect();
+    let roster = scaling_roster();
+    let (results, _) = grid.run(default_workers(), &GridOptions::default(), |cell, trials| {
+        let label = cell.str_value(AXIS_ALGO);
+        let algo = *roster.iter().find(|a| a.label() == label).expect("scaling roster algo");
+        let t = cell.f64_value(AXIS_T);
+        let mut acc = Welford::new();
+        let mut fields = vec![("trials".to_string(), trials.len() as f64)];
+        for trial in trials {
+            let cfg =
+                SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
+            let report = run_report_with(cfg, algo, t, trial.defense_seed, trial.workload());
+            let rate = report.good_spend_rate();
+            acc.push(rate);
+            // Per-trial columns so the slope can be fit per trial from
+            // a resumed store.
+            fields.push((format!("good_rate_trial{}", trial.index), rate));
+        }
+        fields.extend(acc.summary().fields("good_rate"));
+        fields
+    });
 
-    let cache_ref = &cache;
-    let spec_ref = spec;
-    let outcome = sybil_exp::run_spec_grid(
-        spec,
-        context,
-        &results_dir(),
-        Some(cache_ref),
-        default_workers(),
-        |cell: &CellSpec| {
-            let net = grid.net(cell);
-            let algo = algo_by_label[cell.str_value(AXIS_ALGO)];
-            let t = cell.f64_value(AXIS_T);
-            let mut acc = Welford::new();
-            let mut fields = vec![("trials".to_string(), spec_ref.trials as f64)];
-            for trial in 0..spec_ref.trials {
-                let disk = cache_ref
-                    .get_or_create(net, Time(spec_ref.horizon), spec_ref.workload_seed(trial))
-                    .unwrap_or_else(|e| panic!("workload cache failed for {}: {e}", cell.id()));
-                let cfg = SimConfig {
-                    horizon: Time(spec_ref.horizon),
-                    kappa: spec_ref.kappa,
-                    adv_rate: t,
-                    ..SimConfig::default()
-                };
-                let report = run_report_with(cfg, algo, t, spec_ref.defense_seed(trial), disk);
-                let rate = report.good_spend_rate();
-                acc.push(rate);
-                // Per-trial columns so the slope can be fit per trial from
-                // a resumed store.
-                fields.push((format!("good_rate_trial{trial}"), rate));
-            }
-            fields.extend(acc.summary().fields("good_rate"));
-            fields
-        },
-    )
-    .unwrap_or_else(|e| panic!("experiment scaling failed: {e}"));
-    eprint!("{}", outcome.summary.render());
-
-    // Regroup the grid's records by (network, algo) and fit one slope per
-    // trial across the T axis.
-    let cells = spec.cells();
-    let mut fits = Vec::new();
-    for net in nets {
-        for algo in &roster {
-            let label = algo.label();
+    // The T axis is innermost, so each (network, algo) curve is one
+    // contiguous run of cells; fit one slope per trial across it.
+    let trials = trials_for(fast_mode());
+    results
+        .chunk_by(|a, b| {
+            [AXIS_NETWORK, AXIS_ALGO].iter().all(|x| a.cell.str_value(x) == b.cell.str_value(x))
+        })
+        .map(|curve| {
             let mut slopes = Welford::new();
             for trial in 0..trials {
-                let pts: Vec<(f64, f64)> = cells
+                let pts: Vec<(f64, f64)> = curve
                     .iter()
-                    .zip(&outcome.records)
-                    .filter(|(cell, _)| {
-                        cell.str_value(AXIS_NETWORK) == net.name
-                            && cell.str_value(AXIS_ALGO) == label
-                    })
-                    .filter_map(|(cell, record)| {
+                    .filter_map(|r| {
                         // Quarantined cells drop out of the fit; the
                         // remaining T points still constrain the slope.
-                        let record = record.as_ref()?;
+                        let record = r.record.as_ref()?;
                         let rate =
                             record.get(&format!("good_rate_trial{trial}")).unwrap_or_else(|| {
                                 panic!("record {} lacks trial {trial} column", record.cell_id)
                             });
-                        Some((cell.f64_value(AXIS_T).ln(), rate.max(1e-12).ln()))
+                        Some((r.cell.f64_value(AXIS_T).ln(), rate.max(1e-12).ln()))
                     })
                     .collect();
                 slopes.push(slope(&pts));
             }
-            fits.push(ScalingFit {
-                network: net.name.to_string(),
-                algo: label.clone(),
+            ScalingFit {
+                network: curve[0].cell.str_value(AXIS_NETWORK).to_string(),
+                algo: curve[0].cell.str_value(AXIS_ALGO).to_string(),
                 exponent: slopes.summary(),
-                points: ts.len(),
-            });
-        }
-    }
-    fits
+                points: curve.len(),
+            }
+        })
+        .collect()
 }
 
 /// Least-squares slope of `(x, y)` pairs.
@@ -543,6 +451,7 @@ pub fn scaling_table(fits: &[ScalingFit]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::results_dir;
 
     #[test]
     fn slope_of_line_is_exact() {
@@ -575,7 +484,10 @@ mod tests {
     fn migrated_grid_holds_lemma9_across_strategies_and_resumes() {
         let name = format!("invariants-test-{}", std::process::id());
         let nets = [networks::gnutella()];
-        let run = || run_invariant_grid(&name, &nets, &strategy_roster(), &[2_000.0], 2, 120.0, 29);
+        let opts = GridOptions::default();
+        let run = || {
+            run_invariant_grid(&name, &nets, &strategy_roster(), &[2_000.0], 2, 120.0, 29, &opts)
+        };
         let (rows, summary) = run();
         assert_eq!(rows.len(), strategy_roster().len());
         assert_eq!(summary.cells_executed, rows.len());

@@ -6,17 +6,16 @@
 //! so cells are single deterministic runs — multi-trial confidence
 //! intervals would be zero-width by construction. The grid is a
 //! first-class two-axis [`ExperimentSpec`] (`cost × T`) run through the
-//! `sybil-exp` runner for its resumable results store and instrumented
+//! [`TrialGrid`] driver for its resumable results store and instrumented
 //! pool; cost-function labels (which contain spaces) are ordinary axis
 //! values under the canonical escaped cell ids.
 
 use crate::grid::TrialGrid;
 use crate::sweep::{default_workers, fast_mode};
-use crate::table::{fmt_num, results_dir, Table};
-use std::collections::HashMap;
+use crate::table::{fmt_num, Table};
 use sybil_defenses::lower_bound::{run_lower_bound, CostFunction, LowerBoundOutcome};
-use sybil_exp::spec::{Axis, CellSpec, AXIS_T};
-use sybil_exp::ExperimentSpec;
+use sybil_exp::spec::{Axis, AXIS_T};
+use sybil_exp::{ExperimentSpec, GridOptions};
 
 /// The non-canonical axis of this grid: the entrance cost function.
 pub const AXIS_COST: &str = "cost";
@@ -63,25 +62,13 @@ pub(crate) fn grid(fast: bool) -> TrialGrid {
 
 /// Runs the lower-bound sweep (resumable).
 pub fn run() -> Vec<LowerBoundOutcome> {
-    let grid = grid(fast_mode());
-    let (spec, context) = grid.spec.as_ref().expect("the lower-bound grid is declarative");
-    let horizon = grid.horizon;
-    let t_values: Vec<f64> =
-        spec.axis(AXIS_T).expect("T axis").values.iter().filter_map(|v| v.as_f64()).collect();
     let (j, n0, delta) = BOUND_PARAMS;
-    let cost_by_label: HashMap<String, CostFunction> =
-        cost_functions().into_iter().map(|f| (f.label(), f)).collect();
-
-    let outcome = sybil_exp::run_spec_grid(
-        spec,
-        context,
-        &results_dir(),
-        None,
-        default_workers(),
-        |cell: &CellSpec| {
-            let f = cost_by_label[cell.str_value(AXIS_COST)];
-            let t = cell.f64_value(AXIS_T);
-            let o = run_lower_bound(f, t, j, n0, delta, horizon);
+    let costs = cost_functions();
+    let (results, _) =
+        grid(fast_mode()).run(default_workers(), &GridOptions::default(), |cell, trials| {
+            let label = cell.str_value(AXIS_COST);
+            let f = *costs.iter().find(|f| f.label() == label).expect("cell names a cost function");
+            let o = run_lower_bound(f, cell.f64_value(AXIS_T), j, n0, delta, trials[0].horizon);
             vec![
                 ("j".into(), o.j),
                 ("j_bad".into(), o.j_bad),
@@ -89,30 +76,19 @@ pub fn run() -> Vec<LowerBoundOutcome> {
                 ("bound".into(), o.bound),
                 ("ratio".into(), o.ratio),
             ]
-        },
-    )
-    .unwrap_or_else(|e| panic!("lower_bound experiment failed: {e}"));
-    eprint!("{}", outcome.summary.render());
-
-    let mut rows = Vec::new();
-    let mut records = outcome.records.iter();
-    for f in cost_functions() {
-        for &t in &t_values {
-            // Quarantined cell → None → NaN → blank cells downstream.
-            let r = records.next().expect("record slot per cell").as_ref();
-            let get = |name: &str| r.and_then(|r| r.get(name)).unwrap_or(f64::NAN);
-            rows.push(LowerBoundOutcome {
-                label: f.label(),
-                t,
-                j: get("j"),
-                j_bad: get("j_bad"),
-                spend_rate: get("spend_rate"),
-                bound: get("bound"),
-                ratio: get("ratio"),
-            });
-        }
-    }
-    rows
+        });
+    results
+        .iter()
+        .map(|r| LowerBoundOutcome {
+            label: r.cell.str_value(AXIS_COST).to_string(),
+            t: r.cell.f64_value(AXIS_T),
+            j: r.get("j"),
+            j_bad: r.get("j_bad"),
+            spend_rate: r.get("spend_rate"),
+            bound: r.get("bound"),
+            ratio: r.get("ratio"),
+        })
+        .collect()
 }
 
 /// Formats the sweep.
@@ -154,7 +130,7 @@ mod tests {
 
     #[test]
     fn cell_ids_are_store_safe_and_unique() {
-        use sybil_exp::spec::AxisValue;
+        use sybil_exp::spec::{AxisValue, CellSpec};
         let mut ids = std::collections::BTreeSet::new();
         for f in cost_functions() {
             // The same derivation run() uses: canonical escaped axis ids.

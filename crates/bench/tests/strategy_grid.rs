@@ -7,7 +7,7 @@ use sybil_bench::invariants_exp::{run_invariant_grid, strategy_roster};
 use sybil_bench::table::results_dir;
 use sybil_churn::networks;
 use sybil_exp::spec::{Axis, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{ExperimentSpec, ResultsStore};
+use sybil_exp::{ExperimentSpec, GridOptions, ResultsStore};
 use sybil_sim::engine::SimConfig;
 
 /// Rebuilds the exact spec `run_invariant_grid` derives, so the test can
@@ -32,8 +32,19 @@ fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
     let name = format!("strategy-grid-test-{}", std::process::id());
     let nets = [networks::gnutella()];
     let (trials, horizon, seed) = (2u32, 100.0, 31u64);
-    let run =
-        || run_invariant_grid(&name, &nets, &strategy_roster(), &[2_000.0], trials, horizon, seed);
+    let opts = GridOptions::default();
+    let run = || {
+        run_invariant_grid(
+            &name,
+            &nets,
+            &strategy_roster(),
+            &[2_000.0],
+            trials,
+            horizon,
+            seed,
+            &opts,
+        )
+    };
 
     let (cold_rows, cold) = run();
     assert_eq!(cold.cells_total, strategy_roster().len());
