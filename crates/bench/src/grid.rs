@@ -307,7 +307,7 @@ impl TrialGrid {
                 opts,
                 run,
             ),
-            None => sybil_exp::run_grid_opts(
+            None => sybil_exp::run_grid(
                 &self.name,
                 &self.fingerprint,
                 &results_dir().join(format!("{}.store", self.name)),

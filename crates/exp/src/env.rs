@@ -3,10 +3,9 @@
 //! The repo's contract for configuration knobs: unset means the default,
 //! a valid value overrides, and *anything else aborts with an actionable
 //! message* — a typo like `SYBIL_BENCH_WORKERS=all` must never silently
-//! launch an hours-long run with the wrong shape. This pattern used to be
-//! hand-rolled in three places (`SYBIL_BENCH_FAST`, `SYBIL_BENCH_SHARDS`,
-//! `SYBIL_BENCH_CHUNK`); this module is the one implementation, and the
-//! gate service's `SYBIL_GATE_*` knobs use it too.
+//! launch an hours-long run with the wrong shape. This module is the one
+//! implementation: every `SYBIL_BENCH_*` knob and the gate service's
+//! `SYBIL_GATE_*` knobs parse through it.
 //!
 //! Parsers are pure over the raw `std::env::var` result so tests exercise
 //! them without touching the process environment (env mutation would race

@@ -21,24 +21,28 @@
 //!   (unset → default, valid → override, garbage → abort with an
 //!   actionable message), shared by the bench knobs and the gate
 //!   service's `SYBIL_GATE_*` settings;
+//! * [`json`] — the one JSON codec for `BENCH_*.json`: a value tree, a
+//!   total reader and a writer that owns number formatting;
 //! * [`stats`] — streaming [`Welford`](stats::Welford) mean/variance and
 //!   t-based 95 % confidence intervals, so multi-trial aggregation never
 //!   holds a cell's reports resident together;
 //! * [`store`] — append-only [`ResultsStore`](store::ResultsStore): one
 //!   flushed line per finished cell, so interrupted grids resume by
 //!   skipping completed cells;
-//! * [`pool`] — the chunked work-stealing pool (moved from the bench
-//!   crate), instrumented with per-worker job/chunk/busy counters
+//! * [`pool`] — the chunked work-stealing pool
+//!   ([`run_parallel_catch`](pool::run_parallel_catch)), instrumented
+//!   with per-worker job/chunk/busy counters
 //!   ([`PoolStats`](pool::PoolStats)) and panic-isolated: each job runs
 //!   under `catch_unwind`, so one poisoned cell never aborts its
-//!   siblings ([`run_parallel_catch`](pool::run_parallel_catch));
+//!   siblings;
 //! * [`fault`] — deterministic, seeded fault injection
 //!   ([`FaultPlan`](fault::FaultPlan)) behind the `fault-inject` cargo
 //!   feature: worker panics, IO errors, torn writes, and delays, pure in
 //!   `(seed, site, key, attempt)` so chaos runs reproduce bit-for-bit;
-//! * [`runner`] — [`run_grid`](runner::run_grid) /
-//!   [`run_cell_grid`](runner::run_cell_grid) /
-//!   [`run_spec_grid`](runner::run_spec_grid) tying the pieces together
+//! * [`runner`] — [`run_spec_grid`](runner::run_spec_grid) (declarative
+//!   grids; [`run_spec_grid_opts`](runner::run_spec_grid_opts) takes
+//!   explicit options) and [`run_grid`](runner::run_grid) (explicit cell
+//!   lists) tying the pieces together
 //!   with a [`RunSummary`](runner::RunSummary), rejecting duplicate cell
 //!   ids up front, retrying failed cells with bounded backoff, and
 //!   quarantining cells that exhaust their retries as explicit holes
@@ -68,13 +72,10 @@ pub mod store;
 pub use alloc::{counting_enabled, disarm_trap, trap_after, AllocStats, CountingAlloc};
 pub use cache::{CacheStats, WorkloadCache};
 pub use fault::FaultPlan;
-pub use pool::{
-    default_shards, run_parallel, run_parallel_catch, run_parallel_scratch, run_parallel_stats,
-    shard_budget, JobOutcome, PoolStats, Scratch,
-};
+pub use pool::{default_shards, run_parallel_catch, shard_budget, JobOutcome, PoolStats};
 pub use runner::{
-    run_cell_grid, run_cell_grid_opts, run_grid, run_grid_opts, run_spec_grid, run_spec_grid_opts,
-    CellFailure, GridOptions, GridOutcome, RetryPolicy, RunSummary,
+    run_grid, run_spec_grid, run_spec_grid_opts, CellFailure, GridOptions, GridOutcome,
+    RetryPolicy, RunSummary,
 };
 pub use spec::{defense_seed, trial_seed, Axis, AxisValue, CellSpec, ExperimentSpec};
 pub use stats::{MetricSummary, Welford};

@@ -6,14 +6,15 @@
 //! store already has, executes the remainder on the work-stealing pool
 //! (appending each record as its cell finishes, so a killed run resumes
 //! mid-grid), and reports a [`RunSummary`] with skip/execute counts, cache
-//! behavior, and pool-efficiency stats.
+//! behavior, and pool-efficiency stats. Cell sets that are not a full
+//! cartesian product (e.g. the ablation knob list) come here with
+//! [`CellSpec::id`] as the key, which keeps the canonical collision-free
+//! id derivation.
 //!
-//! [`run_spec_grid`] layers the declarative [`ExperimentSpec`] on top: it
+//! [`run_spec_grid`] (and [`run_spec_grid_opts`], the same with explicit
+//! [`GridOptions`]) layers the declarative [`ExperimentSpec`] on top: it
 //! validates the spec, writes its canonical text next to the store for
-//! provenance, and enumerates the named-axis grid. [`run_cell_grid`] sits
-//! between the two: explicit [`CellSpec`] assignments (for cell sets that
-//! are not a full cartesian product, e.g. the ablation knob list) with the
-//! canonical collision-free id derivation.
+//! provenance, and enumerates the named-axis grid.
 //!
 //! # Failure semantics
 //!
@@ -183,33 +184,6 @@ pub struct GridOutcome {
     pub summary: RunSummary,
 }
 
-/// Runs a grid of `(cell id, payload)` cells with resume and the default
-/// [`GridOptions`]. See [`run_grid_opts`].
-pub fn run_grid<C, F>(
-    name: &str,
-    fingerprint: &str,
-    store_path: &Path,
-    cells: Vec<(String, C)>,
-    cache: Option<&WorkloadCache>,
-    workers: usize,
-    run_cell: F,
-) -> io::Result<GridOutcome>
-where
-    C: Send + Sync,
-    F: Fn(&C) -> Vec<(String, f64)> + Send + Sync,
-{
-    run_grid_opts(
-        name,
-        fingerprint,
-        store_path,
-        cells,
-        cache,
-        workers,
-        &GridOptions::default(),
-        run_cell,
-    )
-}
-
 /// Runs a grid of `(cell id, payload)` cells with resume, retry, and
 /// quarantine.
 ///
@@ -226,8 +200,8 @@ where
 /// `opts.retry` and is quarantined (a `None` hole in the outcome) when it
 /// exhausts its attempts; see the module docs for the full failure
 /// semantics.
-#[allow(clippy::too_many_arguments)] // one past the limit; mirrors run_grid
-pub fn run_grid_opts<C, F>(
+#[allow(clippy::too_many_arguments)] // one past the limit
+pub fn run_grid<C, F>(
     name: &str,
     fingerprint: &str,
     store_path: &Path,
@@ -397,58 +371,6 @@ fn write_failure_manifest(
     Ok(Some(manifest))
 }
 
-/// Runs an explicit list of [`CellSpec`] cells with resume.
-///
-/// For experiments whose cells are not a full cartesian product (the
-/// ablation driver's per-knob value lists): each cell still gets the
-/// canonical escaped `name=value` id, so distinct assignments can never
-/// alias in the store, and `fingerprint` still binds the store to the
-/// full configuration.
-pub fn run_cell_grid<C, F>(
-    name: &str,
-    fingerprint: &str,
-    store_path: &Path,
-    cells: Vec<(CellSpec, C)>,
-    cache: Option<&WorkloadCache>,
-    workers: usize,
-    run_cell: F,
-) -> io::Result<GridOutcome>
-where
-    C: Send + Sync,
-    F: Fn(&C) -> Vec<(String, f64)> + Send + Sync,
-{
-    run_cell_grid_opts(
-        name,
-        fingerprint,
-        store_path,
-        cells,
-        cache,
-        workers,
-        &GridOptions::default(),
-        run_cell,
-    )
-}
-
-/// [`run_cell_grid`] with explicit [`GridOptions`].
-#[allow(clippy::too_many_arguments)] // one past the limit; mirrors run_grid
-pub fn run_cell_grid_opts<C, F>(
-    name: &str,
-    fingerprint: &str,
-    store_path: &Path,
-    cells: Vec<(CellSpec, C)>,
-    cache: Option<&WorkloadCache>,
-    workers: usize,
-    opts: &GridOptions,
-    run_cell: F,
-) -> io::Result<GridOutcome>
-where
-    C: Send + Sync,
-    F: Fn(&C) -> Vec<(String, f64)> + Send + Sync,
-{
-    let cells = cells.into_iter().map(|(cell, payload)| (cell.id(), payload)).collect();
-    run_grid_opts(name, fingerprint, store_path, cells, cache, workers, opts, run_cell)
-}
-
 /// Runs a declarative [`ExperimentSpec`] grid with resume.
 ///
 /// The store lives at `<store_dir>/<name>.store`; the spec's canonical
@@ -497,7 +419,7 @@ where
     let store_path = store_dir.join(format!("{}.store", spec.name));
     let cells: Vec<(String, CellSpec)> = spec.cells().into_iter().map(|c| (c.id(), c)).collect();
     let fingerprint = crate::spec::text_fingerprint(&format!("{}\n{context}", spec.to_text()));
-    run_grid_opts(&spec.name, &fingerprint, &store_path, cells, cache, workers, opts, run_cell)
+    run_grid(&spec.name, &fingerprint, &store_path, cells, cache, workers, opts, run_cell)
 }
 
 #[cfg(test)]
@@ -601,38 +523,11 @@ mod tests {
     fn duplicate_cell_ids_are_rejected_up_front() {
         let dir = temp_dir("dup");
         let cells = vec![("same".to_string(), 1u32), ("same".to_string(), 2u32)];
-        let err = run_grid("dup-test", "fp", &dir.join("dup.store"), cells, None, 1, |_| vec![])
-            .unwrap_err();
+        let opts = GridOptions::default();
+        let store_path = dir.join("dup.store");
+        let err =
+            run_grid("dup-test", "fp", &store_path, cells, None, 1, &opts, |_| vec![]).unwrap_err();
         assert!(err.to_string().contains("duplicate cell id"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cell_grid_runs_explicit_assignments_with_canonical_ids() {
-        use crate::spec::AxisValue;
-        let dir = temp_dir("cellgrid");
-        // Values that the old lossy-replace scheme would have aliased.
-        let cells: Vec<(CellSpec, f64)> = [("1/2", 0.5), ("1of2", 99.0)]
-            .iter()
-            .map(|&(label, v)| {
-                (CellSpec::new(vec![("frac".into(), AxisValue::Str(label.into()))]), v)
-            })
-            .collect();
-        let store_path = dir.join("cells.store");
-        let out =
-            run_cell_grid("cell-test", "fp", &store_path, cells.clone(), None, 1, |&v: &f64| {
-                vec![("mean".to_string(), v)]
-            })
-            .unwrap();
-        assert_eq!(out.summary.cells_executed, 2);
-        // Both cells landed under distinct keys and resume independently.
-        let warm = run_cell_grid("cell-test", "fp", &store_path, cells, None, 1, |&v: &f64| {
-            vec![("mean".to_string(), v)]
-        })
-        .unwrap();
-        assert_eq!(warm.summary.cells_skipped, 2);
-        assert_eq!(warm.records[0].as_ref().unwrap().get("mean"), Some(0.5));
-        assert_eq!(warm.records[1].as_ref().unwrap().get("mean"), Some(99.0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -648,22 +543,14 @@ mod tests {
             retry: RetryPolicy { max_attempts: 3, base_delay_ms: 1, max_delay_ms: 4 },
             ..GridOptions::default()
         };
-        let out = run_grid_opts(
-            "retry-test",
-            "fp",
-            &store_path,
-            cells,
-            None,
-            2,
-            &opts,
-            |&payload: &u32| {
+        let out =
+            run_grid("retry-test", "fp", &store_path, cells, None, 2, &opts, |&payload: &u32| {
                 if payload == 2 && flaky_attempts.fetch_add(1, Ordering::Relaxed) == 0 {
                     panic!("transient failure in cell 2");
                 }
                 vec![("mean".to_string(), payload as f64)]
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
         assert!(!out.summary.has_holes(), "{}", out.summary.render());
         assert_eq!(out.summary.retries, 1);
         assert_eq!(out.summary.panics, 1);
@@ -687,7 +574,7 @@ mod tests {
             retry: RetryPolicy { max_attempts: 2, base_delay_ms: 1, max_delay_ms: 2 },
             ..GridOptions::default()
         };
-        let out = run_grid_opts(
+        let out = run_grid(
             "q-test",
             "fp",
             &store_path,
@@ -720,7 +607,7 @@ mod tests {
         // Healthy resume: only the hole re-runs; the manifest is cleared.
         let runs = AtomicU64::new(0);
         let resumed =
-            run_grid_opts("q-test", "fp", &store_path, cells, None, 2, &opts, |&payload: &u32| {
+            run_grid("q-test", "fp", &store_path, cells, None, 2, &opts, |&payload: &u32| {
                 runs.fetch_add(1, Ordering::Relaxed);
                 vec![("mean".to_string(), payload as f64)]
             })

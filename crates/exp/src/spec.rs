@@ -614,7 +614,7 @@ pub fn text_fingerprint(text: &str) -> String {
 /// seed, then chained through [`trial_seed`].
 ///
 /// The free-function form exists for drivers that assemble explicit
-/// [`CellSpec`] lists (via `run_cell_grid`) without an
+/// [`CellSpec`] lists (run through `run_grid` under their ids) without an
 /// [`ExperimentSpec`]; [`ExperimentSpec::cell_seed`] delegates here. The
 /// derivation is a **frozen compatibility contract**: stores record
 /// results produced under it, and a resumed grid must replay identical
@@ -839,7 +839,7 @@ mod tests {
     /// A value that changes *kind* across releases must change its cell
     /// id: `Str("1024")` and `F64(1024.0)` (and the `0x` bit-pattern
     /// shapes) may never render identically, or a warm run could resume
-    /// the other kind's record. `run_cell_grid` cells bypass spec-level
+    /// the other kind's record. Explicit cell lists bypass spec-level
     /// kind validation, so the rendering itself must keep kinds disjoint.
     #[test]
     fn cell_ids_distinguish_value_kinds() {

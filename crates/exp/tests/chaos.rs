@@ -24,7 +24,7 @@ use sybil_churn::session::SessionModel;
 use sybil_churn::ChurnModel;
 use sybil_exp::fault::with_plan;
 use sybil_exp::{
-    run_grid_opts, Durability, FaultPlan, GridOptions, GridOutcome, ResultsStore, RetryPolicy,
+    run_grid, Durability, FaultPlan, GridOptions, GridOutcome, ResultsStore, RetryPolicy,
     WorkloadCache,
 };
 use sybil_sim::time::Time;
@@ -59,7 +59,7 @@ fn cells() -> Vec<(String, u64)> {
 }
 
 fn run_chaos_grid(store: &Path, opts: &GridOptions) -> GridOutcome {
-    run_grid_opts("chaos", FP, store, cells(), None, 3, opts, |&payload: &u64| {
+    run_grid("chaos", FP, store, cells(), None, 3, opts, |&payload: &u64| {
         vec![
             ("mean".to_string(), payload as f64 * 2.0),
             ("sq".to_string(), (payload * payload) as f64),
