@@ -12,10 +12,9 @@
 //! The spec serializes to a small versioned text format (see
 //! [`ExperimentSpec::to_text`]) so a results store can record exactly
 //! which grid produced it, and resumed runs can verify they are continuing
-//! the *same* experiment. The format is **v2** (named axes); a v1 text
-//! (the fixed `networks`/`algos`/`t` keys no writer has produced since
-//! named axes landed) is rejected with a pointer to
-//! [`ExperimentSpec::three_axis`].
+//! the *same* experiment. The text is written for provenance
+//! (`<name>.spec` next to the store) and hashed into the store
+//! fingerprint; nothing reads it back, so there is no parser.
 //!
 //! # Cell identity
 //!
@@ -235,7 +234,7 @@ impl CellSpec {
 /// Bit-exact float rendering shared by cell ids and the spec text format:
 /// exactly-integral values print as plain integers (readable), everything
 /// else as a `0x`-prefixed bit pattern — two representable floats can
-/// never alias, and parsing the bit form back is lossless.
+/// never alias.
 ///
 /// Negative zero compares equal to `0` and truncates to integer `0`, but
 /// its bit pattern differs: it takes the bit-pattern form so the two
@@ -259,18 +258,6 @@ fn looks_like_float_rendering(s: &str) -> bool {
     !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit())
 }
 
-/// Parses a float written by [`fmt_f64_exact`] (plain decimal or
-/// `0x`-prefixed bit pattern).
-pub fn parse_f64_exact(s: &str) -> Result<f64, String> {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-            .map(f64::from_bits)
-            .map_err(|e| format!("bad float bits {s:?}: {e}"))
-    } else {
-        s.parse::<f64>().map_err(|e| format!("bad float {s:?}: {e}"))
-    }
-}
-
 /// Percent-escapes every character with structural meaning in cell ids or
 /// the spec text format: `%` itself, the separators `/`, `=`, `,`, `:`,
 /// and all whitespace/control characters (results-store keys must be
@@ -278,7 +265,7 @@ pub fn parse_f64_exact(s: &str) -> Result<f64, String> {
 ///
 /// Injective: a reserved character only ever appears in the output as the
 /// escape introducer `%`, and `%` is itself always escaped, so distinct
-/// inputs cannot produce equal outputs. [`unescape_component`] inverts it.
+/// inputs cannot produce equal outputs.
 pub fn escape_component(s: &str) -> String {
     let reserved =
         |c: char| matches!(c, '%' | '/' | '=' | ',' | ':') || c.is_whitespace() || c.is_control();
@@ -297,8 +284,11 @@ pub fn escape_component(s: &str) -> String {
     out
 }
 
-/// Inverts [`escape_component`]. Rejects malformed escapes.
-pub fn unescape_component(s: &str) -> Result<String, String> {
+/// Inverts [`escape_component`]. Nothing ships that reads escaped text
+/// back; this survives only as the injectivity oracle of the tests below
+/// (an escaping with an inverse cannot map two inputs to one output).
+#[cfg(test)]
+fn unescape_component(s: &str) -> Result<String, String> {
     let mut bytes = Vec::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -486,7 +476,7 @@ impl ExperimentSpec {
     ///
     /// Axis names and string values are percent-escaped; floats serialize
     /// as plain integers when exactly integral and as `0x`-prefixed bit
-    /// patterns otherwise, so a round trip is always bit-exact.
+    /// patterns otherwise, so distinct specs never share a text.
     pub fn to_text(&self) -> String {
         let mut out = format!("{SPEC_MAGIC} v{SPEC_VERSION}\nname = {}\n", self.name);
         for axis in &self.axes {
@@ -506,90 +496,6 @@ impl ExperimentSpec {
             self.seed,
         ));
         out
-    }
-
-    /// Parses the text format written by [`to_text`]. Unknown keys are
-    /// rejected (they indicate a newer writer), as is a missing key or a
-    /// version this build does not read.
-    pub fn from_text(text: &str) -> Result<ExperimentSpec, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty spec")?.trim();
-        if header == format!("{SPEC_MAGIC} v1") {
-            return Err(format!(
-                "spec header {header:?}: the v1 format (networks/algos/t keys) is no longer \
-                 read; rebuild the grid with ExperimentSpec::three_axis and write it as \
-                 v{SPEC_VERSION}"
-            ));
-        }
-        if header != format!("{SPEC_MAGIC} v{SPEC_VERSION}") {
-            return Err(format!(
-                "bad spec header {header:?} (this build reads {SPEC_MAGIC} v{SPEC_VERSION})"
-            ));
-        }
-        let mut name = None;
-        let mut axes: Vec<Axis> = Vec::new();
-        let mut trials = None;
-        let mut horizon = None;
-        let mut kappa = None;
-        let mut seed = None;
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) =
-                line.split_once('=').ok_or_else(|| format!("malformed line {line:?}"))?;
-            let (key, value) = (key.trim(), value.trim());
-            if let Some(axis_name) = key.strip_prefix("axis ") {
-                let name = unescape_component(axis_name.trim())?;
-                let (kind, values_text) = value
-                    .split_once(':')
-                    .ok_or_else(|| format!("axis line {line:?} lacks a kind tag"))?;
-                let raw: Vec<&str> =
-                    values_text.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
-                let values = match kind {
-                    "str" => raw
-                        .iter()
-                        .map(|s| unescape_component(s).map(AxisValue::Str))
-                        .collect::<Result<Vec<_>, _>>()?,
-                    "f64" => raw
-                        .iter()
-                        .map(|s| parse_f64_exact(s).map(AxisValue::F64))
-                        .collect::<Result<Vec<_>, _>>()?,
-                    other => return Err(format!("unknown axis kind {other:?} in {line:?}")),
-                };
-                axes.push(Axis { name, values });
-                continue;
-            }
-            match key {
-                "name" => name = Some(value.to_string()),
-                "trials" => {
-                    trials = Some(
-                        value.parse::<u32>().map_err(|e| format!("bad trials {value:?}: {e}"))?,
-                    )
-                }
-                "horizon" => horizon = Some(parse_f64_exact(value)?),
-                "kappa" => kappa = Some(parse_f64_exact(value)?),
-                "seed" => {
-                    seed =
-                        Some(value.parse::<u64>().map_err(|e| format!("bad seed {value:?}: {e}"))?)
-                }
-                _ => return Err(format!("unknown spec key {key:?}")),
-            }
-        }
-        if axes.is_empty() {
-            return Err("spec has no axis lines".into());
-        }
-        let spec = ExperimentSpec {
-            name: name.ok_or("missing key: name")?,
-            axes,
-            trials: trials.ok_or("missing key: trials")?,
-            horizon: horizon.ok_or("missing key: horizon")?,
-            kappa: kappa.ok_or("missing key: kappa")?,
-            seed: seed.ok_or("missing key: seed")?,
-        };
-        spec.validate()?;
-        Ok(spec)
     }
 
     /// SHA-256 of the canonical text form — the identity a results store
@@ -667,16 +573,21 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip_is_bit_exact() {
-        let s = spec();
-        let text = s.to_text();
-        assert!(text.starts_with("sybil-exp-spec v2\n"), "{text}");
-        let back = ExperimentSpec::from_text(&text).unwrap();
-        assert_eq!(s, back);
-        // κ = 1/18 is not integral: must survive via the bit-pattern form.
-        assert_eq!(back.kappa.to_bits(), s.kappa.to_bits());
-        let t = back.axis(AXIS_T).unwrap();
-        assert_eq!(t.values[2].as_f64().unwrap().to_bits(), 0.5f64.to_bits());
+    fn text_form_is_bit_exact() {
+        // κ = 1/18 and T = 0.5 are not integral: they must appear as bit
+        // patterns, the integral values as plain integers.
+        assert_eq!(
+            spec().to_text(),
+            "sybil-exp-spec v2\n\
+             name = figure8-test\n\
+             axis network = str:gnutella,bitcoin\n\
+             axis algo = str:ERGO,CCOM\n\
+             axis T = f64:0,16,0x3fe0000000000000\n\
+             trials = 3\n\
+             horizon = 500\n\
+             kappa = 0x3fac71c71c71c71c\n\
+             seed = 7\n"
+        );
     }
 
     #[test]
@@ -735,38 +646,8 @@ mod tests {
         assert_eq!(fmt_f64_exact(0.0), "0");
         assert_eq!(fmt_f64_exact(-0.0), "0x8000000000000000");
         assert_ne!(fmt_f64_exact(0.0), fmt_f64_exact(-0.0));
-        let back = parse_f64_exact(&fmt_f64_exact(-0.0)).unwrap();
-        assert_eq!(back.to_bits(), (-0.0f64).to_bits());
         // Ordinary negatives keep the readable integer form.
         assert_eq!(fmt_f64_exact(-3.0), "-3");
-        assert_eq!(parse_f64_exact("-3").unwrap(), -3.0);
-    }
-
-    #[test]
-    fn parse_rejects_bad_inputs() {
-        assert!(ExperimentSpec::from_text("").unwrap_err().contains("empty"));
-        assert!(ExperimentSpec::from_text("sybil-exp-spec v9\n").unwrap_err().contains("header"));
-        let mut text = spec().to_text();
-        text.push_str("mystery = 1\n");
-        assert!(ExperimentSpec::from_text(&text).unwrap_err().contains("unknown"));
-        // Missing key.
-        let partial = "sybil-exp-spec v2\nname = x\naxis a = f64:1\n";
-        assert!(ExperimentSpec::from_text(partial).unwrap_err().contains("missing"));
-        // No axes.
-        let no_axes = "sybil-exp-spec v2\nname = x\ntrials = 1\nhorizon = 1\nkappa = 0\nseed = 1\n";
-        assert!(ExperimentSpec::from_text(no_axes).unwrap_err().contains("axis"));
-        // The v1 keys are unknown keys now.
-        let mixed = "sybil-exp-spec v2\nname = x\nnetworks = a\naxis T = f64:1\n\
-                     trials = 1\nhorizon = 1\nkappa = 0\nseed = 1\n";
-        assert!(ExperimentSpec::from_text(mixed).unwrap_err().contains("unknown"));
-        // A v1 text is refused with a pointer to its replacement.
-        let v1 = "sybil-exp-spec v1\nname = x\nnetworks = a\nalgos = b\nt = 1\n\
-                  trials = 1\nhorizon = 1\nkappa = 0\nseed = 1\n";
-        assert!(ExperimentSpec::from_text(v1).unwrap_err().contains("three_axis"));
-        // Unknown axis kind.
-        let bad_kind = "sybil-exp-spec v2\nname = x\naxis a = int:1\n\
-                        trials = 1\nhorizon = 1\nkappa = 0\nseed = 1\n";
-        assert!(ExperimentSpec::from_text(bad_kind).unwrap_err().contains("kind"));
     }
 
     #[test]
@@ -849,7 +730,7 @@ mod tests {
         assert_ne!(id(AxisValue::Str("0".into())), id(AxisValue::F64(0.0)));
         let bits = fmt_f64_exact(0.5); // "0x3fe0000000000000"
         assert_ne!(id(AxisValue::Str(bits.clone())), id(AxisValue::F64(0.5)));
-        // The forced escape still round-trips through the text format.
+        // The forced escape is still invertible.
         for s in ["1024", "-3", "0", &bits, "12a", "x1024"] {
             let rendered = AxisValue::Str(s.into()).render();
             assert_eq!(unescape_component(&rendered).unwrap(), s, "roundtrip of {s:?}");
@@ -880,7 +761,7 @@ mod tests {
     /// Injectivity property: distinct axis assignments never yield equal
     /// cell ids, across randomized specs whose values deliberately contain
     /// the separators, the escape character, and each other's escaped
-    /// forms. Round-trips through the text format stay bit-exact too.
+    /// forms.
     #[test]
     fn property_distinct_assignments_never_collide() {
         use rand::rngs::StdRng;
@@ -931,23 +812,6 @@ mod tests {
             let cells = spec.cells();
             let ids: std::collections::BTreeSet<String> = cells.iter().map(|c| c.id()).collect();
             assert_eq!(ids.len(), cells.len(), "case {case}: cell ids collided");
-            // Text round trip preserves the spec bit-exactly.
-            let back = ExperimentSpec::from_text(&spec.to_text())
-                .unwrap_or_else(|e| panic!("case {case}: {e}\n{}", spec.to_text()));
-            assert_eq!(back.name, spec.name, "case {case}");
-            assert_eq!(back.axes.len(), spec.axes.len(), "case {case}");
-            for (ba, sa) in back.axes.iter().zip(&spec.axes) {
-                assert_eq!(ba.name, sa.name, "case {case}");
-                for (bv, sv) in ba.values.iter().zip(&sa.values) {
-                    match (bv, sv) {
-                        (AxisValue::Str(b), AxisValue::Str(s)) => assert_eq!(b, s, "case {case}"),
-                        (AxisValue::F64(b), AxisValue::F64(s)) => {
-                            assert_eq!(b.to_bits(), s.to_bits(), "case {case}")
-                        }
-                        _ => panic!("case {case}: value kind changed in round trip"),
-                    }
-                }
-            }
         }
     }
 
