@@ -7,9 +7,9 @@
 //! ```text
 //! Usage: bench_report [OUTPUT_PATH]
 //!
-//!   OUTPUT_PATH   where to write the JSON (default: BENCH_engine.json;
-//!                 the SYBIL_BENCH_REPORT_PATH env var overrides both)
+//!   OUTPUT_PATH   where to write the JSON (default: BENCH_engine.json)
 //!   SYBIL_BENCH_FAST=1 shrinks the queue micro-benches for CI smoke runs
+//!   SYBIL_BENCH_REPS=K measures best-of-K (default 5)
 //!   SYBIL_BENCH_ALLOC=1 requires the counting allocator (build with
 //!                 --features alloc-count); =0 forces the alloc columns
 //!                 to structural zeros; unset publishes what the build
@@ -27,10 +27,7 @@ use sybil_bench::perf;
 static ALLOC: sybil_exp::alloc::CountingAlloc = sybil_exp::alloc::CountingAlloc;
 
 fn main() {
-    let path = std::env::var("SYBIL_BENCH_REPORT_PATH")
-        .ok()
-        .or_else(|| std::env::args().nth(1))
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
+    let path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_engine.json".to_string());
     println!("=== Engine performance baseline ===");
     let started = std::time::Instant::now();
     let report = perf::run_suite();

@@ -126,12 +126,19 @@ fn scenario_specs() -> Vec<(&'static str, Vec<Cell>)> {
 /// noise (scheduler, frequency scaling, cache pollution from sibling
 /// containers) only ever *adds* time, so best-of-K is the stable estimator
 /// of intrinsic cost.
-fn reps() -> u32 {
-    std::env::var("SYBIL_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(5)
+fn reps() -> usize {
+    sybil_exp::env::or_abort(parse_reps(std::env::var("SYBIL_BENCH_REPS")))
+}
+
+/// Parses a `SYBIL_BENCH_REPS` setting (default 5). Strict like every
+/// other knob: `0` or garbage is an error, not a silent default.
+fn parse_reps(raw: Result<String, std::env::VarError>) -> Result<usize, String> {
+    let reps = sybil_exp::env::positive_usize(
+        "SYBIL_BENCH_REPS",
+        raw,
+        "best-of-K needs at least one repetition (unset the variable for the default 5)",
+    )?;
+    Ok(reps.unwrap_or(5))
 }
 
 /// Parses a `SYBIL_BENCH_ALLOC` setting: `1` forces allocation counting on
@@ -184,72 +191,113 @@ fn alloc_mode_label() -> &'static str {
     }
 }
 
-/// Runs one named scenario (a list of `(algo, T, horizon, seed)` cells,
-/// executed sequentially on the calling thread) and measures aggregate
-/// engine throughput, best-of-[`reps`].
-fn run_scenario(name: &str, cells: &[Cell]) -> ScenarioResult {
-    let net = networks::gnutella();
-    let mut best_wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut peak = 0usize;
-    let mut resident = 0usize;
-    let mut best_allocs = LoopAllocs { allocs: u64::MAX, bytes: u64::MAX };
-    let mut fp = Fingerprint::default();
-    for rep in 0..reps() {
-        let started = Instant::now();
-        let mut rep_events = 0u64;
-        let mut rep_peak = 0usize;
-        let mut rep_resident = 0usize;
-        let mut rep_allocs = LoopAllocs::default();
-        let mut rep_fp = Fingerprint::default();
-        for &(algo, t, horizon, seed) in cells {
-            let params = RunParams { horizon, seed, ..RunParams::default() };
-            let (report, allocs) = run_report_measured(&net, algo, t, params);
-            rep_events += report.events_processed;
-            rep_peak = rep_peak.max(report.peak_queue_len);
-            rep_resident = rep_resident.max(report.admission_bytes + report.workload_stream_bytes);
-            rep_allocs.allocs += allocs.allocs;
-            rep_allocs.bytes += allocs.bytes;
-            rep_fp.good_joins_admitted += report.good_joins_admitted;
-            rep_fp.bad_joins_admitted += report.bad_joins_admitted;
-            rep_fp.purges += report.purges;
-            rep_fp.good_spend += report.ledger.good_total().value();
-            rep_fp.adv_spend += report.ledger.adversary_total().value();
-        }
-        let wall = started.elapsed().as_secs_f64();
-        if rep == 0 {
-            (events, peak, resident, fp) = (rep_events, rep_peak, rep_resident, rep_fp);
-        } else {
-            assert_eq!(rep_events, events, "{name}: nondeterministic event count");
-            assert_eq!(rep_fp, fp, "{name}: nondeterministic fingerprint");
-        }
-        // Min across reps, like the wall clock: a first rep can pay
-        // one-time warmup inside the loop (thread-local lazy init); the
-        // steady-state claim is the repeatable floor.
-        best_allocs.allocs = best_allocs.allocs.min(rep_allocs.allocs);
-        best_allocs.bytes = best_allocs.bytes.min(rep_allocs.bytes);
-        best_wall = best_wall.min(wall);
-    }
-    let measured = if alloc_counting() { best_allocs } else { LoopAllocs::default() };
-    ScenarioResult {
-        name: name.to_string(),
-        events,
-        wall_secs: best_wall,
-        events_per_sec: events as f64 / best_wall.max(1e-12),
-        peak_queue_len: peak,
-        resident_bytes: resident,
-        shards: 1,
-        loop_allocs: measured.allocs,
-        loop_alloc_bytes: measured.bytes,
-        allocs_per_event: measured.allocs as f64 / (events as f64).max(1.0),
-        fingerprint: fp,
+/// What one repetition of a scenario observed, folded over its cells.
+#[derive(Default)]
+struct Rep {
+    events: u64,
+    peak_queue_len: usize,
+    resident_bytes: usize,
+    allocs: LoopAllocs,
+    fingerprint: Fingerprint,
+}
+
+impl Rep {
+    /// Folds one cell in: counters and spend add, gauges take the maximum.
+    fn absorb(&mut self, report: &sybil_sim::SimReport, allocs: LoopAllocs) {
+        self.events += report.events_processed;
+        self.peak_queue_len = self.peak_queue_len.max(report.peak_queue_len);
+        self.resident_bytes =
+            self.resident_bytes.max(report.admission_bytes + report.workload_stream_bytes);
+        self.allocs.allocs += allocs.allocs;
+        self.allocs.bytes += allocs.bytes;
+        let fp = &mut self.fingerprint;
+        fp.good_joins_admitted += report.good_joins_admitted;
+        fp.bad_joins_admitted += report.bad_joins_admitted;
+        fp.purges += report.purges;
+        fp.good_spend += report.ledger.good_total().value();
+        fp.adv_spend += report.ledger.adversary_total().value();
     }
 }
 
-/// The million-ID churn model behind `macro_millions` — now shared with
-/// the `exp_millions` grid driver via [`networks::millions`].
-fn millions_model() -> sybil_churn::model::ChurnModel {
-    networks::millions(1_000_000)
+/// Measures `run` best-of-[`reps`] on the calling thread. Every repetition
+/// must reproduce the first one's event count and fingerprint; wall clock
+/// and allocation counts report the minimum across repetitions — a first
+/// rep can pay one-time warmup inside the loop (thread-local lazy init),
+/// and the steady-state claim is the repeatable floor.
+fn measure(name: &str, shards: usize, mut run: impl FnMut(&mut Rep)) -> ScenarioResult {
+    let mut best_wall = f64::INFINITY;
+    let mut best_allocs = LoopAllocs { allocs: u64::MAX, bytes: u64::MAX };
+    let mut first: Option<Rep> = None;
+    for _ in 0..reps() {
+        let started = Instant::now();
+        let mut rep = Rep::default();
+        run(&mut rep);
+        best_wall = best_wall.min(started.elapsed().as_secs_f64());
+        best_allocs.allocs = best_allocs.allocs.min(rep.allocs.allocs);
+        best_allocs.bytes = best_allocs.bytes.min(rep.allocs.bytes);
+        match &first {
+            None => first = Some(rep),
+            Some(first) => {
+                assert_eq!(rep.events, first.events, "{name}: nondeterministic event count");
+                assert_eq!(
+                    rep.fingerprint, first.fingerprint,
+                    "{name}: nondeterministic fingerprint"
+                );
+            }
+        }
+    }
+    let rep = first.expect("at least one repetition");
+    let measured = if alloc_counting() { best_allocs } else { LoopAllocs::default() };
+    ScenarioResult {
+        name: name.to_string(),
+        events: rep.events,
+        wall_secs: best_wall,
+        events_per_sec: rep.events as f64 / best_wall.max(1e-12),
+        peak_queue_len: rep.peak_queue_len,
+        resident_bytes: rep.resident_bytes,
+        shards,
+        loop_allocs: measured.allocs,
+        loop_alloc_bytes: measured.bytes,
+        allocs_per_event: measured.allocs as f64 / (rep.events as f64).max(1.0),
+        fingerprint: rep.fingerprint,
+    }
+}
+
+/// Runs one named scenario: a list of `(algo, T, horizon, seed)` cells on
+/// the Gnutella model, executed sequentially, aggregate engine throughput.
+fn run_scenario(name: &str, cells: &[Cell]) -> ScenarioResult {
+    let net = networks::gnutella();
+    measure(name, 1, |rep| {
+        for &(algo, t, horizon, seed) in cells {
+            let params = RunParams { horizon, seed, ..RunParams::default() };
+            let (report, allocs) = run_report_measured(&net, algo, t, params);
+            rep.absorb(&report, allocs);
+        }
+    })
+}
+
+/// One `(Ergo, T = 4096, seed 1)` replay of `source`, with the same
+/// defense seeding as `run_report` so the scenario is pinned the way the
+/// sweep cells are.
+fn replay_ergo<W: sybil_sim::workload::WorkloadSource>(source: W, horizon: f64, rep: &mut Rep) {
+    let (algo, t, seed) = (Algo::Ergo, 4096.0, 1u64);
+    let cfg = SimConfig { horizon: Time(horizon), adv_rate: t, ..SimConfig::default() };
+    let (report, allocs) = run_report_with_measured(cfg, algo, t, defense_seed(seed), source);
+    rep.absorb(&report, allocs);
+}
+
+fn open_disk(path: &std::path::Path) -> DiskWorkload {
+    DiskWorkload::open(path).unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()))
+}
+
+/// Generates the [`networks::millions`] workload (seed 1) into a temp file
+/// and drops the resident schedule, so replays stream from disk.
+fn write_millions(tag: &str, ids: u64, horizon: f64) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("sybil_{tag}_{}.wkld", std::process::id()));
+    let workload = networks::millions(ids).generate(Time(horizon), 1);
+    write_workload_file(&path, &workload)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    path
 }
 
 /// The `macro_millions` scenario: a 1 000 000-initial-ID workload generated
@@ -259,65 +307,11 @@ fn millions_model() -> sybil_churn::model::ChurnModel {
 /// (packed admission map + stream read buffers) is the engine's actual
 /// workload footprint at million-ID scale.
 fn run_macro_millions() -> ScenarioResult {
-    let (algo, t, horizon, seed) = (Algo::Ergo, 4096.0, 500.0, 1u64);
-    let path =
-        std::env::temp_dir().join(format!("sybil_macro_millions_{}.wkld", std::process::id()));
-    {
-        let workload = millions_model().generate(Time(horizon), seed);
-        write_workload_file(&path, &workload)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    } // The resident schedule is dropped here; replays stream from disk.
-
-    let mut best_wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut peak = 0usize;
-    let mut resident = 0usize;
-    let mut best_allocs = LoopAllocs { allocs: u64::MAX, bytes: u64::MAX };
-    let mut fp = Fingerprint::default();
-    for rep in 0..reps() {
-        let started = Instant::now();
-        let disk = DiskWorkload::open(&path)
-            .unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()));
-        let cfg = SimConfig { horizon: Time(horizon), adv_rate: t, ..SimConfig::default() };
-        // Same defense seeding as `run_report`, so the scenario is pinned
-        // the same way the sweep cells are.
-        let (report, allocs) = run_report_with_measured(cfg, algo, t, defense_seed(seed), disk);
-        let wall = started.elapsed().as_secs_f64();
-        let rep_fp = Fingerprint {
-            good_joins_admitted: report.good_joins_admitted,
-            bad_joins_admitted: report.bad_joins_admitted,
-            purges: report.purges,
-            good_spend: report.ledger.good_total().value(),
-            adv_spend: report.ledger.adversary_total().value(),
-        };
-        if rep == 0 {
-            events = report.events_processed;
-            peak = report.peak_queue_len;
-            resident = report.admission_bytes + report.workload_stream_bytes;
-            fp = rep_fp;
-        } else {
-            assert_eq!(report.events_processed, events, "macro_millions: nondeterministic");
-            assert_eq!(rep_fp, fp, "macro_millions: nondeterministic fingerprint");
-        }
-        best_allocs.allocs = best_allocs.allocs.min(allocs.allocs);
-        best_allocs.bytes = best_allocs.bytes.min(allocs.bytes);
-        best_wall = best_wall.min(wall);
-    }
+    let horizon = 500.0;
+    let path = write_millions("macro_millions", 1_000_000, horizon);
+    let result = measure("macro_millions", 1, |rep| replay_ergo(open_disk(&path), horizon, rep));
     std::fs::remove_file(&path).ok();
-    let measured = if alloc_counting() { best_allocs } else { LoopAllocs::default() };
-    ScenarioResult {
-        name: "macro_millions".to_string(),
-        events,
-        wall_secs: best_wall,
-        events_per_sec: events as f64 / best_wall.max(1e-12),
-        peak_queue_len: peak,
-        resident_bytes: resident,
-        shards: 1,
-        loop_allocs: measured.allocs,
-        loop_alloc_bytes: measured.bytes,
-        allocs_per_event: measured.allocs as f64 / (events as f64).max(1.0),
-        fingerprint: fp,
-    }
+    result
 }
 
 /// The shard counts the `macro_scale` family measures. The scenario names
@@ -338,74 +332,21 @@ const MACRO_SCALE_SHARDS: [usize; 3] = [1, 2, 4];
 /// runner the extra shards only add coordination cost, which is exactly
 /// what the honest numbers should show.
 fn run_macro_scale_family() -> Vec<ScenarioResult> {
-    let (algo, t, horizon, seed) = (Algo::Ergo, 4096.0, 300.0, 1u64);
-    let path = std::env::temp_dir().join(format!("sybil_macro_scale_{}.wkld", std::process::id()));
-    {
-        let workload = networks::millions(10_000_000).generate(Time(horizon), seed);
-        write_workload_file(&path, &workload)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    } // The resident schedule is dropped here; replays stream from disk.
-
-    let mut out = Vec::new();
-    for shards in MACRO_SCALE_SHARDS {
-        let name = format!("macro_scale_s{shards}");
-        let mut best_wall = f64::INFINITY;
-        let mut events = 0u64;
-        let mut peak = 0usize;
-        let mut resident = 0usize;
-        let mut best_allocs = LoopAllocs { allocs: u64::MAX, bytes: u64::MAX };
-        let mut fp = Fingerprint::default();
-        for rep in 0..reps() {
-            let started = Instant::now();
-            let disk = DiskWorkload::open(&path)
-                .unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()));
-            let cfg = SimConfig { horizon: Time(horizon), adv_rate: t, ..SimConfig::default() };
-            // The counters are thread-local: at S > 1 they cover the
-            // coordinator's merge loop, not the producer threads (whose
+    let horizon = 300.0;
+    let path = write_millions("macro_scale", 10_000_000, horizon);
+    let out: Vec<ScenarioResult> = MACRO_SCALE_SHARDS
+        .iter()
+        .map(|&shards| {
+            let name = format!("macro_scale_s{shards}");
+            // The allocation counters are thread-local: at S > 1 they cover
+            // the coordinator's merge loop, not the producer threads (whose
             // batch buffers are pooled; see `sybil-sim::shard`).
-            let (report, allocs) = run_report_with_measured(
-                cfg,
-                algo,
-                t,
-                defense_seed(seed),
-                ShardedWorkload::from_disk(disk, shards),
-            );
-            let wall = started.elapsed().as_secs_f64();
-            let rep_fp = Fingerprint {
-                good_joins_admitted: report.good_joins_admitted,
-                bad_joins_admitted: report.bad_joins_admitted,
-                purges: report.purges,
-                good_spend: report.ledger.good_total().value(),
-                adv_spend: report.ledger.adversary_total().value(),
-            };
-            if rep == 0 {
-                events = report.events_processed;
-                peak = report.peak_queue_len;
-                resident = report.admission_bytes + report.workload_stream_bytes;
-                fp = rep_fp;
-            } else {
-                assert_eq!(report.events_processed, events, "{name}: nondeterministic");
-                assert_eq!(rep_fp, fp, "{name}: nondeterministic fingerprint");
-            }
-            best_allocs.allocs = best_allocs.allocs.min(allocs.allocs);
-            best_allocs.bytes = best_allocs.bytes.min(allocs.bytes);
-            best_wall = best_wall.min(wall);
-        }
-        let measured = if alloc_counting() { best_allocs } else { LoopAllocs::default() };
-        out.push(ScenarioResult {
-            name,
-            events,
-            wall_secs: best_wall,
-            events_per_sec: events as f64 / best_wall.max(1e-12),
-            peak_queue_len: peak,
-            resident_bytes: resident,
-            shards,
-            loop_allocs: measured.allocs,
-            loop_alloc_bytes: measured.bytes,
-            allocs_per_event: measured.allocs as f64 / (events as f64).max(1.0),
-            fingerprint: fp,
-        });
-    }
+            measure(&name, shards, |rep| {
+                let source = ShardedWorkload::from_disk(open_disk(&path), shards);
+                replay_ergo(source, horizon, rep)
+            })
+        })
+        .collect();
     std::fs::remove_file(&path).ok();
     for s in &out[1..] {
         assert_eq!(s.events, out[0].events, "{}: event count varies with shard count", s.name);
@@ -638,18 +579,9 @@ mod tests {
         };
         let root = parse(to_json(&report).as_bytes()).unwrap();
         let keys: Vec<&str> = root.members().iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "generated_unix_secs",
-                "available_parallelism",
-                "shard_budget",
-                "alloc_counting",
-                "alloc_mode",
-                "queue",
-                "scenarios"
-            ]
-        );
+        let sections = ["shard_budget", "alloc_counting", "alloc_mode", "queue", "scenarios"];
+        assert_eq!(keys[..2], ["generated_unix_secs", "available_parallelism"]);
+        assert_eq!(keys[2..], sections);
         assert!(root.num("generated_unix_secs").unwrap() > 0.0);
         assert!(root.num("available_parallelism").unwrap() >= 1.0);
         let budget = root.get("shard_budget").unwrap();
@@ -657,50 +589,23 @@ mod tests {
         assert!(budget.num("workers").unwrap() >= budget.num("outer_pool").unwrap());
         assert_eq!(root.get("alloc_counting"), Some(&Value::Bool(alloc_counting())));
         assert_eq!(root.get("alloc_mode").and_then(Value::as_str), Some(alloc_mode_label()));
-
-        let expect = |body: &Value, fields: &[(&str, f64)]| {
-            assert_eq!(body.members().len(), fields.len());
-            for ((key, value), &(want_key, want)) in body.members().iter().zip(fields) {
-                assert_eq!(key, want_key);
-                assert_eq!(value, &Value::Num(want), "{key}");
-            }
-        };
-        let queue = root.get("queue").unwrap();
-        assert_eq!(queue.members().len(), 1);
-        expect(
-            queue.get("queue_calendar").unwrap(),
-            &[("ops", 10.0), ("wall_secs", 0.1), ("ops_per_sec", 100.0)],
+        // The measured sections, member for member and in order (`purges`
+        // lives in the fingerprint, not at scenario level).
+        let want = |text: &str| parse(text.as_bytes()).unwrap();
+        assert_eq!(
+            root.get("queue"),
+            Some(&want(r#"{"queue_calendar": {"ops": 10, "wall_secs": 0.1, "ops_per_sec": 100}}"#))
         );
-        let scenarios = root.get("scenarios").unwrap();
-        assert_eq!(scenarios.members().len(), 1);
-        let s = scenarios.get("s").unwrap();
-        expect(
-            &Value::obj(s.members()[..9].iter().cloned()),
-            &[
-                ("events", 5.0),
-                ("wall_secs", 0.5),
-                ("events_per_sec", 10.0),
-                ("peak_queue_len", 3.0),
-                ("resident_bytes", 4096.0),
-                ("shards", 4.0),
-                ("loop_allocs", 7.0),
-                ("loop_alloc_bytes", 256.0),
-                ("allocs_per_event", 1.4),
-            ],
+        assert_eq!(
+            root.get("scenarios"),
+            Some(&want(
+                r#"{"s": {"events": 5, "wall_secs": 0.5, "events_per_sec": 10,
+                    "peak_queue_len": 3, "resident_bytes": 4096, "shards": 4,
+                    "loop_allocs": 7, "loop_alloc_bytes": 256, "allocs_per_event": 1.4,
+                    "fingerprint": {"good_joins_admitted": 11, "bad_joins_admitted": 12,
+                                    "purges": 13, "good_spend": 14.5, "adv_spend": 0.00001}}}"#
+            ))
         );
-        assert_eq!(s.members().len(), 10);
-        expect(
-            s.get("fingerprint").unwrap(),
-            &[
-                ("good_joins_admitted", 11.0),
-                ("bad_joins_admitted", 12.0),
-                ("purges", 13.0),
-                ("good_spend", 14.5),
-                ("adv_spend", 1e-5),
-            ],
-        );
-        // `purges` lives in the fingerprint, not at scenario level.
-        assert_eq!(s.get("purges"), None);
 
         // A non-finite throughput is written as null and reads back as
         // "non-finite", not as a missing field.
@@ -710,6 +615,17 @@ mod tests {
         let root = parse(json.as_bytes()).unwrap();
         let err = root.get("scenarios").unwrap().get("s").unwrap().num("events_per_sec");
         assert!(err.unwrap_err().contains("non-finite"));
+    }
+
+    #[test]
+    fn reps_parsing_is_strict() {
+        use std::env::VarError;
+        assert_eq!(parse_reps(Err(VarError::NotPresent)), Ok(5));
+        assert_eq!(parse_reps(Ok("3".into())), Ok(3));
+        for bad in ["0", "abc", "-1", "2.5", ""] {
+            let err = parse_reps(Ok(bad.into())).unwrap_err();
+            assert!(err.contains("SYBIL_BENCH_REPS"), "{err}");
+        }
     }
 
     #[test]
