@@ -13,9 +13,9 @@
 //! * **Purge round duration**: with non-instant rounds, good IDs departing
 //!   mid-round exercise the `ε < 1/12` assumption.
 //!
-//! Each knob cell runs [`trials`] workload seeds (the Gnutella workloads
-//! come from the shared disk cache), aggregated to `mean, ci95_lo,
-//! ci95_hi`, and is recorded in a resumable results store.
+//! Each knob cell runs 5 workload seeds (2 in FAST mode; the Gnutella
+//! workloads come from the shared disk cache), aggregated to `mean,
+//! ci95_lo, ci95_hi`, and is recorded in a resumable results store.
 
 use crate::grid::{trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode};
@@ -43,11 +43,6 @@ pub struct AblationRow {
     pub purges: MetricSummary,
     /// Max bad fraction over trials (bound: 1/6).
     pub max_bad_fraction: MetricSummary,
-}
-
-/// Independent trials per knob value (see [`crate::grid::default_trials`]).
-pub fn trials() -> u32 {
-    crate::grid::default_trials()
 }
 
 /// Runs one configuration against any workload source, returning

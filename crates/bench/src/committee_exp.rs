@@ -21,7 +21,6 @@ use ergo_core::{Ergo, ErgoConfig};
 use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
 use sybil_committee::{DecentralConfig, DecentralizedErgo};
-use sybil_exp::runner::RunSummary;
 use sybil_exp::spec::{AxisValue, CellSpec, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
 use sybil_exp::{GridOptions, MetricSummary, Welford};
 use sybil_sim::adversary::{build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE};
@@ -154,90 +153,8 @@ pub struct CommitteeOutcome {
 /// Runs the full committee experiment grid (network × strategy × T,
 /// multi-trial, cached disk-streamed workloads, resumable).
 pub fn run() -> Vec<CommitteeOutcome> {
-    run_committee_on(&grid(fast_mode())).0
-}
-
-/// The explicit cell list: network × strategy × T, except that the T = 0
-/// baseline is strategy-independent — every funded strategy idles at rate
-/// 0 — so it runs **once** per network under the registry's `none`
-/// strategy instead of once per roster entry (at paper scale each
-/// baseline cell is `trials × 2` full-horizon simulations).
-fn grid_cells(nets: &[ChurnModel], strategies: &[&str], t_values: &[f64]) -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for net in nets {
-        for &t in t_values {
-            let cell_strategies: &[&str] = if t == 0.0 { &[STRATEGY_NONE] } else { strategies };
-            for strategy in cell_strategies {
-                cells.push(CellSpec::new(vec![
-                    (AXIS_NETWORK.into(), AxisValue::Str(net.name.to_string())),
-                    (AXIS_STRATEGY.into(), AxisValue::Str(strategy.to_string())),
-                    (AXIS_T.into(), AxisValue::F64(t)),
-                ]));
-            }
-        }
-    }
-    cells
-}
-
-/// The parameterized committee grid behind [`run`].
-pub fn run_committee_grid(
-    name: &str,
-    nets: &[ChurnModel],
-    strategies: &[&str],
-    t_values: &[f64],
-    trials: u32,
-    horizon: f64,
-    base_seed: u64,
-) -> (Vec<CommitteeOutcome>, RunSummary) {
-    let grid = committee_grid(name, nets, strategies, t_values, trials, horizon, base_seed);
-    run_committee_on(&grid)
-}
-
-/// Declares a committee grid. Cells are not a full cartesian product
-/// (the T = 0 baseline collapses the strategy axis, see [`grid_cells`]),
-/// so they are listed explicitly.
-fn committee_grid(
-    name: &str,
-    nets: &[ChurnModel],
-    strategies: &[&str],
-    t_values: &[f64],
-    trials: u32,
-    horizon: f64,
-    base_seed: u64,
-) -> TrialGrid {
-    let config = format!(
-        "committee grid v2 (explicit cells; T=0 baseline runs once per network as \
-         strategy=none)\nhorizon = {horizon}\ntrials = {trials}\nseed = {base_seed}\n\
-         t_values = {t_values:?}\nnetworks = {nets:?}\ndecentral = {:?}\nergo = {:?}\n\
-         strategies = [{}]\n",
-        DecentralConfig::default(),
-        ErgoConfig::default(),
-        strategies
-            .iter()
-            .map(|s| strategy_fingerprint(s, &StrategyParams::rate(1.0)))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    let cells = grid_cells(nets, strategies, t_values);
-    TrialGrid::from_cells(name, cells, &config, nets, trials, horizon, base_seed)
-}
-
-/// The paper-scale committee grid, declared.
-pub(crate) fn grid(fast: bool) -> TrialGrid {
-    committee_grid(
-        "committee",
-        &networks::all_networks(),
-        &crate::invariants_exp::strategy_roster(),
-        &[0.0, 10_000.0],
-        trials_for(fast),
-        if fast { 300.0 } else { 10_000.0 },
-        17,
-    )
-}
-
-fn run_committee_on(grid: &TrialGrid) -> (Vec<CommitteeOutcome>, RunSummary) {
-    let (results, summary) =
-        grid.run(default_workers(), &GridOptions::default(), |cell, trials| {
+    let (results, _) =
+        grid(fast_mode()).run(default_workers(), &GridOptions::default(), |cell, trials| {
             let strategy = cell.str_value(AXIS_STRATEGY);
             let t = cell.f64_value(AXIS_T);
             let mut elections = Welford::new();
@@ -270,7 +187,7 @@ fn run_committee_on(grid: &TrialGrid) -> (Vec<CommitteeOutcome>, RunSummary) {
             fields.push(("max_bad_fraction".into(), worst_bad));
             fields
         });
-    let rows = results
+    results
         .iter()
         .map(|r| CommitteeOutcome {
             network: r.cell.str_value(AXIS_NETWORK).to_string(),
@@ -286,8 +203,55 @@ fn run_committee_on(grid: &TrialGrid) -> (Vec<CommitteeOutcome>, RunSummary) {
             centralized_rate: r.summary("centralized_rate"),
             max_bad_fraction: r.get("max_bad_fraction"),
         })
-        .collect();
-    (rows, summary)
+        .collect()
+}
+
+/// The explicit cell list: network × strategy × T, except that the T = 0
+/// baseline is strategy-independent — every funded strategy idles at rate
+/// 0 — so it runs **once** per network under the registry's `none`
+/// strategy instead of once per roster entry (at paper scale each
+/// baseline cell is `trials × 2` full-horizon simulations).
+fn grid_cells(nets: &[ChurnModel], strategies: &[&str], t_values: &[f64]) -> Vec<CellSpec> {
+    let mut cells = Vec::new();
+    for net in nets {
+        for &t in t_values {
+            let cell_strategies: &[&str] = if t == 0.0 { &[STRATEGY_NONE] } else { strategies };
+            for strategy in cell_strategies {
+                cells.push(CellSpec::new(vec![
+                    (AXIS_NETWORK.into(), AxisValue::Str(net.name.to_string())),
+                    (AXIS_STRATEGY.into(), AxisValue::Str(strategy.to_string())),
+                    (AXIS_T.into(), AxisValue::F64(t)),
+                ]));
+            }
+        }
+    }
+    cells
+}
+
+/// The committee grid, declared. Cells are not a full cartesian product
+/// (the T = 0 baseline collapses the strategy axis, see [`grid_cells`]),
+/// so they are listed explicitly.
+pub(crate) fn grid(fast: bool) -> TrialGrid {
+    let nets = networks::all_networks();
+    let strategies = crate::invariants_exp::strategy_roster();
+    let t_values = [0.0, 10_000.0];
+    let (trials, base_seed) = (trials_for(fast), 17u64);
+    let horizon = if fast { 300.0 } else { 10_000.0 };
+    let config = format!(
+        "committee grid v2 (explicit cells; T=0 baseline runs once per network as \
+         strategy=none)\nhorizon = {horizon}\ntrials = {trials}\nseed = {base_seed}\n\
+         t_values = {t_values:?}\nnetworks = {nets:?}\ndecentral = {:?}\nergo = {:?}\n\
+         strategies = [{}]\n",
+        DecentralConfig::default(),
+        ErgoConfig::default(),
+        strategies
+            .iter()
+            .map(|s| strategy_fingerprint(s, &StrategyParams::rate(1.0)))
+            .collect::<Vec<_>>()
+            .join(", "),
+    );
+    let cells = grid_cells(&nets, &strategies, &t_values);
+    TrialGrid::from_cells("committee", cells, &config, &nets, trials, horizon, base_seed)
 }
 
 /// Formats the outcomes as a table with trial means and 95 % confidence

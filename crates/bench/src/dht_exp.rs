@@ -6,7 +6,7 @@
 //! The end-to-end cell runs through the `sybil-exp` subsystem as a
 //! (strategy × T) grid: the adversary strategy attacking the membership
 //! run is a first-class named axis resolved through the registry, each
-//! cell replays [`crate::grid::default_trials`] cached disk-streamed
+//! cell replays its trials' cached disk-streamed
 //! Gnutella workloads, lookup RNG streams derive deterministically from
 //! the frozen [`cell_seed`] contract, and finished cells land in a
 //! resumable results store with `mean, ci95_lo, ci95_hi` aggregation.

@@ -4,7 +4,7 @@
 //! workloads.
 //!
 //! Setup mirrors Section 10.1: κ = 1/18, `T ∈ 2⁰…2²⁰`, 10 000 simulated
-//! seconds per point — now repeated for [`trials`] independent workload
+//! seconds per point — repeated for 5 (2 in FAST mode) independent workload
 //! seeds per cell through the `sybil-exp` subsystem: workloads are
 //! materialized once per (network, trial) in the content-addressed disk
 //! cache and replayed into every (algorithm, T) cell; each cell reports
@@ -25,11 +25,6 @@ use sybil_churn::networks;
 /// The Figure 8 algorithm roster.
 pub fn roster() -> Vec<Algo> {
     vec![Algo::Ergo, Algo::CCom, Algo::SybilControl, Algo::Remp(1e7), Algo::ErgoSf(0.98)]
-}
-
-/// Independent trials per cell (see [`crate::grid::default_trials`]).
-pub fn trials() -> u32 {
-    crate::grid::default_trials()
 }
 
 /// The `(horizon, T grid)` of the sweep Figures 8 and 10 share.
@@ -80,7 +75,7 @@ pub fn run_millions() -> (Vec<SpendSummary>, sybil_exp::RunSummary) {
         &[networks::millions(1_000_000)],
         &[Algo::Ergo, Algo::CCom, Algo::SybilControl],
         &[0.0, 64.0, 4096.0, 65_536.0],
-        trials(),
+        trials_for(fast_mode()),
         500.0,
         1,
     )

@@ -13,7 +13,7 @@
 //! previous free-form scheme built ids via `label.replace('/', "of")`,
 //! which aliased distinct fraction labels like `1/2` and `1of2` onto one
 //! results-store key; canonical escaped axis ids make that collision
-//! impossible.) Each cell runs [`trials`] workload seeds, each workload
+//! impossible.) Each cell runs 5 workload seeds (2 in FAST mode), each workload
 //! materialized once in the disk cache and streamed into all ten
 //! (fraction, T) cells of its network, the per-trial median ratio
 //! aggregated into `mean, ci95_lo, ci95_hi`, and every finished cell
@@ -49,11 +49,6 @@ pub fn fractions() -> Vec<(String, f64)> {
         ("1/24".into(), 1.0 / 24.0),
         ("1/6".into(), 1.0 / 6.0),
     ]
-}
-
-/// Independent trials per cell (see [`crate::grid::default_trials`]).
-pub fn trials() -> u32 {
-    crate::grid::default_trials()
 }
 
 /// One cell of the Figure 9 grid, aggregated over trials.

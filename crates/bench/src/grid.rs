@@ -55,11 +55,6 @@ const METRICS: [&str; 4] = ["good_rate", "adv_rate", "max_bad_fraction", "purges
 
 /// The trial count every figure experiment shares: 5 independent workload
 /// seeds per cell at paper scale, 2 in `SYBIL_BENCH_FAST` smoke mode.
-pub fn default_trials() -> u32 {
-    trials_for(crate::sweep::fast_mode())
-}
-
-/// [`default_trials`] for an explicit mode.
 pub(crate) fn trials_for(fast: bool) -> u32 {
     if fast {
         2
@@ -342,24 +337,20 @@ pub fn default_cache_dir() -> PathBuf {
     raw.canonicalize().unwrap_or(raw).join("target").join("workload_cache")
 }
 
-/// Runs a multi-trial (networks × roster × T) spend grid.
-///
-/// Every cell replays the same `trials` workloads (one per trial seed,
-/// shared grid-wide through the cache) and aggregates its
-/// [`SimReport`](sybil_sim::SimReport)s into t-based 95 % confidence
-/// intervals. Finished cells land in `results/<name>.store`; re-running
-/// the same spec resumes, skipping them. The run summary (resume counts,
-/// cache behavior, pool efficiency) is printed to stderr.
-///
-/// # Panics
-///
-/// Panics if the cache or store directories are unusable, or if a label
-/// in `roster`/`nets` is not unique — cells would alias in the store.
+/// Runs a multi-trial (networks × roster × T) spend grid: every cell
+/// aggregates its trials' [`SimReport`](sybil_sim::SimReport)s into
+/// t-based 95 % confidence intervals (see [`TrialGrid::run`] for caching,
+/// resume and the printed summary).
 ///
 /// Cell simulations replay through [`default_shards`] engine shards
 /// (`SYBIL_BENCH_SHARDS` override, 1 otherwise); see
 /// [`run_spend_grid_sharded`] for the explicit-shard-count form and the
 /// worker-budget interaction.
+///
+/// # Panics
+///
+/// Panics if the cache or store directories are unusable, or if a label
+/// in `roster`/`nets` is not unique — cells would alias in the store.
 pub fn run_spend_grid(
     name: &str,
     nets: &[ChurnModel],
@@ -373,11 +364,6 @@ pub fn run_spend_grid(
 }
 
 /// Declares the (networks × roster × T) spend grid Figures 8 and 10 run.
-///
-/// # Panics
-///
-/// Panics if a label in `roster`/`nets` is not unique — cells would alias
-/// in the store — or a spend rate is negative.
 pub(crate) fn spend_grid(
     name: &str,
     nets: &[ChurnModel],

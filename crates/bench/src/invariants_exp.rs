@@ -21,7 +21,7 @@
 //! [`run_invariants`], the 10⁶-ID [`run_invariants_millions`] bin, and the
 //! CI smoke's strategy-axis grid are all parameterizations of it.
 
-use crate::grid::{default_trials, trials_for, TrialGrid};
+use crate::grid::{trials_for, TrialGrid};
 use crate::sweep::{default_workers, fast_mode, run_report_with, Algo};
 use crate::table::{fmt_num, Table};
 use ergo_core::{Ergo, ErgoConfig};
@@ -252,7 +252,7 @@ pub fn run_invariants_millions() -> (Vec<InvariantOutcome>, RunSummary) {
         &[networks::millions(1_000_000)],
         &strategy_roster(),
         &[4_096.0, 65_536.0],
-        default_trials(),
+        trials_for(fast_mode()),
         500.0,
         23,
         &GridOptions { durability: sybil_exp::Durability::Sync, ..GridOptions::default() },

@@ -25,16 +25,12 @@ pub fn parse_shards(raw: Result<String, std::env::VarError>) -> Result<Option<us
     )
 }
 
-/// Reads [`parse_shards`] from the environment.
-pub fn shards_from_env() -> Result<Option<usize>, String> {
-    parse_shards(std::env::var("SYBIL_BENCH_SHARDS"))
-}
-
 /// Shards per cell: the `SYBIL_BENCH_SHARDS` override, else 1 (unsharded —
 /// the pre-sharding behavior). Aborts on an invalid override.
 pub fn default_shards() -> usize {
     static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| crate::env::or_abort(shards_from_env()).unwrap_or(1))
+    let raw = || std::env::var("SYBIL_BENCH_SHARDS");
+    *SHARDS.get_or_init(|| crate::env::or_abort(parse_shards(raw())).unwrap_or(1))
 }
 
 /// Splits a worker budget between the cell pool and in-cell shards.
