@@ -170,7 +170,7 @@ pub fn run() -> Vec<AblationRow> {
         grid(fast_mode()).run(default_workers(), &GridOptions::default(), |cell, trials| {
             let (_, _, cfg, round) = knobs
                 .iter()
-                .find(|(knob, value, _, _)| cell_spec(knob, value) == *cell)
+                .find(|(k, v, _, _)| cell.str_value("knob") == k && cell.str_value("value") == v)
                 .expect("cell is a knob-grid entry");
             let mut rate = Welford::new();
             let mut purges = Welford::new();

@@ -151,15 +151,17 @@ impl CellResult {
     }
 }
 
-fn distinct_nets(name: &str, nets: &[ChurnModel]) -> Vec<ChurnModel> {
-    for (i, net) in nets.iter().enumerate() {
-        let seen = &nets[..i];
-        assert!(
-            seen.iter().all(|n| n.name != net.name),
-            "duplicate network {:?} in {name}",
-            net.name
-        );
+/// Two cells naming the same label could not be told apart (and would
+/// alias in the store).
+fn assert_distinct(grid: &str, what: &str, labels: impl IntoIterator<Item = String>) {
+    let mut seen = std::collections::BTreeSet::new();
+    for label in labels {
+        assert!(seen.insert(label.clone()), "duplicate {what} {label:?} in {grid}");
     }
+}
+
+fn distinct_nets(name: &str, nets: &[ChurnModel]) -> Vec<ChurnModel> {
+    assert_distinct(name, "network", nets.iter().map(|n| n.name.to_string()));
     nets.to_vec()
 }
 
@@ -373,13 +375,7 @@ pub(crate) fn spend_grid(
     horizon: f64,
     base_seed: u64,
 ) -> TrialGrid {
-    for (i, algo) in roster.iter().enumerate() {
-        let seen = &roster[..i];
-        assert!(
-            seen.iter().all(|a| a.label() != algo.label()),
-            "duplicate algorithm labels in {name}"
-        );
-    }
+    assert_distinct(name, "algorithm label", roster.iter().map(Algo::label));
     for &t in t_grid {
         // Spec validation only guarantees finiteness (axes are generic);
         // a spend rate is additionally a rate, so pin the domain here

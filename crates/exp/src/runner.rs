@@ -531,6 +531,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn cell_grid_runs_explicit_assignments_with_canonical_ids() {
+        use crate::spec::AxisValue;
+        let dir = temp_dir("cellgrid");
+        // Values that the old lossy-replace scheme would have aliased,
+        // keyed the way explicit cell lists are: by `CellSpec::id`.
+        let cells = || -> Vec<(String, f64)> {
+            [("1/2", 0.5), ("1of2", 99.0)]
+                .iter()
+                .map(|&(label, v)| {
+                    (CellSpec::new(vec![("frac".into(), AxisValue::Str(label.into()))]).id(), v)
+                })
+                .collect()
+        };
+        let store_path = dir.join("cells.store");
+        let opts = GridOptions::default();
+        let run = |&v: &f64| vec![("mean".to_string(), v)];
+        let out = run_grid("cell-test", "fp", &store_path, cells(), None, 1, &opts, run).unwrap();
+        assert_eq!(out.summary.cells_executed, 2);
+        // Both cells landed under distinct keys and resume independently.
+        let warm = run_grid("cell-test", "fp", &store_path, cells(), None, 1, &opts, run).unwrap();
+        assert_eq!(warm.summary.cells_skipped, 2);
+        assert_eq!(warm.records[0].as_ref().unwrap().get("mean"), Some(0.5));
+        assert_eq!(warm.records[1].as_ref().unwrap().get("mean"), Some(99.0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A transiently failing cell retries to success: the grid ends
     /// hole-free, with the retry visible in the summary counters.
     #[test]
