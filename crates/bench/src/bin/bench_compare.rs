@@ -7,15 +7,6 @@
 //! drifts (fingerprints are seed-pinned counters, so drift means the
 //! simulation's *behavior* changed, not just its speed).
 //!
-//! The `macro_scale_s<N>` family additionally gates **shard scaling**
-//! within the fresh report alone: every `_s<N≥4>` scenario must match its
-//! `_s1` sibling's fingerprint bit-for-bit (sharding may never change
-//! behavior), and on machines with at least 4 cores — the fresh report
-//! records its `available_parallelism` — it must also run at least
-//! [`MIN_SHARD_SPEEDUP`]× faster. On narrower machines the speedup gate is
-//! skipped (announced on stdout): extra shards on one core can only add
-//! coordination cost, and an honest number should show that.
-//!
 //! ```text
 //! Usage: bench_compare BASELINE.json FRESH.json [--tolerance 0.25]
 //! ```
@@ -86,26 +77,18 @@ struct Scenario {
     allocs_per_event: Option<f64>,
 }
 
-/// Minimum `_s4`-over-`_s1` throughput ratio on machines wide enough to
-/// demonstrate shard scaling (the PR acceptance floor).
-const MIN_SHARD_SPEEDUP: f64 = 1.5;
-
-/// Cores below which the shard *speedup* gate is skipped (the fingerprint
-/// gate always applies).
-const MIN_SCALING_CORES: f64 = 4.0;
-
 /// Scenarios whose steady-state event loop must allocate **exactly
 /// nothing**: the hot path's zero-allocation contract, gated whenever the
-/// fresh report was measured (`alloc_counting: true`). Single-shard and
-/// fully resident, so the engine thread's counters see every allocation.
+/// fresh report was measured (`alloc_counting: true`). Fully resident, so
+/// nothing is lazily materialized inside the loop.
 const ZERO_ALLOC_SCENARIOS: &[&str] =
     &["macro_sweep", "gnutella_ergo_t1024", "gnutella_sybilcontrol_t64"];
 
 /// Absolute per-event slack for the alloc *regression* gate (scenarios
-/// outside the zero list). Covers scheduling-dependent channel internals
-/// in the sharded scenarios (~hundreds of allocs per million events)
-/// while still catching a reintroduced per-event allocation, which costs
-/// 1.0 per event — three orders of magnitude above the slack.
+/// outside the zero list: the disk-streamed `macro_millions` and
+/// `macro_scale`, whose counts are deterministic). Catches a reintroduced
+/// per-event allocation, which costs 1.0 per event — three orders of
+/// magnitude above the slack.
 const ALLOC_ABS_SLACK: f64 = 0.001;
 
 /// The `(name, body)` entries of the report's top-level section `key`
@@ -230,10 +213,6 @@ struct Report {
     scenarios: Vec<Scenario>,
     gate: Vec<GateScenario>,
     queue: Vec<(String, f64)>,
-    /// Cores of the machine that produced the report. Reports predating
-    /// the shard work lack the field; they count as 1-core so the speedup
-    /// gate stays off.
-    parallelism: f64,
     /// Whether the alloc fields are measurements. Reports predating (or
     /// built without) the counting allocator carry structural zeros; the
     /// alloc gates treat them as unmeasured.
@@ -245,7 +224,6 @@ fn read_report(root: &Value) -> Result<Report, String> {
         scenarios: parse_scenarios(root)?,
         gate: parse_gate(root)?,
         queue: parse_queue(root),
-        parallelism: root.num("available_parallelism").unwrap_or(1.0),
         counting: root.get("alloc_counting") == Some(&Value::Bool(true)),
     })
 }
@@ -371,53 +349,6 @@ fn alloc_failures(
     failures
 }
 
-/// Splits a scenario name following the `<base>_s<N>` shard-family
-/// convention into `(base, N)`; `None` for ordinary scenario names.
-fn shard_pair(name: &str) -> Option<(&str, u32)> {
-    let (base, suffix) = name.rsplit_once("_s")?;
-    suffix.parse().ok().map(|n| (base, n))
-}
-
-/// Gates shard scaling within one (fresh) report: fingerprint identity
-/// between every wide `_s<N≥4>` scenario and its `_s1` sibling, plus the
-/// [`MIN_SHARD_SPEEDUP`] throughput floor when the machine that produced
-/// the report has at least [`MIN_SCALING_CORES`] cores.
-fn shard_scaling_failures(fresh: &[Scenario], parallelism: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    for wide in fresh {
-        let Some((base, shards)) = shard_pair(&wide.name) else { continue };
-        if shards < MIN_SCALING_CORES as u32 {
-            continue;
-        }
-        let Some(narrow) = fresh.iter().find(|s| shard_pair(&s.name) == Some((base, 1))) else {
-            failures.push(format!(
-                "scenario {:?} has no 1-shard sibling {base:?}_s1 to scale against",
-                wide.name
-            ));
-            continue;
-        };
-        if !narrow.fingerprint.matches(&wide.fingerprint) {
-            failures.push(format!(
-                "scenario {:?}: behavior fingerprint differs from its 1-shard sibling {:?} — \
-                 sharding changed the simulation\n  s1: {:?}\n  s{shards}: {:?}",
-                wide.name, narrow.name, narrow.fingerprint, wide.fingerprint
-            ));
-        }
-        if parallelism < MIN_SCALING_CORES {
-            continue; // Announced by the caller; not silently dropped.
-        }
-        let speedup = wide.events_per_sec / narrow.events_per_sec.max(1e-12);
-        if speedup < MIN_SHARD_SPEEDUP {
-            failures.push(format!(
-                "scenario {:?}: only {speedup:.2}× over {:?} on a {parallelism:.0}-core machine \
-                 (shard-scaling floor {MIN_SHARD_SPEEDUP}×)",
-                wide.name, narrow.name
-            ));
-        }
-    }
-    failures
-}
-
 fn usage() -> ! {
     eprintln!("Usage: bench_compare BASELINE.json FRESH.json [--tolerance 0.25]");
     std::process::exit(2);
@@ -450,13 +381,11 @@ fn main() -> ExitCode {
         gate: base_gate,
         queue: base_queue,
         counting: base_counting,
-        ..
     } = read(&paths[0]);
     let Report {
         scenarios: fresh,
         gate: fresh_gate,
         queue: fresh_queue,
-        parallelism: fresh_cores,
         counting: fresh_counting,
     } = read(&paths[1]);
     let ratio = speed_ratio(&base_queue, &fresh_queue);
@@ -494,22 +423,6 @@ fn main() -> ExitCode {
     }
     let mut failures = compare(&baseline, &fresh, tolerance, ratio);
     failures.extend(compare_gate(&base_gate, &fresh_gate, tolerance, ratio));
-    if fresh_cores < MIN_SCALING_CORES {
-        println!(
-            "shard speedup gate skipped: fresh report ran on {fresh_cores:.0} core(s), \
-             need {MIN_SCALING_CORES:.0} (fingerprint gate still applies)"
-        );
-    } else {
-        // Make the still-rarely-exercised multi-core path loud: a CI log
-        // from a wide runner states the ≥1.5× floors are being enforced,
-        // not silently skipped.
-        println!(
-            "shard speedup gate ACTIVE: fresh report ran on {fresh_cores:.0} cores — every \
-             _s4 engine scenario must beat its _s1 sibling by \
-             {MIN_SHARD_SPEEDUP}×"
-        );
-    }
-    failures.extend(shard_scaling_failures(&fresh, fresh_cores));
     if fresh_counting {
         if !base_counting {
             println!(
@@ -624,7 +537,6 @@ mod tests {
                 events_per_sec: 2000.0,
                 peak_queue_len: 3,
                 resident_bytes: 64,
-                shards: 1,
                 loop_allocs: 7,
                 loop_alloc_bytes: 448,
                 allocs_per_event: 0.007,
@@ -698,59 +610,6 @@ mod tests {
         let failures = compare(&baseline, &drifted, 0.25, 1.0);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("fingerprint"), "{}", failures[0]);
-    }
-
-    #[test]
-    fn shard_pair_follows_the_family_convention() {
-        assert_eq!(shard_pair("macro_scale_s1"), Some(("macro_scale", 1)));
-        assert_eq!(shard_pair("macro_scale_s16"), Some(("macro_scale", 16)));
-        assert_eq!(shard_pair("macro_sweep"), None);
-        assert_eq!(shard_pair("gnutella_sybilcontrol_t64"), None);
-    }
-
-    #[test]
-    fn shard_speedup_gate_enforced_on_wide_machines() {
-        let fresh = vec![
-            scale_scenario("macro_scale_s1", 1000.0, 7.0),
-            scale_scenario("macro_scale_s4", 1200.0, 7.0), // only 1.2×
-        ];
-        let failures = shard_scaling_failures(&fresh, 8.0);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("shard-scaling floor"), "{}", failures[0]);
-        // A 2× speedup passes.
-        let scaled = vec![
-            scale_scenario("macro_scale_s1", 1000.0, 7.0),
-            scale_scenario("macro_scale_s4", 2000.0, 7.0),
-        ];
-        assert!(shard_scaling_failures(&scaled, 8.0).is_empty());
-    }
-
-    #[test]
-    fn shard_speedup_gate_skipped_on_narrow_machines() {
-        // The same 1.2× family passes on one core: no speedup is expected
-        // there. Sub-s4 shard counts are never speed-gated.
-        let fresh = vec![
-            scale_scenario("macro_scale_s1", 1000.0, 7.0),
-            scale_scenario("macro_scale_s2", 900.0, 7.0),
-            scale_scenario("macro_scale_s4", 1200.0, 7.0),
-        ];
-        assert!(shard_scaling_failures(&fresh, 1.0).is_empty());
-    }
-
-    #[test]
-    fn shard_fingerprint_identity_gated_on_every_machine() {
-        let fresh = vec![
-            scale_scenario("macro_scale_s1", 1000.0, 7.0),
-            scale_scenario("macro_scale_s4", 5000.0, 8.0), // fast but wrong
-        ];
-        for cores in [1.0, 8.0] {
-            let failures = shard_scaling_failures(&fresh, cores);
-            assert_eq!(failures.len(), 1, "cores {cores}");
-            assert!(failures[0].contains("sharding changed"), "{}", failures[0]);
-        }
-        // A wide scenario without its s1 sibling is itself a failure.
-        let orphan = vec![scale_scenario("macro_scale_s4", 5000.0, 7.0)];
-        assert!(shard_scaling_failures(&orphan, 1.0)[0].contains("no 1-shard sibling"));
     }
 
     /// A gate-only report, built with the report writer.
@@ -837,22 +696,6 @@ mod tests {
         let failures = compare_gate(&baseline, &slow, 0.25, 1.0);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("regression"), "{}", failures[0]);
-    }
-
-    #[test]
-    fn parallelism_field_parses_from_the_real_report_shape() {
-        let report = |members: Vec<(&str, Value)>| {
-            let mut all = vec![("gate", Value::obj::<&str>([]))];
-            all.extend(members);
-            read_report(&Value::obj(all)).unwrap()
-        };
-        assert_eq!(report(vec![("available_parallelism", 64u64.into())]).parallelism, 64.0);
-        // Pre-shard baselines lack the field entirely.
-        assert_eq!(report(vec![]).parallelism, 1.0);
-        // A same-named key one level down is not the report's field (the
-        // substring scanner this replaced would have read 64 here).
-        let nested = Value::obj([("available_parallelism", 64u64.into())]);
-        assert_eq!(report(vec![("shard_budget", nested)]).parallelism, 1.0);
     }
 
     /// A throughput written as `null` (the run produced a non-finite

@@ -24,7 +24,6 @@ use sybil_sim::engine::SimConfig;
 use sybil_sim::queue::EventQueue;
 use sybil_sim::time::Time;
 use sybil_sim::workload_io::{write_workload_file, DiskWorkload};
-use sybil_sim::ShardedWorkload;
 
 /// One measured macro scenario.
 #[derive(Clone, Debug)]
@@ -44,9 +43,6 @@ pub struct ScenarioResult {
     /// stream retains (for disk-streamed scenarios, two read buffers; for
     /// in-memory ones, the schedule vectors).
     pub resident_bytes: usize,
-    /// Workload shards the scenario replayed with (1 = the monolithic
-    /// engine loop; the `macro_scale_s*` family varies this).
-    pub shards: usize,
     /// Allocator calls during the steady-state event loop (summed over the
     /// scenario's cells, minimum across reps; engine thread only). Zero
     /// when counting is off — the report's top-level `alloc_counting`
@@ -55,7 +51,7 @@ pub struct ScenarioResult {
     /// Bytes requested by those loop allocations.
     pub loop_alloc_bytes: u64,
     /// `loop_allocs / events` — the budget `bench_compare` gates on. The
-    /// core single-shard scenarios must hold this at exactly zero.
+    /// three fully resident scenarios must hold this at exactly zero.
     pub allocs_per_event: f64,
     /// Behavior fingerprint: counters that must not change for identical
     /// seeds when only performance work happens.
@@ -224,7 +220,7 @@ impl Rep {
 /// and allocation counts report the minimum across repetitions — a first
 /// rep can pay one-time warmup inside the loop (thread-local lazy init),
 /// and the steady-state claim is the repeatable floor.
-fn measure(name: &str, shards: usize, mut run: impl FnMut(&mut Rep)) -> ScenarioResult {
+fn measure(name: &str, mut run: impl FnMut(&mut Rep)) -> ScenarioResult {
     let mut best_wall = f64::INFINITY;
     let mut best_allocs = LoopAllocs { allocs: u64::MAX, bytes: u64::MAX };
     let mut first: Option<Rep> = None;
@@ -255,7 +251,6 @@ fn measure(name: &str, shards: usize, mut run: impl FnMut(&mut Rep)) -> Scenario
         events_per_sec: rep.events as f64 / best_wall.max(1e-12),
         peak_queue_len: rep.peak_queue_len,
         resident_bytes: rep.resident_bytes,
-        shards,
         loop_allocs: measured.allocs,
         loop_alloc_bytes: measured.bytes,
         allocs_per_event: measured.allocs as f64 / (rep.events as f64).max(1.0),
@@ -267,7 +262,7 @@ fn measure(name: &str, shards: usize, mut run: impl FnMut(&mut Rep)) -> Scenario
 /// the Gnutella model, executed sequentially, aggregate engine throughput.
 fn run_scenario(name: &str, cells: &[Cell]) -> ScenarioResult {
     let net = networks::gnutella();
-    measure(name, 1, |rep| {
+    measure(name, |rep| {
         for &(algo, t, horizon, seed) in cells {
             let params = RunParams { horizon, seed, ..RunParams::default() };
             let (report, allocs) = run_report_measured(&net, algo, t, params);
@@ -276,87 +271,35 @@ fn run_scenario(name: &str, cells: &[Cell]) -> ScenarioResult {
     })
 }
 
-/// One `(Ergo, T = 4096, seed 1)` replay of `source`, with the same
+/// One `(Ergo, T = 4096, seed 1)` replay of the workload file at `path`
+/// through the disk-streaming [`DiskWorkload`] source, with the same
 /// defense seeding as `run_report` so the scenario is pinned the way the
 /// sweep cells are.
-fn replay_ergo<W: sybil_sim::workload::WorkloadSource>(source: W, horizon: f64, rep: &mut Rep) {
+fn replay_ergo(path: &std::path::Path, horizon: f64, rep: &mut Rep) {
+    let source = DiskWorkload::open(path)
+        .unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()));
     let (algo, t, seed) = (Algo::Ergo, 4096.0, 1u64);
     let cfg = SimConfig { horizon: Time(horizon), adv_rate: t, ..SimConfig::default() };
     let (report, allocs) = run_report_with_measured(cfg, algo, t, defense_seed(seed), source);
     rep.absorb(&report, allocs);
 }
 
-fn open_disk(path: &std::path::Path) -> DiskWorkload {
-    DiskWorkload::open(path).unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()))
-}
-
-/// Generates the [`networks::millions`] workload (seed 1) into a temp file
-/// and drops the resident schedule, so replays stream from disk.
-fn write_millions(tag: &str, ids: u64, horizon: f64) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("sybil_{tag}_{}.wkld", std::process::id()));
+/// A disk-streamed scenario: the [`networks::millions`] workload at `ids`
+/// initial IDs (seed 1) is generated once and written to a temp file, and
+/// the in-memory schedule is dropped before any measured run — so the
+/// reported `resident_bytes` (packed admission map + stream read buffers)
+/// is the engine's actual workload footprint at that scale.
+///
+/// `macro_millions` is 10⁶ IDs over 500 s, `macro_scale` 10⁷ over 300 s.
+fn run_streamed(name: &str, ids: u64, horizon: f64) -> ScenarioResult {
+    let path = std::env::temp_dir().join(format!("sybil_{name}_{}.wkld", std::process::id()));
     let workload = networks::millions(ids).generate(Time(horizon), 1);
     write_workload_file(&path, &workload)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    path
-}
-
-/// The `macro_millions` scenario: a 1 000 000-initial-ID workload generated
-/// once, written to the on-disk format, and replayed through the
-/// disk-streaming [`DiskWorkload`] source — the in-memory schedule is
-/// dropped before any measured run, so the reported `resident_bytes`
-/// (packed admission map + stream read buffers) is the engine's actual
-/// workload footprint at million-ID scale.
-fn run_macro_millions() -> ScenarioResult {
-    let horizon = 500.0;
-    let path = write_millions("macro_millions", 1_000_000, horizon);
-    let result = measure("macro_millions", 1, |rep| replay_ergo(open_disk(&path), horizon, rep));
+    drop(workload);
+    let result = measure(name, |rep| replay_ergo(&path, horizon, rep));
     std::fs::remove_file(&path).ok();
     result
-}
-
-/// The shard counts the `macro_scale` family measures. The scenario names
-/// carry the count (`macro_scale_s1`, …) so `bench_compare` can pair a
-/// wide run with its 1-shard baseline and gate the speedup.
-const MACRO_SCALE_SHARDS: [usize; 3] = [1, 2, 4];
-
-/// The `macro_scale_s{1,2,4}` scenarios: one 10 000 000-initial-ID
-/// workload generated once, written to disk, and replayed through the
-/// sharded shared-nothing engine ([`ShardedWorkload`]) at each shard
-/// count.
-///
-/// The event counts and behavior fingerprints are asserted identical
-/// across shard counts before anything is reported — the engine's
-/// determinism contract at bench scale. Throughput scaling across the
-/// `_s*` columns is what `bench_compare` gates on machines with enough
-/// cores (recorded as the report's `available_parallelism`); on a 1-core
-/// runner the extra shards only add coordination cost, which is exactly
-/// what the honest numbers should show.
-fn run_macro_scale_family() -> Vec<ScenarioResult> {
-    let horizon = 300.0;
-    let path = write_millions("macro_scale", 10_000_000, horizon);
-    let out: Vec<ScenarioResult> = MACRO_SCALE_SHARDS
-        .iter()
-        .map(|&shards| {
-            let name = format!("macro_scale_s{shards}");
-            // The allocation counters are thread-local: at S > 1 they cover
-            // the coordinator's merge loop, not the producer threads (whose
-            // batch buffers are pooled; see `sybil-sim::shard`).
-            measure(&name, shards, |rep| {
-                let source = ShardedWorkload::from_disk(open_disk(&path), shards);
-                replay_ergo(source, horizon, rep)
-            })
-        })
-        .collect();
-    std::fs::remove_file(&path).ok();
-    for s in &out[1..] {
-        assert_eq!(s.events, out[0].events, "{}: event count varies with shard count", s.name);
-        assert_eq!(
-            s.fingerprint, out[0].fingerprint,
-            "{}: behavior fingerprint varies with shard count",
-            s.name
-        );
-    }
-    out
 }
 
 /// Engine-like queue access pattern: a standing population of pending
@@ -413,13 +356,12 @@ pub fn run_suite() -> PerfReport {
     let queue = vec![queue_calendar];
     let mut scenarios: Vec<ScenarioResult> =
         scenario_specs().iter().map(|(name, cells)| run_scenario(name, cells)).collect();
-    // Million-ID scale runs at full size even in FAST mode: the replay is
-    // subsecond, and keeping it identical keeps its fingerprint comparable
-    // between CI and the committed baseline. The 10⁷-ID shard-scaling
-    // family follows the same rule: shrinking it in FAST mode would change
-    // its fingerprint and break the `bench_compare` drift gate.
-    scenarios.push(run_macro_millions());
-    scenarios.extend(run_macro_scale_family());
+    // The streamed scenarios run at full size even in FAST mode: each
+    // replay is subsecond, and shrinking one would change its fingerprint
+    // and break the `bench_compare` drift gate against the committed
+    // baseline.
+    scenarios.push(run_streamed("macro_millions", 1_000_000, 500.0));
+    scenarios.push(run_streamed("macro_scale", 10_000_000, 300.0));
     PerfReport { queue, scenarios }
 }
 
@@ -430,12 +372,6 @@ pub fn to_json(report: &PerfReport) -> String {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    // The nested-parallelism split the experiment layer would use on
-    // this machine: `workers` outer grid cells × `cell_shards` in-cell
-    // shard workers (each also owning its slice of the defense state),
-    // with the outer pool shrunk to keep the thread product bounded.
-    let workers = crate::sweep::default_workers();
-    let cell_shards = sybil_exp::pool::default_shards();
     let queue = report.queue.iter().map(|q| {
         let body = Value::obj([
             ("ops", q.ops.into()),
@@ -452,7 +388,6 @@ pub fn to_json(report: &PerfReport) -> String {
             ("events_per_sec", s.events_per_sec.into()),
             ("peak_queue_len", s.peak_queue_len.into()),
             ("resident_bytes", s.resident_bytes.into()),
-            ("shards", s.shards.into()),
             ("loop_allocs", s.loop_allocs.into()),
             ("loop_alloc_bytes", s.loop_alloc_bytes.into()),
             ("allocs_per_event", s.allocs_per_event.into()),
@@ -471,19 +406,11 @@ pub fn to_json(report: &PerfReport) -> String {
     });
     Value::obj([
         ("generated_unix_secs", unix_secs.into()),
-        // Recorded so `bench_compare` can make its shard-scaling gate
-        // hardware-aware: a 1-core runner cannot demonstrate a speedup.
+        // Provenance only (no gate reads it): the cores of the machine
+        // that produced the numbers.
         (
             "available_parallelism",
             std::thread::available_parallelism().map_or(1, |n| n.get()).into(),
-        ),
-        (
-            "shard_budget",
-            Value::obj([
-                ("workers", workers.into()),
-                ("cell_shards", cell_shards.into()),
-                ("outer_pool", sybil_exp::pool::shard_budget(workers, cell_shards).into()),
-            ]),
         ),
         // Whether the alloc_* scenario fields are live measurements (counting
         // allocator registered and not forced off) or structural zeros, plus
@@ -564,7 +491,6 @@ mod tests {
                 events_per_sec: 10.0,
                 peak_queue_len: 3,
                 resident_bytes: 4096,
-                shards: 4,
                 loop_allocs: 7,
                 loop_alloc_bytes: 256,
                 allocs_per_event: 1.4,
@@ -579,14 +505,11 @@ mod tests {
         };
         let root = parse(to_json(&report).as_bytes()).unwrap();
         let keys: Vec<&str> = root.members().iter().map(|(k, _)| k.as_str()).collect();
-        let sections = ["shard_budget", "alloc_counting", "alloc_mode", "queue", "scenarios"];
+        let sections = ["alloc_counting", "alloc_mode", "queue", "scenarios"];
         assert_eq!(keys[..2], ["generated_unix_secs", "available_parallelism"]);
         assert_eq!(keys[2..], sections);
         assert!(root.num("generated_unix_secs").unwrap() > 0.0);
         assert!(root.num("available_parallelism").unwrap() >= 1.0);
-        let budget = root.get("shard_budget").unwrap();
-        assert!(budget.num("outer_pool").unwrap() >= 1.0);
-        assert!(budget.num("workers").unwrap() >= budget.num("outer_pool").unwrap());
         assert_eq!(root.get("alloc_counting"), Some(&Value::Bool(alloc_counting())));
         assert_eq!(root.get("alloc_mode").and_then(Value::as_str), Some(alloc_mode_label()));
         // The measured sections, member for member and in order (`purges`
@@ -600,8 +523,7 @@ mod tests {
             root.get("scenarios"),
             Some(&want(
                 r#"{"s": {"events": 5, "wall_secs": 0.5, "events_per_sec": 10,
-                    "peak_queue_len": 3, "resident_bytes": 4096, "shards": 4,
-                    "loop_allocs": 7, "loop_alloc_bytes": 256, "allocs_per_event": 1.4,
+                    "peak_queue_len": 3, "resident_bytes": 4096, "loop_allocs": 7, "loop_alloc_bytes": 256, "allocs_per_event": 1.4,
                     "fingerprint": {"good_joins_admitted": 11, "bad_joins_admitted": 12,
                                     "purges": 13, "good_spend": 14.5, "adv_spend": 0.00001}}}"#
             ))
