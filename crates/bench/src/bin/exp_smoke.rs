@@ -1,4 +1,4 @@
-//! CI smoke experiment for the `sybil-exp` subsystem, in two parts:
+//! CI smoke experiment for the `sybil-exp` subsystem, in three parts:
 //!
 //! 1. a tiny canonical three-axis Figure-8 grid run **cold** (fresh
 //!    store, workloads generated into the cache) and then **warm** (same
@@ -12,17 +12,12 @@
 //!    guard against the historical cell-id aliasing bug;
 //! 3. a **strategy-axis** grid (every registered attack strategy resolved
 //!    through the adversary registry) run cold→warm, asserting resume,
-//!    bit-identical aggregates, and the Lemma 9 invariant in every cell;
-//! 4. a **sharded** cold→warm pass: the canonical grid run cold through
-//!    the sharded shared-nothing engine (2 shards per cell), resumed warm
-//!    by the plain grid — store keys and the spec fingerprint must be
-//!    unchanged by shard count — plus a fresh unsharded run asserting the
-//!    computed metrics are bit-identical to the sharded ones.
+//!    bit-identical aggregates, and the Lemma 9 invariant in every cell.
 //!
 //! Exits nonzero on any violation. CI uploads the resulting stores as
 //! artifacts alongside `BENCH_engine.json`.
 
-use sybil_bench::grid::{run_spend_grid, run_spend_grid_sharded, TrialGrid};
+use sybil_bench::grid::{run_spend_grid, TrialGrid};
 use sybil_bench::sweep::{default_workers, Algo};
 use sybil_bench::table::results_dir;
 use sybil_bench::{figure9, invariants_exp};
@@ -35,7 +30,6 @@ fn main() {
     three_axis_smoke();
     four_axis_smoke();
     strategy_axis_smoke();
-    sharded_smoke();
 }
 
 fn three_axis_smoke() {
@@ -224,64 +218,5 @@ fn strategy_axis_smoke() {
         cold.cells_executed,
         warm.cells_skipped,
         store_path.display()
-    );
-}
-
-/// The sharded smoke: shard count must be invisible to the results layer.
-///
-/// Cold run through 2 engine shards per cell, warm run through the plain
-/// (monolithic-replay) grid: the warm run must resume the sharded store —
-/// same spec fingerprint, same cell keys — and skip every cell. A second
-/// cold run, unsharded under a fresh name, pins that the *computed*
-/// metrics (not just the resumed copies) are bit-identical across shard
-/// counts.
-fn sharded_smoke() {
-    let name = "exp_smoke_sharded";
-    let ref_name = "exp_smoke_sharded_ref";
-    for n in [name, ref_name] {
-        std::fs::remove_file(results_dir().join(format!("{n}.store"))).ok();
-    }
-
-    let nets = [networks::gnutella()];
-    let roster = [Algo::Ergo, Algo::CCom];
-    let t_grid = [0.0, 1024.0];
-
-    println!("--- sharded cold run (2 shards per cell, fresh store) ---");
-    let (sharded_rows, cold) =
-        run_spend_grid_sharded(name, &nets, &roster, &t_grid, 2, 200.0, 1, 2);
-    assert_eq!(cold.cells_total, 4, "grid shape changed");
-    assert_eq!(cold.cells_executed, 4, "cold sharded run must execute every cell");
-
-    println!("--- unsharded warm run (resume from the sharded store) ---");
-    let (warm_rows, warm) = run_spend_grid(name, &nets, &roster, &t_grid, 2, 200.0, 1);
-    assert!(warm.resumed, "spec fingerprint must be unchanged by shard count");
-    assert_eq!(warm.cells_executed, 0, "store keys must be unchanged by shard count");
-    assert_eq!(warm.cells_skipped, 4);
-
-    println!("--- unsharded cold run (fresh store, same grid) ---");
-    let (plain_rows, plain) = run_spend_grid(ref_name, &nets, &roster, &t_grid, 2, 200.0, 1);
-    assert_eq!(plain.cells_executed, 4);
-
-    for ((a, b), c) in sharded_rows.iter().zip(&warm_rows).zip(&plain_rows) {
-        for (other, how) in [(b, "resumed"), (c, "recomputed unsharded")] {
-            assert_eq!(
-                a.good_rate.mean.to_bits(),
-                other.good_rate.mean.to_bits(),
-                "{}/{}/T={}: {how} metrics differ from the sharded run",
-                a.network,
-                a.algo,
-                a.t
-            );
-            assert_eq!(a.adv_rate.mean.to_bits(), other.adv_rate.mean.to_bits());
-            assert_eq!(a.max_bad_fraction.mean.to_bits(), other.max_bad_fraction.mean.to_bits());
-            assert_eq!(a.purges.mean.to_bits(), other.purges.mean.to_bits());
-        }
-    }
-    std::fs::remove_file(results_dir().join(format!("{ref_name}.store"))).ok();
-
-    println!(
-        "exp_smoke_sharded OK: 4 cells sharded-cold, {} warm-skipped unsharded, \
-         metrics bit-identical across shard counts",
-        warm.cells_skipped
     );
 }

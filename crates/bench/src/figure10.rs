@@ -39,7 +39,7 @@ pub(crate) fn grid(fast: bool) -> TrialGrid {
 
 /// Runs the full Figure 10 sweep (multi-trial, resumable).
 pub fn run() -> Vec<SpendSummary> {
-    run_spend(&grid(fast_mode()), &roster(), sybil_exp::default_shards()).0
+    run_spend(&grid(fast_mode()), &roster()).0
 }
 
 /// Formats the sweep as the paper's per-panel series with trial means and

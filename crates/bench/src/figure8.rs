@@ -53,7 +53,7 @@ pub(crate) fn grid(fast: bool) -> TrialGrid {
 /// Runs the full Figure 8 sweep (multi-trial, cached disk-streamed
 /// workloads, resumable) and returns the aggregated cells.
 pub fn run() -> Vec<SpendSummary> {
-    run_spend(&grid(fast_mode()), &roster(), sybil_exp::default_shards()).0
+    run_spend(&grid(fast_mode()), &roster()).0
 }
 
 /// The million-ID Figure-8-shaped grid (ROADMAP "scale sweeps to

@@ -21,13 +21,12 @@ use sybil_churn::model::ChurnModel;
 use sybil_exp::runner::RunSummary;
 use sybil_exp::spec::{text_fingerprint, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_T};
 use sybil_exp::{
-    default_shards, defense_seed, shard_budget, trial_seed, ExperimentSpec, GridOptions,
-    MetricSummary, Record, Welford, WorkloadCache,
+    defense_seed, trial_seed, ExperimentSpec, GridOptions, MetricSummary, Record, Welford,
+    WorkloadCache,
 };
 use sybil_sim::engine::SimConfig;
 use sybil_sim::time::Time;
 use sybil_sim::workload_io::DiskWorkload;
-use sybil_sim::ShardedWorkload;
 
 /// One aggregated cell of a spend-rate grid: per-metric trial statistics.
 #[derive(Clone, Debug)]
@@ -342,12 +341,8 @@ pub fn default_cache_dir() -> PathBuf {
 /// Runs a multi-trial (networks × roster × T) spend grid: every cell
 /// aggregates its trials' [`SimReport`](sybil_sim::SimReport)s into
 /// t-based 95 % confidence intervals (see [`TrialGrid::run`] for caching,
-/// resume and the printed summary).
-///
-/// Cell simulations replay through [`default_shards`] engine shards
-/// (`SYBIL_BENCH_SHARDS` override, 1 otherwise); see
-/// [`run_spend_grid_sharded`] for the explicit-shard-count form and the
-/// worker-budget interaction.
+/// resume and the printed summary). Each trial replays its cached
+/// workload on one thread; the pool runs cells side by side.
 ///
 /// # Panics
 ///
@@ -362,7 +357,7 @@ pub fn run_spend_grid(
     horizon: f64,
     base_seed: u64,
 ) -> (Vec<SpendSummary>, RunSummary) {
-    run_spend_grid_sharded(name, nets, roster, t_grid, trials, horizon, base_seed, default_shards())
+    run_spend(&spend_grid(name, nets, roster, t_grid, trials, horizon, base_seed), roster)
 }
 
 /// Declares the (networks × roster × T) spend grid Figures 8 and 10 run.
@@ -418,58 +413,20 @@ pub(crate) fn spend_grid(
     TrialGrid::from_spec(spec, context, nets)
 }
 
-/// [`run_spend_grid`] with an explicit per-cell shard count.
-///
-/// Each cell's simulation replays its cached workload through `shards`
-/// shared-nothing engine shards ([`ShardedWorkload`]); the outer cell
-/// pool is shrunk by [`shard_budget`] so the total thread count stays
-/// within the worker budget instead of multiplying by `shards`.
-///
-/// The shard count is deliberately **not** part of the experiment spec or
-/// its fingerprint context: the sharded engine is bit-identical to the
-/// monolithic one, so stores written at any shard count resume at any
-/// other. `shards = 1` replays through the plain disk stream (no
-/// merged-loop indirection) — the pre-sharding code path, byte for byte.
-#[allow(clippy::too_many_arguments)]
-pub fn run_spend_grid_sharded(
-    name: &str,
-    nets: &[ChurnModel],
-    roster: &[Algo],
-    t_grid: &[f64],
-    trials: u32,
-    horizon: f64,
-    base_seed: u64,
-    shards: usize,
-) -> (Vec<SpendSummary>, RunSummary) {
-    let grid = spend_grid(name, nets, roster, t_grid, trials, horizon, base_seed);
-    run_spend(&grid, roster, shards)
-}
-
 /// Runs a grid declared by [`spend_grid`] over `roster` (the same roster
 /// it was declared with: cells name algorithms by label).
-pub(crate) fn run_spend(
-    grid: &TrialGrid,
-    roster: &[Algo],
-    shards: usize,
-) -> (Vec<SpendSummary>, RunSummary) {
+pub(crate) fn run_spend(grid: &TrialGrid, roster: &[Algo]) -> (Vec<SpendSummary>, RunSummary) {
     let algo_of = |cell: &CellSpec| {
         let label = cell.str_value(AXIS_ALGO);
         *roster.iter().find(|a| a.label() == label).expect("cell names a roster algorithm")
     };
-    let workers = shard_budget(default_workers(), shards);
-    let (results, summary) = grid.run(workers, &GridOptions::default(), |cell, trials| {
+    let (results, summary) = grid.run(default_workers(), &GridOptions::default(), |cell, trials| {
         let (algo, t) = (algo_of(cell), cell.f64_value(AXIS_T));
         let mut acc = [Welford::new(); 4];
         for trial in trials {
             let cfg =
                 SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
-            let disk = trial.workload();
-            let report = if shards == 1 {
-                run_report_with(cfg, algo, t, trial.defense_seed, disk)
-            } else {
-                let source = ShardedWorkload::from_disk(disk, shards);
-                run_report_with(cfg, algo, t, trial.defense_seed, source)
-            };
+            let report = run_report_with(cfg, algo, t, trial.defense_seed, trial.workload());
             acc[0].push(report.good_spend_rate());
             acc[1].push(report.adv_spend_rate());
             acc[2].push(report.max_bad_fraction);
@@ -595,42 +552,5 @@ mod tests {
         // Clean up this test's store artifacts.
         std::fs::remove_file(results_dir().join(format!("{name}.store"))).ok();
         std::fs::remove_file(results_dir().join(format!("{name}.spec"))).ok();
-    }
-
-    /// The shard count must be invisible to the results layer: a store
-    /// written by a sharded grid resumes (all cells skipped) under the
-    /// plain grid, and a fresh sharded grid computes bit-identical
-    /// metrics to a fresh unsharded one.
-    #[test]
-    fn sharded_grid_shares_stores_and_bits_with_the_plain_grid() {
-        let name = format!("grid-shard-test-{}", std::process::id());
-        let ref_name = format!("{name}-ref");
-        let net = networks::gnutella();
-        let roster = [Algo::Ergo];
-        let t_grid = [0.0, 64.0];
-        let nets = std::slice::from_ref(&net);
-        let (sharded_rows, cold) =
-            run_spend_grid_sharded(&name, nets, &roster, &t_grid, 2, 50.0, 5, 3);
-        assert_eq!(cold.cells_executed, 2);
-        // Plain warm run against the sharded store: identical cell keys
-        // and spec fingerprint, so everything resumes.
-        let (warm_rows, warm) = run_spend_grid(&name, nets, &roster, &t_grid, 2, 50.0, 5);
-        assert_eq!(warm.cells_executed, 0, "plain grid must resume the sharded store");
-        assert_eq!(warm.cells_skipped, 2);
-        // Plain cold run under a fresh name: the computed (not resumed)
-        // metrics must be bit-identical to the sharded computation.
-        let (plain_rows, _) = run_spend_grid(&ref_name, &[net], &roster, &t_grid, 2, 50.0, 5);
-        for ((a, b), c) in sharded_rows.iter().zip(&warm_rows).zip(&plain_rows) {
-            for (x, y) in [(a, b), (a, c)] {
-                assert_eq!(x.good_rate.mean.to_bits(), y.good_rate.mean.to_bits());
-                assert_eq!(x.adv_rate.mean.to_bits(), y.adv_rate.mean.to_bits());
-                assert_eq!(x.max_bad_fraction.mean.to_bits(), y.max_bad_fraction.mean.to_bits());
-                assert_eq!(x.purges.mean.to_bits(), y.purges.mean.to_bits());
-            }
-        }
-        for n in [&name, &ref_name] {
-            std::fs::remove_file(results_dir().join(format!("{n}.store"))).ok();
-            std::fs::remove_file(results_dir().join(format!("{n}.spec"))).ok();
-        }
     }
 }

@@ -26,11 +26,11 @@
 //!
 //! Counters are thread-local: a guard measures allocations made by *its*
 //! thread only. That is exactly the right scope for the engine's
-//! steady-state budget — the coordinator loop of a sharded run is measured
-//! without charging it for what producer threads allocate (their batches
-//! are pooled separately; see `sybil-sim::shard`). It also keeps the
-//! counting overhead to two thread-local increments per allocation, cheap
-//! enough to leave on for whole benchmark runs.
+//! steady-state budget — a trial runs on one thread, so the guard around
+//! its event loop sees every allocation the trial makes and none of a
+//! sibling pool worker's. It also keeps the counting overhead to two
+//! thread-local increments per allocation, cheap enough to leave on for
+//! whole benchmark runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

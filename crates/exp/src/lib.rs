@@ -72,7 +72,7 @@ pub mod store;
 pub use alloc::{counting_enabled, disarm_trap, trap_after, AllocStats, CountingAlloc};
 pub use cache::{CacheStats, WorkloadCache};
 pub use fault::FaultPlan;
-pub use pool::{default_shards, run_parallel_catch, shard_budget, JobOutcome, PoolStats};
+pub use pool::{run_parallel_catch, JobOutcome, PoolStats};
 pub use runner::{
     run_grid, run_spec_grid, run_spec_grid_opts, CellFailure, GridOptions, GridOutcome,
     RetryPolicy, RunSummary,

@@ -1,57 +1,11 @@
 //! The chunked work-stealing job pool ([`run_parallel_catch`]) with
-//! per-worker instrumentation ([`PoolStats`]), plus the
-//! `SYBIL_BENCH_SHARDS` knob that splits a worker budget between the pool
-//! and in-cell engine shards.
+//! per-worker instrumentation ([`PoolStats`]). One job is one grid cell
+//! on one thread; the pool is the only parallelism above `sybil-sim`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{OnceLock, PoisonError};
+use std::sync::PoisonError;
 use std::time::Instant;
-
-/// Parses a `SYBIL_BENCH_SHARDS` setting: how many engine shards each
-/// grid cell's simulation replays with (see `sybil_sim::shard`). Each
-/// shard owns its slice of the defense state too — admission bits and
-/// integer spend ledgers, reduced deterministically at epoch boundaries
-/// (see `sybil_sim::shard_state`) — so the count never changes results,
-/// only the work split.
-///
-/// Strict, like `SYBIL_BENCH_WORKERS`: `0` or garbage aborts instead of
-/// silently running unsharded.
-pub fn parse_shards(raw: Result<String, std::env::VarError>) -> Result<Option<usize>, String> {
-    crate::env::positive_usize(
-        "SYBIL_BENCH_SHARDS",
-        raw,
-        "a simulation needs at least one shard (unset the variable to run unsharded)",
-    )
-}
-
-/// Shards per cell: the `SYBIL_BENCH_SHARDS` override, else 1 (unsharded —
-/// the pre-sharding behavior). Aborts on an invalid override.
-pub fn default_shards() -> usize {
-    static SHARDS: OnceLock<usize> = OnceLock::new();
-    let raw = || std::env::var("SYBIL_BENCH_SHARDS");
-    *SHARDS.get_or_init(|| crate::env::or_abort(parse_shards(raw())).unwrap_or(1))
-}
-
-/// Splits a worker budget between the cell pool and in-cell shards.
-///
-/// With `shards` worker threads running inside every cell, an outer pool
-/// of `workers` would put `workers × shards` runnable threads on the
-/// machine. This keeps the product within the original budget by shrinking
-/// the outer pool: `max(1, workers / shards)`. Shards beyond the whole
-/// budget are allowed (a single cell may legitimately want more shards
-/// than cores — correctness never depends on shard count), so the outer
-/// pool just degrades to 1.
-///
-/// # Panics
-///
-/// Panics if either argument is 0 — both are validated counts
-/// ([`default_shards`], `default_workers`) by the time they get here.
-pub fn shard_budget(workers: usize, shards: usize) -> usize {
-    assert!(workers > 0, "need at least one worker");
-    assert!(shards > 0, "need at least one shard");
-    (workers / shards).max(1)
-}
 
 /// Per-worker scheduling counters from one pool run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -370,31 +324,6 @@ mod tests {
         }
         let line = stats.render();
         assert!(line.contains("1 panicked"), "{line}");
-    }
-
-    #[test]
-    fn shard_parsing_is_strict() {
-        use std::env::VarError;
-        // Valid values and absence.
-        assert_eq!(parse_shards(Err(VarError::NotPresent)), Ok(None));
-        assert_eq!(parse_shards(Ok("2".into())), Ok(Some(2)));
-        assert_eq!(parse_shards(Ok(" 16 ".into())), Ok(Some(16)));
-        // Garbage aborts the run (here: errors), never a silent default.
-        for bad in ["0", "-1", "four", "4.5", ""] {
-            let err = parse_shards(Ok(bad.into())).unwrap_err();
-            assert!(err.contains("SYBIL_BENCH_SHARDS"), "{err}");
-        }
-    }
-
-    #[test]
-    fn shard_budget_keeps_the_thread_product_bounded() {
-        assert_eq!(shard_budget(8, 1), 8);
-        assert_eq!(shard_budget(8, 2), 4);
-        assert_eq!(shard_budget(8, 3), 2);
-        assert_eq!(shard_budget(4, 4), 1);
-        // Oversubscribed shards: outer pool degrades to 1, never 0.
-        assert_eq!(shard_budget(2, 16), 1);
-        assert_eq!(shard_budget(1, 1), 1);
     }
 
     #[test]
