@@ -17,7 +17,8 @@
 //! * [`engine`] — the simulation loop with budgeted adversaries, purge
 //!   rounds, periodic charges, and invariant tracking;
 //! * [`shard`] — shared-nothing sharded workload replay, bit-identical to
-//!   the single-threaded loop for every shard count;
+//!   the single-threaded loop for every shard count (kept for the frozen
+//!   benchmark's probe only; no caller above this crate);
 //! * [`report`] / [`stats`] — run outputs and summary statistics.
 //!
 //! Ground truth (which IDs are Sybil) lives in the engine and the adversary;

@@ -19,6 +19,20 @@
 //! identical event sequence as a 1-shard run, and the engine's `SimReport`
 //! is bit-identical for every defense and adversary strategy.
 //!
+//! # Status: retained for the frozen benchmark only
+//!
+//! Nothing in `crates/` or `src/` outside tests constructs a
+//! [`ShardedWorkload`]: every trial above this crate runs on one thread
+//! through the plain streams, and parallelism is the experiment pool. The
+//! module, `Simulation::run_merged` and the merged-stream trait methods
+//! stay because the frozen `benchmark/` package calls
+//! [`ShardedWorkload::from_disk`] for its `sim.shard.*` probe and
+//! implements those trait methods; they go when that package is next
+//! thawed. `crates/sim/README.md` ("Sharded replay: retired above this
+//! crate, and why") records the speedup ceiling and every measurement
+//! behind the decision. Until then the two `shard_equivalence` suites keep
+//! pinning this path to the plain loop.
+//!
 //! # What lives where
 //!
 //! Shards own decode + ordering *and* — since the defense state was

@@ -13,6 +13,17 @@
 //! [`EpochDelta`] message that the root folds in canonical shard order
 //! `0, 1, …, S−1`.
 //!
+//! # Status: only `S = 1` runs outside tests
+//!
+//! Nothing in `crates/` or `src/` outside tests asks for more than one
+//! state shard (`WorkloadSource::state_shards` is above 1 only for a
+//! [`crate::shard::ShardedWorkload`], which has no production caller; see
+//! that module's status note). The partitioning stays while the frozen
+//! `benchmark/` package pins the sharded path. The Q64.64 [`FixedCost`] /
+//! [`FixedLedger`] arithmetic is not part of what retires: it defines
+//! every report's spend totals at `S = 1` and moves out of this file when
+//! the partitioning is deleted.
+//!
 //! # Why totals are bit-identical at every shard count
 //!
 //! Floating-point addition is not associative, so per-shard `f64` partial
