@@ -169,11 +169,7 @@ fn compare_gate(
                 .push(format!("gate scenario {:?} disappeared from the fresh report", base.name));
             continue;
         };
-        // An empty baseline fingerprint marks a parallel scenario: its
-        // log order follows the scheduler, so only throughput is gated.
-        if !base.decision_fingerprint.is_empty()
-            && base.decision_fingerprint != now.decision_fingerprint
-        {
+        if base.decision_fingerprint != now.decision_fingerprint {
             failures.push(format!(
                 "gate scenario {:?}: decision fingerprint drifted — the admission decisions \
                  changed, not just their speed\n  baseline: {}\n  fresh:    {}",
@@ -673,29 +669,6 @@ mod tests {
         assert!(failures[0].contains("regression"), "{}", failures[0]);
         // Disappearance is flagged.
         assert!(compare_gate(&baseline, &[], 0.25, 1.0)[0].contains("disappeared"));
-    }
-
-    /// A gate scenario literal.
-    fn gate_scenario(name: &str, vps: f64, fingerprint: &str) -> GateScenario {
-        GateScenario {
-            name: name.to_string(),
-            verifications_per_sec: vps,
-            decision_fingerprint: fingerprint.to_string(),
-        }
-    }
-
-    #[test]
-    fn empty_baseline_fingerprint_gates_throughput_only() {
-        // Parallel scenarios record "" — scheduler-ordered logs have no
-        // stable fingerprint. Differing fresh fingerprints must not fail…
-        let baseline = vec![gate_scenario("gate_parallel_s4", 50000.0, "")];
-        let fresh = vec![gate_scenario("gate_parallel_s4", 48000.0, "whatever")];
-        assert!(compare_gate(&baseline, &fresh, 0.25, 1.0).is_empty());
-        // …but the throughput floor still applies.
-        let slow = vec![gate_scenario("gate_parallel_s4", 20000.0, "")];
-        let failures = compare_gate(&baseline, &slow, 0.25, 1.0);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("regression"), "{}", failures[0]);
     }
 
     /// A throughput written as `null` (the run produced a non-finite

@@ -7,10 +7,6 @@
 //! latency percentiles, and the decision-log fingerprints to
 //! `BENCH_gate.json`.
 //!
-//! A *parallel* scenario, `gate_parallel_s4`, drives four client threads
-//! against a 4-shard gate. Its decision log is scheduler-ordered, so it
-//! records an empty fingerprint.
-//!
 //! ```text
 //! Usage: gate_bench [OUTPUT_PATH]
 //!
@@ -26,15 +22,10 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use std::sync::Arc;
-
 use sybil_churn::{ArrivalProcess, ChurnModel, SessionModel};
-use sybil_crypto::{hex, Challenge, Sha256, Solver};
-use sybil_gate::memhard::{mine, MemHardParams};
-use sybil_gate::wire::Frame;
-use sybil_gate::{
-    replay, GateConfig, GateCounters, ReplayConfig, ReplayReport, Response, ShardedGate,
-};
+use sybil_crypto::{hex, Sha256};
+use sybil_gate::memhard::MemHardParams;
+use sybil_gate::{replay, GateConfig, GateCounters, ReplayConfig, ReplayReport, ShardedGate};
 use sybil_sim::{write_workload_file, DiskWorkload, Time, WorkloadSource};
 
 /// The benchmark workload: sized so the replay opens well over 10⁵
@@ -66,8 +57,7 @@ struct ScenarioResult {
     name: &'static str,
     report: ReplayReport,
     counters: GateCounters,
-    /// Empty for parallel scenarios: their log order follows the
-    /// scheduler, so no stable fingerprint exists to gate on.
+    /// Hex SHA-256 of the serial replay's decision log.
     fingerprint: String,
     wall_secs: f64,
 }
@@ -84,81 +74,6 @@ fn run_scenario(
     let wall_secs = started.elapsed().as_secs_f64();
     let fingerprint = hex::encode(gate.fingerprint().as_bytes());
     ScenarioResult { name, counters: gate.counters(), fingerprint, report, wall_secs }
-}
-
-/// Threads driving the parallel scenario, and admissions per thread.
-const PAR_THREADS: usize = 4;
-const PAR_PER_THREAD: u64 = 400;
-
-/// A constant-difficulty config for the parallel scenario: floor == cap
-/// pins every hello's quote, and the heavier fill/mix makes the
-/// server-side digest — the work sharding parallelizes — dominate.
-fn parallel_cfg() -> GateConfig {
-    GateConfig {
-        difficulty_floor: 64,
-        difficulty_cap: 64,
-        mine_bits: 0,
-        mem: MemHardParams { blocks: 256, passes: 2 },
-        initial_size: 0,
-        ..GateConfig::default()
-    }
-}
-
-/// Drives `PAR_THREADS` client threads of full two-phase admissions
-/// against a shared gate; returns wall seconds.
-fn drive_parallel(gate: &Arc<ShardedGate>) -> f64 {
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..PAR_THREADS {
-            let gate = Arc::clone(gate);
-            scope.spawn(move || {
-                for i in 0..PAR_PER_THREAD {
-                    let tag = ((t as u64) << 32) | i;
-                    let (conn, hello) = gate.connect(Time(1.0));
-                    let Frame::Hello {
-                        difficulty, nonce, mine_bits, mem_blocks, mem_passes, ..
-                    } = hello
-                    else {
-                        panic!("expected hello")
-                    };
-                    let challenge = Challenge::new(&nonce, &tag.to_be_bytes(), difficulty);
-                    let solution = Solver::new().solve(&challenge).nonce;
-                    let reply =
-                        gate.handle(conn, &Frame::Join { client_tag: tag, solution }, Time(1.0));
-                    let Response::Reply(Frame::Granted { identity, token }) = reply else {
-                        panic!("expected grant")
-                    };
-                    let mem = MemHardParams { blocks: mem_blocks, passes: mem_passes };
-                    let mined = mine(&token, mine_bits, &mem);
-                    let reply = gate.handle(
-                        conn,
-                        &Frame::MineSubmit { identity, token, salt: mined.salt },
-                        Time(1.0),
-                    );
-                    assert!(matches!(reply, Response::Reply(Frame::Admitted { .. })));
-                }
-            });
-        }
-    });
-    started.elapsed().as_secs_f64()
-}
-
-/// The parallel scenario: `PAR_THREADS` threads against `gate`. The
-/// replay-report fields that have no parallel meaning stay zero; the
-/// handle-time is the whole wall, so `verifications_per_sec` measures
-/// end-to-end concurrent throughput.
-fn run_parallel_scenario(name: &'static str, gate: Arc<ShardedGate>) -> ScenarioResult {
-    let wall_secs = drive_parallel(&gate);
-    let counters = gate.counters();
-    let total = PAR_THREADS as u64 * PAR_PER_THREAD;
-    assert_eq!(counters.admitted, total, "{name}: every parallel admission must land");
-    let report = ReplayReport {
-        connections: total,
-        admitted: total,
-        pow_handle_secs: wall_secs,
-        ..ReplayReport::default()
-    };
-    ScenarioResult { name, counters, fingerprint: String::new(), report, wall_secs }
 }
 
 /// Hashes 64-byte messages for a fixed iteration count: the machine-speed
@@ -271,15 +186,6 @@ fn main() {
         scenarios.push(result);
     }
     let _ = std::fs::remove_file(&wl_path);
-
-    let s4 =
-        run_parallel_scenario("gate_parallel_s4", Arc::new(ShardedGate::new(parallel_cfg(), 4)));
-    println!(
-        "  gate_parallel_s4: {:.0} verifications/s ({} threads, 4 shards)",
-        s4.counters.pow_verifications as f64 / s4.wall_secs,
-        PAR_THREADS
-    );
-    scenarios.push(s4);
 
     println!("calibrating machine speed (sha256_64b)...");
     let calibration = sha256_calibration();
