@@ -392,6 +392,13 @@ impl ShardedGate {
     pub fn config(&self) -> &GateConfig {
         &self.cfg
     }
+
+    /// Connections still holding challenge state (hello sent, no `Join`
+    /// verified yet, not disconnected).
+    #[cfg(test)]
+    pub(crate) fn open_connections(&self) -> usize {
+        lock(&self.router).conns.len()
+    }
 }
 
 impl SharedGate for ShardedGate {
@@ -640,7 +647,7 @@ mod tests {
         let gate = Arc::new(ShardedGate::new(test_cfg(), 2));
         let server = Arc::clone(&gate);
         std::thread::spawn(move || {
-            let _ = crate::transport::serve(listener, server, 1);
+            let _ = crate::transport::serve(listener, server, 2);
         });
         // Reads the hello, so the server's `connect` has happened.
         let open = || {
@@ -649,13 +656,17 @@ mod tests {
             stream.read_exact(&mut prefix).expect("hello length prefix");
             stream
         };
-        // The first connection holds the only handler slot, so every
-        // later one is handled inline on the acceptor thread, one after
-        // the other: once `last` has its hello, the 1 000 before it have
-        // run to their end.
+        // The first connection holds one of the two handler slots. Each
+        // of the 1 000 after it hangs up and waits for the server to close
+        // its end, which the handler does last — after freeing the
+        // connection's state and its slot — so each has run to its end,
+        // and left the second slot free, before the next one dials.
         let _first = open();
         for _ in 0..1000 {
-            drop(open());
+            let mut stream = open();
+            stream.shutdown(std::net::Shutdown::Write).expect("hang up");
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).expect("the server closes its end");
         }
         let _last = open();
         let router = lock(&gate.router);

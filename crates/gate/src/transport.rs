@@ -6,13 +6,14 @@
 //! while staying deterministic and sandbox-friendly. The TCP transport
 //! serves a [`SharedGate`] — the
 //! [`ShardedGate`](crate::sharded::ShardedGate), or a wrapper around it —
-//! one reader thread per connection with a hard cap.
+//! one handler thread per connection with a hard cap and per-frame
+//! deadlines.
 
-use std::io::Write;
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sybil_sim::Time;
 
@@ -81,38 +82,87 @@ pub trait SharedGate: Send + Sync {
     fn disconnect(&self, _conn: u64) {}
 }
 
-/// Serves a gate over TCP until the listener fails. Each accepted
-/// connection gets the hello immediately, then a read loop; at most
-/// `max_conns` handler threads run at once — excess connections are
-/// handled inline on the accept thread, a crude but effective
-/// backpressure. A panicking handler costs exactly its own connection:
-/// the unwind is caught so the slot is always released and an inline
-/// handler can never take the acceptor loop down with it. Timestamps
-/// are seconds since serve start.
+/// How long a peer may take over each step of a connection. The shipped
+/// values are constants, not knobs: they bound what an idle or dripping
+/// socket can hold, and nothing a well-behaved client does comes near
+/// them.
+#[derive(Clone, Copy)]
+pub(crate) struct Deadlines {
+    /// From the hello (or any reply but `Granted`) to the whole of the
+    /// next frame. An honest client spends this solving the quoted PoW:
+    /// about 0.3 s of hashing at the difficulty cap of 2²⁰.
+    pub(crate) first_frame: Duration,
+    /// From `Granted` to the whole `MineSubmit`. Looser, because this is
+    /// where the client does its memory-hard mining.
+    pub(crate) mined_frame: Duration,
+    /// For the peer's socket to accept one reply (at most 68 bytes).
+    pub(crate) write: Duration,
+}
+
+impl Deadlines {
+    const SHIPPED: Deadlines = Deadlines {
+        first_frame: Duration::from_secs(10),
+        mined_frame: Duration::from_secs(60),
+        write: Duration::from_secs(5),
+    };
+}
+
+/// Serves a gate over TCP until the listener fails (the first accept
+/// error ends it). Each accepted connection gets its own handler thread,
+/// which sends the hello and then reads frames under [`Deadlines`]; at
+/// most `max_conns` handlers run at once, and a connection that arrives
+/// while all of them are busy is closed without a hello. The accept thread
+/// itself never reads from, writes to or waits on a client, so no peer can
+/// stall it. A panicking handler costs exactly its own connection and
+/// still frees its slot. Timestamps are seconds since serve start.
 pub fn serve<G: SharedGate + 'static>(
     listener: TcpListener,
     service: Arc<G>,
     max_conns: usize,
 ) -> std::io::Result<()> {
+    serve_with(listener, service, max_conns, Deadlines::SHIPPED)
+}
+
+/// [`serve`] with explicit deadlines, so tests need not wait out the
+/// shipped ones.
+pub(crate) fn serve_with<G: SharedGate + 'static>(
+    listener: TcpListener,
+    service: Arc<G>,
+    max_conns: usize,
+    deadlines: Deadlines,
+) -> std::io::Result<()> {
     let start = Instant::now();
     let active = Arc::new(AtomicUsize::new(0));
     for stream in listener.incoming() {
         let stream = stream?;
-        let service = Arc::clone(&service);
-        let slot = Arc::clone(&active);
-        let handler = move || {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = handle_conn(stream, &*service, start);
-            }));
-            slot.fetch_sub(1, Ordering::Relaxed);
-        };
-        if active.fetch_add(1, Ordering::Relaxed) < max_conns.max(1) {
-            std::thread::spawn(handler);
-        } else {
-            handler();
+        // Only this thread increments, so the count can only have fallen
+        // since it was read.
+        if active.load(Ordering::Relaxed) >= max_conns.max(1) {
+            continue; // Refused: dropping the stream closes it.
         }
+        active.fetch_add(1, Ordering::Relaxed);
+        let slot = Slot(Arc::clone(&active));
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            // Locals drop in reverse order of declaration, on return and
+            // on a panicking handler's unwind alike: the slot is freed
+            // before the socket closes, so a client that has seen this
+            // connection end can never be refused on its account.
+            let stream = stream;
+            let _slot = slot;
+            let _ = handle_conn(&stream, &*service, start, deadlines);
+        });
     }
     Ok(())
+}
+
+/// One of the `max_conns` handler slots, freed on drop.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// Tells the gate its connection ended, however `handle_conn` exits.
@@ -124,19 +174,50 @@ impl<G: SharedGate> Drop for Disconnect<'_, G> {
     }
 }
 
-/// One connection's lifecycle: hello, then frames until drop or EOF.
+/// Reads from a socket until a deadline: before every read the socket's
+/// timeout is set to the time left, so a peer that drips bytes gets no
+/// longer than one that sends nothing.
+struct UntilDeadline<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for UntilDeadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// One connection's lifecycle: hello, then frames until drop, EOF or a
+/// missed deadline (an error like any other: the connection closes, its
+/// state is freed, nothing is logged).
 fn handle_conn<G: SharedGate>(
-    mut stream: std::net::TcpStream,
+    mut stream: &TcpStream,
     service: &G,
     start: Instant,
+    deadlines: Deadlines,
 ) -> std::io::Result<()> {
     let now = || Time(start.elapsed().as_secs_f64());
+    stream.set_write_timeout(Some(deadlines.write))?;
     let (conn, hello) = service.connect(now());
     let _disconnect = Disconnect(service, conn);
     stream.write_all(&hello.encode())?;
-    while let Some(frame) = read_frame(&mut stream)? {
+    let mut reader = UntilDeadline { stream, deadline: Instant::now() + deadlines.first_frame };
+    while let Some(frame) = read_frame(&mut reader)? {
         match service.handle(conn, &frame, now()) {
-            Response::Reply(reply) => stream.write_all(&reply.encode())?,
+            Response::Reply(reply) => {
+                stream.write_all(&reply.encode())?;
+                let wait = match reply {
+                    Frame::Granted { .. } => deadlines.mined_frame,
+                    _ => deadlines.first_frame,
+                };
+                reader.deadline = Instant::now() + wait;
+            }
             Response::Drop => break, // silent: close without a byte
         }
     }
@@ -207,8 +288,7 @@ mod tests {
     }
 
     /// A gate whose N-th `connect` panics: the deterministic stand-in
-    /// for a handler bug, used to pin that a panicking handler cannot
-    /// take the acceptor down.
+    /// for a handler bug.
     struct FlakyGate {
         inner: ShardedGate,
         calls: AtomicUsize,
@@ -227,43 +307,135 @@ mod tests {
         }
     }
 
-    #[test]
-    fn panicking_inline_handler_does_not_kill_the_acceptor() {
-        use std::io::Read;
+    /// The deadline a misbehaving peer is held to in these tests, and how
+    /// long a client waits before failing its test instead of hanging it.
+    const TEST_DEADLINE: Duration = Duration::from_secs(1);
+    const CLIENT_PATIENCE: Duration = Duration::from_secs(10);
 
+    /// Serves `gate` on a fresh loopback port with [`TEST_DEADLINE`] for
+    /// every step; `None` where the sandbox cannot bind one.
+    fn serve_on_loopback<G: SharedGate + 'static>(
+        gate: Arc<G>,
+        max_conns: usize,
+    ) -> Option<std::net::SocketAddr> {
         let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
             eprintln!("skipping: cannot bind a localhost listener in this sandbox");
-            return;
+            return None;
         };
         let addr = listener.local_addr().expect("bound listener has an address");
+        let deadlines = Deadlines {
+            first_frame: TEST_DEADLINE,
+            mined_frame: TEST_DEADLINE,
+            write: TEST_DEADLINE,
+        };
+        std::thread::spawn(move || {
+            let _ = serve_with(listener, gate, max_conns, deadlines);
+        });
+        Some(addr)
+    }
+
+    /// A client socket that gives up after [`CLIENT_PATIENCE`].
+    fn dial(addr: std::net::SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).expect("connect to the local gate");
+        stream.set_read_timeout(Some(CLIENT_PATIENCE)).expect("client read timeout");
+        stream
+    }
+
+    /// Dials and reads the hello, which proves the connection holds a
+    /// handler slot.
+    fn dial_for_hello(addr: std::net::SocketAddr) -> (TcpStream, Frame) {
+        let mut stream = dial(addr);
+        let hello = read_frame(&mut stream).expect("read hello").expect("a hello, not EOF");
+        assert!(matches!(hello, Frame::Hello { .. }), "first frame must be the hello: {hello:?}");
+        (stream, hello)
+    }
+
+    /// Blocks until the server closes `stream`, which must happen without
+    /// another byte and within the client's patience.
+    fn assert_closed_silently(mut stream: TcpStream, who: &str) {
+        let mut rest = Vec::new();
+        match stream.read_to_end(&mut rest) {
+            Ok(_) => assert!(rest.is_empty(), "{who}: closed, but after {} bytes", rest.len()),
+            Err(e) => panic!("{who}: the server never closed the connection: {e}"),
+        }
+    }
+
+    /// Reads the hello, then sends a length prefix and half a `Join` body
+    /// and goes silent.
+    fn slow_loris(addr: std::net::SocketAddr) -> TcpStream {
+        let (mut stream, _) = dial_for_hello(addr);
+        let join = Frame::Join { client_tag: 1, solution: 2 }.encode();
+        stream.write_all(&join[..4 + (join.len() - 4) / 2]).expect("send half a join");
+        stream
+    }
+
+    #[test]
+    fn panicking_handler_frees_its_slot_and_spares_the_acceptor() {
         let gate = Arc::new(FlakyGate {
             inner: ShardedGate::new(small_cfg(), 1),
             calls: AtomicUsize::new(0),
-            panic_on: 1,
+            panic_on: 0,
         });
-        std::thread::spawn(move || {
-            let _ = serve(listener, gate, 1);
-        });
+        let Some(addr) = serve_on_loopback(gate, 1) else { return };
+        // Connection A's handler panics in `connect`, before any byte.
+        assert_closed_silently(dial(addr), "the panicked connection");
+        // The only slot was A's. B is dialled after A's socket closed, so
+        // it gets a hello only if the unwind freed the slot first — and
+        // only if the acceptor is still there to hand it out.
+        dial_for_hello(addr);
+    }
 
-        // Connection A is healthy and holds the single handler slot open.
-        // Reading its hello proves its connect (call 0) has completed, so
-        // the panic is pinned to connection B.
-        let mut a = std::net::TcpStream::connect(addr).expect("connect A");
-        let mut hello_a = [0u8; 4];
-        a.read_exact(&mut hello_a).expect("hello A length prefix");
+    #[test]
+    fn idle_sockets_holding_every_slot_are_shed_at_the_deadline() {
+        let gate = Arc::new(ShardedGate::new(small_cfg(), 1));
+        let Some(addr) = serve_on_loopback(Arc::clone(&gate), 2) else { return };
+        let holders = [dial_for_hello(addr).0, dial_for_hello(addr).0];
+        // Every slot is taken by a peer that says nothing. The next
+        // connection is refused at once — closed without a hello — rather
+        // than served on the accept thread, which would then be stuck
+        // behind it.
+        assert_closed_silently(dial(addr), "the connection over the cap");
+        // The holders are closed at their deadline, and a slot is free by
+        // the time a socket closes, so the next peer is served.
+        for holder in holders {
+            assert_closed_silently(holder, "an idle holder");
+        }
+        dial_for_hello(addr);
+        assert_eq!(gate.counters(), crate::service::GateCounters::default());
+    }
 
-        // Connection B overflows the cap, so it is handled inline on the
-        // acceptor thread — the worst case — and its connect panics.
-        // Pre-hardening, that unwind killed the accept loop.
-        let mut b = std::net::TcpStream::connect(addr).expect("connect B");
-        let mut buf = Vec::new();
-        let n = b.read_to_end(&mut buf).unwrap_or(0);
-        assert_eq!(n, 0, "the panicked connection closes without a byte");
+    #[test]
+    fn half_a_frame_then_silence_is_closed_at_the_deadline_and_leaves_nothing() {
+        let gate = Arc::new(ShardedGate::new(small_cfg(), 1));
+        let Some(addr) = serve_on_loopback(Arc::clone(&gate), 2) else { return };
+        assert_eq!(gate.open_connections(), 0);
+        let stream = slow_loris(addr);
+        let (log, counters) = (gate.decision_log(), gate.counters());
+        assert_eq!(gate.open_connections(), 1, "the hello's challenge state is live");
+        assert_closed_silently(stream, "the slow loris");
+        assert_eq!(gate.open_connections(), 0, "expiry frees the connection state");
+        assert_eq!(gate.decision_log(), log, "expiry is not a decision: nothing is logged");
+        assert_eq!(gate.counters(), counters);
+    }
 
-        // Connection C proves the acceptor survived: it is also handled
-        // inline (A still occupies the slot) and gets a real hello.
-        let mut c = std::net::TcpStream::connect(addr).expect("connect C");
-        let mut hello_c = [0u8; 4];
-        c.read_exact(&mut hello_c).expect("the acceptor must still serve hellos");
+    #[test]
+    fn admission_succeeds_after_misbehaving_peers_held_every_slot() {
+        let gate = Arc::new(ShardedGate::new(small_cfg(), 1));
+        let Some(addr) = serve_on_loopback(Arc::clone(&gate), 2) else { return };
+        // Both slots held, one by an idle peer and one mid-frame, and one
+        // more silent peer over the cap.
+        let holders = [dial_for_hello(addr).0, slow_loris(addr)];
+        let _over_the_cap = dial(addr);
+        for holder in holders {
+            assert_closed_silently(holder, "a misbehaving holder");
+        }
+        let (mut stream, hello) = dial_for_hello(addr);
+        let request = |frame: &Frame| {
+            stream.write_all(&frame.encode()).expect("send a frame");
+            read_frame(&mut stream).expect("read the reply")
+        };
+        assert!(admit_via(&hello, request, 7).is_some(), "the admission must complete");
+        let c = gate.counters();
+        assert_eq!((c.granted, c.admitted), (1, 1));
     }
 }
