@@ -372,18 +372,10 @@ fn main() -> ExitCode {
             .and_then(|root| read_report(&root))
             .unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
     };
-    let Report {
-        scenarios: baseline,
-        gate: base_gate,
-        queue: base_queue,
-        counting: base_counting,
-    } = read(&paths[0]);
-    let Report {
-        scenarios: fresh,
-        gate: fresh_gate,
-        queue: fresh_queue,
-        counting: fresh_counting,
-    } = read(&paths[1]);
+    let Report { scenarios: baseline, gate: base_gate, queue: base_queue, counting: base_counting } =
+        read(&paths[0]);
+    let Report { scenarios: fresh, gate: fresh_gate, queue: fresh_queue, counting: fresh_counting } =
+        read(&paths[1]);
     let ratio = speed_ratio(&base_queue, &fresh_queue);
     println!(
         "comparing {} baseline scenario(s) against {} (machine speed ratio {ratio:.2})",

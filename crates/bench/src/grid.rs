@@ -420,24 +420,25 @@ pub(crate) fn run_spend(grid: &TrialGrid, roster: &[Algo]) -> (Vec<SpendSummary>
         let label = cell.str_value(AXIS_ALGO);
         *roster.iter().find(|a| a.label() == label).expect("cell names a roster algorithm")
     };
-    let (results, summary) = grid.run(default_workers(), &GridOptions::default(), |cell, trials| {
-        let (algo, t) = (algo_of(cell), cell.f64_value(AXIS_T));
-        let mut acc = [Welford::new(); 4];
-        for trial in trials {
-            let cfg =
-                SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
-            let report = run_report_with(cfg, algo, t, trial.defense_seed, trial.workload());
-            acc[0].push(report.good_spend_rate());
-            acc[1].push(report.adv_spend_rate());
-            acc[2].push(report.max_bad_fraction);
-            acc[3].push(report.purges as f64);
-        }
-        let mut fields = vec![("trials".to_string(), trials.len() as f64)];
-        for (name, w) in METRICS.iter().zip(&acc) {
-            fields.extend(w.summary().fields(name));
-        }
-        fields
-    });
+    let (results, summary) =
+        grid.run(default_workers(), &GridOptions::default(), |cell, trials| {
+            let (algo, t) = (algo_of(cell), cell.f64_value(AXIS_T));
+            let mut acc = [Welford::new(); 4];
+            for trial in trials {
+                let cfg =
+                    SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
+                let report = run_report_with(cfg, algo, t, trial.defense_seed, trial.workload());
+                acc[0].push(report.good_spend_rate());
+                acc[1].push(report.adv_spend_rate());
+                acc[2].push(report.max_bad_fraction);
+                acc[3].push(report.purges as f64);
+            }
+            let mut fields = vec![("trials".to_string(), trials.len() as f64)];
+            for (name, w) in METRICS.iter().zip(&acc) {
+                fields.extend(w.summary().fields(name));
+            }
+            fields
+        });
     let rows = results
         .iter()
         .map(|r| {

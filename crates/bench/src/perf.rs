@@ -276,8 +276,8 @@ fn run_scenario(name: &str, cells: &[Cell]) -> ScenarioResult {
 /// defense seeding as `run_report` so the scenario is pinned the way the
 /// sweep cells are.
 fn replay_ergo(path: &std::path::Path, horizon: f64, rep: &mut Rep) {
-    let source = DiskWorkload::open(path)
-        .unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()));
+    let source =
+        DiskWorkload::open(path).unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()));
     let (algo, t, seed) = (Algo::Ergo, 4096.0, 1u64);
     let cfg = SimConfig { horizon: Time(horizon), adv_rate: t, ..SimConfig::default() };
     let (report, allocs) = run_report_with_measured(cfg, algo, t, defense_seed(seed), source);
