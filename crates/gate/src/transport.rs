@@ -9,7 +9,7 @@
 //! one handler thread per connection with a hard cap and per-frame
 //! deadlines.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use sybil_sim::Time;
 
 use crate::service::Response;
-use crate::wire::{read_frame, Frame};
+use crate::wire::{read_frame, Frame, MAX_FRAME_LEN};
 
 /// An in-process connection to a gate, speaking real wire bytes.
 pub struct Loopback<G> {
@@ -207,7 +207,12 @@ fn handle_conn<G: SharedGate>(
     let (conn, hello) = service.connect(now());
     let _disconnect = Disconnect(service, conn);
     stream.write_all(&hello.encode())?;
-    let mut reader = UntilDeadline { stream, deadline: Instant::now() + deadlines.first_frame };
+    // Buffered, so a frame that arrived whole costs one read (and one
+    // re-armed timeout), not one each for its prefix and its body.
+    let mut reader = BufReader::with_capacity(
+        2 * MAX_FRAME_LEN as usize,
+        UntilDeadline { stream, deadline: Instant::now() + deadlines.first_frame },
+    );
     while let Some(frame) = read_frame(&mut reader)? {
         match service.handle(conn, &frame, now()) {
             Response::Reply(reply) => {
@@ -216,7 +221,7 @@ fn handle_conn<G: SharedGate>(
                     Frame::Granted { .. } => deadlines.mined_frame,
                     _ => deadlines.first_frame,
                 };
-                reader.deadline = Instant::now() + wait;
+                reader.get_mut().deadline = Instant::now() + wait;
             }
             Response::Drop => break, // silent: close without a byte
         }
