@@ -375,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn panicking_handler_frees_its_slot_and_spares_the_acceptor() {
+    fn panicking_inline_handler_does_not_kill_the_acceptor() {
         let gate = Arc::new(FlakyGate {
             inner: ShardedGate::new(small_cfg(), 1),
             calls: AtomicUsize::new(0),
