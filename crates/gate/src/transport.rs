@@ -9,7 +9,7 @@
 //! one handler thread per connection with a hard cap and per-frame
 //! deadlines.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use sybil_sim::Time;
 
 use crate::service::Response;
-use crate::wire::{read_frame, Frame, MAX_FRAME_LEN};
+use crate::wire::{read_frame, Frame};
 
 /// An in-process connection to a gate, speaking real wire bytes.
 pub struct Loopback<G> {
@@ -86,7 +86,6 @@ pub trait SharedGate: Send + Sync {
 /// values are constants, not knobs: they bound what an idle or dripping
 /// socket can hold, and nothing a well-behaved client does comes near
 /// them.
-#[derive(Clone, Copy)]
 pub(crate) struct Deadlines {
     /// From the hello (or any reply but `Granted`) to the whole of the
     /// next frame. An honest client spends this solving the quoted PoW:
@@ -120,16 +119,20 @@ pub fn serve<G: SharedGate + 'static>(
     service: Arc<G>,
     max_conns: usize,
 ) -> std::io::Result<()> {
-    serve_with(listener, service, max_conns, Deadlines::SHIPPED)
+    serve_with(listener, service, max_conns, &Deadlines::SHIPPED)
 }
 
 /// [`serve`] with explicit deadlines, so tests need not wait out the
-/// shipped ones.
+/// shipped ones. By reference, and the handler reads unbuffered, on
+/// purpose: a handler thread allocates exactly what it did before it had
+/// deadlines. glibc hands short-lived threads whichever arena is free,
+/// the main one included, and `benchmark/`'s `gate_admit` showed a bigger
+/// spawn closure or a per-connection read buffer there as +20 % peak RSS.
 pub(crate) fn serve_with<G: SharedGate + 'static>(
     listener: TcpListener,
     service: Arc<G>,
     max_conns: usize,
-    deadlines: Deadlines,
+    deadlines: &'static Deadlines,
 ) -> std::io::Result<()> {
     let start = Instant::now();
     let active = Arc::new(AtomicUsize::new(0));
@@ -200,19 +203,14 @@ fn handle_conn<G: SharedGate>(
     mut stream: &TcpStream,
     service: &G,
     start: Instant,
-    deadlines: Deadlines,
+    deadlines: &Deadlines,
 ) -> std::io::Result<()> {
     let now = || Time(start.elapsed().as_secs_f64());
     stream.set_write_timeout(Some(deadlines.write))?;
     let (conn, hello) = service.connect(now());
     let _disconnect = Disconnect(service, conn);
     stream.write_all(&hello.encode())?;
-    // Buffered, so a frame that arrived whole costs one read (and one
-    // re-armed timeout), not one each for its prefix and its body.
-    let mut reader = BufReader::with_capacity(
-        2 * MAX_FRAME_LEN as usize,
-        UntilDeadline { stream, deadline: Instant::now() + deadlines.first_frame },
-    );
+    let mut reader = UntilDeadline { stream, deadline: Instant::now() + deadlines.first_frame };
     while let Some(frame) = read_frame(&mut reader)? {
         match service.handle(conn, &frame, now()) {
             Response::Reply(reply) => {
@@ -221,7 +219,7 @@ fn handle_conn<G: SharedGate>(
                     Frame::Granted { .. } => deadlines.mined_frame,
                     _ => deadlines.first_frame,
                 };
-                reader.get_mut().deadline = Instant::now() + wait;
+                reader.deadline = Instant::now() + wait;
             }
             Response::Drop => break, // silent: close without a byte
         }
@@ -328,13 +326,13 @@ mod tests {
             return None;
         };
         let addr = listener.local_addr().expect("bound listener has an address");
-        let deadlines = Deadlines {
+        const DEADLINES: Deadlines = Deadlines {
             first_frame: TEST_DEADLINE,
             mined_frame: TEST_DEADLINE,
             write: TEST_DEADLINE,
         };
         std::thread::spawn(move || {
-            let _ = serve_with(listener, gate, max_conns, deadlines);
+            let _ = serve_with(listener, gate, max_conns, &DEADLINES);
         });
         Some(addr)
     }
