@@ -17,33 +17,24 @@
 //! workloads come from the shared disk cache), aggregated to `mean,
 //! ci95_lo, ci95_hi`, and is recorded in a resumable results store.
 
+use crate::experiment::{Column, Experiment, Part, TableSpec};
 use crate::grid::{trials_for, TrialGrid};
-use crate::sweep::{default_workers, fast_mode};
-use crate::table::{fmt_num, Table};
 use ergo_core::params::{ErgoConfig, GoodJEstConfig, Ratio};
 use ergo_core::Ergo;
 use sybil_churn::networks;
 use sybil_exp::spec::{AxisValue, CellSpec};
-use sybil_exp::{GridOptions, MetricSummary, Welford};
+use sybil_exp::{GridOptions, Welford};
 use sybil_sim::adversary::BudgetJoiner;
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
 use sybil_sim::workload::WorkloadSource;
 
-/// One ablation row, aggregated over trials.
-#[derive(Clone, Debug)]
-pub struct AblationRow {
-    /// What was varied.
-    pub knob: String,
-    /// The varied value.
-    pub value: String,
-    /// Good spend rate over trials.
-    pub good_rate: MetricSummary,
-    /// Purges executed over trials.
-    pub purges: MetricSummary,
-    /// Max bad fraction over trials (bound: 1/6).
-    pub max_bad_fraction: MetricSummary,
-}
+/// The ablations, declared.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "ablation",
+    banner: "=== Ablations: Ergo's constants and model boundaries ===",
+    parts,
+};
 
 /// Runs one configuration against any workload source, returning
 /// `(good spend rate, purges, max bad fraction)`.
@@ -134,7 +125,7 @@ fn scale(fast: bool) -> (f64, f64) {
 }
 
 /// The ablation grid, declared: one explicit cell per knob value.
-pub(crate) fn grid(fast: bool) -> TrialGrid {
+fn grid(fast: bool) -> TrialGrid {
     let ((horizon, t), trials, base_seed) = (scale(fast), trials_for(fast), 61u64);
     let knobs = knob_grid();
     // The full knob grid (including the resolved ErgoConfigs) and the
@@ -161,13 +152,24 @@ pub(crate) fn grid(fast: bool) -> TrialGrid {
     )
 }
 
-/// Runs all ablations (multi-trial, cached workloads, resumable) and
-/// returns the rows.
-pub fn run() -> Vec<AblationRow> {
-    let (_, t) = scale(fast_mode());
+fn parts(fast: bool) -> Vec<Part> {
+    let (_, t) = scale(fast);
     let knobs = knob_grid();
-    let (results, _) =
-        grid(fast_mode()).run(default_workers(), &GridOptions::default(), |cell, trials| {
+    let columns = vec![
+        Column::axis("knob", "knob"),
+        Column::axis("value", "value"),
+        Column::count("trials", "trials"),
+        Column::field("mean", "good_rate_mean"),
+        Column::field("ci95_lo", "good_rate_ci95_lo"),
+        Column::field("ci95_hi", "good_rate_ci95_hi"),
+        Column::field("purges", "purges_mean"),
+        Column::field("max bad frac", "max_bad_fraction_mean"),
+        Column::text("bound", "0.167".into()),
+    ];
+    vec![Part {
+        grid: grid(fast),
+        opts: GridOptions::default(),
+        measure: Box::new(move |cell, trials| {
             let (_, _, cfg, round) = knobs
                 .iter()
                 .find(|(k, v, _, _)| cell.str_value("knob") == k && cell.str_value("value") == v)
@@ -186,47 +188,10 @@ pub fn run() -> Vec<AblationRow> {
             fields.extend(purges.summary().fields("purges"));
             fields.extend(frac.summary().fields("max_bad_fraction"));
             fields
-        });
-    results
-        .iter()
-        .map(|r| AblationRow {
-            knob: r.cell.str_value("knob").to_string(),
-            value: r.cell.str_value("value").to_string(),
-            good_rate: r.summary("good_rate"),
-            purges: r.summary("purges"),
-            max_bad_fraction: r.summary("max_bad_fraction"),
-        })
-        .collect()
-}
-
-/// Formats the ablation table with trial means and 95 % confidence bounds
-/// for the good spend rate.
-pub fn to_table(rows: &[AblationRow]) -> Table {
-    let mut table = Table::new(vec![
-        "knob",
-        "value",
-        "trials",
-        "mean",
-        "ci95_lo",
-        "ci95_hi",
-        "purges",
-        "max bad frac",
-        "bound",
-    ]);
-    for r in rows {
-        table.push(vec![
-            r.knob.clone(),
-            r.value.clone(),
-            r.good_rate.n.to_string(),
-            fmt_num(r.good_rate.mean),
-            fmt_num(r.good_rate.ci95_lo),
-            fmt_num(r.good_rate.ci95_hi),
-            fmt_num(r.purges.mean),
-            fmt_num(r.max_bad_fraction.mean),
-            "0.167".to_string(),
-        ]);
-    }
-    table
+        }),
+        violated: None,
+        tables: vec![TableSpec::per_cell("ablation", columns)],
+    }]
 }
 
 #[cfg(test)]

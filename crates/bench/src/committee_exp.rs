@@ -14,19 +14,26 @@
 //! never cloned resident, and the cost-equality comparison is exact by
 //! construction.
 
+use crate::experiment::{Column, Experiment, Part, TableSpec};
 use crate::grid::{trials_for, TrialGrid};
-use crate::sweep::{default_workers, fast_mode};
-use crate::table::{fmt_num, Table};
+use crate::table::fmt_num;
 use ergo_core::{Ergo, ErgoConfig};
 use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
 use sybil_committee::{DecentralConfig, DecentralizedErgo};
 use sybil_exp::spec::{AxisValue, CellSpec, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{GridOptions, MetricSummary, Welford};
+use sybil_exp::{GridOptions, Welford};
 use sybil_sim::adversary::{build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE};
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
 use sybil_sim::workload::WorkloadSource;
+
+/// The Section 12 experiment, declared.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "committee",
+    banner: "=== Decentralized Ergo: committee invariants (Theorem 4) ===",
+    parts,
+};
 
 /// Lemma 18's committee good-fraction bound.
 pub const COMMITTEE_BOUND: f64 = 7.0 / 8.0;
@@ -120,41 +127,31 @@ pub fn run_cell(
     )
 }
 
-/// One aggregated cell of the committee grid.
-#[derive(Clone, Debug)]
-pub struct CommitteeOutcome {
-    /// Network name.
-    pub network: String,
-    /// Adversary strategy registry name.
-    pub strategy: String,
-    /// Adversary spend rate.
-    pub t: f64,
-    /// Trials behind the confidence intervals.
-    pub trials: u64,
-    /// Committees elected, over trials.
-    pub elections: MetricSummary,
-    /// Mean committee size, over trials.
-    pub mean_size: MetricSummary,
-    /// Smallest good fraction any trial's committee held — the Lemma 18
-    /// verdict uses this worst case, not a mean.
-    pub min_good_fraction: f64,
-    /// Lemma 18's bound (7/8).
-    pub bound: f64,
-    /// SMR messages, over trials.
-    pub messages: MetricSummary,
-    /// Decentralized good spend rate, over trials.
-    pub good_rate: MetricSummary,
-    /// Centralized Ergo's good spend rate on the identical runs.
-    pub centralized_rate: MetricSummary,
-    /// Worst max-bad-fraction any trial reached.
-    pub max_bad_fraction: f64,
-}
-
-/// Runs the full committee experiment grid (network × strategy × T,
-/// multi-trial, cached disk-streamed workloads, resumable).
-pub fn run() -> Vec<CommitteeOutcome> {
-    let (results, _) =
-        grid(fast_mode()).run(default_workers(), &GridOptions::default(), |cell, trials| {
+/// The part: per cell, the trial statistics of committee size, elections,
+/// SMR traffic and both spend rates, plus the two worst cases the verdicts
+/// read — the smallest good fraction any trial's committee held (Lemma 18
+/// is about the worst case, not a mean) and the largest bad fraction.
+fn parts(fast: bool) -> Vec<Part> {
+    let columns = vec![
+        Column::axis("network", AXIS_NETWORK),
+        Column::axis("adversary", AXIS_STRATEGY),
+        Column::axis("T", AXIS_T),
+        Column::count("trials", "trials"),
+        Column::field("elections", "elections_mean"),
+        Column::field("mean size", "mean_size_mean"),
+        Column::field("min good frac", "min_good_fraction"),
+        Column::text("bound", fmt_num(COMMITTEE_BOUND)),
+        Column::field("SMR msgs", "messages_mean"),
+        Column::field("A decentralized", "good_rate_mean"),
+        Column::field("ci95_lo", "good_rate_ci95_lo"),
+        Column::field("ci95_hi", "good_rate_ci95_hi"),
+        Column::field("A centralized", "centralized_rate_mean"),
+        Column::field("max bad frac", "max_bad_fraction"),
+    ];
+    vec![Part {
+        grid: grid(fast),
+        opts: GridOptions::default(),
+        measure: Box::new(|cell, trials| {
             let strategy = cell.str_value(AXIS_STRATEGY);
             let t = cell.f64_value(AXIS_T);
             let mut elections = Welford::new();
@@ -186,24 +183,10 @@ pub fn run() -> Vec<CommitteeOutcome> {
             fields.extend(central_rate.summary().fields("centralized_rate"));
             fields.push(("max_bad_fraction".into(), worst_bad));
             fields
-        });
-    results
-        .iter()
-        .map(|r| CommitteeOutcome {
-            network: r.cell.str_value(AXIS_NETWORK).to_string(),
-            strategy: r.cell.str_value(AXIS_STRATEGY).to_string(),
-            t: r.cell.f64_value(AXIS_T),
-            trials: r.trials(),
-            elections: r.summary("elections"),
-            mean_size: r.summary("mean_size"),
-            min_good_fraction: r.get("min_good_fraction"),
-            bound: COMMITTEE_BOUND,
-            messages: r.summary("messages"),
-            good_rate: r.summary("good_rate"),
-            centralized_rate: r.summary("centralized_rate"),
-            max_bad_fraction: r.get("max_bad_fraction"),
-        })
-        .collect()
+        }),
+        violated: None,
+        tables: vec![TableSpec::per_cell("committee", columns)],
+    }]
 }
 
 /// The explicit cell list: network × strategy × T, except that the T = 0
@@ -231,7 +214,7 @@ fn grid_cells(nets: &[ChurnModel], strategies: &[&str], t_values: &[f64]) -> Vec
 /// The committee grid, declared. Cells are not a full cartesian product
 /// (the T = 0 baseline collapses the strategy axis, see [`grid_cells`]),
 /// so they are listed explicitly.
-pub(crate) fn grid(fast: bool) -> TrialGrid {
+fn grid(fast: bool) -> TrialGrid {
     let nets = networks::all_networks();
     let strategies = crate::invariants_exp::strategy_roster();
     let t_values = [0.0, 10_000.0];
@@ -252,46 +235,6 @@ pub(crate) fn grid(fast: bool) -> TrialGrid {
     );
     let cells = grid_cells(&nets, &strategies, &t_values);
     TrialGrid::from_cells("committee", cells, &config, &nets, trials, horizon, base_seed)
-}
-
-/// Formats the outcomes as a table with trial means and 95 % confidence
-/// bounds for the decentralized spend rate.
-pub fn to_table(outcomes: &[CommitteeOutcome]) -> Table {
-    let mut table = Table::new(vec![
-        "network",
-        "adversary",
-        "T",
-        "trials",
-        "elections",
-        "mean size",
-        "min good frac",
-        "bound",
-        "SMR msgs",
-        "A decentralized",
-        "ci95_lo",
-        "ci95_hi",
-        "A centralized",
-        "max bad frac",
-    ]);
-    for o in outcomes {
-        table.push(vec![
-            o.network.clone(),
-            o.strategy.clone(),
-            fmt_num(o.t),
-            o.trials.to_string(),
-            fmt_num(o.elections.mean),
-            fmt_num(o.mean_size.mean),
-            fmt_num(o.min_good_fraction),
-            fmt_num(o.bound),
-            fmt_num(o.messages.mean),
-            fmt_num(o.good_rate.mean),
-            fmt_num(o.good_rate.ci95_lo),
-            fmt_num(o.good_rate.ci95_hi),
-            fmt_num(o.centralized_rate.mean),
-            fmt_num(o.max_bad_fraction),
-        ]);
-    }
-    table
 }
 
 #[cfg(test)]

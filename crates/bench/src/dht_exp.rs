@@ -11,18 +11,16 @@
 //! the frozen [`cell_seed`] contract, and finished cells land in a
 //! resumable results store with `mean, ci95_lo, ci95_hi` aggregation.
 
-use crate::grid::{trials_for, TrialGrid};
-use crate::sweep::{default_workers, fast_mode};
-use crate::table::{fmt_num, Table};
+use crate::experiment::{Column, Experiment, Part, TableSpec};
+use crate::grid::{trials_for, CellResult, TrialGrid};
+use crate::sweep::fast_mode;
 use ergo_core::{Ergo, ErgoConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sybil_churn::networks;
-use sybil_dht::experiment::{run_grid, DhtCell};
 use sybil_dht::{lookup_wide, Ring};
-use sybil_exp::runner::RunSummary;
 use sybil_exp::spec::{cell_seed, AxisValue, CellSpec, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{GridOptions, MetricSummary, Welford};
+use sybil_exp::{GridOptions, Record, Welford};
 use sybil_sim::adversary::{
     build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE, STRATEGY_PURGE_SURVIVE,
 };
@@ -31,23 +29,34 @@ use sybil_sim::id::Id;
 use sybil_sim::time::Time;
 use sybil_sim::workload::WorkloadSource;
 
-/// Runs the static success-rate grid.
-pub fn run_static() -> Vec<DhtCell> {
-    let (n, trials) = if fast_mode() { (500, 150) } else { (2_000, 600) };
-    run_grid(n, trials, 29)
-}
+/// The Section 13.2 experiment, declared.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "dht",
+    banner: "=== Sybil-resistant DHT (Section 13.2 extension) ===",
+    parts,
+};
 
-/// Formats the static grid.
-pub fn to_table(cells: &[DhtCell]) -> Table {
-    let mut table = Table::new(vec!["bad fraction", "strategy", "lookup success rate"]);
-    for c in cells {
-        table.push(vec![
-            format!("{:.3}", c.bad_fraction),
-            c.strategy.clone(),
-            fmt_num(c.success_rate),
-        ]);
-    }
-    table
+/// The axis of the static sweep's rows that the end-to-end grid lacks:
+/// the Sybil fraction the ring is built with.
+const AXIS_BAD_FRACTION: &str = "bad fraction";
+
+/// The static success-rate sweep (`sybil_dht::experiment::run_grid`) as
+/// table rows: rings built at fixed Sybil fractions, every routing
+/// strategy. It replays no workload and takes about a second, so it keeps
+/// no store; as a table it is a constant function of the cell results.
+fn static_rows(fast: bool) -> Vec<CellResult> {
+    let (n, trials) = if fast { (500, 150) } else { (2_000, 600) };
+    sybil_dht::experiment::run_grid(n, trials, 29)
+        .into_iter()
+        .map(|c| {
+            let cell = CellSpec::new(vec![
+                (AXIS_BAD_FRACTION.into(), AxisValue::F64(c.bad_fraction)),
+                (AXIS_STRATEGY.into(), AxisValue::Str(c.strategy)),
+            ]);
+            let record = Record::new(cell.id(), vec![("success_rate".into(), c.success_rate)]);
+            CellResult { cell, record: Some(record) }
+        })
+        .collect()
 }
 
 /// One end-to-end membership-run trial.
@@ -115,23 +124,6 @@ pub fn run_end_to_end(t: f64, seed: u64) -> EndToEnd {
     )
 }
 
-/// One aggregated cell of the end-to-end grid.
-#[derive(Clone, Debug)]
-pub struct EndToEndSummary {
-    /// Adversary strategy attacking the membership run.
-    pub strategy: String,
-    /// Adversary spend rate.
-    pub t: f64,
-    /// Trials behind the confidence intervals.
-    pub trials: u64,
-    /// Final ring size over trials.
-    pub ring_size: MetricSummary,
-    /// Final Sybil fraction over trials.
-    pub bad_fraction: MetricSummary,
-    /// Wide-path lookup success rate over trials.
-    pub success_rate: MetricSummary,
-}
-
 /// The explicit cell list: strategy × T, except that the T = 0 baseline
 /// is strategy-independent (every funded strategy idles at rate 0) and
 /// runs once under the registry's `none` strategy.
@@ -163,7 +155,7 @@ fn lookups(fast: bool) -> usize {
 
 /// The end-to-end grid, declared: explicit (strategy × T) cells over the
 /// Gnutella churn model.
-pub(crate) fn end_to_end_grid(fast: bool) -> TrialGrid {
+fn end_to_end_grid(fast: bool) -> TrialGrid {
     let horizon = if fast { 300.0 } else { 2_000.0 };
     let lookups = lookups(fast);
     let strategies = crate::invariants_exp::strategy_roster();
@@ -184,17 +176,45 @@ pub(crate) fn end_to_end_grid(fast: bool) -> TrialGrid {
     TrialGrid::from_cells("dht_end_to_end", cells, &config, &[net], trials, horizon, base_seed)
 }
 
-/// Runs the end-to-end experiment as a (strategy × T) grid: Ergo
-/// membership under every registered attack strategy, the surviving ring
-/// measured with wide-path lookups. The attack rates are enormous — the
-/// point is that lookups stay near-perfect *because* Ergo bounds the
-/// Sybil fraction, not because the attack is small.
-pub fn run_end_to_end_grid() -> (Vec<EndToEndSummary>, RunSummary) {
-    let lookups = lookups(fast_mode());
-    let (results, summary) = end_to_end_grid(fast_mode()).run(
-        default_workers(),
-        &GridOptions::default(),
-        |cell, trials| {
+/// The part: Ergo membership under every registered attack strategy, the
+/// surviving ring measured with wide-path lookups. The attack rates are
+/// enormous — the point is that lookups stay near-perfect *because* Ergo
+/// bounds the Sybil fraction, not because the attack is small.
+fn parts(fast: bool) -> Vec<Part> {
+    let lookups = lookups(fast);
+    let tables = vec![
+        TableSpec {
+            csv: "dht_grid".into(),
+            heading: "--- lookup success on rings of fixed Sybil fraction ---",
+            derive: Some(Box::new(move |_| static_rows(fast))),
+            columns: vec![
+                Column::new("bad fraction", |r, _| {
+                    format!("{:.3}", r.cell.f64_value(AXIS_BAD_FRACTION))
+                }),
+                Column::axis("strategy", AXIS_STRATEGY),
+                Column::field("lookup success rate", "success_rate"),
+            ],
+        },
+        TableSpec {
+            csv: "dht_end_to_end".into(),
+            heading: "--- end to end: ring membership from an Ergo run under attack ---",
+            derive: None,
+            columns: vec![
+                Column::axis("adversary", AXIS_STRATEGY),
+                Column::axis("T (attack on membership)", AXIS_T),
+                Column::count("trials", "trials"),
+                Column::field("ring size", "ring_size_mean"),
+                Column::new("Sybil fraction", |r, _| format!("{:.4}", r.get("bad_fraction_mean"))),
+                Column::field("wide-8 success mean", "success_rate_mean"),
+                Column::field("ci95_lo", "success_rate_ci95_lo"),
+                Column::field("ci95_hi", "success_rate_ci95_hi"),
+            ],
+        },
+    ];
+    vec![Part {
+        grid: end_to_end_grid(fast),
+        opts: GridOptions::default(),
+        measure: Box::new(move |cell, trials| {
             let strategy = cell.str_value(AXIS_STRATEGY);
             let t = cell.f64_value(AXIS_T);
             let mut ring_size = Welford::new();
@@ -224,48 +244,10 @@ pub fn run_end_to_end_grid() -> (Vec<EndToEndSummary>, RunSummary) {
             fields.extend(bad_fraction.summary().fields("bad_fraction"));
             fields.extend(success.summary().fields("success_rate"));
             fields
-        },
-    );
-    let rows = results
-        .iter()
-        .map(|r| EndToEndSummary {
-            strategy: r.cell.str_value(AXIS_STRATEGY).to_string(),
-            t: r.cell.f64_value(AXIS_T),
-            trials: r.trials(),
-            ring_size: r.summary("ring_size"),
-            bad_fraction: r.summary("bad_fraction"),
-            success_rate: r.summary("success_rate"),
-        })
-        .collect();
-    (rows, summary)
-}
-
-/// Formats aggregated end-to-end outcomes with trial means and 95 %
-/// confidence bounds for the lookup success rate.
-pub fn end_to_end_table(cells: &[EndToEndSummary]) -> Table {
-    let mut table = Table::new(vec![
-        "adversary",
-        "T (attack on membership)",
-        "trials",
-        "ring size",
-        "Sybil fraction",
-        "wide-8 success mean",
-        "ci95_lo",
-        "ci95_hi",
-    ]);
-    for c in cells {
-        table.push(vec![
-            c.strategy.clone(),
-            fmt_num(c.t),
-            c.trials.to_string(),
-            fmt_num(c.ring_size.mean),
-            format!("{:.4}", c.bad_fraction.mean),
-            fmt_num(c.success_rate.mean),
-            fmt_num(c.success_rate.ci95_lo),
-            fmt_num(c.success_rate.ci95_hi),
-        ]);
-    }
-    table
+        }),
+        violated: None,
+        tables,
+    }]
 }
 
 #[cfg(test)]

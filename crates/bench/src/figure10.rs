@@ -12,82 +12,40 @@
 //! curves pulling further ahead as `T` grows; CH1/CH2 give modest
 //! improvements concentrated at small `T` (purge-frequency effects).
 
+use crate::experiment::{Column, Experiment, Part, TableSpec};
 use crate::figure8::sweep;
-use crate::grid::{run_spend, spend_grid, trials_for, SpendSummary, TrialGrid};
-use crate::sweep::{fast_mode, Algo};
-use crate::table::{fmt_num, Table};
+use crate::grid::{ergo_mean, spend_columns, spend_part, trials_for};
+use crate::sweep::Algo;
 use sybil_churn::networks;
+
+/// Figure 10, declared.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "figure10",
+    banner: "=== Figure 10: Ergo heuristics (Section 10.3) ===",
+    parts,
+};
 
 /// The Figure 10 roster.
 pub fn roster() -> Vec<Algo> {
     vec![Algo::Ergo, Algo::ErgoCh1, Algo::ErgoCh2, Algo::ErgoSfFull(0.92), Algo::ErgoSfFull(0.98)]
 }
 
-/// The Figure 10 grid, declared.
-pub(crate) fn grid(fast: bool) -> TrialGrid {
+fn parts(fast: bool) -> Vec<Part> {
     let (horizon, t_grid) = sweep(fast);
-    spend_grid(
-        "figure10",
-        &networks::all_networks(),
-        &roster(),
-        &t_grid,
-        trials_for(fast),
-        horizon,
-        1,
-    )
-}
-
-/// Runs the full Figure 10 sweep (multi-trial, resumable).
-pub fn run() -> Vec<SpendSummary> {
-    run_spend(&grid(fast_mode()), &roster()).0
-}
-
-/// Formats the sweep as the paper's per-panel series with trial means and
-/// 95 % confidence bounds.
-pub fn to_table(points: &[SpendSummary]) -> Table {
-    let mut table = Table::new(vec![
-        "network",
-        "variant",
-        "T",
-        "trials",
-        "mean",
-        "ci95_lo",
-        "ci95_hi",
-        "vs ERGO",
-        "max bad frac",
-        "purges",
-    ]);
-    for p in points {
-        let ergo_a = points
-            .iter()
-            .find(|q| q.network == p.network && q.t == p.t && q.algo == "ERGO")
-            .map(|q| q.good_rate.mean);
-        table.push(vec![
-            p.network.clone(),
-            p.algo.clone(),
-            fmt_num(p.t),
-            p.good_rate.n.to_string(),
-            fmt_num(p.good_rate.mean),
-            fmt_num(p.good_rate.ci95_lo),
-            fmt_num(p.good_rate.ci95_hi),
-            ergo_a.map_or("-".into(), |a| {
-                if a > 0.0 {
-                    format!("{:.2}x", p.good_rate.mean / a)
-                } else {
-                    "-".into()
-                }
-            }),
-            fmt_num(p.max_bad_fraction.mean),
-            fmt_num(p.purges.mean),
-        ]);
-    }
-    table
+    let vs_ergo = Column::new("vs ERGO", |r, cells| match ergo_mean(cells, r) {
+        Some(ergo) if ergo > 0.0 => format!("{:.2}x", r.get("good_rate_mean") / ergo),
+        _ => "-".into(),
+    });
+    let tables = vec![TableSpec::per_cell("figure10", spend_columns("variant", vs_ergo))];
+    let nets = networks::all_networks();
+    let part = spend_part("figure10", &nets, &roster(), &t_grid, trials_for(fast), horizon, 1);
+    vec![Part { tables, ..part }]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_point, RunParams};
+    use crate::sweep::{run_report, RunParams};
 
     #[test]
     fn roster_matches_figure10_legend() {
@@ -100,13 +58,13 @@ mod tests {
         let net = networks::gnutella();
         let params = RunParams { horizon: 300.0, ..RunParams::default() };
         let t = 50_000.0;
-        let plain = run_point(&net, Algo::Ergo, t, params);
-        let sf = run_point(&net, Algo::ErgoSfFull(0.98), t, params);
+        let plain = run_report(&net, Algo::Ergo, t, params);
+        let sf = run_report(&net, Algo::ErgoSfFull(0.98), t, params);
         assert!(
-            sf.good_rate < plain.good_rate,
+            sf.good_spend_rate() < plain.good_spend_rate(),
             "ERGO-SF {} vs ERGO {}",
-            sf.good_rate,
-            plain.good_rate
+            sf.good_spend_rate(),
+            plain.good_spend_rate()
         );
         // Invariant still holds with heuristics + gate.
         assert!(sf.max_bad_fraction < 1.0 / 6.0);

@@ -17,10 +17,37 @@
 //! `(1−κ)·Tmax/κ ≈ 1.7·10⁸`; SybilControl's curve is cut once it can no
 //! longer enforce a `< 1/6` bad fraction.
 
-use crate::grid::{run_spend, run_spend_grid, spend_grid, trials_for, SpendSummary, TrialGrid};
-use crate::sweep::{fast_mode, t_grid, Algo};
-use crate::table::{fmt_num, Table};
+use crate::experiment::{Column, Experiment, Part, TableSpec};
+use crate::grid::{algo_of, ergo_mean, spend_columns, spend_part, trials_for, CellResult};
+use crate::sweep::{t_grid, Algo};
+use crate::table::fmt_num;
+use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
+use sybil_exp::spec::{AXIS_ALGO, AXIS_NETWORK, AXIS_T};
+
+/// Figure 8, declared.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "figure8",
+    banner: "=== Figure 8: good spend rate A vs adversary spend rate T ===\n\
+             (paper Section 10.1; kappa = 1/18, 10 000 s per point)",
+    parts,
+};
+
+/// The million-ID Figure-8-shaped grid (ROADMAP "scale sweeps to
+/// million-ID workloads"): the [`networks::millions`] model at 10⁶ initial
+/// IDs, ERGO / CCOM / SybilControl, four attack rates, ≥ 5 trials per
+/// cell — every run disk-streamed from the content-addressed cache, so
+/// resident workload memory stays at two read buffers per run instead of
+/// the ~16 MB schedule.
+///
+/// The horizon is 500 s (as in the `macro_millions` perf scenario): at
+/// this scale each trial replays ~170 k events, so the full grid is
+/// minutes, not hours, and still exercises every million-ID code path.
+pub const MILLIONS: Experiment = Experiment {
+    name: "figure8_millions",
+    banner: "=== Figure 8 at 10^6 IDs: A vs T, disk-streamed multi-trial grid ===",
+    parts: millions_parts,
+};
 
 /// The Figure 8 algorithm roster.
 pub fn roster() -> Vec<Algo> {
@@ -36,116 +63,72 @@ pub(crate) fn sweep(fast: bool) -> (f64, Vec<f64>) {
     }
 }
 
-/// The Figure 8 grid, declared.
-pub(crate) fn grid(fast: bool) -> TrialGrid {
+fn parts(fast: bool) -> Vec<Part> {
     let (horizon, t_grid) = sweep(fast);
-    spend_grid(
-        "figure8",
-        &networks::all_networks(),
-        &roster(),
-        &t_grid,
-        trials_for(fast),
-        horizon,
-        1,
-    )
+    let (nets, roster) = (networks::all_networks(), roster());
+    let tables = vec![
+        TableSpec::per_cell("figure8", columns(&nets, &roster)),
+        // The headline comparison: each baseline's spend relative to Ergo
+        // at the largest attack, per network (the paper reports "up to 2
+        // orders of magnitude better", and 3 with the classifier). Ratios
+        // compare trial means.
+        TableSpec {
+            csv: "figure8_summary".into(),
+            heading: "--- baseline cost relative to ERGO at the largest attack ---",
+            derive: Some(Box::new(|cells| {
+                let t_max = cells.iter().map(|c| c.cell.f64_value(AXIS_T)).fold(0.0, f64::max);
+                let baseline_at_t_max = |c: &&CellResult| {
+                    c.cell.f64_value(AXIS_T) == t_max && c.cell.str_value(AXIS_ALGO) != "ERGO"
+                };
+                cells.iter().filter(baseline_at_t_max).cloned().collect()
+            })),
+            columns: vec![
+                Column::axis("network", AXIS_NETWORK),
+                Column::axis("baseline", AXIS_ALGO),
+                Column::axis("T", AXIS_T),
+                Column::new("A_baseline / A_ERGO", |r, cells| {
+                    let ergo = ergo_mean(cells, r).expect("ERGO is on the Figure 8 roster");
+                    fmt_num(r.get("good_rate_mean") / ergo)
+                }),
+            ],
+        },
+    ];
+    let part = spend_part("figure8", &nets, &roster, &t_grid, trials_for(fast), horizon, 1);
+    vec![Part { tables, ..part }]
 }
 
-/// Runs the full Figure 8 sweep (multi-trial, cached disk-streamed
-/// workloads, resumable) and returns the aggregated cells.
-pub fn run() -> Vec<SpendSummary> {
-    run_spend(&grid(fast_mode()), &roster()).0
+fn millions_parts(fast: bool) -> Vec<Part> {
+    let nets = [networks::millions(1_000_000)];
+    let roster = [Algo::Ergo, Algo::CCom, Algo::SybilControl];
+    let t_grid = [0.0, 64.0, 4096.0, 65_536.0];
+    let tables = vec![TableSpec::per_cell("figure8_millions", columns(&nets, &roster))];
+    let part = spend_part("figure8_millions", &nets, &roster, &t_grid, trials_for(fast), 500.0, 1);
+    vec![Part { tables, ..part }]
 }
 
-/// The million-ID Figure-8-shaped grid (ROADMAP "scale sweeps to
-/// million-ID workloads"): the [`networks::millions`] model at 10⁶ initial
-/// IDs, ERGO / CCOM / SybilControl, four attack rates, ≥ 5 trials per
-/// cell — every run disk-streamed from the content-addressed cache, so
-/// resident workload memory stays at two read buffers per run instead of
-/// the ~16 MB schedule.
-///
-/// The horizon is 500 s (as in the `macro_millions` perf scenario): at
-/// this scale each trial replays ~170 k events, so the full grid is
-/// minutes, not hours, and still exercises every million-ID code path.
-///
-/// Returns the run summary too, so the `exp_millions` bin can exit
-/// nonzero when cells were quarantined.
-pub fn run_millions() -> (Vec<SpendSummary>, sybil_exp::RunSummary) {
-    run_spend_grid(
-        "figure8_millions",
-        &[networks::millions(1_000_000)],
-        &[Algo::Ergo, Algo::CCom, Algo::SybilControl],
-        &[0.0, 64.0, 4096.0, 65_536.0],
-        trials_for(fast_mode()),
-        500.0,
-        1,
-    )
-}
-
-/// Formats the cells as the per-network series the paper plots, with the
-/// trial mean and 95 % confidence bounds for `A`.
-pub fn to_table(points: &[SpendSummary]) -> Table {
-    let mut table = Table::new(vec![
-        "network",
-        "algorithm",
-        "T",
-        "trials",
-        "mean",
-        "ci95_lo",
-        "ci95_hi",
-        "A/T",
-        "max bad frac",
-        "purges",
-        "guarantee",
-    ]);
-    for p in points {
-        table.push(vec![
-            p.network.clone(),
-            p.algo.clone(),
-            fmt_num(p.t),
-            p.good_rate.n.to_string(),
-            fmt_num(p.good_rate.mean),
-            fmt_num(p.good_rate.ci95_lo),
-            fmt_num(p.good_rate.ci95_hi),
-            if p.t > 0.0 { fmt_num(p.good_rate.mean / p.t) } else { "-".into() },
-            fmt_num(p.max_bad_fraction.mean),
-            fmt_num(p.purges.mean),
-            if p.guarantee { "ok".into() } else { "CUT".to_string() },
-        ]);
-    }
-    table
-}
-
-/// The headline comparison: each baseline's spend relative to Ergo at the
-/// largest attack, per network (the paper reports "up to 2 orders of
-/// magnitude better", and 3 with the classifier). Ratios compare trial
-/// means.
-pub fn improvement_summary(points: &[SpendSummary]) -> Table {
-    let mut table = Table::new(vec!["network", "baseline", "T", "A_baseline / A_ERGO"]);
-    let t_max = points.iter().map(|p| p.t).fold(0.0, f64::max);
-    for net in networks::all_networks() {
-        let ergo_a = points
-            .iter()
-            .find(|p| p.network == net.name && p.algo == "ERGO" && p.t == t_max)
-            .map(|p| p.good_rate.mean);
-        let Some(ergo_a) = ergo_a else { continue };
-        for p in points {
-            if p.network == net.name && p.t == t_max && p.algo != "ERGO" {
-                table.push(vec![
-                    p.network.clone(),
-                    p.algo.clone(),
-                    fmt_num(p.t),
-                    fmt_num(p.good_rate.mean / ergo_a),
-                ]);
-            }
-        }
-    }
-    table
+/// The Figure 8 columns: `A/T`, and whether the algorithm's guarantee
+/// covers the cell's `T` (the curve cutoffs).
+fn columns(nets: &[ChurnModel], roster: &[Algo]) -> Vec<Column> {
+    let relative = Column::new("A/T", |r, _| match r.cell.f64_value(AXIS_T) {
+        t if t > 0.0 => fmt_num(r.get("good_rate_mean") / t),
+        _ => "-".into(),
+    });
+    let (nets, roster) = (nets.to_vec(), roster.to_vec());
+    let mut columns = spend_columns("algorithm", relative);
+    columns.push(Column::new("guarantee", move |r, _| {
+        let network = r.cell.str_value(AXIS_NETWORK);
+        let n_good = nets.iter().find(|n| n.name == network).expect("declared network");
+        let covered = algo_of(&roster, &r.cell)
+            .guarantee_covers(r.cell.f64_value(AXIS_T), n_good.initial_size);
+        if covered { "ok" } else { "CUT" }.into()
+    }));
+    columns
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_point, RunParams};
+    use crate::sweep::{run_report, RunParams};
 
     #[test]
     fn roster_matches_figure8_legend() {
@@ -160,16 +143,10 @@ mod tests {
         let net = networks::gnutella();
         let params = RunParams { horizon: 300.0, ..RunParams::default() };
         let t = 20_000.0;
-        let ergo = run_point(&net, Algo::Ergo, t, params);
-        let ccom = run_point(&net, Algo::CCom, t, params);
-        let remp = run_point(&net, Algo::Remp(1e7), t, params);
-        assert!(
-            ergo.good_rate < ccom.good_rate,
-            "ERGO {} vs CCOM {}",
-            ergo.good_rate,
-            ccom.good_rate
-        );
+        let rate = |algo| run_report(&net, algo, t, params).good_spend_rate();
+        let (ergo, ccom, remp) = (rate(Algo::Ergo), rate(Algo::CCom), rate(Algo::Remp(1e7)));
+        assert!(ergo < ccom, "ERGO {ergo} vs CCOM {ccom}");
         // REMP charges ~Tmax/κ regardless of T.
-        assert!(remp.good_rate > 1e8, "REMP {}", remp.good_rate);
+        assert!(remp > 1e8, "REMP {remp}");
     }
 }

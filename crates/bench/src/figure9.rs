@@ -23,19 +23,26 @@
 //! `T = 0` and within `(0.08, 4)` under attack — i.e. the estimate is always
 //! within about a factor of 10, usually much closer.
 
+use crate::experiment::{Column, Experiment, Part, TableSpec};
 use crate::grid::{trials_for, TrialGrid};
-use crate::sweep::{default_workers, fast_mode};
-use crate::table::{fmt_num, Table};
 use ergo_core::{Ergo, ErgoConfig};
 use std::collections::HashMap;
 use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
 use sybil_exp::spec::{Axis, AXIS_NETWORK, AXIS_T};
-use sybil_exp::{ExperimentSpec, GridOptions, MetricSummary, Welford};
+use sybil_exp::{ExperimentSpec, GridOptions, Welford};
 use sybil_sim::adversary::FractionKeeper;
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
 use sybil_sim::workload::WorkloadSource;
+
+/// Figure 9, declared.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "figure9",
+    banner: "=== Figure 9: GoodJEst estimate accuracy ===\n\
+             (paper Section 10.2; expected bands: (0.08, 1.2) at T=0, (0.08, 4) at T=10^4)",
+    parts,
+};
 
 /// The non-canonical axis of this grid: the persistent Sybil fraction.
 pub const AXIS_FRAC: &str = "frac";
@@ -49,25 +56,6 @@ pub fn fractions() -> Vec<(String, f64)> {
         ("1/24".into(), 1.0 / 24.0),
         ("1/6".into(), 1.0 / 6.0),
     ]
-}
-
-/// One cell of the Figure 9 grid, aggregated over trials.
-#[derive(Clone, Debug)]
-pub struct EstimateQuality {
-    /// Network name.
-    pub network: String,
-    /// Persistent Sybil fraction label.
-    pub fraction: String,
-    /// Injection spend rate (0 or 10 000).
-    pub t: f64,
-    /// Estimator intervals observed, summed over trials.
-    pub intervals: usize,
-    /// Minimum of `J̃ / true rate` across all trials' intervals.
-    pub min_ratio: f64,
-    /// Per-trial median ratio, aggregated over trials.
-    pub median_ratio: MetricSummary,
-    /// Maximum ratio across all trials' intervals.
-    pub max_ratio: f64,
 }
 
 /// Raw per-trial measurements (one workload seed, one run).
@@ -150,7 +138,7 @@ pub fn run_cell(
 /// The Figure 9 grid, declared axis by axis: the Sybil-fraction labels
 /// (which contain `/`) are ordinary axis values — the canonical escaped
 /// cell ids cannot alias, unlike the former free-form id strings.
-pub(crate) fn grid(fast: bool) -> TrialGrid {
+fn grid(fast: bool) -> TrialGrid {
     let nets = networks::all_networks();
     let spec = ExperimentSpec {
         name: "figure9".into(),
@@ -180,11 +168,27 @@ pub(crate) fn grid(fast: bool) -> TrialGrid {
     TrialGrid::from_spec(spec, context, &nets)
 }
 
-/// Runs the full Figure 9 grid (multi-trial, cached workloads, resumable).
-pub fn run() -> Vec<EstimateQuality> {
+/// The part: each cell records the extreme `J̃ / true rate` ratios over all
+/// its trials' estimator intervals and the per-trial median ratio
+/// aggregated over trials; the table is the paper's per-panel series.
+fn parts(fast: bool) -> Vec<Part> {
     let frac_by_label: HashMap<String, f64> = fractions().into_iter().collect();
-    let (results, _) =
-        grid(fast_mode()).run(default_workers(), &GridOptions::default(), |cell, trials| {
+    let columns = vec![
+        Column::axis("network", AXIS_NETWORK),
+        Column::axis("bad fraction", AXIS_FRAC),
+        Column::axis("T", AXIS_T),
+        Column::count("trials", "trials"),
+        Column::count("intervals", "intervals"),
+        Column::field("min est/true", "min_ratio"),
+        Column::field("mean", "median_mean"),
+        Column::field("ci95_lo", "median_ci95_lo"),
+        Column::field("ci95_hi", "median_ci95_hi"),
+        Column::field("max est/true", "max_ratio"),
+    ];
+    vec![Part {
+        grid: grid(fast),
+        opts: GridOptions::default(),
+        measure: Box::new(move |cell, trials| {
             let fraction = frac_by_label[cell.str_value(AXIS_FRAC)];
             let t = cell.f64_value(AXIS_T);
             let mut intervals = 0usize;
@@ -212,51 +216,10 @@ pub fn run() -> Vec<EstimateQuality> {
             fields.extend(medians.summary().fields("median"));
             fields.push(("max_ratio".into(), if max.is_finite() { max } else { f64::NAN }));
             fields
-        });
-    results
-        .iter()
-        .map(|r| EstimateQuality {
-            network: r.cell.str_value(AXIS_NETWORK).to_string(),
-            fraction: r.cell.str_value(AXIS_FRAC).to_string(),
-            t: r.cell.f64_value(AXIS_T),
-            intervals: r.get("intervals") as usize,
-            min_ratio: r.get("min_ratio"),
-            median_ratio: r.summary("median"),
-            max_ratio: r.get("max_ratio"),
-        })
-        .collect()
-}
-
-/// Formats the grid as the paper's per-panel series with trial means and
-/// 95 % confidence bounds for the median ratio.
-pub fn to_table(cells: &[EstimateQuality]) -> Table {
-    let mut table = Table::new(vec![
-        "network",
-        "bad fraction",
-        "T",
-        "trials",
-        "intervals",
-        "min est/true",
-        "mean",
-        "ci95_lo",
-        "ci95_hi",
-        "max est/true",
-    ]);
-    for c in cells {
-        table.push(vec![
-            c.network.clone(),
-            c.fraction.clone(),
-            fmt_num(c.t),
-            c.median_ratio.n.to_string(),
-            c.intervals.to_string(),
-            fmt_num(c.min_ratio),
-            fmt_num(c.median_ratio.mean),
-            fmt_num(c.median_ratio.ci95_lo),
-            fmt_num(c.median_ratio.ci95_hi),
-            fmt_num(c.max_ratio),
-        ]);
-    }
-    table
+        }),
+        violated: None,
+        tables: vec![TableSpec::per_cell("figure9", columns)],
+    }]
 }
 
 #[cfg(test)]

@@ -9,45 +9,24 @@
 //! (seeds derived grid-wide, workloads materialized once and
 //! disk-streamed), executes on the `sybil-exp` pool with resume, retry and
 //! quarantine, prints the run summary, and returns the records zipped
-//! with their cells as [`CellResult`]s for the driver's row mapping.
+//! with their cells as [`CellResult`]s for the experiment's columns.
 //!
-//! [`run_spend_grid`] is the (network × algorithm × T) instance behind
+//! [`spend_part`] is the (network × algorithm × T) instance behind
 //! Figures 8 and 10 and the million-ID variant.
 
-use crate::sweep::{default_workers, run_report_with, Algo};
+use crate::experiment::{Column, Part};
+use crate::sweep::{run_report_with, Algo};
 use crate::table::results_dir;
 use std::path::PathBuf;
 use sybil_churn::model::ChurnModel;
 use sybil_exp::runner::RunSummary;
 use sybil_exp::spec::{text_fingerprint, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_T};
 use sybil_exp::{
-    defense_seed, trial_seed, ExperimentSpec, GridOptions, MetricSummary, Record, Welford,
-    WorkloadCache,
+    defense_seed, trial_seed, ExperimentSpec, GridOptions, Record, Welford, WorkloadCache,
 };
 use sybil_sim::engine::SimConfig;
 use sybil_sim::time::Time;
 use sybil_sim::workload_io::DiskWorkload;
-
-/// One aggregated cell of a spend-rate grid: per-metric trial statistics.
-#[derive(Clone, Debug)]
-pub struct SpendSummary {
-    /// Network name.
-    pub network: String,
-    /// Algorithm label.
-    pub algo: String,
-    /// Configured adversary spend rate `T`.
-    pub t: f64,
-    /// Good spend rate `A` over trials.
-    pub good_rate: MetricSummary,
-    /// Measured adversary spend rate over trials.
-    pub adv_rate: MetricSummary,
-    /// Maximum instantaneous Sybil fraction over trials.
-    pub max_bad_fraction: MetricSummary,
-    /// Purges executed over trials.
-    pub purges: MetricSummary,
-    /// Whether the algorithm's guarantee covers this `T` (curve cutoff).
-    pub guarantee: bool,
-}
 
 /// The four metrics every spend cell records, in store-field order.
 const METRICS: [&str; 4] = ["good_rate", "adv_rate", "max_bad_fraction", "purges"];
@@ -124,6 +103,7 @@ impl Trial<'_> {
 }
 
 /// One cell of a finished grid with what the store holds for it.
+#[derive(Clone)]
 pub struct CellResult {
     /// The cell.
     pub cell: CellSpec,
@@ -133,20 +113,17 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    /// The recorded field `name` (NaN when quarantined or absent).
+    /// The recorded field `name` (NaN when quarantined).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record lacks the field: the column (or derived table)
+    /// asking for it and the measurement that wrote the record disagree
+    /// about the schema.
     pub fn get(&self, name: &str) -> f64 {
-        self.record.as_ref().and_then(|r| r.get(name)).unwrap_or(f64::NAN)
-    }
-
-    /// The recorded trial count (0 when quarantined).
-    pub fn trials(&self) -> u64 {
-        self.get("trials") as u64
-    }
-
-    /// The `<name>_mean, _ci95_lo, _ci95_hi` triple written by
-    /// [`MetricSummary::fields`].
-    pub fn summary(&self, name: &str) -> MetricSummary {
-        MetricSummary::from_record_opt(self.record.as_ref(), name, self.trials())
+        self.record.as_ref().map_or(f64::NAN, |r| {
+            r.get(name).unwrap_or_else(|| panic!("record {} lacks field {name:?}", r.cell_id))
+        })
     }
 }
 
@@ -338,17 +315,18 @@ pub fn default_cache_dir() -> PathBuf {
     raw.canonicalize().unwrap_or(raw).join("target").join("workload_cache")
 }
 
-/// Runs a multi-trial (networks × roster × T) spend grid: every cell
-/// aggregates its trials' [`SimReport`](sybil_sim::SimReport)s into
-/// t-based 95 % confidence intervals (see [`TrialGrid::run`] for caching,
-/// resume and the printed summary). Each trial replays its cached
-/// workload on one thread; the pool runs cells side by side.
+/// The part every spend experiment runs: the (networks × roster × T) grid
+/// and its measurement — each cell replays its trials' cached workloads
+/// under `BudgetJoiner(T)` and aggregates the [`SimReport`]s into t-based
+/// 95 % confidence intervals per metric. The caller adds the tables.
 ///
 /// # Panics
 ///
-/// Panics if the cache or store directories are unusable, or if a label
-/// in `roster`/`nets` is not unique — cells would alias in the store.
-pub fn run_spend_grid(
+/// Panics if a label in `roster`/`nets` is not unique — cells would alias
+/// in the store.
+///
+/// [`SimReport`]: sybil_sim::SimReport
+pub fn spend_part(
     name: &str,
     nets: &[ChurnModel],
     roster: &[Algo],
@@ -356,20 +334,7 @@ pub fn run_spend_grid(
     trials: u32,
     horizon: f64,
     base_seed: u64,
-) -> (Vec<SpendSummary>, RunSummary) {
-    run_spend(&spend_grid(name, nets, roster, t_grid, trials, horizon, base_seed), roster)
-}
-
-/// Declares the (networks × roster × T) spend grid Figures 8 and 10 run.
-pub(crate) fn spend_grid(
-    name: &str,
-    nets: &[ChurnModel],
-    roster: &[Algo],
-    t_grid: &[f64],
-    trials: u32,
-    horizon: f64,
-    base_seed: u64,
-) -> TrialGrid {
+) -> Part {
     assert_distinct(name, "algorithm label", roster.iter().map(Algo::label));
     for &t in t_grid {
         // Spec validation only guarantees finiteness (axes are generic);
@@ -410,19 +375,12 @@ pub(crate) fn spend_grid(
             sybil_defenses::RempConfig::default(),
         )
     };
-    TrialGrid::from_spec(spec, context, nets)
-}
-
-/// Runs a grid declared by [`spend_grid`] over `roster` (the same roster
-/// it was declared with: cells name algorithms by label).
-pub(crate) fn run_spend(grid: &TrialGrid, roster: &[Algo]) -> (Vec<SpendSummary>, RunSummary) {
-    let algo_of = |cell: &CellSpec| {
-        let label = cell.str_value(AXIS_ALGO);
-        *roster.iter().find(|a| a.label() == label).expect("cell names a roster algorithm")
-    };
-    let (results, summary) =
-        grid.run(default_workers(), &GridOptions::default(), |cell, trials| {
-            let (algo, t) = (algo_of(cell), cell.f64_value(AXIS_T));
+    let roster = roster.to_vec();
+    Part {
+        grid: TrialGrid::from_spec(spec, context, nets),
+        opts: GridOptions::default(),
+        measure: Box::new(move |cell, trials| {
+            let (algo, t) = (algo_of(&roster, cell), cell.f64_value(AXIS_T));
             let mut acc = [Welford::new(); 4];
             for trial in trials {
                 let cfg =
@@ -438,88 +396,131 @@ pub(crate) fn run_spend(grid: &TrialGrid, roster: &[Algo]) -> (Vec<SpendSummary>
                 fields.extend(w.summary().fields(name));
             }
             fields
-        });
-    let rows = results
+        }),
+        violated: None,
+        tables: Vec::new(),
+    }
+}
+
+/// The roster entry a spend cell's `algo` axis names.
+pub(crate) fn algo_of(roster: &[Algo], cell: &CellSpec) -> Algo {
+    let label = cell.str_value(AXIS_ALGO);
+    *roster.iter().find(|a| a.label() == label).expect("cell names a roster algorithm")
+}
+
+/// The columns Figures 8 and 10 share — the per-network series the paper
+/// plots, with the trial mean and 95 % confidence bounds for `A` — around
+/// the one column in which they differ.
+pub(crate) fn spend_columns(algo_header: &'static str, relative: Column) -> Vec<Column> {
+    vec![
+        Column::axis("network", AXIS_NETWORK),
+        Column::axis(algo_header, AXIS_ALGO),
+        Column::axis("T", AXIS_T),
+        Column::count("trials", "trials"),
+        Column::field("mean", "good_rate_mean"),
+        Column::field("ci95_lo", "good_rate_ci95_lo"),
+        Column::field("ci95_hi", "good_rate_ci95_hi"),
+        relative,
+        Column::field("max bad frac", "max_bad_fraction_mean"),
+        Column::field("purges", "purges_mean"),
+    ]
+}
+
+/// Plain Ergo's mean spend rate in the cell of `cells` that shares
+/// `like`'s network and `T` (the denominator of every "relative to ERGO"
+/// column).
+pub(crate) fn ergo_mean(cells: &[CellResult], like: &CellResult) -> Option<f64> {
+    let same = |c: &CellResult| {
+        c.cell.str_value(AXIS_NETWORK) == like.cell.str_value(AXIS_NETWORK)
+            && c.cell.f64_value(AXIS_T) == like.cell.f64_value(AXIS_T)
+    };
+    cells
         .iter()
-        .map(|r| {
-            let t = r.cell.f64_value(AXIS_T);
-            SpendSummary {
-                network: r.cell.str_value(AXIS_NETWORK).to_string(),
-                algo: r.cell.str_value(AXIS_ALGO).to_string(),
-                t,
-                good_rate: r.summary("good_rate"),
-                adv_rate: r.summary("adv_rate"),
-                max_bad_fraction: r.summary("max_bad_fraction"),
-                purges: r.summary("purges"),
-                guarantee: algo_of(&r.cell).guarantee_covers(t, grid.net(&r.cell).initial_size),
-            }
-        })
-        .collect();
-    (rows, summary)
+        .find(|c| same(c) && c.cell.str_value(AXIS_ALGO) == "ERGO")
+        .map(|c| c.get("good_rate_mean"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::REGISTRY;
+    use crate::figure9::AXIS_FRAC;
     use sybil_churn::networks;
+    use sybil_exp::spec::Axis;
+    use sybil_exp::ResultsStore;
+    use sybil_sim::workload::WorkloadSource;
 
-    /// Store compatibility, pinned per experiment driver at its
-    /// `SYBIL_BENCH_FAST` parameters: SHA-256 over the store fingerprint
-    /// and the ordered cell-id list. The values were captured from stores
-    /// the pre-`TrialGrid` drivers wrote (`SYBIL_BENCH_FAST=1
-    /// SYBIL_BENCH_WORKERS=1 cargo bench -p sybil-bench`); as long as they
-    /// hold, a `results/*.store` written by any earlier commit resumes
-    /// with zero cells re-executed. A pin may only change together with a
-    /// deliberate change to what the experiment computes.
+    /// Store and CSV compatibility, pinned for every grid of every
+    /// registered experiment at its `SYBIL_BENCH_FAST` parameters: per
+    /// grid, SHA-256 over the store fingerprint and the ordered cell-id
+    /// list, then the header row of each CSV its tables write. The
+    /// identities were captured from stores earlier commits wrote — the
+    /// nine paper grids' from the pre-`TrialGrid` drivers
+    /// (`SYBIL_BENCH_FAST=1 SYBIL_BENCH_WORKERS=1 cargo bench -p
+    /// sybil-bench`), the two `_millions` from the bins that ran them
+    /// before the registry — so as long as they hold, such a
+    /// `results/*.store` resumes with zero cells re-executed. A pin may
+    /// only change together with a deliberate change to what the
+    /// experiment computes; an experiment without pins fails here.
     #[test]
     fn store_identities_are_pinned() {
-        use crate::{
-            ablation_exp, committee_exp, dht_exp, figure10, figure8, figure9, invariants_exp,
-            lower_bound_exp,
-        };
-        let pins = [
-            (
-                figure8::grid(true),
-                "60abe5a3dcb89ce59f203e50bed916daf1eec5231cc61820cf8c9a16f15434e4",
-            ),
-            (
-                figure10::grid(true),
-                "8b884d81d551f378ccf6f06657f5ba38afa776881ae3995ec6953b2a26ef820c",
-            ),
-            (
-                figure9::grid(true),
-                "127f855001bf3a5c32d953ec5f363fd1fcdd37befdd4b5564e6d6b71f8bb1b35",
-            ),
-            (
-                invariants_exp::invariants_grid(true),
-                "325e2cbcf48d04d6c8e04da73e0762415d75cb284174d4d4b3a0cd46fc9f450d",
-            ),
-            (
-                invariants_exp::scaling_grid(true),
-                "a513883f782489115c7ca10a50513d144d10898f255214204dd7856087925031",
-            ),
-            (
-                ablation_exp::grid(true),
-                "e8af4ab423404d06f76315a818d00075aed5d768c358e9c9815f9bb50e502758",
-            ),
-            (
-                committee_exp::grid(true),
-                "6fbc7b2e3c9e7ef6c2895d1fe59a245b404931d03651fe8bf79532916ff2b81e",
-            ),
-            (
-                dht_exp::end_to_end_grid(true),
-                "d12deec73b181b40b40252bcd548511e5874f2b983b1b5d6023a2cef9f8eb3fa",
-            ),
-            (
-                lower_bound_exp::grid(true),
-                "fa260e954918620ee12079b1ae30482a4e0afe28df9e348c848350c3edf96f8e",
-            ),
-        ];
-        for (grid, pin) in pins {
-            let ids: Vec<String> = grid.cells().iter().map(|c| c.id()).collect();
-            let identity = format!("{}\n{}", grid.fingerprint(), ids.join("\n"));
-            assert_eq!(text_fingerprint(&identity), pin, "{}: store identity drifted", grid.name);
+        const PINS: &str = "\
+figure8 60abe5a3dcb89ce59f203e50bed916daf1eec5231cc61820cf8c9a16f15434e4
+  figure8.csv network,algorithm,T,trials,mean,ci95_lo,ci95_hi,A/T,max bad frac,purges,guarantee
+  figure8_summary.csv network,baseline,T,A_baseline / A_ERGO
+figure9 127f855001bf3a5c32d953ec5f363fd1fcdd37befdd4b5564e6d6b71f8bb1b35
+  figure9.csv network,bad fraction,T,trials,intervals,min est/true,mean,ci95_lo,ci95_hi,max est/true
+figure10 8b884d81d551f378ccf6f06657f5ba38afa776881ae3995ec6953b2a26ef820c
+  figure10.csv network,variant,T,trials,mean,ci95_lo,ci95_hi,vs ERGO,max bad frac,purges
+lower_bound fa260e954918620ee12079b1ae30482a4e0afe28df9e348c848350c3edf96f8e
+  lower_bound.csv cost function,T,J,J_B (fixed point),spend rate,sqrt(TJ)+J,spend/bound
+committee 6fbc7b2e3c9e7ef6c2895d1fe59a245b404931d03651fe8bf79532916ff2b81e
+  committee.csv network,adversary,T,trials,elections,mean size,min good frac,bound,SMR msgs,A decentralized,ci95_lo,ci95_hi,A centralized,max bad frac
+invariants 325e2cbcf48d04d6c8e04da73e0762415d75cb284174d4d4b3a0cd46fc9f450d
+  invariants.csv network,adversary,T,trials,max bad frac,ci95_lo,ci95_hi,worst,bound (3k),held,A
+scaling a513883f782489115c7ca10a50513d144d10898f255214204dd7856087925031
+  scaling.csv network,algorithm,trials,A~T^e mean,ci95_lo,ci95_hi,points,theory
+dht_end_to_end d12deec73b181b40b40252bcd548511e5874f2b983b1b5d6023a2cef9f8eb3fa
+  dht_grid.csv bad fraction,strategy,lookup success rate
+  dht_end_to_end.csv adversary,T (attack on membership),trials,ring size,Sybil fraction,wide-8 success mean,ci95_lo,ci95_hi
+ablation e8af4ab423404d06f76315a818d00075aed5d768c358e9c9815f9bb50e502758
+  ablation.csv knob,value,trials,mean,ci95_lo,ci95_hi,purges,max bad frac,bound
+figure8_millions 2718fbf509073714033c881b295a0c3d37314b7cb01d8680c2c07b28d814f1bf
+  figure8_millions.csv network,algorithm,T,trials,mean,ci95_lo,ci95_hi,A/T,max bad frac,purges,guarantee
+invariants_millions cf8f6ffef1588398dd896376967a307b0064327d3f9a54afc535bfb563949c10
+  invariants_millions.csv network,adversary,T,trials,max bad frac,ci95_lo,ci95_hi,worst,bound (3k),held,A
+";
+        let mut declared = Vec::new();
+        for part in REGISTRY.iter().flat_map(|experiment| (experiment.parts)(true)) {
+            let ids: Vec<String> = part.grid.cells().iter().map(|c| c.id()).collect();
+            let identity = format!("{}\n{}", part.grid.fingerprint(), ids.join("\n"));
+            declared.push(format!("{} {}", part.grid.name, text_fingerprint(&identity)));
+            for table in &part.tables {
+                declared.push(format!("  {}.csv {}", table.csv, table.header().join(",")));
+            }
         }
+        let pinned: Vec<&str> = PINS.lines().collect();
+        assert_eq!(declared, pinned, "a store identity, CSV name or header row drifted");
+    }
+
+    /// Field-for-field, in field order: what resume must serve back.
+    fn assert_same_records(cold: &[CellResult], warm: &[CellResult]) {
+        assert_eq!(cold.len(), warm.len());
+        for (a, b) in cold.iter().zip(warm) {
+            let (a, b) =
+                (a.record.as_ref().expect("no holes"), b.record.as_ref().expect("no holes"));
+            assert_eq!(a.cell_id, b.cell_id);
+            assert_eq!(a.fields.len(), b.fields.len(), "{}", a.cell_id);
+            for ((an, av), (bn, bv)) in a.fields.iter().zip(&b.fields) {
+                assert_eq!(an, bn, "{}: field order changed", a.cell_id);
+                assert_eq!(av.to_bits(), bv.to_bits(), "{}/{an}: resumed value differs", a.cell_id);
+            }
+        }
+    }
+
+    fn remove_artifacts(name: &str) {
+        std::fs::remove_file(results_dir().join(format!("{name}.store"))).ok();
+        std::fs::remove_file(results_dir().join(format!("{name}.spec"))).ok();
     }
 
     #[test]
@@ -528,30 +529,66 @@ mod tests {
         // store dirs via env override is not possible per-test (process
         // global), so use a uniquely named experiment in the shared dirs.
         let name = format!("grid-test-{}", std::process::id());
-        let net = networks::gnutella();
         let roster = [Algo::Ergo, Algo::CCom];
-        let (rows, summary) = run_spend_grid(&name, &[net], &roster, &[0.0, 64.0], 2, 50.0, 5);
-        assert_eq!(rows.len(), 4);
+        let part = spend_part(&name, &[networks::gnutella()], &roster, &[0.0, 64.0], 2, 50.0, 5);
+        let (cold, summary) = part.run();
+        assert_eq!(cold.len(), 4);
         assert_eq!(summary.cells_executed, 4);
-        for row in &rows {
-            assert_eq!(row.good_rate.n, 2);
-            assert!(row.good_rate.mean > 0.0);
+        for c in &cold {
+            assert_eq!(c.get("trials"), 2.0);
+            assert!(c.get("good_rate_mean") > 0.0);
             assert!(
-                row.good_rate.ci95_lo <= row.good_rate.mean
-                    && row.good_rate.mean <= row.good_rate.ci95_hi
+                c.get("good_rate_ci95_lo") <= c.get("good_rate_mean")
+                    && c.get("good_rate_mean") <= c.get("good_rate_ci95_hi")
             );
         }
         // Warm re-run: all cells resume from the store, bit-identically.
-        let (rows2, summary2) =
-            run_spend_grid(&name, &[networks::gnutella()], &roster, &[0.0, 64.0], 2, 50.0, 5);
+        let (warm, summary2) = part.run();
         assert_eq!(summary2.cells_executed, 0);
         assert_eq!(summary2.cells_skipped, 4);
-        for (a, b) in rows.iter().zip(&rows2) {
-            assert_eq!(a.good_rate.mean.to_bits(), b.good_rate.mean.to_bits());
-            assert_eq!(a.purges.mean.to_bits(), b.purges.mean.to_bits());
+        assert!(summary2.resumed);
+        assert_same_records(&cold, &warm);
+        remove_artifacts(&name);
+
+        // Four named axes, the fourth with labels containing the store's
+        // separator `/`: cold → warm the same way, and the store must hold
+        // exactly |grid| distinct keys under the fingerprint the grid
+        // declares — the structural guard against cell-id aliasing.
+        let name = format!("grid-test-axes-{}", std::process::id());
+        let spec = ExperimentSpec {
+            name: name.clone(),
+            axes: vec![
+                Axis::strs(AXIS_NETWORK, ["gnutella"]),
+                Axis::strs(AXIS_ALGO, ["ERGO"]),
+                Axis::floats(AXIS_T, [0.0, 1024.0]),
+                Axis::strs(AXIS_FRAC, ["1/24", "1/6"]),
+            ],
+            trials: 2,
+            horizon: 200.0,
+            kappa: SimConfig::default().kappa,
+            seed: 1,
+        };
+        let grid = TrialGrid::from_spec(spec, String::new(), &[networks::gnutella()]);
+        let run = || {
+            grid.run(2, &GridOptions::default(), |_, trials| {
+                let sessions = trials.iter().map(|t| t.workload().session_count()).sum::<u64>();
+                vec![("trials".into(), trials.len() as f64), ("sessions".into(), sessions as f64)]
+            })
+        };
+        let (cold, summary) = run();
+        assert_eq!((grid.cells().len(), summary.cells_executed), (4, 4));
+        let (warm, summary2) = run();
+        assert_eq!((summary2.cells_executed, summary2.cells_skipped), (0, 4));
+        assert!(!summary.has_holes() && !summary2.has_holes());
+        assert_same_records(&cold, &warm);
+        let store_path = results_dir().join(format!("{name}.store"));
+        let (store, resumed) = ResultsStore::open(&store_path, grid.fingerprint()).unwrap();
+        assert!(resumed, "the declared fingerprint is the one the runner bound the store to");
+        assert_eq!(store.len(), 4, "exactly |grid| distinct cell keys");
+        for cell in grid.cells() {
+            assert!(store.is_done(&cell.id()), "missing cell {}", cell.id());
         }
-        // Clean up this test's store artifacts.
-        std::fs::remove_file(results_dir().join(format!("{name}.store"))).ok();
-        std::fs::remove_file(results_dir().join(format!("{name}.spec"))).ok();
+        drop(store);
+        remove_artifacts(&name);
     }
 }

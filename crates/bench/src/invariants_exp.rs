@@ -17,19 +17,19 @@
 //! once per trial in the content-addressed disk cache and streamed into
 //! every cell, each cell aggregates its trials into `mean, ci95_lo,
 //! ci95_hi`, and finished cells land in a resumable results store.
-//! [`run_invariant_grid`] is the shared engine: the paper-scale
-//! [`run_invariants`], the 10⁶-ID [`run_invariants_millions`] bin, and the
-//! CI smoke's strategy-axis grid are all parameterizations of it.
+//! [`invariant_part`] is the shared declaration: the paper-scale
+//! [`EXPERIMENT`], the 10⁶-ID [`MILLIONS`], and the tests' small
+//! strategy-axis grids are all parameterizations of it.
 
-use crate::grid::{trials_for, TrialGrid};
-use crate::sweep::{default_workers, fast_mode, run_report_with, Algo};
-use crate::table::{fmt_num, Table};
+use crate::experiment::{Column, Experiment, Part, TableSpec};
+use crate::grid::{algo_of, trials_for, CellResult, TrialGrid};
+use crate::sweep::{run_report_with, Algo};
+use crate::table::fmt_num;
 use ergo_core::{Ergo, ErgoConfig};
 use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
-use sybil_exp::runner::RunSummary;
-use sybil_exp::spec::{Axis, AXIS_ALGO, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{ExperimentSpec, GridOptions, MetricSummary, Welford};
+use sybil_exp::spec::{Axis, AxisValue, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
+use sybil_exp::{Durability, ExperimentSpec, GridOptions, Record, Welford};
 use sybil_sim::adversary::{
     build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_BUDGET, STRATEGY_BURST,
     STRATEGY_CHURN_FORCE, STRATEGY_PURGE_SURVIVE,
@@ -37,6 +37,61 @@ use sybil_sim::adversary::{
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
 use sybil_sim::SimReport;
+
+/// Theorem 1's two guarantees beyond the plotted figures, declared.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "invariants",
+    banner: "=== Theorem 1 beyond the figures: the Lemma 9 invariant, sqrt(T) scaling ===",
+    parts,
+};
+
+/// The 10⁶-ID strategy × network invariant grid: every attack strategy
+/// against the million-ID churn model, disk-streamed through the workload
+/// cache at the `macro_millions` horizon — Lemma 9 at the scale the
+/// ROADMAP's north star names.
+///
+/// Runs with [`Durability::Sync`]: every acknowledged cell is fsynced, so
+/// a machine crash mid-run costs only in-flight cells.
+pub const MILLIONS: Experiment = Experiment {
+    name: "invariants_millions",
+    banner: "=== Lemma 9 at 10^6 IDs: strategy x network invariant grid ===",
+    parts: millions_parts,
+};
+
+/// The paper-scale invariant sweep — Gnutella and Ethereum churn, every
+/// registered attack strategy, three spend-rate decades — and the scaling
+/// fits.
+fn parts(fast: bool) -> Vec<Part> {
+    let invariants = invariant_part(
+        "invariants",
+        &[networks::gnutella(), networks::ethereum()],
+        &strategy_roster(),
+        if fast { &[1e3] } else { &[1e2, 1e4, 1e6] },
+        trials_for(fast),
+        if fast { 300.0 } else { 5_000.0 },
+        23,
+        GridOptions::default(),
+    );
+    vec![invariants, scaling_part(fast)]
+}
+
+fn millions_parts(fast: bool) -> Vec<Part> {
+    vec![invariant_part(
+        "invariants_millions",
+        &[networks::millions(1_000_000)],
+        &strategy_roster(),
+        &[4_096.0, 65_536.0],
+        trials_for(fast),
+        500.0,
+        23,
+        GridOptions { durability: Durability::Sync, ..GridOptions::default() },
+    )]
+}
+
+/// The Lemma 9 bound `3κ` (= 1/6 at the paper's κ = 1/18).
+pub fn bound() -> f64 {
+    3.0 * SimConfig::default().kappa
+}
 
 /// The strategy axis of the invariant experiments: every attack strategy
 /// in the adversary registry (the `none` baseline is excluded — a cell
@@ -67,38 +122,25 @@ pub fn run_strategy_once(
     Simulation::new(cfg, Ergo::new(ErgoConfig::default()), adversary, workload).run()
 }
 
-/// One invariant-sweep cell, aggregated over trials.
-#[derive(Clone, Debug)]
-pub struct InvariantOutcome {
-    /// Network.
-    pub network: String,
-    /// Strategy registry name.
-    pub strategy: String,
-    /// Adversary spend rate.
-    pub t: f64,
-    /// Trials behind the confidence intervals.
-    pub trials: u64,
-    /// Maximum instantaneous Sybil fraction, over trials.
-    pub max_bad_fraction: MetricSummary,
-    /// The single worst instantaneous fraction any trial reached — the
-    /// invariant is about the worst case, so the pass/fail verdict uses
-    /// this, not the mean.
-    pub worst_bad_fraction: f64,
-    /// The Lemma 9 bound `3κ` (= 1/6 at the paper's κ = 1/18).
-    pub bound: f64,
-    /// Whether every trial held the invariant throughout. Also `false`
-    /// when the cell was quarantined and has no data — check
-    /// `worst_bad_fraction.is_nan()` to tell "no data" from "violated".
-    pub held: bool,
-    /// Good spend rate over trials.
-    pub good_rate: MetricSummary,
-}
-
-/// Declares a (network × strategy × T) invariant grid. The per-strategy
+/// Declares a (network × strategy × T) invariant experiment part:
+/// multi-trial, cached disk-streamed workloads, resumable store at
+/// `results/<name>.store`, one table `results/<name>.csv`.
+///
+/// The strategy axis carries registry names; each cell resolves its name
+/// through [`build_strategy`] with [`cell_params`]`(t)`, and records — next
+/// to the trial statistics — the single worst instantaneous Sybil fraction
+/// any trial reached: the invariant is about the worst case, so the
+/// `held` verdict (and the run's exit status) reads that, not the mean.
+/// `opts` is the grid's retry/durability policy. The per-strategy
 /// parameter fingerprints are folded into the store's configuration
 /// context, so a change to what a registry name *means* (a different
 /// burst period, say) re-runs the grid instead of resuming stale cells.
-fn invariant_grid(
+///
+/// # Panics
+///
+/// Panics if a strategy name is not registered.
+#[allow(clippy::too_many_arguments)]
+pub fn invariant_part(
     name: &str,
     nets: &[ChurnModel],
     strategies: &[&str],
@@ -106,7 +148,8 @@ fn invariant_grid(
     trials: u32,
     horizon: f64,
     base_seed: u64,
-) -> TrialGrid {
+    opts: GridOptions,
+) -> Part {
     let spec = ExperimentSpec {
         name: name.into(),
         axes: vec![
@@ -133,151 +176,58 @@ fn invariant_grid(
             .collect::<Vec<_>>()
             .join(", "),
     );
-    TrialGrid::from_spec(spec, context, nets)
-}
-
-/// The paper-scale invariant sweep, declared: Gnutella and Ethereum
-/// churn, every registered attack strategy, three spend-rate decades.
-pub(crate) fn invariants_grid(fast: bool) -> TrialGrid {
-    let horizon = if fast { 300.0 } else { 5_000.0 };
-    let t_values = if fast { vec![1e3] } else { vec![1e2, 1e4, 1e6] };
-    invariant_grid(
-        "invariants",
-        &[networks::gnutella(), networks::ethereum()],
-        &strategy_roster(),
-        &t_values,
-        trials_for(fast),
-        horizon,
-        23,
-    )
-}
-
-/// Runs a (network × strategy × T) invariant grid through the `sybil-exp`
-/// subsystem: multi-trial, cached disk-streamed workloads, resumable
-/// store at `results/<name>.store`.
-///
-/// The strategy axis carries registry names; each cell resolves its name
-/// through [`build_strategy`] with [`cell_params`]`(t)`. `opts` is the
-/// grid's retry/durability policy — the `invariants_millions` bin passes
-/// [`sybil_exp::Durability::Sync`] so acknowledged cells of a multi-hour
-/// run survive machine crashes, not just process kills.
-///
-/// # Panics
-///
-/// Panics if the cache or store directories are unusable, or if a
-/// strategy name is not registered.
-#[allow(clippy::too_many_arguments)]
-pub fn run_invariant_grid(
-    name: &str,
-    nets: &[ChurnModel],
-    strategies: &[&str],
-    t_values: &[f64],
-    trials: u32,
-    horizon: f64,
-    base_seed: u64,
-    opts: &GridOptions,
-) -> (Vec<InvariantOutcome>, RunSummary) {
-    run_invariants_on(
-        &invariant_grid(name, nets, strategies, t_values, trials, horizon, base_seed),
+    let columns = vec![
+        Column::axis("network", AXIS_NETWORK),
+        Column::axis("adversary", AXIS_STRATEGY),
+        Column::axis("T", AXIS_T),
+        Column::count("trials", "trials"),
+        Column::field("max bad frac", "max_bad_fraction_mean"),
+        Column::field("ci95_lo", "max_bad_fraction_ci95_lo"),
+        Column::field("ci95_hi", "max_bad_fraction_ci95_hi"),
+        Column::field("worst", "worst_bad_fraction"),
+        Column::text("bound (3k)", fmt_num(bound())),
+        // A quarantined cell reads NaN: no verdict either way.
+        Column::new("held", |r, _| match r.get("worst_bad_fraction") {
+            worst if worst.is_nan() => "no-data".into(),
+            worst if worst < bound() => "yes".into(),
+            _ => "VIOLATED".into(),
+        }),
+        Column::field("A", "good_rate_mean"),
+    ];
+    Part {
+        grid: TrialGrid::from_spec(spec, context, nets),
         opts,
-    )
-}
-
-fn run_invariants_on(grid: &TrialGrid, opts: &GridOptions) -> (Vec<InvariantOutcome>, RunSummary) {
-    let kappa = SimConfig::default().kappa;
-    let (results, summary) = grid.run(default_workers(), opts, |cell, trials| {
-        let strategy = cell.str_value(AXIS_STRATEGY);
-        let t = cell.f64_value(AXIS_T);
-        let mut frac = Welford::new();
-        let mut rate = Welford::new();
-        let mut worst = 0.0f64;
-        for trial in trials {
-            let cfg =
-                SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
-            let adversary = build_strategy(strategy, &cell_params(t))
-                .unwrap_or_else(|e| panic!("cell {}: {e}", cell.id()));
-            let defense = Ergo::new(ErgoConfig::default());
-            let report = Simulation::new(cfg, defense, adversary, trial.workload()).run();
-            frac.push(report.max_bad_fraction);
-            rate.push(report.good_spend_rate());
-            worst = worst.max(report.max_bad_fraction);
-        }
-        let mut fields = vec![("trials".to_string(), trials.len() as f64)];
-        fields.extend(frac.summary().fields("max_bad_fraction"));
-        fields.push(("worst_bad_fraction".into(), worst));
-        fields.extend(rate.summary().fields("good_rate"));
-        fields
-    });
-    let bound = 3.0 * kappa;
-    let rows = results
-        .iter()
-        .map(|r| {
-            // A quarantined cell reads NaN: `held` goes false (NaN is
-            // never `< bound`) and the table renders "no-data", not a
-            // fabricated verdict either way.
-            let worst = r.get("worst_bad_fraction");
-            InvariantOutcome {
-                network: r.cell.str_value(AXIS_NETWORK).to_string(),
-                strategy: r.cell.str_value(AXIS_STRATEGY).to_string(),
-                t: r.cell.f64_value(AXIS_T),
-                trials: r.trials(),
-                max_bad_fraction: r.summary("max_bad_fraction"),
-                worst_bad_fraction: worst,
-                bound,
-                held: worst < bound,
-                good_rate: r.summary("good_rate"),
+        measure: Box::new(|cell, trials| {
+            let strategy = cell.str_value(AXIS_STRATEGY);
+            let t = cell.f64_value(AXIS_T);
+            let mut frac = Welford::new();
+            let mut rate = Welford::new();
+            let mut worst = 0.0f64;
+            for trial in trials {
+                let cfg =
+                    SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
+                let adversary = build_strategy(strategy, &cell_params(t))
+                    .unwrap_or_else(|e| panic!("cell {}: {e}", cell.id()));
+                let defense = Ergo::new(ErgoConfig::default());
+                let report = Simulation::new(cfg, defense, adversary, trial.workload()).run();
+                frac.push(report.max_bad_fraction);
+                rate.push(report.good_spend_rate());
+                worst = worst.max(report.max_bad_fraction);
             }
-        })
-        .collect();
-    (rows, summary)
-}
-
-/// Runs the paper-scale invariant sweep: Gnutella and Ethereum churn,
-/// every registered attack strategy, three spend-rate decades.
-pub fn run_invariants() -> Vec<InvariantOutcome> {
-    run_invariants_on(&invariants_grid(fast_mode()), &GridOptions::default()).0
-}
-
-/// The 10⁶-ID strategy × network invariant grid (the `invariants_millions`
-/// bin): every attack strategy against the million-ID churn model,
-/// disk-streamed through the workload cache at the `macro_millions`
-/// horizon — Lemma 9 at the scale the ROADMAP's north star names.
-///
-/// Runs with [`sybil_exp::Durability::Sync`]: every acknowledged cell is
-/// fsynced, so a machine crash mid-run costs only in-flight cells. Returns
-/// the summary too, so the bin can exit nonzero on quarantined holes.
-pub fn run_invariants_millions() -> (Vec<InvariantOutcome>, RunSummary) {
-    run_invariant_grid(
-        "invariants_millions",
-        &[networks::millions(1_000_000)],
-        &strategy_roster(),
-        &[4_096.0, 65_536.0],
-        trials_for(fast_mode()),
-        500.0,
-        23,
-        &GridOptions { durability: sybil_exp::Durability::Sync, ..GridOptions::default() },
-    )
-}
-
-/// Log-log slope fit of `A(T)` for an algorithm over the attack regime,
-/// aggregated over per-trial fits.
-#[derive(Clone, Debug)]
-pub struct ScalingFit {
-    /// Network.
-    pub network: String,
-    /// Algorithm label.
-    pub algo: String,
-    /// Fitted exponent of `A ∝ T^e`: the slope is fit per trial (each
-    /// trial contributes one full `A(T)` curve over its own workload) and
-    /// the fits aggregate to a mean with a 95 % confidence interval.
-    pub exponent: MetricSummary,
-    /// Points in each per-trial fit.
-    pub points: usize,
+            let mut fields = vec![("trials".to_string(), trials.len() as f64)];
+            fields.extend(frac.summary().fields("max_bad_fraction"));
+            fields.push(("worst_bad_fraction".into(), worst));
+            fields.extend(rate.summary().fields("good_rate"));
+            fields
+        }),
+        violated: Some(|r| r.get("worst_bad_fraction") >= bound()),
+        tables: vec![TableSpec::per_cell(name, columns)],
+    }
 }
 
 /// The scaling grid, declared: (network × algo × T) over the attack
 /// regime.
-pub(crate) fn scaling_grid(fast: bool) -> TrialGrid {
+fn scaling_grid(fast: bool) -> TrialGrid {
     let exponents: &[u32] = if fast { &[12, 14, 16] } else { &[10, 12, 14, 16, 18, 20] };
     let nets = [networks::gnutella(), networks::bittorrent()];
     let roster = scaling_roster();
@@ -310,62 +260,87 @@ fn scaling_roster() -> [Algo; 2] {
 ///
 /// Runs as a (network × algo × T) grid: each cell stores its per-trial
 /// good spend rates (plus the `mean, ci95_lo, ci95_hi` triple), and the
-/// slope fit is computed afterwards from the per-trial columns — so a
+/// table is derived from the per-trial columns — one log-log slope of
+/// `A(T)` per trial (each trial contributes one full curve over its own
+/// workload), aggregated to a mean with a 95 % confidence interval — so a
 /// resumed grid re-fits from the store without re-running anything.
-pub fn run_scaling() -> Vec<ScalingFit> {
-    let grid = scaling_grid(fast_mode());
-    let roster = scaling_roster();
-    let (results, _) = grid.run(default_workers(), &GridOptions::default(), |cell, trials| {
-        let label = cell.str_value(AXIS_ALGO);
-        let algo = *roster.iter().find(|a| a.label() == label).expect("scaling roster algo");
-        let t = cell.f64_value(AXIS_T);
-        let mut acc = Welford::new();
-        let mut fields = vec![("trials".to_string(), trials.len() as f64)];
-        for trial in trials {
-            let cfg =
-                SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
-            let report = run_report_with(cfg, algo, t, trial.defense_seed, trial.workload());
-            let rate = report.good_spend_rate();
-            acc.push(rate);
-            // Per-trial columns so the slope can be fit per trial from
-            // a resumed store.
-            fields.push((format!("good_rate_trial{}", trial.index), rate));
-        }
-        fields.extend(acc.summary().fields("good_rate"));
-        fields
-    });
+fn scaling_part(fast: bool) -> Part {
+    let trials = trials_for(fast);
+    let table = TableSpec {
+        csv: "scaling".into(),
+        heading: "--- spend-rate scaling: A ~ T^e ---",
+        derive: Some(Box::new(move |cells| fit_curves(cells, trials))),
+        columns: vec![
+            Column::axis("network", AXIS_NETWORK),
+            Column::axis("algorithm", AXIS_ALGO),
+            Column::count("trials", "trials"),
+            Column::field("A~T^e mean", "exponent_mean"),
+            Column::field("ci95_lo", "exponent_ci95_lo"),
+            Column::field("ci95_hi", "exponent_ci95_hi"),
+            Column::count("points", "points"),
+            Column::new("theory", |r, _| match r.cell.str_value(AXIS_ALGO) {
+                "ERGO" => "0.5 (Thm 1)".into(),
+                _ => "1.0 (O(T+J))".into(),
+            }),
+        ],
+    };
+    Part {
+        grid: scaling_grid(fast),
+        opts: GridOptions::default(),
+        measure: Box::new(|cell, trials| {
+            let algo = algo_of(&scaling_roster(), cell);
+            let t = cell.f64_value(AXIS_T);
+            let mut acc = Welford::new();
+            let mut fields = vec![("trials".to_string(), trials.len() as f64)];
+            for trial in trials {
+                let cfg =
+                    SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
+                let report = run_report_with(cfg, algo, t, trial.defense_seed, trial.workload());
+                let rate = report.good_spend_rate();
+                acc.push(rate);
+                // Per-trial columns so the slope can be fit per trial from
+                // a resumed store.
+                fields.push((format!("good_rate_trial{}", trial.index), rate));
+            }
+            fields.extend(acc.summary().fields("good_rate"));
+            fields
+        }),
+        violated: None,
+        tables: vec![table],
+    }
+}
 
-    // The T axis is innermost, so each (network, algo) curve is one
-    // contiguous run of cells; fit one slope per trial across it.
-    let trials = trials_for(fast_mode());
-    results
-        .chunk_by(|a, b| {
-            [AXIS_NETWORK, AXIS_ALGO].iter().all(|x| a.cell.str_value(x) == b.cell.str_value(x))
-        })
+/// One row per (network, algo) curve: the per-trial slope fits, aggregated.
+/// The T axis is innermost, so each curve is one contiguous run of cells.
+fn fit_curves(cells: &[CellResult], trials: u32) -> Vec<CellResult> {
+    let same_curve = |a: &CellResult, b: &CellResult| {
+        [AXIS_NETWORK, AXIS_ALGO].iter().all(|x| a.cell.str_value(x) == b.cell.str_value(x))
+    };
+    cells
+        .chunk_by(same_curve)
         .map(|curve| {
             let mut slopes = Welford::new();
             for trial in 0..trials {
+                // Quarantined cells drop out of the fit; the remaining T
+                // points still constrain the slope.
                 let pts: Vec<(f64, f64)> = curve
                     .iter()
-                    .filter_map(|r| {
-                        // Quarantined cells drop out of the fit; the
-                        // remaining T points still constrain the slope.
-                        let record = r.record.as_ref()?;
-                        let rate =
-                            record.get(&format!("good_rate_trial{trial}")).unwrap_or_else(|| {
-                                panic!("record {} lacks trial {trial} column", record.cell_id)
-                            });
-                        Some((r.cell.f64_value(AXIS_T).ln(), rate.max(1e-12).ln()))
+                    .filter(|r| r.record.is_some())
+                    .map(|r| {
+                        let rate = r.get(&format!("good_rate_trial{trial}"));
+                        (r.cell.f64_value(AXIS_T).ln(), rate.max(1e-12).ln())
                     })
                     .collect();
                 slopes.push(slope(&pts));
             }
-            ScalingFit {
-                network: curve[0].cell.str_value(AXIS_NETWORK).to_string(),
-                algo: curve[0].cell.str_value(AXIS_ALGO).to_string(),
-                exponent: slopes.summary(),
-                points: curve.len(),
-            }
+            let label = |axis: &str| {
+                (axis.to_string(), AxisValue::Str(curve[0].cell.str_value(axis).to_string()))
+            };
+            let cell = CellSpec::new(vec![label(AXIS_NETWORK), label(AXIS_ALGO)]);
+            let mut fields = vec![("trials".to_string(), slopes.count() as f64)];
+            fields.extend(slopes.summary().fields("exponent"));
+            fields.push(("points".into(), curve.len() as f64));
+            CellResult { record: Some(Record::new(cell.id(), fields)), cell }
         })
         .collect()
 }
@@ -380,78 +355,9 @@ fn slope(points: &[(f64, f64)]) -> f64 {
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
 }
 
-/// Formats the invariant sweep with trial means and 95 % confidence
-/// bounds; the `held` verdict reflects the worst trial.
-pub fn invariants_table(outcomes: &[InvariantOutcome]) -> Table {
-    let mut table = Table::new(vec![
-        "network",
-        "adversary",
-        "T",
-        "trials",
-        "max bad frac",
-        "ci95_lo",
-        "ci95_hi",
-        "worst",
-        "bound (3k)",
-        "held",
-        "A",
-    ]);
-    for o in outcomes {
-        table.push(vec![
-            o.network.clone(),
-            o.strategy.clone(),
-            fmt_num(o.t),
-            o.trials.to_string(),
-            fmt_num(o.max_bad_fraction.mean),
-            fmt_num(o.max_bad_fraction.ci95_lo),
-            fmt_num(o.max_bad_fraction.ci95_hi),
-            fmt_num(o.worst_bad_fraction),
-            fmt_num(o.bound),
-            if o.worst_bad_fraction.is_nan() {
-                "no-data".to_string() // quarantined cell: no verdict
-            } else if o.held {
-                "yes".to_string()
-            } else {
-                "VIOLATED".to_string()
-            },
-            fmt_num(o.good_rate.mean),
-        ]);
-    }
-    table
-}
-
-/// Formats the scaling fits with per-trial-fit confidence bounds.
-pub fn scaling_table(fits: &[ScalingFit]) -> Table {
-    let mut table = Table::new(vec![
-        "network",
-        "algorithm",
-        "trials",
-        "A~T^e mean",
-        "ci95_lo",
-        "ci95_hi",
-        "points",
-        "theory",
-    ]);
-    for f in fits {
-        let theory = if f.algo == "ERGO" { "0.5 (Thm 1)" } else { "1.0 (O(T+J))" };
-        table.push(vec![
-            f.network.clone(),
-            f.algo.clone(),
-            f.exponent.n.to_string(),
-            fmt_num(f.exponent.mean),
-            fmt_num(f.exponent.ci95_lo),
-            fmt_num(f.exponent.ci95_hi),
-            f.points.to_string(),
-            theory.to_string(),
-        ]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::results_dir;
 
     #[test]
     fn slope_of_line_is_exact() {
@@ -474,49 +380,5 @@ mod tests {
         assert!(r.ledger.adversary_purge().value() > 0.0);
         // Still bounded, despite retention at the cap.
         assert!(r.max_bad_fraction < 1.0 / 6.0, "{}", r.max_bad_fraction);
-    }
-
-    /// The Lemma 9 assertion over the *migrated* grid path: a small
-    /// strategy-axis grid (every registered attack strategy) through the
-    /// real cache + store machinery must hold `max_bad_fraction < 3κ` in
-    /// every cell, and resume bit-identically.
-    #[test]
-    fn migrated_grid_holds_lemma9_across_strategies_and_resumes() {
-        let name = format!("invariants-test-{}", std::process::id());
-        let nets = [networks::gnutella()];
-        let opts = GridOptions::default();
-        let run = || {
-            run_invariant_grid(&name, &nets, &strategy_roster(), &[2_000.0], 2, 120.0, 29, &opts)
-        };
-        let (rows, summary) = run();
-        assert_eq!(rows.len(), strategy_roster().len());
-        assert_eq!(summary.cells_executed, rows.len());
-        for row in &rows {
-            assert!((row.bound - 1.0 / 6.0).abs() < 1e-12, "bound is 3k = 1/6");
-            assert!(
-                row.held && row.worst_bad_fraction < row.bound,
-                "{}/{}: worst fraction {} >= {}",
-                row.network,
-                row.strategy,
-                row.worst_bad_fraction,
-                row.bound
-            );
-            assert_eq!(row.trials, 2);
-            assert!(
-                row.max_bad_fraction.ci95_lo <= row.max_bad_fraction.mean
-                    && row.max_bad_fraction.mean <= row.max_bad_fraction.ci95_hi
-            );
-        }
-        // Warm re-run resumes every cell with bit-identical aggregates.
-        let (rows2, summary2) = run();
-        assert_eq!(summary2.cells_executed, 0);
-        assert_eq!(summary2.cells_skipped, rows.len());
-        for (a, b) in rows.iter().zip(&rows2) {
-            assert_eq!(a.strategy, b.strategy);
-            assert_eq!(a.max_bad_fraction.mean.to_bits(), b.max_bad_fraction.mean.to_bits());
-            assert_eq!(a.good_rate.mean.to_bits(), b.good_rate.mean.to_bits());
-        }
-        std::fs::remove_file(results_dir().join(format!("{name}.store"))).ok();
-        std::fs::remove_file(results_dir().join(format!("{name}.spec"))).ok();
     }
 }

@@ -10,12 +10,19 @@
 //! pool; cost-function labels (which contain spaces) are ordinary axis
 //! values under the canonical escaped cell ids.
 
+use crate::experiment::{Column, Experiment, Part, TableSpec};
 use crate::grid::TrialGrid;
-use crate::sweep::{default_workers, fast_mode};
-use crate::table::{fmt_num, Table};
-use sybil_defenses::lower_bound::{run_lower_bound, CostFunction, LowerBoundOutcome};
+use sybil_defenses::lower_bound::{run_lower_bound, CostFunction};
 use sybil_exp::spec::{Axis, AXIS_T};
 use sybil_exp::{ExperimentSpec, GridOptions};
+
+/// The Theorem 3 experiment, declared.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "lower_bound",
+    banner: "=== Theorem 3 lower bound: spend rate vs sqrt(TJ)+J ===\n\
+             (J = 2 IDs/s, n0 = 10 000, delta = 1/11)",
+    parts,
+};
 
 /// The non-canonical axis of this grid: the entrance cost function.
 pub const AXIS_COST: &str = "cost";
@@ -38,7 +45,7 @@ const BOUND_PARAMS: (f64, u64, f64) = (2.0, 10_000, 1.0 / 11.0);
 /// Deterministic closed-form cells: trials/seed are degenerate (one
 /// trial, seedless, no networks), but the axes are first-class, so the
 /// store keys are canonical and collision-free by construction.
-pub(crate) fn grid(fast: bool) -> TrialGrid {
+fn grid(fast: bool) -> TrialGrid {
     let t_values: Vec<f64> =
         if fast { vec![1e2, 1e4] } else { vec![0.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7] };
     let (j, n0, delta) = BOUND_PARAMS;
@@ -60,12 +67,22 @@ pub(crate) fn grid(fast: bool) -> TrialGrid {
     TrialGrid::from_spec(spec, context, &[])
 }
 
-/// Runs the lower-bound sweep (resumable).
-pub fn run() -> Vec<LowerBoundOutcome> {
+fn parts(fast: bool) -> Vec<Part> {
     let (j, n0, delta) = BOUND_PARAMS;
     let costs = cost_functions();
-    let (results, _) =
-        grid(fast_mode()).run(default_workers(), &GridOptions::default(), |cell, trials| {
+    let columns = vec![
+        Column::axis("cost function", AXIS_COST),
+        Column::axis("T", AXIS_T),
+        Column::field("J", "j"),
+        Column::field("J_B (fixed point)", "j_bad"),
+        Column::field("spend rate", "spend_rate"),
+        Column::field("sqrt(TJ)+J", "bound"),
+        Column::field("spend/bound", "ratio"),
+    ];
+    vec![Part {
+        grid: grid(fast),
+        opts: GridOptions::default(),
+        measure: Box::new(move |cell, trials| {
             let label = cell.str_value(AXIS_COST);
             let f = *costs.iter().find(|f| f.label() == label).expect("cell names a cost function");
             let o = run_lower_bound(f, cell.f64_value(AXIS_T), j, n0, delta, trials[0].horizon);
@@ -76,44 +93,10 @@ pub fn run() -> Vec<LowerBoundOutcome> {
                 ("bound".into(), o.bound),
                 ("ratio".into(), o.ratio),
             ]
-        });
-    results
-        .iter()
-        .map(|r| LowerBoundOutcome {
-            label: r.cell.str_value(AXIS_COST).to_string(),
-            t: r.cell.f64_value(AXIS_T),
-            j: r.get("j"),
-            j_bad: r.get("j_bad"),
-            spend_rate: r.get("spend_rate"),
-            bound: r.get("bound"),
-            ratio: r.get("ratio"),
-        })
-        .collect()
-}
-
-/// Formats the sweep.
-pub fn to_table(outcomes: &[LowerBoundOutcome]) -> Table {
-    let mut table = Table::new(vec![
-        "cost function",
-        "T",
-        "J",
-        "J_B (fixed point)",
-        "spend rate",
-        "sqrt(TJ)+J",
-        "spend/bound",
-    ]);
-    for o in outcomes {
-        table.push(vec![
-            o.label.clone(),
-            fmt_num(o.t),
-            fmt_num(o.j),
-            fmt_num(o.j_bad),
-            fmt_num(o.spend_rate),
-            fmt_num(o.bound),
-            fmt_num(o.ratio),
-        ]);
-    }
-    table
+        }),
+        violated: None,
+        tables: vec![TableSpec::per_cell("lower_bound", columns)],
+    }]
 }
 
 #[cfg(test)]

@@ -49,23 +49,6 @@ pub trait AlgoVisitor {
 }
 
 impl Algo {
-    /// Builds the defense instance, type-erased.
-    ///
-    /// Prefer [`dispatch`](Self::dispatch) on hot paths — the boxed form
-    /// pays a virtual call per defense callback in the engine's inner
-    /// loop. This remains for callers that genuinely need runtime
-    /// polymorphism (e.g. the CLI's mixed-strategy plumbing).
-    pub fn build(&self, seed: u64) -> Box<dyn Defense> {
-        struct Boxer;
-        impl AlgoVisitor for Boxer {
-            type Out = Box<dyn Defense>;
-            fn visit<D: Defense + 'static>(self, defense: D) -> Box<dyn Defense> {
-                Box::new(defense)
-            }
-        }
-        self.dispatch(seed, Boxer)
-    }
-
     /// Builds the defense and passes it, concretely typed, to `visitor`.
     pub fn dispatch<V: AlgoVisitor>(&self, seed: u64, visitor: V) -> V::Out {
         match *self {
@@ -110,27 +93,6 @@ impl Algo {
     }
 }
 
-/// One measured point of a spend-rate sweep.
-#[derive(Clone, Debug)]
-pub struct SpendPoint {
-    /// Network name.
-    pub network: String,
-    /// Algorithm label.
-    pub algo: String,
-    /// Configured adversary spend rate `T`.
-    pub t: f64,
-    /// Measured good spend rate `A`.
-    pub good_rate: f64,
-    /// Measured adversary spend rate (≤ configured `T`).
-    pub adv_rate: f64,
-    /// Maximum instantaneous Sybil fraction.
-    pub max_bad_fraction: f64,
-    /// Purges executed.
-    pub purges: u64,
-    /// Whether the algorithm's guarantee covers this `T` (curve cutoff).
-    pub guarantee: bool,
-}
-
 /// Parameters for one spend-rate run.
 #[derive(Clone, Copy, Debug)]
 pub struct RunParams {
@@ -145,21 +107,6 @@ pub struct RunParams {
 impl Default for RunParams {
     fn default() -> Self {
         RunParams { horizon: 10_000.0, kappa: 1.0 / 18.0, seed: 1 }
-    }
-}
-
-/// Runs one (network, algorithm, T) cell and returns the measured point.
-pub fn run_point(network: &ChurnModel, algo: Algo, t: f64, params: RunParams) -> SpendPoint {
-    let report = run_report(network, algo, t, params);
-    SpendPoint {
-        network: network.name.to_string(),
-        algo: algo.label(),
-        t,
-        good_rate: report.good_spend_rate(),
-        adv_rate: report.adv_spend_rate(),
-        max_bad_fraction: report.max_bad_fraction,
-        purges: report.purges,
-        guarantee: algo.guarantee_covers(t, network.initial_size),
     }
 }
 
@@ -483,9 +430,9 @@ mod tests {
     fn small_point_runs_end_to_end() {
         let net = networks::gnutella();
         let p = RunParams { horizon: 50.0, ..RunParams::default() };
-        let point = run_point(&net, Algo::Ergo, 10.0, p);
-        assert_eq!(point.algo, "ERGO");
-        assert!(point.good_rate > 0.0);
-        assert!(point.max_bad_fraction < 1.0 / 6.0);
+        let report = run_report(&net, Algo::Ergo, 10.0, p);
+        assert_eq!(report.defense, "ERGO");
+        assert!(report.good_spend_rate() > 0.0);
+        assert!(report.max_bad_fraction < 1.0 / 6.0);
     }
 }

@@ -1,16 +1,17 @@
 //! Store-level integration tests for strategy-axis experiment grids: a
 //! grid whose cells differ only in their adversary-strategy axis value
 //! must record one distinct results-store key per strategy, resume from
-//! the store without re-executing, and keep warm records bit-identical.
+//! the store without re-executing, keep warm records bit-identical, and
+//! hold the Lemma 9 invariant in every cell.
 
-use sybil_bench::invariants_exp::{run_invariant_grid, strategy_roster};
+use sybil_bench::invariants_exp::{bound, invariant_part, strategy_roster};
 use sybil_bench::table::results_dir;
 use sybil_churn::networks;
 use sybil_exp::spec::{Axis, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
 use sybil_exp::{ExperimentSpec, GridOptions, ResultsStore};
 use sybil_sim::engine::SimConfig;
 
-/// Rebuilds the exact spec `run_invariant_grid` derives, so the test can
+/// Rebuilds the exact spec `invariant_part` derives, so the test can
 /// enumerate the canonical cell ids the store must contain.
 fn expected_spec(name: &str, trials: u32, horizon: f64, seed: u64) -> ExperimentSpec {
     ExperimentSpec {
@@ -32,23 +33,34 @@ fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
     let name = format!("strategy-grid-test-{}", std::process::id());
     let nets = [networks::gnutella()];
     let (trials, horizon, seed) = (2u32, 100.0, 31u64);
-    let opts = GridOptions::default();
-    let run = || {
-        run_invariant_grid(
-            &name,
-            &nets,
-            &strategy_roster(),
-            &[2_000.0],
-            trials,
-            horizon,
-            seed,
-            &opts,
-        )
+    let part = invariant_part(
+        &name,
+        &nets,
+        &strategy_roster(),
+        &[2_000.0],
+        trials,
+        horizon,
+        seed,
+        GridOptions::default(),
+    );
+    let run = || part.run();
+    let mean_bits = |row: &sybil_bench::grid::CellResult, metric: &str| {
+        row.get(&format!("{metric}_mean")).to_bits()
     };
 
     let (cold_rows, cold) = run();
     assert_eq!(cold.cells_total, strategy_roster().len());
     assert_eq!(cold.cells_executed, strategy_roster().len());
+    // Lemma 9: the worst instantaneous Sybil fraction any trial reached
+    // stays below 3κ under every registered attack strategy.
+    for row in &cold_rows {
+        let worst = row.get("worst_bad_fraction");
+        assert!(worst < bound(), "{}: Lemma 9 violated ({worst} >= {})", row.cell.id(), bound());
+        assert_eq!(row.get("trials"), trials as f64);
+        let mean = row.get("max_bad_fraction_mean");
+        assert!(row.get("max_bad_fraction_ci95_lo") <= mean);
+        assert!(mean <= row.get("max_bad_fraction_ci95_hi"));
+    }
 
     // Store level: one distinct key per strategy cell, under the exact
     // canonical ids the spec derives — no two strategies may alias.
@@ -70,12 +82,12 @@ fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
     let (rows_after_invalidation, summary) = run();
     assert_eq!(summary.cells_executed, strategy_roster().len());
     for (a, b) in cold_rows.iter().zip(&rows_after_invalidation) {
-        assert_eq!(a.strategy, b.strategy);
+        assert_eq!(a.cell, b.cell);
         assert_eq!(
-            a.max_bad_fraction.mean.to_bits(),
-            b.max_bad_fraction.mean.to_bits(),
+            mean_bits(a, "max_bad_fraction"),
+            mean_bits(b, "max_bad_fraction"),
             "{}: deterministic re-run must reproduce the cell bit-exactly",
-            a.strategy
+            a.cell.id()
         );
     }
 
@@ -85,7 +97,7 @@ fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
     assert_eq!(warm.cells_executed, 0);
     assert_eq!(warm.cells_skipped, strategy_roster().len());
     for (a, b) in rows_after_invalidation.iter().zip(&warm_rows) {
-        assert_eq!(a.good_rate.mean.to_bits(), b.good_rate.mean.to_bits());
+        assert_eq!(mean_bits(a, "good_rate"), mean_bits(b, "good_rate"));
     }
     let fingerprint_line = std::fs::read_to_string(&store_path).expect("store readable");
     let ids: Vec<String> = spec.cells().iter().map(|c| c.id()).collect();
