@@ -108,25 +108,6 @@ where
     }
 }
 
-/// Runs one (network, strategy, T) trial with in-memory workloads — the
-/// single-trial form the quick tests use (the workload is generated twice;
-/// generation is deterministic, so both runs still replay one schedule).
-pub fn run_cell(
-    network: &ChurnModel,
-    strategy: &str,
-    t: f64,
-    horizon: f64,
-    seed: u64,
-) -> CommitteeTrial {
-    run_trial(
-        network.generate(Time(horizon), seed),
-        network.generate(Time(horizon), seed),
-        strategy,
-        t,
-        horizon,
-    )
-}
-
 /// The part: per cell, the trial statistics of committee size, elections,
 /// SMR traffic and both spend rates, plus the two worst cases the verdicts
 /// read — the smallest good fraction any trial's committee held (Lemma 18
@@ -246,7 +227,9 @@ mod tests {
 
     #[test]
     fn decentralized_matches_centralized_costs_and_keeps_committee() {
-        let out = run_cell(&networks::gnutella(), STRATEGY_PURGE_SURVIVE, 5_000.0, 400.0, 5);
+        // Generation is deterministic, so both runs replay one schedule.
+        let workload = || networks::gnutella().generate(Time(400.0), 5);
+        let out = run_trial(workload(), workload(), STRATEGY_PURGE_SURVIVE, 5_000.0, 400.0);
         assert!(
             (out.good_rate - out.centralized_rate).abs() / out.centralized_rate < 1e-9,
             "decentralized {} vs centralized {}",

@@ -13,7 +13,6 @@
 
 use crate::experiment::{Column, Experiment, Part, TableSpec};
 use crate::grid::{trials_for, CellResult, TrialGrid};
-use crate::sweep::fast_mode;
 use ergo_core::{Ergo, ErgoConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,9 +20,7 @@ use sybil_churn::networks;
 use sybil_dht::{lookup_wide, Ring};
 use sybil_exp::spec::{cell_seed, AxisValue, CellSpec, AXIS_STRATEGY, AXIS_T};
 use sybil_exp::{GridOptions, Record, Welford};
-use sybil_sim::adversary::{
-    build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE, STRATEGY_PURGE_SURVIVE,
-};
+use sybil_sim::adversary::{build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE};
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::id::Id;
 use sybil_sim::time::Time;
@@ -106,22 +103,6 @@ pub fn run_end_to_end_trial<W: WorkloadSource>(
         bad_fraction: ring.bad_fraction(),
         success_rate: ok as f64 / lookups as f64,
     }
-}
-
-/// Runs one end-to-end trial with an in-memory workload and the
-/// historical worst-case (purge-surviving) adversary — the single-trial
-/// form the quick tests use.
-pub fn run_end_to_end(t: f64, seed: u64) -> EndToEnd {
-    let horizon = if fast_mode() { 300.0 } else { 2_000.0 };
-    let lookups = lookups(fast_mode());
-    run_end_to_end_trial(
-        networks::gnutella().generate(Time(horizon), seed),
-        STRATEGY_PURGE_SURVIVE,
-        t,
-        horizon,
-        seed ^ 0xD417,
-        lookups,
-    )
 }
 
 /// The explicit cell list: strategy × T, except that the T = 0 baseline
@@ -253,10 +234,19 @@ fn parts(fast: bool) -> Vec<Part> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sybil_sim::adversary::STRATEGY_PURGE_SURVIVE;
 
     #[test]
     fn end_to_end_ring_is_lookupable() {
-        let out = run_end_to_end(5_000.0, 3);
+        let workload = networks::gnutella().generate(Time(2_000.0), 3);
+        let out = run_end_to_end_trial(
+            workload,
+            STRATEGY_PURGE_SURVIVE,
+            5_000.0,
+            2_000.0,
+            3 ^ 0xD417,
+            500,
+        );
         assert!(out.bad_fraction < 1.0 / 6.0, "Ergo bound: {}", out.bad_fraction);
         assert!(out.success_rate > 0.95, "success {}", out.success_rate);
         assert!(out.ring_size > 1_000);

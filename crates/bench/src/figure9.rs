@@ -27,7 +27,6 @@ use crate::experiment::{Column, Experiment, Part, TableSpec};
 use crate::grid::{trials_for, TrialGrid};
 use ergo_core::{Ergo, ErgoConfig};
 use std::collections::HashMap;
-use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
 use sybil_exp::spec::{Axis, AXIS_NETWORK, AXIS_T};
 use sybil_exp::{ExperimentSpec, GridOptions, Welford};
@@ -121,18 +120,6 @@ pub fn run_trial<W: WorkloadSource>(
         (ratios[0], ratios[ratios.len() / 2], ratios[ratios.len() - 1])
     };
     TrialQuality { intervals: ratios.len(), min_ratio: min, median_ratio: med, max_ratio: max }
-}
-
-/// Runs one (network, fraction, T) cell with an in-memory workload — the
-/// single-trial form the quick tests use.
-pub fn run_cell(
-    network: &ChurnModel,
-    fraction: f64,
-    t: f64,
-    horizon: f64,
-    seed: u64,
-) -> TrialQuality {
-    run_trial(network.generate(Time(horizon), seed), fraction, t, horizon)
 }
 
 /// The Figure 9 grid, declared axis by axis: the Sybil-fraction labels
@@ -260,7 +247,8 @@ mod tests {
     fn estimates_are_within_factor_ten_on_gnutella() {
         // A reduced-horizon version of the paper's claim: GoodJEst stays
         // within a factor of 10 of the true good join rate.
-        let cell = run_cell(&networks::gnutella(), 1.0 / 96.0, 0.0, 20_000.0, 3);
+        let workload = networks::gnutella().generate(Time(20_000.0), 3);
+        let cell = run_trial(workload, 1.0 / 96.0, 0.0, 20_000.0);
         assert!(cell.intervals > 0, "no intervals completed");
         assert!(
             cell.min_ratio > 0.05 && cell.max_ratio < 20.0,

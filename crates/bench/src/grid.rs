@@ -231,7 +231,7 @@ impl TrialGrid {
     ///
     /// `run_cell` measures one cell: it receives the cell and its
     /// [`Trial`]s and returns the record fields (by convention a leading
-    /// `trials` count, then [`MetricSummary::fields`] triples). It must be
+    /// `trials` count, then [`sybil_exp::MetricSummary::fields`] triples). It must be
     /// a pure function of its arguments — it runs on pool workers, and
     /// again if an attempt fails. Finished cells land in
     /// `results/<name>.store`; re-running the same grid resumes, skipping

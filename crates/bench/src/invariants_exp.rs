@@ -100,12 +100,6 @@ pub fn strategy_roster() -> Vec<&'static str> {
     vec![STRATEGY_BUDGET, STRATEGY_BURST, STRATEGY_CHURN_FORCE, STRATEGY_PURGE_SURVIVE]
 }
 
-/// Registry parameters for one invariant cell: spend rate `t`, canonical
-/// defaults for everything else (60 s burst period).
-pub fn cell_params(t: f64) -> StrategyParams {
-    StrategyParams::rate(t)
-}
-
 /// Runs one strategy against one in-memory workload — the single-trial
 /// form the quick tests use; the grids stream cached disk workloads
 /// through the same configuration instead.
@@ -118,7 +112,8 @@ pub fn run_strategy_once(
 ) -> SimReport {
     let workload = network.generate(Time(horizon), seed);
     let cfg = SimConfig { horizon: Time(horizon), adv_rate: t, ..SimConfig::default() };
-    let adversary = build_strategy(strategy, &cell_params(t)).unwrap_or_else(|e| panic!("{e}"));
+    let adversary =
+        build_strategy(strategy, &StrategyParams::rate(t)).unwrap_or_else(|e| panic!("{e}"));
     Simulation::new(cfg, Ergo::new(ErgoConfig::default()), adversary, workload).run()
 }
 
@@ -127,7 +122,7 @@ pub fn run_strategy_once(
 /// `results/<name>.store`, one table `results/<name>.csv`.
 ///
 /// The strategy axis carries registry names; each cell resolves its name
-/// through [`build_strategy`] with [`cell_params`]`(t)`, and records — next
+/// through [`build_strategy`] with `StrategyParams::rate(t)`, and records — next
 /// to the trial statistics — the single worst instantaneous Sybil fraction
 /// any trial reached: the invariant is about the worst case, so the
 /// `held` verdict (and the run's exit status) reads that, not the mean.
@@ -172,7 +167,7 @@ pub fn invariant_part(
         ErgoConfig::default(),
         strategies
             .iter()
-            .map(|s| strategy_fingerprint(s, &cell_params(1.0)))
+            .map(|s| strategy_fingerprint(s, &StrategyParams::rate(1.0)))
             .collect::<Vec<_>>()
             .join(", "),
     );
@@ -206,7 +201,7 @@ pub fn invariant_part(
             for trial in trials {
                 let cfg =
                     SimConfig { horizon: Time(trial.horizon), adv_rate: t, ..SimConfig::default() };
-                let adversary = build_strategy(strategy, &cell_params(t))
+                let adversary = build_strategy(strategy, &StrategyParams::rate(t))
                     .unwrap_or_else(|e| panic!("cell {}: {e}", cell.id()));
                 let defense = Ergo::new(ErgoConfig::default());
                 let report = Simulation::new(cfg, defense, adversary, trial.workload()).run();

@@ -48,9 +48,9 @@
 //!   quarantining cells that exhaust their retries as explicit holes
 //!   (see the [`runner`] module docs for the failure semantics).
 //!
-//! The bench crate's figure drivers (`figure8`, `figure9`, `figure10`,
-//! `lower_bound_exp`, `ablation_exp`) are thin maps from paper rosters to
-//! this machinery. See `crates/exp/README.md` for the file formats,
+//! The bench crate's experiments (one declaration each, see
+//! `sybil_bench::experiment`) are thin maps from paper rosters to this
+//! machinery. See `crates/exp/README.md` for the file formats,
 //! resume semantics, and failure semantics.
 
 // Deny rather than forbid: the one sanctioned exception is the

@@ -136,21 +136,6 @@ impl MetricSummary {
             ci95_hi: get("ci95_hi"),
         }
     }
-
-    /// [`from_record`](Self::from_record) over a grid cell that may be a
-    /// quarantine hole: `None` yields the all-NaN, zero-trial summary, so
-    /// downstream tables and CSVs render the cell blank instead of
-    /// inventing a number (see `fmt_num`'s NaN-is-blank convention).
-    pub fn from_record_opt(
-        record: Option<&crate::store::Record>,
-        name: &str,
-        trials: u64,
-    ) -> MetricSummary {
-        match record {
-            Some(record) => Self::from_record(record, name, trials),
-            None => MetricSummary { n: 0, mean: f64::NAN, ci95_lo: f64::NAN, ci95_hi: f64::NAN },
-        }
-    }
 }
 
 /// Two-sided 95 % Student-t critical value for `df` degrees of freedom.

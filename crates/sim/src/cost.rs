@@ -4,7 +4,9 @@
 //! challenge" (Section 10.1); the [`Cost`] newtype carries that unit. The
 //! [`Ledger`] splits spending by who paid (good IDs vs the adversary) and
 //! why (entrance, purge, periodic work), which is exactly the decomposition
-//! the analysis in Section 9.2 performs.
+//! the analysis in Section 9.2 performs. The engine accumulates in the
+//! fixed-point [`FixedLedger`], whose totals are exact and whose overflow
+//! is a panic, and converts to the float [`Ledger`] once, for the report.
 
 use std::fmt;
 use std::iter::Sum;
@@ -201,6 +203,159 @@ impl Ledger {
     }
 }
 
+/// A non-negative resource amount in Q64.64 fixed point (64 integer bits,
+/// 64 fractional bits, stored in an `i128`).
+///
+/// Conversion from [`Cost`] multiplies by 2⁶⁴ — exact in `f64` — and
+/// rounds once; all subsequent accumulation is exact integer arithmetic,
+/// which is associative, so a total does not depend on how its charges
+/// were grouped (see [`crate::shard_state`]). Every operation is checked
+/// in every build profile: an amount that leaves the range panics with the
+/// operation and its operands instead of wrapping into a negative balance.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct FixedCost(i128);
+
+impl FixedCost {
+    /// Zero.
+    pub const ZERO: FixedCost = FixedCost(0);
+
+    /// Fractional bits.
+    const FRAC_BITS: i32 = 64;
+
+    /// Rounds a [`Cost`] into fixed point. This is the only lossy step in
+    /// the ledger pipeline and it happens exactly once per charge,
+    /// before any shard routing, so it cannot depend on the shard count.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the charge is finite, non-negative and below 2⁶³
+    /// units (a NaN or an `as`-saturated charge would otherwise be booked
+    /// as 0 or as the largest balance).
+    pub fn from_cost(cost: Cost) -> FixedCost {
+        let v = cost.value();
+        assert!(
+            (0.0..2f64.powi(127 - Self::FRAC_BITS)).contains(&v),
+            "ledger overflow: charge {v} is not a finite amount in [0, 2^63) units"
+        );
+        FixedCost((v * 2f64.powi(Self::FRAC_BITS)).round() as i128)
+    }
+
+    /// Converts back to a float [`Cost`] (rounds to nearest).
+    pub fn to_cost(self) -> Cost {
+        Cost(self.0 as f64 * 2f64.powi(-Self::FRAC_BITS))
+    }
+
+    /// True if exactly zero.
+    pub fn is_zero(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Exact integer division (truncating), used to split an aggregate
+    /// sweep charge into per-payer quanta.
+    pub(crate) fn div_u64(self, n: u64) -> FixedCost {
+        FixedCost(self.0 / n as i128)
+    }
+
+    /// Exact scaling of a per-payer quantum by a payer count.
+    pub(crate) fn mul_u64(self, n: u64) -> FixedCost {
+        self.0.checked_mul(n as i128).map_or_else(|| self.overflow("*", n as f64), FixedCost)
+    }
+
+    #[cold]
+    fn overflow(self, op: &str, rhs: f64) -> ! {
+        panic!(
+            "ledger overflow: {} {op} {rhs} leaves the Q64.64 range of 2^63 units",
+            self.to_cost().value()
+        )
+    }
+}
+
+impl Add for FixedCost {
+    type Output = FixedCost;
+    fn add(self, rhs: FixedCost) -> FixedCost {
+        let sum = self.0.checked_add(rhs.0);
+        sum.map_or_else(|| self.overflow("+", rhs.to_cost().value()), FixedCost)
+    }
+}
+
+impl AddAssign for FixedCost {
+    fn add_assign(&mut self, rhs: FixedCost) {
+        *self = *self + rhs;
+    }
+}
+
+impl Sub for FixedCost {
+    type Output = FixedCost;
+    fn sub(self, rhs: FixedCost) -> FixedCost {
+        let difference = self.0.checked_sub(rhs.0);
+        difference.map_or_else(|| self.overflow("-", rhs.to_cost().value()), FixedCost)
+    }
+}
+
+impl SubAssign for FixedCost {
+    fn sub_assign(&mut self, rhs: FixedCost) {
+        *self = *self - rhs;
+    }
+}
+
+/// A [`Ledger`] with fixed-point balances: payer × purpose, exactly the
+/// decomposition the float ledger reports.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FixedLedger {
+    pub(crate) good: [FixedCost; 3],
+    pub(crate) adv: [FixedCost; 3],
+}
+
+impl FixedLedger {
+    fn slot(purpose: Purpose) -> usize {
+        match purpose {
+            Purpose::Entrance => 0,
+            Purpose::Purge => 1,
+            Purpose::Periodic => 2,
+        }
+    }
+
+    /// Records spending by good IDs.
+    pub fn charge_good(&mut self, purpose: Purpose, amount: Cost) {
+        self.good[Self::slot(purpose)] += FixedCost::from_cost(amount);
+    }
+
+    /// Records spending by the adversary.
+    pub fn charge_adversary(&mut self, purpose: Purpose, amount: Cost) {
+        self.adv[Self::slot(purpose)] += FixedCost::from_cost(amount);
+    }
+
+    pub(crate) fn charge_good_fixed(&mut self, purpose: Purpose, amount: FixedCost) {
+        debug_assert!(amount >= FixedCost::ZERO, "negative charge");
+        self.good[Self::slot(purpose)] += amount;
+    }
+
+    /// Folds another ledger into this one (exact).
+    pub fn merge(&mut self, other: &FixedLedger) {
+        for i in 0..3 {
+            self.good[i] += other.good[i];
+            self.adv[i] += other.adv[i];
+        }
+    }
+
+    /// Total burned by good IDs.
+    pub fn good_total(&self) -> FixedCost {
+        self.good[0] + self.good[1] + self.good[2]
+    }
+
+    /// Total burned by the adversary.
+    pub fn adversary_total(&self) -> FixedCost {
+        self.adv[0] + self.adv[1] + self.adv[2]
+    }
+
+    /// Converts each balance to `f64` once, producing the float [`Ledger`]
+    /// the report carries. Conversion order is fixed (per-slot), so the
+    /// output is a pure function of the integer balances.
+    pub fn to_ledger(&self) -> Ledger {
+        Ledger::from_parts(self.good.map(FixedCost::to_cost), self.adv.map(FixedCost::to_cost))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,5 +395,27 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(Cost(1.5).to_string(), "1.50rb");
+    }
+
+    /// The T = 2⁶⁰ case: eight such charges reach 2⁶³ units.
+    #[test]
+    #[should_panic(expected = "ledger overflow: 8070450532247929000 + 1152921504606847000 leaves")]
+    fn charges_that_pass_the_range_panic_instead_of_wrapping() {
+        let mut ledger = FixedLedger::default();
+        for _ in 0..8 {
+            ledger.charge_adversary(Purpose::Entrance, Cost(2f64.powi(60)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ledger overflow: charge 100000000000000000000 is not")]
+    fn a_charge_above_the_range_panics_instead_of_saturating() {
+        FixedLedger::default().charge_good(Purpose::Purge, Cost(1e20));
+    }
+
+    #[test]
+    #[should_panic(expected = "ledger overflow: charge NaN is not")]
+    fn a_nan_charge_panics_instead_of_booking_zero() {
+        FixedLedger::default().charge_good(Purpose::Entrance, Cost(f64::NAN));
     }
 }

@@ -63,31 +63,6 @@ pub struct SimConfig {
     pub record_good_joins: bool,
     /// If `Some(dt)`, sample a [`TimelinePoint`] every `dt` seconds.
     pub timeline_resolution: Option<f64>,
-    /// If `Some(cap)` (≥ 2), bound the recorded timeline at `cap` points:
-    /// when full, every other point is dropped and the sampling interval
-    /// doubles, so the series stays evenly spaced at a coarser
-    /// resolution. Each halving is counted in
-    /// [`SimReport::timeline_decimations`]. `None` records every sample
-    /// (the pre-existing behavior).
-    pub max_timeline_points: Option<usize>,
-    /// If `Some(cap)`, record at most `cap` good join times; further
-    /// admitted joins are counted in
-    /// [`SimReport::good_join_times_dropped`] instead of recorded.
-    /// `None` records all of them (the pre-existing behavior).
-    pub max_good_join_times: Option<usize>,
-    /// Upper bound on act/join/purge rounds within a single adversary
-    /// wakeup. Each round either makes progress (joins or departures) or
-    /// ends the turn, so well-behaved adversaries never get near this; it
-    /// exists to bound a buggy or adversarially pathological strategy that
-    /// keeps triggering instant purges. Hitting the bound is counted in
-    /// [`SimReport::adversary_turn_truncations`] rather than silently
-    /// swallowed.
-    pub max_adversary_turn_rounds: u32,
-    /// Upper bound on back-to-back instant purge rounds resolved at one
-    /// event time. A purge can (in principle) leave the purge condition
-    /// true again; this bound prevents live-lock. Hitting it is counted in
-    /// [`SimReport::purge_cascade_truncations`].
-    pub max_purge_cascade_rounds: u32,
 }
 
 impl Default for SimConfig {
@@ -100,10 +75,6 @@ impl Default for SimConfig {
             round_duration: 0.0,
             record_good_joins: false,
             timeline_resolution: None,
-            max_timeline_points: None,
-            max_good_join_times: None,
-            max_adversary_turn_rounds: 100_000,
-            max_purge_cascade_rounds: 16,
         }
     }
 }
@@ -192,8 +163,6 @@ pub struct Simulation<D, A, W: WorkloadSource = Workload> {
     /// keeps each session's state with the shard that decodes it.
     state: ShardedDefenseState,
     purge_pending: bool,
-    /// Current timeline sampling interval (doubles on decimation).
-    timeline_dt: f64,
     // Invariant tracking.
     frac_integral: f64,
     last_frac: f64,
@@ -208,8 +177,6 @@ pub struct Simulation<D, A, W: WorkloadSource = Workload> {
     peak_queue_len: usize,
     adversary_turn_truncations: u64,
     purge_cascade_truncations: u64,
-    timeline_decimations: u64,
-    good_join_times_dropped: u64,
     good_join_times: Vec<Time>,
     timeline: Vec<TimelinePoint>,
     /// The engine's recycled defense-event buffer: handed to
@@ -238,6 +205,16 @@ const PURGE_LOG_PREALLOC: usize = 1 << 17;
 /// Preallocated capacity of the engine's estimate log; estimator
 /// intervals are far sparser than purges.
 const ESTIMATE_LOG_PREALLOC: usize = 4096;
+
+/// Upper bound on act/join/purge rounds within a single adversary wakeup:
+/// it bounds a buggy or adversarially pathological strategy that keeps
+/// triggering instant purges.
+const MAX_ADVERSARY_TURN_ROUNDS: u32 = 100_000;
+
+/// Upper bound on back-to-back instant purge rounds resolved at one event
+/// time. A purge can (in principle) leave the purge condition true again;
+/// this bound prevents live-lock.
+const MAX_PURGE_CASCADE_ROUNDS: u32 = 16;
 
 impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
     /// Creates a simulation; call [`run`](Self::run) to execute it.
@@ -282,19 +259,12 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             // this is invisible to fingerprints and memory numbers.
             state.preallocate_admission();
         }
-        // Preallocate the recorded series to their caps so the steady-state
-        // event loop never grows them. Capacity is invisible to the report,
-        // so this cannot perturb fingerprints.
-        let good_join_cap = if cfg.record_good_joins {
-            cfg.max_good_join_times.map_or(n_sessions as usize, |c| c.min(n_sessions as usize))
-        } else {
-            0
-        };
+        // Preallocate the recorded series to their final lengths so the
+        // steady-state event loop never grows them. Capacity is invisible
+        // to the report, so this cannot perturb fingerprints.
+        let good_join_cap = if cfg.record_good_joins { n_sessions as usize } else { 0 };
         let timeline_cap = match cfg.timeline_resolution {
-            Some(dt) if dt > 0.0 => {
-                let expected = (cfg.horizon.as_secs() / dt) as usize + 2;
-                cfg.max_timeline_points.map_or(expected, |c| c.min(expected))
-            }
+            Some(dt) if dt > 0.0 => (cfg.horizon.as_secs() / dt) as usize + 2,
             _ => 0,
         };
         Ok(Simulation {
@@ -311,7 +281,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             last_budget_time: Time::ZERO,
             state,
             purge_pending: false,
-            timeline_dt: 0.0,
             frac_integral: 0.0,
             last_frac: 0.0,
             last_frac_time: Time::ZERO,
@@ -324,8 +293,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             peak_queue_len: 0,
             adversary_turn_truncations: 0,
             purge_cascade_truncations: 0,
-            timeline_decimations: 0,
-            good_join_times_dropped: 0,
             good_join_times: Vec::with_capacity(good_join_cap),
             timeline: Vec::with_capacity(timeline_cap),
             events_scratch: Vec::with_capacity(256),
@@ -461,10 +428,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         }
         if let Some(dt) = self.cfg.timeline_resolution {
             assert!(dt > 0.0, "timeline resolution must be positive");
-            if let Some(cap) = self.cfg.max_timeline_points {
-                assert!(cap >= 2, "max_timeline_points must be at least 2");
-            }
-            self.timeline_dt = dt;
             self.queue.push(Time::ZERO, Event::Sample);
         }
     }
@@ -537,12 +500,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         let admission = self.defense.good_join(now);
         self.state.record_good_join(i as u64, admission.is_admitted(), admission.cost());
         if admission.is_admitted() && self.cfg.record_good_joins {
-            match self.cfg.max_good_join_times {
-                Some(cap) if self.good_join_times.len() >= cap => {
-                    self.good_join_times_dropped += 1;
-                }
-                _ => self.good_join_times.push(now),
-            }
+            self.good_join_times.push(now);
         }
         self.note_membership_change(now);
     }
@@ -612,21 +570,8 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
                     good_spend: self.state.good_total().value(),
                     adv_spend: self.state.adversary_total().value(),
                 });
-                if let Some(cap) = self.cfg.max_timeline_points {
-                    if self.timeline.len() >= cap {
-                        // Keep every other point and sample half as often:
-                        // the series stays evenly spaced, just coarser.
-                        let mut keep = 0;
-                        for idx in (0..self.timeline.len()).step_by(2) {
-                            self.timeline[keep] = self.timeline[idx];
-                            keep += 1;
-                        }
-                        self.timeline.truncate(keep);
-                        self.timeline_dt *= 2.0;
-                        self.timeline_decimations += 1;
-                    }
-                }
-                let next = now + self.timeline_dt;
+                let dt = self.cfg.timeline_resolution.expect("samples are scheduled by it");
+                let next = now + dt;
                 if next <= self.cfg.horizon {
                     self.queue.push(next, Event::Sample);
                 }
@@ -636,10 +581,15 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
 
     /// Lets the adversary spend: departures, then batched joins, resolving
     /// any purge its own joins trigger (instant rounds) before continuing.
+    ///
+    /// Each act/join/purge round either makes progress or ends the turn, so
+    /// well-behaved adversaries never get near [`MAX_ADVERSARY_TURN_ROUNDS`];
+    /// hitting it is counted in [`SimReport::adversary_turn_truncations`]
+    /// rather than silently swallowed.
     fn adversary_turn(&mut self, now: Time) {
         // Bounded loop: each pass either makes progress (joins/departs) or
         // breaks, and purge resolution resets the defense's join counter.
-        let mut rounds_left = self.cfg.max_adversary_turn_rounds;
+        let mut rounds_left = MAX_ADVERSARY_TURN_ROUNDS;
         loop {
             if rounds_left == 0 {
                 self.adversary_turn_truncations += 1;
@@ -684,7 +634,9 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         }
     }
 
-    /// Schedules or resolves a purge if the defense's condition holds.
+    /// Schedules or resolves a purge if the defense's condition holds (at
+    /// most [`MAX_PURGE_CASCADE_ROUNDS`] back to back; running out is
+    /// counted in [`SimReport::purge_cascade_truncations`]).
     fn check_purge(&mut self, now: Time) {
         if self.purge_pending {
             return;
@@ -692,7 +644,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         // Loop defensively: a purge can (in principle) leave the condition
         // true again; bail out after a bounded number of rounds to avoid
         // live-lock, counting the truncation in the report.
-        for _ in 0..self.cfg.max_purge_cascade_rounds {
+        for _ in 0..MAX_PURGE_CASCADE_ROUNDS {
             if !self.defense.purge_due(now) {
                 return;
             }
@@ -796,8 +748,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             peak_queue_len: self.peak_queue_len,
             adversary_turn_truncations: self.adversary_turn_truncations,
             purge_cascade_truncations: self.purge_cascade_truncations,
-            timeline_decimations: self.timeline_decimations,
-            good_join_times_dropped: self.good_join_times_dropped,
             admission_bytes: sealed.admission_bytes,
             workload_stream_bytes: self.stream.resident_bytes(),
             estimates: self.estimates,
@@ -880,25 +830,6 @@ mod tests {
             Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, small_workload()).run();
         assert_eq!(report.timeline.len(), 11); // t = 0..=10
         assert!(report.timeline.windows(2).all(|w| w[0].at < w[1].at));
-        assert_eq!(report.timeline_decimations, 0);
-    }
-
-    #[test]
-    fn timeline_cap_decimates_instead_of_growing() {
-        let cfg = SimConfig {
-            horizon: Time(1000.0),
-            timeline_resolution: Some(1.0),
-            max_timeline_points: Some(16),
-            ..SimConfig::default()
-        };
-        let report =
-            Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, small_workload()).run();
-        assert!(report.timeline.len() <= 16, "timeline grew to {}", report.timeline.len());
-        assert!(report.timeline_decimations > 0);
-        // Decimation keeps the series time-ordered and spanning the run.
-        assert!(report.timeline.windows(2).all(|w| w[0].at < w[1].at));
-        assert_eq!(report.timeline[0].at, Time::ZERO);
-        assert!(report.timeline.last().unwrap().at > Time(500.0));
     }
 
     #[test]
@@ -918,22 +849,6 @@ mod tests {
             Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, small_workload()).run();
         assert_eq!(report.good_join_times.len(), 50);
         assert!(report.good_join_times.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(report.good_join_times_dropped, 0);
-    }
-
-    #[test]
-    fn good_join_recording_cap_counts_drops() {
-        let cfg = SimConfig {
-            horizon: Time(1000.0),
-            record_good_joins: true,
-            max_good_join_times: Some(10),
-            ..SimConfig::default()
-        };
-        let report =
-            Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, small_workload()).run();
-        assert_eq!(report.good_join_times.len(), 10);
-        assert_eq!(report.good_join_times_dropped, 40);
-        assert_eq!(report.good_joins_admitted, 50);
     }
 
     #[test]

@@ -61,13 +61,13 @@ pub mod workload;
 pub mod workload_io;
 
 pub use admission::{AdmissionMap, AdmissionState};
-pub use cost::{Cost, Ledger, Purpose};
+pub use cost::{Cost, FixedCost, FixedLedger, Ledger, Purpose};
 pub use defense::{Admission, BatchAdmission, BatchStop, Defense};
 pub use engine::{SimBuildError, SimConfig, Simulation};
 pub use id::{Id, IdAllocator, Kind};
 pub use report::SimReport;
 pub use shard::ShardedWorkload;
-pub use shard_state::{EpochDelta, FixedCost, FixedLedger, ShardedDefenseState};
+pub use shard_state::{EpochDelta, ShardedDefenseState};
 pub use time::Time;
 pub use workload::{Session, SessionIndex, StreamEvent, Workload, WorkloadSource, WorkloadStream};
 pub use workload_io::{write_workload, write_workload_file, DiskWorkload};

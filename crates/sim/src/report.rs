@@ -72,21 +72,14 @@ pub struct SimReport {
     /// Largest number of pending events the queue ever held. With streaming
     /// workload scheduling this is O(active sessions), not O(workload).
     pub peak_queue_len: usize,
-    /// Times an adversary wakeup was cut off by
-    /// [`crate::engine::SimConfig::max_adversary_turn_rounds`]. Nonzero
-    /// values mean adversary turns were truncated and spend totals may
-    /// undercount what the strategy wanted to do.
+    /// Times an adversary wakeup was cut off by the engine's bound on
+    /// act/join/purge rounds per wakeup (100 000). Nonzero values mean
+    /// adversary turns were truncated and spend totals may undercount
+    /// what the strategy wanted to do.
     pub adversary_turn_truncations: u64,
-    /// Times an instant-purge cascade was cut off by
-    /// [`crate::engine::SimConfig::max_purge_cascade_rounds`].
+    /// Times an instant-purge cascade was cut off by the engine's bound on
+    /// back-to-back purge rounds at one event time (16).
     pub purge_cascade_truncations: u64,
-    /// Times the recorded timeline hit
-    /// [`crate::engine::SimConfig::max_timeline_points`] and was halved
-    /// (each halving doubles the effective sampling interval).
-    pub timeline_decimations: u64,
-    /// Admitted good joins whose times were *not* recorded because
-    /// [`crate::engine::SimConfig::max_good_join_times`] was reached.
-    pub good_join_times_dropped: u64,
     /// Resident bytes of the packed admission map at the end of the run
     /// (segments are only allocated for sessions actually touched).
     pub admission_bytes: usize,

@@ -21,8 +21,7 @@
 //! that module's status note). The partitioning stays while the frozen
 //! `benchmark/` package pins the sharded path. The Q64.64 [`FixedCost`] /
 //! [`FixedLedger`] arithmetic is not part of what retires: it defines
-//! every report's spend totals at `S = 1` and moves out of this file when
-//! the partitioning is deleted.
+//! every report's spend totals at `S = 1` and lives in [`crate::cost`].
 //!
 //! # Why totals are bit-identical at every shard count
 //!
@@ -46,142 +45,12 @@
 //! rounding of the total.
 
 use crate::admission::{self, AdmissionMap, AdmissionState};
-use crate::cost::{Cost, Ledger, Purpose};
+use crate::cost::{Cost, FixedCost, FixedLedger, Ledger, Purpose};
 use crate::defense::{PeriodicReport, PurgeReport};
 
 /// Events between epoch reductions. Matches the workload shards' batch
 /// granularity: one bounded message per shard per epoch.
 pub const EPOCH_EVENTS: u32 = 4096;
-
-/// A non-negative resource amount in Q64.64 fixed point (64 integer bits,
-/// 64 fractional bits, stored in an `i128`).
-///
-/// Conversion from [`Cost`] multiplies by 2⁶⁴ — exact in `f64` — and
-/// rounds once; all subsequent accumulation is exact integer arithmetic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FixedCost(i128);
-
-impl FixedCost {
-    /// Zero.
-    pub const ZERO: FixedCost = FixedCost(0);
-
-    /// Fractional bits.
-    const FRAC_BITS: i32 = 64;
-
-    /// Rounds a [`Cost`] into fixed point. This is the only lossy step in
-    /// the ledger pipeline and it happens exactly once per charge,
-    /// before any shard routing, so it cannot depend on the shard count.
-    pub fn from_cost(cost: Cost) -> FixedCost {
-        let v = cost.value();
-        debug_assert!(v.is_finite() && v >= 0.0, "charges are finite and non-negative: {v}");
-        FixedCost((v * 2f64.powi(Self::FRAC_BITS)).round() as i128)
-    }
-
-    /// Converts back to a float [`Cost`] (rounds to nearest).
-    pub fn to_cost(self) -> Cost {
-        Cost(self.0 as f64 * 2f64.powi(-Self::FRAC_BITS))
-    }
-
-    /// True if exactly zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Exact integer division (truncating), used to split an aggregate
-    /// sweep charge into per-payer quanta.
-    fn div_u64(self, n: u64) -> FixedCost {
-        FixedCost(self.0 / n as i128)
-    }
-
-    /// Exact scaling of a per-payer quantum by a payer count.
-    fn mul_u64(self, n: u64) -> FixedCost {
-        FixedCost(self.0 * n as i128)
-    }
-}
-
-impl std::ops::Add for FixedCost {
-    type Output = FixedCost;
-    fn add(self, rhs: FixedCost) -> FixedCost {
-        FixedCost(self.0 + rhs.0)
-    }
-}
-
-impl std::ops::AddAssign for FixedCost {
-    fn add_assign(&mut self, rhs: FixedCost) {
-        self.0 += rhs.0;
-    }
-}
-
-impl std::ops::Sub for FixedCost {
-    type Output = FixedCost;
-    fn sub(self, rhs: FixedCost) -> FixedCost {
-        FixedCost(self.0 - rhs.0)
-    }
-}
-
-impl std::ops::SubAssign for FixedCost {
-    fn sub_assign(&mut self, rhs: FixedCost) {
-        self.0 -= rhs.0;
-    }
-}
-
-/// A [`Ledger`] with fixed-point balances: payer × purpose, exactly the
-/// decomposition the float ledger reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FixedLedger {
-    good: [FixedCost; 3],
-    adv: [FixedCost; 3],
-}
-
-impl FixedLedger {
-    fn slot(purpose: Purpose) -> usize {
-        match purpose {
-            Purpose::Entrance => 0,
-            Purpose::Purge => 1,
-            Purpose::Periodic => 2,
-        }
-    }
-
-    /// Records spending by good IDs.
-    pub fn charge_good(&mut self, purpose: Purpose, amount: Cost) {
-        self.good[Self::slot(purpose)] += FixedCost::from_cost(amount);
-    }
-
-    /// Records spending by the adversary.
-    pub fn charge_adversary(&mut self, purpose: Purpose, amount: Cost) {
-        self.adv[Self::slot(purpose)] += FixedCost::from_cost(amount);
-    }
-
-    fn charge_good_fixed(&mut self, purpose: Purpose, amount: FixedCost) {
-        debug_assert!(amount >= FixedCost::ZERO, "negative charge");
-        self.good[Self::slot(purpose)] += amount;
-    }
-
-    /// Folds another ledger into this one (exact).
-    pub fn merge(&mut self, other: &FixedLedger) {
-        for i in 0..3 {
-            self.good[i] += other.good[i];
-            self.adv[i] += other.adv[i];
-        }
-    }
-
-    /// Total burned by good IDs.
-    pub fn good_total(&self) -> FixedCost {
-        self.good[0] + self.good[1] + self.good[2]
-    }
-
-    /// Total burned by the adversary.
-    pub fn adversary_total(&self) -> FixedCost {
-        self.adv[0] + self.adv[1] + self.adv[2]
-    }
-
-    /// Converts each balance to `f64` once, producing the float [`Ledger`]
-    /// the report carries. Conversion order is fixed (per-slot), so the
-    /// output is a pure function of the integer balances.
-    pub fn to_ledger(&self) -> Ledger {
-        Ledger::from_parts(self.good.map(FixedCost::to_cost), self.adv.map(FixedCost::to_cost))
-    }
-}
 
 /// One shard's bounded epoch message: the counters and ledger balances its
 /// slice accumulated since the previous reduction. Fixed size regardless

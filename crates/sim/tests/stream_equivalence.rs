@@ -92,8 +92,8 @@ fn disk_replay_is_bit_identical_to_memory_replay() {
 
 #[test]
 fn disk_replay_matches_under_truncated_recording() {
-    // The bounded-recording knobs (timeline decimation, join-time caps)
-    // must behave identically across sources too.
+    // The recorded series (timeline samples, good join times) must be
+    // identical across sources too.
     let horizon = 80.0;
     for trial in 0..10u64 {
         let workload = random_workload(trial.wrapping_mul(0xA5A5).wrapping_add(17), horizon);
@@ -104,15 +104,13 @@ fn disk_replay_matches_under_truncated_recording() {
         let cfg = SimConfig {
             horizon: Time(horizon),
             record_good_joins: true,
-            max_good_join_times: Some(5),
             timeline_resolution: Some(0.5),
-            max_timeline_points: Some(8),
             ..SimConfig::default()
         };
         let mem =
             Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, workload.clone()).run();
         let dsk = Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, disk).run();
-        assert!(mem.timeline.len() <= 8);
+        assert!(!mem.timeline.is_empty());
         assert_eq!(normalized(mem), normalized(dsk), "trial {trial}");
         std::fs::remove_file(&path).ok();
     }

@@ -14,6 +14,9 @@
 //!   --timeline  print a membership timeline every N seconds
 //! ```
 //!
+//! A flag outside its accepted range is a usage error (exit status 2,
+//! naming the flag and the range), never a library assertion.
+//!
 //! Example:
 //!
 //! ```text
@@ -35,6 +38,23 @@ struct Options {
     accuracy: f64,
     timeline: Option<f64>,
 }
+
+/// Parses a numeric flag and checks it against the range the library
+/// accepts.
+fn number(
+    flag: &str,
+    value: &str,
+    accepted: &str,
+    in_range: impl Fn(f64) -> bool,
+) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(x) if in_range(x) => Ok(x),
+        _ => Err(format!("{flag}: expected {accepted}, got {value:?}")),
+    }
+}
+
+/// The most timeline rows a run may be asked for (`horizon / N`).
+const MAX_TIMELINE_ROWS: f64 = 1e6;
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -59,18 +79,30 @@ fn parse_args() -> Result<Options, String> {
             "--network" => opts.network = value.clone(),
             "--defense" => opts.defense = value.clone(),
             "--adversary" => opts.adversary = value.clone(),
-            "--t" => opts.t = value.parse().map_err(|e| format!("--t: {e}"))?,
-            "--horizon" => opts.horizon = value.parse().map_err(|e| format!("--horizon: {e}"))?,
+            "--t" => {
+                let accepted = "a finite spend rate >= 0";
+                opts.t = number(flag, value, accepted, |x| x.is_finite() && x >= 0.0)?
+            }
+            "--horizon" => {
+                let accepted = "a finite number of seconds > 0";
+                opts.horizon = number(flag, value, accepted, |x| x.is_finite() && x > 0.0)?
+            }
             "--seed" => opts.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
             "--accuracy" => {
-                opts.accuracy = value.parse().map_err(|e| format!("--accuracy: {e}"))?
+                let accepted = "a probability in [0, 1]";
+                opts.accuracy = number(flag, value, accepted, |x| (0.0..=1.0).contains(&x))?
             }
             "--timeline" => {
-                opts.timeline = Some(value.parse().map_err(|e| format!("--timeline: {e}"))?)
+                let accepted = "a finite number of seconds > 0";
+                let dt = number(flag, value, accepted, |x| x.is_finite() && x > 0.0)?;
+                opts.timeline = Some(dt)
             }
             other => return Err(format!("unknown flag {other}")),
         }
         i += 2;
+    }
+    if opts.timeline.is_some_and(|dt| opts.horizon / dt > MAX_TIMELINE_ROWS) {
+        return Err(format!("--timeline: at most {MAX_TIMELINE_ROWS} rows (--horizon / N)"));
     }
     Ok(opts)
 }
