@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use sybil_churn::networks;
 use sybil_dht::{lookup_wide, Ring};
 use sybil_exp::spec::{cell_seed, AxisValue, CellSpec, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{GridOptions, Record, Welford};
+use sybil_exp::{GridOptions, Welford};
 use sybil_sim::adversary::{build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE};
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::id::Id;
@@ -46,12 +46,11 @@ fn static_rows(fast: bool) -> Vec<CellResult> {
     sybil_dht::experiment::run_grid(n, trials, 29)
         .into_iter()
         .map(|c| {
-            let cell = CellSpec::new(vec![
+            let axes = vec![
                 (AXIS_BAD_FRACTION.into(), AxisValue::F64(c.bad_fraction)),
                 (AXIS_STRATEGY.into(), AxisValue::Str(c.strategy)),
-            ]);
-            let record = Record::new(cell.id(), vec![("success_rate".into(), c.success_rate)]);
-            CellResult { cell, record: Some(record) }
+            ];
+            CellResult::derived(axes, vec![("success_rate".into(), c.success_rate)])
         })
         .collect()
 }

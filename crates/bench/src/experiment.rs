@@ -226,11 +226,7 @@ pub fn main(names: &[String]) -> ExitCode {
     let fast = fast_mode();
     // Every selected experiment runs, whatever the ones before it did.
     let incomplete = selected.into_iter().filter(|e| !run(e, fast)).count();
-    if incomplete == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::from(u8::from(incomplete > 0))
 }
 
 #[cfg(test)]
@@ -311,8 +307,7 @@ mod tests {
 
     #[test]
     fn unknown_name_exits_2_before_anything_runs() {
-        // `figure8` is known, so a run would start — and print — if the
-        // names were not all checked first.
+        // Were the names not all checked first, `figure8` would run.
         let names = ["figure8".to_string(), "figure7".to_string()];
         assert_eq!(main(&names), ExitCode::from(2));
     }

@@ -20,7 +20,7 @@ use crate::table::results_dir;
 use std::path::PathBuf;
 use sybil_churn::model::ChurnModel;
 use sybil_exp::runner::RunSummary;
-use sybil_exp::spec::{text_fingerprint, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_T};
+use sybil_exp::spec::{text_fingerprint, AxisValue, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_T};
 use sybil_exp::{
     defense_seed, trial_seed, ExperimentSpec, GridOptions, Record, Welford, WorkloadCache,
 };
@@ -113,6 +113,14 @@ pub struct CellResult {
 }
 
 impl CellResult {
+    /// A row of a derived table: not a cell of the grid, but rendered by
+    /// the same columns, so it carries its labels as axes and its numbers
+    /// as record fields.
+    pub fn derived(axes: Vec<(String, AxisValue)>, fields: Vec<(String, f64)>) -> CellResult {
+        let cell = CellSpec::new(axes);
+        CellResult { record: Some(Record::new(cell.id(), fields)), cell }
+    }
+
     /// The recorded field `name` (NaN when quarantined).
     ///
     /// # Panics
@@ -503,19 +511,15 @@ invariants_millions cf8f6ffef1588398dd896376967a307b0064327d3f9a54afc535bfb56394
         assert_eq!(declared, pinned, "a store identity, CSV name or header row drifted");
     }
 
-    /// Field-for-field, in field order: what resume must serve back.
+    /// Field for field, in field order, bit for bit: what resume must
+    /// serve back.
     fn assert_same_records(cold: &[CellResult], warm: &[CellResult]) {
-        assert_eq!(cold.len(), warm.len());
-        for (a, b) in cold.iter().zip(warm) {
-            let (a, b) =
-                (a.record.as_ref().expect("no holes"), b.record.as_ref().expect("no holes"));
-            assert_eq!(a.cell_id, b.cell_id);
-            assert_eq!(a.fields.len(), b.fields.len(), "{}", a.cell_id);
-            for ((an, av), (bn, bv)) in a.fields.iter().zip(&b.fields) {
-                assert_eq!(an, bn, "{}: field order changed", a.cell_id);
-                assert_eq!(av.to_bits(), bv.to_bits(), "{}/{an}: resumed value differs", a.cell_id);
-            }
-        }
+        let bits = |cells: &[CellResult]| -> Vec<(String, Vec<(String, u64)>)> {
+            let records = cells.iter().map(|c| c.record.as_ref().expect("no holes"));
+            let bits = |(name, value): &(String, f64)| (name.clone(), value.to_bits());
+            records.map(|r| (r.cell_id.clone(), r.fields.iter().map(bits).collect())).collect()
+        };
+        assert_eq!(bits(cold), bits(warm));
     }
 
     fn remove_artifacts(name: &str) {
@@ -525,9 +529,8 @@ invariants_millions cf8f6ffef1588398dd896376967a307b0064327d3f9a54afc535bfb56394
 
     #[test]
     fn tiny_grid_end_to_end_with_resume() {
-        // A 1-network × 2-algo × 2-T grid with 2 trials, isolated cache and
-        // store dirs via env override is not possible per-test (process
-        // global), so use a uniquely named experiment in the shared dirs.
+        // 1 network × 2 algorithms × 2 T, 2 trials. The cache and store
+        // dirs are process-global, so the experiment's name is unique.
         let name = format!("grid-test-{}", std::process::id());
         let roster = [Algo::Ergo, Algo::CCom];
         let part = spend_part(&name, &[networks::gnutella()], &roster, &[0.0, 64.0], 2, 50.0, 5);

@@ -28,8 +28,8 @@ use crate::table::fmt_num;
 use ergo_core::{Ergo, ErgoConfig};
 use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
-use sybil_exp::spec::{Axis, AxisValue, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{Durability, ExperimentSpec, GridOptions, Record, Welford};
+use sybil_exp::spec::{Axis, AxisValue, AXIS_ALGO, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
+use sybil_exp::{Durability, ExperimentSpec, GridOptions, Welford};
 use sybil_sim::adversary::{
     build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_BUDGET, STRATEGY_BURST,
     STRATEGY_CHURN_FORCE, STRATEGY_PURGE_SURVIVE,
@@ -91,6 +91,12 @@ fn millions_parts(fast: bool) -> Vec<Part> {
 /// The Lemma 9 bound `3κ` (= 1/6 at the paper's κ = 1/18).
 pub fn bound() -> f64 {
     3.0 * SimConfig::default().kappa
+}
+
+/// Lemma 9 failed in this cell: some trial's Sybil fraction reached the
+/// bound (false for a quarantined cell, which has no data).
+fn violated(r: &CellResult) -> bool {
+    r.get("worst_bad_fraction") >= bound()
 }
 
 /// The strategy axis of the invariant experiments: every attack strategy
@@ -184,8 +190,8 @@ pub fn invariant_part(
         // A quarantined cell reads NaN: no verdict either way.
         Column::new("held", |r, _| match r.get("worst_bad_fraction") {
             worst if worst.is_nan() => "no-data".into(),
-            worst if worst < bound() => "yes".into(),
-            _ => "VIOLATED".into(),
+            _ if violated(r) => "VIOLATED".into(),
+            _ => "yes".into(),
         }),
         Column::field("A", "good_rate_mean"),
     ];
@@ -215,7 +221,7 @@ pub fn invariant_part(
             fields.extend(rate.summary().fields("good_rate"));
             fields
         }),
-        violated: Some(|r| r.get("worst_bad_fraction") >= bound()),
+        violated: Some(violated),
         tables: vec![TableSpec::per_cell(name, columns)],
     }
 }
@@ -331,11 +337,10 @@ fn fit_curves(cells: &[CellResult], trials: u32) -> Vec<CellResult> {
             let label = |axis: &str| {
                 (axis.to_string(), AxisValue::Str(curve[0].cell.str_value(axis).to_string()))
             };
-            let cell = CellSpec::new(vec![label(AXIS_NETWORK), label(AXIS_ALGO)]);
             let mut fields = vec![("trials".to_string(), slopes.count() as f64)];
             fields.extend(slopes.summary().fields("exponent"));
             fields.push(("points".into(), curve.len() as f64));
-            CellResult { record: Some(Record::new(cell.id(), fields)), cell }
+            CellResult::derived(vec![label(AXIS_NETWORK), label(AXIS_ALGO)], fields)
         })
         .collect()
 }

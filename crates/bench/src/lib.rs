@@ -4,21 +4,19 @@
 //! [`experiment::Experiment`] and registered by name in
 //! [`experiment::REGISTRY`]; the one bench target runs them
 //! (`cargo bench -p sybil-bench --bench experiments -- <name>`; no name
-//! runs the first eight in order), printing each table and writing it to
+//! runs the eight paper experiments in order), printing each table and writing it to
 //! `results/<csv>.csv`:
 //!
 //! | Module | Paper artifact | Name | CSVs |
 //! |---|---|---|---|
-//! | [`figure8`] | Figure 8: A vs T, Ergo vs baselines | `figure8` | `figure8`, `figure8_summary` |
+//! | [`figure8`] | Figure 8: A vs T, Ergo vs baselines | `figure8`; `figure8_millions` at 10⁶ initial IDs | `figure8`, `figure8_summary`; `figure8_millions` |
 //! | [`figure9`] | Figure 9: GoodJEst estimate accuracy | `figure9` | `figure9` |
 //! | [`figure10`] | Figure 10: heuristic variants | `figure10` | `figure10` |
 //! | [`lower_bound_exp`] | Theorem 3 (Section 11) | `lower_bound` | `lower_bound` |
 //! | [`committee_exp`] | Theorem 4 / Lemma 18 (Section 12) | `committee` | `committee` |
-//! | [`invariants_exp`] | Lemma 9 invariant + scaling fits | `invariants` | `invariants`, `scaling` |
+//! | [`invariants_exp`] | Lemma 9 invariant + scaling fits | `invariants`; `invariants_millions` at 10⁶ initial IDs | `invariants`, `scaling`; `invariants_millions` |
 //! | [`dht_exp`] | Section 13.2 extension: Sybil-resistant DHT | `dht` | `dht_grid`, `dht_end_to_end` |
 //! | [`ablation_exp`] | constants ablations (Sections 9.3, 13.3) + failure injection | `ablation` | `ablation` |
-//! | [`figure8`] | the Figure-8-shaped grid at 10⁶ initial IDs | `figure8_millions` | `figure8_millions` |
-//! | [`invariants_exp`] | Lemma 9 at 10⁶ initial IDs | `invariants_millions` | `invariants_millions` |
 //!
 //! The experiments execute through the `sybil-exp` orchestration
 //! subsystem (see [`grid`] and `crates/exp/README.md`): multi-trial cells
@@ -146,6 +144,3 @@ pub mod lower_bound_exp;
 pub mod perf;
 pub mod sweep;
 pub mod table;
-
-pub use sweep::{t_grid, Algo, RunParams};
-pub use table::Table;

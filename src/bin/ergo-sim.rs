@@ -67,6 +67,8 @@ fn parse_args() -> Result<Options, String> {
         accuracy: 0.98,
         timeline: None,
     };
+    const SECONDS: &str = "a finite number of seconds > 0";
+    let positive = |x: f64| x.is_finite() && x > 0.0;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -80,23 +82,16 @@ fn parse_args() -> Result<Options, String> {
             "--defense" => opts.defense = value.clone(),
             "--adversary" => opts.adversary = value.clone(),
             "--t" => {
-                let accepted = "a finite spend rate >= 0";
-                opts.t = number(flag, value, accepted, |x| x.is_finite() && x >= 0.0)?
+                let in_range = |x: f64| x.is_finite() && x >= 0.0;
+                opts.t = number(flag, value, "a finite spend rate >= 0", in_range)?
             }
-            "--horizon" => {
-                let accepted = "a finite number of seconds > 0";
-                opts.horizon = number(flag, value, accepted, |x| x.is_finite() && x > 0.0)?
-            }
+            "--horizon" => opts.horizon = number(flag, value, SECONDS, positive)?,
             "--seed" => opts.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
             "--accuracy" => {
-                let accepted = "a probability in [0, 1]";
-                opts.accuracy = number(flag, value, accepted, |x| (0.0..=1.0).contains(&x))?
+                let in_range = |x: f64| (0.0..=1.0).contains(&x);
+                opts.accuracy = number(flag, value, "a probability in [0, 1]", in_range)?
             }
-            "--timeline" => {
-                let accepted = "a finite number of seconds > 0";
-                let dt = number(flag, value, accepted, |x| x.is_finite() && x > 0.0)?;
-                opts.timeline = Some(dt)
-            }
+            "--timeline" => opts.timeline = Some(number(flag, value, SECONDS, positive)?),
             other => return Err(format!("unknown flag {other}")),
         }
         i += 2;
