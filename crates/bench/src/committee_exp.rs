@@ -16,6 +16,7 @@
 
 use crate::experiment::{Column, Experiment, Part, TableSpec};
 use crate::grid::{trials_for, TrialGrid};
+use crate::invariants_exp::strategy_fingerprints;
 use crate::table::fmt_num;
 use ergo_core::{Ergo, ErgoConfig};
 use sybil_churn::model::ChurnModel;
@@ -23,7 +24,7 @@ use sybil_churn::networks;
 use sybil_committee::{DecentralConfig, DecentralizedErgo};
 use sybil_exp::spec::{AxisValue, CellSpec, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
 use sybil_exp::{GridOptions, Welford};
-use sybil_sim::adversary::{build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE};
+use sybil_sim::adversary::{build_strategy, StrategyParams, STRATEGY_NONE};
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
 use sybil_sim::workload::WorkloadSource;
@@ -208,11 +209,7 @@ fn grid(fast: bool) -> TrialGrid {
          strategies = [{}]\n",
         DecentralConfig::default(),
         ErgoConfig::default(),
-        strategies
-            .iter()
-            .map(|s| strategy_fingerprint(s, &StrategyParams::rate(1.0)))
-            .collect::<Vec<_>>()
-            .join(", "),
+        strategy_fingerprints(&strategies),
     );
     let cells = grid_cells(&nets, &strategies, &t_values);
     TrialGrid::from_cells("committee", cells, &config, &nets, trials, horizon, base_seed)

@@ -13,6 +13,7 @@
 
 use crate::experiment::{Column, Experiment, Part, TableSpec};
 use crate::grid::{trials_for, CellResult, TrialGrid};
+use crate::invariants_exp::strategy_fingerprints;
 use ergo_core::{Ergo, ErgoConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +21,7 @@ use sybil_churn::networks;
 use sybil_dht::{lookup_wide, Ring};
 use sybil_exp::spec::{cell_seed, AxisValue, CellSpec, AXIS_STRATEGY, AXIS_T};
 use sybil_exp::{GridOptions, Welford};
-use sybil_sim::adversary::{build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_NONE};
+use sybil_sim::adversary::{build_strategy, StrategyParams, STRATEGY_NONE};
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::id::Id;
 use sybil_sim::time::Time;
@@ -40,7 +41,8 @@ const AXIS_BAD_FRACTION: &str = "bad fraction";
 /// The static success-rate sweep (`sybil_dht::experiment::run_grid`) as
 /// table rows: rings built at fixed Sybil fractions, every routing
 /// strategy. It replays no workload and takes about a second, so it keeps
-/// no store; as a table it is a constant function of the cell results.
+/// no store and is no grid: it rides on the end-to-end part as a table
+/// whose rows ignore the cell results, and so runs after that grid.
 fn static_rows(fast: bool) -> Vec<CellResult> {
     let (n, trials) = if fast { (500, 150) } else { (2_000, 600) };
     sybil_dht::experiment::run_grid(n, trials, 29)
@@ -50,7 +52,7 @@ fn static_rows(fast: bool) -> Vec<CellResult> {
                 (AXIS_BAD_FRACTION.into(), AxisValue::F64(c.bad_fraction)),
                 (AXIS_STRATEGY.into(), AxisValue::Str(c.strategy)),
             ];
-            CellResult::derived(axes, vec![("success_rate".into(), c.success_rate)])
+            CellResult::row(axes, vec![("success_rate".into(), c.success_rate)])
         })
         .collect()
 }
@@ -58,8 +60,6 @@ fn static_rows(fast: bool) -> Vec<CellResult> {
 /// One end-to-end membership-run trial.
 #[derive(Clone, Debug)]
 pub struct EndToEnd {
-    /// Adversary spend rate during the membership run.
-    pub t: f64,
     /// Final ring size.
     pub ring_size: usize,
     /// Final Sybil fraction on the ring.
@@ -97,7 +97,6 @@ pub fn run_end_to_end_trial<W: WorkloadSource>(
     let ok =
         (0..lookups).filter(|_| lookup_wide(&ring, rng.gen(), 8, &mut rng).is_success()).count();
     EndToEnd {
-        t,
         ring_size: ring.len(),
         bad_fraction: ring.bad_fraction(),
         success_rate: ok as f64 / lookups as f64,
@@ -146,11 +145,7 @@ fn end_to_end_grid(fast: bool) -> TrialGrid {
          horizon = {horizon}\ntrials = {trials}\nseed = {base_seed}\nnetwork = {net:?}\n\
          defense = {:?}\nlookups = {lookups} wide-8\nstrategies = [{}]\n",
         ErgoConfig::default(),
-        strategies
-            .iter()
-            .map(|s| strategy_fingerprint(s, &StrategyParams::rate(1.0)))
-            .collect::<Vec<_>>()
-            .join(", "),
+        strategy_fingerprints(&strategies),
     );
     let cells = grid_cells(&strategies, &[0.0, 1_000.0, 100_000.0]);
     TrialGrid::from_cells("dht_end_to_end", cells, &config, &[net], trials, horizon, base_seed)
@@ -166,7 +161,7 @@ fn parts(fast: bool) -> Vec<Part> {
         TableSpec {
             csv: "dht_grid".into(),
             heading: "--- lookup success on rings of fixed Sybil fraction ---",
-            derive: Some(Box::new(move |_| static_rows(fast))),
+            rows: Some(Box::new(move |_| static_rows(fast))),
             columns: vec![
                 Column::new("bad fraction", |r, _| {
                     format!("{:.3}", r.cell.f64_value(AXIS_BAD_FRACTION))
@@ -178,7 +173,7 @@ fn parts(fast: bool) -> Vec<Part> {
         TableSpec {
             csv: "dht_end_to_end".into(),
             heading: "--- end to end: ring membership from an Ergo run under attack ---",
-            derive: None,
+            rows: None,
             columns: vec![
                 Column::axis("adversary", AXIS_STRATEGY),
                 Column::axis("T (attack on membership)", AXIS_T),
@@ -206,15 +201,8 @@ fn parts(fast: bool) -> Vec<Part> {
                 // id (the frozen `cell_seed` contract), which inherits
                 // the id's no-collision guarantee.
                 let lookup_seed = cell_seed(BASE_SEED, cell, trial.index as u64);
-                let workload = trial.workload();
-                let q = run_end_to_end_trial(
-                    workload,
-                    strategy,
-                    t,
-                    trial.horizon,
-                    lookup_seed,
-                    lookups,
-                );
+                let (workload, horizon) = (trial.workload(), trial.horizon);
+                let q = run_end_to_end_trial(workload, strategy, t, horizon, lookup_seed, lookups);
                 ring_size.push(q.ring_size as f64);
                 bad_fraction.push(q.bad_fraction);
                 success.push(q.success_rate);

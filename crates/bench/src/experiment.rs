@@ -4,11 +4,11 @@
 //! An [`Experiment`] is a name, a banner and its [`Part`]s. A part is a
 //! [`TrialGrid`], the measurement that fills one store record per cell,
 //! and the [`TableSpec`]s rendered from those records: ordered
-//! [`Column`] lists over [`CellResult`], one row per cell — or per row of
-//! a table *derived* from the cell results (a slope fit per curve, the
-//! baselines at the largest attack). The record's field names are the
-//! only schema: the measurement writes them, the columns read them, and
-//! nothing sits in between.
+//! [`Column`] lists over [`CellResult`], one row per cell — or per row a
+//! table's own [`Rows`] source returns (a slope fit per curve, the
+//! baselines at the largest attack, the DHT's storeless static sweep). The
+//! record's field names are the only schema: the measurement writes them,
+//! the columns read them, and nothing sits in between.
 //!
 //! [`REGISTRY`] lists every experiment; [`main`] is all of
 //! `benches/experiments.rs`, and [`run`] owns the banner, the timing, the
@@ -82,8 +82,12 @@ impl Part {
     }
 }
 
-/// Rows of a derived table, computed from the grid's cell results.
-pub type Derive = Box<dyn Fn(&[CellResult]) -> Vec<CellResult>>;
+/// Where a table's rows come from when they are not the grid's cells. It
+/// runs after the grid and is handed the cell results: a derived table
+/// (`scaling`, `figure8_summary`) is a function of them; the DHT's
+/// storeless static sweep ignores them, and is a table only so that the
+/// one runner prints it and writes its CSV.
+pub type Rows = Box<dyn Fn(&[CellResult]) -> Vec<CellResult>>;
 
 /// One output table: `results/<csv>.csv` and its rendering on stdout.
 pub struct TableSpec {
@@ -91,9 +95,8 @@ pub struct TableSpec {
     pub csv: String,
     /// Printed above the table; empty for none.
     pub heading: &'static str,
-    /// `None`: one row per cell. `Some`: the rows are this function of the
-    /// cell results.
-    pub derive: Option<Derive>,
+    /// `None`: one row per cell. `Some`: the rows this source returns.
+    pub rows: Option<Rows>,
     /// The columns, in order.
     pub columns: Vec<Column>,
 }
@@ -101,7 +104,7 @@ pub struct TableSpec {
 impl TableSpec {
     /// A table with one row per cell.
     pub fn per_cell(csv: &str, columns: Vec<Column>) -> TableSpec {
-        TableSpec { csv: csv.to_string(), heading: "", derive: None, columns }
+        TableSpec { csv: csv.to_string(), heading: "", rows: None, columns }
     }
 
     /// The CSV header row.
@@ -111,9 +114,9 @@ impl TableSpec {
 
     /// Builds the table from a finished grid's cell results.
     pub fn build(&self, cells: &[CellResult]) -> Table {
-        let derived = self.derive.as_ref().map(|derive| derive(cells));
+        let own_rows = self.rows.as_ref().map(|rows| rows(cells));
         let mut table = Table::new(self.header());
-        for row in derived.as_deref().unwrap_or(cells) {
+        for row in own_rows.as_deref().unwrap_or(cells) {
             table.push(self.columns.iter().map(|c| (c.value)(row, cells)).collect());
         }
         table

@@ -75,7 +75,7 @@ fn parts(fast: bool) -> Vec<Part> {
         TableSpec {
             csv: "figure8_summary".into(),
             heading: "--- baseline cost relative to ERGO at the largest attack ---",
-            derive: Some(Box::new(|cells| {
+            rows: Some(Box::new(|cells| {
                 let t_max = cells.iter().map(|c| c.cell.f64_value(AXIS_T)).fold(0.0, f64::max);
                 let baseline_at_t_max = |c: &&CellResult| {
                     c.cell.f64_value(AXIS_T) == t_max && c.cell.str_value(AXIS_ALGO) != "ERGO"

@@ -113,10 +113,10 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    /// A row of a derived table: not a cell of the grid, but rendered by
-    /// the same columns, so it carries its labels as axes and its numbers
-    /// as record fields.
-    pub fn derived(axes: Vec<(String, AxisValue)>, fields: Vec<(String, f64)>) -> CellResult {
+    /// A row of a table with its own [`Rows`](crate::experiment::Rows)
+    /// source: not a cell of the grid, but rendered by the same columns,
+    /// so it carries its labels as axes and its numbers as record fields.
+    pub fn row(axes: Vec<(String, AxisValue)>, fields: Vec<(String, f64)>) -> CellResult {
         let cell = CellSpec::new(axes);
         CellResult { record: Some(Record::new(cell.id(), fields)), cell }
     }
@@ -125,9 +125,10 @@ impl CellResult {
     ///
     /// # Panics
     ///
-    /// Panics if the record lacks the field: the column (or derived table)
+    /// Panics if the record lacks the field: the column (or row source)
     /// asking for it and the measurement that wrote the record disagree
-    /// about the schema.
+    /// about the schema (see "Adding an experiment" in the crate docs for
+    /// what that asks of a measurement that gains a field).
     pub fn get(&self, name: &str) -> f64 {
         self.record.as_ref().map_or(f64::NAN, |r| {
             r.get(name).unwrap_or_else(|| panic!("record {} lacks field {name:?}", r.cell_id))

@@ -106,6 +106,15 @@ pub fn strategy_roster() -> Vec<&'static str> {
     vec![STRATEGY_BUDGET, STRATEGY_BURST, STRATEGY_CHURN_FORCE, STRATEGY_PURGE_SURVIVE]
 }
 
+/// What the names in `strategies` resolve to, for a store's fingerprint
+/// context. Each fingerprint is taken at a sentinel rate (the actual rate
+/// is the cell's T-axis value, already part of the cell): it pins the
+/// *fixed* parameters a registry name implies, like the burst period.
+pub(crate) fn strategy_fingerprints(strategies: &[&str]) -> String {
+    let fingerprint = |s: &&str| strategy_fingerprint(s, &StrategyParams::rate(1.0));
+    strategies.iter().map(fingerprint).collect::<Vec<_>>().join(", ")
+}
+
 /// Runs one strategy against one in-memory workload — the single-trial
 /// form the quick tests use; the grids stream cached disk workloads
 /// through the same configuration instead.
@@ -164,18 +173,11 @@ pub fn invariant_part(
         seed: base_seed,
     };
     // The axes name networks and strategies by label; the context carries
-    // what the labels resolve to. The strategy fingerprint is taken at a
-    // sentinel rate (the actual rate is the cell's T-axis value, already
-    // part of the spec): it pins the *fixed* parameters a registry name
-    // implies, like the burst period.
+    // what the labels resolve to.
     let context = format!(
         "invariants grid\nnetworks = {nets:?}\ndefense = {:?}\nstrategies = [{}]\n",
         ErgoConfig::default(),
-        strategies
-            .iter()
-            .map(|s| strategy_fingerprint(s, &StrategyParams::rate(1.0)))
-            .collect::<Vec<_>>()
-            .join(", "),
+        strategy_fingerprints(strategies),
     );
     let columns = vec![
         Column::axis("network", AXIS_NETWORK),
@@ -270,7 +272,7 @@ fn scaling_part(fast: bool) -> Part {
     let table = TableSpec {
         csv: "scaling".into(),
         heading: "--- spend-rate scaling: A ~ T^e ---",
-        derive: Some(Box::new(move |cells| fit_curves(cells, trials))),
+        rows: Some(Box::new(move |cells| fit_curves(cells, trials))),
         columns: vec![
             Column::axis("network", AXIS_NETWORK),
             Column::axis("algorithm", AXIS_ALGO),
@@ -340,7 +342,7 @@ fn fit_curves(cells: &[CellResult], trials: u32) -> Vec<CellResult> {
             let mut fields = vec![("trials".to_string(), slopes.count() as f64)];
             fields.extend(slopes.summary().fields("exponent"));
             fields.push(("points".into(), curve.len() as f64));
-            CellResult::derived(vec![label(AXIS_NETWORK), label(AXIS_ALGO)], fields)
+            CellResult::row(vec![label(AXIS_NETWORK), label(AXIS_ALGO)], fields)
         })
         .collect()
 }

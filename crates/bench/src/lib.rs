@@ -4,8 +4,8 @@
 //! [`experiment::Experiment`] and registered by name in
 //! [`experiment::REGISTRY`]; the one bench target runs them
 //! (`cargo bench -p sybil-bench --bench experiments -- <name>`; no name
-//! runs the eight paper experiments in order), printing each table and writing it to
-//! `results/<csv>.csv`:
+//! runs the eight paper experiments in order), printing each table and
+//! writing it to `results/<csv>.csv`:
 //!
 //! | Module | Paper artifact | Name | CSVs |
 //! |---|---|---|---|
@@ -123,6 +123,14 @@
 //! (the test walks the registry and fails on an experiment without a
 //! pin), so a refactor cannot silently orphan its results store or
 //! reshape its CSV.
+//!
+//! A column naming a field its cell's record lacks panics
+//! ([`grid::CellResult::get`]): the field names are the schema, and a
+//! blank would hide the disagreement. The store fingerprint hashes the
+//! spec and the context, not the field names, so when a measurement gains
+//! a field, change its context text in the same commit (a `fields v2`
+//! line will do) — otherwise a store written before the change resumes
+//! every cell and the run then aborts at render time.
 //!
 //! Set `SYBIL_BENCH_FAST=1` for a seconds-long smoke run of the full
 //! suite; the default is paper scale (10 000 s horizons, `T` up to `2²⁰`).

@@ -1,7 +1,6 @@
 //! Plain-text table and CSV output for experiment results.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// A simple column-aligned text table.
@@ -30,32 +29,19 @@ impl Table {
 
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
-        let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
-            for c in 0..cols {
-                widths[c] = widths[c].max(row[c].len());
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for (c, cell) in cells.iter().enumerate() {
-                if c > 0 {
-                    line.push_str("  ");
-                }
-                line.push_str(&format!("{cell:>width$}", width = widths[c]));
-            }
-            line
+        let line = |cells: &[String]| {
+            let padded = cells.iter().zip(&widths).map(|(cell, &width)| format!("{cell:>width$}"));
+            padded.collect::<Vec<_>>().join("  ") + "\n"
         };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
+        let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+        let mut out = line(&self.header) + &rule + "\n";
+        self.rows.iter().for_each(|row| out.push_str(&line(row)));
         out
     }
 
@@ -63,12 +49,8 @@ impl Table {
     /// returning the path written. Errors are reported, not fatal — the
     /// printed table is the primary artifact.
     pub fn write_csv(&self, name: &str) -> Option<PathBuf> {
-        let dir = results_dir();
-        if fs::create_dir_all(&dir).is_err() {
-            return None;
-        }
-        let path = dir.join(format!("{name}.csv"));
-        let mut file = fs::File::create(&path).ok()?;
+        let path = results_dir().join(format!("{name}.csv"));
+        fs::create_dir_all(path.parent()?).ok()?;
         let esc = |s: &String| {
             if s.contains(',') || s.contains('"') {
                 format!("\"{}\"", s.replace('"', "\"\""))
@@ -76,13 +58,9 @@ impl Table {
                 s.clone()
             }
         };
-        let mut write_line = |cells: &[String]| -> std::io::Result<()> {
-            writeln!(file, "{}", cells.iter().map(esc).collect::<Vec<_>>().join(","))
-        };
-        write_line(&self.header).ok()?;
-        for row in &self.rows {
-            write_line(row).ok()?;
-        }
+        let line = |cells: &Vec<String>| cells.iter().map(esc).collect::<Vec<_>>().join(",") + "\n";
+        let text: String = std::iter::once(&self.header).chain(&self.rows).map(line).collect();
+        fs::write(&path, text).ok()?;
         Some(path)
     }
 }

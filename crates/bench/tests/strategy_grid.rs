@@ -7,7 +7,27 @@
 use sybil_bench::invariants_exp::{bound, invariant_part, strategy_roster};
 use sybil_bench::table::results_dir;
 use sybil_churn::networks;
-use sybil_exp::{GridOptions, ResultsStore};
+use sybil_exp::spec::{Axis, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
+use sybil_exp::{ExperimentSpec, GridOptions, ResultsStore};
+use sybil_sim::engine::SimConfig;
+
+/// Rebuilds the exact spec `invariant_part` derives, so the test can pin
+/// the written `.spec` file and enumerate the canonical cell ids the store
+/// must contain without asking the part under test for either.
+fn expected_spec(name: &str, trials: u32, horizon: f64, seed: u64) -> ExperimentSpec {
+    ExperimentSpec {
+        name: name.into(),
+        axes: vec![
+            Axis::strs(AXIS_NETWORK, ["gnutella"]),
+            Axis::strs(AXIS_STRATEGY, strategy_roster().iter().map(|s| s.to_string())),
+            Axis::floats(AXIS_T, [2_000.0]),
+        ],
+        trials,
+        horizon,
+        kappa: SimConfig::default().kappa,
+        seed,
+    }
+}
 
 #[test]
 fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
@@ -42,13 +62,14 @@ fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
         assert!(mean <= row.get("max_bad_fraction_ci95_hi"));
     }
 
-    // Store level: one distinct key per strategy cell, under the
-    // canonical ids of the grid's cells — no two strategies may alias.
+    // Store level: one distinct key per strategy cell, under the exact
+    // canonical ids the spec derives — no two strategies may alias.
+    let spec = expected_spec(&name, trials, horizon, seed);
+    assert_eq!(part.grid.cells(), spec.cells(), "the part's cells are not the spec's");
     let store_path = results_dir().join(format!("{name}.store"));
     let spec_path = results_dir().join(format!("{name}.spec"));
     let written_spec = std::fs::read_to_string(&spec_path).expect("spec written for provenance");
-    let strategy_axis = format!("axis strategy = str:{}\n", strategy_roster().join(","));
-    assert!(written_spec.contains(&strategy_axis), "{written_spec}");
+    assert_eq!(written_spec, spec.to_text(), "driver spec drifted from the test's expectation");
     // Any fingerprint opens the file enough to count keys; use a fresh
     // store handle bound to a bogus fingerprint to prove mismatches
     // rebuild rather than resume.
@@ -80,7 +101,7 @@ fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
         assert_eq!(mean_bits(a, "good_rate"), mean_bits(b, "good_rate"));
     }
     let fingerprint_line = std::fs::read_to_string(&store_path).expect("store readable");
-    let ids: Vec<String> = part.grid.cells().iter().map(|c| c.id()).collect();
+    let ids: Vec<String> = spec.cells().iter().map(|c| c.id()).collect();
     for id in &ids {
         assert!(fingerprint_line.contains(id.as_str()), "store lacks canonical cell id {id}");
         assert!(id.contains("strategy="), "{id} lost the strategy axis");

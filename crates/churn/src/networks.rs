@@ -89,7 +89,7 @@ pub fn all_networks() -> Vec<ChurnModel> {
 
 /// A Gnutella-session-law network scaled to an arbitrary stationary
 /// population (Little's law sets the arrival rate) — the model behind the
-/// million-ID scale experiments (`macro_millions`, `exp_millions`).
+/// million-ID scale experiments (`macro_millions`, `figure8_millions`).
 ///
 /// At `initial_size = 1_000_000` this is Tor-scale: the population the
 /// SybilControl-style pricing and classifier literature actually targets.
