@@ -5,8 +5,8 @@
 //!
 //!   SYBIL_GATE_ADDR         listen address (default 127.0.0.1:7744)
 //!   SYBIL_GATE_DIFFICULTY   PoW difficulty floor (positive; default 8)
-//!   SYBIL_GATE_WORKERS      max concurrent connection threads
-//!                           (positive; default 8)
+//!   SYBIL_GATE_WORKERS      handler pool ceiling: connections served at
+//!                           once (positive; default 8)
 //!   SYBIL_GATE_SHARDS       shard workers for the admission state
 //!                           (positive; default 1)
 //! ```
@@ -38,7 +38,7 @@ fn main() {
     let workers = env::or_abort(env::positive_usize(
         "SYBIL_GATE_WORKERS",
         std::env::var("SYBIL_GATE_WORKERS"),
-        "the service needs at least one connection thread (unset the variable for the default)",
+        "the handler pool needs a ceiling of at least one (unset the variable for the default)",
     ))
     .unwrap_or(8);
     let shards = env::or_abort(env::positive_usize(
@@ -57,9 +57,13 @@ fn main() {
         std::process::exit(1)
     });
     println!(
-        "sybil-gate listening on {addr} (difficulty floor {}, mine bits {}, {workers} workers, \
-         {shards} shard(s))",
+        "sybil-gate listening on {addr} (difficulty floor {}, mine bits {}, up to {workers} \
+         workers, {shards} shard(s))",
         cfg.difficulty_floor, cfg.mine_bits
+    );
+    println!(
+        "note: the gate implements Figure 4's entrance cost and not its purge, so it bounds the \
+         rate of Sybil entry, not the Sybil fraction"
     );
     let service = Arc::new(ShardedGate::new(cfg, shards));
     if let Err(e) = transport::serve(listener, service, workers) {

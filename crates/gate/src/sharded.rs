@@ -42,7 +42,7 @@ use crate::wire::{Frame, PROTOCOL_VERSION};
 /// Locks a mutex, recovering from poisoning: gate state is monotone
 /// counters, maps, and a log, all valid at every step, so a panicking
 /// sibling must not take the shard down with it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

@@ -6,18 +6,20 @@
 //! while staying deterministic and sandbox-friendly. The TCP transport
 //! serves a [`SharedGate`] — the
 //! [`ShardedGate`](crate::sharded::ShardedGate), or a wrapper around it —
-//! one handler thread per connection with a hard cap and per-frame
-//! deadlines.
+//! from a pool of handler threads, started on demand up to a hard cap and
+//! reused from one connection to the next, under per-frame deadlines.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sybil_sim::Time;
 
 use crate::service::Response;
+use crate::sharded::lock;
 use crate::wire::{read_frame, Frame};
 
 /// An in-process connection to a gate, speaking real wire bytes.
@@ -107,13 +109,22 @@ impl Deadlines {
 }
 
 /// Serves a gate over TCP until the listener fails (the first accept
-/// error ends it). Each accepted connection gets its own handler thread,
-/// which sends the hello and then reads frames under [`Deadlines`]; at
-/// most `max_conns` handlers run at once, and a connection that arrives
-/// while all of them are busy is closed without a hello. The accept thread
-/// itself never reads from, writes to or waits on a client, so no peer can
-/// stall it. A panicking handler costs exactly its own connection and
-/// still frees its slot. Timestamps are seconds since serve start.
+/// error ends it). Connections are served by a pool of handler threads
+/// that is started on demand: a connection that arrives while no worker is
+/// idle starts one, up to `max_conns`, and a worker that has finished a
+/// connection waits for the next, so a listener nobody dials costs no
+/// thread and a flood of short connections costs a wake-up each, not a
+/// spawn. A connection that arrives while `max_conns` workers are all busy
+/// — or while the OS refuses another thread — is closed without a hello.
+/// A worker sends the hello and then reads frames under [`Deadlines`]. The
+/// accept thread itself never reads from, writes to or waits on a client
+/// or a worker (the hand-off is a push under a short lock), so no peer can
+/// stall it. A panicking handler costs exactly its own connection and its
+/// own thread, and the next connection may start a replacement. Before
+/// `serve` returns it wakes the idle workers and joins every one: nothing
+/// it started outlives it, and a worker in mid-connection finishes that
+/// connection first, each step of it still bounded by the deadlines.
+/// Timestamps are seconds since serve start.
 pub fn serve<G: SharedGate + 'static>(
     listener: TcpListener,
     service: Arc<G>,
@@ -124,10 +135,11 @@ pub fn serve<G: SharedGate + 'static>(
 
 /// [`serve`] with explicit deadlines, so tests need not wait out the
 /// shipped ones. By reference, and the handler reads unbuffered, on
-/// purpose: a handler thread allocates exactly what it did before it had
-/// deadlines. glibc hands short-lived threads whichever arena is free,
-/// the main one included, and `benchmark/`'s `gate_admit` showed a bigger
-/// spawn closure or a per-connection read buffer there as +20 % peak RSS.
+/// purpose: a worker allocates per connection exactly what a handler
+/// thread did before there were deadlines or a pool. glibc hands threads
+/// whichever arena is free, the main one included, and `benchmark/`'s
+/// `gate_admit` showed a bigger spawn closure or a per-connection read
+/// buffer there as +20 % peak RSS.
 pub(crate) fn serve_with<G: SharedGate + 'static>(
     listener: TcpListener,
     service: Arc<G>,
@@ -135,36 +147,120 @@ pub(crate) fn serve_with<G: SharedGate + 'static>(
     deadlines: &'static Deadlines,
 ) -> std::io::Result<()> {
     let start = Instant::now();
-    let active = Arc::new(AtomicUsize::new(0));
-    for stream in listener.incoming() {
-        let stream = stream?;
-        // Only this thread increments, so the count can only have fallen
-        // since it was read.
-        if active.load(Ordering::Relaxed) >= max_conns.max(1) {
-            continue; // Refused: dropping the stream closes it.
+    let pool = Arc::new(Pool::default());
+    let mut handles: Vec<JoinHandle<()>> = Vec::new();
+    let error = loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) => break e,
+        };
+        let mut state = lock(&pool.state);
+        if state.idle > 0 {
+            state.idle -= 1;
+            state.queue.push_back(stream);
+            drop(state);
+            pool.wake.notify_one();
+        } else if state.workers < max_conns.max(1) {
+            state.workers += 1;
+            let n = state.workers;
+            drop(state);
+            let (shared, service) = (Arc::clone(&pool), Arc::clone(&service));
+            let worker = move || work(&shared, stream, &*service, start, deadlines);
+            match std::thread::Builder::new().name(format!("gate-worker-{n}")).spawn(worker) {
+                Ok(handle) => {
+                    // Replacements for panicked workers must not pile up.
+                    handles.retain(|h| !h.is_finished());
+                    handles.push(handle);
+                }
+                // No thread to be had is over the cap by another name: the
+                // dropped closure has closed the stream.
+                Err(_) => lock(&pool.state).workers -= 1,
+            }
+        } else {
+            drop(state);
+            drop(stream); // Refused: closed at once, without a hello.
         }
-        active.fetch_add(1, Ordering::Relaxed);
-        let slot = Slot(Arc::clone(&active));
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || {
-            // Locals drop in reverse order of declaration, on return and
-            // on a panicking handler's unwind alike: the slot is freed
-            // before the socket closes, so a client that has seen this
-            // connection end can never be refused on its account.
-            let stream = stream;
-            let _slot = slot;
-            let _ = handle_conn(&stream, &*service, start, deadlines);
-        });
+    };
+    lock(&pool.state).closed = true;
+    pool.wake.notify_all();
+    for handle in handles {
+        let _ = handle.join(); // A handler's panic was its own connection's.
     }
-    Ok(())
+    Err(error)
 }
 
-/// One of the `max_conns` handler slots, freed on drop.
-struct Slot(Arc<AtomicUsize>);
+/// What the accept thread and its workers decide a hand-off by.
+#[derive(Default)]
+struct PoolState {
+    /// Accepted connections, each promised to a waiting worker.
+    queue: VecDeque<TcpStream>,
+    /// Workers between connections that no queued connection is promised to.
+    idle: usize,
+    /// Workers alive: serving, waiting or being started.
+    workers: usize,
+    /// The listener failed: a worker that finds the queue empty exits.
+    closed: bool,
+}
 
-impl Drop for Slot {
+/// The handler pool of one [`serve`].
+#[derive(Default)]
+struct Pool {
+    /// Every update is a counter step or a queue push or pop, valid at
+    /// every point, so a poisoned lock is recovered ([`lock`]); nothing
+    /// that can panic runs under it anyway.
+    state: Mutex<PoolState>,
+    wake: Condvar,
+}
+
+impl Pool {
+    /// Waits for the next connection handed to a worker; `None` once the
+    /// pool is closed and the queue is empty.
+    fn next(&self) -> Option<TcpStream> {
+        let mut state = lock(&self.state);
+        loop {
+            if let Some(stream) = state.queue.pop_front() {
+                return Some(stream);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.wake.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A worker's life: the connection it was started for, then every
+/// connection the accept thread hands it, until the pool closes.
+fn work<G: SharedGate>(
+    pool: &Pool,
+    first: TcpStream,
+    service: &G,
+    start: Instant,
+    deadlines: &Deadlines,
+) {
+    let mut first = Some(first);
+    while let Some(stream) = first.take().or_else(|| pool.next()) {
+        // Dropped before `stream`, on return and on a panicking handler's
+        // unwind alike: the worker is free (or counted out) before the
+        // socket closes, so a client that has seen this connection end can
+        // never be refused on its account.
+        let _release = Release(pool);
+        let _ = handle_conn(&stream, service, start, deadlines);
+    }
+}
+
+/// Ends a worker's connection in the pool's books: the worker is idle
+/// again, or, when its handler panicked, gone.
+struct Release<'a>(&'a Pool);
+
+impl Drop for Release<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        let mut state = lock(&self.0.state);
+        if std::thread::panicking() {
+            state.workers -= 1;
+        } else {
+            state.idle += 1;
+        }
     }
 }
 
@@ -233,6 +329,11 @@ mod tests {
     use crate::memhard::{mine, MemHardParams};
     use crate::service::GateConfig;
     use crate::sharded::ShardedGate;
+    use std::collections::HashSet;
+    use std::io::ErrorKind;
+    use std::net::Shutdown;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::ThreadId;
     use sybil_crypto::{Challenge, Solver};
 
     fn small_cfg() -> GateConfig {
@@ -315,25 +416,38 @@ mod tests {
     const TEST_DEADLINE: Duration = Duration::from_secs(1);
     const CLIENT_PATIENCE: Duration = Duration::from_secs(10);
 
-    /// Serves `gate` on a fresh loopback port with [`TEST_DEADLINE`] for
-    /// every step; `None` where the sandbox cannot bind one.
-    fn serve_on_loopback<G: SharedGate + 'static>(
+    /// Serves `gate` on `listener` with [`TEST_DEADLINE`] for every step.
+    fn spawn_serve<G: SharedGate + 'static>(
+        listener: TcpListener,
         gate: Arc<G>,
         max_conns: usize,
-    ) -> Option<std::net::SocketAddr> {
-        let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
-            eprintln!("skipping: cannot bind a localhost listener in this sandbox");
-            return None;
-        };
-        let addr = listener.local_addr().expect("bound listener has an address");
+    ) -> JoinHandle<std::io::Result<()>> {
         const DEADLINES: Deadlines = Deadlines {
             first_frame: TEST_DEADLINE,
             mined_frame: TEST_DEADLINE,
             write: TEST_DEADLINE,
         };
-        std::thread::spawn(move || {
-            let _ = serve_with(listener, gate, max_conns, &DEADLINES);
-        });
+        std::thread::spawn(move || serve_with(listener, gate, max_conns, &DEADLINES))
+    }
+
+    /// A listener on a fresh loopback port; `None` where the sandbox cannot
+    /// bind one.
+    fn bind_loopback() -> Option<(TcpListener, std::net::SocketAddr)> {
+        let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
+            eprintln!("skipping: cannot bind a localhost listener in this sandbox");
+            return None;
+        };
+        let addr = listener.local_addr().expect("bound listener has an address");
+        Some((listener, addr))
+    }
+
+    /// [`spawn_serve`] on a fresh loopback port, left running.
+    fn serve_on_loopback<G: SharedGate + 'static>(
+        gate: Arc<G>,
+        max_conns: usize,
+    ) -> Option<std::net::SocketAddr> {
+        let (listener, addr) = bind_loopback()?;
+        spawn_serve(listener, gate, max_conns);
         Some(addr)
     }
 
@@ -440,5 +554,169 @@ mod tests {
         assert!(admit_via(&hello, request, 7).is_some(), "the admission must complete");
         let c = gate.counters();
         assert_eq!((c.granted, c.admitted), (1, 1));
+    }
+
+    /// A gate that notes which thread ran each `connect` — the pool's
+    /// workers, as far as a test can see them — and panics in the first
+    /// `panics` of them.
+    struct Watched {
+        inner: ShardedGate,
+        served_by: Mutex<Vec<ThreadId>>,
+        panics: usize,
+    }
+
+    impl Watched {
+        fn new(panics: usize) -> Arc<Self> {
+            let inner = ShardedGate::new(small_cfg(), 1);
+            Arc::new(Watched { inner, served_by: Mutex::default(), panics })
+        }
+
+        /// The serving thread of every `connect` so far, in order.
+        fn served_by(&self) -> Vec<ThreadId> {
+            self.served_by.lock().expect("nothing panics under this lock").clone()
+        }
+
+        fn distinct_workers(&self) -> usize {
+            self.served_by().into_iter().collect::<HashSet<_>>().len()
+        }
+    }
+
+    impl SharedGate for Watched {
+        fn connect(&self, now: Time) -> (u64, Frame) {
+            let nth = {
+                let mut served_by = self.served_by.lock().expect("nothing panics under this lock");
+                served_by.push(std::thread::current().id());
+                served_by.len()
+            };
+            if nth <= self.panics {
+                panic!("deliberate test panic in a connection handler");
+            }
+            self.inner.connect(now)
+        }
+        fn handle(&self, conn: u64, frame: &Frame, now: Time) -> Response {
+            self.inner.handle(conn, frame, now)
+        }
+        fn disconnect(&self, conn: u64) {
+            self.inner.disconnect(conn)
+        }
+    }
+
+    /// Ends a well-behaved connection: hangs up and waits for the server
+    /// to close its end, which a worker does last, after it is back in the
+    /// pool.
+    fn hang_up(stream: TcpStream) {
+        stream.shutdown(Shutdown::Write).expect("hang up");
+        assert_closed_silently(stream, "a connection that hung up");
+    }
+
+    #[test]
+    fn sequential_connections_reuse_one_worker() {
+        let gate = Watched::new(0);
+        let Some(addr) = serve_on_loopback(Arc::clone(&gate), 4) else { return };
+        assert_eq!(gate.distinct_workers(), 0, "no thread before a connection needs one");
+        for _ in 0..200 {
+            hang_up(dial_for_hello(addr).0);
+        }
+        assert_eq!(gate.served_by().len(), 200);
+        // Each dial found the one worker idle again: it frees itself before
+        // its socket closes. A thread per connection would read 200.
+        assert_eq!(gate.distinct_workers(), 1);
+    }
+
+    #[test]
+    fn workers_start_on_demand_and_never_exceed_the_cap() {
+        let gate = Watched::new(0);
+        let Some(addr) = serve_on_loopback(Arc::clone(&gate), 3) else { return };
+        let first = dial_for_hello(addr).0;
+        assert_eq!(gate.distinct_workers(), 1, "one connection, one worker");
+        let holders = [first, dial_for_hello(addr).0, dial_for_hello(addr).0];
+        assert_eq!(gate.distinct_workers(), 3, "three at once need three");
+        assert_closed_silently(dial(addr), "the connection over the cap");
+        holders.into_iter().for_each(hang_up);
+        for _ in 0..50 {
+            hang_up(dial_for_hello(addr).0);
+        }
+        assert_eq!(gate.served_by().len(), 53, "the refused connection reached no handler");
+        assert_eq!(gate.distinct_workers(), 3, "no thread beyond the three that were needed");
+    }
+
+    #[test]
+    fn serve_returns_only_after_every_worker_has_exited() {
+        let gate = Watched::new(0);
+        let Some((listener, addr)) = bind_loopback() else { return };
+        let stop = listener.try_clone().expect("a listener handle can be duplicated");
+        let serving = spawn_serve(listener, Arc::clone(&gate), 4);
+        // Two idle workers and one in mid-connection when the listener fails.
+        let holders = [dial_for_hello(addr).0, dial_for_hello(addr).0];
+        let busy = dial_for_hello(addr).0;
+        holders.into_iter().for_each(hang_up);
+        assert_eq!(gate.distinct_workers(), 3);
+        // What `benchmark/`'s teardown does: the next accept fails with
+        // `WouldBlock`, and one last connection wakes the blocked one.
+        stop.set_nonblocking(true).expect("make the listening socket non-blocking");
+        drop(TcpStream::connect(addr));
+        hang_up(busy); // `serve` waits for this connection's worker.
+        let result = serving.join().expect("serve does not panic");
+        assert_eq!(result.expect_err("serve ends on an error").kind(), ErrorKind::WouldBlock);
+        assert_eq!(Arc::strong_count(&gate), 1, "a worker outlived its serve");
+    }
+
+    #[test]
+    fn panicking_handlers_do_not_shrink_the_pool() {
+        let gate = Watched::new(3);
+        let Some(addr) = serve_on_loopback(Arc::clone(&gate), 1) else { return };
+        // Three times over, the only worker the cap allows dies in
+        // `connect`. Each unwind must count it out before its socket
+        // closes, or the next dial is refused for good.
+        for _ in 0..3 {
+            assert_closed_silently(dial(addr), "a panicked connection");
+        }
+        dial_for_hello(addr);
+        assert_eq!(gate.distinct_workers(), 4, "a panic costs its own thread, and only that");
+    }
+
+    #[test]
+    fn fin_mid_frame_is_closed_at_once_and_the_worker_serves_on() {
+        let gate = Watched::new(0);
+        let Some(addr) = serve_on_loopback(Arc::clone(&gate), 2) else { return };
+        let stream = slow_loris(addr);
+        let (log, counters) = (gate.inner.decision_log(), gate.inner.counters());
+        assert_eq!(gate.inner.open_connections(), 1);
+        let hung_up = Instant::now();
+        hang_up(stream);
+        assert!(hung_up.elapsed() < TEST_DEADLINE / 2, "closed at the deadline, not at the FIN");
+        assert_eq!(gate.inner.open_connections(), 0, "EOF inside a frame frees the state");
+        assert_eq!(gate.inner.decision_log(), log, "a truncated frame is not a decision");
+        assert_eq!(gate.inner.counters(), counters);
+        dial_for_hello(addr);
+        let served_by = gate.served_by();
+        assert_eq!(served_by[0], served_by[1], "the same worker serves the next connection");
+    }
+
+    #[test]
+    fn reset_instead_of_fin_frees_the_state_and_the_worker_serves_on() {
+        let gate = Watched::new(0);
+        let Some(addr) = serve_on_loopback(Arc::clone(&gate), 1) else { return };
+        let stream = dial(addr);
+        stream.peek(&mut [0u8; 1]).expect("the hello has arrived");
+        let log = gate.inner.decision_log();
+        // Closing with the hello unread makes Linux answer with a reset,
+        // which fails the handler's blocked read instead of ending it.
+        drop(stream);
+        // A reset socket cannot show the client when its handler is done.
+        // Until then the one slot is taken and a dial is refused.
+        let patience = Instant::now();
+        let mut next = dial(addr);
+        while read_frame(&mut next).expect("a hello or a refusal").is_none() {
+            assert!(patience.elapsed() < CLIENT_PATIENCE, "the reset connection held its slot");
+            next = dial(addr);
+        }
+        assert_eq!(gate.inner.open_connections(), 1, "only the open connection keeps state");
+        let logged = gate.inner.decision_log();
+        assert!(logged.starts_with(&log) && logged.len() == 2 * log.len(), "one more hello");
+        assert_eq!(gate.inner.counters(), crate::service::GateCounters::default());
+        let served_by = gate.served_by();
+        assert_eq!(served_by.len(), 2, "a refused dial reaches no handler");
+        assert_eq!(served_by[0], served_by[1], "the worker outlived the failed read");
     }
 }
