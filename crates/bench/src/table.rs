@@ -75,9 +75,9 @@ pub fn results_dir() -> PathBuf {
 /// Formats a float compactly for tables (3 significant digits, scientific
 /// above 10⁵).
 ///
-/// NaN renders as an *empty* cell: it is the "no data" marker (e.g.
-/// `Summary::of(&[])`, or a Figure 9 cell with zero estimator intervals),
-/// and a blank keeps it distinguishable from a measured zero in both the
+/// NaN renders as an *empty* cell: it is the "no data" marker (e.g. a
+/// `MetricSummary` of no trials, or a Figure 9 cell with zero estimator
+/// intervals), and a blank keeps it distinguishable from a measured zero in both the
 /// rendered table and the CSV.
 pub fn fmt_num(x: f64) -> String {
     if x.is_nan() {

@@ -48,6 +48,27 @@ pub fn positive_usize(
     })
 }
 
+/// Rejects a variable under `prefix` that is not one of `known`: a knob
+/// that was removed, or a misspelt one (`SYBIL_GATE_WORKER=16`), would
+/// otherwise be ignored and the run would start with the default shape.
+/// `names` is every variable name in the environment
+/// (`std::env::vars_os` keys, lossily decoded — a known name is ASCII).
+pub fn unknown_names(
+    prefix: &str,
+    known: &[&str],
+    names: impl Iterator<Item = String>,
+) -> Result<(), String> {
+    // The least stray name, so the message does not depend on the order
+    // the environment lists them in.
+    match names.filter(|n| n.starts_with(prefix) && !known.contains(&n.as_str())).min() {
+        None => Ok(()),
+        Some(name) => Err(format!(
+            "{name} is not a variable this program reads (it knows {})",
+            known.join(", ")
+        )),
+    }
+}
+
 /// Unwraps an env parse result, aborting the process (exit code 2) with
 /// the parse error on stderr — the shared "garbage knob" failure path.
 pub fn or_abort<T>(parsed: Result<T, String>) -> T {
@@ -101,6 +122,30 @@ mod tests {
         assert_eq!(parse("B", Ok("0".into()), parse_bit), Ok(Some(false)));
         let err = parse("B", Ok("yes".into()), parse_bit).unwrap_err();
         assert!(err.contains("B=\"yes\"") && err.contains("use 1 or 0"), "{err}");
+    }
+
+    #[test]
+    fn a_stray_variable_under_the_prefix_is_named_with_the_known_ones() {
+        let known = ["SYBIL_GATE_ADDR", "SYBIL_GATE_WORKERS"];
+        let env = |names: &[&str]| {
+            unknown_names("SYBIL_GATE_", &known, names.iter().map(|n| n.to_string()))
+        };
+        assert_eq!(env(&[]), Ok(()));
+        assert_eq!(
+            env(&["PATH", "SYBIL_BENCH_FAST", "SYBIL_GATE_ADDR", "SYBIL_GATE_WORKERS"]),
+            Ok(())
+        );
+        // A removed knob and a misspelt one; the first in name order is
+        // reported whatever order the environment lists them in.
+        for names in
+            [["SYBIL_GATE_WORKER", "SYBIL_GATE_SHARDS"], ["SYBIL_GATE_SHARDS", "SYBIL_GATE_WORKER"]]
+        {
+            let err = env(&names).unwrap_err();
+            assert!(err.starts_with("SYBIL_GATE_SHARDS is not a variable"), "{err}");
+            assert!(err.ends_with("(it knows SYBIL_GATE_ADDR, SYBIL_GATE_WORKERS)"), "{err}");
+        }
+        let err = env(&["SYBIL_GATE_WORKER"]).unwrap_err();
+        assert!(err.starts_with("SYBIL_GATE_WORKER is not"), "{err}");
     }
 
     #[test]

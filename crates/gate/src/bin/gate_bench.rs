@@ -2,10 +2,9 @@
 //!
 //! Replays a ~110k-session churn workload (written to disk and read back
 //! through the SYBWKLD0 loader, same as the engine benchmarks) through
-//! the loopback transport twice — honest and 30%-adversarial, against a
-//! 1-shard `ShardedGate` — and writes verification throughput, decision
-//! latency percentiles, and the decision-log fingerprints to
-//! `BENCH_gate.json`.
+//! the loopback transport twice — honest and 30%-adversarial — and
+//! writes verification throughput, decision latency percentiles, and the
+//! decision-log fingerprints to `BENCH_gate.json`.
 //!
 //! ```text
 //! Usage: gate_bench [OUTPUT_PATH]
@@ -105,9 +104,6 @@ fn to_json(calibration: (u64, f64), scenarios: &[ScenarioResult]) -> String {
         } else {
             f64::NAN
         };
-        let decision_secs = r.pow_handle_secs + r.mine_handle_secs;
-        let decisions_per_sec =
-            if decision_secs > 0.0 { r.hist.count() as f64 / decision_secs } else { f64::NAN };
         let body = Value::obj([
             ("connections", r.connections.into()),
             ("granted", c.granted.into()),
@@ -120,7 +116,6 @@ fn to_json(calibration: (u64, f64), scenarios: &[ScenarioResult]) -> String {
             ("client_pow_work", r.client_pow_work.into()),
             ("mine_attempts", r.mine_attempts.into()),
             ("verifications_per_sec", verifications_per_sec.into()),
-            ("decisions_per_sec", decisions_per_sec.into()),
             ("wall_secs", s.wall_secs.into()),
             ("latency_p50_ns", r.hist.percentile(0.50).into()),
             ("latency_p99_ns", r.hist.percentile(0.99).into()),
@@ -236,7 +231,7 @@ mod tests {
             fingerprint: "abc123".into(),
             wall_secs: 2.5,
         };
-        // No handle time at all: both rates are 0/0, written as null.
+        // No handle time at all: the rate is 0/0, written as null.
         let idle = ScenarioResult {
             name: "gate_idle",
             report: ReplayReport::default(),
@@ -259,16 +254,13 @@ mod tests {
         let want = br#"{"connections": 9, "granted": 6, "admitted": 5, "rejected_pow": 4,
             "refused_mine": 3, "departed": 2, "pow_verifications": 8, "mem_verifications": 7,
             "client_pow_work": 70, "mine_attempts": 30, "verifications_per_sec": 16,
-            "decisions_per_sec": 2, "wall_secs": 2.5, "latency_p50_ns": 20,
-            "latency_p99_ns": 40, "latency_p999_ns": 40, "latency_max_ns": 40,
-            "decision_fingerprint": "abc123"}"#;
+            "wall_secs": 2.5, "latency_p50_ns": 20, "latency_p99_ns": 40,
+            "latency_p999_ns": 40, "latency_max_ns": 40, "decision_fingerprint": "abc123"}"#;
         assert_eq!(gate.get("gate_honest"), Some(&parse(want).unwrap()));
 
         let idle = gate.get("gate_idle").unwrap();
         assert_eq!(idle.get("decision_fingerprint").and_then(Value::as_str), Some(""));
-        for key in ["verifications_per_sec", "decisions_per_sec"] {
-            assert_eq!(idle.get(key), Some(&Value::Null));
-            assert!(idle.num(key).unwrap_err().contains("non-finite"));
-        }
+        assert_eq!(idle.get("verifications_per_sec"), Some(&Value::Null));
+        assert!(idle.num("verifications_per_sec").unwrap_err().contains("non-finite"));
     }
 }

@@ -7,12 +7,12 @@
 //!   SYBIL_GATE_DIFFICULTY   PoW difficulty floor (positive; default 8)
 //!   SYBIL_GATE_WORKERS      handler pool ceiling: connections served at
 //!                           once (positive; default 8)
-//!   SYBIL_GATE_SHARDS       shard workers for the admission state
-//!                           (positive; default 1)
 //! ```
 //!
 //! Every knob follows the repo's strict-parsing contract: unset means
-//! the default, garbage aborts with an actionable message.
+//! the default, garbage aborts with an actionable message — and so does
+//! any other `SYBIL_GATE_*` variable, which would otherwise be a typo or
+//! a removed knob silently ignored.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -21,6 +21,11 @@ use sybil_exp::env;
 use sybil_gate::{transport, GateConfig, ShardedGate};
 
 fn main() {
+    env::or_abort(env::unknown_names(
+        "SYBIL_GATE_",
+        &["SYBIL_GATE_ADDR", "SYBIL_GATE_DIFFICULTY", "SYBIL_GATE_WORKERS"],
+        std::env::vars_os().map(|(name, _)| name.to_string_lossy().into_owned()),
+    ));
     let addr =
         env::or_abort(env::parse("SYBIL_GATE_ADDR", std::env::var("SYBIL_GATE_ADDR"), |v| {
             if v.is_empty() {
@@ -41,12 +46,6 @@ fn main() {
         "the handler pool needs a ceiling of at least one (unset the variable for the default)",
     ))
     .unwrap_or(8);
-    let shards = env::or_abort(env::positive_usize(
-        "SYBIL_GATE_SHARDS",
-        std::env::var("SYBIL_GATE_SHARDS"),
-        "the service needs at least one shard worker (unset the variable for the default)",
-    ))
-    .unwrap_or(1);
 
     let mut cfg = GateConfig::default();
     if let Some(d) = difficulty {
@@ -58,14 +57,14 @@ fn main() {
     });
     println!(
         "sybil-gate listening on {addr} (difficulty floor {}, mine bits {}, up to {workers} \
-         workers, {shards} shard(s))",
+         workers)",
         cfg.difficulty_floor, cfg.mine_bits
     );
     println!(
         "note: the gate implements Figure 4's entrance cost and not its purge, so it bounds the \
          rate of Sybil entry, not the Sybil fraction"
     );
-    let service = Arc::new(ShardedGate::new(cfg, shards));
+    let service = Arc::new(ShardedGate::new(cfg, 1));
     if let Err(e) = transport::serve(listener, service, workers) {
         eprintln!("error: listener failed: {e}");
         std::process::exit(1);

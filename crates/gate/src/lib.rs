@@ -7,10 +7,10 @@
 //! join / challenge-response / depart requests over a length-prefixed
 //! binary protocol ([`wire`]), either on TCP ([`transport::serve`]) or
 //! through an in-process loopback that exercises the identical byte path
-//! without sockets ([`transport::Loopback`]). The gate is a thin router
-//! over N shard workers (N = 1 by default) routed by identity
-//! congruence, with every expensive verification outside all locks; it
-//! makes the same decisions, byte for byte, at every N.
+//! without sockets ([`transport::Loopback`]). The gate is one state
+//! machine behind one lock, with every digest computed outside it; each
+//! decision's transition, estimator update and log record are one
+//! critical section, so the log is the order things happened.
 //!
 //! Two defense layers stand between a connection and membership:
 //!

@@ -19,7 +19,7 @@
 //! * [`shard`] — shared-nothing sharded workload replay, bit-identical to
 //!   the single-threaded loop for every shard count (kept for the frozen
 //!   benchmark's probe only; no caller above this crate);
-//! * [`report`] / [`stats`] — run outputs and summary statistics.
+//! * [`report`] — run outputs.
 //!
 //! Ground truth (which IDs are Sybil) lives in the engine and the adversary;
 //! defenses observe only event streams, as the paper's server does.
@@ -54,7 +54,6 @@ pub mod queue;
 pub mod report;
 pub mod shard;
 pub mod shard_state;
-pub mod stats;
 pub mod testutil;
 pub mod time;
 pub mod workload;
