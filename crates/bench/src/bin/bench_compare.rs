@@ -14,12 +14,15 @@
 //! Two sources of cross-machine noise are handled explicitly:
 //!
 //! * **Hardware speed.** The committed baseline is generated on a
-//!   developer workstation; CI runs on slower shared runners. The queue
-//!   micro-benches in the same JSON are a pure CPU/memory proxy that
-//!   regresses with the *machine*, not the engine, so the scenario floor
-//!   is scaled by the fresh/baseline queue-throughput ratio before the
-//!   tolerance applies. A genuinely slower engine still fails: it slows
-//!   relative to the queue proxy.
+//!   developer workstation; CI runs on slower shared runners. Both
+//!   reports carry a `sha256_64b` calibration entry in their `"queue"`
+//!   section — a chain of SHA-256 hashes, a pure CPU proxy that slows
+//!   with the *machine* — and the scenario floor is scaled by its
+//!   fresh/baseline ratio before the tolerance applies. The ratio is
+//!   never read from the `queue_*` entries beside it: they are code under
+//!   test, and a queue that got 2.3× faster would fail every scenario it
+//!   had sped up by less. A report without the entry is compared at ratio
+//!   1.0.
 //! * **libm rounding.** The spend fields of a fingerprint are f64 sums
 //!   whose `ln`/`powf` inputs are not correctly rounded and may differ by
 //!   ulps across libm versions; they are compared with a 1e-9 relative
@@ -224,24 +227,41 @@ fn read_report(root: &Value) -> Result<Report, String> {
     })
 }
 
-/// The fresh/baseline machine-speed ratio, from the queue micro-benches
-/// shared by both reports (geometric mean). 1.0 when nothing is shared.
+/// The fresh/baseline machine-speed ratio: that of the `sha256_64b`
+/// calibration entries, 1.0 unless both reports carry one. The `queue_*`
+/// entries are code under test and never enter it.
 fn speed_ratio(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> f64 {
-    let mut log_sum = 0.0;
-    let mut n = 0u32;
-    for (name, base_ops) in baseline {
-        if let Some((_, fresh_ops)) = fresh.iter().find(|(f, _)| f == name) {
-            if *base_ops > 0.0 && *fresh_ops > 0.0 {
-                log_sum += (fresh_ops / base_ops).ln();
-                n += 1;
-            }
-        }
+    let sha256 = |queue: &[(String, f64)]| {
+        queue.iter().find(|(name, ops)| name == "sha256_64b" && *ops > 0.0).map(|(_, ops)| *ops)
+    };
+    match (sha256(baseline), sha256(fresh)) {
+        (Some(base), Some(now)) => now / base,
+        _ => 1.0,
     }
-    if n == 0 {
-        1.0
-    } else {
-        (log_sum / n as f64).exp()
+}
+
+/// How much more a pop+push pair may cost at the deepest standing
+/// population of `perf::QUEUE_DEPTHS` than at the shallowest.
+const MAX_DEPTH_COST_RATIO: f64 = 2.0;
+
+/// Holds the queue flat in depth (ROADMAP 4(a)): within the fresh report
+/// alone, so no machine scaling applies. Reports without the depth
+/// probes (gate reports) are not gated.
+fn depth_failures(fresh: &[(String, f64)]) -> Vec<String> {
+    let ops = |name: &str| fresh.iter().find(|(n, _)| n == name).map(|(_, ops)| *ops);
+    let [(shallowest, _), .., (deepest, _)] = sybil_bench::perf::QUEUE_DEPTHS;
+    let (Some(shallow), Some(deep)) = (ops(shallowest), ops(deepest)) else {
+        return Vec::new();
+    };
+    let ratio = shallow / deep;
+    println!("  {deepest} costs {ratio:.2}× {shallowest} per pop+push");
+    if ratio <= MAX_DEPTH_COST_RATIO {
+        return Vec::new();
     }
+    vec![format!(
+        "{deepest} costs {ratio:.2}× {shallowest} per pop+push (limit \
+         {MAX_DEPTH_COST_RATIO}×): the event queue is no longer flat in depth"
+    )]
 }
 
 /// Compares baseline vs fresh; returns human-readable failures.
@@ -411,6 +431,7 @@ fn main() -> ExitCode {
     }
     let mut failures = compare(&baseline, &fresh, tolerance, ratio);
     failures.extend(compare_gate(&base_gate, &fresh_gate, tolerance, ratio));
+    failures.extend(depth_failures(&fresh_queue));
     if fresh_counting {
         if !base_counting {
             println!(
@@ -570,7 +591,7 @@ mod tests {
     fn speed_ratio_rescales_the_floor_for_slower_machines() {
         let baseline = parse_scenarios(&sample_report(1000.0, 7)).unwrap();
         let b = scale_scenario("b", 25.0, 1.0);
-        // Fresh machine runs the queue proxy at half speed: 500 ev/s on
+        // Fresh machine runs the calibration at half speed: 500 ev/s on
         // scenario "a" (and 25 on "b") is expected, not a regression.
         let halved = vec![scale_scenario("a", 500.0, 7.0), b.clone()];
         assert!(compare(&baseline, &halved, 0.25, 0.5).is_empty());
@@ -582,13 +603,52 @@ mod tests {
     }
 
     #[test]
-    fn speed_ratio_is_geometric_mean_of_shared_queue_benches() {
-        let base = vec![("queue_calendar".to_string(), 100.0), ("sha256_64b".to_string(), 100.0)];
-        let fresh = vec![("queue_calendar".to_string(), 50.0), ("sha256_64b".to_string(), 200.0)];
-        // sqrt(0.5 × 2.0) = 1.0
-        assert!((speed_ratio(&base, &fresh) - 1.0).abs() < 1e-12);
-        assert_eq!(speed_ratio(&[], &fresh), 1.0);
-        assert_eq!(speed_ratio(&base, &[]), 1.0);
+    fn speed_ratio_is_the_sha256_calibration_alone() {
+        let queue = |calendar: f64, sha256: f64| {
+            vec![("queue_calendar".to_string(), calendar), ("sha256_64b".to_string(), sha256)]
+        };
+        assert_eq!(speed_ratio(&queue(100.0, 100.0), &queue(50.0, 200.0)), 2.0);
+        // Without the calibration on both sides there is no ratio: the
+        // shared `queue_calendar` is not a stand-in.
+        let uncalibrated = vec![("queue_calendar".to_string(), 100.0)];
+        assert_eq!(speed_ratio(&uncalibrated, &queue(230.0, 200.0)), 1.0);
+        assert_eq!(speed_ratio(&queue(100.0, 100.0), &uncalibrated), 1.0);
+        assert_eq!(speed_ratio(&[], &[]), 1.0);
+    }
+
+    /// PR 23's failure, pinned: the queue got 2.3× faster, every scenario
+    /// a little, and the old ratio (read off `queue_calendar`) failed all
+    /// of them as "56-60 % regressions".
+    #[test]
+    fn a_faster_queue_bench_does_not_fail_unchanged_scenarios() {
+        let scenarios = parse_scenarios(&sample_report(1000.0, 7)).unwrap();
+        let queue = |calendar: f64| {
+            vec![("queue_calendar".to_string(), calendar), ("sha256_64b".to_string(), 7e5)]
+        };
+        let ratio = speed_ratio(&queue(20e6), &queue(46e6));
+        assert_eq!(ratio, 1.0);
+        assert!(compare(&scenarios, &scenarios, 0.25, ratio).is_empty());
+        // What a ratio of 2.3 made of the same pair of reports.
+        assert_eq!(compare(&scenarios, &scenarios, 0.25, 2.3).len(), 2);
+    }
+
+    #[test]
+    fn the_deepest_queue_probe_may_cost_twice_the_shallowest_and_no_more() {
+        let queue = |shallow: f64, deep: f64| {
+            vec![
+                ("queue_calendar".to_string(), 1.0),
+                ("queue_depth_1e2".to_string(), shallow),
+                ("queue_depth_1e4".to_string(), 1.0),
+                ("queue_depth_1e6".to_string(), deep),
+            ]
+        };
+        assert!(depth_failures(&queue(80e6, 75e6)).is_empty());
+        assert!(depth_failures(&queue(80e6, 40e6)).is_empty());
+        let failures = depth_failures(&queue(80e6, 39e6));
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("no longer flat in depth"), "{}", failures[0]);
+        // A gate report carries no depth probes and is not gated.
+        assert!(depth_failures(&[("sha256_64b".to_string(), 3e6)]).is_empty());
     }
 
     #[test]

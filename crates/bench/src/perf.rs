@@ -4,9 +4,13 @@
 //!
 //! Two layers:
 //!
-//! * **Queue micro-bench** — raw [`EventQueue`] push/pop throughput under
-//!   an engine-like access pattern (time advances monotonically, events
-//!   land near-future).
+//! * **Queue micro-benches** — raw [`EventQueue`] push/pop throughput
+//!   under an engine-like access pattern (time advances monotonically,
+//!   events land near-future): `queue_calendar` at a standing population
+//!   of 5 000, and [`QUEUE_DEPTHS`]' probes at 10², 10⁴ and 10⁶, which
+//!   `bench_compare` holds flat. The same JSON section carries
+//!   `sha256_64b`, the machine-speed calibration: not a queue, and for
+//!   that reason the only entry `bench_compare` scales floors by.
 //! * **Macro scenarios** — full [`Simulation`] runs through the same
 //!   [`crate::sweep::run_report`] path the figure sweeps use, measured in
 //!   engine events per wall second. `macro_sweep` is the headline number: a
@@ -76,9 +80,9 @@ pub struct Fingerprint {
 /// One measured queue micro-bench.
 #[derive(Clone, Debug)]
 pub struct QueueBenchResult {
-    /// Bench name (`queue_calendar`).
+    /// Bench name (`queue_calendar`, `queue_depth_1e2`…, `sha256_64b`).
     pub name: String,
-    /// Push+pop operations performed.
+    /// Operations performed: pushes plus pops, or hashes.
     pub ops: u64,
     /// Wall-clock seconds.
     pub wall_secs: f64,
@@ -342,18 +346,85 @@ fn run_queue_bench(name: &str, mut q: EventQueue<u64>, n_ops: u64) -> QueueBench
     }
 }
 
+/// The standing populations of the depth probes, by bench name.
+/// `bench_compare` holds the last to at most twice the cost of the first.
+pub const QUEUE_DEPTHS: [(&str, usize); 3] =
+    [("queue_depth_1e2", 100), ("queue_depth_1e4", 10_000), ("queue_depth_1e6", 1_000_000)];
+
+/// Pop+push pairs at a standing population of `depth`, which
+/// [`run_queue_bench`]'s 5 000 cannot vary. The queue is built as the
+/// engine builds its own (one bucket per expected event) and filled
+/// uniformly over the horizon, untimed; each timed pair pops the minimum
+/// and pushes in the engine's mix — about 90 % one mean inter-event gap
+/// ahead (the next arrival: the cursor's bucket or the one after), about
+/// 10 % uniformly over the rest of the horizon (a session's departure).
+/// A fill is spent after `depth / 2` pairs, before the residents thin
+/// out; fresh fills repeat until `n_ops / 2` pairs are timed.
+fn run_queue_depth_bench(name: &str, depth: usize, n_ops: u64) -> QueueBenchResult {
+    let horizon = 10_000.0;
+    let gap = horizon / depth as f64;
+    let mut state = 0x00dd_c0de_5eed_1234u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 11
+    };
+    let pairs_per_fill = (depth as u64 / 2).clamp(1, n_ops / 2);
+    let mut pairs = 0u64;
+    let mut wall_secs = 0.0;
+    let mut acc = 0u64;
+    while pairs < n_ops / 2 {
+        let mut q: EventQueue<u64> = EventQueue::with_horizon(Time(horizon), depth);
+        for i in 0..depth as u64 {
+            q.push(Time(next() as f64 % horizon), i);
+        }
+        let started = Instant::now();
+        for _ in 0..pairs_per_fill {
+            let (now, v) = q.pop().expect("standing population");
+            acc = acc.wrapping_add(v);
+            let r = next();
+            let ahead = if r % 10 == 0 { (r / 10) as f64 % (horizon - now.as_secs()) } else { gap };
+            q.push(now + ahead, v);
+        }
+        wall_secs += started.elapsed().as_secs_f64();
+        pairs += pairs_per_fill;
+    }
+    std::hint::black_box(acc);
+    QueueBenchResult {
+        name: name.to_string(),
+        ops: 2 * pairs,
+        wall_secs,
+        ops_per_sec: (2 * pairs) as f64 / wall_secs.max(1e-12),
+    }
+}
+
 /// Runs the full suite. All measurements are single-threaded so the
 /// numbers compare engine work, not scheduling luck.
 pub fn run_suite() -> PerfReport {
     let n_ops = if crate::sweep::fast_mode() { 400_000 } else { 2_000_000 };
-    let queue_calendar = (0..reps())
-        .map(|_| {
-            let q = EventQueue::with_horizon(Time(20_000.0), 8192);
-            run_queue_bench("queue_calendar", q, n_ops)
-        })
-        .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
-        .expect("at least one rep");
-    let queue = vec![queue_calendar];
+    let best_of = |run: &dyn Fn() -> QueueBenchResult| {
+        (0..reps())
+            .map(|_| run())
+            .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
+            .expect("at least one rep")
+    };
+    let mut queue = vec![best_of(&|| {
+        let q = EventQueue::with_horizon(Time(20_000.0), 8192);
+        run_queue_bench("queue_calendar", q, n_ops)
+    })];
+    for (name, depth) in QUEUE_DEPTHS {
+        queue.push(best_of(&|| run_queue_depth_bench(name, depth, n_ops)));
+    }
+    // The machine-speed calibration `bench_compare` scales by: SHA-256,
+    // because the queue entries above are code under test.
+    queue.push(best_of(&|| {
+        let (ops, wall_secs) = sybil_crypto::sha256::calibrate_64b();
+        QueueBenchResult {
+            name: "sha256_64b".to_string(),
+            ops,
+            wall_secs,
+            ops_per_sec: ops as f64 / wall_secs.max(1e-12),
+        }
+    }));
     let mut scenarios: Vec<ScenarioResult> =
         scenario_specs().iter().map(|(name, cells)| run_scenario(name, cells)).collect();
     // The streamed scenarios run at full size even in FAST mode: each
@@ -455,6 +526,12 @@ pub fn render(report: &PerfReport) -> String {
             s.loop_allocs
         ));
     }
+    // An op is one push or one pop, so a pair costs two.
+    out.push_str("ns per pop+push:");
+    for q in report.queue.iter().filter(|q| q.name.starts_with("queue_")) {
+        out.push_str(&format!("  {} {:.1}", q.name, 2e9 / q.ops_per_sec));
+    }
+    out.push('\n');
     out
 }
 
@@ -555,5 +632,11 @@ mod tests {
         let r = run_queue_bench("q", EventQueue::with_horizon(Time(20_000.0), 8192), 10_000);
         assert!(r.ops >= 10_000);
         assert!(r.ops_per_sec > 0.0);
+        // 50 pairs a fill at depth 100: exactly 10 000 timed ops.
+        let r = run_queue_depth_bench("d", 100, 10_000);
+        assert_eq!(r.ops, 10_000);
+        assert!(r.ops_per_sec > 0.0);
+        // A fill deeper than the whole budget is cut short, not skipped.
+        assert_eq!(run_queue_depth_bench("d", 10_000, 1_000).ops, 1_000);
     }
 }

@@ -218,6 +218,16 @@ impl Ergo {
             return;
         }
         let stamp = self.next_stamp(now);
+        // Membership first and checked, so that a batch past u64 stops
+        // here in every build profile — before the estimator's own size
+        // counter, which only a debug build would catch — rather than
+        // wrapping in release. One compare per batch, not per ID.
+        if bad {
+            self.n_bad = self.n_bad.checked_add(n).expect("membership counter overflow");
+            self.bad_runs.push_back(BadRun { stamp, n });
+        } else {
+            self.n_good += n;
+        }
         // The join-history window only feeds the rate-based quote; under a
         // constant entrance policy (CCom) recording it would be pure
         // overhead on the hottest path.
@@ -229,12 +239,6 @@ impl Ergo {
         self.iter_tracker.on_join(n);
         self.est.on_join(now, n);
         self.sync_est_stamp(now);
-        if bad {
-            self.n_bad += n;
-            self.bad_runs.push_back(BadRun { stamp, n });
-        } else {
-            self.n_good += n;
-        }
     }
 
     /// Removes up to `n` Sybil IDs, newest runs first, feeding the symmetric
@@ -786,6 +790,17 @@ mod tests {
         assert_eq!(r.bad_removed, 20);
         assert_eq!(e.n_bad(), 0);
         assert_eq!(e.n_good(), 88);
+    }
+
+    /// A dev build used to stop at the estimator's `size += n` and a
+    /// release build nowhere; both now stop at the membership counter.
+    #[test]
+    #[should_panic(expected = "membership counter overflow")]
+    fn membership_counter_overflow_panics() {
+        let cfg = ErgoConfig { entrance: EntrancePolicy::Constant(1.0), ..ErgoConfig::default() };
+        let mut e = Ergo::new(cfg);
+        e.init(Time::ZERO, 0, u64::MAX - 1);
+        e.bad_join_batch(Time(1.0), Cost(2.0), 2);
     }
 
     #[test]

@@ -207,6 +207,23 @@ impl Sha256 {
     }
 }
 
+/// Hashes a chain of one million 64-byte messages and returns
+/// `(messages, wall seconds)`: the `sha256_64b` machine-speed calibration
+/// `bench_report` and `gate_bench` publish and `bench_compare` scales its
+/// throughput floors by. It runs no code a performance PR is likely to be
+/// changing, which is the point.
+pub fn calibrate_64b() -> (u64, f64) {
+    let ops: u64 = 1_000_000;
+    let mut msg = [0u8; 64];
+    let started = std::time::Instant::now();
+    for i in 0..ops {
+        msg[..8].copy_from_slice(&i.to_le_bytes());
+        let digest = Sha256::digest(&msg);
+        msg[8..40].copy_from_slice(digest.as_bytes());
+    }
+    (ops, started.elapsed().as_secs_f64())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

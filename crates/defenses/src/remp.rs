@@ -108,7 +108,8 @@ impl Defense for Remp {
         let join_cost = self.quote(now).value().max(f64::MIN_POSITIVE);
         let affordable = (budget.value() / join_cost).floor() as u64;
         let n = affordable.min(max_attempts);
-        self.n_bad += n;
+        // Checked, so that release builds stop where debug builds do.
+        self.n_bad = self.n_bad.checked_add(n).expect("membership counter overflow");
         BatchAdmission {
             admitted: n,
             attempts: n,
@@ -178,6 +179,14 @@ mod tests {
     use sybil_sim::adversary::NullAdversary;
     use sybil_sim::engine::{SimConfig, Simulation};
     use sybil_sim::workload::Workload;
+
+    #[test]
+    #[should_panic(expected = "membership counter overflow")]
+    fn membership_counter_overflow_panics() {
+        let mut remp = Remp::default();
+        remp.init(Time::ZERO, 0, u64::MAX - 1);
+        remp.bad_join_batch(Time(1.0), Cost(2.0), 2);
+    }
 
     #[test]
     fn analytic_rate_matches_equation_13() {

@@ -104,7 +104,8 @@ impl Defense for SybilControl {
             max_attempts
         };
         let n = affordable.min(max_attempts);
-        self.n_bad += n;
+        // Checked, so that release builds stop where debug builds do.
+        self.n_bad = self.n_bad.checked_add(n).expect("membership counter overflow");
         BatchAdmission {
             admitted: n,
             attempts: n,
@@ -173,6 +174,14 @@ mod tests {
     use sybil_sim::adversary::{BudgetJoiner, FractionKeeper, NullAdversary};
     use sybil_sim::engine::{SimConfig, Simulation};
     use sybil_sim::workload::Workload;
+
+    #[test]
+    #[should_panic(expected = "membership counter overflow")]
+    fn membership_counter_overflow_panics() {
+        let mut sc = SybilControl::default();
+        sc.init(Time::ZERO, 0, u64::MAX - 1);
+        sc.bad_join_batch(Time(1.0), Cost(2.0 * sc.cfg.join_cost), 2);
+    }
 
     #[test]
     fn periodic_cost_is_always_on() {

@@ -22,7 +22,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use sybil_churn::{ArrivalProcess, ChurnModel, SessionModel};
-use sybil_crypto::{hex, Sha256};
+use sybil_crypto::hex;
 use sybil_gate::memhard::MemHardParams;
 use sybil_gate::{replay, GateConfig, GateCounters, ReplayConfig, ReplayReport, ShardedGate};
 use sybil_sim::{write_workload_file, DiskWorkload, Time, WorkloadSource};
@@ -73,20 +73,6 @@ fn run_scenario(
     let wall_secs = started.elapsed().as_secs_f64();
     let fingerprint = hex::encode(gate.fingerprint().as_bytes());
     ScenarioResult { name, counters: gate.counters(), fingerprint, report, wall_secs }
-}
-
-/// Hashes 64-byte messages for a fixed iteration count: the machine-speed
-/// calibration `bench_compare` uses to scale its throughput floor.
-fn sha256_calibration() -> (u64, f64) {
-    let ops: u64 = 1_000_000;
-    let mut msg = [0u8; 64];
-    let started = Instant::now();
-    for i in 0..ops {
-        msg[..8].copy_from_slice(&i.to_le_bytes());
-        let digest = Sha256::digest(&msg);
-        msg[8..40].copy_from_slice(digest.as_bytes());
-    }
-    (ops, started.elapsed().as_secs_f64())
 }
 
 fn to_json(calibration: (u64, f64), scenarios: &[ScenarioResult]) -> String {
@@ -183,7 +169,7 @@ fn main() {
     let _ = std::fs::remove_file(&wl_path);
 
     println!("calibrating machine speed (sha256_64b)...");
-    let calibration = sha256_calibration();
+    let calibration = sybil_crypto::sha256::calibrate_64b();
 
     let json = to_json(calibration, &scenarios);
     let mut file =

@@ -9,18 +9,33 @@
 //! # The calendar
 //!
 //! The queue ([`EventQueue::with_horizon`]) is a static calendar over
-//! `[0, horizon]` divided into fixed-width buckets, each a small vector
-//! kept sorted. Simulation time only moves forward, so push and pop are
-//! `O(bucket occupancy)` — amortized `O(1)` when events spread over the
-//! horizon, which is exactly the engine's workload. Events past the
-//! horizon share one overflow bucket (the engine stops at the first such
-//! event anyway).
+//! `[0, horizon]` divided into fixed-width buckets, in two tiers split at
+//! a cursor that only moves forward:
+//!
+//! * **Far** — buckets after the cursor. A bucket is an unordered singly
+//!   linked list through one node arena shared by all buckets; `heads`
+//!   holds one `u32` per bucket (at most 256 KiB). A push takes the node
+//!   the last unlink freed and links it at its bucket's head: no compare,
+//!   no search, no allocator call.
+//! * **Near** — one sorted buffer holding every entry whose bucket is at
+//!   or behind the cursor. When it runs dry the cursor moves to the next
+//!   occupied bucket, whose list is unlinked into the buffer and sorted
+//!   once. Pops take the buffer's front; a push at or behind the cursor
+//!   is inserted in order, O(1) when it is the new maximum (the engine's
+//!   pop-then-push-a-successor pattern) or the new minimum.
+//!
+//! Simulation time only moves forward, so push and pop are amortized
+//! `O(1)` when events spread over the horizon, which is exactly the
+//! engine's workload, and the memory is the arena: one node per far entry
+//! at the peak, reused through a free list. Events past the horizon share
+//! one overflow bucket (the engine stops at the first such event anyway).
 //!
 //! Every entry's `(time, seq)` key is unique, so the pop order is total
 //! and strictly increasing; `tests::calendar_agrees_with_reference_model`
 //! pins it against a reference model.
 
 use crate::time::Time;
+use std::collections::VecDeque;
 
 /// A time-ordered event queue with FIFO tie-breaking.
 ///
@@ -59,103 +74,51 @@ impl<E> Entry<E> {
     }
 }
 
+/// "No node": the end of a bucket's list and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One arena slot: a far entry linked into its bucket's list, or a vacant
+/// slot (`entry` is `None`) linked into the free list.
+#[derive(Clone, Debug)]
+struct Node<E> {
+    next: u32,
+    entry: Option<Entry<E>>,
+}
+
+/// Arena and near-buffer capacity reserved at construction, outside the
+/// engine's measured span: the fully resident scenarios never outgrow it,
+/// so their loops stay at zero allocations. Deeper queues double from it.
+const ARENA_RESERVE: usize = 1024;
+const NEAR_RESERVE: usize = 256;
+
 /// The calendar: fixed-width buckets over `[0, horizon]`, plus one
-/// overflow bucket for times past the horizon.
-///
-/// Each bucket is a [`Bucket`]: an ascending-sorted vector consumed
-/// through a head index. The engine's dominant pattern — pop the minimum,
-/// then push a successor with the largest key in the bucket — is O(1) at
-/// both ends (`items.push` / `head += 1`); only out-of-order pushes pay a
-/// binary-search insert over the bucket's O(total / n_buckets) live
-/// entries. Amortized O(1) for horizon-spread workloads.
+/// overflow bucket for times past the horizon (see the module docs).
 #[derive(Clone, Debug)]
 struct Calendar<E> {
-    buckets: Vec<Bucket<E>>,
-    /// Recycled slot vectors. Simulation time sweeps the bucket array once,
-    /// so without recycling every bucket pays its own first-growth
-    /// allocations mid-run — the single biggest allocation source in the
-    /// engine's steady-state loop. Drained buckets donate their (cleared,
-    /// capacity-bearing) vectors here; first pushes into fresh buckets take
-    /// one back. Pre-seeded at construction so the active band of buckets
-    /// never allocates, and bounded so retained memory stays O(band).
-    spare: Vec<Vec<Option<Entry<E>>>>,
+    /// Per bucket after the cursor, the arena index of the first node of
+    /// its list ([`NIL`] when empty). Buckets at or behind the cursor are
+    /// always empty here: their entries live in `near`.
+    heads: Vec<u32>,
+    nodes: Vec<Node<E>>,
+    /// First vacant node, chained through `next`.
+    free: u32,
+    /// Every entry whose bucket is `<= cursor`, ascending by `(time, seq)`.
+    near: VecDeque<Entry<E>>,
     /// Buckets per second (`n_buckets / horizon`).
     inv_width: f64,
-    /// Index of the lowest possibly-nonempty bucket.
     cursor: usize,
+    /// Entries in both tiers.
     len: usize,
-}
-
-/// Spare-pool bound: covers the engine's active band of in-flight buckets
-/// (peak pending events ≈ active sessions, spread over nearby buckets).
-/// Donations beyond the bound are dropped — deallocation is not the
-/// budgeted operation.
-const SPARE_POOL: usize = 256;
-
-/// Pre-seeded capacity of each spare vector: far above the mean bucket
-/// occupancy the sizing in [`EventQueue::with_horizon`] targets (O(1) per
-/// bucket), because same-time bursts (quantized trace timestamps, purge
-/// cascades, adversary batches) pile up to peak-queue-length entries into
-/// one bucket — engine peaks run ~100–200 for the macro scenarios. A
-/// grown vector re-enters the pool on drain, so one outgrowth amortizes,
-/// but the steady-state budget wants no outgrowth at all.
-const SPARE_SLOT_CAP: usize = 256;
-
-/// One calendar bucket: `slots[head..]` hold the live entries, ascending
-/// by `(time, seq)`. Entries are taken out of their `Option` slot in O(1)
-/// as the head advances; the dead prefix is reclaimed when the bucket
-/// drains (buckets drain completely as simulation time passes them).
-#[derive(Clone, Debug)]
-struct Bucket<E> {
-    slots: Vec<Option<Entry<E>>>,
-    head: usize,
-}
-
-impl<E> Bucket<E> {
-    fn live(&self) -> usize {
-        self.slots.len() - self.head
-    }
-
-    fn push(&mut self, entry: Entry<E>) {
-        match self.slots.last() {
-            // Fast path: new bucket maximum (the monotone engine pattern)
-            // or empty bucket.
-            Some(last) if last.as_ref().expect("tail slot is live").key() > entry.key() => {
-                let pos = self.slots[self.head..]
-                    .partition_point(|e| e.as_ref().expect("live slot").key() < entry.key())
-                    + self.head;
-                self.slots.insert(pos, Some(entry));
-            }
-            _ => self.slots.push(Some(entry)),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        let entry = self.slots.get_mut(self.head)?.take();
-        self.head += 1;
-        if self.head == self.slots.len() {
-            // Drained: reset, keeping the allocation for reuse.
-            self.slots.clear();
-            self.head = 0;
-        }
-        entry
-    }
-
-    fn peek(&self) -> Option<&Entry<E>> {
-        self.slots.get(self.head)?.as_ref()
-    }
 }
 
 impl<E> Calendar<E> {
     fn new(horizon: Time, n_buckets: usize) -> Self {
         let n = n_buckets.max(1);
-        // Seeding happens at construction, outside the engine's measured
-        // steady-state span; SPARE_POOL × SPARE_SLOT_CAP slots is ~100 KiB
-        // of Entry<E> capacity for engine-sized events.
-        let spare_seed = SPARE_POOL.min(n);
         Calendar {
-            buckets: (0..=n).map(|_| Bucket { slots: Vec::new(), head: 0 }).collect(),
-            spare: (0..spare_seed).map(|_| Vec::with_capacity(SPARE_SLOT_CAP)).collect(),
+            heads: vec![NIL; n + 1],
+            nodes: Vec::with_capacity(ARENA_RESERVE),
+            free: NIL,
+            near: VecDeque::with_capacity(NEAR_RESERVE),
             inv_width: n as f64 / horizon.as_secs().max(f64::MIN_POSITIVE),
             cursor: 0,
             len: 0,
@@ -166,50 +129,85 @@ impl<E> Calendar<E> {
         // Times before 0 clamp to bucket 0, times past the horizon to the
         // overflow bucket (last index).
         let raw = at.as_secs().max(0.0) * self.inv_width;
-        (raw as usize).min(self.buckets.len() - 1)
+        (raw as usize).min(self.heads.len() - 1)
     }
 
     fn push(&mut self, entry: Entry<E>) {
         let idx = self.bucket_index(entry.at);
-        // Pushes at or after the current simulation time are the norm, but
-        // arbitrary interleavings stay correct: the cursor backs up.
-        self.cursor = self.cursor.min(idx);
-        let bucket = &mut self.buckets[idx];
-        if bucket.slots.capacity() == 0 {
-            if let Some(spare) = self.spare.pop() {
-                bucket.slots = spare;
-            }
-        }
-        bucket.push(entry);
         self.len += 1;
+        if idx > self.cursor {
+            let node = Node { next: self.heads[idx], entry: Some(entry) };
+            self.heads[idx] = match self.free {
+                NIL => {
+                    let slot = self.nodes.len();
+                    assert!(slot < NIL as usize, "event queue arena outgrew its u32 node indices");
+                    self.nodes.push(node);
+                    slot as u32
+                }
+                slot => {
+                    self.free = std::mem::replace(&mut self.nodes[slot as usize], node).next;
+                    slot
+                }
+            };
+            return;
+        }
+        match self.near.back() {
+            Some(last) if last.key() > entry.key() => {
+                let pos = self.near.partition_point(|e| e.key() < entry.key());
+                self.near.insert(pos, entry);
+            }
+            // New maximum (the monotone engine pattern) or empty buffer.
+            _ => self.near.push_back(entry),
+        }
+    }
+
+    /// Moves the cursor to the next occupied bucket (every entry is in the
+    /// far tier, so there is one) and unlinks its list into `near`, sorted.
+    fn load_next_bucket(&mut self) {
+        debug_assert!(self.near.is_empty() && self.len > 0);
+        self.cursor += 1;
+        while self.heads[self.cursor] == NIL {
+            self.cursor += 1;
+        }
+        let mut slot = std::mem::replace(&mut self.heads[self.cursor], NIL);
+        while slot != NIL {
+            let node = &mut self.nodes[slot as usize];
+            self.near.push_back(node.entry.take().expect("linked node holds an entry"));
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = slot;
+            slot = next;
+        }
+        self.near.make_contiguous().sort_unstable_by_key(Entry::key);
     }
 
     fn pop(&mut self) -> Option<Entry<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.buckets[self.cursor].live() == 0 {
-            self.cursor += 1;
+        if self.near.is_empty() {
+            if self.len == 0 {
+                return None;
+            }
+            self.load_next_bucket();
         }
         self.len -= 1;
-        let bucket = &mut self.buckets[self.cursor];
-        let entry = bucket.pop();
-        // Bucket::pop clears the slots on full drain; recycle the vector
-        // into the spare pool so the next fresh bucket grows for free. The
-        // cursor only moves forward, so a drained bucket behind it will
-        // not see another push (out-of-order pushes that do back up the
-        // cursor simply re-take a spare).
-        if bucket.slots.is_empty() && bucket.slots.capacity() > 0 && self.spare.len() < SPARE_POOL {
-            self.spare.push(std::mem::take(&mut bucket.slots));
-        }
-        entry
+        self.near.pop_front()
     }
 
     fn peek(&self) -> Option<&Entry<E>> {
-        if self.len == 0 {
-            return None;
+        if !self.near.is_empty() || self.len == 0 {
+            return self.near.front();
         }
-        self.buckets[self.cursor..].iter().find(|b| b.live() > 0).and_then(|b| b.peek())
+        // Nothing at or behind the cursor: the minimum is the least entry
+        // of the next occupied bucket, found without unlinking it.
+        let mut slot = *self.heads[self.cursor + 1..].iter().find(|&&head| head != NIL)?;
+        let mut min: Option<&Entry<E>> = None;
+        while slot != NIL {
+            let node = &self.nodes[slot as usize];
+            let entry = node.entry.as_ref().expect("linked node holds an entry");
+            if min.is_none_or(|m| entry.key() < m.key()) {
+                min = Some(entry);
+            }
+            slot = node.next;
+        }
+        min
     }
 }
 
@@ -230,10 +228,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` at time `at`.
-    // Out of line, like `push_with_seq` and `pop`: inlined into the
-    // engine's event loop the calendar costs the in-memory replay
-    // scenarios 10-18 % of their events/sec (`bench_report`, PR 14).
-    #[inline(never)]
+    // Left to the inliner, like `push_with_seq` and `pop`: PR 14's
+    // `#[inline(never)]` was re-measured on each against this body and
+    // dropped (alternated runs: `replay_stream` +1.5 % without them,
+    // `bench_report` scenarios within ±2 %; the old body lost 10-18 %).
     pub fn push(&mut self, at: Time, event: E) {
         let seq = self.seq;
         self.seq += 1;
@@ -249,7 +247,6 @@ impl<E> EventQueue<E> {
     /// reserves the range via [`advance_seq_to`](Self::advance_seq_to).
     /// Pushing a seq at or above the reserved floor would collide with
     /// future [`push`](Self::push) assignments and panics.
-    #[inline(never)]
     pub fn push_with_seq(&mut self, at: Time, seq: u64, event: E) {
         assert!(
             seq < self.seq,
@@ -266,7 +263,6 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event.
-    #[inline(never)]
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.calendar.pop().map(|e| (e.at, e.event))
     }
@@ -399,44 +395,148 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2]);
     }
 
-    /// Reference model: a sorted vector popped from the front. The
-    /// calendar must agree with it on interleaved push/pop sequences
-    /// (FIFO tie-breaking included).
-    #[test]
-    fn calendar_agrees_with_reference_model() {
-        // Deterministic pseudo-random op stream.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
+    /// A deterministic pseudo-random stream for the tests below.
+    fn lcg(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 33
-        };
-        for trial in 0..50u64 {
-            let mut cal_q: EventQueue<u64> = EventQueue::with_horizon(Time(64.0), 128);
-            let mut reference: Vec<(Time, u64, u64)> = Vec::new(); // (at, seq, payload)
+        }
+    }
+
+    /// Reference model: an ordered map keyed by `(time, seq)`. The
+    /// calendar must agree with it on interleaved push/pop sequences
+    /// (FIFO tie-breaking included), shallow and at depth: after every
+    /// operation `peek_key` is the key the next `pop_keyed` returns and
+    /// `len` matches. Times are coarse (multiples of 0.25) to force exact
+    /// ties, and land at the cursor's bucket, behind it, before zero,
+    /// past the horizon and anywhere on the horizon.
+    #[test]
+    fn calendar_agrees_with_reference_model() {
+        use std::collections::BTreeMap;
+        const HORIZON: f64 = 64.0;
+        let mut next = lcg(0x1234_5678_9abc_def0);
+        let shapes = std::iter::repeat_n((0usize, 400usize), 50).chain([(10_000, 100_000)]);
+        for (trial, (standing, ops)) in shapes.enumerate() {
+            let mut q: EventQueue<u64> = EventQueue::with_horizon(Time(HORIZON), standing + 128);
+            let mut reference: BTreeMap<(Time, u64), u64> = BTreeMap::new();
             let mut seq = 0u64;
-            let mut payload = 0u64;
-            for _ in 0..400 {
+            let mut now = 0.0f64;
+            for op in 0..standing + ops {
                 let r = next();
-                if r % 3 != 0 || reference.is_empty() {
-                    // Coarse times force plenty of exact ties.
-                    let at = Time(((r / 7) % 64) as f64);
-                    cal_q.push(at, payload);
-                    reference.push((at, seq, payload));
+                if op < standing || r.is_multiple_of(2) || reference.is_empty() {
+                    let step = ((r >> 4) % 256) as f64 * 0.25;
+                    let at = match (r >> 1) % 8 {
+                        0 => now,
+                        1 => now - step.min(2.0),
+                        2 => -1.0 - step,
+                        3 => HORIZON + step,
+                        _ => step,
+                    };
+                    q.push(Time(at), seq);
+                    reference.insert((Time(at), seq), seq);
                     seq += 1;
-                    payload += 1;
                 } else {
-                    reference.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-                    let (at, _, want) = reference.remove(0);
-                    assert_eq!(cal_q.pop(), Some((at, want)), "trial {trial}");
+                    let ((at, s), want) = reference.pop_first().expect("non-empty");
+                    assert_eq!(q.pop_keyed(), Some((at, s, want)), "trial {trial} op {op}");
+                    now = at.as_secs();
                 }
-                assert_eq!(cal_q.len(), reference.len());
+                assert_eq!(q.peek_key(), reference.keys().next().copied(), "trial {trial} op {op}");
+                assert_eq!(q.len(), reference.len());
             }
             // Drain; both must agree to the end.
-            reference.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (at, _, want) in reference {
-                assert_eq!(cal_q.pop(), Some((at, want)), "trial {trial}");
+            for ((at, s), want) in reference {
+                assert_eq!(q.peek_key(), Some((at, s)), "trial {trial}");
+                assert_eq!(q.pop_keyed(), Some((at, s, want)), "trial {trial}");
             }
-            assert!(cal_q.pop().is_none());
+            assert!(q.pop().is_none() && q.is_empty() && q.peek().is_none());
         }
+    }
+
+    /// A node freed by an unlink is the next one a far push takes: the
+    /// arena never holds more nodes than entries were pending at once.
+    #[test]
+    fn arena_reuses_freed_nodes() {
+        let mut next = lcg(7);
+        let mut q: EventQueue<u32> = EventQueue::with_horizon(Time(1e6), 4096);
+        for i in 0..1000 {
+            q.push(Time((next() % 1000) as f64), i);
+        }
+        let mut peak_len = q.len();
+        for _ in 0..1_000_000 {
+            let (now, event) = q.pop().expect("standing population");
+            // Mostly far pushes, in bursts that move the peak.
+            let burst = if next().is_multiple_of(64) { 3 } else { 1 };
+            for _ in 0..burst {
+                q.push(now + (next() % 2000) as f64 * 0.5, event);
+            }
+            if next() % 64 == 1 {
+                q.pop();
+                q.pop();
+            }
+            peak_len = peak_len.max(q.len());
+            assert!(q.calendar.nodes.len() <= peak_len);
+        }
+        assert!(peak_len < 2000, "the population random-walks, it does not grow: {peak_len}");
+    }
+
+    /// The engine's same-instant bursts (quantized trace timestamps,
+    /// purge cascades) push ascending seqs at the time being popped: each
+    /// is the near buffer's new maximum and must be O(1), not a front
+    /// insert that moves the whole buffer.
+    #[test]
+    fn same_time_burst_under_the_cursor_is_linear() {
+        let started = std::time::Instant::now();
+        let mut q: EventQueue<u32> = EventQueue::with_horizon(Time(10.0), 64);
+        q.push(Time(5.0), u32::MAX);
+        assert_eq!(q.pop(), Some((Time(5.0), u32::MAX)));
+        for i in 0..100_000 {
+            q.push(Time(5.0), i);
+        }
+        for i in 0..100_000 {
+            assert_eq!(q.pop(), Some((Time(5.0), i)));
+        }
+        assert!(q.is_empty());
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+    }
+
+    /// `run_merged` peeks once per step at a queue that is empty for whole
+    /// replays (T = 0): that must not walk the 65 537 bucket heads.
+    #[test]
+    fn peek_at_an_empty_queue_does_not_scan() {
+        let started = std::time::Instant::now();
+        let mut q: EventQueue<u32> = EventQueue::with_horizon(Time(10.0), 65_536);
+        q.push(Time(1.0), 0);
+        q.pop();
+        for _ in 0..100_000 {
+            assert_eq!(q.peek_key(), None);
+        }
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+    }
+
+    #[test]
+    fn clone_of_a_half_drained_queue_pops_the_same_sequence() {
+        let mut next = lcg(11);
+        let mut q: EventQueue<u64> = EventQueue::with_horizon(Time(100.0), 256);
+        for i in 0..2000 {
+            q.push(Time((next() % 400) as f64 * 0.25), i);
+        }
+        for _ in 0..1000 {
+            q.pop();
+        }
+        // Entries in both tiers and vacant nodes on the free list.
+        q.push(Time(99.0), 2000);
+        let mut copy = q.clone();
+        for i in 0..500 {
+            let at = Time(50.0 + (next() % 200) as f64 * 0.25);
+            q.push(at, 3000 + i);
+            copy.push(at, 3000 + i);
+        }
+        assert_eq!(copy.len(), q.len());
+        while let Some(popped) = q.pop_keyed() {
+            assert_eq!(copy.pop_keyed(), Some(popped));
+        }
+        assert!(copy.is_empty());
     }
 }
