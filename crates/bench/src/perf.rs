@@ -90,6 +90,13 @@ pub struct QueueBenchResult {
     pub ops_per_sec: f64,
 }
 
+impl QueueBenchResult {
+    fn new(name: &str, ops: u64, wall_secs: f64) -> Self {
+        let ops_per_sec = ops as f64 / wall_secs.max(1e-12);
+        QueueBenchResult { name: name.to_string(), ops, wall_secs, ops_per_sec }
+    }
+}
+
 /// The full suite result.
 #[derive(Clone, Debug)]
 pub struct PerfReport {
@@ -306,16 +313,21 @@ fn run_streamed(name: &str, ids: u64, horizon: f64) -> ScenarioResult {
     result
 }
 
+/// The queue probes' deterministic pseudo-random stream.
+fn probe_rng() -> impl FnMut() -> u64 {
+    let mut state = 0x00dd_c0de_5eed_1234u64;
+    move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 11
+    }
+}
+
 /// Engine-like queue access pattern: a standing population of pending
 /// events over the horizon, advancing time by pop-then-push-near-future.
 fn run_queue_bench(name: &str, mut q: EventQueue<u64>, n_ops: u64) -> QueueBenchResult {
     let horizon = 10_000.0;
     let standing = 5_000u64;
-    let mut state = 0x00dd_c0de_5eed_1234u64;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 11
-    };
+    let mut next = probe_rng();
     let started = Instant::now();
     // Seed the standing population.
     for i in 0..standing {
@@ -337,13 +349,7 @@ fn run_queue_bench(name: &str, mut q: EventQueue<u64>, n_ops: u64) -> QueueBench
         ops += 2;
     }
     std::hint::black_box(acc);
-    let wall_secs = started.elapsed().as_secs_f64();
-    QueueBenchResult {
-        name: name.to_string(),
-        ops,
-        wall_secs,
-        ops_per_sec: ops as f64 / wall_secs.max(1e-12),
-    }
+    QueueBenchResult::new(name, ops, started.elapsed().as_secs_f64())
 }
 
 /// The standing populations of the depth probes, by bench name.
@@ -363,11 +369,7 @@ pub const QUEUE_DEPTHS: [(&str, usize); 3] =
 fn run_queue_depth_bench(name: &str, depth: usize, n_ops: u64) -> QueueBenchResult {
     let horizon = 10_000.0;
     let gap = horizon / depth as f64;
-    let mut state = 0x00dd_c0de_5eed_1234u64;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 11
-    };
+    let mut next = probe_rng();
     let pairs_per_fill = (depth as u64 / 2).clamp(1, n_ops / 2);
     let mut pairs = 0u64;
     let mut wall_secs = 0.0;
@@ -382,19 +384,18 @@ fn run_queue_depth_bench(name: &str, depth: usize, n_ops: u64) -> QueueBenchResu
             let (now, v) = q.pop().expect("standing population");
             acc = acc.wrapping_add(v);
             let r = next();
-            let ahead = if r % 10 == 0 { (r / 10) as f64 % (horizon - now.as_secs()) } else { gap };
+            let ahead = if r.is_multiple_of(10) {
+                (r / 10) as f64 % (horizon - now.as_secs())
+            } else {
+                gap
+            };
             q.push(now + ahead, v);
         }
         wall_secs += started.elapsed().as_secs_f64();
         pairs += pairs_per_fill;
     }
     std::hint::black_box(acc);
-    QueueBenchResult {
-        name: name.to_string(),
-        ops: 2 * pairs,
-        wall_secs,
-        ops_per_sec: (2 * pairs) as f64 / wall_secs.max(1e-12),
-    }
+    QueueBenchResult::new(name, 2 * pairs, wall_secs)
 }
 
 /// Runs the full suite. All measurements are single-threaded so the
@@ -418,12 +419,7 @@ pub fn run_suite() -> PerfReport {
     // because the queue entries above are code under test.
     queue.push(best_of(&|| {
         let (ops, wall_secs) = sybil_crypto::sha256::calibrate_64b();
-        QueueBenchResult {
-            name: "sha256_64b".to_string(),
-            ops,
-            wall_secs,
-            ops_per_sec: ops as f64 / wall_secs.max(1e-12),
-        }
+        QueueBenchResult::new("sha256_64b", ops, wall_secs)
     }));
     let mut scenarios: Vec<ScenarioResult> =
         scenario_specs().iter().map(|(name, cells)| run_scenario(name, cells)).collect();

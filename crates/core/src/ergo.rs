@@ -792,8 +792,8 @@ mod tests {
         assert_eq!(e.n_good(), 88);
     }
 
-    /// A dev build used to stop at the estimator's `size += n` and a
-    /// release build nowhere; both now stop at the membership counter.
+    /// Both profiles stop at the membership counter, ahead of the
+    /// estimator's unchecked `size += n` that only a dev build traps.
     #[test]
     #[should_panic(expected = "membership counter overflow")]
     fn membership_counter_overflow_panics() {

@@ -22,7 +22,7 @@ inside = sorted(a for a in counts if base <= a < base + (1 << 30))
 out = subprocess.run(["addr2line", "-e", binary, "-f", "-C", "-i", "-a"] + [hex(a - base) for a in inside],
                      capture_output=True, text=True, check=True).stdout.split("\n")
 by_function, by_line = collections.Counter(), collections.Counter()
-by_function["[outside]"] = sum(n for a, n in counts.items() if a not in set(inside))
+by_function["[outside]"] = total - sum(counts[a] for a in inside)
 address, chain = None, []
 for text in out + ["0x0"]:
     if text.startswith("0x"):  # -a prints each address before its chain
