@@ -22,7 +22,8 @@
 //!   never read from the `queue_*` entries beside it: they are code under
 //!   test, and a queue that got 2.3× faster would fail every scenario it
 //!   had sped up by less. A report without the entry is compared at ratio
-//!   1.0.
+//!   1.0. Two of those entries, `queue_calendar` and `ledger_charge`, are
+//!   held to the same scaled floor as a scenario (`micro_failures`).
 //! * **libm rounding.** The spend fields of a fingerprint are f64 sums
 //!   whose `ln`/`powf` inputs are not correctly rounded and may differ by
 //!   ulps across libm versions; they are compared with a 1e-9 relative
@@ -179,24 +180,36 @@ fn compare_gate(
                 base.name, base.decision_fingerprint, now.decision_fingerprint
             ));
         }
-        let expected = base.verifications_per_sec * speed_ratio;
-        let floor = expected * (1.0 - tolerance);
-        if now.verifications_per_sec < floor {
-            failures.push(format!(
-                "gate scenario {:?}: {:.0} verifications/s is a {:.0}% regression from the \
-                 machine-adjusted baseline {:.0} (raw baseline {:.0} × speed ratio {:.2}; \
-                 tolerance {:.0}%)",
-                base.name,
-                now.verifications_per_sec,
-                100.0 * (1.0 - now.verifications_per_sec / expected),
-                expected,
-                base.verifications_per_sec,
-                speed_ratio,
-                100.0 * tolerance,
-            ));
-        }
+        failures.extend(floor_failure(
+            format_args!("gate scenario {:?}", base.name),
+            "verifications/s",
+            (base.verifications_per_sec, now.verifications_per_sec),
+            tolerance,
+            speed_ratio,
+        ));
     }
     failures
+}
+
+/// The one throughput floor every gated number is held to: the baseline,
+/// rescaled to the fresh machine, less the tolerance.
+fn floor_failure(
+    what: std::fmt::Arguments<'_>,
+    unit: &str,
+    (base, now): (f64, f64),
+    tolerance: f64,
+    speed_ratio: f64,
+) -> Option<String> {
+    let expected = base * speed_ratio;
+    (now < expected * (1.0 - tolerance)).then(|| {
+        format!(
+            "{what}: {now:.0} {unit} is a {:.0}% regression from the machine-adjusted baseline \
+             {expected:.0} (raw baseline {base:.0} × speed ratio {speed_ratio:.2}; tolerance \
+             {:.0}%)",
+            100.0 * (1.0 - now / expected),
+            100.0 * tolerance,
+        )
+    })
 }
 
 /// Parses the `"queue"` section into `(name, ops_per_sec)` pairs.
@@ -264,6 +277,40 @@ fn depth_failures(fresh: &[(String, f64)]) -> Vec<String> {
     )]
 }
 
+/// The `"queue"` entries that are one layer of an engine event and
+/// nothing else — the event queue at the engine's own depth, the ledger's
+/// half of a purge round trip — and so carry a throughput floor of their
+/// own, scaled as a scenario's is. They are never the scale.
+const FLOORED_MICROS: [&str; 2] = ["queue_calendar", "ledger_charge"];
+
+/// Holds each of [`FLOORED_MICROS`] present in both reports to the
+/// machine-adjusted floor. A baseline that predates an entry does not
+/// gate it.
+fn micro_failures(
+    baseline: &[(String, f64)],
+    fresh: &[(String, f64)],
+    tolerance: f64,
+    speed_ratio: f64,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    for name in FLOORED_MICROS {
+        let ops = |queue: &[(String, f64)]| queue.iter().find(|(n, _)| n == name).map(|(_, o)| *o);
+        let (Some(base), Some(now)) = (ops(baseline), ops(fresh)) else { continue };
+        println!(
+            "  {name:<28} baseline {base:>14.0} op/s   fresh {now:>14.0} op/s   ({:+.1}%)",
+            100.0 * (now / base - 1.0)
+        );
+        failures.extend(floor_failure(
+            format_args!("{name}"),
+            "ops/s",
+            (base, now),
+            tolerance,
+            speed_ratio,
+        ));
+    }
+    failures
+}
+
 /// Compares baseline vs fresh; returns human-readable failures.
 ///
 /// `speed_ratio` rescales the baseline throughput to the fresh machine
@@ -286,22 +333,13 @@ fn compare(
                 base.name, base.fingerprint, now.fingerprint
             ));
         }
-        let expected = base.events_per_sec * speed_ratio;
-        let floor = expected * (1.0 - tolerance);
-        if now.events_per_sec < floor {
-            failures.push(format!(
-                "scenario {:?}: {:.0} events/s is a {:.0}% regression from the \
-                 machine-adjusted baseline {:.0} (raw baseline {:.0} × speed ratio {:.2}; \
-                 tolerance {:.0}%)",
-                base.name,
-                now.events_per_sec,
-                100.0 * (1.0 - now.events_per_sec / expected),
-                expected,
-                base.events_per_sec,
-                speed_ratio,
-                100.0 * tolerance,
-            ));
-        }
+        failures.extend(floor_failure(
+            format_args!("scenario {:?}", base.name),
+            "events/s",
+            (base.events_per_sec, now.events_per_sec),
+            tolerance,
+            speed_ratio,
+        ));
     }
     failures
 }
@@ -431,6 +469,7 @@ fn main() -> ExitCode {
     }
     let mut failures = compare(&baseline, &fresh, tolerance, ratio);
     failures.extend(compare_gate(&base_gate, &fresh_gate, tolerance, ratio));
+    failures.extend(micro_failures(&base_queue, &fresh_queue, tolerance, ratio));
     failures.extend(depth_failures(&fresh_queue));
     if fresh_counting {
         if !base_counting {
@@ -630,6 +669,32 @@ mod tests {
         assert!(compare(&scenarios, &scenarios, 0.25, ratio).is_empty());
         // What a ratio of 2.3 made of the same pair of reports.
         assert_eq!(compare(&scenarios, &scenarios, 0.25, 2.3).len(), 2);
+    }
+
+    #[test]
+    fn the_calendar_and_ledger_probes_have_a_scaled_floor_and_are_never_the_scale() {
+        let queue = |calendar: f64, ledger: f64, sha256: f64| {
+            vec![
+                ("queue_calendar".to_string(), calendar),
+                ("ledger_charge".to_string(), ledger),
+                ("sha256_64b".to_string(), sha256),
+            ]
+        };
+        let base = queue(46e6, 230e6, 1.4e6);
+        // A ledger probe 3× faster moves no ratio and fails nothing.
+        assert_eq!(speed_ratio(&base, &queue(46e6, 700e6, 1.4e6)), 1.0);
+        assert!(micro_failures(&base, &queue(46e6, 700e6, 1.4e6), 0.25, 1.0).is_empty());
+        // 20 % slower: inside the tolerance. 30 % slower: named.
+        assert!(micro_failures(&base, &queue(37e6, 184e6, 1.4e6), 0.25, 1.0).is_empty());
+        let failures = micro_failures(&base, &queue(46e6, 160e6, 1.4e6), 0.25, 1.0);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].starts_with("ledger_charge: "), "{}", failures[0]);
+        // On a machine at half speed, half the throughput is expected.
+        assert!(micro_failures(&base, &queue(23e6, 115e6, 0.7e6), 0.25, 0.5).is_empty());
+        // A baseline from before the probe existed does not gate it, and
+        // the depth probes are gated within a report, not across.
+        let old = vec![("queue_depth_1e2".to_string(), 75e6), ("sha256_64b".to_string(), 1.4e6)];
+        assert!(micro_failures(&old, &queue(1.0, 1.0, 1.4e6), 0.25, 1.0).is_empty());
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!   events land near-future): `queue_calendar` at a standing population
 //!   of 5 000, and [`QUEUE_DEPTHS`]' probes at 10², 10⁴ and 10⁶, which
 //!   `bench_compare` holds flat. The same JSON section carries
-//!   `sha256_64b`, the machine-speed calibration: not a queue, and for
-//!   that reason the only entry `bench_compare` scales floors by.
+//!   `ledger_charge`, the ledger's half of a purge round trip
+//!   ([`run_ledger_bench`]), and `sha256_64b`, the machine-speed
+//!   calibration: not code under test, and for that reason the only entry
+//!   `bench_compare` scales floors by.
 //! * **Macro scenarios** — full [`Simulation`] runs through the same
 //!   [`crate::sweep::run_report`] path the figure sweeps use, measured in
 //!   engine events per wall second. `macro_sweep` is the headline number: a
@@ -24,8 +26,11 @@ use crate::sweep::{run_report_measured, run_report_with_measured, Algo, LoopAllo
 use std::time::Instant;
 use sybil_churn::networks;
 use sybil_exp::defense_seed;
+use sybil_sim::cost::{Cost, Purpose};
+use sybil_sim::defense::PurgeReport;
 use sybil_sim::engine::SimConfig;
 use sybil_sim::queue::EventQueue;
+use sybil_sim::shard_state::ShardedDefenseState;
 use sybil_sim::time::Time;
 use sybil_sim::workload_io::{write_workload_file, DiskWorkload};
 
@@ -80,9 +85,10 @@ pub struct Fingerprint {
 /// One measured queue micro-bench.
 #[derive(Clone, Debug)]
 pub struct QueueBenchResult {
-    /// Bench name (`queue_calendar`, `queue_depth_1e2`…, `sha256_64b`).
+    /// Bench name (`queue_calendar`, `queue_depth_1e2`…, `ledger_charge`,
+    /// `sha256_64b`).
     pub name: String,
-    /// Operations performed: pushes plus pops, or hashes.
+    /// Operations performed: pushes plus pops, ledger calls, or hashes.
     pub ops: u64,
     /// Wall-clock seconds.
     pub wall_secs: f64,
@@ -398,6 +404,41 @@ fn run_queue_depth_bench(name: &str, depth: usize, n_ops: u64) -> QueueBenchResu
     QueueBenchResult::new(name, 2 * pairs, wall_secs)
 }
 
+/// What the engine's ledger does once per purge round trip (ROADMAP
+/// 4(b)): the adversary's batch is charged to the root, then the purge it
+/// triggered is applied — three `f64` → Q64.64 conversions and three
+/// checked `i128` sums. One state shard with `members` admitted sessions,
+/// as the engine has at the purge (a ledger that splits a sweep over its
+/// members, as PR 24's parent did, pays for it here); costs are seeded
+/// and non-dyadic, from a table built untimed. An op is one of the two
+/// calls, so a pair costs two, as in the queue probes.
+fn run_ledger_bench(name: &str, n_ops: u64) -> QueueBenchResult {
+    let members = 1024u64;
+    let mut state = ShardedDefenseState::new(members, 1);
+    for i in 0..members {
+        state.record_good_join(i, true, Cost::ONE);
+    }
+    let mut next = probe_rng();
+    let mut cost = || Cost((next() % 1_000_000) as f64 / 3.0);
+    let table: Vec<(Cost, PurgeReport)> = (0..256)
+        .map(|_| {
+            let purge =
+                PurgeReport { good_cost: cost(), adv_cost: cost(), bad_removed: 0, skipped: false };
+            (cost(), purge)
+        })
+        .collect();
+    let pairs = n_ops / 2;
+    let started = Instant::now();
+    for pair in 0..pairs {
+        let (spent, purge) = &table[pair as usize % table.len()];
+        state.charge_root_adversary(Purpose::Entrance, *spent);
+        state.apply_purge(purge);
+    }
+    let wall_secs = started.elapsed().as_secs_f64();
+    std::hint::black_box((state.good_total(), state.adversary_total()));
+    QueueBenchResult::new(name, 2 * pairs, wall_secs)
+}
+
 /// Runs the full suite. All measurements are single-threaded so the
 /// numbers compare engine work, not scheduling luck.
 pub fn run_suite() -> PerfReport {
@@ -415,8 +456,9 @@ pub fn run_suite() -> PerfReport {
     for (name, depth) in QUEUE_DEPTHS {
         queue.push(best_of(&|| run_queue_depth_bench(name, depth, n_ops)));
     }
+    queue.push(best_of(&|| run_ledger_bench("ledger_charge", n_ops)));
     // The machine-speed calibration `bench_compare` scales by: SHA-256,
-    // because the queue entries above are code under test.
+    // because the entries above are code under test.
     queue.push(best_of(&|| {
         let (ops, wall_secs) = sybil_crypto::sha256::calibrate_64b();
         QueueBenchResult::new("sha256_64b", ops, wall_secs)
@@ -522,9 +564,9 @@ pub fn render(report: &PerfReport) -> String {
             s.loop_allocs
         ));
     }
-    // An op is one push or one pop, so a pair costs two.
-    out.push_str("ns per pop+push:");
-    for q in report.queue.iter().filter(|q| q.name.starts_with("queue_")) {
+    // An op is one push or one pop (one ledger call), so a pair costs two.
+    out.push_str("ns per pop+push (ledger_charge: per charge+purge):");
+    for q in report.queue.iter().filter(|q| q.name != "sha256_64b") {
         out.push_str(&format!("  {} {:.1}", q.name, 2e9 / q.ops_per_sec));
     }
     out.push('\n');
@@ -634,5 +676,8 @@ mod tests {
         assert!(r.ops_per_sec > 0.0);
         // A fill deeper than the whole budget is cut short, not skipped.
         assert_eq!(run_queue_depth_bench("d", 10_000, 1_000).ops, 1_000);
+        let r = run_ledger_bench("l", 1_001);
+        assert_eq!(r.ops, 1_000);
+        assert!(r.ops_per_sec > 0.0);
     }
 }

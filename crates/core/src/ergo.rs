@@ -427,7 +427,7 @@ impl Defense for Ergo {
                 // (each join enters the window); constant costs do not.
                 let afford = match self.cfg.entrance {
                     EntrancePolicy::RateBased => max_affordable(q0, budget),
-                    EntrancePolicy::Constant(c) => (budget / c.max(1e-12)).floor() as u64,
+                    EntrancePolicy::Constant(c) => (budget / c.max(1e-12)) as u64,
                 };
                 let n = afford.min(headroom).min(max_attempts);
                 spent = match self.cfg.entrance {
@@ -465,7 +465,7 @@ impl Defense for Ergo {
                         .refusals_before_bad_admit();
                     let attempts_left = max_attempts - attempts;
                     // Can the budget fund all refusals plus the admission?
-                    let affordable_attempts = ((budget - spent) / q).floor() as u64;
+                    let affordable_attempts = ((budget - spent) / q) as u64;
                     if refusals >= attempts_left || affordable_attempts <= refusals {
                         // Budget or attempt limit dies inside the refusal run.
                         let burn = affordable_attempts.min(attempts_left).min(refusals);
@@ -520,7 +520,6 @@ impl Defense for Ergo {
                 adv_cost: Cost::ZERO,
                 bad_removed: 0,
                 skipped: true,
-                good_charged: 0,
             };
         }
         let retain = retain_bad.min(self.n_bad);
@@ -535,13 +534,7 @@ impl Defense for Ergo {
         self.sync_est_stamp(now);
         self.reset_iteration(now);
         self.events.push(DefenseEvent::PurgeCompleted { at: now, members_after: self.n_members() });
-        PurgeReport {
-            good_cost,
-            adv_cost,
-            bad_removed: removed,
-            skipped: false,
-            good_charged: self.n_good,
-        }
+        PurgeReport { good_cost, adv_cost, bad_removed: removed, skipped: false }
     }
 
     fn next_periodic(&self) -> Option<Time> {
@@ -553,7 +546,7 @@ impl Defense for Ergo {
     }
 
     fn periodic_apply(&mut self, _now: Time, _bad_retained: u64) -> PeriodicReport {
-        PeriodicReport { good_cost: Cost::ZERO, bad_dropped: 0, good_charged: 0 }
+        PeriodicReport { good_cost: Cost::ZERO, bad_dropped: 0 }
     }
 
     fn n_members(&self) -> u64 {

@@ -25,6 +25,9 @@ use rand::{Rng, SeedableRng};
 pub struct ClassifierGate {
     accuracy_good: f64,
     accuracy_bad: f64,
+    /// `ln(1 − p)` for `p` = [`Self::bad_admit_prob`]: the geometric law's
+    /// divisor, a constant of the gate.
+    ln_refuse: f64,
     rng: StdRng,
 }
 
@@ -46,7 +49,11 @@ impl ClassifierGate {
     pub fn with_accuracies(accuracy_good: f64, accuracy_bad: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&accuracy_good), "accuracy must be in [0,1]");
         assert!((0.0..=1.0).contains(&accuracy_bad), "accuracy must be in [0,1]");
-        ClassifierGate { accuracy_good, accuracy_bad, rng: StdRng::seed_from_u64(seed) }
+        // Spelled as the sampler always computed it: `1 − (1 − a)` is not
+        // `a` in the last place, and the draws are pinned.
+        let p = 1.0 - accuracy_bad;
+        let ln_refuse = (1.0 - p).ln();
+        ClassifierGate { accuracy_good, accuracy_bad, ln_refuse, rng: StdRng::seed_from_u64(seed) }
     }
 
     /// Probability a good joiner is admitted.
@@ -95,12 +102,8 @@ impl ClassifierGate {
                 break u;
             }
         };
-        let v = u.ln() / (1.0 - p).ln();
-        if v >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            v.floor() as u64
-        }
+        // `as` truncates toward zero and saturates at `u64::MAX`.
+        (u.ln() / self.ln_refuse) as u64
     }
 }
 
@@ -126,6 +129,36 @@ mod tests {
         let total: u64 = (0..n).map(|_| g.refusals_before_bad_admit()).sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 49.0).abs() < 2.5, "mean {mean}");
+    }
+
+    /// The sampler as it was before the divisor was stored: both logs and
+    /// the `floor` per draw, from a bare RNG with the gate's seed. The
+    /// stored `ln(1 − p)` must be that expression's value to the last
+    /// place, or a draw near an integer boundary moves.
+    #[test]
+    fn stored_log_divisor_draws_what_recomputing_it_drew() {
+        for accuracy in [0.98, 0.92] {
+            for seed in [1u64, 7, 0xE560] {
+                let mut gate = ClassifierGate::with_accuracy(accuracy, seed);
+                let mut rng = StdRng::seed_from_u64(seed);
+                for draw in 0..100_000 {
+                    let p = 1.0 - accuracy;
+                    let u: f64 = loop {
+                        let u = rng.gen::<f64>();
+                        if u > 0.0 {
+                            break u;
+                        }
+                    };
+                    let v = u.ln() / (1.0 - p).ln();
+                    let expected = if v >= u64::MAX as f64 { u64::MAX } else { v.floor() as u64 };
+                    assert_eq!(
+                        gate.refusals_before_bad_admit(),
+                        expected,
+                        "accuracy {accuracy} seed {seed} draw {draw}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

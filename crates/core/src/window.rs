@@ -190,7 +190,7 @@ pub fn max_affordable(q0: f64, budget: f64) -> u64 {
     let b = q0 - 0.5;
     let disc = (b * b + 2.0 * budget).sqrt();
     let root = if b >= 0.0 { 2.0 * budget / (b + disc) } else { (disc - b).max(0.0) };
-    let mut n = root.floor() as u64;
+    let mut n = root as u64;
     // Floating-point safety: adjust to the exact integer boundary.
     while batch_cost(q0, n + 1) <= budget {
         n += 1;
@@ -312,6 +312,46 @@ mod tests {
             let n = max_affordable(q0, budget);
             assert!(batch_cost(q0, n) <= budget || n == 0, "q0={q0} budget={budget}");
             assert!(batch_cost(q0, n + 1) > budget, "q0={q0} budget={budget}");
+        }
+    }
+
+    /// Why no affordability computation calls `floor` before `as u64`:
+    /// the cast truncates toward zero, saturates and maps NaN to 0, so the
+    /// two agree on every `f64` (a negative floors further down, and both
+    /// saturate to 0).
+    #[test]
+    fn a_cast_to_u64_truncates_as_floor_then_cast_does() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0 - f64::EPSILON,
+            -1.0,
+            2f64.powi(53) - 1.0,
+            2f64.powi(64),
+            2f64.powi(64) * 1.5,
+            f64::from_bits(2f64.powi(64).to_bits() - 1),
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x00f1_0042);
+        for _ in 0..100_000 {
+            // Every finite bit pattern is fair game: both signs, every
+            // exponent from subnormal to 2¹⁰²³.
+            let v = f64::from_bits(rng.gen::<u64>());
+            if v.is_finite() {
+                values.push(v);
+            }
+            values.push(rng.gen_range(-1.0e6f64..1.0e6));
+            values.push(rng.gen_range(0.0f64..2.0e19));
+        }
+        for v in values {
+            assert_eq!(v as u64, v.floor() as u64, "{v:e}");
         }
     }
 

@@ -197,7 +197,6 @@ impl Defense for Reference {
             adv_cost: Cost(retain as f64),
             bad_removed,
             skipped: false,
-            good_charged: n_good,
         }
     }
 
@@ -210,7 +209,7 @@ impl Defense for Reference {
     }
 
     fn periodic_apply(&mut self, _now: Time, _bad_retained: u64) -> PeriodicReport {
-        PeriodicReport { good_cost: Cost::ZERO, bad_dropped: 0, good_charged: 0 }
+        PeriodicReport { good_cost: Cost::ZERO, bad_dropped: 0 }
     }
 
     fn n_members(&self) -> u64 {

@@ -106,7 +106,7 @@ impl Defense for Remp {
 
     fn bad_join_batch(&mut self, now: Time, budget: Cost, max_attempts: u64) -> BatchAdmission {
         let join_cost = self.quote(now).value().max(f64::MIN_POSITIVE);
-        let affordable = (budget.value() / join_cost).floor() as u64;
+        let affordable = (budget.value() / join_cost) as u64;
         let n = affordable.min(max_attempts);
         // Checked, so that release builds stop where debug builds do.
         self.n_bad = self.n_bad.checked_add(n).expect("membership counter overflow");
@@ -129,13 +129,7 @@ impl Defense for Remp {
     }
 
     fn purge(&mut self, _now: Time, _retain_bad: u64) -> PurgeReport {
-        PurgeReport {
-            good_cost: Cost::ZERO,
-            adv_cost: Cost::ZERO,
-            bad_removed: 0,
-            skipped: true,
-            good_charged: 0,
-        }
+        PurgeReport { good_cost: Cost::ZERO, adv_cost: Cost::ZERO, bad_removed: 0, skipped: true }
     }
 
     fn next_periodic(&self) -> Option<Time> {
@@ -153,11 +147,7 @@ impl Defense for Remp {
         let dropped = self.n_bad - bad_retained.min(self.n_bad);
         self.n_bad = bad_retained.min(self.n_bad);
         self.next_charge = now + self.cfg.period;
-        PeriodicReport {
-            good_cost: Cost(self.n_good as f64 * per_id),
-            bad_dropped: dropped,
-            good_charged: self.n_good,
-        }
+        PeriodicReport { good_cost: Cost(self.n_good as f64 * per_id), bad_dropped: dropped }
     }
 
     fn n_members(&self) -> u64 {

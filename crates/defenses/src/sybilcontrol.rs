@@ -99,7 +99,7 @@ impl Defense for SybilControl {
 
     fn bad_join_batch(&mut self, _now: Time, budget: Cost, max_attempts: u64) -> BatchAdmission {
         let affordable = if self.cfg.join_cost > 0.0 {
-            (budget.value() / self.cfg.join_cost).floor() as u64
+            (budget.value() / self.cfg.join_cost) as u64
         } else {
             max_attempts
         };
@@ -132,7 +132,6 @@ impl Defense for SybilControl {
             adv_cost: Cost(retain as f64) * 0.0,
             bad_removed: 0,
             skipped: true,
-            good_charged: 0,
         }
     }
 
@@ -151,7 +150,6 @@ impl Defense for SybilControl {
         PeriodicReport {
             good_cost: Cost(self.n_good as f64 * self.cfg.tests_per_round),
             bad_dropped: dropped,
-            good_charged: self.n_good,
         }
     }
 

@@ -206,8 +206,8 @@ impl Ledger {
 /// A non-negative resource amount in Q64.64 fixed point (64 integer bits,
 /// 64 fractional bits, stored in an `i128`).
 ///
-/// Conversion from [`Cost`] multiplies by 2⁶⁴ — exact in `f64` — and
-/// rounds once; all subsequent accumulation is exact integer arithmetic,
+/// Conversion from [`Cost`] scales by 2⁶⁴ — exact — and rounds once
+/// ([`FixedCost::from_cost`]); all subsequent accumulation is exact integer arithmetic,
 /// which is associative, so a total does not depend on how its charges
 /// were grouped (see [`crate::shard_state`]). Every operation is checked
 /// in every build profile: an amount that leaves the range panics with the
@@ -226,6 +226,18 @@ impl FixedCost {
     /// the ledger pipeline and it happens exactly once per charge,
     /// before any shard routing, so it cannot depend on the shard count.
     ///
+    /// The result is `v · 2⁶⁴` rounded half away from zero, computed on
+    /// the bits of `v`: an `f64` is `sig · 2^(exp − 1075)` with a 53-bit
+    /// integer `sig`, so `v · 2⁶⁴` is `sig` shifted by `exp − 1011` places
+    /// — left is exact; right drops bits, and adding half of the last
+    /// kept place first rounds the dropped ones half away. That is what
+    /// the float route — `(v * 2f64.powi(64)).round()`, cast to `i128` —
+    /// computes (the product is exact, `round` rounds once, the cast is
+    /// exact), without the library calls that route costs where the
+    /// target has no rounding instruction. Zero, subnormals and everything
+    /// else below 2⁻⁶⁵ shift right by more than `sig` is wide and come
+    /// out 0.
+    ///
     /// # Panics
     ///
     /// Panics unless the charge is finite, non-negative and below 2⁶³
@@ -237,28 +249,23 @@ impl FixedCost {
             (0.0..2f64.powi(127 - Self::FRAC_BITS)).contains(&v),
             "ledger overflow: charge {v} is not a finite amount in [0, 2^63) units"
         );
-        FixedCost((v * 2f64.powi(Self::FRAC_BITS)).round() as i128)
+        // `-0.0` passes the assert, so the sign bit is masked, not assumed.
+        let bits = v.to_bits() & (u64::MAX >> 1);
+        let sig = (bits & ((1 << 52) - 1)) | (1 << 52);
+        let shift = (bits >> 52) as i32 - 1075 + Self::FRAC_BITS;
+        FixedCost(if shift >= 0 {
+            // At most 74 places (v < 2⁶³): below 2¹²⁷.
+            (sig as i128) << shift
+        } else if shift >= -53 {
+            ((sig + (1 << (-shift - 1))) >> -shift) as i128
+        } else {
+            0
+        })
     }
 
     /// Converts back to a float [`Cost`] (rounds to nearest).
     pub fn to_cost(self) -> Cost {
         Cost(self.0 as f64 * 2f64.powi(-Self::FRAC_BITS))
-    }
-
-    /// True if exactly zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Exact integer division (truncating), used to split an aggregate
-    /// sweep charge into per-payer quanta.
-    pub(crate) fn div_u64(self, n: u64) -> FixedCost {
-        FixedCost(self.0 / n as i128)
-    }
-
-    /// Exact scaling of a per-payer quantum by a payer count.
-    pub(crate) fn mul_u64(self, n: u64) -> FixedCost {
-        self.0.checked_mul(n as i128).map_or_else(|| self.overflow("*", n as f64), FixedCost)
     }
 
     #[cold]
@@ -323,11 +330,6 @@ impl FixedLedger {
     /// Records spending by the adversary.
     pub fn charge_adversary(&mut self, purpose: Purpose, amount: Cost) {
         self.adv[Self::slot(purpose)] += FixedCost::from_cost(amount);
-    }
-
-    pub(crate) fn charge_good_fixed(&mut self, purpose: Purpose, amount: FixedCost) {
-        debug_assert!(amount >= FixedCost::ZERO, "negative charge");
-        self.good[Self::slot(purpose)] += amount;
     }
 
     /// Folds another ledger into this one (exact).
@@ -395,6 +397,52 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(Cost(1.5).to_string(), "1.50rb");
+    }
+
+    /// The float route `from_cost` replaced, kept here as the reference:
+    /// any value on which the bit-level conversion is off by one unit of
+    /// 2⁻⁶⁴ fails this.
+    #[test]
+    fn from_cost_equals_one_rounding_of_the_scaled_float() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let check = |v: f64| {
+            let reference = (v * 2f64.powi(64)).round() as i128;
+            assert_eq!(FixedCost::from_cost(Cost(v)).0, reference, "{v:e} = {:#018x}", v.to_bits());
+        };
+        let below_2_63 = f64::from_bits(2f64.powi(63).to_bits() - 1);
+        for v in [0.0, -0.0, f64::MIN_POSITIVE, 5e-324, below_2_63, 2f64.powi(-65), 2f64.powi(-64)]
+        {
+            check(v);
+        }
+        assert_eq!(FixedCost::from_cost(Cost(below_2_63)).0, i128::MAX - ((1 << 74) - 1));
+        // Ties: k + ½ units of 2⁻⁶⁴ round away from zero, at every width
+        // of k an f64 can hold a half beside.
+        for bits in 0..52 {
+            for k in [1u64 << bits, (1 << bits) + 1, (2 << bits) - 1] {
+                let tie = (k as f64 + 0.5) * 2f64.powi(-64);
+                assert_eq!(FixedCost::from_cost(Cost(tie)).0, k as i128 + 1);
+                check(tie);
+                check(f64::from_bits(tie.to_bits() - 1));
+                check(f64::from_bits(tie.to_bits() + 1));
+            }
+        }
+        // Integers above 2⁵³ (even by construction) and their neighbours.
+        for e in 53..63 {
+            for v in [2f64.powi(e), 2f64.powi(e) + 2f64.powi(e - 52), 2f64.powi(e) * 1.5] {
+                check(v);
+                check(f64::from_bits(v.to_bits() - 1));
+            }
+        }
+        // Seeded significands across binary exponents −80…62: below, on
+        // and above the places where bits start to drop.
+        let mut rng = StdRng::seed_from_u64(0xC057);
+        for _ in 0..8_000 {
+            for e in -80..=62i64 {
+                let significand = rng.gen::<u64>() >> 12;
+                check(f64::from_bits(((e + 1023) as u64) << 52 | significand));
+            }
+        }
     }
 
     /// The T = 2⁶⁰ case: eight such charges reach 2⁶³ units.

@@ -77,10 +77,6 @@ pub struct PurgeReport {
     pub bad_removed: u64,
     /// True if the purge was skipped by a heuristic (Heuristic 3).
     pub skipped: bool,
-    /// Number of good IDs that paid a share of `good_cost` (0 when the
-    /// sweep charged nobody). The sharded ledger uses this to split the
-    /// aggregate into exact per-shard quanta.
-    pub good_charged: u64,
 }
 
 /// Result of a periodic charge (SybilControl tests, REMP recurring puzzles).
@@ -90,9 +86,6 @@ pub struct PeriodicReport {
     pub good_cost: Cost,
     /// Number of Sybil IDs dropped for non-payment.
     pub bad_dropped: u64,
-    /// Number of good IDs that paid a share of `good_cost` (0 when the
-    /// period charged nobody); see [`PurgeReport::good_charged`].
-    pub good_charged: u64,
 }
 
 /// Events a defense can log for post-run analysis.

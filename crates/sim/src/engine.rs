@@ -663,7 +663,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
 
     fn resolve_purge(&mut self, now: Time) {
         let view = self.view(now);
-        let cap = (self.cfg.kappa * view.n_members as f64).floor() as u64;
+        let cap = (self.cfg.kappa * view.n_members as f64) as u64;
         let retain = self
             .adversary
             .purge_retention(&view, cap, Cost(self.budget.max(0.0)))

@@ -6,12 +6,9 @@
 //! lived on the coordinator. [`ShardedDefenseState`] moves it out: every
 //! arrival session `i` is owned by shard `i mod S` (the same ID-congruence
 //! layout [`crate::shard::ShardedWorkload`] uses), which holds a local
-//! admission slice, a live-session counter, and a per-shard ledger delta.
-//! Purge sweeps and periodic charges are distributed to shards as explicit
-//! charge messages proportional to their live population, and every
-//! [`EPOCH_EVENTS`] processed events each shard emits one bounded
-//! [`EpochDelta`] message that the root folds in canonical shard order
-//! `0, 1, …, S−1`.
+//! admission slice and a per-shard ledger delta. Every [`EPOCH_EVENTS`]
+//! processed events each shard emits one bounded [`EpochDelta`] message
+//! that the root folds in canonical shard order `0, 1, …, S−1`.
 //!
 //! # Status: only `S = 1` runs outside tests
 //!
@@ -39,13 +36,19 @@
 //! whose shape cannot affect the result.
 //!
 //! Aggregate sweep costs (purge, periodic) are computed by the defense as
-//! one `f64` total. The distribution `per = total / good_charged` (integer
-//! division in fixed-point) charges each shard `per × live` and the exact
-//! remainder to the root, so the parts always re-sum to the original
-//! rounding of the total.
+//! one `f64` total, and the root is charged that total whole, at every
+//! shard count: like the adversary's money, a sweep has no single owning
+//! session. Nothing can tell. Every reader ([`good_total`], the sealed
+//! report) folds root and shard balances into one integer sum per slot,
+//! so which accumulator held a share never reaches an output: splitting
+//! a sweep over the shards' live populations would cost an `i128`
+//! division per purge and change no bit of any report.
+//!
+//! [`good_total`]: ShardedDefenseState::good_total
+//! [`FixedCost`]: crate::cost::FixedCost
 
 use crate::admission::{self, AdmissionMap, AdmissionState};
-use crate::cost::{Cost, FixedCost, FixedLedger, Ledger, Purpose};
+use crate::cost::{Cost, FixedLedger, Ledger, Purpose};
 use crate::defense::{PeriodicReport, PurgeReport};
 
 /// Events between epoch reductions. Matches the workload shards' batch
@@ -87,9 +90,6 @@ struct StateShard {
     /// report's memory gauge stays a pure function of the touched ID
     /// space, independent of S.
     touched: Vec<u64>,
-    /// Admitted-and-not-departed sessions in this slice (the shard's share
-    /// of sweep charges is proportional to this).
-    live: u64,
     /// The accumulating epoch message.
     delta: EpochDelta,
 }
@@ -118,8 +118,8 @@ fn slice_len(n: u64, shard: usize, shards: usize) -> u64 {
 pub struct ShardedDefenseState {
     shards: Vec<StateShard>,
     /// Root accumulator: folded epoch messages plus charges with no single
-    /// owning shard (initialization, adversary batches, sweep remainders,
-    /// initial-resident departures).
+    /// owning shard (initialization, adversary batches, purge and periodic
+    /// sweeps, initial-resident departures).
     totals: EpochDelta,
     n_sessions: u64,
     events_since_flush: u32,
@@ -142,7 +142,6 @@ impl ShardedDefenseState {
                 .map(|s| StateShard {
                     admission: AdmissionMap::new(slice_len(n_sessions, s, shards)),
                     touched: vec![0u64; words],
-                    live: 0,
                     delta: EpochDelta::default(),
                 })
                 .collect(),
@@ -196,7 +195,6 @@ impl ShardedDefenseState {
         if admitted {
             shard.admission.set(local, AdmissionState::Admitted);
             shard.delta.good_joins_admitted += 1;
-            shard.live += 1;
         } else {
             shard.admission.set(local, AdmissionState::Refused);
             shard.delta.good_joins_refused += 1;
@@ -213,7 +211,6 @@ impl ShardedDefenseState {
         if shard.admission.get(local) != AdmissionState::Admitted {
             return false;
         }
-        shard.live -= 1;
         shard.delta.good_departures += 1;
         true
     }
@@ -235,45 +232,17 @@ impl ShardedDefenseState {
         self.totals.ledger.charge_adversary(purpose, amount);
     }
 
-    /// Applies a purge sweep: the aggregate good-side cost is distributed
-    /// to shards proportional to their live population (exact fixed-point
-    /// quanta, remainder to the root), the adversary's retention cost goes
-    /// to the root.
+    /// Applies a purge sweep: the aggregate good-side cost and the
+    /// adversary's retention cost are both root-owned (see the module doc).
     pub fn apply_purge(&mut self, report: &PurgeReport) {
-        self.distribute_good(Purpose::Purge, report.good_cost, report.good_charged);
+        self.totals.ledger.charge_good(Purpose::Purge, report.good_cost);
         self.totals.ledger.charge_adversary(Purpose::Purge, report.adv_cost);
     }
 
-    /// Applies a periodic charge, distributed like a purge sweep.
+    /// Applies a periodic charge, root-owned like a purge sweep.
     pub fn apply_periodic(&mut self, report: &PeriodicReport, adv_cost: Cost) {
-        self.distribute_good(Purpose::Periodic, report.good_cost, report.good_charged);
+        self.totals.ledger.charge_good(Purpose::Periodic, report.good_cost);
         self.totals.ledger.charge_adversary(Purpose::Periodic, adv_cost);
-    }
-
-    /// Splits an aggregate sweep charge over `charged` payers into
-    /// per-shard messages: shard `s` is charged `⌊total/charged⌋ × live_s`
-    /// and the root absorbs the exact remainder (initial residents plus
-    /// division slack), so the parts re-sum to `total` exactly.
-    fn distribute_good(&mut self, purpose: Purpose, total: Cost, charged: u64) {
-        let total = FixedCost::from_cost(total);
-        let session_live: u64 = self.shards.iter().map(|s| s.live).sum();
-        if charged == 0 || session_live == 0 || total.is_zero() {
-            self.totals.ledger.charge_good_fixed(purpose, total);
-            return;
-        }
-        // Session members are a subset of the defense's charged
-        // population (which also holds initial residents); the max() guard
-        // keeps the split total-preserving even against a defense that
-        // under-reports.
-        debug_assert!(session_live <= charged, "live {session_live} > charged {charged}");
-        let per = total.div_u64(charged.max(session_live));
-        let mut remainder = total;
-        for shard in &mut self.shards {
-            let share = per.mul_u64(shard.live);
-            shard.delta.ledger.charge_good_fixed(purpose, share);
-            remainder -= share;
-        }
-        self.totals.ledger.charge_good_fixed(purpose, remainder);
     }
 
     /// Notes one processed simulation event; every [`EPOCH_EVENTS`]-th
@@ -371,6 +340,7 @@ pub struct SealedState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::FixedCost;
 
     #[test]
     fn fixed_point_is_exact_on_dyadic_values() {
@@ -429,12 +399,8 @@ mod tests {
                 adv_cost: Cost(89.01),
                 bad_removed: 4,
                 skipped: false,
-                good_charged: 3000,
             });
-            st.apply_periodic(
-                &PeriodicReport { good_cost: Cost(0.1), bad_dropped: 0, good_charged: 2500 },
-                Cost(2.5),
-            );
+            st.apply_periodic(&PeriodicReport { good_cost: Cost(0.1), bad_dropped: 0 }, Cost(2.5));
             let good = st.good_total();
             let adv = st.adversary_total();
             let sealed = st.finalize();
@@ -471,23 +437,22 @@ mod tests {
 
     #[test]
     fn sweep_distribution_preserves_the_total_exactly() {
-        let mut st = ShardedDefenseState::new(1000, 7);
-        for i in 0..600 {
-            st.record_good_join(i, true, Cost::ZERO);
-        }
-        // 600 live session members of 1000 charged (400 initial residents).
-        let total = Cost(777.125);
-        st.apply_purge(&PurgeReport {
-            good_cost: total,
-            adv_cost: Cost::ZERO,
-            bad_removed: 0,
-            skipped: false,
-            good_charged: 1000,
-        });
-        assert_eq!(st.good_total(), total);
-        // All shards got a non-zero share.
-        for shard in &st.shards {
-            assert!(shard.delta.ledger.good[1] > FixedCost::ZERO);
+        for shards in [7, 1] {
+            for total in [Cost(777.125), Cost(1234.567)] {
+                let mut st = ShardedDefenseState::new(1000, shards);
+                for i in 0..600 {
+                    st.record_good_join(i, true, Cost::ZERO);
+                }
+                st.apply_purge(&PurgeReport {
+                    good_cost: total,
+                    adv_cost: Cost::ZERO,
+                    bad_removed: 0,
+                    skipped: false,
+                });
+                // Both are multiples of 2⁻⁶⁴, so the one rounding is exact.
+                assert_eq!(st.good_total(), total, "S={shards}");
+                assert_eq!(st.finalize().ledger.good_purge(), total, "S={shards}");
+            }
         }
     }
 

@@ -49,7 +49,7 @@ impl Defense for UnitCostDefense {
     }
 
     fn bad_join_batch(&mut self, _now: Time, budget: Cost, max_attempts: u64) -> BatchAdmission {
-        let affordable = budget.value().floor() as u64;
+        let affordable = budget.value() as u64;
         let n = affordable.min(max_attempts);
         self.n_bad += n;
         BatchAdmission {
@@ -78,7 +78,6 @@ impl Defense for UnitCostDefense {
             adv_cost: Cost(self.n_bad as f64),
             bad_removed: removed,
             skipped: false,
-            good_charged: self.n_good,
         }
     }
 
@@ -91,7 +90,7 @@ impl Defense for UnitCostDefense {
     }
 
     fn periodic_apply(&mut self, _now: Time, _bad_retained: u64) -> PeriodicReport {
-        PeriodicReport { good_cost: Cost::ZERO, bad_dropped: 0, good_charged: 0 }
+        PeriodicReport { good_cost: Cost::ZERO, bad_dropped: 0 }
     }
 
     fn n_members(&self) -> u64 {

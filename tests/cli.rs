@@ -45,15 +45,32 @@ fn a_run_holds_the_invariant_and_is_a_function_of_its_seed() {
     assert_ne!(report, run("8"), "a different seed changes the workload");
 }
 
-/// At the parent this printed `adversary spend rate: -2746656650997595.00/s`
-/// from a release build. (A debug build stops earlier, on REMP's own
-/// membership counter: its `+=` is overflow-checked there.)
+/// A run whose spend or membership leaves its range dies on a checked sum
+/// in either profile: non-zero exit, no report (so no negative spend
+/// rate: before the ledger's sums were checked a release build printed
+/// `adversary spend rate: -2746656650997595.00/s`), and a message that
+/// says `overflow`.
+fn overflow_message(defense: &str) -> String {
+    let out = ergo_sim(&["--t", "1e20", "--defense", defense, "--horizon", "2000"]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!out.status.success(), "{defense}: {stderr}");
+    assert!(out.stdout.is_empty(), "{defense}: no report, so no negative spend rate");
+    assert!(stderr.contains("overflow"), "{defense}: {stderr}");
+    stderr
+}
+
+/// REMP's membership passes 2⁶⁴ before its spend passes 2⁶³ units, so it
+/// is the defense's own checked counter that stops this one.
 #[test]
 fn a_spend_beyond_the_ledger_range_is_an_overflow_not_a_negative_rate() {
-    let out = ergo_sim(&["--t", "1e20", "--defense", "remp", "--horizon", "2000"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success());
-    assert!(out.stdout.is_empty(), "no report, so no negative spend rate");
-    let message = if cfg!(debug_assertions) { "overflow" } else { "ledger overflow: " };
-    assert!(stderr.contains(message), "{stderr}");
+    overflow_message("remp");
+}
+
+/// SybilControl's spend passes 2⁶³ units first: this is the ledger's own
+/// panic, end to end — `FixedCost::from_cost` kept its range and the sums
+/// are checked in release as in debug.
+#[test]
+fn a_spend_that_passes_the_ledger_range_first_is_a_ledger_overflow() {
+    let stderr = overflow_message("sybilcontrol");
+    assert!(stderr.contains("ledger overflow: 9000000000000000000 + "), "{stderr}");
 }
