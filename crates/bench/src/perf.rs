@@ -10,7 +10,7 @@
 //!   of 5 000, and [`QUEUE_DEPTHS`]' probes at 10², 10⁴ and 10⁶, which
 //!   `bench_compare` holds flat. The same JSON section carries
 //!   `ledger_charge`, the ledger's half of a purge round trip
-//!   ([`run_ledger_bench`]), and `sha256_64b`, the machine-speed
+//!   (`run_ledger_bench`), and `sha256_64b`, the machine-speed
 //!   calibration: not code under test, and for that reason the only entry
 //!   `bench_compare` scales floors by.
 //! * **Macro scenarios** — full [`Simulation`] runs through the same
