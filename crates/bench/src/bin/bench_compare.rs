@@ -3,9 +3,10 @@
 //! Compares a freshly generated `BENCH_engine.json` against the committed
 //! baseline and fails (exit 1) when any scenario present in both
 //! regresses by more than the tolerance in events/sec, when a baseline
-//! scenario disappears, or when a shared scenario's behavior fingerprint
-//! drifts (fingerprints are seed-pinned counters, so drift means the
-//! simulation's *behavior* changed, not just its speed).
+//! scenario, gate scenario or `"queue"` entry disappears, or when a shared
+//! scenario's behavior fingerprint drifts (fingerprints are seed-pinned
+//! counters, so drift means the simulation's *behavior* changed, not just
+//! its speed).
 //!
 //! ```text
 //! Usage: bench_compare BASELINE.json FRESH.json [--tolerance 0.25]
@@ -21,30 +22,29 @@
 //!   fresh/baseline ratio before the tolerance applies. The ratio is
 //!   never read from the `queue_*` entries beside it: they are code under
 //!   test, and a queue that got 2.3× faster would fail every scenario it
-//!   had sped up by less. A report without the entry is compared at ratio
-//!   1.0. Two of those entries, `queue_calendar` and `ledger_charge`, are
-//!   held to the same scaled floor as a scenario (`micro_failures`). The
-//!   calibration is itself code, `sybil_crypto::Sha256`, so the rule is: a
-//!   change to `Sha256` regenerates both committed reports in the same
-//!   change. Compared against a report made with the old hasher, a faster
-//!   one reads as a faster machine and raises every floor by its speed-up.
+//!   had sped up by less. The ratio is 1.0 unless both reports carry the
+//!   entry (a fresh report that lost it fails: `micro_failures`). Two of
+//!   the entries, `queue_calendar` and `ledger_charge`, are held to the
+//!   same scaled floor as a scenario. The calibration is itself code,
+//!   `sybil_crypto::Sha256`, so the rule is: a change to `Sha256`
+//!   regenerates the committed report in the same change. Compared against
+//!   a report made with the old hasher, a faster one reads as a faster
+//!   machine and raises every floor by its speed-up.
 //! * **libm rounding.** The spend fields of a fingerprint are f64 sums
 //!   whose `ln`/`powf` inputs are not correctly rounded and may differ by
 //!   ulps across libm versions; they are compared with a 1e-9 relative
 //!   tolerance. The integer counters are compared exactly.
 //!
-//! Reports may also (or only) carry a `"gate"` section — the admission
-//! service baseline `gate_bench` writes to `BENCH_gate.json`. Gate
-//! scenarios are gated on two axes: the `decision_fingerprint` (a SHA-256
-//! over the service's wall-clock-free decision log) must match the
-//! baseline exactly, and `verifications_per_sec` must clear the same
-//! machine-adjusted floor the engine scenarios use. A report whose only
-//! payload is a gate section needs no `"scenarios"` block.
+//! The `"gate"` section holds the admission-service scenarios. They are
+//! gated on two axes: the `decision_fingerprint` (a SHA-256 over the
+//! service's wall-clock-free decision log) must match the baseline
+//! exactly, and `verifications_per_sec` must clear the same
+//! machine-adjusted floor the engine scenarios use.
 //!
-//! Reports are read through `sybil_exp::json` (the codec `bench_report`
-//! and `gate_bench` write them with). Every lookup is by nesting level,
-//! and added per-scenario keys are ignored, so the baseline may predate
-//! fields the fresh report has.
+//! Reports are read through `sybil_exp::json` (the codec `perf::to_json`
+//! writes them with). Every lookup is by nesting level, and added
+//! per-scenario keys are ignored, so the baseline may predate fields the
+//! fresh report has.
 
 use std::process::ExitCode;
 use sybil_exp::json::Value;
@@ -105,15 +105,12 @@ fn section<'a>(root: &'a Value, key: &str) -> &'a [(String, Value)] {
     root.get(key).map_or(&[], Value::members)
 }
 
-/// Parses the `"scenarios"` section of a `BENCH_engine.json`. A report
-/// carrying only a `"gate"` section (`BENCH_gate.json`) legitimately has
-/// no scenarios; anything else without them is malformed.
+/// Parses the `"scenarios"` section of a `BENCH_engine.json`; a report
+/// without one is malformed.
 fn parse_scenarios(root: &Value) -> Result<Vec<Scenario>, String> {
-    if root.get("scenarios").is_none() && root.get("gate").is_none() {
-        return Err("no \"scenarios\" section".to_string());
-    }
+    let scenarios = root.get("scenarios").ok_or("no \"scenarios\" section")?;
     let mut out = Vec::new();
-    for (name, body) in section(root, "scenarios") {
+    for (name, body) in scenarios.members() {
         let fp = body.get("fingerprint").ok_or_else(|| format!("{name}: no fingerprint"))?;
         let fp_field = |key: &str| fp.num(key).map_err(|e| format!("{name}: fingerprint: {e}"));
         out.push(Scenario {
@@ -132,7 +129,7 @@ fn parse_scenarios(root: &Value) -> Result<Vec<Scenario>, String> {
     Ok(out)
 }
 
-/// One admission-gate scenario's comparable slice of a `BENCH_gate.json`.
+/// One admission-gate scenario's comparable slice of the report.
 #[derive(Clone, Debug, PartialEq)]
 struct GateScenario {
     name: String,
@@ -143,7 +140,8 @@ struct GateScenario {
     decision_fingerprint: String,
 }
 
-/// Parses the optional `"gate"` section into gate scenarios.
+/// Parses the `"gate"` section into gate scenarios (none when a baseline
+/// predates the section).
 fn parse_gate(root: &Value) -> Result<Vec<GateScenario>, String> {
     let mut out = Vec::new();
     for (name, body) in section(root, "gate") {
@@ -186,6 +184,7 @@ fn compare_gate(
         }
         failures.extend(floor_failure(
             format_args!("gate scenario {:?}", base.name),
+            &base.name,
             "verifications/s",
             (base.verifications_per_sec, now.verifications_per_sec),
             tolerance,
@@ -196,14 +195,20 @@ fn compare_gate(
 }
 
 /// The one throughput floor every gated number is held to: the baseline,
-/// rescaled to the fresh machine, less the tolerance.
+/// rescaled to the fresh machine, less the tolerance. Prints the pair as
+/// `name`'s line of the comparison table.
 fn floor_failure(
     what: std::fmt::Arguments<'_>,
+    name: &str,
     unit: &str,
     (base, now): (f64, f64),
     tolerance: f64,
     speed_ratio: f64,
 ) -> Option<String> {
+    println!(
+        "  {name:<28} baseline {base:>14.0} {unit:<15} fresh {now:>14.0} {unit:<15} ({:+.1}%)",
+        100.0 * (now / base - 1.0)
+    );
     let expected = base * speed_ratio;
     (now < expected * (1.0 - tolerance)).then(|| {
         format!(
@@ -245,8 +250,9 @@ fn read_report(root: &Value) -> Result<Report, String> {
 }
 
 /// The fresh/baseline machine-speed ratio: that of the `sha256_64b`
-/// calibration entries, 1.0 unless both reports carry one. The `queue_*`
-/// entries are code under test and never enter it.
+/// calibration entries, 1.0 unless both reports carry one (a fresh report
+/// that lost it fails in [`micro_failures`]). The `queue_*` entries are
+/// code under test and never enter it.
 fn speed_ratio(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> f64 {
     let sha256 = |queue: &[(String, f64)]| {
         queue.iter().find(|(name, ops)| name == "sha256_64b" && *ops > 0.0).map(|(_, ops)| *ops)
@@ -262,8 +268,8 @@ fn speed_ratio(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> f64 {
 const MAX_DEPTH_COST_RATIO: f64 = 2.0;
 
 /// Holds the queue flat in depth (ROADMAP 4(a)): within the fresh report
-/// alone, so no machine scaling applies. Reports without the depth
-/// probes (gate reports) are not gated.
+/// alone, so no machine scaling applies. A fresh report that lost a probe
+/// the baseline has fails in [`micro_failures`] instead.
 fn depth_failures(fresh: &[(String, f64)]) -> Vec<String> {
     let ops = |name: &str| fresh.iter().find(|(n, _)| n == name).map(|(_, ops)| *ops);
     let [(shallowest, _), .., (deepest, _)] = sybil_bench::perf::QUEUE_DEPTHS;
@@ -287,9 +293,10 @@ fn depth_failures(fresh: &[(String, f64)]) -> Vec<String> {
 /// own, scaled as a scenario's is. They are never the scale.
 const FLOORED_MICROS: [&str; 2] = ["queue_calendar", "ledger_charge"];
 
-/// Holds each of [`FLOORED_MICROS`] present in both reports to the
-/// machine-adjusted floor. A baseline that predates an entry does not
-/// gate it.
+/// Fails each baseline `"queue"` entry the fresh report lost (a renamed or
+/// dropped probe would take its gate with it) and holds [`FLOORED_MICROS`]
+/// to the machine-adjusted floor. A baseline that predates an entry does
+/// not gate it.
 fn micro_failures(
     baseline: &[(String, f64)],
     fresh: &[(String, f64)],
@@ -297,17 +304,19 @@ fn micro_failures(
     speed_ratio: f64,
 ) -> Vec<String> {
     let mut failures = Vec::new();
-    for name in FLOORED_MICROS {
-        let ops = |queue: &[(String, f64)]| queue.iter().find(|(n, _)| n == name).map(|(_, o)| *o);
-        let (Some(base), Some(now)) = (ops(baseline), ops(fresh)) else { continue };
-        println!(
-            "  {name:<28} baseline {base:>14.0} op/s   fresh {now:>14.0} op/s   ({:+.1}%)",
-            100.0 * (now / base - 1.0)
-        );
+    for (name, base) in baseline {
+        let Some(&(_, now)) = fresh.iter().find(|(n, _)| n == name) else {
+            failures.push(format!("queue entry {name:?} disappeared from the fresh report"));
+            continue;
+        };
+        if !FLOORED_MICROS.contains(&name.as_str()) {
+            continue;
+        }
         failures.extend(floor_failure(
             format_args!("{name}"),
+            name,
             "ops/s",
-            (base, now),
+            (*base, now),
             tolerance,
             speed_ratio,
         ));
@@ -339,6 +348,7 @@ fn compare(
         }
         failures.extend(floor_failure(
             format_args!("scenario {:?}", base.name),
+            &base.name,
             "events/s",
             (base.events_per_sec, now.events_per_sec),
             tolerance,
@@ -444,34 +454,10 @@ fn main() -> ExitCode {
         baseline.len(),
         paths[1]
     );
-    for base in &baseline {
-        if let Some(now) = fresh.iter().find(|s| s.name == base.name) {
-            println!(
-                "  {:<28} baseline {:>14.0} ev/s   fresh {:>14.0} ev/s   ({:+.1}%)",
-                base.name,
-                base.events_per_sec,
-                now.events_per_sec,
-                100.0 * (now.events_per_sec / base.events_per_sec - 1.0),
-            );
-        }
-    }
-    for s in &fresh {
-        if !baseline.iter().any(|b| b.name == s.name) {
-            println!("  {:<28} new scenario (no baseline), {:.0} ev/s", s.name, s.events_per_sec);
-        }
-    }
-    for base in &base_gate {
-        if let Some(now) = fresh_gate.iter().find(|s| s.name == base.name) {
-            println!(
-                "  {:<28} baseline {:>14.0} vf/s   fresh {:>14.0} vf/s   ({:+.1}%)",
-                base.name,
-                base.verifications_per_sec,
-                now.verifications_per_sec,
-                100.0 * (now.verifications_per_sec / base.verifications_per_sec - 1.0),
-            );
-        }
-    }
     let mut failures = compare(&baseline, &fresh, tolerance, ratio);
+    for s in fresh.iter().filter(|s| !baseline.iter().any(|b| b.name == s.name)) {
+        println!("  {:<28} new scenario (no baseline), {:.0} events/s", s.name, s.events_per_sec);
+    }
     failures.extend(compare_gate(&base_gate, &fresh_gate, tolerance, ratio));
     failures.extend(micro_failures(&base_queue, &fresh_queue, tolerance, ratio));
     failures.extend(depth_failures(&fresh_queue));
@@ -485,7 +471,7 @@ fn main() -> ExitCode {
     } else {
         println!(
             "alloc gates skipped: fresh report was not produced by a counting build \
-             (run bench_report with --features alloc-count to measure)"
+             (run the bench_report target with --features alloc-count to measure)"
         );
     }
     failures.extend(alloc_failures(&baseline, &fresh, base_counting, fresh_counting));
@@ -574,7 +560,9 @@ mod tests {
 
     #[test]
     fn parses_the_real_report_shape() {
-        use sybil_bench::perf::{Fingerprint, PerfReport, QueueBenchResult, ScenarioResult};
+        use sybil_bench::perf::{
+            Fingerprint, GateResult, PerfReport, QueueBenchResult, ScenarioResult,
+        };
         let report = PerfReport {
             queue: vec![QueueBenchResult {
                 name: "queue_calendar".into(),
@@ -600,6 +588,13 @@ mod tests {
                     adv_spend: 6.0,
                 },
             }],
+            gate: vec![GateResult {
+                name: "gate_honest".into(),
+                pow_verifications: 300,
+                pow_handle_secs: 0.5,
+                decision_fingerprint: "abc123".into(),
+                ..GateResult::default()
+            }],
         };
         let json = sybil_exp::json::parse(sybil_bench::perf::to_json(&report).as_bytes()).unwrap();
         let parsed = parse_scenarios(&json).unwrap();
@@ -610,6 +605,12 @@ mod tests {
         assert_eq!(parsed[0].fingerprint.good_spend, 4.5);
         assert_eq!(parsed[0].allocs_per_event, Some(0.007));
         assert_eq!(parse_queue(&json), vec![("queue_calendar".to_string(), 100.0)]);
+        let gate = GateScenario {
+            name: "gate_honest".into(),
+            verifications_per_sec: 600.0,
+            decision_fingerprint: "abc123".into(),
+        };
+        assert_eq!(parse_gate(&json), Ok(vec![gate]));
         // The self-describing counting flag round-trips too (this test
         // binary has no registered counting allocator, so it is false).
         assert!(!read_report(&json).unwrap().counting);
@@ -695,10 +696,30 @@ mod tests {
         assert!(failures[0].starts_with("ledger_charge: "), "{}", failures[0]);
         // On a machine at half speed, half the throughput is expected.
         assert!(micro_failures(&base, &queue(23e6, 115e6, 0.7e6), 0.25, 0.5).is_empty());
-        // A baseline from before the probe existed does not gate it, and
-        // the depth probes are gated within a report, not across.
-        let old = vec![("queue_depth_1e2".to_string(), 75e6), ("sha256_64b".to_string(), 1.4e6)];
+        // A baseline from before the probes existed does not gate them.
+        let old = vec![("sha256_64b".to_string(), 1.4e6)];
         assert!(micro_failures(&old, &queue(1.0, 1.0, 1.4e6), 0.25, 1.0).is_empty());
+    }
+
+    /// A probe the baseline has and the fresh report lost fails, so a PR
+    /// that renames or drops one cannot take its gate with it: the
+    /// ledger's floor, the depth gate and the speed ratio.
+    #[test]
+    fn a_queue_entry_missing_from_the_fresh_report_fails() {
+        let names = ["queue_calendar", "queue_depth_1e2", "queue_depth_1e6", "ledger_charge"];
+        let base: Vec<(String, f64)> = names
+            .iter()
+            .map(|n| (n.to_string(), 50e6))
+            .chain([("sha256_64b".to_string(), 2e6)])
+            .collect();
+        assert!(micro_failures(&base, &base, 0.25, 1.0).is_empty());
+        for lost in ["ledger_charge", "queue_depth_1e6", "sha256_64b"] {
+            let fresh: Vec<_> = base.iter().filter(|(n, _)| n != lost).cloned().collect();
+            let failures = micro_failures(&base, &fresh, 0.25, speed_ratio(&base, &fresh));
+            assert_eq!(failures.len(), 1, "{lost}: {failures:?}");
+            let want = format!("queue entry {lost:?} disappeared from the fresh report");
+            assert_eq!(failures[0], want);
+        }
     }
 
     #[test]
@@ -716,8 +737,6 @@ mod tests {
         let failures = depth_failures(&queue(80e6, 39e6));
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("no longer flat in depth"), "{}", failures[0]);
-        // A gate report carries no depth probes and is not gated.
-        assert!(depth_failures(&[("sha256_64b".to_string(), 3e6)]).is_empty());
     }
 
     #[test]
@@ -729,39 +748,27 @@ mod tests {
         assert!(failures[0].contains("fingerprint"), "{}", failures[0]);
     }
 
-    /// A gate-only report, built with the report writer.
+    /// A report with a one-scenario gate section and nothing else.
     fn gate_report(vps: f64, fingerprint: &str) -> Value {
-        let calibration = Value::obj([
-            ("ops", 1u64.into()),
-            ("wall_secs", 1u64.into()),
-            ("ops_per_sec", 3_000_000u64.into()),
-        ]);
         let honest = Value::obj([
             ("connections", 110_000u64.into()),
             ("verifications_per_sec", vps.into()),
             ("latency_p99_ns", 840u64.into()),
             ("decision_fingerprint", fingerprint.into()),
         ]);
-        Value::obj([
-            ("generated_unix_secs", 1u64.into()),
-            ("available_parallelism", 4u64.into()),
-            ("queue", Value::obj([("sha256_64b", calibration)])),
-            ("gate", Value::obj([("gate_honest", honest)])),
-        ])
+        Value::obj([("gate", Value::obj([("gate_honest", honest)]))])
     }
 
     #[test]
-    fn gate_only_reports_parse_without_a_scenarios_section() {
+    fn a_gate_section_does_not_stand_in_for_scenarios() {
         let json = gate_report(50000.0, "abc123");
-        assert_eq!(parse_scenarios(&json).unwrap(), Vec::new());
         let gate = parse_gate(&json).unwrap();
         assert_eq!(gate.len(), 1);
         assert_eq!(gate[0].name, "gate_honest");
         assert_eq!(gate[0].verifications_per_sec, 50000.0);
         assert_eq!(gate[0].decision_fingerprint, "abc123");
-        // The calibration entry feeds the shared speed-ratio machinery.
-        assert_eq!(parse_queue(&json), vec![("sha256_64b".to_string(), 3000000.0)]);
-        // But an engine report with neither section is still malformed.
+        // There is one report shape: without scenarios it is malformed.
+        assert_eq!(parse_scenarios(&json), Err("no \"scenarios\" section".to_string()));
         let queue_only = Value::obj([("queue", Value::obj::<&str>([]))]);
         assert!(parse_scenarios(&queue_only).is_err());
     }

@@ -1,8 +1,6 @@
-//! The engine performance baseline: a fixed micro/macro suite whose results
-//! are written to `BENCH_engine.json` so every subsequent PR has a
-//! trajectory to beat.
-//!
-//! Two layers:
+//! The performance baseline: a fixed suite whose results the
+//! `bench_report` bench target writes to `BENCH_engine.json`, the one
+//! committed report, so every subsequent PR has a trajectory to beat.
 //!
 //! * **Queue micro-benches** — raw [`EventQueue`] push/pop throughput
 //!   under an engine-like access pattern (time advances monotonically,
@@ -13,16 +11,19 @@
 //!   (`run_ledger_bench`), and `sha256_64b`, the machine-speed
 //!   calibration and the only entry `bench_compare` scales floors by. It
 //!   runs `sybil_crypto::Sha256` alone, so the rule is: a change to
-//!   `Sha256` regenerates this report and `BENCH_gate.json` in the same
-//!   change, or every floor moves by the hasher's own speed-up.
+//!   `Sha256` regenerates this report in the same change, or every floor
+//!   moves by the hasher's own speed-up.
 //! * **Macro scenarios** — full [`Simulation`] runs through the same
 //!   [`crate::sweep::run_report`] path the figure sweeps use, measured in
 //!   engine events per wall second. `macro_sweep` is the headline number: a
 //!   miniature Figure-8-style sweep cell grid.
+//! * **Gate scenarios** — [`GateResult`]s, which the bench target fills
+//!   by replaying churn through the admission gate (the one place this
+//!   crate uses `sybil-gate`).
 //!
-//! Every scenario is deterministic (fixed seeds); the JSON also records the
-//! run's counter fingerprint so regressions in *behavior* (not just speed)
-//! are visible in the artifact diff.
+//! Every scenario is deterministic (fixed seeds); the JSON also records
+//! each run's counter or decision-log fingerprint so regressions in
+//! *behavior* (not just speed) are visible in the artifact diff.
 
 use crate::sweep::{run_report_measured, run_report_with_measured, Algo, LoopAllocs, RunParams};
 use std::time::Instant;
@@ -105,6 +106,49 @@ impl QueueBenchResult {
     }
 }
 
+/// One admission-gate replay, in plain numbers (no `sybil-gate` types).
+#[derive(Clone, Debug, Default)]
+pub struct GateResult {
+    /// Scenario name (`gate_honest`, `gate_adversarial`; the JSON key).
+    pub name: String,
+    /// Connections opened (joins, adversarial probes, departures).
+    pub connections: u64,
+    /// Provisional identities issued (phase one passed).
+    pub granted: u64,
+    /// Identities fully admitted (phase two passed).
+    pub admitted: u64,
+    /// Joins dropped for a bad PoW solution.
+    pub rejected_pow: u64,
+    /// Mining submissions whose digest missed the difficulty.
+    pub refused_mine: u64,
+    /// Voluntary departures recorded.
+    pub departed: u64,
+    /// PoW verifications the server performed.
+    pub pow_verifications: u64,
+    /// Memory-hard digests the server computed.
+    pub mem_verifications: u64,
+    /// PoW hash attempts paid by honest clients.
+    pub client_pow_work: u64,
+    /// Memory-hard salts tried by honest clients.
+    pub mine_attempts: u64,
+    /// Wall-clock seconds the server spent inside `Join` handling.
+    pub pow_handle_secs: f64,
+    /// Wall-clock seconds of the whole replay.
+    pub wall_secs: f64,
+    /// Admission-decision latency p50, p99, p99.9 and max, in nanoseconds.
+    pub latency_ns: [u64; 4],
+    /// Hex SHA-256 of the decision log.
+    pub decision_fingerprint: String,
+}
+
+impl GateResult {
+    /// PoW verifications per second of `Join` handling: not finite, and so
+    /// written as `null`, when no time was spent there.
+    pub fn verifications_per_sec(&self) -> f64 {
+        self.pow_verifications as f64 / self.pow_handle_secs
+    }
+}
+
 /// The full suite result.
 #[derive(Clone, Debug)]
 pub struct PerfReport {
@@ -112,6 +156,8 @@ pub struct PerfReport {
     pub queue: Vec<QueueBenchResult>,
     /// Macro scenario results.
     pub scenarios: Vec<ScenarioResult>,
+    /// Admission-gate scenario results (empty from [`run_suite`]).
+    pub gate: Vec<GateResult>,
 }
 
 /// The macro scenario grid. `macro_sweep` (the acceptance headline)
@@ -473,7 +519,7 @@ pub fn run_suite() -> PerfReport {
     // baseline.
     scenarios.push(run_streamed("macro_millions", 1_000_000, 500.0));
     scenarios.push(run_streamed("macro_scale", 10_000_000, 300.0));
-    PerfReport { queue, scenarios }
+    PerfReport { queue, scenarios, gate: Vec::new() }
 }
 
 /// Serializes the report as pretty-printed JSON through [`sybil_exp::json`].
@@ -515,6 +561,29 @@ pub fn to_json(report: &PerfReport) -> String {
         ]);
         (s.name.clone(), body)
     });
+    let gate = report.gate.iter().map(|g| {
+        let [p50, p99, p999, max] = g.latency_ns;
+        let body = Value::obj([
+            ("connections", g.connections.into()),
+            ("granted", g.granted.into()),
+            ("admitted", g.admitted.into()),
+            ("rejected_pow", g.rejected_pow.into()),
+            ("refused_mine", g.refused_mine.into()),
+            ("departed", g.departed.into()),
+            ("pow_verifications", g.pow_verifications.into()),
+            ("mem_verifications", g.mem_verifications.into()),
+            ("client_pow_work", g.client_pow_work.into()),
+            ("mine_attempts", g.mine_attempts.into()),
+            ("verifications_per_sec", g.verifications_per_sec().into()),
+            ("wall_secs", g.wall_secs.into()),
+            ("latency_p50_ns", p50.into()),
+            ("latency_p99_ns", p99.into()),
+            ("latency_p999_ns", p999.into()),
+            ("latency_max_ns", max.into()),
+            ("decision_fingerprint", g.decision_fingerprint.as_str().into()),
+        ]);
+        (g.name.clone(), body)
+    });
     Value::obj([
         ("generated_unix_secs", unix_secs.into()),
         // Provenance only (no gate reads it): the cores of the machine
@@ -531,6 +600,7 @@ pub fn to_json(report: &PerfReport) -> String {
         ("alloc_mode", alloc_mode_label().into()),
         ("queue", Value::obj(queue)),
         ("scenarios", Value::obj(scenarios)),
+        ("gate", Value::obj(gate)),
     ])
     .to_pretty()
 }
@@ -572,6 +642,14 @@ pub fn render(report: &PerfReport) -> String {
         out.push_str(&format!("  {} {:.1}", q.name, 2e9 / q.ops_per_sec));
     }
     out.push('\n');
+    for g in &report.gate {
+        let (name, vps, p99) = (&g.name, g.verifications_per_sec(), g.latency_ns[1]);
+        let (conns, admitted, rejected) = (g.connections, g.admitted, g.rejected_pow);
+        out.push_str(&format!(
+            "{name:<28} {conns} conns, {admitted} admitted, {rejected} rejected, \
+             {vps:.0} verifications/s, p99 {p99} ns\n"
+        ));
+    }
     out
 }
 
@@ -619,10 +697,11 @@ mod tests {
                     adv_spend: 1e-5,
                 },
             }],
+            gate: Vec::new(),
         };
         let root = parse(to_json(&report).as_bytes()).unwrap();
         let keys: Vec<&str> = root.members().iter().map(|(k, _)| k.as_str()).collect();
-        let sections = ["alloc_counting", "alloc_mode", "queue", "scenarios"];
+        let sections = ["alloc_counting", "alloc_mode", "queue", "scenarios", "gate"];
         assert_eq!(keys[..2], ["generated_unix_secs", "available_parallelism"]);
         assert_eq!(keys[2..], sections);
         assert!(root.num("generated_unix_secs").unwrap() > 0.0);
@@ -654,6 +733,56 @@ mod tests {
         let root = parse(json.as_bytes()).unwrap();
         let err = root.get("scenarios").unwrap().get("s").unwrap().num("events_per_sec");
         assert!(err.unwrap_err().contains("non-finite"));
+    }
+
+    /// Every field of the gate section reads back through the `exp::json`
+    /// reader at its nesting level, with its value.
+    #[test]
+    fn gate_json_round_trips_field_for_field() {
+        use sybil_exp::json::{parse, Value};
+        let serial = GateResult {
+            name: "gate_honest".into(),
+            connections: 9,
+            granted: 6,
+            admitted: 5,
+            rejected_pow: 4,
+            refused_mine: 3,
+            departed: 2,
+            pow_verifications: 8,
+            mem_verifications: 7,
+            client_pow_work: 70,
+            mine_attempts: 30,
+            pow_handle_secs: 0.5,
+            wall_secs: 2.5,
+            latency_ns: [20, 40, 40, 40],
+            decision_fingerprint: "abc123".into(),
+        };
+        // No handle time at all: the rate is 0/0, written as null.
+        let idle = GateResult { name: "gate_idle".into(), ..GateResult::default() };
+        let calibration = QueueBenchResult::new("sha256_64b", 1000, 0.25);
+        let report = PerfReport {
+            queue: vec![calibration],
+            scenarios: Vec::new(),
+            gate: vec![serial, idle],
+        };
+        let root = parse(to_json(&report).as_bytes()).unwrap();
+        let calibration = root.get("queue").unwrap().get("sha256_64b").unwrap();
+        assert_eq!(calibration.num("ops_per_sec"), Ok(4000.0));
+
+        // The measured scenario, member for member and in order.
+        let gate = root.get("gate").unwrap();
+        assert_eq!(gate.members().len(), 2);
+        let want = br#"{"connections": 9, "granted": 6, "admitted": 5, "rejected_pow": 4,
+            "refused_mine": 3, "departed": 2, "pow_verifications": 8, "mem_verifications": 7,
+            "client_pow_work": 70, "mine_attempts": 30, "verifications_per_sec": 16,
+            "wall_secs": 2.5, "latency_p50_ns": 20, "latency_p99_ns": 40,
+            "latency_p999_ns": 40, "latency_max_ns": 40, "decision_fingerprint": "abc123"}"#;
+        assert_eq!(gate.get("gate_honest"), Some(&parse(want).unwrap()));
+
+        let idle = gate.get("gate_idle").unwrap();
+        assert_eq!(idle.get("decision_fingerprint").and_then(Value::as_str), Some(""));
+        assert_eq!(idle.get("verifications_per_sec"), Some(&Value::Null));
+        assert!(idle.num("verifications_per_sec").unwrap_err().contains("non-finite"));
     }
 
     #[test]

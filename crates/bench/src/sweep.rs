@@ -204,18 +204,14 @@ pub fn run_report_with_measured<W: WorkloadSource>(
         fn visit<D: Defense + 'static>(self, defense: D) -> SimReport {
             let stats: Cell<Option<AllocStats>> = Cell::new(None);
             let measured = self.measured;
+            let trap = alloc_trap();
             let (report, _defense) =
                 Simulation::new(self.cfg, defense, BudgetJoiner::new(self.t), self.source)
                     .run_spanned(
                         || {
                             stats.set(Some(AllocStats::begin()));
-                            // Attribution aid: SYBIL_BENCH_ALLOC_TRAP=N
-                            // aborts with a backtrace at the N-th in-span
-                            // allocation (see sybil_exp::alloc::trap_after).
-                            if let Ok(n) = std::env::var("SYBIL_BENCH_ALLOC_TRAP") {
-                                if let Ok(n) = n.parse::<u64>() {
-                                    sybil_exp::alloc::trap_after(n);
-                                }
+                            if let Some(n) = trap {
+                                sybil_exp::alloc::trap_after(n as u64 - 1);
                             }
                         },
                         || {
@@ -230,6 +226,22 @@ pub fn run_report_with_measured<W: WorkloadSource>(
     let measured = Cell::new(LoopAllocs::default());
     let report = algo.dispatch(defense_seed, Runner { cfg, t, source, measured: &measured });
     (report, measured.get())
+}
+
+/// Parses `SYBIL_BENCH_ALLOC_TRAP=N`: abort with a backtrace at the `N`-th
+/// allocation inside each measured event loop ([`sybil_exp::alloc::trap_after`]).
+/// `0` or garbage is an error, not a silently disarmed trap.
+fn parse_alloc_trap(raw: Result<String, std::env::VarError>) -> Result<Option<usize>, String> {
+    let why = "the trap counts allocations from 1 (unset the variable to disarm it)";
+    sybil_exp::env::positive_usize("SYBIL_BENCH_ALLOC_TRAP", raw, why)
+}
+
+/// [`parse_alloc_trap`] of the environment, read once per process.
+fn alloc_trap() -> Option<usize> {
+    static TRAP: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    *TRAP.get_or_init(|| {
+        sybil_exp::env::or_abort(parse_alloc_trap(std::env::var("SYBIL_BENCH_ALLOC_TRAP")))
+    })
 }
 
 /// Runs one cell and returns the full simulation report. Workloads come
@@ -409,6 +421,21 @@ mod tests {
         }
         // The cached accessor is stable across calls.
         assert_eq!(fast_mode(), fast_mode());
+    }
+
+    /// `SYBIL_BENCH_ALLOC_TRAP=all` or `=-1` used to disarm the trap
+    /// without a word.
+    #[test]
+    fn alloc_trap_parsing_is_strict() {
+        let parse = |v: &str| parse_alloc_trap(Ok(v.to_string()));
+        assert_eq!(parse("1"), Ok(Some(1)));
+        assert_eq!(parse(" 250 "), Ok(Some(250)));
+        assert_eq!(parse_alloc_trap(Err(std::env::VarError::NotPresent)), Ok(None));
+        for bad in ["0", "all", "-1", "2.5", ""] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("SYBIL_BENCH_ALLOC_TRAP"), "{err}");
+        }
+        assert_eq!(alloc_trap(), alloc_trap());
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl Ergo {
         self.iter_events
     }
 
-    /// Start time of the current iteration (`τ` in Figure 4).
-    pub fn iteration_start(&self) -> Time {
-        self.iter_start
-    }
-
     fn next_stamp(&mut self, now: Time) -> Stamp {
         let s = (now, self.seq);
         self.seq += 1;

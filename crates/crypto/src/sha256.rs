@@ -231,12 +231,11 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
 
 /// Hashes a chain of one million 64-byte messages and returns
 /// `(messages, wall seconds)`: the `sha256_64b` machine-speed calibration
-/// `bench_report` and `gate_bench` publish and `bench_compare` scales its
-/// throughput floors by. It runs [`Sha256`] alone, so it measures the
-/// machine only while `Sha256` stays put. The rule that keeps it so: a
-/// change to `Sha256` regenerates both committed reports
-/// (`BENCH_engine.json`, `BENCH_gate.json`) in the same change, or every
-/// floor moves by the hasher's own speed-up.
+/// `bench_report` publishes and `bench_compare` scales its throughput
+/// floors by. It runs [`Sha256`] alone, so it measures the machine only
+/// while `Sha256` stays put. The rule that keeps it so: a change to
+/// `Sha256` regenerates the committed report (`BENCH_engine.json`) in the
+/// same change, or every floor moves by the hasher's own speed-up.
 pub fn calibrate_64b() -> (u64, f64) {
     let ops: u64 = 1_000_000;
     let mut msg = [0u8; 64];

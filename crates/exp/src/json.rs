@@ -1,5 +1,5 @@
-//! The one JSON codec for the bench reports (`BENCH_engine.json`,
-//! `BENCH_gate.json`): a [`Value`] tree, a **total** reader and a writer.
+//! The one JSON codec for the bench report (`BENCH_engine.json`): a
+//! [`Value`] tree, a **total** reader and a writer.
 //!
 //! * [`parse`] maps *any* byte string to `Ok` or `Err` — never a panic,
 //!   and nesting is bounded by [`MAX_DEPTH`] — because a report is an

@@ -12,8 +12,8 @@
 //! decision log on every run and every machine.
 //!
 //! Wall-clock enters only the *measurements*: the time spent inside each
-//! `Join` and `MineSubmit` request is accumulated and recorded in a
-//! latency histogram, never fed back into decisions.
+//! `Join` and `MineSubmit` request is recorded in a latency histogram (and
+//! summed for `Join`), never fed back into decisions.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -44,8 +44,6 @@ pub struct ReplayConfig {
 pub struct ReplayReport {
     /// Connections opened (joins, adversarial probes, departures).
     pub connections: u64,
-    /// Honest sessions fully admitted.
-    pub admitted: u64,
     /// Join requests that were silently dropped.
     pub join_drops: u64,
     /// Depart requests issued.
@@ -56,17 +54,9 @@ pub struct ReplayReport {
     pub mine_attempts: u64,
     /// Wall-clock seconds the server spent inside `Join` handling.
     pub pow_handle_secs: f64,
-    /// Wall-clock seconds the server spent inside `MineSubmit` handling.
-    pub mine_handle_secs: f64,
     /// Admission-decision latencies (`Join` and `MineSubmit` request
     /// round-trips), in nanoseconds.
     pub hist: LatencyHist,
-}
-
-impl ReplayReport {
-    fn new() -> Self {
-        ReplayReport { hist: LatencyHist::new(), ..Default::default() }
-    }
 }
 
 /// splitmix64: the standard 64-bit finalizer, used for all client-side
@@ -92,7 +82,7 @@ pub fn replay<S: WorkloadSource>(
     cfg: &ReplayConfig,
 ) -> (ShardedGate, ReplayReport) {
     let mut lb = Loopback::new(gate);
-    let mut report = ReplayReport::new();
+    let mut report = ReplayReport::default();
     let mut stream = source.into_stream(cfg.horizon);
 
     let mut next_session = stream.next_session();
@@ -245,7 +235,7 @@ fn depart<G: SharedGate>(
 }
 
 /// Issues one request, recording its round-trip in the latency histogram
-/// and the matching handle-time accumulator.
+/// and, for a `Join` (`is_pow`), in the PoW handle time.
 fn timed_request<G: SharedGate>(
     lb: &mut Loopback<G>,
     report: &mut ReplayReport,
@@ -260,8 +250,6 @@ fn timed_request<G: SharedGate>(
     report.hist.record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
     if is_pow {
         report.pow_handle_secs += elapsed.as_secs_f64();
-    } else {
-        report.mine_handle_secs += elapsed.as_secs_f64();
     }
     reply
 }

@@ -25,9 +25,10 @@
 //!
 //! Every decision is appended to a wall-clock-free log, so any two runs
 //! of the same workload produce byte-identical logs ([`client::replay`]
-//! pins this); the `gate_bench` binary replays churn workloads through
-//! the loopback and reports verification throughput and p50/p99/p999
-//! admission latency.
+//! pins this). `sybil-bench`'s `bench_report` target replays a churn
+//! workload through the loopback and writes verification throughput,
+//! p50/p99/p999 admission latency and the log's fingerprint into the
+//! `gate` section of `BENCH_engine.json`.
 //!
 //! # Modules
 //!

@@ -81,11 +81,6 @@ impl<M> Network<M> {
         id
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.inboxes.len()
-    }
-
     /// The current round number.
     pub fn round(&self) -> u64 {
         self.round

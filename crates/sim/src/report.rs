@@ -109,14 +109,4 @@ impl SimReport {
     pub fn adv_spend_rate(&self) -> f64 {
         self.ledger.adversary_total().value() / self.horizon
     }
-
-    /// Good join rate `J` over the run (admitted IDs per second).
-    pub fn good_join_rate(&self) -> f64 {
-        self.good_joins_admitted as f64 / self.horizon
-    }
-
-    /// True if the `< bound` bad-fraction invariant held throughout.
-    pub fn invariant_held(&self, bound: f64) -> bool {
-        self.max_bad_fraction < bound
-    }
 }

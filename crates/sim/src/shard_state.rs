@@ -152,11 +152,6 @@ impl ShardedDefenseState {
         }
     }
 
-    /// The shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Eagerly allocates every admission segment on every shard slice.
     ///
     /// Called by the engine before the event loop when the workload

@@ -7,8 +7,9 @@
 # Counts every `*.rs` under `crates/`, `src/`, `tests/` and `examples/`
 # (`target/` skipped). A file is split at its first `#[cfg(test)]` line:
 # what is above is non-test, that line and what is below is test; a file
-# under a `tests/`, `benches/` or `examples/` directory counts whole as
-# test. `benchmark/` is its own workspace and is reported on its own
+# under a `tests/` or `examples/` directory counts whole as test. A bench
+# target (`benches/`) ships measurement code and is split like any other
+# file. `benchmark/` is its own workspace and is reported on its own
 # line, outside the total. bash + find/awk only.
 set -euo pipefail
 
@@ -24,7 +25,7 @@ find crates src tests examples benchmark -name target -prune -o -name '*.rs' -pr
         group = part[1] == "crates" ? part[2] : (part[1] == "benchmark" ? "benchmark" : "root")
         whole = 0
         for (i = 1; i < n; i++)
-            if (part[i] == "tests" || part[i] == "benches" || part[i] == "examples") whole = 1
+            if (part[i] == "tests" || part[i] == "examples") whole = 1
         if (!(group in seen)) { seen[group] = 1; order[++groups] = group }
         in_test = whole
         while ((getline line < file) > 0) {
