@@ -781,7 +781,8 @@ mod tests {
     }
 
     /// Both profiles stop at the membership counter, ahead of the
-    /// estimator's unchecked `size += n` that only a dev build traps.
+    /// estimator's own size counter (checked too, for callers without a
+    /// membership counter: `goodjest::tests::size_counter_overflow_panics`).
     #[test]
     #[should_panic(expected = "membership counter overflow")]
     fn membership_counter_overflow_panics() {

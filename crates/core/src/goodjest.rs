@@ -147,8 +147,14 @@ impl GoodJEst {
     }
 
     /// Records `n` simultaneous joins.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `estimator size overflow` if the size would pass
+    /// `u64::MAX`, in every build profile: callers such as the admission
+    /// gate feed joins without a membership counter of their own in front.
     pub fn on_join(&mut self, now: Time, n: u64) {
-        self.size += n;
+        self.size = self.size.checked_add(n).expect("estimator size overflow");
         self.tracker.on_join(n);
         // Δsymdiff = +n, Δsize = +n.
         let th = self.cfg.interval_threshold;
@@ -393,6 +399,16 @@ mod tests {
                 assert_eq!(est.size(), present.len() as u64, "case {case} step {step}");
             }
         }
+    }
+
+    /// Checked in both profiles: a release build stops where a dev build
+    /// does instead of wrapping the size to a small number.
+    #[test]
+    #[should_panic(expected = "estimator size overflow")]
+    fn size_counter_overflow_panics() {
+        let mut est = GoodJEst::new(cfg(), Time::ZERO, u64::MAX - 1);
+        est.on_join(Time(1.0), 1);
+        est.on_join(Time(2.0), 1);
     }
 
     #[test]

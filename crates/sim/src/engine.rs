@@ -105,16 +105,15 @@ impl std::fmt::Display for SimBuildError {
 
 impl std::error::Error for SimBuildError {}
 
+/// A queued event. Joins and initial departures are not among them: they
+/// arrive sorted from the workload stream, and the run loop holds the next
+/// of each beside the queue.
 #[derive(Clone, Copy, Debug)]
 enum Event {
-    /// Good arrival: index into the workload's sessions.
-    GoodJoin(SessionIndex),
     /// Departure of an arrival session, carrying its join time so the
     /// workload record never needs to be re-read (the stream may have
     /// come from disk).
     GoodDepart(SessionIndex, Time),
-    /// Departure of an ID present at t=0.
-    InitialDepart,
     /// Adversary wakeup.
     AdvWake,
     /// Periodic defense work is due.
@@ -135,16 +134,21 @@ enum MergedEvent {
 /// A single simulation run binding a defense, an adversary, and a workload.
 ///
 /// The workload is *not* loaded into the event queue up front. The
-/// [`WorkloadStream`] yields sessions in join order, so the scheduler
-/// keeps exactly one pending good join in the queue and feeds the next one
-/// in when it pops; a session's departure is queued only once its join has
-/// been processed, and initial departures stream the same way. The queue
-/// therefore holds O(active sessions) entries instead of O(workload).
+/// [`WorkloadStream`] yields sessions in join order and initial
+/// departures in time order, so the run loop holds the next of each (the
+/// two *heads*) beside the queue and at every step processes whichever of
+/// the heads and the queue front has the least `(time, seq)` key. A
+/// session's departure is queued only once its join has been processed;
+/// departures, adversary wakeups, periodic charges, purge resolutions and
+/// samples are the queue's traffic. The queue therefore holds O(active
+/// sessions) entries instead of O(workload), and the reported
+/// `peak_queue_len` counts the heads that are present as well, as if they
+/// were queued.
 ///
-/// Determinism: each streamed event carries the exact sequence number an
-/// eager scheduler would have assigned (see [`WorkloadStream`]), so
-/// tie-breaking — and with it every simulation counter — is bit-identical
-/// to eager scheduling.
+/// Determinism: each streamed event carries a sequence number that orders
+/// it against every other event exactly as an eager scheduler's would
+/// (see [`WorkloadStream`]), so tie-breaking — and with it every
+/// simulation counter — is bit-identical to eager scheduling.
 pub struct Simulation<D, A, W: WorkloadSource = Workload> {
     cfg: SimConfig,
     defense: D,
@@ -152,9 +156,6 @@ pub struct Simulation<D, A, W: WorkloadSource = Workload> {
     stream: W::Stream,
     initial_size: u64,
     queue: EventQueue<Event>,
-    /// Departure `(time, seq)` of the session whose join is currently
-    /// queued, if that departure falls within the horizon.
-    pending_depart: Option<(Time, u64)>,
     budget: f64,
     last_budget_time: Time,
     /// Sharded defense state: per-shard admission slices, live counts,
@@ -276,7 +277,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             queue: EventQueue::with_horizon(cfg.horizon, n_sessions as usize + 1024),
             stream: workload.into_stream(cfg.horizon),
             initial_size,
-            pending_depart: None,
             budget: 0.0,
             last_budget_time: Time::ZERO,
             state,
@@ -324,23 +324,60 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         if self.stream.merged() {
             return self.run_merged(enter, exit);
         }
-        self.schedule_workload();
+        self.queue.advance_seq_to(self.stream.seq_floor());
+        self.schedule_internal();
         self.initialize();
+        // The two sorted feeds' heads. Streams yield only in-horizon
+        // events, so only a queued event can end the run.
+        let mut join = self.stream.next_session();
+        let mut initial = self.stream.next_initial_departure();
         enter();
         // Loop-local counters: `dispatch(&mut self)` would otherwise force
         // these through memory on every event.
         let mut events_processed = 0u64;
-        let mut peak_queue_len = self.queue.len();
-        while let Some((t, ev)) = self.queue.pop() {
+        let heads = |join: &Option<_>, initial: &Option<_>| {
+            usize::from(join.is_some()) + usize::from(initial.is_some())
+        };
+        let mut peak_queue_len = self.queue.len() + heads(&join, &initial);
+        loop {
+            let join_key = join.map(|(_, s, seq)| (s.join, seq));
+            let (feed_key, join_first) = match (join_key, initial) {
+                (Some(j), Some(i)) => (Some(j.min(i)), j < i),
+                (Some(j), None) => (Some(j), true),
+                (None, i) => (i, false),
+            };
+            let queued = match feed_key {
+                Some(key) => self.queue.pop_before(key),
+                None => self.queue.pop(),
+            };
+            let Some(t) = queued.map(|(t, _)| t).or(feed_key.map(|(t, _)| t)) else {
+                break;
+            };
             if t > self.cfg.horizon {
                 break;
             }
             events_processed += 1;
             self.state.note_event();
             self.accrue_budget(t);
-            self.dispatch(t, ev);
+            match queued {
+                Some((_, ev)) => self.dispatch(t, ev),
+                None if join_first => {
+                    let (i, s, seq) = join.expect("the join head is the least key");
+                    // The departure carries the join time, so departure
+                    // handling never re-reads the workload record.
+                    if s.depart <= self.cfg.horizon {
+                        self.queue.push_with_seq(s.depart, seq + 1, Event::GoodDepart(i, s.join));
+                    }
+                    join = self.stream.next_session();
+                    self.handle_good_join(t, i);
+                }
+                None => {
+                    initial = self.stream.next_initial_departure();
+                    self.handle_initial_depart(t);
+                }
+            }
             self.check_purge(t);
-            peak_queue_len = peak_queue_len.max(self.queue.len());
+            peak_queue_len = peak_queue_len.max(self.queue.len() + heads(&join, &initial));
         }
         exit();
         self.events_processed = events_processed;
@@ -408,17 +445,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         self.finish()
     }
 
-    /// Primes the streaming schedule: reserves the workload's sequence
-    /// range, then queues just the *first* good join and the *first*
-    /// initial departure; the rest stream in lazily as their predecessors
-    /// pop. See [`WorkloadStream`] for the determinism argument.
-    fn schedule_workload(&mut self) {
-        self.queue.advance_seq_to(self.stream.seq_floor());
-        self.stream_next_session();
-        self.stream_next_initial_depart();
-        self.schedule_internal();
-    }
-
     /// Queues the initial internal events (adversary wakeup, first timeline
     /// sample). Push order matters: these draw the first sequence numbers
     /// above the workload floor, in both the monolithic and merged modes.
@@ -429,23 +455,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         if let Some(dt) = self.cfg.timeline_resolution {
             assert!(dt > 0.0, "timeline resolution must be positive");
             self.queue.push(Time::ZERO, Event::Sample);
-        }
-    }
-
-    /// Feeds the next good join into the queue, remembering its departure
-    /// so [`Event::GoodJoin`] handling can stream it in turn.
-    fn stream_next_session(&mut self) {
-        if let Some((i, s, join_seq)) = self.stream.next_session() {
-            self.pending_depart =
-                (s.depart <= self.cfg.horizon).then_some((s.depart, join_seq + 1));
-            self.queue.push_with_seq(s.join, join_seq, Event::GoodJoin(i));
-        }
-    }
-
-    /// Feeds the next initial departure into the queue.
-    fn stream_next_initial_depart(&mut self) {
-        if let Some((at, seq)) = self.stream.next_initial_departure() {
-            self.queue.push_with_seq(at, seq, Event::InitialDepart);
         }
     }
 
@@ -493,7 +502,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
 
     /// Semantic effect of a good join: defense verdict, ledger charge,
     /// admission record, counters — all recorded on the session's owning
-    /// state shard. Shared verbatim by the monolithic dispatch and the
+    /// state shard. Shared verbatim by the monolithic loop and the
     /// merged loop — bit-identity between the two modes rests on this
     /// being one code path.
     fn handle_good_join(&mut self, now: Time, i: SessionIndex) {
@@ -525,23 +534,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
 
     fn dispatch(&mut self, now: Time, ev: Event) {
         match ev {
-            Event::GoodJoin(i) => {
-                // Stream first: this session's departure (the pending one
-                // is always ours — only one workload join is queued at a
-                // time), then the next session's join. The departure event
-                // carries `now` (= the session's join time) so departure
-                // handling never re-reads the workload record.
-                if let Some((at, seq)) = self.pending_depart.take() {
-                    self.queue.push_with_seq(at, seq, Event::GoodDepart(i, now));
-                }
-                self.stream_next_session();
-                self.handle_good_join(now, i);
-            }
             Event::GoodDepart(i, joined_at) => self.handle_good_depart(now, i, joined_at),
-            Event::InitialDepart => {
-                self.stream_next_initial_depart();
-                self.handle_initial_depart(now);
-            }
             Event::AdvWake => {
                 self.adversary_turn(now);
                 if let Some(next) = self.adversary.next_wakeup(now) {

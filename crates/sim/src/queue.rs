@@ -24,6 +24,14 @@
 //!   is inserted in order, O(1) when it is the new maximum (the engine's
 //!   pop-then-push-a-successor pattern) or the new minimum.
 //!
+//! The engine keeps its two pre-sorted workload feeds (the next session's
+//! join, the next initial departure) outside the queue and merges them in
+//! with [`EventQueue::pop_before`], which pops the front only if it
+//! precedes the least feed key. When the near buffer is empty, that call
+//! moves the cursor at most to the key's bucket: a cursor that ran ahead
+//! to the next occupied bucket would turn every departure the feed pushes
+//! after it into a sorted insert into the near buffer.
+//!
 //! Simulation time only moves forward, so push and pop are amortized
 //! `O(1)` when events spread over the horizon, which is exactly the
 //! engine's workload, and the memory is the arena: one node per far entry
@@ -162,13 +170,18 @@ impl<E> Calendar<E> {
     }
 
     /// Moves the cursor to the next occupied bucket (every entry is in the
-    /// far tier, so there is one) and unlinks its list into `near`, sorted.
+    /// far tier, so there is one) and loads it.
     fn load_next_bucket(&mut self) {
         debug_assert!(self.near.is_empty() && self.len > 0);
         self.cursor += 1;
         while self.heads[self.cursor] == NIL {
             self.cursor += 1;
         }
+        self.load_cursor_bucket();
+    }
+
+    /// Unlinks the cursor bucket's list into the empty `near`, sorted.
+    fn load_cursor_bucket(&mut self) {
         let mut slot = std::mem::replace(&mut self.heads[self.cursor], NIL);
         while slot != NIL {
             let node = &mut self.nodes[slot as usize];
@@ -189,6 +202,29 @@ impl<E> Calendar<E> {
         }
         self.len -= 1;
         self.near.pop_front()
+    }
+
+    /// Pops the minimum if its key is below `key`. With nothing loaded,
+    /// the cursor walks only as far as `key`'s bucket and loads the first
+    /// occupied bucket it meets there; entries past that bucket cannot
+    /// precede `key`, so they stay in the far tier.
+    fn pop_before(&mut self, key: (Time, u64)) -> Option<Entry<E>> {
+        if self.near.is_empty() && self.len > 0 {
+            let limit = self.bucket_index(key.0);
+            while self.cursor < limit {
+                self.cursor += 1;
+                if self.heads[self.cursor] != NIL {
+                    self.load_cursor_bucket();
+                    break;
+                }
+            }
+        }
+        if self.near.front()?.key() < key {
+            self.len -= 1;
+            self.near.pop_front()
+        } else {
+            None
+        }
     }
 
     fn peek(&self) -> Option<&Entry<E>> {
@@ -265,6 +301,19 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.calendar.pop().map(|e| (e.at, e.event))
+    }
+
+    /// Removes and returns the earliest event if its `(time, seq)` key is
+    /// below `key`, and otherwise returns `None`.
+    ///
+    /// The engine merges pre-sorted feeds held outside the queue by calling
+    /// this with the least feed key: one compare when the near buffer is
+    /// loaded, where [`peek_key`](Self::peek_key) rescans the next bucket's
+    /// list on every call. The cursor never moves past `key`'s bucket, so
+    /// the feed's later pushes (at or after `key`) still land in the far
+    /// tier instead of being inserted behind a cursor that ran ahead.
+    pub fn pop_before(&mut self, key: (Time, u64)) -> Option<(Time, E)> {
+        self.calendar.pop_before(key).map(|e| (e.at, e.event))
     }
 
     /// Removes and returns the earliest event together with its full
@@ -404,12 +453,17 @@ mod tests {
     }
 
     /// Reference model: an ordered map keyed by `(time, seq)`. The
-    /// calendar must agree with it on interleaved push/pop sequences
-    /// (FIFO tie-breaking included), shallow and at depth: after every
-    /// operation `peek_key` is the key the next `pop_keyed` returns and
-    /// `len` matches. Times are coarse (multiples of 0.25) to force exact
-    /// ties, and land at the cursor's bucket, behind it, before zero,
-    /// past the horizon and anywhere on the horizon.
+    /// calendar must agree with it on interleaved push, pop and
+    /// `pop_before` sequences (FIFO tie-breaking included), shallow and at
+    /// depth: after every operation `peek_key` is the key the next
+    /// `pop_keyed` returns and `len` matches. Times are coarse (multiples
+    /// of 0.25) to force exact ties. Pushes land at the cursor's bucket,
+    /// behind it, before zero, past the horizon and anywhere on the
+    /// horizon; `pop_before` keys (with any seq, so they tie with queued
+    /// entries) behind the cursor, at it, up to 256 s ahead of it (past a
+    /// shallow trial's sparse far tier) and past the horizon. A refused
+    /// `pop_before` leaves the cursor at or before the key's bucket, or
+    /// where it was.
     #[test]
     fn calendar_agrees_with_reference_model() {
         use std::collections::BTreeMap;
@@ -423,7 +477,30 @@ mod tests {
             let mut now = 0.0f64;
             for op in 0..standing + ops {
                 let r = next();
-                if op < standing || r.is_multiple_of(2) || reference.is_empty() {
+                if op >= standing && r % 4 == 3 {
+                    let step = ((r >> 4) % 256) as f64;
+                    let at = match (r >> 2) % 4 {
+                        0 => now - step.min(8.0) * 0.25,
+                        1 => now,
+                        2 => now + step,
+                        _ => HORIZON + step,
+                    };
+                    let key = (Time(at), (r >> 12) % (seq + 1));
+                    let cursor = q.calendar.cursor;
+                    let popped = q.pop_before(key);
+                    match reference.first_key_value() {
+                        Some((&first, &want)) if first < key => {
+                            reference.pop_first();
+                            assert_eq!(popped, Some((first.0, want)), "trial {trial} op {op}");
+                            now = first.0.as_secs();
+                        }
+                        _ => {
+                            assert_eq!(popped, None, "trial {trial} op {op}");
+                            let bound = cursor.max(q.calendar.bucket_index(key.0));
+                            assert!(q.calendar.cursor <= bound, "trial {trial} op {op}");
+                        }
+                    }
+                } else if op < standing || r.is_multiple_of(2) || reference.is_empty() {
                     let step = ((r >> 4) % 256) as f64 * 0.25;
                     let at = match (r >> 1) % 8 {
                         0 => now,
@@ -450,6 +527,27 @@ mod tests {
             }
             assert!(q.pop().is_none() && q.is_empty() && q.peek().is_none());
         }
+    }
+
+    /// `pop_before` refuses an entry that does not precede the key without
+    /// loading its bucket: the cursor stops at the key's bucket, so an
+    /// entry pushed between the key and the far entry still goes to the
+    /// far tier, and pops before the far one.
+    #[test]
+    fn a_refused_pop_before_leaves_the_cursor_at_or_before_the_key() {
+        let mut q: EventQueue<u32> = EventQueue::with_horizon(Time(100.0), 100);
+        q.push(Time(90.0), 0);
+        let key = (Time(10.5), 0);
+        assert_eq!(q.pop_before(key), None);
+        assert_eq!(q.calendar.cursor, q.calendar.bucket_index(key.0));
+        assert!(q.calendar.near.is_empty());
+        q.push(Time(20.0), 1);
+        assert!(q.calendar.near.is_empty(), "a push past the key's bucket is a far push");
+        assert_eq!(q.pop_before((Time(20.0), 1)), None, "equal keys do not precede");
+        assert_eq!(q.pop_before((Time(20.0), 2)), Some((Time(20.0), 1)));
+        assert_eq!(q.pop_before((Time(95.0), 0)), Some((Time(90.0), 0)));
+        assert_eq!(q.pop_before((Time(95.0), 0)), None);
+        assert!(q.is_empty());
     }
 
     /// A node freed by an unlink is the next one a far push takes: the

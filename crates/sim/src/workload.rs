@@ -141,7 +141,7 @@ pub trait WorkloadSource {
     fn session_count(&self) -> u64;
 
     /// Consumes the source into a stream of in-horizon events, each
-    /// carrying the eager-equivalent sequence number described in
+    /// carrying a sequence number that keeps the orders described in
     /// [`WorkloadStream`].
     fn into_stream(self, horizon: Time) -> Self::Stream;
 
@@ -193,30 +193,49 @@ pub enum StreamEvent {
 ///
 /// Simulations must be bit-reproducible, and streams must replay exactly
 /// what an eager scheduler (all events queued up front) would have
-/// produced. Every yielded event therefore carries the sequence number
-/// that eager scheduler would have assigned:
+/// produced. The engine breaks same-instant ties by sequence number, so
+/// every yielded event carries one that orders it against every other
+/// event as the eager scheduler's numbering did. The eager numbering is:
 ///
 /// * sessions in input order contribute their join (one seq) and, if the
 ///   departure falls within the horizon, their departure (the next seq);
-/// * then in-horizon initial departures are numbered in input order.
+/// * then in-horizon initial departures are numbered in input order;
+/// * then dynamic events (adversary wakeups, purges, periodic charges,
+///   samples) draw fresh numbers as they are scheduled.
 ///
-/// [`seq_floor`](Self::seq_floor) is the total count so the engine can
-/// reserve `0..floor` before dynamic events (adversary wakeups, purges,
-/// periodic charges) draw fresh numbers above it. Streams whose backing
-/// store is sorted (the on-disk format) may permute sequence numbers
-/// *within* the initial-departure block relative to an unsorted in-memory
-/// source; those events are payload-identical, so every observable pop
-/// sequence — and with it the whole `SimReport` — is unchanged.
+/// A stream must keep these orders:
+///
+/// * session seqs are exactly the eager ones (join seq `s`, departure
+///   `s + 1`; the engine derives the departure's seq from the join's);
+/// * every initial-departure seq is above every session seq;
+/// * each feed is yielded in ascending key order — sessions by
+///   `(join, seq)`, initial departures by `(time, seq)` — because the
+///   engine holds only each feed's head and merges it with its queue;
+/// * [`seq_floor`](Self::seq_floor) is above every seq the stream
+///   yields, so the engine reserves `0..floor` and dynamic events, which
+///   draw numbers from the floor up, follow every workload event at the
+///   same instant.
+///
+/// The floor is a bound, not a count, and the initial block may start
+/// above the last session seq: the in-memory stream packs the numbers
+/// (floor = number of workload events), while the on-disk stream, which
+/// counts nothing ahead of the replay, numbers initial departures from
+/// `2·session_count` and bounds them by `2·session_count +
+/// initial_count`, both read from the header. Within the initial block a
+/// sorted backing store (the on-disk format) may also permute sequence
+/// numbers relative to an unsorted in-memory source. Initial departures
+/// are payload-identical, so neither shift nor permutation changes any
+/// observable pop sequence — and with it the whole `SimReport`.
 pub trait WorkloadStream {
-    /// Total workload sequence numbers assigned (`0..floor`).
+    /// An upper bound on the sequence numbers this stream yields: the
+    /// engine reserves `0..floor` for them.
     fn seq_floor(&self) -> u64;
 
-    /// Next session in join order, as `(index, session, join seq)`.
+    /// Next session in `(join, seq)` order, as `(index, session, join seq)`.
     /// Returns `None` once all in-horizon sessions have been yielded.
     fn next_session(&mut self) -> Option<(SessionIndex, Session, u64)>;
 
-    /// Next in-horizon initial departure in ascending time order, as
-    /// `(time, seq)`.
+    /// Next in-horizon initial departure in ascending `(time, seq)` order.
     fn next_initial_departure(&mut self) -> Option<(Time, u64)>;
 
     /// Approximate resident bytes held by this stream (buffers, cursors,

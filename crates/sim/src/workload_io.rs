@@ -23,11 +23,12 @@
 //! ```
 //!
 //! Initial departures are stored *sorted* (the in-memory representation is
-//! not): the reader can then stream them with one cursor and assign
-//! in-horizon sequence numbers arithmetically. The permutation this
-//! induces relative to an unsorted in-memory source only renumbers
-//! payload-identical initial-departure events, so replayed `SimReport`s
-//! are bit-identical either way (see [`WorkloadStream`]'s contract).
+//! not): the reader can then stream them with one cursor. The reader
+//! numbers them from `2·session_count`, a bound read from the header, so
+//! the file is read once, by the replay itself. Relative to an unsorted
+//! in-memory source this permutes and shifts the seqs of payload-identical
+//! initial-departure events and nothing else, so replayed `SimReport`s are
+//! bit-identical either way (see [`WorkloadStream`]'s contract).
 
 use crate::time::Time;
 use crate::workload::{Session, SessionIndex, Workload, WorkloadSource, WorkloadStream};
@@ -146,9 +147,10 @@ impl DiskWorkload {
     /// sequence numbers — the same totals the in-memory pass computes —
     /// validating record ordering and finiteness along the way.
     ///
-    /// Shared by [`into_stream`](WorkloadSource::into_stream) and the
-    /// sharded replay (`crate::shard`), which needs the totals to place
-    /// each shard's sequence numbers without consuming the workload.
+    /// Only the sharded replay (`crate::shard`) uses it: it needs the
+    /// totals to place each shard's sequence numbers without consuming the
+    /// workload. [`DiskStream`] numbers from the header and checks each
+    /// record as it reads it.
     ///
     /// # Panics
     ///
@@ -222,13 +224,6 @@ pub(crate) struct PreScan {
     pub(crate) initial_in_horizon: u64,
 }
 
-impl PreScan {
-    /// Total workload sequence numbers (`seq_floor`).
-    pub(crate) fn seq_floor(&self) -> u64 {
-        self.session_seqs + self.initial_in_horizon
-    }
-}
-
 /// Raw sequential record cursor over a workload file: sessions in stored
 /// (join-sorted) order and initial departures in stored (ascending) order,
 /// with no horizon filtering. Invariants were already checked by
@@ -293,23 +288,19 @@ impl WorkloadSource for DiskWorkload {
         self.session_count
     }
 
-    /// Pre-scans the file once (sequential, O(1) memory) to count
-    /// in-horizon sequence numbers — the same totals the in-memory pass
-    /// computes — then reopens both regions for the replay cursors.
+    /// Opens both record regions for the replay cursors; no record is read
+    /// before the replay asks for it.
     ///
     /// # Panics
     ///
-    /// Panics if the file cannot be read or its records violate the
-    /// format invariants (unsorted, non-finite, inverted sessions);
-    /// [`write_workload`] can produce neither, so this indicates a
-    /// corrupt or foreign file.
+    /// Panics if the file cannot be opened. The stream itself panics when
+    /// it reads a record that violates the format invariants (unsorted,
+    /// non-finite, inverted sessions); [`write_workload`] can produce
+    /// neither, so this indicates a corrupt or foreign file.
     fn into_stream(self, horizon: Time) -> DiskStream {
         let fail = |e: &dyn std::fmt::Display| -> ! {
             panic!("workload file {}: {e}", self.path.display())
         };
-        let scan = self.prescan(horizon);
-        let (session_seqs, initial_in_horizon) = (scan.session_seqs, scan.initial_in_horizon);
-        let seq_floor = scan.seq_floor();
         DiskStream {
             sessions: self.reader_at(self.sessions_offset()).unwrap_or_else(|e| fail(&e)),
             initial: self.reader_at(HEADER_LEN).unwrap_or_else(|e| fail(&e)),
@@ -317,9 +308,11 @@ impl WorkloadSource for DiskWorkload {
             next_index: 0,
             next_session_seq: 0,
             sessions_remaining: self.session_count,
-            initial_seq: session_seqs,
-            initial_remaining: initial_in_horizon,
-            seq_floor,
+            prev_join: f64::NEG_INFINITY,
+            initial_base: 2 * self.session_count,
+            initial_read: 0,
+            initial_count: self.initial_count,
+            prev_initial: f64::NEG_INFINITY,
             path: self.path,
         }
     }
@@ -328,6 +321,13 @@ impl WorkloadSource for DiskWorkload {
 /// Streaming cursor over a [`DiskWorkload`]: two independent buffered
 /// readers (sessions and initial departures), each holding one 8 KiB
 /// buffer — resident memory is O(1) in the workload size.
+///
+/// Nothing is counted ahead of the replay, so the sequence numbers come
+/// from the header alone: sessions take `0..2·session_count` as in memory
+/// (join, then the departure if it is in the horizon), initial departures
+/// `2·session_count + k` for the `k`-th stored one, and the floor is
+/// `2·session_count + initial_count`. See [`WorkloadStream`] for why the
+/// gaps this leaves change nothing.
 pub struct DiskStream {
     sessions: BufReader<File>,
     initial: BufReader<File>,
@@ -337,25 +337,35 @@ pub struct DiskStream {
     next_session_seq: u64,
     /// Session records not yet read; 0 once the region (or horizon) ends.
     sessions_remaining: u64,
-    /// Seq of the next in-horizon initial departure (they are numbered
-    /// after all session events, in stored — i.e. ascending — order).
-    initial_seq: u64,
-    initial_remaining: u64,
-    seq_floor: u64,
+    /// Join time of the last session read, for the sortedness check.
+    prev_join: f64,
+    /// Seq of the first initial departure, `2·session_count`.
+    initial_base: u64,
+    /// Initial-departure records read so far; `initial_count` once the
+    /// region (or horizon) ends.
+    initial_read: u64,
+    initial_count: u64,
+    /// The last initial departure read, for the sortedness check.
+    prev_initial: f64,
 }
 
 impl WorkloadStream for DiskStream {
     fn seq_floor(&self) -> u64 {
-        self.seq_floor
+        self.initial_base + self.initial_count
     }
 
+    /// # Panics
+    ///
+    /// Panics on a record that is non-finite, departs before it joins or
+    /// joins before its predecessor, naming its index (`corrupt session
+    /// <i>`), and if the file can no longer be read.
     fn next_session(&mut self) -> Option<(SessionIndex, Session, u64)> {
         if self.sessions_remaining == 0 {
             return None;
         }
         self.sessions_remaining -= 1;
-        // Record counts and invariants were verified by the pre-scan; a
-        // read failure here means the file changed underneath us.
+        // Record counts were checked at open; a read failure here means
+        // the file changed underneath us.
         let mut record = |what: &str| -> f64 {
             read_f64(&mut self.sessions).unwrap_or_else(|e| {
                 panic!("workload file {}: {what} unreadable mid-replay: {e}", self.path.display())
@@ -363,12 +373,20 @@ impl WorkloadStream for DiskStream {
         };
         let join = record("session join");
         let depart = record("session depart");
+        if !join.is_finite() || !depart.is_finite() || depart < join || join < self.prev_join {
+            panic!(
+                "workload file {}: corrupt session {}: join {join}, depart {depart}",
+                self.path.display(),
+                self.next_index
+            );
+        }
+        self.prev_join = join;
         if Time(join) > self.horizon {
             // Sorted: everything further is out of horizon too.
             self.sessions_remaining = 0;
             return None;
         }
-        let session = Session::new(Time(join), Time(depart));
+        let session = Session { join: Time(join), depart: Time(depart) };
         let join_seq = self.next_session_seq;
         self.next_session_seq = join_seq + if session.depart <= self.horizon { 2 } else { 1 };
         let index = self.next_index;
@@ -376,20 +394,37 @@ impl WorkloadStream for DiskStream {
         Some((index, session, join_seq))
     }
 
+    /// # Panics
+    ///
+    /// Panics on a record that is non-finite or below its predecessor,
+    /// naming its index (`corrupt initial departure <i>`), and if the file
+    /// can no longer be read.
     fn next_initial_departure(&mut self) -> Option<(Time, u64)> {
-        if self.initial_remaining == 0 {
+        if self.initial_read == self.initial_count {
             return None;
         }
-        self.initial_remaining -= 1;
+        let i = self.initial_read;
+        self.initial_read += 1;
         let d = read_f64(&mut self.initial).unwrap_or_else(|e| {
             panic!(
                 "workload file {}: initial departure unreadable mid-replay: {e}",
                 self.path.display()
             )
         });
-        let seq = self.initial_seq;
-        self.initial_seq += 1;
-        Some((Time(d), seq))
+        if !d.is_finite() || d < self.prev_initial {
+            panic!(
+                "workload file {}: corrupt initial departure {i}: {d} after {}",
+                self.path.display(),
+                self.prev_initial
+            );
+        }
+        self.prev_initial = d;
+        if Time(d) > self.horizon {
+            // Sorted: everything further is out of horizon too.
+            self.initial_read = self.initial_count;
+            return None;
+        }
+        Some((Time(d), self.initial_base + i))
     }
 
     fn resident_bytes(&self) -> usize {
@@ -433,16 +468,23 @@ mod tests {
         let horizon = Time(10.0);
         let mut mem = w.into_stream(horizon);
         let mut dsk = disk.into_stream(horizon);
-        assert_eq!(mem.seq_floor(), dsk.seq_floor());
+        let mut session_seqs = Vec::new();
         loop {
             let (a, b) = (mem.next_session(), dsk.next_session());
             assert_eq!(a, b);
-            if a.is_none() {
-                break;
+            match a {
+                Some((_, s, seq)) => {
+                    session_seqs.push(seq);
+                    if s.depart <= horizon {
+                        session_seqs.push(seq + 1);
+                    }
+                }
+                None => break,
             }
         }
-        // Initial departures: identical times in ascending order; seqs are
-        // a permutation within the initial block (disk stores them sorted).
+        // Initial departures: identical times in ascending order. The disk
+        // stream's seqs ascend, sit above every session seq, and every seq
+        // is below its floor: the orders the contract asks for.
         let mem_initial: Vec<(Time, u64)> =
             std::iter::from_fn(|| mem.next_initial_departure()).collect();
         let dsk_initial: Vec<(Time, u64)> =
@@ -451,11 +493,13 @@ mod tests {
             mem_initial.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
             dsk_initial.iter().map(|(t, _)| *t).collect::<Vec<_>>()
         );
-        let mut mem_seqs: Vec<u64> = mem_initial.iter().map(|(_, s)| *s).collect();
-        let mut dsk_seqs: Vec<u64> = dsk_initial.iter().map(|(_, s)| *s).collect();
-        mem_seqs.sort_unstable();
-        dsk_seqs.sort_unstable();
-        assert_eq!(mem_seqs, dsk_seqs);
+        assert_eq!(dsk_initial.len(), 2, "7.0 and 2.0 are in the horizon, 50.0 is not");
+        let initial_seqs: Vec<u64> = dsk_initial.iter().map(|(_, s)| *s).collect();
+        assert!(initial_seqs.windows(2).all(|w| w[0] < w[1]), "{initial_seqs:?}");
+        let last_session = *session_seqs.iter().max().expect("in-horizon sessions");
+        assert!(initial_seqs[0] > last_session, "{initial_seqs:?} vs {session_seqs:?}");
+        let floor = dsk.seq_floor();
+        assert!(session_seqs.iter().chain(&initial_seqs).all(|&s| s < floor), "floor {floor}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -491,6 +535,57 @@ mod tests {
         let mut sink = Vec::new();
         let err = write_workload(&mut sink, &nan).unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");
+    }
+
+    /// Writes a file in the on-disk format without the writer's checks, so
+    /// the records reach the reader exactly as given.
+    fn write_raw(path: &Path, initial: &[f64], sessions: &[(f64, f64)]) {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&(initial.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&(sessions.len() as u64).to_le_bytes());
+        for d in initial {
+            bytes.extend_from_slice(&d.to_le_bytes());
+        }
+        for (join, depart) in sessions {
+            bytes.extend_from_slice(&join.to_le_bytes());
+            bytes.extend_from_slice(&depart.to_le_bytes());
+        }
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    /// A file whose header is sound but whose records break the format
+    /// opens, and its replay stops with a panic naming the first bad
+    /// record: an inverted, NaN or out-of-order session, or an
+    /// out-of-order or NaN initial departure.
+    #[test]
+    fn corrupt_records_panic_during_replay() {
+        use crate::adversary::NullAdversary;
+        use crate::engine::{SimConfig, Simulation};
+        use crate::testutil::UnitCostDefense;
+        type Case = (&'static [f64], &'static [(f64, f64)], &'static str);
+        let cases: [Case; 5] = [
+            (&[], &[(1.0, 2.0), (3.0, 4.0), (2.0, 5.0)], "corrupt session 2:"),
+            (&[7.0], &[(1.0, 2.0), (f64::NAN, 3.0)], "corrupt session 1:"),
+            (&[7.0], &[(1.0, 2.0), (3.0, 2.5)], "corrupt session 1:"),
+            (&[1.0, 5.0, 3.0], &[(1.0, 2.0)], "corrupt initial departure 2:"),
+            (&[1.0, f64::NAN], &[], "corrupt initial departure 1:"),
+        ];
+        for (initial, sessions, want) in cases {
+            let path = temp_path("corrupt");
+            write_raw(&path, initial, sessions);
+            let disk = DiskWorkload::open(&path).expect("header and length are sound");
+            let cfg = SimConfig { horizon: Time(100.0), ..SimConfig::default() };
+            let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, disk).run()
+            }));
+            std::fs::remove_file(&path).ok();
+            let payload = replay.expect_err(want);
+            let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains(want), "{want}: {message}");
+        }
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //! * sessions entirely past the horizon,
 //! * initial departures on both sides of the horizon, with ties,
 //! * ties between workload events and dynamic events (adversary wakeups
-//!   and timeline samples land on the same coarse time grid).
+//!   and timeline samples land on the same coarse time grid),
+//! * ties between initial departures and session joins or departures —
+//!   the one place the two sources number differently.
 
+use ergo_core::{Ergo, ErgoConfig};
 use sybil_sim::adversary::{BudgetJoiner, NullAdversary};
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::testutil::UnitCostDefense;
@@ -111,6 +114,47 @@ fn disk_replay_matches_under_truncated_recording() {
             Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, workload.clone()).run();
         let dsk = Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, disk).run();
         assert!(!mem.timeline.is_empty());
+        assert_eq!(normalized(mem), normalized(dsk), "trial {trial}");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Initial departures are the only events whose sequence numbers differ
+/// between the sources (the disk stream numbers them from
+/// `2·session_count`, memory from the last session seq). Whole-second
+/// times make every initial departure share its instant with session
+/// joins and session departures, so a disk numbering that put an initial
+/// departure before a session event of the same instant would reorder
+/// them. Under Ergo the order matters: a departure counts towards the
+/// purge trigger and moves GoodJEst, both of which price the next join.
+#[test]
+fn initial_departures_tying_with_session_events_replay_identically() {
+    let horizon = 40.0;
+    for trial in 0..8u64 {
+        let mut s = trial.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(5);
+        let whole = |s: &mut u64, span: u64| (splitmix(s) % span) as f64;
+        let initial: Vec<Time> = (0..80).map(|_| Time(1.0 + whole(&mut s, 45))).collect();
+        let sessions: Vec<Session> = (0..120)
+            .map(|_| {
+                let join = whole(&mut s, 42);
+                Session::new(Time(join), Time(join + 1.0 + whole(&mut s, 12)))
+            })
+            .collect();
+        let workload = Workload::new(initial, sessions);
+        let path = temp_path("initial_ties", trial);
+        write_workload_file(&path, &workload).expect("write workload");
+        let disk = DiskWorkload::open(&path).expect("open workload");
+
+        let cfg = SimConfig {
+            horizon: Time(horizon),
+            adv_rate: 20.0,
+            timeline_resolution: Some(1.0),
+            ..SimConfig::default()
+        };
+        let ergo = || Ergo::new(ErgoConfig::default());
+        let mem = Simulation::new(cfg, ergo(), BudgetJoiner::new(20.0), workload.clone()).run();
+        let dsk = Simulation::new(cfg, ergo(), BudgetJoiner::new(20.0), disk).run();
+        assert!(mem.good_departures > 40 && mem.purges > 0, "trial {trial}: {mem:?}");
         assert_eq!(normalized(mem), normalized(dsk), "trial {trial}");
         std::fs::remove_file(&path).ok();
     }
