@@ -116,11 +116,18 @@ impl DiskWorkload {
         }
         let initial_count = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
         let session_count = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
-        let expected = HEADER_LEN + initial_count * 8 + session_count * 16;
+        // Checked: a header whose counts wrap the length must not open, and
+        // the stream's seq bounds (`2·session_count + initial_count`) then
+        // fit in a u64 too.
+        let expected = initial_count
+            .checked_mul(8)
+            .zip(session_count.checked_mul(16))
+            .and_then(|(i, s)| i.checked_add(s)?.checked_add(HEADER_LEN));
         let actual = file.seek(SeekFrom::End(0))?;
-        if actual != expected {
+        if expected != Some(actual) {
+            let implied = expected.map_or_else(|| "more than 2^64".to_string(), |e| e.to_string());
             return invalid(format!(
-                "workload file is {actual} bytes, header implies {expected} \
+                "workload file is {actual} bytes, header implies {implied} \
                  ({initial_count} initial departures + {session_count} sessions)"
             ));
         }
@@ -145,59 +152,27 @@ impl DiskWorkload {
 
     /// Pre-scans the file sequentially (O(1) memory) to count in-horizon
     /// sequence numbers — the same totals the in-memory pass computes —
-    /// validating record ordering and finiteness along the way.
+    /// by draining a [`DiskStream`] over it, which checks every record it
+    /// reads (and stops at the horizon, the records being sorted).
     ///
     /// Only the sharded replay (`crate::shard`) uses it: it needs the
     /// totals to place each shard's sequence numbers without consuming the
-    /// workload. [`DiskStream`] numbers from the header and checks each
-    /// record as it reads it.
+    /// workload.
     ///
     /// # Panics
     ///
-    /// Panics if the file cannot be read or its records violate the
-    /// format invariants (unsorted, non-finite, inverted sessions);
-    /// [`write_workload`] can produce neither, so this indicates a
-    /// corrupt or foreign file.
+    /// As [`DiskStream`] does: if the file cannot be read or its records
+    /// violate the format invariants (unsorted, non-finite, inverted
+    /// sessions); [`write_workload`] can produce neither, so this
+    /// indicates a corrupt or foreign file.
     pub(crate) fn prescan(&self, horizon: Time) -> PreScan {
-        let fail = |e: &dyn std::fmt::Display| -> ! {
-            panic!("workload file {}: {e}", self.path.display())
-        };
-        // Pass 1a: in-horizon initial departures (sorted → stop early).
-        let mut initial = self.reader_at(HEADER_LEN).unwrap_or_else(|e| fail(&e));
-        let mut initial_in_horizon = 0u64;
-        let mut prev = f64::NEG_INFINITY;
-        for i in 0..self.initial_count {
-            let d = read_f64(&mut initial).unwrap_or_else(|e| fail(&e));
-            if !d.is_finite() || d < prev {
-                fail(&format!("corrupt initial departure {i}: {d} after {prev}"));
-            }
-            prev = d;
-            if Time(d) <= horizon {
-                initial_in_horizon += 1;
-            } else {
-                break; // Sorted: the rest are out of horizon too.
-            }
+        let mut stream = self.clone().into_stream(horizon);
+        while stream.next_session().is_some() {}
+        let initial_in_horizon = std::iter::from_fn(|| stream.next_initial_departure()).count();
+        PreScan {
+            session_seqs: stream.next_session_seq,
+            initial_in_horizon: initial_in_horizon as u64,
         }
-        // Pass 1b: session seq totals (sorted by join → stop early).
-        let mut sessions = self.reader_at(self.sessions_offset()).unwrap_or_else(|e| fail(&e));
-        let mut session_seqs = 0u64;
-        let mut prev_join = f64::NEG_INFINITY;
-        for i in 0..self.session_count {
-            let join = read_f64(&mut sessions).unwrap_or_else(|e| fail(&e));
-            let depart = read_f64(&mut sessions).unwrap_or_else(|e| fail(&e));
-            if !join.is_finite() || !depart.is_finite() || depart < join || join < prev_join {
-                fail(&format!("corrupt session {i}: join {join}, depart {depart}"));
-            }
-            prev_join = join;
-            if Time(join) > horizon {
-                break; // Sorted: the rest are out of horizon too.
-            }
-            session_seqs += 1;
-            if Time(depart) <= horizon {
-                session_seqs += 1;
-            }
-        }
-        PreScan { session_seqs, initial_in_horizon }
     }
 
     /// Opens a raw sequential cursor over both record regions, for the
@@ -523,6 +498,15 @@ mod tests {
         let truncated = &good[..good.len() - 8];
         std::fs::write(&path, truncated).unwrap();
         assert!(DiskWorkload::open(&path).unwrap_err().to_string().contains("bytes"));
+
+        // 2^60 sessions of 16 bytes wrap an unchecked length to 0, which
+        // a bare header would match.
+        let mut wrapping = good[..HEADER_LEN as usize].to_vec();
+        wrapping[16..24].copy_from_slice(&0u64.to_le_bytes());
+        wrapping[24..32].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        std::fs::write(&path, &wrapping).unwrap();
+        let err = DiskWorkload::open(&path).unwrap_err().to_string();
+        assert!(err.contains("more than 2^64"), "{err}");
 
         std::fs::write(&path, &good).unwrap();
         assert!(DiskWorkload::open(&path).is_ok());
