@@ -304,14 +304,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event if its `(time, seq)` key is
-    /// below `key`, and otherwise returns `None`.
-    ///
-    /// The engine merges pre-sorted feeds held outside the queue by calling
-    /// this with the least feed key: one compare when the near buffer is
-    /// loaded, where [`peek_key`](Self::peek_key) rescans the next bucket's
-    /// list on every call. The cursor never moves past `key`'s bucket, so
-    /// the feed's later pushes (at or after `key`) still land in the far
-    /// tier instead of being inserted behind a cursor that ran ahead.
+    /// below `key`, and otherwise returns `None`; the cursor never moves
+    /// past `key`'s bucket (see the module docs). It loads a bucket at
+    /// most once, where [`peek_key`](Self::peek_key) with nothing loaded
+    /// rescans the next bucket's list on every call.
     pub fn pop_before(&mut self, key: (Time, u64)) -> Option<(Time, E)> {
         self.calendar.pop_before(key).map(|e| (e.at, e.event))
     }

@@ -193,17 +193,12 @@ pub enum StreamEvent {
 ///
 /// Simulations must be bit-reproducible, and streams must replay exactly
 /// what an eager scheduler (all events queued up front) would have
-/// produced. The engine breaks same-instant ties by sequence number, so
-/// every yielded event carries one that orders it against every other
-/// event as the eager scheduler's numbering did. The eager numbering is:
-///
-/// * sessions in input order contribute their join (one seq) and, if the
-///   departure falls within the horizon, their departure (the next seq);
-/// * then in-horizon initial departures are numbered in input order;
-/// * then dynamic events (adversary wakeups, purges, periodic charges,
-///   samples) draw fresh numbers as they are scheduled.
-///
-/// A stream must keep these orders:
+/// produced. The engine breaks same-instant ties by sequence number, and
+/// the eager scheduler numbered sessions in input order (join, then the
+/// departure if it falls within the horizon), then in-horizon initial
+/// departures in input order, then dynamic events (adversary wakeups,
+/// purges, periodic charges, samples) as they were scheduled. A stream
+/// must keep every order that numbering decides:
 ///
 /// * session seqs are exactly the eager ones (join seq `s`, departure
 ///   `s + 1`; the engine derives the departure's seq from the join's);
@@ -212,20 +207,16 @@ pub enum StreamEvent {
 ///   `(join, seq)`, initial departures by `(time, seq)` — because the
 ///   engine holds only each feed's head and merges it with its queue;
 /// * [`seq_floor`](Self::seq_floor) is above every seq the stream
-///   yields, so the engine reserves `0..floor` and dynamic events, which
-///   draw numbers from the floor up, follow every workload event at the
-///   same instant.
+///   yields: the engine reserves `0..floor`, and dynamic events draw
+///   numbers from the floor up.
 ///
-/// The floor is a bound, not a count, and the initial block may start
-/// above the last session seq: the in-memory stream packs the numbers
-/// (floor = number of workload events), while the on-disk stream, which
-/// counts nothing ahead of the replay, numbers initial departures from
-/// `2·session_count` and bounds them by `2·session_count +
-/// initial_count`, both read from the header. Within the initial block a
-/// sorted backing store (the on-disk format) may also permute sequence
-/// numbers relative to an unsorted in-memory source. Initial departures
-/// are payload-identical, so neither shift nor permutation changes any
-/// observable pop sequence — and with it the whole `SimReport`.
+/// The floor is a bound, not a count: the in-memory stream packs the
+/// numbers, while the on-disk stream, which counts nothing ahead of the
+/// replay, numbers initial departures from `2·session_count` in stored
+/// (sorted) order, with the floor `2·session_count + initial_count`.
+/// Initial departures are payload-identical, so shifting or permuting
+/// seqs within their block changes no observable pop sequence — and with
+/// it no `SimReport` field.
 pub trait WorkloadStream {
     /// An upper bound on the sequence numbers this stream yields: the
     /// engine reserves `0..floor` for them.
