@@ -33,7 +33,7 @@ use sybil_sim::cost::{Cost, Purpose};
 use sybil_sim::defense::PurgeReport;
 use sybil_sim::engine::SimConfig;
 use sybil_sim::queue::EventQueue;
-use sybil_sim::shard_state::ShardedDefenseState;
+use sybil_sim::state::RunState;
 use sybil_sim::time::Time;
 use sybil_sim::workload_io::{write_workload_file, DiskWorkload};
 
@@ -453,16 +453,16 @@ fn run_queue_depth_bench(name: &str, depth: usize, n_ops: u64) -> QueueBenchResu
 }
 
 /// What the engine's ledger does once per purge round trip (ROADMAP
-/// 4(b)): the adversary's batch is charged to the root, then the purge it
-/// triggered is applied — three `f64` → Q64.64 conversions and three
-/// checked `i128` sums. One state shard with `members` admitted sessions,
-/// as the engine has at the purge (a ledger that splits a sweep over its
-/// members, as PR 24's parent did, pays for it here); costs are seeded
-/// and non-dyadic, from a table built untimed. An op is one of the two
-/// calls, so a pair costs two, as in the queue probes.
+/// 4(b)): the adversary's batch is charged, then the purge it triggered
+/// is applied — three `f64` → Q64.64 conversions and three checked `i128`
+/// sums. A [`RunState`] with `members` admitted sessions, as the engine
+/// has at the purge (a ledger that splits a sweep over its members, as
+/// PR 24's parent did, pays for it here); costs are seeded and
+/// non-dyadic, from a table built untimed. An op is one of the two calls,
+/// so a pair costs two, as in the queue probes.
 fn run_ledger_bench(name: &str, n_ops: u64) -> QueueBenchResult {
     let members = 1024u64;
-    let mut state = ShardedDefenseState::new(members, 1);
+    let mut state = RunState::new(members);
     for i in 0..members {
         state.record_good_join(i, true, Cost::ONE);
     }
@@ -479,7 +479,7 @@ fn run_ledger_bench(name: &str, n_ops: u64) -> QueueBenchResult {
     let started = Instant::now();
     for pair in 0..pairs {
         let (spent, purge) = &table[pair as usize % table.len()];
-        state.charge_root_adversary(Purpose::Entrance, *spent);
+        state.charge_adversary(Purpose::Entrance, *spent);
         state.apply_purge(purge);
     }
     let wall_secs = started.elapsed().as_secs_f64();

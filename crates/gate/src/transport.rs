@@ -719,4 +719,32 @@ mod tests {
         assert_eq!(served_by.len(), 2, "a refused dial reaches no handler");
         assert_eq!(served_by[0], served_by[1], "the worker outlived the failed read");
     }
+
+    /// A half-open socket: the client sends a whole `Join` and shuts its
+    /// write side at once. The request still counts, its reply still
+    /// arrives, and the FIN then ends the connection like any clean EOF.
+    #[test]
+    fn a_join_sent_before_a_fin_is_granted_and_the_worker_serves_on() {
+        let gate = Watched::new(0);
+        let Some(addr) = serve_on_loopback(Arc::clone(&gate), 1) else { return };
+        let (mut stream, hello) = dial_for_hello(addr);
+        let Frame::Hello { difficulty, nonce, .. } = hello else { unreachable!("a hello") };
+        let client_tag = 7;
+        let challenge = Challenge::new(&nonce, &u64::to_be_bytes(client_tag), difficulty);
+        let solution = Solver::new().solve(&challenge).nonce;
+        let log = gate.inner.decision_log();
+        stream.write_all(&Frame::Join { client_tag, solution }.encode()).expect("send a join");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let reply = read_frame(&mut stream).expect("read the reply");
+        assert!(matches!(reply, Some(Frame::Granted { .. })), "{reply:?}");
+        assert_closed_silently(stream, "the half-closed connection");
+        assert_eq!(gate.inner.counters().granted, 1);
+        let logged = gate.inner.decision_log();
+        assert!(logged.len() > log.len() && logged.starts_with(&log), "the grant is logged");
+        assert_eq!(gate.inner.open_connections(), 0, "the FIN frees the connection state");
+        dial_for_hello(addr);
+        let served_by = gate.served_by();
+        assert_eq!(served_by.len(), 2);
+        assert_eq!(served_by[0], served_by[1], "the same worker serves the next dial");
+    }
 }

@@ -49,12 +49,11 @@ pub(crate) const SEGMENT_ENTRIES: usize = 8192;
 const SEGMENT_WORDS: usize = SEGMENT_ENTRIES / 32;
 
 /// The canonical resident-bytes gauge for an admission space of `len`
-/// sessions of which `touched_segments` *global* segments hold
-/// non-Pending state: touched payloads plus the full directory. For a
-/// monolithic map this is exactly [`AdmissionMap::allocated_bytes`];
-/// sharded state (whose slices each hold partial segments) reports this
-/// same figure so the gauge is a pure function of the touched ID space,
-/// independent of the shard count.
+/// sessions of which `touched_segments` segments hold non-Pending state:
+/// touched payloads plus the full directory. For a lazily allocated map
+/// this is exactly [`AdmissionMap::allocated_bytes`]; the engine reports
+/// this figure so that preallocating a resident source's segments leaves
+/// the gauge a pure function of the touched ID space.
 pub(crate) fn canonical_bytes(len: u64, touched_segments: usize) -> usize {
     touched_segments * SEGMENT_WORDS * 8
         + (len as usize).div_ceil(SEGMENT_ENTRIES)

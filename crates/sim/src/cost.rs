@@ -129,8 +129,8 @@ impl Ledger {
     }
 
     /// Builds a ledger from per-purpose balances in `[Entrance, Purge,
-    /// Periodic]` order — the seam through which the sharded fixed-point
-    /// ledger materializes its final float report.
+    /// Periodic]` order — the seam through which the fixed-point ledger
+    /// materializes its final float report.
     pub(crate) fn from_parts(good: [Cost; 3], adv: [Cost; 3]) -> Ledger {
         Ledger {
             good_entrance: good[0],
@@ -209,9 +209,9 @@ impl Ledger {
 /// Conversion from [`Cost`] scales by 2⁶⁴ — exact — and rounds once
 /// ([`FixedCost::from_cost`]); all subsequent accumulation is exact integer arithmetic,
 /// which is associative, so a total does not depend on how its charges
-/// were grouped (see [`crate::shard_state`]). Every operation is checked
-/// in every build profile: an amount that leaves the range panics with the
-/// operation and its operands instead of wrapping into a negative balance.
+/// were grouped. Every operation is checked in every build profile: an
+/// amount that leaves the range panics with the operation and its
+/// operands instead of wrapping into a negative balance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FixedCost(i128);
 
@@ -223,8 +223,7 @@ impl FixedCost {
     const FRAC_BITS: i32 = 64;
 
     /// Rounds a [`Cost`] into fixed point. This is the only lossy step in
-    /// the ledger pipeline and it happens exactly once per charge,
-    /// before any shard routing, so it cannot depend on the shard count.
+    /// the ledger pipeline and it happens exactly once per charge.
     ///
     /// The result is `v · 2⁶⁴` rounded half away from zero, computed on
     /// the bits of `v`: an `f64` is `sig · 2^(exp − 1075)` with a 53-bit
@@ -309,8 +308,8 @@ impl SubAssign for FixedCost {
 /// decomposition the float ledger reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FixedLedger {
-    pub(crate) good: [FixedCost; 3],
-    pub(crate) adv: [FixedCost; 3],
+    good: [FixedCost; 3],
+    adv: [FixedCost; 3],
 }
 
 impl FixedLedger {
@@ -330,14 +329,6 @@ impl FixedLedger {
     /// Records spending by the adversary.
     pub fn charge_adversary(&mut self, purpose: Purpose, amount: Cost) {
         self.adv[Self::slot(purpose)] += FixedCost::from_cost(amount);
-    }
-
-    /// Folds another ledger into this one (exact).
-    pub fn merge(&mut self, other: &FixedLedger) {
-        for i in 0..3 {
-            self.good[i] += other.good[i];
-            self.adv[i] += other.adv[i];
-        }
     }
 
     /// Total burned by good IDs.
@@ -397,6 +388,38 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(Cost(1.5).to_string(), "1.50rb");
+    }
+
+    #[test]
+    fn fixed_point_is_exact_on_dyadic_values() {
+        for v in [0.0, 1.0, 1.5, 150.0, 0.25, 1e7] {
+            assert_eq!(FixedCost::from_cost(Cost(v)).to_cost(), Cost(v));
+        }
+        let mut sum = FixedCost::ZERO;
+        for _ in 0..150 {
+            sum += FixedCost::from_cost(Cost::ONE);
+        }
+        assert_eq!(sum.to_cost(), Cost(150.0));
+    }
+
+    #[test]
+    fn fixed_ledger_round_trips_through_the_float_ledger() {
+        let mut fl = FixedLedger::default();
+        fl.charge_good(Purpose::Entrance, Cost(2.0));
+        fl.charge_good(Purpose::Purge, Cost(3.0));
+        fl.charge_good(Purpose::Periodic, Cost(5.0));
+        fl.charge_adversary(Purpose::Entrance, Cost(7.0));
+        fl.charge_adversary(Purpose::Purge, Cost(11.0));
+        fl.charge_adversary(Purpose::Periodic, Cost(13.0));
+        let l = fl.to_ledger();
+        assert_eq!(l.good_entrance(), Cost(2.0));
+        assert_eq!(l.good_purge(), Cost(3.0));
+        assert_eq!(l.good_periodic(), Cost(5.0));
+        assert_eq!(l.adversary_entrance(), Cost(7.0));
+        assert_eq!(l.adversary_purge(), Cost(11.0));
+        assert_eq!(l.adversary_periodic(), Cost(13.0));
+        assert_eq!(fl.good_total().to_cost(), Cost(10.0));
+        assert_eq!(fl.adversary_total().to_cost(), Cost(31.0));
     }
 
     /// The float route `from_cost` replaced, kept here as the reference:

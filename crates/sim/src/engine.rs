@@ -6,13 +6,12 @@
 //! retention. The engine owns ground truth, the cost ledger, and the
 //! bad-fraction invariant tracking.
 //!
-//! The engine is generic over its [`WorkloadSource`]: the same loop replays
-//! a resident [`Workload`] or a disk-backed
-//! [`crate::workload_io::DiskWorkload`], and resident state is
+//! The engine is generic over its [`WorkloadSource`]: one loop, over one
+//! `(time, seq)` event order, replays a resident [`Workload`] or a
+//! disk-backed [`crate::workload_io::DiskWorkload`], and resident state is
 //! O(active sessions) either way — the event queue streams, admission and
-//! spend state live in a [`ShardedDefenseState`] (2-bit packed admission
-//! slices plus fixed-point ledgers, one slice per workload shard), and the
-//! disk stream holds two read buffers.
+//! spend state live in a [`RunState`] (a 2-bit packed admission map plus a
+//! fixed-point ledger), and the disk stream holds two read buffers.
 //!
 //! # Example
 //!
@@ -38,9 +37,9 @@ use crate::cost::{Cost, Purpose};
 use crate::defense::{BatchStop, Defense, DefenseEvent};
 use crate::queue::EventQueue;
 use crate::report::{EstimateRecord, SimReport, TimelinePoint};
-use crate::shard_state::ShardedDefenseState;
+use crate::state::RunState;
 use crate::time::Time;
-use crate::workload::{SessionIndex, StreamEvent, Workload, WorkloadSource, WorkloadStream};
+use crate::workload::{SessionIndex, Workload, WorkloadSource, WorkloadStream};
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -124,13 +123,6 @@ enum Event {
     Sample,
 }
 
-/// What the merged run loop picked at one merge step: the head of the
-/// external workload feed or the head of the internal queue.
-enum MergedEvent {
-    Workload(StreamEvent),
-    Internal(Event),
-}
-
 /// A single simulation run binding a defense, an adversary, and a workload.
 ///
 /// The workload is *not* loaded into the event queue up front. The
@@ -148,7 +140,9 @@ enum MergedEvent {
 /// Determinism: each streamed event carries a sequence number that orders
 /// it against every other event exactly as an eager scheduler's would
 /// (see [`WorkloadStream`]), so tie-breaking — and with it every
-/// simulation counter — is bit-identical to eager scheduling.
+/// simulation counter — is bit-identical to eager scheduling. Every run,
+/// from memory or from disk, goes through this one loop
+/// ([`run_spanned`](Self::run_spanned)) on one thread.
 pub struct Simulation<D, A, W: WorkloadSource = Workload> {
     cfg: SimConfig,
     defense: D,
@@ -158,11 +152,8 @@ pub struct Simulation<D, A, W: WorkloadSource = Workload> {
     queue: EventQueue<Event>,
     budget: f64,
     last_budget_time: Time,
-    /// Sharded defense state: per-shard admission slices, live counts,
-    /// and spend ledgers, reduced deterministically at epoch boundaries.
-    /// The shard count follows the workload source, so a sharded workload
-    /// keeps each session's state with the shard that decodes it.
-    state: ShardedDefenseState,
+    /// Admission verdicts, good-ID tallies and the spend ledger.
+    state: RunState,
     purge_pending: bool,
     // Invariant tracking.
     frac_integral: f64,
@@ -250,10 +241,8 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             return Err(SimBuildError::TooManySessions { sessions: n_sessions });
         }
         let initial_size = workload.initial_size();
-        let state_shards = workload.state_shards();
-        let preallocate_admission = workload.preallocate_admission();
-        let mut state = ShardedDefenseState::new(n_sessions, state_shards);
-        if preallocate_admission {
+        let mut state = RunState::new(n_sessions);
+        if workload.preallocate_admission() {
             // Resident sources opt in: first-touch segment boxes would be
             // the last allocations left inside the steady-state loop. The
             // report's admission gauge counts touched segments only, so
@@ -321,9 +310,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
     /// teardown allocations are excluded by construction. Behavior is
     /// identical to [`run_with_defense`](Self::run_with_defense).
     pub fn run_spanned(mut self, enter: impl FnOnce(), exit: impl FnOnce()) -> (SimReport, D) {
-        if self.stream.merged() {
-            return self.run_merged(enter, exit);
-        }
         self.queue.advance_seq_to(self.stream.seq_floor());
         self.schedule_internal();
         self.initialize();
@@ -357,7 +343,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
                 break;
             }
             events_processed += 1;
-            self.state.note_event();
             self.accrue_budget(t);
             match queued {
                 Some((_, ev)) => self.dispatch(t, ev),
@@ -385,69 +370,9 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         self.finish()
     }
 
-    /// The run loop for *merged* streams (sharded workloads): the stream
-    /// yields fully ordered `(time, seq, event)` triples, and this loop
-    /// k-way-merges them against the internal event queue by the global
-    /// `(time, seq)` key — the exact total order the monolithic loop pops.
-    ///
-    /// Internal events (adversary wakeups, periodic charges, purge
-    /// resolutions, samples) draw sequence numbers above the workload's
-    /// reserved floor in the same order as the monolithic scheduler
-    /// (workload pushes never bump the counter there), so every key — and
-    /// with it every `SimReport` bit — matches the 1-shard run.
-    fn run_merged(mut self, enter: impl FnOnce(), exit: impl FnOnce()) -> (SimReport, D) {
-        self.queue.advance_seq_to(self.stream.seq_floor());
-        self.schedule_internal();
-        self.initialize();
-        enter();
-        let mut events_processed = 0u64;
-        let mut peak_queue_len = self.queue.len();
-        let mut next_workload = self.stream.next_event();
-        loop {
-            // Keys are globally unique, so strict `<` decides the merge.
-            let workload_key = next_workload.as_ref().map(|&(t, s, _)| (t, s));
-            let take_workload = match (workload_key, self.queue.peek_key()) {
-                (Some(w), Some(q)) => w < q,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (t, ev) = if take_workload {
-                let (t, _, ev) = next_workload.take().expect("workload head exists");
-                next_workload = self.stream.next_event();
-                (t, MergedEvent::Workload(ev))
-            } else {
-                let (t, ev) = self.queue.pop().expect("queue head exists");
-                (t, MergedEvent::Internal(ev))
-            };
-            // Streams only yield in-horizon events, so (as in the
-            // monolithic loop) only an internal event can end the run.
-            if t > self.cfg.horizon {
-                break;
-            }
-            events_processed += 1;
-            self.state.note_event();
-            self.accrue_budget(t);
-            match ev {
-                MergedEvent::Workload(StreamEvent::Join(i)) => self.handle_good_join(t, i),
-                MergedEvent::Workload(StreamEvent::Depart(i, joined_at)) => {
-                    self.handle_good_depart(t, i, joined_at)
-                }
-                MergedEvent::Workload(StreamEvent::InitialDepart) => self.handle_initial_depart(t),
-                MergedEvent::Internal(ev) => self.dispatch(t, ev),
-            }
-            self.check_purge(t);
-            peak_queue_len = peak_queue_len.max(self.queue.len());
-        }
-        exit();
-        self.events_processed = events_processed;
-        self.peak_queue_len = peak_queue_len;
-        self.finish()
-    }
-
     /// Queues the initial internal events (adversary wakeup, first timeline
     /// sample). Push order matters: these draw the first sequence numbers
-    /// above the workload floor, in both the monolithic and merged modes.
+    /// above the workload floor.
     fn schedule_internal(&mut self) {
         if self.cfg.adv_rate > 0.0 {
             self.queue.push(Time::ZERO, Event::AdvWake);
@@ -462,8 +387,8 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         let n_good = self.initial_size;
         let n_bad = self.cfg.initial_bad;
         let per_id = self.defense.init(Time::ZERO, n_good, n_bad);
-        self.state.charge_root_good(Purpose::Entrance, per_id * n_good as f64);
-        self.state.charge_root_adversary(Purpose::Entrance, per_id * n_bad as f64);
+        self.state.charge_good(Purpose::Entrance, per_id * n_good as f64);
+        self.state.charge_adversary(Purpose::Entrance, per_id * n_bad as f64);
         if let Some(next) = self.defense.next_periodic() {
             self.queue.push(next, Event::Periodic);
         }
@@ -501,10 +426,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
     }
 
     /// Semantic effect of a good join: defense verdict, ledger charge,
-    /// admission record, counters — all recorded on the session's owning
-    /// state shard. Shared verbatim by the monolithic loop and the
-    /// merged loop — bit-identity between the two modes rests on this
-    /// being one code path.
+    /// admission record, counters.
     fn handle_good_join(&mut self, now: Time, i: SessionIndex) {
         let admission = self.defense.good_join(now);
         self.state.record_good_join(i as u64, admission.is_admitted(), admission.cost());
@@ -515,8 +437,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
     }
 
     /// Semantic effect of an arrival session's departure: only admitted
-    /// sessions count, and the admission verdict lives on the session's
-    /// owning state shard.
+    /// sessions count.
     fn handle_good_depart(&mut self, now: Time, i: SessionIndex, joined_at: Time) {
         if self.state.record_good_depart(i as u64) {
             self.defense.good_depart(now, joined_at);
@@ -524,8 +445,8 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         }
     }
 
-    /// Semantic effect of a t=0 resident's departure (root-owned; initial
-    /// residents are not arrival sessions).
+    /// Semantic effect of a t=0 resident's departure (initial residents
+    /// are not arrival sessions).
     fn handle_initial_depart(&mut self, now: Time) {
         self.defense.good_depart(now, Time::ZERO);
         self.state.record_initial_depart();
@@ -600,7 +521,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             if action.max_joins > 0 && action.join_budget > Cost::ZERO {
                 let batch = self.defense.bad_join_batch(now, action.join_budget, action.max_joins);
                 self.budget -= batch.spent.value();
-                self.state.charge_root_adversary(Purpose::Entrance, batch.spent);
+                self.state.charge_adversary(Purpose::Entrance, batch.spent);
                 self.bad_joins_admitted += batch.admitted;
                 self.bad_join_attempts += batch.attempts;
                 progressed |= batch.attempts > 0;
@@ -718,8 +639,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         if dt > 0.0 {
             self.frac_integral += self.last_frac * dt;
         }
-        // The final epoch reduction: fold every shard's remaining delta
-        // and seal the fixed-point ledgers into the report's float form.
+        // Seal the fixed-point ledger into the report's float form.
         let sealed = self.state.finalize();
         let report = SimReport {
             defense: self.defense.name(),

@@ -15,10 +15,10 @@
 //! * [`defense`] / [`adversary`] — the traits every simulated defense and
 //!   attack strategy implement;
 //! * [`engine`] — the simulation loop with budgeted adversaries, purge
-//!   rounds, periodic charges, and invariant tracking;
-//! * [`shard`] — shared-nothing sharded workload replay, bit-identical to
-//!   the single-threaded loop for every shard count (kept for the frozen
-//!   benchmark's probe only; no caller above this crate);
+//!   rounds, periodic charges, and invariant tracking, over one
+//!   `(time, seq)` event order;
+//! * [`state`] — the loop's admission verdicts, good-ID tallies and
+//!   fixed-point spend ledger;
 //! * [`report`] — run outputs.
 //!
 //! Ground truth (which IDs are Sybil) lives in the engine and the adversary;
@@ -52,8 +52,7 @@ pub mod engine;
 pub mod id;
 pub mod queue;
 pub mod report;
-pub mod shard;
-pub mod shard_state;
+pub mod state;
 pub mod testutil;
 pub mod time;
 pub mod workload;
@@ -65,8 +64,7 @@ pub use defense::{Admission, BatchAdmission, BatchStop, Defense};
 pub use engine::{SimBuildError, SimConfig, Simulation};
 pub use id::{Id, IdAllocator, Kind};
 pub use report::SimReport;
-pub use shard::ShardedWorkload;
-pub use shard_state::{EpochDelta, ShardedDefenseState};
+pub use state::RunState;
 pub use time::Time;
 pub use workload::{Session, SessionIndex, StreamEvent, Workload, WorkloadSource, WorkloadStream};
-pub use workload_io::{write_workload, write_workload_file, DiskWorkload};
+pub use workload_io::{write_workload, write_workload_file, DiskWorkload, ShardedWorkload};

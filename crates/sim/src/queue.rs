@@ -57,7 +57,7 @@ use std::collections::VecDeque;
 /// q.push(Time(2.0), "b");
 /// q.push(Time(1.0), "a");
 /// q.push(Time(2.0), "c");
-/// assert_eq!(q.peek(), Some((Time(1.0), &"a")));
+/// assert_eq!(q.len(), 3);
 /// assert_eq!(q.pop(), Some((Time(1.0), "a")));
 /// assert_eq!(q.pop(), Some((Time(2.0), "b")));
 /// assert_eq!(q.pop(), Some((Time(2.0), "c")));
@@ -226,25 +226,6 @@ impl<E> Calendar<E> {
             None
         }
     }
-
-    fn peek(&self) -> Option<&Entry<E>> {
-        if !self.near.is_empty() || self.len == 0 {
-            return self.near.front();
-        }
-        // Nothing at or behind the cursor: the minimum is the least entry
-        // of the next occupied bucket, found without unlinking it.
-        let mut slot = *self.heads[self.cursor + 1..].iter().find(|&&head| head != NIL)?;
-        let mut min: Option<&Entry<E>> = None;
-        while slot != NIL {
-            let node = &self.nodes[slot as usize];
-            let entry = node.entry.as_ref().expect("linked node holds an entry");
-            if min.is_none_or(|m| entry.key() < m.key()) {
-                min = Some(entry);
-            }
-            slot = node.next;
-        }
-        min
-    }
 }
 
 impl<E> EventQueue<E> {
@@ -305,31 +286,10 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event if its `(time, seq)` key is
     /// below `key`, and otherwise returns `None`; the cursor never moves
-    /// past `key`'s bucket (see the module docs). It loads a bucket at
-    /// most once, where [`peek_key`](Self::peek_key) with nothing loaded
-    /// rescans the next bucket's list on every call.
+    /// past `key`'s bucket (see the module docs), and a bucket is loaded
+    /// at most once.
     pub fn pop_before(&mut self, key: (Time, u64)) -> Option<(Time, E)> {
         self.calendar.pop_before(key).map(|e| (e.at, e.event))
-    }
-
-    /// Removes and returns the earliest event together with its full
-    /// `(time, seq)` ordering key.
-    ///
-    /// The merged (sharded) engine loop compares this key against the
-    /// heads of external pre-ordered feeds, so it needs the sequence
-    /// number [`pop`](Self::pop) discards.
-    pub fn pop_keyed(&mut self) -> Option<(Time, u64, E)> {
-        self.calendar.pop().map(|e| (e.at, e.seq, e.event))
-    }
-
-    /// The earliest pending event, if any, without removing it.
-    pub fn peek(&self) -> Option<(Time, &E)> {
-        self.calendar.peek().map(|e| (e.at, &e.event))
-    }
-
-    /// Full `(time, seq)` ordering key of the earliest pending event.
-    pub fn peek_key(&self) -> Option<(Time, u64)> {
-        self.calendar.peek().map(|e| e.key())
     }
 
     /// Number of pending events.
@@ -363,28 +323,16 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_counts_both_tiers() {
         let mut q = queue();
         assert!(q.is_empty());
-        assert_eq!(q.peek(), None);
         q.push(Time(5.0), 0);
-        assert_eq!(q.peek(), Some((Time(5.0), &0)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn keyed_accessors_expose_seq() {
-        let mut q = queue();
-        q.push(Time(2.0), 20); // seq 0
-        q.push(Time(1.0), 10); // seq 1
-        q.push(Time(2.0), 21); // seq 2
-        assert_eq!(q.peek_key(), Some((Time(1.0), 1)));
-        assert_eq!(q.pop_keyed(), Some((Time(1.0), 1, 10)));
-        assert_eq!(q.peek_key(), Some((Time(2.0), 0)));
-        assert_eq!(q.pop_keyed(), Some((Time(2.0), 0, 20)));
-        assert_eq!(q.pop_keyed(), Some((Time(2.0), 2, 21)));
-        assert_eq!(q.pop_keyed(), None);
-        assert_eq!(q.peek_key(), None);
+        q.push(Time(90.0), 1);
+        assert_eq!(q.pop(), Some((Time(5.0), 0)));
+        // The far entry is still pending after the near one popped.
+        q.push(Time(5.0), 2);
+        assert_eq!(q.len(), 2);
+        assert!(!q.is_empty());
     }
 
     #[test]
@@ -451,8 +399,9 @@ mod tests {
     /// Reference model: an ordered map keyed by `(time, seq)`. The
     /// calendar must agree with it on interleaved push, pop and
     /// `pop_before` sequences (FIFO tie-breaking included), shallow and at
-    /// depth: after every operation `peek_key` is the key the next
-    /// `pop_keyed` returns and `len` matches. Times are coarse (multiples
+    /// depth: every pop returns the reference's least entry, and `len`
+    /// matches after every operation. Each payload is its entry's seq, so
+    /// the popped payloads pin the key order. Times are coarse (multiples
     /// of 0.25) to force exact ties. Pushes land at the cursor's bucket,
     /// behind it, before zero, past the horizon and anywhere on the
     /// horizon; `pop_before` keys (with any seq, so they tie with queued
@@ -509,19 +458,17 @@ mod tests {
                     reference.insert((Time(at), seq), seq);
                     seq += 1;
                 } else {
-                    let ((at, s), want) = reference.pop_first().expect("non-empty");
-                    assert_eq!(q.pop_keyed(), Some((at, s, want)), "trial {trial} op {op}");
+                    let ((at, _), want) = reference.pop_first().expect("non-empty");
+                    assert_eq!(q.pop(), Some((at, want)), "trial {trial} op {op}");
                     now = at.as_secs();
                 }
-                assert_eq!(q.peek_key(), reference.keys().next().copied(), "trial {trial} op {op}");
-                assert_eq!(q.len(), reference.len());
+                assert_eq!(q.len(), reference.len(), "trial {trial} op {op}");
             }
             // Drain; both must agree to the end.
-            for ((at, s), want) in reference {
-                assert_eq!(q.peek_key(), Some((at, s)), "trial {trial}");
-                assert_eq!(q.pop_keyed(), Some((at, s, want)), "trial {trial}");
+            for ((at, _), want) in reference {
+                assert_eq!(q.pop(), Some((at, want)), "trial {trial}");
             }
-            assert!(q.pop().is_none() && q.is_empty() && q.peek().is_none());
+            assert!(q.pop().is_none() && q.is_empty());
         }
     }
 
@@ -594,21 +541,6 @@ mod tests {
         assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
     }
 
-    /// `run_merged` peeks once per step at a queue that is empty for whole
-    /// replays (T = 0): that must not walk the 65 537 bucket heads.
-    #[test]
-    fn peek_at_an_empty_queue_does_not_scan() {
-        let started = std::time::Instant::now();
-        let mut q: EventQueue<u32> = EventQueue::with_horizon(Time(10.0), 65_536);
-        q.push(Time(1.0), 0);
-        q.pop();
-        for _ in 0..100_000 {
-            assert_eq!(q.peek_key(), None);
-        }
-        let took = started.elapsed();
-        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
-    }
-
     #[test]
     fn clone_of_a_half_drained_queue_pops_the_same_sequence() {
         let mut next = lcg(11);
@@ -628,8 +560,9 @@ mod tests {
             copy.push(at, 3000 + i);
         }
         assert_eq!(copy.len(), q.len());
-        while let Some(popped) = q.pop_keyed() {
-            assert_eq!(copy.pop_keyed(), Some(popped));
+        // Every payload is distinct, so equal payloads mean equal keys.
+        while let Some(popped) = q.pop() {
+            assert_eq!(copy.pop(), Some(popped));
         }
         assert!(copy.is_empty());
     }

@@ -145,11 +145,7 @@ pub trait WorkloadSource {
     /// [`WorkloadStream`].
     fn into_stream(self, horizon: Time) -> Self::Stream;
 
-    /// Number of shards the engine should partition its *defense state*
-    /// (admission slices, spend ledgers) into — see
-    /// [`crate::shard_state`]. Single-stream sources run unsharded;
-    /// sharded sources override this to match their ID-congruence layout
-    /// so session `i`'s state lives with the shard that decodes it.
+    /// Unread by the engine; kept because the frozen `benchmark/` implements it.
     fn state_shards(&self) -> usize {
         1
     }
@@ -167,14 +163,7 @@ pub trait WorkloadSource {
     }
 }
 
-/// One pre-ordered workload event, as yielded by a *merged* stream (see
-/// [`WorkloadStream::next_event`]).
-///
-/// Unlike the pull-based `next_session`/`next_initial_departure` pair —
-/// where the engine re-derives departures from joins and interleaves the
-/// two cursors itself — a merged stream has already done that work
-/// (typically on shard threads) and hands the engine fully ordered
-/// `(time, seq, event)` triples.
+/// Unused by the engine; kept because the frozen `benchmark/` names it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum StreamEvent {
     /// Session `index` joins.
@@ -233,23 +222,12 @@ pub trait WorkloadStream {
     /// and any retained schedule data), for memory reporting.
     fn resident_bytes(&self) -> usize;
 
-    /// True if this stream is *merged*: it yields fully ordered
-    /// `(time, seq, event)` triples through
-    /// [`next_event`](Self::next_event) instead of the pull-based cursor
-    /// pair above. The engine switches to its k-way-merge loop for merged
-    /// streams (see `crates/sim/README.md`, "Sharded runs").
+    /// Unread by the engine; kept because the frozen `benchmark/` implements it.
     fn merged(&self) -> bool {
         false
     }
 
-    /// Next workload event in global `(time, seq)` order, for merged
-    /// streams. Non-merged streams never have this called and return
-    /// `None`.
-    ///
-    /// The contract mirrors the eager scheduler exactly: the triples
-    /// across all of a merged stream's shards, sorted by `(time, seq)`,
-    /// are precisely the in-horizon workload events the engine would have
-    /// derived itself, with the same sequence numbers.
+    /// Never called by the engine; kept because the frozen `benchmark/` implements it.
     fn next_event(&mut self) -> Option<(Time, u64, StreamEvent)> {
         None
     }

@@ -149,101 +149,6 @@ impl DiskWorkload {
         file.seek(SeekFrom::Start(offset))?;
         Ok(BufReader::new(file))
     }
-
-    /// Pre-scans the file sequentially (O(1) memory) to count in-horizon
-    /// sequence numbers — the same totals the in-memory pass computes —
-    /// by draining a [`DiskStream`] over it, which checks every record it
-    /// reads (and stops at the horizon, the records being sorted).
-    ///
-    /// Only the sharded replay (`crate::shard`) uses it: it needs the
-    /// totals to place each shard's sequence numbers without consuming the
-    /// workload.
-    ///
-    /// # Panics
-    ///
-    /// As [`DiskStream`] does: if the file cannot be read or its records
-    /// violate the format invariants (unsorted, non-finite, inverted
-    /// sessions); [`write_workload`] can produce neither, so this
-    /// indicates a corrupt or foreign file.
-    pub(crate) fn prescan(&self, horizon: Time) -> PreScan {
-        let mut stream = self.clone().into_stream(horizon);
-        while stream.next_session().is_some() {}
-        let initial_in_horizon = std::iter::from_fn(|| stream.next_initial_departure()).count();
-        PreScan {
-            session_seqs: stream.next_session_seq,
-            initial_in_horizon: initial_in_horizon as u64,
-        }
-    }
-
-    /// Opens a raw sequential cursor over both record regions, for the
-    /// sharded replay. No horizon filtering or seq assignment — the shard
-    /// producer does both, so the cursor just decodes records in stored
-    /// order.
-    pub(crate) fn records(&self) -> io::Result<DiskRecords> {
-        Ok(DiskRecords {
-            sessions: self.reader_at(self.sessions_offset())?,
-            initial: self.reader_at(HEADER_LEN)?,
-            path: self.path.clone(),
-            sessions_remaining: self.session_count,
-            initial_remaining: self.initial_count,
-        })
-    }
-}
-
-/// In-horizon sequence-number totals from a [`DiskWorkload::prescan`].
-pub(crate) struct PreScan {
-    /// Sequence numbers assigned to session events (joins + in-horizon
-    /// departures), `0..session_seqs`.
-    pub(crate) session_seqs: u64,
-    /// In-horizon initial departures, numbered `session_seqs..floor`.
-    pub(crate) initial_in_horizon: u64,
-}
-
-/// Raw sequential record cursor over a workload file: sessions in stored
-/// (join-sorted) order and initial departures in stored (ascending) order,
-/// with no horizon filtering. Invariants were already checked by
-/// [`DiskWorkload::prescan`]; a read failure here means the file changed
-/// underneath us, which panics like the mid-replay paths of
-/// [`DiskStream`].
-pub(crate) struct DiskRecords {
-    sessions: BufReader<File>,
-    initial: BufReader<File>,
-    path: PathBuf,
-    sessions_remaining: u64,
-    initial_remaining: u64,
-}
-
-impl DiskRecords {
-    /// Next stored session record, or `None` at the end of the region.
-    pub(crate) fn next_session(&mut self) -> Option<Session> {
-        if self.sessions_remaining == 0 {
-            return None;
-        }
-        self.sessions_remaining -= 1;
-        let mut record = |what: &str| -> f64 {
-            read_f64(&mut self.sessions).unwrap_or_else(|e| {
-                panic!("workload file {}: {what} unreadable mid-replay: {e}", self.path.display())
-            })
-        };
-        let join = record("session join");
-        let depart = record("session depart");
-        Some(Session::new(Time(join), Time(depart)))
-    }
-
-    /// Next stored initial departure, or `None` at the end of the region.
-    pub(crate) fn next_initial(&mut self) -> Option<Time> {
-        if self.initial_remaining == 0 {
-            return None;
-        }
-        self.initial_remaining -= 1;
-        let d = read_f64(&mut self.initial).unwrap_or_else(|e| {
-            panic!(
-                "workload file {}: initial departure unreadable mid-replay: {e}",
-                self.path.display()
-            )
-        });
-        Some(Time(d))
-    }
 }
 
 fn read_f64(r: &mut impl Read) -> io::Result<f64> {
@@ -404,6 +309,43 @@ impl WorkloadStream for DiskStream {
 
     fn resident_bytes(&self) -> usize {
         self.sessions.capacity() + self.initial.capacity() + std::mem::size_of::<DiskStream>()
+    }
+}
+
+/// A [`DiskWorkload`] under the name the frozen `benchmark/` package
+/// compiles against: it exists only because
+/// `benchmark/src/probes.rs::shard_rates` calls
+/// [`from_disk`](Self::from_disk), and it goes when that package is next
+/// thawed. It replays exactly as the wrapped workload does, through a
+/// plain [`DiskStream`]: there is one event loop and no sharded replay.
+#[derive(Clone, Debug)]
+pub struct ShardedWorkload(DiskWorkload);
+
+impl ShardedWorkload {
+    /// Wraps `workload`; `shards` changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is 0.
+    pub fn from_disk(workload: DiskWorkload, shards: usize) -> ShardedWorkload {
+        assert!(shards >= 1, "at least one shard required");
+        ShardedWorkload(workload)
+    }
+}
+
+impl WorkloadSource for ShardedWorkload {
+    type Stream = DiskStream;
+
+    fn initial_size(&self) -> u64 {
+        self.0.initial_size()
+    }
+
+    fn session_count(&self) -> u64 {
+        self.0.session_count()
+    }
+
+    fn into_stream(self, horizon: Time) -> DiskStream {
+        self.0.into_stream(horizon)
     }
 }
 

@@ -12,10 +12,15 @@
 //! * ties between workload events and dynamic events (adversary wakeups
 //!   and timeline samples land on the same coarse time grid),
 //! * ties between initial departures and session joins or departures —
-//!   the one place the two sources number differently.
+//!   the one place the two sources number differently,
+//! * every registry strategy, whose float accumulation order (budget
+//!   accrual partitions sums at every event pop) any reordering shows in,
+//! * workloads with nothing or almost nothing in them.
 
 use ergo_core::{Ergo, ErgoConfig};
-use sybil_sim::adversary::{BudgetJoiner, NullAdversary};
+use sybil_sim::adversary::{
+    build_strategy, BudgetJoiner, NullAdversary, StrategyParams, STRATEGY_NAMES,
+};
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::testutil::UnitCostDefense;
 use sybil_sim::time::Time;
@@ -192,4 +197,54 @@ fn heavy_tie_workload_replays_identically() {
     assert!(mem.good_departures > 10);
     assert_eq!(normalized(mem), normalized(dsk));
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn every_registry_strategy_replays_identically_from_disk() {
+    let horizon = 60.0;
+    let workload = random_workload(0xBEEF, horizon);
+    let path = temp_path("strategies", 0);
+    write_workload_file(&path, &workload).expect("write workload");
+    let t = 5.0;
+    let cfg = SimConfig {
+        horizon: Time(horizon),
+        adv_rate: t,
+        initial_bad: 3,
+        timeline_resolution: Some(2.0),
+        ..SimConfig::default()
+    };
+    let params = StrategyParams::rate(t).with_target_fraction(0.2).with_seed(11);
+    for strategy in STRATEGY_NAMES {
+        let adversary = || build_strategy(strategy, &params).expect("registry strategy");
+        let mem = Simulation::new(cfg, UnitCostDefense::new(), adversary(), workload.clone()).run();
+        let disk = DiskWorkload::open(&path).expect("open workload");
+        let dsk = Simulation::new(cfg, UnitCostDefense::new(), adversary(), disk).run();
+        assert_eq!(normalized(mem), normalized(dsk), "{strategy}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Nothing, one event, and events exactly at the horizon (which is inside
+/// the run: a stream that stopped short of it would drop them).
+#[test]
+fn empty_and_tiny_workloads_replay_identically_from_disk() {
+    let horizon = Time(10.0);
+    let cases = [
+        Workload::empty(),
+        Workload::new(vec![Time(1.0)], vec![]),
+        Workload::new(vec![], vec![Session::new(Time(1.0), Time(2.0))]),
+        Workload::new(vec![Time(5.0); 3], vec![Session::new(Time(0.0), Time(100.0))]),
+        Workload::new(vec![horizon, Time(11.0)], vec![Session::new(horizon, horizon)]),
+    ];
+    let cfg = SimConfig { horizon, adv_rate: 2.0, ..SimConfig::default() };
+    for (case, workload) in cases.into_iter().enumerate() {
+        let path = temp_path("tiny", case as u64);
+        write_workload_file(&path, &workload).expect("write workload");
+        let disk = DiskWorkload::open(&path).expect("open workload");
+        let mem =
+            Simulation::new(cfg, UnitCostDefense::new(), BudgetJoiner::new(2.0), workload).run();
+        let dsk = Simulation::new(cfg, UnitCostDefense::new(), BudgetJoiner::new(2.0), disk).run();
+        assert_eq!(normalized(mem), normalized(dsk), "case {case}");
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -5,8 +5,10 @@
 #   scripts/loc.sh [checkout=.]
 #
 # Counts every `*.rs` under `crates/`, `src/`, `tests/` and `examples/`
-# (`target/` skipped). A file is split at its first `#[cfg(test)]` line:
-# what is above is non-test, that line and what is below is test; a file
+# (`target/` skipped). A file is split at its first `#[cfg(test)]` line
+# that starts at column 0 (a test module; an indented one gates a single
+# item inside non-test code): what is above is non-test, that line and
+# what is below is test; a file
 # under a `tests/` or `examples/` directory counts whole as test. A bench
 # target (`benches/`) ships measurement code and is split like any other
 # file. `benchmark/` is its own workspace and is reported on its own
@@ -29,7 +31,7 @@ find crates src tests examples benchmark -name target -prune -o -name '*.rs' -pr
         if (!(group in seen)) { seen[group] = 1; order[++groups] = group }
         in_test = whole
         while ((getline line < file) > 0) {
-            if (!in_test && line ~ /^[ \t]*#\[cfg\(test\)\]/) in_test = 1
+            if (!in_test && line ~ /^#\[cfg\(test\)\]/) in_test = 1
             if (in_test) test[group]++; else code[group]++
         }
         close(file)
