@@ -162,7 +162,10 @@ pub struct PerfReport {
 
 /// The macro scenario grid. `macro_sweep` (the acceptance headline)
 /// aggregates a miniature Figure-8-style cell grid; the single-cell
-/// scenarios isolate heavy-churn and heavy-periodic defenses.
+/// scenarios isolate heavy-churn and heavy-periodic defenses, and the two
+/// `_t1m` cells the two families that dominate Figure 8 at its top attack
+/// rate, T = 2²⁰: classifier-gated admissions one at a time (ERGO-SF) and
+/// a purge every few events (CCom).
 /// One scenario cell: `(algo, T, horizon, seed)`.
 type Cell = (Algo, f64, f64, u64);
 
@@ -180,6 +183,8 @@ fn scenario_specs() -> Vec<(&'static str, Vec<Cell>)> {
         ("macro_sweep", sweep_cells),
         ("gnutella_ergo_t1024", vec![(Algo::Ergo, 1024.0, 2000.0, 1)]),
         ("gnutella_sybilcontrol_t64", vec![(Algo::SybilControl, 64.0, 500.0, 2)]),
+        ("gnutella_ergo_sf_t1m", vec![(Algo::ErgoSf(0.98), 1_048_576.0, 1000.0, 1)]),
+        ("gnutella_ccom_t1m", vec![(Algo::CCom, 1_048_576.0, 1000.0, 1)]),
     ]
 }
 

@@ -360,6 +360,8 @@ mod tests {
                 ("macro_sweep", 82148.0),
                 ("gnutella_ergo_t1024", 833.0),
                 ("gnutella_sybilcontrol_t64", 0.0),
+                ("gnutella_ergo_sf_t1m", 2211.0),
+                ("gnutella_ccom_t1m", 1160203.0),
                 ("macro_millions", 6.0),
                 ("macro_scale", 1.0),
             ]
