@@ -89,8 +89,13 @@ struct Scenario {
 /// nothing**: the hot path's zero-allocation contract, gated whenever the
 /// fresh report was measured (`alloc_counting: true`). Fully resident, so
 /// nothing is lazily materialized inside the loop.
-const ZERO_ALLOC_SCENARIOS: &[&str] =
-    &["macro_sweep", "gnutella_ergo_t1024", "gnutella_sybilcontrol_t64"];
+const ZERO_ALLOC_SCENARIOS: &[&str] = &[
+    "macro_sweep",
+    "gnutella_ergo_t1024",
+    "gnutella_sybilcontrol_t64",
+    "gnutella_ergo_sf_t1m",
+    "gnutella_ccom_t1m",
+];
 
 /// Absolute per-event slack for the alloc *regression* gate (scenarios
 /// outside the zero list: the disk-streamed `macro_millions` and

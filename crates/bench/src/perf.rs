@@ -63,7 +63,7 @@ pub struct ScenarioResult {
     /// Bytes requested by those loop allocations.
     pub loop_alloc_bytes: u64,
     /// `loop_allocs / events` — the budget `bench_compare` gates on. The
-    /// three fully resident scenarios must hold this at exactly zero.
+    /// five fully resident scenarios must hold this at exactly zero.
     pub allocs_per_event: f64,
     /// Behavior fingerprint: counters that must not change for identical
     /// seeds when only performance work happens.

@@ -62,6 +62,17 @@ fn ccom_steady_state_allocates_nothing() {
     }
 }
 
+/// Figure 8's top attack rate: a CCom cell completes about 1.2 M purges
+/// here, so nothing may be recorded per purge, and ERGO-SF admits about
+/// 2 M Sybil IDs one at a time.
+#[test]
+fn top_attack_rate_steady_state_allocates_nothing() {
+    let t = 1_048_576.0;
+    assert_zero_budget(Algo::CCom, t);
+    assert_zero_budget(Algo::ErgoSf(0.98), t);
+    assert_zero_budget(Algo::ErgoSfFull(0.98), t);
+}
+
 #[test]
 fn sybilcontrol_steady_state_allocates_nothing() {
     for t in [0.0, 64.0, 4096.0] {
@@ -99,7 +110,8 @@ fn drain_events_into_appends_to_a_non_empty_buffer() {
     if c.purge_due(now) {
         c.purge(now, 0);
     }
-    let sentinel = DefenseEvent::PurgeCompleted { at: Time(-1.0), members_after: 999 };
+    let sentinel =
+        DefenseEvent::EstimateUpdated { start: Time(-2.0), end: Time(-1.0), estimate: 999.0 };
     let mut seeded = vec![sentinel];
     c.drain_events_into(&mut seeded);
     assert_eq!(seeded[0], sentinel, "drain_events_into must append, not clobber");

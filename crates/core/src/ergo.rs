@@ -18,9 +18,21 @@
 //! 1–3), and ERGO-SF (classifier-gated joins, Heuristic 4).
 //!
 //! This struct implements [`sybil_sim::Defense`], so it plugs directly into
-//! the simulation engine. Sybil joins are processed in batches with
-//! closed-form arithmetic-series costs (see [`crate::window`]), keeping
-//! simulations O(events) even at adversary spend rates of `2²⁰`/s.
+//! the simulation engine. What a call costs:
+//!
+//! * an ungated Sybil batch is O(1) whatever its size: one closed-form
+//!   arithmetic-series cost (see [`crate::window`]) and one recorded event;
+//! * a classifier-gated batch pays one geometric draw per admission (the
+//!   refusals before it are charged in one step) plus O(1) bookkeeping: the
+//!   quote and the purge condition advance by counting, and admissions
+//!   reach the window, the counters and GoodJEst in stretches that end only
+//!   where a single join would end an estimator interval;
+//! * a purge or a voluntary departure is O(runs removed), a run being
+//!   Sybil IDs that GoodJEst cannot tell apart (see `BadRun`), plus one
+//!   step per estimator interval it ends.
+//!
+//! So a cell under attack costs O(events) plus one draw per gated
+//! admission, even at adversary spend rates of `2²⁰`/s.
 
 use crate::gate::ClassifierGate;
 use crate::goodjest::GoodJEst;
@@ -39,11 +51,43 @@ use sybil_sim::time::Time;
 /// timestamp).
 type Stamp = (Time, u64);
 
-/// A run of Sybil IDs that joined together.
+/// A run of Sybil IDs, kept oldest first in `Ergo::bad_runs`.
+///
+/// GoodJEst sees a run by one of two rules:
+///
+/// * a **batch** run — the initial Sybils, or what one ungated
+///   `bad_join_batch` call admitted — joined as one event and leaves as one
+///   event per removal (ROADMAP 4(a)'s seam);
+/// * a **gated** run holds IDs the classifier gate admitted one at a time,
+///   and they leave one at a time: GoodJEst takes them in prefixes cut
+///   where a single departure would end its interval (or set Heuristic 1's
+///   `pending`), and each prefix is classified old or new afresh.
+///
+/// A stretch of gated admissions joins the back run only if that run is
+/// gated and its stamp is strictly above both interval starts
+/// (`est_start`, `iter_start_stamp`). Every ID in it is then new against
+/// both, and stays on one side of every later boundary, which is always
+/// set above every existing stamp — so no decision can tell the IDs
+/// apart. A stretch whose first stamp *equals* a boundary (ROADMAP 1(a)'s
+/// interval-start tie) gives that first ID a run of its own: it classifies
+/// as old there and the rest of the stretch as new.
 #[derive(Clone, Copy, Debug)]
 struct BadRun {
+    /// The first ID's stamp; the others' follow it.
     stamp: Stamp,
     n: u64,
+    /// Admitted one at a time by the classifier gate.
+    gated: bool,
+}
+
+/// Who an admitted join is, as [`Ergo::note_join`] files it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Joiner {
+    Good,
+    /// Sybil IDs one ungated call admitted together: one batch run.
+    Batch,
+    /// Sybil IDs the classifier gate admitted one at a time: a gated run.
+    Gated,
 }
 
 /// The Ergo defense state machine.
@@ -87,7 +131,6 @@ pub struct Ergo {
     iter_joins: u64,
     iter_tracker: SymdiffTracker,
     iter_start_estimate: f64,
-    events: Vec<DefenseEvent>,
     name_override: Option<String>,
 }
 
@@ -112,7 +155,6 @@ impl Ergo {
             iter_joins: 0,
             iter_tracker: SymdiffTracker::new(),
             iter_start_estimate: 0.0,
-            events: Vec::new(),
             name_override: None,
         }
     }
@@ -144,15 +186,9 @@ impl Ergo {
         self.iter_events
     }
 
-    fn next_stamp(&mut self, now: Time) -> Stamp {
-        let s = (now, self.seq);
-        self.seq += 1;
-        s
-    }
-
     /// Re-captures the estimator interval-start stamp after estimator calls
     /// (the estimator may have rolled its interval during the call).
-    fn sync_est_stamp(&mut self, _now: Time) {
+    fn sync_est_stamp(&mut self) {
         if self.est.interval_start() != self.est_start.0 {
             self.est_start = (self.est.interval_start(), self.seq);
         }
@@ -165,6 +201,19 @@ impl Ergo {
             1.0 / j
         } else {
             f64::INFINITY
+        }
+    }
+
+    /// What one more join at `now` adds to the quote while the window's
+    /// width holds: 1 under the rate-based rule if a join at `now` is
+    /// inside `(now − 1/J̃, now]` (never for a NaN width, which counts
+    /// nothing), else 0.
+    fn quote_step(&self, now: Time) -> f64 {
+        let inside = now.as_secs() - self.window_width() < now.as_secs();
+        if inside && matches!(self.cfg.entrance, EntrancePolicy::RateBased) {
+            1.0
+        } else {
+            0.0
         }
     }
 
@@ -207,21 +256,29 @@ impl Ergo {
         self.iter_admission_cap = cap.min((u64::MAX - 1) as u128) as u64;
     }
 
-    /// Records one admitted join in every counter that observes joins.
-    fn note_join(&mut self, now: Time, n: u64, bad: bool) {
+    /// Records `n` admitted joins at `now`, as one event, in every counter
+    /// that observes joins. Sybil joins become runs (see [`BadRun`]); a
+    /// gated stretch takes a sequence number per ID, anything else one per
+    /// call.
+    fn note_join(&mut self, now: Time, n: u64, who: Joiner) {
         if n == 0 {
             return;
         }
-        let stamp = self.next_stamp(now);
-        // Membership first and checked, so that a batch past u64 stops
-        // here in every build profile — before the estimator's own size
-        // counter, which only a debug build would catch — rather than
-        // wrapping in release. One compare per batch, not per ID.
-        if bad {
-            self.n_bad = self.n_bad.checked_add(n).expect("membership counter overflow");
-            self.bad_runs.push_back(BadRun { stamp, n });
-        } else {
+        let stamp = (now, self.seq);
+        self.seq += if who == Joiner::Gated { n } else { 1 };
+        if who == Joiner::Good {
             self.n_good += n;
+        } else {
+            // Membership first and checked, so that a batch past u64 stops
+            // here in every build profile — before the estimator's own size
+            // counter, which only a debug build would catch — rather than
+            // wrapping in release. One compare per batch, not per ID.
+            self.n_bad = self.n_bad.checked_add(n).expect("membership counter overflow");
+            if who == Joiner::Gated {
+                self.file_gated_run(stamp, n);
+            } else {
+                self.bad_runs.push_back(BadRun { stamp, n, gated: false });
+            }
         }
         // The join-history window only feeds the rate-based quote; under a
         // constant entrance policy (CCom) recording it would be pure
@@ -233,56 +290,82 @@ impl Ergo {
         self.iter_joins += n;
         self.iter_tracker.on_join(n);
         self.est.on_join(now, n);
-        self.sync_est_stamp(now);
+        self.sync_est_stamp();
     }
 
-    /// Removes up to `n` Sybil IDs, newest runs first, feeding the symmetric
-    /// -difference trackers. Returns how many were removed.
-    fn remove_bad_newest(&mut self, now: Time, n: u64, count_iter_events: bool) -> u64 {
-        let mut remaining = n;
-        let mut removed = 0;
-        while remaining > 0 {
-            let Some(run) = self.bad_runs.back_mut() else { break };
-            let take = run.n.min(remaining);
-            run.n -= take;
-            let stamp = run.stamp;
-            if run.n == 0 {
-                self.bad_runs.pop_back();
+    /// Files a stretch of `n` gated admissions, the first stamped `stamp`,
+    /// against the interval starts as they stood before it joined.
+    fn file_gated_run(&mut self, stamp: Stamp, mut n: u64) {
+        let (est_start, iter_start) = (self.est_start, self.iter_start_stamp);
+        let mut first = stamp;
+        if stamp == est_start || stamp == iter_start {
+            // The interval-start tie: this ID classifies as old against
+            // the boundary it equals, the rest of the stretch as new.
+            self.bad_runs.push_back(BadRun { stamp, n: 1, gated: true });
+            (first.1, n) = (first.1 + 1, n - 1);
+            if n == 0 {
+                return;
             }
-            remaining -= take;
+        }
+        match self.bad_runs.back_mut() {
+            Some(back) if back.gated && back.stamp > est_start && back.stamp > iter_start => {
+                back.n += n;
+            }
+            _ => self.bad_runs.push_back(BadRun { stamp: first, n, gated: true }),
+        }
+    }
+
+    /// Removes up to `n` Sybil IDs, newest runs first (voluntary
+    /// departures) or oldest first (purge order), feeding the
+    /// symmetric-difference trackers. Returns how many were removed.
+    fn remove_bad(
+        &mut self,
+        now: Time,
+        n: u64,
+        newest_first: bool,
+        count_iter_events: bool,
+    ) -> u64 {
+        let mut removed = 0;
+        while removed < n {
+            let end =
+                if newest_first { self.bad_runs.back_mut() } else { self.bad_runs.front_mut() };
+            let Some(run) = end else { break };
+            let take = run.n.min(n - removed);
+            run.n -= take;
+            let run = *run;
+            if run.n == 0 {
+                if newest_first {
+                    self.bad_runs.pop_back();
+                } else {
+                    self.bad_runs.pop_front();
+                }
+            }
             removed += take;
-            self.apply_bad_departure(now, stamp, take, count_iter_events);
+            self.apply_bad_departure(now, run, take, count_iter_events);
         }
         removed
     }
 
-    /// Removes up to `n` Sybil IDs, oldest runs first (purge order).
-    fn remove_bad_oldest(&mut self, now: Time, n: u64, count_iter_events: bool) -> u64 {
-        let mut remaining = n;
-        let mut removed = 0;
-        while remaining > 0 {
-            let Some(run) = self.bad_runs.front_mut() else { break };
-            let take = run.n.min(remaining);
-            run.n -= take;
-            let stamp = run.stamp;
-            if run.n == 0 {
-                self.bad_runs.pop_front();
-            }
-            remaining -= take;
-            removed += take;
-            self.apply_bad_departure(now, stamp, take, count_iter_events);
-        }
-        removed
-    }
-
-    fn apply_bad_departure(&mut self, now: Time, stamp: Stamp, n: u64, count_iter_events: bool) {
+    /// Takes `n` IDs of `run` out of the counters and GoodJEst, by the
+    /// run's rule (see [`BadRun`]).
+    fn apply_bad_departure(&mut self, now: Time, run: BadRun, n: u64, count_iter_events: bool) {
         self.n_bad -= n;
-        let old_for_est = stamp <= self.est_start;
-        self.est.on_depart(now, old_for_est, n);
-        self.sync_est_stamp(now);
+        if run.gated {
+            let mut left = n;
+            while left > 0 {
+                let old = run.stamp <= self.est_start;
+                let k = left.min(self.est.departures_until_change(now, old));
+                self.est.on_depart(now, old, k);
+                self.sync_est_stamp();
+                left -= k;
+            }
+        } else {
+            self.est.on_depart(now, run.stamp <= self.est_start, n);
+            self.sync_est_stamp();
+        }
         if count_iter_events {
             self.iter_events += n;
-            if stamp <= self.iter_start_stamp {
+            if run.stamp <= self.iter_start_stamp {
                 self.iter_tracker.on_depart_old(n);
             } else {
                 self.iter_tracker.on_depart_new(n);
@@ -343,8 +426,8 @@ impl Defense for Ergo {
         self.seq = 0;
         self.bad_runs.clear();
         if n_bad > 0 {
-            let stamp = self.next_stamp(now);
-            self.bad_runs.push_back(BadRun { stamp, n: n_bad });
+            self.bad_runs.push_back(BadRun { stamp: (now, 0), n: n_bad, gated: false });
+            self.seq = 1;
         }
         self.est = GoodJEst::new(self.cfg.estimator, now, n_good + n_bad);
         // Steady-state allocation budget: every growable Ergo structure
@@ -355,11 +438,6 @@ impl Defense for Ergo {
         self.window.reserve(n);
         self.est.reserve_log(4096);
         self.bad_runs.reserve(1024);
-        // The engine drains the event log at every purge boundary (see
-        // `Simulation::absorb_defense_events`), so the log holds at most
-        // one iteration's worth of records between drains; a small reserve
-        // covers the records logged before the first drain.
-        self.events.reserve(64);
         self.est_start = (now, self.seq);
         self.reset_iteration(now);
         Cost::ONE
@@ -381,7 +459,7 @@ impl Defense for Ergo {
                 return Admission::Refused { cost };
             }
         }
-        self.note_join(now, 1, false);
+        self.note_join(now, 1, Joiner::Good);
         Admission::Admitted { cost }
     }
 
@@ -396,7 +474,7 @@ impl Defense for Ergo {
         }
         let old = self.est.classify_old(joined_at);
         self.est.on_depart(now, old, 1);
-        self.sync_est_stamp(now);
+        self.sync_est_stamp();
     }
 
     fn bad_join_batch(&mut self, now: Time, budget: Cost, max_attempts: u64) -> BatchAdmission {
@@ -429,7 +507,7 @@ impl Defense for Ergo {
                     EntrancePolicy::RateBased => batch_cost(q0, n),
                     EntrancePolicy::Constant(c) => c * n as f64,
                 };
-                self.note_join(now, n, true);
+                self.note_join(now, n, Joiner::Batch);
                 admitted = n;
                 attempts = n;
                 let stop = if self.admissions_until_purge() == 0 {
@@ -446,13 +524,23 @@ impl Defense for Ergo {
                 // only false negatives are admitted. Refusals between two
                 // admissions all pay the same quote, so we sample the
                 // geometric gap and charge it in one step.
-                let stop;
-                loop {
+                //
+                // Past the draw, an admission costs O(1). It moves the
+                // purge condition by exactly one (raw or Heuristic 2
+                // counter alike), so the headroom counts down; until
+                // GoodJEst's state changes it moves the quote by `step`.
+                // Admissions reach the window, the counters and GoodJEst
+                // as one stretch up to the one whose single join would
+                // change that state (`until_change`, worked out at the
+                // call's first admission and after each change: most calls
+                // admit nobody).
+                let mut q = self.quote(now).value();
+                let (mut until_purge, mut until_change) = (headroom, 0);
+                let (mut stretch, mut step) = (0, 0.0);
+                let stop = loop {
                     if attempts >= max_attempts {
-                        stop = BatchStop::MaxAttempts;
-                        break;
+                        break BatchStop::MaxAttempts;
                     }
-                    let q = self.quote(now).value();
                     let refusals = self
                         .gate
                         .as_mut()
@@ -466,29 +554,40 @@ impl Defense for Ergo {
                         let burn = affordable_attempts.min(attempts_left).min(refusals);
                         attempts += burn;
                         spent += burn as f64 * q;
-                        stop = if attempts >= max_attempts {
+                        break if attempts >= max_attempts {
                             BatchStop::MaxAttempts
                         } else {
                             BatchStop::Budget
                         };
-                        break;
                     }
                     attempts += refusals + 1;
                     spent += (refusals + 1) as f64 * q;
-                    self.note_join(now, 1, true);
                     admitted += 1;
-                    if self.admissions_until_purge() == 0 {
-                        stop = BatchStop::PurgeTriggered;
-                        break;
+                    if until_change == 0 {
+                        until_change = self.est.joins_until_change(now);
+                        step = self.quote_step(now);
                     }
-                }
+                    (stretch, until_change) = (stretch + 1, until_change - 1);
+                    if until_change == 0 {
+                        self.note_join(now, stretch, Joiner::Gated);
+                        stretch = 0;
+                        q = self.quote(now).value();
+                    } else {
+                        q += step;
+                    }
+                    until_purge -= 1;
+                    if until_purge == 0 {
+                        break BatchStop::PurgeTriggered;
+                    }
+                };
+                self.note_join(now, stretch, Joiner::Gated);
                 BatchAdmission { admitted, attempts, spent: Cost(spent), stop }
             }
         }
     }
 
     fn bad_depart(&mut self, now: Time, n: u64) -> u64 {
-        self.remove_bad_newest(now, n, true)
+        self.remove_bad(now, n, true, true)
     }
 
     fn purge_due(&self, _now: Time) -> bool {
@@ -499,16 +598,10 @@ impl Defense for Ergo {
 
     fn purge(&mut self, now: Time, retain_bad: u64) -> PurgeReport {
         if self.heuristic3_skips(now) {
-            // Not logged as a DefenseEvent: no consumer reads PurgeSkipped
-            // (the report drops it on absorb, and the engine counts skips
-            // from the PurgeReport), while under heavy attack skips can
-            // end iterations every few admissions — logging them made the
-            // event buffer the one allocation no init-time reserve could
-            // bound.
             // A skipped purge still ends the iteration, so Heuristic 1's
             // deferred estimator update is released here too.
             self.est.on_purge_complete(now);
-            self.sync_est_stamp(now);
+            self.sync_est_stamp();
             self.reset_iteration(now);
             return PurgeReport {
                 good_cost: Cost::ZERO,
@@ -521,14 +614,13 @@ impl Defense for Ergo {
         let to_remove = self.n_bad - retain;
         // Purge removals do not advance the (about-to-reset) iteration
         // counters, but they do update the estimator's symmetric difference.
-        let removed = self.remove_bad_oldest(now, to_remove, false);
+        let removed = self.remove_bad(now, to_remove, false, false);
         debug_assert_eq!(removed, to_remove);
         let good_cost = Cost(self.n_good as f64);
         let adv_cost = Cost(retain as f64);
         self.est.on_purge_complete(now);
-        self.sync_est_stamp(now);
+        self.sync_est_stamp();
         self.reset_iteration(now);
-        self.events.push(DefenseEvent::PurgeCompleted { at: now, members_after: self.n_members() });
         PurgeReport { good_cost, adv_cost, bad_removed: removed, skipped: false }
     }
 
@@ -552,19 +644,11 @@ impl Defense for Ergo {
         self.n_bad
     }
 
+    /// Appends the estimator's completed intervals; purges log nothing
+    /// (the engine counts them from their [`PurgeReport`]s).
     fn drain_events_into(&mut self, out: &mut Vec<DefenseEvent>) {
-        if out.is_empty() {
-            // Hand the filled buffer to the caller and keep theirs: the two
-            // buffers ping-pong between engine and defense, so once both
-            // have grown to the high-water mark nothing allocates again.
-            std::mem::swap(out, &mut self.events);
-        } else {
-            out.extend_from_slice(&self.events);
-            self.events.clear();
-        }
-        let events = &mut *out;
         self.est.drain_intervals_with(|rec| {
-            events.push(DefenseEvent::EstimateUpdated {
+            out.push(DefenseEvent::EstimateUpdated {
                 start: rec.start,
                 end: rec.end,
                 estimate: rec.estimate,
@@ -755,16 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn purge_events_logged() {
-        let mut e = fresh(110);
-        e.bad_join_batch(Time(1.0), Cost(1e9), u64::MAX);
-        e.purge(Time(1.0), 0);
-        let mut events = Vec::new();
-        e.drain_events_into(&mut events);
-        assert!(events.iter().any(|ev| matches!(ev, DefenseEvent::PurgeCompleted { .. })));
-    }
-
-    #[test]
     fn initial_bad_members_are_purgeable() {
         let mut e = Ergo::new(ErgoConfig::default());
         e.init(Time::ZERO, 100, 20);
@@ -819,5 +893,233 @@ mod tests {
         assert_eq!(b.admitted, 100); // 1+2+...+100 = 5050
         let good = e.good_join(Time(5.0));
         assert_eq!(good.cost(), Cost(101.0)); // pays x+1, not Θ(x²)
+    }
+}
+
+/// The classifier-gated branch of `bad_join_batch` as it stood before
+/// admissions were noted in stretches — one quote, one `note_join` and one
+/// purge check per admission, each admission a one-ID batch run that
+/// GoodJEst sees join and leave on its own — kept verbatim as the reference
+/// the production branch must reproduce decision for decision.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::params::{Heuristics, Ratio};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference loop. `note_join(now, 1, Joiner::Batch)` files what
+    /// `note_join(now, 1, true)` did: a one-ID run and one sequence number.
+    fn reference_gated_batch(
+        e: &mut Ergo,
+        now: Time,
+        budget: Cost,
+        max_attempts: u64,
+    ) -> BatchAdmission {
+        let mut spent = 0.0f64;
+        let mut admitted = 0u64;
+        let mut attempts = 0u64;
+        let budget = budget.value();
+
+        let headroom = e.admissions_until_purge();
+        if headroom == 0 {
+            return BatchAdmission {
+                admitted: 0,
+                attempts: 0,
+                spent: Cost::ZERO,
+                stop: BatchStop::PurgeTriggered,
+            };
+        }
+        let stop;
+        loop {
+            if attempts >= max_attempts {
+                stop = BatchStop::MaxAttempts;
+                break;
+            }
+            let q = e.quote(now).value();
+            let refusals =
+                e.gate.as_mut().expect("gate present in gated branch").refusals_before_bad_admit();
+            let attempts_left = max_attempts - attempts;
+            // Can the budget fund all refusals plus the admission?
+            let affordable_attempts = ((budget - spent) / q) as u64;
+            if refusals >= attempts_left || affordable_attempts <= refusals {
+                // Budget or attempt limit dies inside the refusal run.
+                let burn = affordable_attempts.min(attempts_left).min(refusals);
+                attempts += burn;
+                spent += burn as f64 * q;
+                stop = if attempts >= max_attempts {
+                    BatchStop::MaxAttempts
+                } else {
+                    BatchStop::Budget
+                };
+                break;
+            }
+            attempts += refusals + 1;
+            spent += (refusals + 1) as f64 * q;
+            e.note_join(now, 1, Joiner::Batch);
+            admitted += 1;
+            if e.admissions_until_purge() == 0 {
+                stop = BatchStop::PurgeTriggered;
+                break;
+            }
+        }
+        BatchAdmission { admitted, attempts, spent: Cost(spent), stop }
+    }
+
+    /// What a caller can observe of an Ergo after a call at `now`, plus the
+    /// estimator's and Heuristic 2's symmetric differences, which a
+    /// misfiled run moves first.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        quote: Cost,
+        purge_due: bool,
+        n_members: u64,
+        n_bad: u64,
+        estimate: f64,
+        iteration_events: u64,
+        progress: u64,
+        symdiff: u64,
+        log: Vec<DefenseEvent>,
+    }
+
+    fn seen(e: &mut Ergo, now: Time) -> Seen {
+        let mut log = Vec::new();
+        e.drain_events_into(&mut log);
+        Seen {
+            quote: e.quote(now),
+            purge_due: e.purge_due(now),
+            n_members: e.n_members(),
+            n_bad: e.n_bad(),
+            estimate: e.estimate(),
+            iteration_events: e.iteration_events(),
+            progress: e.iter_progress(),
+            symdiff: e.est.symdiff(),
+            log,
+        }
+    }
+
+    /// Production and the reference, fed the same calls.
+    struct Pair {
+        production: Ergo,
+        reference: Ergo,
+        case: String,
+        calls: Vec<String>,
+    }
+
+    impl Pair {
+        /// Makes one call on both (`f`'s flag says which is the reference)
+        /// and compares its result and what is [`Seen`] after it; returns
+        /// the result and whether an estimator interval ended.
+        fn call<R: PartialEq + std::fmt::Debug>(
+            &mut self,
+            now: Time,
+            call: String,
+            f: impl Fn(&mut Ergo, bool) -> R,
+        ) -> (R, bool) {
+            self.calls.push(format!("t={}: {call}", now.as_secs()));
+            let result = (f(&mut self.production, false), f(&mut self.reference, true));
+            let after = (seen(&mut self.production, now), seen(&mut self.reference, now));
+            if result.0 != result.1 || after.0 != after.1 {
+                let recent = &self.calls[self.calls.len().saturating_sub(12)..];
+                panic!(
+                    "{}: stretches vs one at a time after {} calls, the last {recent:#?}:\n\
+                     result {:?} vs {:?}\nafter {:#?}\nvs {:#?}",
+                    self.case,
+                    self.calls.len(),
+                    result.0,
+                    result.1,
+                    after.0,
+                    after.1
+                );
+            }
+            (result.0, !after.0.log.is_empty())
+        }
+    }
+
+    fn pick<T: Copy>(rng: &mut StdRng, from: &[T]) -> T {
+        from[rng.gen_range(0..from.len())]
+    }
+
+    /// Seeded random call sequences on ERGO-SF at three accuracies,
+    /// ERGO-SF-Full (Heuristics 1–3 and the gate) and a gated constant
+    /// entrance, each at interval thresholds 5/12, 1/2 and 7/9, with and
+    /// without initial Sybils. Right after an estimator interval ends or a
+    /// purge resolves, the next call is likely a Sybil batch at the same
+    /// instant, so stretches start on an interval start (the tie).
+    #[test]
+    fn stretches_decide_what_one_admission_at_a_time_decided() {
+        let thresholds = [Ratio::new(5, 12), Ratio::new(1, 2), Ratio::new(7, 9)];
+        for case in 0..216u64 {
+            let mut rng = StdRng::seed_from_u64(0xd1ff_e4e0 + case);
+            let accuracy = [0.98, 0.92, 0.5][case as usize % 3];
+            let mut cfg = match case / 3 % 4 {
+                0 | 1 => ErgoConfig::default(),
+                2 => ErgoConfig::with_heuristics(Heuristics::ch2()),
+                _ => ErgoConfig::ccom(),
+            };
+            cfg.estimator.interval_threshold = thresholds[(case / 12 % 3) as usize];
+            // Longer iterations let more intervals end inside one call.
+            if rng.gen_bool(0.4) {
+                cfg.iteration_threshold = Ratio::new(1, 3);
+            }
+            let (n_good, n_bad) = (rng.gen_range(12..150u64), pick(&mut rng, &[0, 0, 1, 3, 20]));
+            let gated = |cfg: ErgoConfig| {
+                Ergo::new(cfg).with_gate(ClassifierGate::with_accuracy(accuracy, case))
+            };
+            let mut pair = Pair {
+                production: gated(cfg),
+                reference: gated(cfg),
+                case: format!("case {case} (accuracy {accuracy}, {cfg:?}, {n_good}+{n_bad})"),
+                calls: Vec::new(),
+            };
+            let init = format!("init({n_good}, {n_bad})");
+            pair.call(Time::ZERO, init, |e, _| e.init(Time::ZERO, n_good, n_bad));
+            let mut goods = vec![Time::ZERO; n_good as usize];
+            let (mut now, mut seek) = (Time::ZERO, true);
+            for _ in 0..rng.gen_range(100..300u32) {
+                let tie = seek && rng.gen_bool(0.8);
+                if pair.production.purge_due(now) && rng.gen_bool(0.7) {
+                    let kappa_cap = pair.production.n_members() / 18;
+                    let retain = rng.gen_range(0..=kappa_cap.min(pair.production.n_bad()));
+                    pair.call(now, format!("purge({retain})"), |e, _| e.purge(now, retain));
+                    seek = true;
+                    continue;
+                }
+                let window = 1.0 / pair.production.estimate().max(0.05);
+                if !tie {
+                    now += pick(&mut rng, &[0.0, 0.3, 0.6, 1.0, 1.5, 8.0]) * window;
+                }
+                let op = if tie { pick(&mut rng, &[0, 3, 3, 3, 3]) } else { rng.gen_range(0..10) };
+                let rolled = if op < 3 {
+                    let (admission, rolled) =
+                        pair.call(now, "good_join".into(), |e, _| e.good_join(now));
+                    if admission.is_admitted() {
+                        goods.push(now);
+                    }
+                    rolled
+                } else if op < 7 {
+                    let budget =
+                        Cost(pick(&mut rng, &[0.5, 1.0, 3.0, 10.0, 40.0, 300.0, 5e3, 1e6]));
+                    let max = pick(&mut rng, &[1, 2, 5, 50, u64::MAX]);
+                    let call = format!("bad_join_batch({}, {max})", budget.value());
+                    pair.call(now, call, |e, reference| {
+                        if reference {
+                            reference_gated_batch(e, now, budget, max)
+                        } else {
+                            e.bad_join_batch(now, budget, max)
+                        }
+                    })
+                    .1
+                } else if op < 9 && !goods.is_empty() {
+                    let joined_at = goods.swap_remove(rng.gen_range(0..goods.len()));
+                    let call = format!("good_depart(joined {})", joined_at.as_secs());
+                    pair.call(now, call, |e, _| e.good_depart(now, joined_at)).1
+                } else {
+                    let n = pick(&mut rng, &[1, 2, 5, 40]);
+                    pair.call(now, format!("bad_depart({n})"), |e, _| e.bad_depart(now, n)).1
+                };
+                seek = rolled;
+            }
+        }
     }
 }

@@ -209,6 +209,55 @@ impl GoodJEst {
         self.gap >= 0
     }
 
+    /// How many single joins at `now` can be recorded up to and including
+    /// the first whose [`maybe_roll`](Self::maybe_roll) would change the
+    /// estimator's state (roll the interval, or newly set Heuristic 1's
+    /// `pending`); `u64::MAX` when none would. Every join moves the gap by
+    /// the same `den − num`, so that many joins recorded as one
+    /// [`on_join`](Self::on_join) leave the estimator exactly as single
+    /// joins would.
+    pub(crate) fn joins_until_change(&self, now: Time) -> u64 {
+        let th = self.cfg.interval_threshold;
+        self.events_until_change(now, th.den as i128 - th.num as i128)
+    }
+
+    /// The same for departures at `now` of IDs of one class (`old`, see
+    /// [`classify_old`](Self::classify_old)), also cut where one departure
+    /// would stop moving the gap by the same amount (the size, or for new
+    /// IDs the new members present, running out). At least 1: a single
+    /// departure is always exact.
+    pub(crate) fn departures_until_change(&self, now: Time, old: bool) -> u64 {
+        let th = self.cfg.interval_threshold;
+        let (delta, steady) = if old {
+            (th.den as i128 + th.num as i128, self.size)
+        } else {
+            (th.num as i128 - th.den as i128, self.size.min(self.tracker.new_present()))
+        };
+        self.events_until_change(now, delta).min(steady).max(1)
+    }
+
+    /// The least `k ≥ 1` with `gap + k·delta ≥ 0`, if reaching it changes
+    /// state as [`maybe_roll`](Self::maybe_roll) would; `u64::MAX` if no
+    /// event of this kind can.
+    fn events_until_change(&self, now: Time, delta: i128) -> u64 {
+        // Under Heuristic 1 a crossing only sets `pending`, once; otherwise
+        // it rolls, and only past the interval start.
+        let inert = if self.cfg.align_to_iterations { self.pending } else { now <= self.t_start };
+        if inert || (self.gap + delta < 0 && delta <= 0) {
+            return u64::MAX;
+        }
+        if self.gap + delta >= 0 {
+            return 1;
+        }
+        // Here `−gap > delta > 0`. In 64 bits when both fit: an `i128`
+        // division is a library call.
+        let need = -self.gap;
+        match (u64::try_from(need), u64::try_from(delta)) {
+            (Ok(need), Ok(delta)) => need.div_ceil(delta),
+            _ => u64::try_from((need as u128).div_ceil(delta as u128)).unwrap_or(u64::MAX),
+        }
+    }
+
     fn maybe_roll(&mut self, now: Time) {
         if !self.threshold_met() {
             return;
@@ -397,6 +446,114 @@ mod tests {
                     "case {case} step {step}"
                 );
                 assert_eq!(est.size(), present.len() as u64, "case {case} step {step}");
+            }
+        }
+    }
+
+    /// What `maybe_roll` can change, and the counters a batched call must
+    /// leave as single events do.
+    fn state(e: &GoodJEst) -> (u64, bool, Time, i128, u64, u64, u64) {
+        (e.updates, e.pending, e.t_start, e.gap, e.size, e.symdiff(), e.estimate.to_bits())
+    }
+
+    /// One event: a join (`kind` 0) or a departure of an old (1) or new (2)
+    /// ID, `n` at once.
+    fn event(e: &mut GoodJEst, now: Time, kind: u32, n: u64) {
+        match kind {
+            0 => e.on_join(now, n),
+            _ => e.on_depart(now, kind == 1, n),
+        }
+    }
+
+    /// The countdowns are exact: the single events before the counted one
+    /// leave the interval and Heuristic 1's `pending` alone, the counted one
+    /// changes one of them unless the count stopped where the gap's step
+    /// would start to vary, and that many events recorded as one call leave the
+    /// estimator exactly as the single events do. Both profiles run it: in
+    /// release only the arithmetic guards the closed form.
+    #[test]
+    fn countdowns_are_exact() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let thresholds = [Ratio::new(5, 12), Ratio::new(1, 2), Ratio::new(7, 9)];
+        for case in 0u64..600 {
+            let mut rng = StdRng::seed_from_u64(0xc0_de00 + case);
+            let cfg = GoodJEstConfig {
+                interval_threshold: thresholds[case as usize % 3],
+                align_to_iterations: rng.gen_bool(0.5),
+                ..cfg()
+            };
+            let mut est = GoodJEst::new(cfg, Time::ZERO, rng.gen_range(1..200));
+            let mut t = 0.0;
+            for _ in 0..rng.gen_range(0..80) {
+                t += [0.0, 0.5, 1.0][rng.gen_range(0..3usize)];
+                match rng.gen_range(0..4) {
+                    0 => est.on_join(Time(t), rng.gen_range(1..4)),
+                    1 if est.size > est.tracker.new_present() => est.on_depart(Time(t), true, 1),
+                    2 if est.tracker.new_present() > 0 => est.on_depart(Time(t), false, 1),
+                    _ => est.on_purge_complete(Time(t)),
+                }
+            }
+            let now = Time(t + [0.0, 0.0, 1.0][rng.gen_range(0..3usize)]);
+            for kind in 0..3u32 {
+                let (k, steady) = match kind {
+                    0 => (est.joins_until_change(now), u64::MAX),
+                    1 => (est.departures_until_change(now, true), est.size),
+                    _ => {
+                        let steady = est.size.min(est.tracker.new_present());
+                        (est.departures_until_change(now, false), steady)
+                    }
+                };
+                if steady == 0 {
+                    continue;
+                }
+                let mut single = est.clone();
+                let walk = k.min(5_000);
+                for i in 1..=walk {
+                    let before = (single.updates, single.pending);
+                    event(&mut single, now, kind, 1);
+                    let changed = (single.updates, single.pending) != before;
+                    let what = format!("case {case} kind {kind}: event {i} of {k}");
+                    if i < k {
+                        assert!(!changed, "{what} changed the state");
+                    } else if !changed {
+                        assert_eq!(k, steady, "{what} changed nothing");
+                    }
+                }
+                if k <= walk {
+                    let mut batched = est.clone();
+                    event(&mut batched, now, kind, k);
+                    assert_eq!(
+                        state(&batched),
+                        state(&single),
+                        "case {case} kind {kind}: {k} at once"
+                    );
+                } else {
+                    assert!(k > 5_000 && kind == 0, "case {case} kind {kind}: {k}");
+                }
+            }
+        }
+    }
+
+    /// A gap beyond 64 bits takes the 128-bit division, and lands on the
+    /// same event the closed form names.
+    #[test]
+    fn countdowns_past_64_bits_name_the_rolling_event() {
+        // At 7/9 the joins would pass `u64::MAX` members first.
+        for (threshold, kinds) in [(Ratio::new(5, 12), &[0, 1][..]), (Ratio::new(7, 9), &[1])] {
+            let cfg = GoodJEstConfig { interval_threshold: threshold, ..cfg() };
+            let est = GoodJEst::new(cfg, Time::ZERO, 1 << 62);
+            assert!(u64::try_from(-est.gap).is_err());
+            for &kind in kinds {
+                let k = match kind {
+                    0 => est.joins_until_change(Time(1.0)),
+                    _ => est.departures_until_change(Time(1.0), true),
+                };
+                let mut e = est.clone();
+                event(&mut e, Time(1.0), kind, k - 1);
+                assert_eq!(e.updates, 0, "kind {kind}: rolled before event {k}");
+                event(&mut e, Time(1.0), kind, 1);
+                assert_eq!(e.updates, 1, "kind {kind}: event {k} did not roll");
             }
         }
     }

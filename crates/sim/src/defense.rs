@@ -88,7 +88,11 @@ pub struct PeriodicReport {
     pub bad_dropped: u64,
 }
 
-/// Events a defense can log for post-run analysis.
+/// Events a defense logs for post-run analysis.
+///
+/// Purges log none: the engine counts them from their [`PurgeReport`]s, and
+/// at a high attack rate a record per purge would grow without bound (a
+/// CCom cell at `T = 2²⁰` completes a purge every millisecond).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DefenseEvent {
     /// The join-rate estimator produced a new estimate over `[start, end)`.
@@ -99,18 +103,6 @@ pub enum DefenseEvent {
         end: Time,
         /// The new estimate of the good join rate, in IDs/second.
         estimate: f64,
-    },
-    /// A purge completed, with the membership size after it.
-    PurgeCompleted {
-        /// When the purge resolved.
-        at: Time,
-        /// Members remaining after the purge.
-        members_after: u64,
-    },
-    /// A purge was skipped by Heuristic 3.
-    PurgeSkipped {
-        /// When the skip decision was made.
-        at: Time,
     },
 }
 
@@ -182,11 +174,11 @@ pub trait Defense {
         self.n_members() - self.n_bad()
     }
 
-    /// Drains the defense's event log (estimator updates, purges, skips)
-    /// into `out`, appending in the order the events occurred. The engine
-    /// owns one recycled buffer and passes it here so the steady-state hot
-    /// path allocates nothing; implementations should swap or append
-    /// without leaving a copy behind.
+    /// Drains the defense's event log (estimator updates) into `out`,
+    /// appending in the order the events occurred. The engine owns one
+    /// recycled buffer and passes it here so the steady-state hot path
+    /// allocates nothing; implementations append without leaving a copy
+    /// behind.
     fn drain_events_into(&mut self, out: &mut Vec<DefenseEvent>);
 }
 

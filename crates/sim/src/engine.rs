@@ -173,26 +173,14 @@ pub struct Simulation<D, A, W: WorkloadSource = Workload> {
     timeline: Vec<TimelinePoint>,
     /// The engine's recycled defense-event buffer: handed to
     /// [`Defense::drain_events_into`] so draining never allocates per call
-    /// (defenses swap their filled log for this one and keep it).
+    /// (defenses append to it).
     events_scratch: Vec<DefenseEvent>,
     /// Completed-interval estimates, accumulated from per-purge drains of
     /// the defense event log (see [`absorb_defense_events`]).
     ///
     /// [`absorb_defense_events`]: Simulation::absorb_defense_events
     estimates: Vec<EstimateRecord>,
-    /// Completed-purge times, accumulated the same way. Draining at every
-    /// purge boundary keeps the *defense-side* log at one iteration's
-    /// worth of records, so no init-time reserve has to guess the total
-    /// purge count — under heavy attack small memberships complete a
-    /// purge every few events, making the full-run log Ω(events).
-    purge_times: Vec<Time>,
 }
-
-/// Preallocated capacity of the engine's purge-time log: above the purge
-/// count of any benchmark scenario (the heaviest sweep cell completes
-/// ~73k), so steady-state replay never grows it. Runs that exceed it
-/// still record every purge — they just pay a (counted) reallocation.
-const PURGE_LOG_PREALLOC: usize = 1 << 17;
 
 /// Preallocated capacity of the engine's estimate log; estimator
 /// intervals are far sparser than purges.
@@ -286,7 +274,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             timeline: Vec::with_capacity(timeline_cap),
             events_scratch: Vec::with_capacity(256),
             estimates: Vec::with_capacity(ESTIMATE_LOG_PREALLOC),
-            purge_times: Vec::with_capacity(PURGE_LOG_PREALLOC),
         })
     }
 
@@ -597,23 +584,17 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
 
     /// Drains the defense's event log into the engine's accumulators.
     ///
-    /// Called after every purge resolution and once more at finish. The
-    /// drain ping-pongs the recycled `events_scratch` buffer with the
-    /// defense's log, and the accumulators are preallocated, so in steady
-    /// state this whole path allocates nothing. Event order within each
-    /// category is chronological at every drain, so the resulting vectors
-    /// are byte-identical to a single drain at finish.
+    /// Called after every purge resolution and once more at finish, so the
+    /// defense-side log holds at most one iteration's intervals. The drain
+    /// appends to the recycled `events_scratch` buffer and the accumulator
+    /// is preallocated, so in steady state this whole path allocates
+    /// nothing. Events are chronological at every drain, so the result is
+    /// byte-identical to a single drain at finish.
     fn absorb_defense_events(&mut self) {
         self.events_scratch.clear();
         self.defense.drain_events_into(&mut self.events_scratch);
-        for &ev in &self.events_scratch {
-            match ev {
-                DefenseEvent::EstimateUpdated { start, end, estimate } => {
-                    self.estimates.push(EstimateRecord { start, end, estimate });
-                }
-                DefenseEvent::PurgeCompleted { at, .. } => self.purge_times.push(at),
-                DefenseEvent::PurgeSkipped { .. } => {}
-            }
+        for &DefenseEvent::EstimateUpdated { start, end, estimate } in &self.events_scratch {
+            self.estimates.push(EstimateRecord { start, end, estimate });
         }
     }
 
@@ -664,7 +645,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             admission_bytes: sealed.admission_bytes,
             workload_stream_bytes: self.stream.resident_bytes(),
             estimates: self.estimates,
-            purge_times: self.purge_times,
             good_join_times: self.good_join_times,
             timeline: self.timeline,
         };

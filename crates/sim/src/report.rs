@@ -88,9 +88,8 @@ pub struct SimReport {
     /// the retained schedule vectors).
     pub workload_stream_bytes: usize,
     /// Estimator updates logged by the defense (empty when not applicable).
+    /// Purges are counted (`purges`, `purges_skipped`), not logged.
     pub estimates: Vec<EstimateRecord>,
-    /// Times at which purges completed (iteration boundaries).
-    pub purge_times: Vec<Time>,
     /// Join times of admitted good IDs (populated when
     /// [`crate::engine::SimConfig::record_good_joins`] is set).
     pub good_join_times: Vec<Time>,

@@ -7,19 +7,79 @@
 
 use bankrupting_sybil::prelude::*;
 use sybil_churn::detect_epochs;
+use sybil_sim::defense::{Admission, BatchAdmission, DefenseEvent, PeriodicReport, PurgeReport};
 use sybil_sim::Time as T;
+
+/// Ergo, recording the instant of every purge it completes (iteration
+/// boundaries; the report only counts them).
+struct PurgeClock {
+    inner: Ergo,
+    purges: Vec<f64>,
+}
+
+impl Defense for PurgeClock {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn init(&mut self, now: T, n_good: u64, n_bad: u64) -> Cost {
+        self.inner.init(now, n_good, n_bad)
+    }
+    fn quote(&self, now: T) -> Cost {
+        self.inner.quote(now)
+    }
+    fn good_join(&mut self, now: T) -> Admission {
+        self.inner.good_join(now)
+    }
+    fn good_depart(&mut self, now: T, joined_at: T) {
+        self.inner.good_depart(now, joined_at)
+    }
+    fn bad_join_batch(&mut self, now: T, budget: Cost, max_attempts: u64) -> BatchAdmission {
+        self.inner.bad_join_batch(now, budget, max_attempts)
+    }
+    fn bad_depart(&mut self, now: T, n: u64) -> u64 {
+        self.inner.bad_depart(now, n)
+    }
+    fn purge_due(&self, now: T) -> bool {
+        self.inner.purge_due(now)
+    }
+    fn purge(&mut self, now: T, retain_bad: u64) -> PurgeReport {
+        let report = self.inner.purge(now, retain_bad);
+        if !report.skipped {
+            self.purges.push(now.as_secs());
+        }
+        report
+    }
+    fn next_periodic(&self) -> Option<T> {
+        self.inner.next_periodic()
+    }
+    fn periodic_cost_per_member(&self, now: T) -> Cost {
+        self.inner.periodic_cost_per_member(now)
+    }
+    fn periodic_apply(&mut self, now: T, bad_retained: u64) -> PeriodicReport {
+        self.inner.periodic_apply(now, bad_retained)
+    }
+    fn n_members(&self) -> u64 {
+        self.inner.n_members()
+    }
+    fn n_bad(&self) -> u64 {
+        self.inner.n_bad()
+    }
+    fn drain_events_into(&mut self, out: &mut Vec<DefenseEvent>) {
+        self.inner.drain_events_into(out)
+    }
+}
 
 /// Runs Ergo over a workload and returns (interval spans, purge times).
 fn replay(workload: Workload, horizon: T, t: f64) -> (Vec<(f64, f64)>, Vec<f64>) {
     let cfg = SimConfig { horizon, adv_rate: t, ..SimConfig::default() };
-    let report =
-        Simulation::new(cfg, Ergo::new(ErgoConfig::default()), BudgetJoiner::new(t), workload)
-            .run();
+    let clock = PurgeClock { inner: Ergo::new(ErgoConfig::default()), purges: Vec::new() };
+    let (report, clock) =
+        Simulation::new(cfg, clock, BudgetJoiner::new(t), workload).run_with_defense();
     assert!(report.max_bad_fraction < 1.0 / 6.0, "invariant precondition violated");
+    assert_eq!(clock.purges.len() as u64, report.purges);
     let intervals: Vec<(f64, f64)> =
         report.estimates.iter().map(|e| (e.start.as_secs(), e.end.as_secs())).collect();
-    let purges: Vec<f64> = report.purge_times.iter().map(|p| p.as_secs()).collect();
-    (intervals, purges)
+    (intervals, clock.purges)
 }
 
 /// Counts spans from `spans` that strictly overlap `(lo, hi)`.
