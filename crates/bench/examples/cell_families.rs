@@ -1,0 +1,65 @@
+//! Where `replay_attack`'s cell time goes, by defense family: the
+//! benchmark's roster (4 networks × the Figure 8 roster × `T` ∈ {2¹⁰, 2¹⁵,
+//! 2²⁰}, horizon 700 s, seed 1), each cell timed best of `rounds`, summed
+//! per family. Also prints the gnutella ERGO-SF cells and the gnutella
+//! CCom `T = 2²⁰` cell alone. Workloads are cached before any timing.
+//!
+//! ```text
+//! cargo run --release -p sybil-bench --example cell_families -- [rounds=5]
+//! ```
+use std::time::Instant;
+use sybil_bench::figure8;
+use sybil_bench::sweep::{self, Algo, RunParams};
+use sybil_churn::networks;
+
+fn family(algo: Algo) -> &'static str {
+    match algo {
+        Algo::CCom => "CCom",
+        Algo::SybilControl => "SybilControl",
+        Algo::Remp(_) => "REMP",
+        Algo::ErgoSf(_) | Algo::ErgoSfFull(_) => "ERGO-SF",
+        _ => "Ergo",
+    }
+}
+
+fn main() {
+    let rounds: usize = match std::env::args().nth(1) {
+        None => 5,
+        Some(arg) => arg.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+            eprintln!("rounds must be a positive integer, got '{arg}'");
+            std::process::exit(2)
+        }),
+    };
+    let params = RunParams { horizon: 700.0, seed: 1, ..RunParams::default() };
+    let nets = networks::all_networks();
+    let mut cells = Vec::new();
+    for (ni, net) in nets.iter().enumerate() {
+        sweep::cached_workload(net, params.horizon, params.seed);
+        for algo in figure8::roster() {
+            for exp in [10u32, 15, 20] {
+                cells.push((ni, algo, f64::from(1u32 << exp)));
+            }
+        }
+    }
+    let mut best = vec![f64::INFINITY; cells.len()];
+    for _ in 0..rounds {
+        for (i, &(ni, algo, t)) in cells.iter().enumerate() {
+            let started = Instant::now();
+            std::hint::black_box(sweep::run_report(&nets[ni], algo, t, params));
+            best[i] = best[i].min(started.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let total: f64 = best.iter().sum();
+    for fam in ["ERGO-SF", "CCom", "Ergo", "SybilControl", "REMP"] {
+        let ms: f64 =
+            cells.iter().zip(&best).filter(|(c, _)| family(c.1) == fam).map(|(_, b)| b).sum();
+        println!("{fam:<14} {ms:8.1} ms  {:5.1} %", 100.0 * ms / total);
+    }
+    println!("{:<14} {total:8.1} ms", format!("all {} cells", cells.len()));
+    for (&(ni, algo, t), ms) in cells.iter().zip(&best) {
+        let fam = family(algo);
+        if nets[ni].name == "gnutella" && (fam == "ERGO-SF" || (fam == "CCom" && t > 1e6)) {
+            println!("gnutella {} T={t}: {ms:.1} ms", algo.label());
+        }
+    }
+}
