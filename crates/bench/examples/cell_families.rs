@@ -1,8 +1,9 @@
 //! Where `replay_attack`'s cell time goes, by defense family: the
 //! benchmark's roster (4 networks × the Figure 8 roster × `T` ∈ {2¹⁰, 2¹⁵,
 //! 2²⁰}, horizon 700 s, seed 1), each cell timed best of `rounds`, summed
-//! per family. Also prints the gnutella ERGO-SF cells and the gnutella
-//! CCom `T = 2²⁰` cell alone. Workloads are cached before any timing.
+//! per family with its purges and the purges applied in closed form. Also
+//! prints the gnutella ERGO-SF cells and every network's CCom `T = 2²⁰`
+//! cell alone. Workloads are cached before any timing.
 //!
 //! ```text
 //! cargo run --release -p sybil-bench --example cell_families -- [rounds=5]
@@ -41,25 +42,37 @@ fn main() {
             }
         }
     }
-    let mut best = vec![f64::INFINITY; cells.len()];
+    // Best time, purges and collapsed purges per cell.
+    let mut best = vec![(f64::INFINITY, 0, 0); cells.len()];
     for _ in 0..rounds {
         for (i, &(ni, algo, t)) in cells.iter().enumerate() {
             let started = Instant::now();
-            std::hint::black_box(sweep::run_report(&nets[ni], algo, t, params));
-            best[i] = best[i].min(started.elapsed().as_secs_f64() * 1e3);
+            let report = std::hint::black_box(sweep::run_report(&nets[ni], algo, t, params));
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            best[i] = (best[i].0.min(ms), report.purges, report.purges_collapsed);
         }
     }
-    let total: f64 = best.iter().sum();
+    let total: f64 = best.iter().map(|b| b.0).sum();
     for fam in ["ERGO-SF", "CCom", "Ergo", "SybilControl", "REMP"] {
-        let ms: f64 =
-            cells.iter().zip(&best).filter(|(c, _)| family(c.1) == fam).map(|(_, b)| b).sum();
-        println!("{fam:<14} {ms:8.1} ms  {:5.1} %", 100.0 * ms / total);
+        let of_family = || cells.iter().zip(&best).filter(|(c, _)| family(c.1) == fam);
+        let ms: f64 = of_family().map(|(_, b)| b.0).sum();
+        let purges: u64 = of_family().map(|(_, b)| b.1).sum();
+        let collapsed: u64 = of_family().map(|(_, b)| b.2).sum();
+        println!(
+            "{fam:<14} {ms:8.1} ms  {:5.1} %  {purges:>10} purges, {collapsed:>10} collapsed",
+            100.0 * ms / total
+        );
     }
     println!("{:<14} {total:8.1} ms", format!("all {} cells", cells.len()));
-    for (&(ni, algo, t), ms) in cells.iter().zip(&best) {
+    for (&(ni, algo, t), &(ms, purges, collapsed)) in cells.iter().zip(&best) {
         let fam = family(algo);
-        if nets[ni].name == "gnutella" && (fam == "ERGO-SF" || (fam == "CCom" && t > 1e6)) {
-            println!("gnutella {} T={t}: {ms:.1} ms", algo.label());
+        let ccom_top = fam == "CCom" && t > 1e6;
+        if ccom_top || (nets[ni].name == "gnutella" && fam == "ERGO-SF") {
+            println!(
+                "{} {} T={t}: {ms:.1} ms, {purges} purges, {collapsed} collapsed",
+                nets[ni].name,
+                algo.label()
+            );
         }
     }
 }

@@ -83,6 +83,10 @@ struct Scenario {
     /// produced by an `alloc-count` build (`None` for baselines that
     /// predate the field — the alloc gates then skip that side).
     allocs_per_event: Option<f64>,
+    /// The adversary's act/join/purge rounds and the purges applied in
+    /// closed form: where a scenario's purges went, printed and never
+    /// gated (`None` for baselines that predate the fields).
+    rounds: Option<(f64, f64)>,
 }
 
 /// Scenarios whose steady-state event loop must allocate **exactly
@@ -129,6 +133,7 @@ fn parse_scenarios(root: &Value) -> Result<Vec<Scenario>, String> {
                 adv_spend: fp_field("adv_spend")?,
             },
             allocs_per_event: body.num("allocs_per_event").ok(),
+            rounds: body.num("adversary_rounds").ok().zip(body.num("purges_collapsed").ok()),
         });
     }
     Ok(out)
@@ -272,7 +277,7 @@ fn speed_ratio(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> f64 {
 /// population of `perf::QUEUE_DEPTHS` than at the shallowest.
 const MAX_DEPTH_COST_RATIO: f64 = 2.0;
 
-/// Holds the queue flat in depth (ROADMAP 4(a)): within the fresh report
+/// Holds the queue flat in depth: within the fresh report
 /// alone, so no machine scaling applies. A fresh report that lost a probe
 /// the baseline has fails in [`micro_failures`] instead.
 fn depth_failures(fresh: &[(String, f64)]) -> Vec<String> {
@@ -359,6 +364,14 @@ fn compare(
             tolerance,
             speed_ratio,
         ));
+        if let Some((rounds, collapsed)) = now.rounds {
+            let purges = now.fingerprint.purges;
+            println!(
+                "  {:<28} {rounds:.0} adversary rounds, {collapsed:.0} of {purges:.0} purges \
+                 collapsed",
+                ""
+            );
+        }
     }
     failures
 }
@@ -515,6 +528,7 @@ mod tests {
             events_per_sec: eps,
             fingerprint: fp(purges),
             allocs_per_event: None,
+            rounds: None,
         }
     }
 
@@ -550,6 +564,8 @@ mod tests {
         ])
     }
 
+    /// A report without the round counters (a baseline that predates
+    /// them) parses, and compares clean against itself.
     #[test]
     fn parses_scenarios_and_queue() {
         let json = sample_report(1234.5, 7);
@@ -558,6 +574,8 @@ mod tests {
         assert_eq!(s[0].name, "a");
         assert_eq!(s[0].events_per_sec, 1234.5);
         assert_eq!(s[0].fingerprint, fp(7.0));
+        assert_eq!(s[0].rounds, None);
+        assert!(compare(&s, &s, 0.25, 1.0).is_empty());
         assert_eq!(s[1].name, "b");
         assert_eq!(s[1].events_per_sec, 50.0);
         assert_eq!(parse_queue(&json), vec![("queue_calendar".to_string(), 20000000.0)]);
@@ -585,6 +603,8 @@ mod tests {
                 loop_allocs: 7,
                 loop_alloc_bytes: 448,
                 allocs_per_event: 0.007,
+                adversary_rounds: 12,
+                purges_collapsed: 2,
                 fingerprint: Fingerprint {
                     good_joins_admitted: 1,
                     bad_joins_admitted: 2,
@@ -609,6 +629,7 @@ mod tests {
         assert_eq!(parsed[0].fingerprint.purges, 3.0);
         assert_eq!(parsed[0].fingerprint.good_spend, 4.5);
         assert_eq!(parsed[0].allocs_per_event, Some(0.007));
+        assert_eq!(parsed[0].rounds, Some((12.0, 2.0)));
         assert_eq!(parse_queue(&json), vec![("queue_calendar".to_string(), 100.0)]);
         let gate = GateScenario {
             name: "gate_honest".into(),
@@ -823,6 +844,7 @@ mod tests {
             events_per_sec: 1000.0,
             fingerprint: fp(1.0),
             allocs_per_event: ape,
+            rounds: None,
         }
     }
 

@@ -65,6 +65,13 @@ pub struct ScenarioResult {
     /// `loop_allocs / events` — the budget `bench_compare` gates on. The
     /// five fully resident scenarios must hold this at exactly zero.
     pub allocs_per_event: f64,
+    /// Act/join/purge rounds of the adversary's turns
+    /// ([`SimReport::adversary_rounds`](sybil_sim::SimReport::adversary_rounds)).
+    pub adversary_rounds: u64,
+    /// Purges the defense applied in closed form
+    /// ([`SimReport::purges_collapsed`](sybil_sim::SimReport::purges_collapsed)),
+    /// out of the fingerprint's `purges`.
+    pub purges_collapsed: u64,
     /// Behavior fingerprint: counters that must not change for identical
     /// seeds when only performance work happens.
     pub fingerprint: Fingerprint,
@@ -264,6 +271,8 @@ struct Rep {
     peak_queue_len: usize,
     resident_bytes: usize,
     allocs: LoopAllocs,
+    adversary_rounds: u64,
+    purges_collapsed: u64,
     fingerprint: Fingerprint,
 }
 
@@ -276,6 +285,8 @@ impl Rep {
             self.resident_bytes.max(report.admission_bytes + report.workload_stream_bytes);
         self.allocs.allocs += allocs.allocs;
         self.allocs.bytes += allocs.bytes;
+        self.adversary_rounds += report.adversary_rounds;
+        self.purges_collapsed += report.purges_collapsed;
         let fp = &mut self.fingerprint;
         fp.good_joins_admitted += report.good_joins_admitted;
         fp.bad_joins_admitted += report.bad_joins_admitted;
@@ -309,6 +320,11 @@ fn measure(name: &str, mut run: impl FnMut(&mut Rep)) -> ScenarioResult {
                     rep.fingerprint, first.fingerprint,
                     "{name}: nondeterministic fingerprint"
                 );
+                assert_eq!(
+                    (rep.adversary_rounds, rep.purges_collapsed),
+                    (first.adversary_rounds, first.purges_collapsed),
+                    "{name}: nondeterministic adversary rounds"
+                );
             }
         }
     }
@@ -324,6 +340,8 @@ fn measure(name: &str, mut run: impl FnMut(&mut Rep)) -> ScenarioResult {
         loop_allocs: measured.allocs,
         loop_alloc_bytes: measured.bytes,
         allocs_per_event: measured.allocs as f64 / (rep.events as f64).max(1.0),
+        adversary_rounds: rep.adversary_rounds,
+        purges_collapsed: rep.purges_collapsed,
         fingerprint: rep.fingerprint,
     }
 }
@@ -553,6 +571,8 @@ pub fn to_json(report: &PerfReport) -> String {
             ("loop_allocs", s.loop_allocs.into()),
             ("loop_alloc_bytes", s.loop_alloc_bytes.into()),
             ("allocs_per_event", s.allocs_per_event.into()),
+            ("adversary_rounds", s.adversary_rounds.into()),
+            ("purges_collapsed", s.purges_collapsed.into()),
             (
                 "fingerprint",
                 Value::obj([
@@ -614,31 +634,37 @@ pub fn to_json(report: &PerfReport) -> String {
 pub fn render(report: &PerfReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<28} {:>14} {:>10} {:>16} {:>12} {:>14} {:>12}\n",
+        "{:<28} {:>14} {:>10} {:>16} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12}\n",
         "benchmark",
         "events/ops",
         "wall (s)",
         "throughput/s",
         "peak queue",
         "resident KiB",
-        "loop allocs"
+        "loop allocs",
+        "adv rounds",
+        "purges",
+        "collapsed"
     ));
     for q in &report.queue {
         out.push_str(&format!(
-            "{:<28} {:>14} {:>10.3} {:>16.0} {:>12} {:>14} {:>12}\n",
-            q.name, q.ops, q.wall_secs, q.ops_per_sec, "-", "-", "-"
+            "{:<28} {:>14} {:>10.3} {:>16.0} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12}\n",
+            q.name, q.ops, q.wall_secs, q.ops_per_sec, "-", "-", "-", "-", "-", "-"
         ));
     }
     for s in &report.scenarios {
         out.push_str(&format!(
-            "{:<28} {:>14} {:>10.3} {:>16.0} {:>12} {:>14} {:>12}\n",
+            "{:<28} {:>14} {:>10.3} {:>16.0} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12}\n",
             s.name,
             s.events,
             s.wall_secs,
             s.events_per_sec,
             s.peak_queue_len,
             s.resident_bytes.div_ceil(1024),
-            s.loop_allocs
+            s.loop_allocs,
+            s.adversary_rounds,
+            s.fingerprint.purges,
+            s.purges_collapsed
         ));
     }
     // An op is one push or one pop (one ledger call), so a pair costs two.
@@ -694,6 +720,8 @@ mod tests {
                 loop_allocs: 7,
                 loop_alloc_bytes: 256,
                 allocs_per_event: 1.4,
+                adversary_rounds: 21,
+                purges_collapsed: 9,
                 fingerprint: Fingerprint {
                     good_joins_admitted: 11,
                     bad_joins_admitted: 12,
@@ -725,6 +753,7 @@ mod tests {
             Some(&want(
                 r#"{"s": {"events": 5, "wall_secs": 0.5, "events_per_sec": 10,
                     "peak_queue_len": 3, "resident_bytes": 4096, "loop_allocs": 7, "loop_alloc_bytes": 256, "allocs_per_event": 1.4,
+                    "adversary_rounds": 21, "purges_collapsed": 9,
                     "fingerprint": {"good_joins_admitted": 11, "bad_joins_admitted": 12,
                                     "purges": 13, "good_spend": 14.5, "adv_spend": 0.00001}}}"#
             ))

@@ -29,7 +29,10 @@
 //!   where a single join would end an estimator interval;
 //! * a purge or a voluntary departure is O(runs removed), a run being
 //!   Sybil IDs that GoodJEst cannot tell apart (see `BadRun`), plus one
-//!   step per estimator interval it ends.
+//!   step per estimator interval it ends;
+//! * the identical batch→purge cycles an ungated cascade repeats at one
+//!   instant are applied in one call, one budget subtraction per cycle
+//!   (`repeat_purge_cycles`).
 //!
 //! So a cell under attack costs O(events) plus one draw per gated
 //! admission, even at adversary spend rates of `2²⁰`/s.
@@ -42,7 +45,8 @@ use crate::window::{batch_cost, max_affordable, JoinWindow};
 use std::collections::VecDeque;
 use sybil_sim::cost::Cost;
 use sybil_sim::defense::{
-    Admission, BatchAdmission, BatchStop, Defense, DefenseEvent, PeriodicReport, PurgeReport,
+    Admission, BatchAdmission, BatchStop, Defense, DefenseEvent, PeriodicReport, PurgeCycles,
+    PurgeReport,
 };
 use sybil_sim::time::Time;
 
@@ -246,6 +250,24 @@ impl Ergo {
         }
         // Smallest k with progress + k > cap.
         (self.iter_admission_cap - progress).saturating_add(1)
+    }
+
+    /// How many ungated admissions `budget` affords from quote `q0`.
+    /// Rate-based entrance costs escalate by 1 per admission (each join
+    /// enters the window); constant costs do not.
+    fn affordable(&self, q0: f64, budget: f64) -> u64 {
+        match self.cfg.entrance {
+            EntrancePolicy::RateBased => max_affordable(q0, budget),
+            EntrancePolicy::Constant(c) => (budget / c.max(1e-12)) as u64,
+        }
+    }
+
+    /// What `n` ungated admissions from quote `q0` cost.
+    fn batch_spend(&self, q0: f64, n: u64) -> f64 {
+        match self.cfg.entrance {
+            EntrancePolicy::RateBased => batch_cost(q0, n),
+            EntrancePolicy::Constant(c) => c * n as f64,
+        }
     }
 
     /// Recomputes the cached `⌊iter_start_size·num/den⌋` threshold; must be
@@ -496,17 +518,8 @@ impl Defense for Ergo {
         match self.gate {
             None => {
                 let q0 = self.quote(now).value();
-                // Rate-based entrance costs escalate by 1 per admission
-                // (each join enters the window); constant costs do not.
-                let afford = match self.cfg.entrance {
-                    EntrancePolicy::RateBased => max_affordable(q0, budget),
-                    EntrancePolicy::Constant(c) => (budget / c.max(1e-12)) as u64,
-                };
-                let n = afford.min(headroom).min(max_attempts);
-                spent = match self.cfg.entrance {
-                    EntrancePolicy::RateBased => batch_cost(q0, n),
-                    EntrancePolicy::Constant(c) => c * n as f64,
-                };
+                let n = self.affordable(q0, budget).min(headroom).min(max_attempts);
+                spent = self.batch_spend(q0, n);
                 self.note_join(now, n, Joiner::Batch);
                 admitted = n;
                 attempts = n;
@@ -622,6 +635,74 @@ impl Defense for Ergo {
         self.sync_est_stamp();
         self.reset_iteration(now);
         PurgeReport { good_cost, adv_cost, bad_removed: removed, skipped: false }
+    }
+
+    /// Applies the cycles of a purge cascade in closed form where each
+    /// cycle provably leaves the state as it found it, but for `seq` (one
+    /// per batch) and the iteration's start stamp: a batch of the whole
+    /// headroom `h` joins as one run, the purge removes it, and the
+    /// iteration resets. That needs
+    ///
+    /// * no gate, no Heuristic 2 or 3, and an estimator that rolls rather
+    ///   than defers (no Heuristic 1);
+    /// * no Sybil ID present, and an iteration that began at `now` and has
+    ///   counted no event: every join and departure it counts moves
+    ///   `iter_events`, so its threshold, window and counters are still
+    ///   what the reset left, and `h` is the whole cap plus 1;
+    /// * the batch's stamp `(now, seq)` strictly above the estimator's
+    ///   interval start, so its IDs leave as new ones (at equality, the
+    ///   interval-start tie, the engine runs that cycle itself);
+    /// * GoodJEst absorbing `h` joins and their departure unchanged.
+    ///
+    /// Cycles are counted by walking the budget as the engine spends it,
+    /// testing the ungated branch's affordability at each step.
+    fn repeat_purge_cycles(
+        &mut self,
+        now: Time,
+        budget: Cost,
+        max_cycles: u64,
+    ) -> Option<PurgeCycles> {
+        let plain = self.gate.is_none()
+            && !self.cfg.heuristics.h2_symdiff_trigger
+            && !self.cfg.heuristics.h3_conditional_purge
+            && !self.cfg.estimator.align_to_iterations;
+        if !plain || self.n_bad != 0 || self.iter_start != now || self.iter_events != 0 {
+            return None;
+        }
+        let (h, q0) = (self.admissions_until_purge(), self.quote(now).value());
+        let spent = self.batch_spend(q0, h);
+        let (mut b, mut k) = (budget.value(), 0);
+        // The purge retains nothing, so it charges the budget 0. A budget
+        // below one batch's spend affords no batch; that compare goes first
+        // because the affordability test costs a division or a square root
+        // (an ulp where the two disagree only leaves a cycle to the loop).
+        while k < max_cycles && spent <= b && self.affordable(q0, b) >= h {
+            b -= spent;
+            k += 1;
+        }
+        // `k == 0` is the common case: what a purge leaves of the budget
+        // seldom affords another whole batch.
+        if k == 0 || (now, self.seq) <= self.est_start || !self.est.absorbs_transient_joins(now, h)
+        {
+            return None;
+        }
+        self.seq += k;
+        self.iter_start_stamp = (now, self.seq);
+        Some(PurgeCycles {
+            cycles: k,
+            batch: BatchAdmission {
+                admitted: h,
+                attempts: h,
+                spent: Cost(spent),
+                stop: BatchStop::PurgeTriggered,
+            },
+            purge: PurgeReport {
+                good_cost: Cost(self.n_good as f64),
+                adv_cost: Cost::ZERO,
+                bad_removed: h,
+                skipped: false,
+            },
+        })
     }
 
     fn next_periodic(&self) -> Option<Time> {
@@ -879,6 +960,85 @@ mod tests {
         let removed2 = e.bad_depart(Time(3.0), 1_000_000);
         assert_eq!(removed2, before - removed);
         assert_eq!(e.n_bad(), 0);
+    }
+
+    /// One batch→purge cycle as the engine's loop runs it, the budget
+    /// spent as the engine spends it.
+    fn cycle(e: &mut Ergo, now: Time, budget: &mut f64) -> (BatchAdmission, PurgeReport) {
+        let batch = e.bad_join_batch(now, Cost(*budget), u64::MAX);
+        assert_eq!(batch.stop, BatchStop::PurgeTriggered);
+        *budget -= batch.spent.value();
+        (batch, e.purge(now, 0))
+    }
+
+    /// `repeat_purge_cycles` against the cycles one at a time, from the
+    /// state one cycle at `now` leaves: the same reports, the same state,
+    /// and the loop's next batch no longer whole (or capped by `max`).
+    fn check_repeats(e: &Ergo, now: Time, budget: f64, max: u64) -> u64 {
+        let (mut collapsed, mut looped) = (e.clone(), e.clone());
+        let Some(cycles) = collapsed.repeat_purge_cycles(now, Cost(budget), max) else {
+            return 0;
+        };
+        let mut b = budget;
+        for _ in 0..cycles.cycles {
+            assert_eq!(cycle(&mut looped, now, &mut b), (cycles.batch, cycles.purge));
+        }
+        assert_eq!(format!("{collapsed:?}"), format!("{looped:?}"));
+        if cycles.cycles < max {
+            let last = looped.bad_join_batch(now, Cost(b), u64::MAX);
+            assert_eq!(last.stop, BatchStop::Budget, "{last:?}");
+        }
+        cycles.cycles
+    }
+
+    #[test]
+    fn repeated_purge_cycles_leave_what_the_cycles_one_at_a_time_leave() {
+        let odd_cost =
+            ErgoConfig { entrance: EntrancePolicy::Constant(1.37), ..ErgoConfig::ccom() };
+        for cfg in [ErgoConfig::ccom(), ErgoConfig::default(), odd_cost] {
+            let mut e = Ergo::new(cfg);
+            e.init(Time::ZERO, 1100, 0);
+            let mut budget = 1e6;
+            cycle(&mut e, Time(1.0), &mut budget);
+            // Headroom 101: 101 at a constant 1, 5 151 from quote 1 rate-based.
+            let per_cycle = e.batch_spend(1.0, 101);
+            let k = check_repeats(&e, Time(1.0), 10.5 * per_cycle, u64::MAX);
+            assert_eq!(k, 10, "{cfg:?}");
+            assert_eq!(check_repeats(&e, Time(1.0), 10.5 * per_cycle, 4), 4);
+            assert_eq!(check_repeats(&e, Time(1.0), 0.5 * per_cycle, u64::MAX), 0);
+            // Not after a batch that left Sybil IDs behind, nor with a gate.
+            let mut partial = e.clone();
+            assert_eq!(partial.bad_join_batch(Time(1.0), Cost(1.5), u64::MAX).admitted, 1);
+            assert_eq!(partial.repeat_purge_cycles(Time(1.0), Cost(1e9), u64::MAX), None);
+            // Nor once the iteration has counted an event, or began earlier.
+            let mut joined = e.clone();
+            joined.good_join(Time(1.0));
+            assert_eq!(joined.repeat_purge_cycles(Time(1.0), Cost(1e9), u64::MAX), None);
+            assert_eq!(e.clone().repeat_purge_cycles(Time(2.0), Cost(1e9), u64::MAX), None);
+            let mut gated = Ergo::new(cfg).with_gate(ClassifierGate::with_accuracy(0.98, 1));
+            gated.init(Time::ZERO, 1100, 0);
+            cycle(&mut gated, Time(1.0), &mut 1e9);
+            assert_eq!(gated.repeat_purge_cycles(Time(1.0), Cost(1e9), u64::MAX), None);
+        }
+    }
+
+    /// At interval threshold 1/20 the first whole batch ends GoodJEst's
+    /// interval and the one after it is the interval-start tie: both run
+    /// one at a time, and the cycles after them repeat.
+    #[test]
+    fn the_cycle_that_rolls_the_estimator_and_the_tie_after_it_are_not_repeated() {
+        let mut cfg = ErgoConfig::ccom();
+        cfg.estimator.interval_threshold = crate::params::Ratio::new(1, 20);
+        let mut e = Ergo::new(cfg);
+        e.init(Time::ZERO, 110, 0);
+        let (now, mut budget) = (Time(1.0), 1e3);
+        assert_eq!(check_repeats(&e, now, budget, u64::MAX), 0, "the batch would roll");
+        cycle(&mut e, now, &mut budget);
+        assert_eq!(e.estimator().update_count(), 1);
+        assert_eq!((now, e.seq), e.est_start);
+        assert_eq!(check_repeats(&e, now, budget, u64::MAX), 0, "the tie");
+        cycle(&mut e, now, &mut budget);
+        assert_eq!(check_repeats(&e, now, budget, u64::MAX), 88);
     }
 
     #[test]

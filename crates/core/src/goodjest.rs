@@ -236,14 +236,33 @@ impl GoodJEst {
         self.events_until_change(now, delta).min(steady).max(1)
     }
 
+    /// Whether `n` joins at `now` recorded as one event, then the same `n`
+    /// IDs leaving as new ones in one event, leave the estimator exactly as
+    /// it was: the joins change nothing ([`joins_until_change`] is past
+    /// them), and the departures, which bring the gap back to where it is
+    /// now, change nothing either.
+    ///
+    /// [`joins_until_change`]: Self::joins_until_change
+    pub(crate) fn absorbs_transient_joins(&self, now: Time, n: u64) -> bool {
+        self.joins_until_change(now) > n && (self.gap < 0 || self.inert(now))
+    }
+
+    /// Whether a crossing of the threshold at `now` would leave the state
+    /// alone: under Heuristic 1 it only sets `pending`, once; otherwise it
+    /// rolls, and only past the interval start.
+    fn inert(&self, now: Time) -> bool {
+        if self.cfg.align_to_iterations {
+            self.pending
+        } else {
+            now <= self.t_start
+        }
+    }
+
     /// The least `k ≥ 1` with `gap + k·delta ≥ 0`, if reaching it changes
     /// state as [`maybe_roll`](Self::maybe_roll) would; `u64::MAX` if no
     /// event of this kind can.
     fn events_until_change(&self, now: Time, delta: i128) -> u64 {
-        // Under Heuristic 1 a crossing only sets `pending`, once; otherwise
-        // it rolls, and only past the interval start.
-        let inert = if self.cfg.align_to_iterations { self.pending } else { now <= self.t_start };
-        if inert || (self.gap + delta < 0 && delta <= 0) {
+        if self.inert(now) || (self.gap + delta < 0 && delta <= 0) {
             return u64::MAX;
         }
         if self.gap + delta >= 0 {
@@ -469,7 +488,9 @@ mod tests {
     /// leave the interval and Heuristic 1's `pending` alone, the counted one
     /// changes one of them unless the count stopped where the gap's step
     /// would start to vary, and that many events recorded as one call leave the
-    /// estimator exactly as the single events do. Both profiles run it: in
+    /// estimator exactly as the single events do. Joins that leave again at
+    /// once leave it as it was exactly when `absorbs_transient_joins` says
+    /// they do. Both profiles run it: in
     /// release only the arithmetic guards the closed form.
     #[test]
     fn countdowns_are_exact() {
@@ -495,6 +516,17 @@ mod tests {
                 }
             }
             let now = Time(t + [0.0, 0.0, 1.0][rng.gen_range(0..3usize)]);
+            for n in [1, 3, 40, 1 << 20] {
+                let mut e = est.clone();
+                e.on_join(now, n);
+                let joined_quietly = (e.updates, e.pending) == (est.updates, est.pending);
+                if joined_quietly {
+                    e.on_depart(now, false, n);
+                }
+                let unchanged = joined_quietly && state(&e) == state(&est);
+                let what = format!("case {case}: {n} transient joins");
+                assert_eq!(est.absorbs_transient_joins(now, n), unchanged, "{what}");
+            }
             for kind in 0..3u32 {
                 let (k, steady) = match kind {
                     0 => (est.joins_until_change(now), u64::MAX),

@@ -66,14 +66,28 @@ pub trait Adversary {
         true
     }
 
+    /// Whether this strategy acts the same way for the rest of any instant:
+    /// for every view and budget, [`act`](Self::act) returns `{ join_budget:
+    /// budget, max_joins: u64::MAX, departs: 0 }` and
+    /// [`purge_retention`](Self::purge_retention) returns 0, and neither call
+    /// has side effects. A strategy that returns `true` lets the engine hand
+    /// a cascade of identical purge cycles to
+    /// [`Defense::repeat_purge_cycles`](crate::defense::Defense::repeat_purge_cycles).
+    /// Returning `false` is always correct.
+    fn stationary_within_instant(&self) -> bool {
+        false
+    }
+
     /// Decides what to do at a wakeup, given the current `view` and
     /// available `budget`.
     fn act(&mut self, view: &DefenseView, budget: Cost) -> AdversaryAction;
 
     /// During a purge, how many Sybil IDs to retain by re-solving 1-hard
     /// challenges. `cap` is the `κ`-fraction limit already computed by the
-    /// engine; the returned value is additionally clamped to `cap` and to
-    /// the available `budget`.
+    /// engine; the engine clamps the returned value to `cap` and to the
+    /// Sybil IDs present, and not to `budget`: each retained ID is charged
+    /// 1 whatever the budget holds, so a strategy that retains beyond it
+    /// (`FractionKeeper`'s funded top-ups, by design) overdraws it.
     fn purge_retention(&mut self, view: &DefenseView, cap: u64, budget: Cost) -> u64;
 
     /// At a periodic charge costing `cost_per_id` per Sybil ID, how many to
@@ -97,6 +111,10 @@ impl Adversary for Box<dyn Adversary> {
 
     fn needs_quote(&self) -> bool {
         (**self).needs_quote()
+    }
+
+    fn stationary_within_instant(&self) -> bool {
+        (**self).stationary_within_instant()
     }
 
     fn act(&mut self, view: &DefenseView, budget: Cost) -> AdversaryAction {
@@ -206,6 +224,10 @@ impl Adversary for BudgetJoiner {
 
     fn next_wakeup(&self, now: Time) -> Option<Time> {
         next_wakeup_at(self.step, now)
+    }
+
+    fn stationary_within_instant(&self) -> bool {
+        true
     }
 
     fn act(&mut self, _view: &DefenseView, budget: Cost) -> AdversaryAction {
@@ -326,6 +348,10 @@ impl Adversary for BurstJoiner {
         } else {
             Some(now + self.period)
         }
+    }
+
+    fn stationary_within_instant(&self) -> bool {
+        true
     }
 
     fn act(&mut self, _view: &DefenseView, budget: Cost) -> AdversaryAction {
@@ -718,6 +744,31 @@ mod tests {
             &StrategyParams::rate(1.0).with_target_fraction(1.0)
         )
         .is_err());
+    }
+
+    /// Which registry strategies opt in to closed-form purge cycles, through
+    /// the boxes the registry builds, and that each one keeps the contract:
+    /// the whole budget, no limit, no departure, no retention, on every view.
+    #[test]
+    fn budget_and_burst_are_the_strategies_stationary_within_an_instant() {
+        let params = StrategyParams::rate(100.0).with_target_fraction(0.1);
+        let stationary: Vec<&str> = STRATEGY_NAMES
+            .into_iter()
+            .filter(|name| build_strategy(name, &params).unwrap().stationary_within_instant())
+            .collect();
+        assert_eq!(stationary, [STRATEGY_BUDGET, STRATEGY_BURST]);
+        let views = [view(100, 0), view(100, 17), view(0, 0), view(5, 9)];
+        let budgets = [Cost::ZERO, Cost(0.5), Cost(42.0), Cost(1e15)];
+        for name in stationary {
+            let mut adv = build_strategy(name, &params).unwrap();
+            for (v, b) in views.iter().flat_map(|v| budgets.iter().map(move |b| (v, *b))) {
+                let want = AdversaryAction { join_budget: b, max_joins: u64::MAX, departs: 0 };
+                for _ in 0..2 {
+                    assert_eq!(adv.act(v, b), want, "{name} {v:?} {b:?}");
+                    assert_eq!(adv.purge_retention(v, v.n_bad, b), 0, "{name} {v:?} {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -267,6 +267,12 @@ impl FixedCost {
         Cost(self.0 as f64 * 2f64.powi(-Self::FRAC_BITS))
     }
 
+    /// `k` times this amount: the sum of `k` copies, checked like one.
+    pub(crate) fn times(self, k: u64) -> FixedCost {
+        let product = self.0.checked_mul(i128::from(k));
+        product.map_or_else(|| self.overflow("×", k as f64), FixedCost)
+    }
+
     #[cold]
     fn overflow(self, op: &str, rhs: f64) -> ! {
         panic!(
@@ -329,6 +335,18 @@ impl FixedLedger {
     /// Records spending by the adversary.
     pub fn charge_adversary(&mut self, purpose: Purpose, amount: Cost) {
         self.adv[Self::slot(purpose)] += FixedCost::from_cost(amount);
+    }
+
+    /// Records `k` equal charges by good IDs in one step: the balance is
+    /// the one `k` calls of [`charge_good`](Self::charge_good) leave.
+    pub(crate) fn charge_good_times(&mut self, purpose: Purpose, amount: Cost, k: u64) {
+        self.good[Self::slot(purpose)] += FixedCost::from_cost(amount).times(k);
+    }
+
+    /// Records `k` equal charges by the adversary in one step, as
+    /// [`charge_good_times`](Self::charge_good_times) does for good IDs.
+    pub(crate) fn charge_adversary_times(&mut self, purpose: Purpose, amount: Cost, k: u64) {
+        self.adv[Self::slot(purpose)] += FixedCost::from_cost(amount).times(k);
     }
 
     /// Total burned by good IDs.
@@ -420,6 +438,30 @@ mod tests {
         assert_eq!(l.adversary_periodic(), Cost(13.0));
         assert_eq!(fl.good_total().to_cost(), Cost(10.0));
         assert_eq!(fl.adversary_total().to_cost(), Cost(31.0));
+    }
+
+    /// A `×k` charge leaves every balance exactly as `k` single charges do,
+    /// on amounts whose conversion rounds.
+    #[test]
+    fn a_charge_times_k_is_k_charges() {
+        for (amount, k) in
+            [(Cost(1.37), 1_000u64), (Cost(1.0 / 3.0), 7), (Cost(2e-20), 3), (Cost(5.0), 0)]
+        {
+            let (mut single, mut multiplied) = (FixedLedger::default(), FixedLedger::default());
+            for _ in 0..k {
+                single.charge_good(Purpose::Purge, amount);
+                single.charge_adversary(Purpose::Entrance, amount);
+            }
+            multiplied.charge_good_times(Purpose::Purge, amount, k);
+            multiplied.charge_adversary_times(Purpose::Entrance, amount, k);
+            assert_eq!(multiplied, single, "{amount:?} × {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ledger overflow: 1152921504606847000 × 8 leaves")]
+    fn a_charge_times_k_past_the_range_panics() {
+        FixedLedger::default().charge_adversary_times(Purpose::Entrance, Cost(2f64.powi(60)), 8);
     }
 
     /// The float route `from_cost` replaced, kept here as the reference:

@@ -79,6 +79,18 @@ pub struct PurgeReport {
     pub skipped: bool,
 }
 
+/// Identical purge cycles a defense applied in one call (see
+/// [`Defense::repeat_purge_cycles`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PurgeCycles {
+    /// How many cycles were applied; at least 1.
+    pub cycles: u64,
+    /// What each cycle's batch reported (it stopped on the purge condition).
+    pub batch: BatchAdmission,
+    /// What each cycle's purge reported (not `skipped`: each one ran).
+    pub purge: PurgeReport,
+}
+
 /// Result of a periodic charge (SybilControl tests, REMP recurring puzzles).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PeriodicReport {
@@ -149,9 +161,34 @@ pub trait Defense {
     fn purge_due(&self, now: Time) -> bool;
 
     /// Executes a purge: every good member solves a 1-hard challenge; the
-    /// adversary retains `retain_bad` Sybil IDs by paying 1 each (the engine
-    /// has already enforced the `κ`-fraction cap and adversary budget).
+    /// adversary retains `retain_bad` Sybil IDs by paying 1 each. The engine
+    /// has already clamped `retain_bad` to the `κ`-fraction cap and to the
+    /// Sybil IDs present, but not to the adversary's budget: a strategy may
+    /// retain more than it has accrued, and the budget goes negative.
     fn purge(&mut self, now: Time, retain_bad: u64) -> PurgeReport;
+
+    /// Applies, in one call, cycles the engine would otherwise run one at a
+    /// time at `now` within an adversary turn: each is
+    /// `bad_join_batch(now, b, u64::MAX)` stopping on the purge condition,
+    /// then `purge(now, 0)`, which retains nothing and so charges the
+    /// adversary nothing. `b` is `budget` for the first cycle, and each
+    /// later one's is the one before less `batch.spent`, in `f64` as the
+    /// engine subtracts it.
+    ///
+    /// An implementation applies at most `max_cycles` cycles, only those
+    /// whose batch `b` affords in full, and only when it can show each
+    /// cycle reports the same [`PurgeCycles::batch`] and
+    /// [`PurgeCycles::purge`]; the state it leaves is exactly what the
+    /// cycles one at a time leave. It returns `None` when it applies none,
+    /// which is the default: the engine then runs every cycle itself.
+    fn repeat_purge_cycles(
+        &mut self,
+        _now: Time,
+        _budget: Cost,
+        _max_cycles: u64,
+    ) -> Option<PurgeCycles> {
+        None
+    }
 
     /// The next time periodic work is due, if this defense does any.
     fn next_periodic(&self) -> Option<Time>;
@@ -209,6 +246,14 @@ impl Defense for Box<dyn Defense> {
     }
     fn purge(&mut self, now: Time, retain_bad: u64) -> PurgeReport {
         (**self).purge(now, retain_bad)
+    }
+    fn repeat_purge_cycles(
+        &mut self,
+        now: Time,
+        budget: Cost,
+        max_cycles: u64,
+    ) -> Option<PurgeCycles> {
+        (**self).repeat_purge_cycles(now, budget, max_cycles)
     }
     fn next_periodic(&self) -> Option<Time> {
         (**self).next_periodic()

@@ -34,7 +34,7 @@
 
 use crate::adversary::{Adversary, DefenseView};
 use crate::cost::{Cost, Purpose};
-use crate::defense::{BatchStop, Defense, DefenseEvent};
+use crate::defense::{BatchStop, Defense, DefenseEvent, PurgeCycles};
 use crate::queue::EventQueue;
 use crate::report::{EstimateRecord, SimReport, TimelinePoint};
 use crate::state::RunState;
@@ -169,6 +169,8 @@ pub struct Simulation<D, A, W: WorkloadSource = Workload> {
     peak_queue_len: usize,
     adversary_turn_truncations: u64,
     purge_cascade_truncations: u64,
+    adversary_rounds: u64,
+    purges_collapsed: u64,
     good_join_times: Vec<Time>,
     timeline: Vec<TimelinePoint>,
     /// The engine's recycled defense-event buffer: handed to
@@ -189,7 +191,7 @@ const ESTIMATE_LOG_PREALLOC: usize = 4096;
 /// Upper bound on act/join/purge rounds within a single adversary wakeup:
 /// it bounds a buggy or adversarially pathological strategy that keeps
 /// triggering instant purges.
-const MAX_ADVERSARY_TURN_ROUNDS: u32 = 100_000;
+const MAX_ADVERSARY_TURN_ROUNDS: u64 = 100_000;
 
 /// Upper bound on back-to-back instant purge rounds resolved at one event
 /// time. A purge can (in principle) leave the purge condition true again;
@@ -270,6 +272,8 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             peak_queue_len: 0,
             adversary_turn_truncations: 0,
             purge_cascade_truncations: 0,
+            adversary_rounds: 0,
+            purges_collapsed: 0,
             good_join_times: Vec::with_capacity(good_join_cap),
             timeline: Vec::with_capacity(timeline_cap),
             events_scratch: Vec::with_capacity(256),
@@ -483,56 +487,92 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
     /// Lets the adversary spend: departures, then batched joins, resolving
     /// any purge its own joins trigger (instant rounds) before continuing.
     ///
-    /// Each act/join/purge round either makes progress or ends the turn, so
-    /// well-behaved adversaries never get near [`MAX_ADVERSARY_TURN_ROUNDS`];
-    /// hitting it is counted in [`SimReport::adversary_turn_truncations`]
-    /// rather than silently swallowed.
+    /// A round goes on to the next only through such a purge. A strategy
+    /// [`Adversary::stationary_within_instant`] repeats the same round from
+    /// there, so the defense may apply the repeats in one call
+    /// ([`repeat_purge_cycles`](Self::repeat_purge_cycles)); they count as
+    /// rounds all the same. Well-behaved adversaries never get near
+    /// [`MAX_ADVERSARY_TURN_ROUNDS`]; a turn that would run past it is cut
+    /// and counted in [`SimReport::adversary_turn_truncations`] rather than
+    /// silently swallowed.
     fn adversary_turn(&mut self, now: Time) {
-        // Bounded loop: each pass either makes progress (joins/departs) or
-        // breaks, and purge resolution resets the defense's join counter.
-        let mut rounds_left = MAX_ADVERSARY_TURN_ROUNDS;
-        loop {
-            if rounds_left == 0 {
-                self.adversary_turn_truncations += 1;
-                break;
+        let mut rounds = 0;
+        let mut purged = true;
+        while purged && rounds < MAX_ADVERSARY_TURN_ROUNDS {
+            purged = self.adversary_round(now);
+            rounds += 1;
+            if purged && self.adversary.stationary_within_instant() {
+                rounds += self.repeat_purge_cycles(now, MAX_ADVERSARY_TURN_ROUNDS - rounds);
             }
-            rounds_left -= 1;
-            let view = self.view(now);
-            let action = self.adversary.act(&view, Cost(self.budget.max(0.0)));
-            let mut progressed = false;
-            if action.departs > 0 {
-                let departed = self.defense.bad_depart(now, action.departs);
-                progressed |= departed > 0;
-                self.note_membership_change(now);
-            }
-            if action.max_joins > 0 && action.join_budget > Cost::ZERO {
-                let batch = self.defense.bad_join_batch(now, action.join_budget, action.max_joins);
-                self.budget -= batch.spent.value();
-                self.state.charge_adversary(Purpose::Entrance, batch.spent);
-                self.bad_joins_admitted += batch.admitted;
-                self.bad_join_attempts += batch.attempts;
-                progressed |= batch.attempts > 0;
-                self.note_membership_change(now);
-                if batch.stop == BatchStop::PurgeTriggered {
-                    if self.cfg.round_duration == 0.0 {
-                        self.resolve_purge(now);
-                        continue;
-                    } else {
-                        if !self.purge_pending {
-                            self.purge_pending = true;
-                            self.queue.push(now + self.cfg.round_duration, Event::PurgeResolve);
-                        }
-                        break;
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-            // Joins succeeded without tripping a purge: the batch consumed
-            // everything affordable, so yield until the next wakeup.
-            break;
         }
+        if purged {
+            self.adversary_turn_truncations += 1;
+        }
+        self.adversary_rounds += rounds;
+    }
+
+    /// One act/join round of an adversary turn. Returns true if its batch
+    /// triggered a purge that resolved at once.
+    fn adversary_round(&mut self, now: Time) -> bool {
+        let view = self.view(now);
+        let action = self.adversary.act(&view, Cost(self.budget.max(0.0)));
+        if action.departs > 0 {
+            self.defense.bad_depart(now, action.departs);
+            self.note_membership_change(now);
+        }
+        if action.max_joins == 0 || action.join_budget <= Cost::ZERO {
+            return false;
+        }
+        let batch = self.defense.bad_join_batch(now, action.join_budget, action.max_joins);
+        self.budget -= batch.spent.value();
+        self.state.charge_adversary(Purpose::Entrance, batch.spent);
+        self.bad_joins_admitted += batch.admitted;
+        self.bad_join_attempts += batch.attempts;
+        self.note_membership_change(now);
+        if batch.stop != BatchStop::PurgeTriggered {
+            return false;
+        }
+        if self.cfg.round_duration != 0.0 {
+            if !self.purge_pending {
+                self.purge_pending = true;
+                self.queue.push(now + self.cfg.round_duration, Event::PurgeResolve);
+            }
+            return false;
+        }
+        self.resolve_purge(now);
+        true
+    }
+
+    /// Right after an instant purge in a stationary adversary's turn: lets
+    /// the defense apply the identical cycles that follow, up to
+    /// `max_cycles`, and books them as that many rounds would. Returns how
+    /// many it applied.
+    fn repeat_purge_cycles(&mut self, now: Time, max_cycles: u64) -> u64 {
+        let budget = Cost(self.budget.max(0.0));
+        let Some(cycles) = self.defense.repeat_purge_cycles(now, budget, max_cycles) else {
+            return 0;
+        };
+        let PurgeCycles { cycles: k, batch, purge } = cycles;
+        // Each purge retained nothing and so charged nothing: the budget
+        // moves by the batches alone, one subtraction each, in order.
+        for _ in 0..k {
+            self.budget -= batch.spent.value();
+        }
+        self.state.apply_purge_cycles(&cycles);
+        self.bad_joins_admitted += k * batch.admitted;
+        self.bad_join_attempts += k * batch.attempts;
+        debug_assert!(!purge.skipped, "a repeated purge cycle purges");
+        self.purges += k;
+        self.purges_collapsed += k;
+        // Each cycle's peak: its batch on top of the membership its purge
+        // restores. The fraction after the purge is the one already noted.
+        let bad = self.defense.n_bad() + batch.admitted;
+        let peak = bad as f64 / (self.defense.n_members() + batch.admitted) as f64;
+        if peak > self.max_bad_fraction {
+            self.max_bad_fraction = peak;
+        }
+        self.absorb_defense_events();
+        k
     }
 
     /// Schedules or resolves a purge if the defense's condition holds (at
@@ -642,6 +682,8 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             peak_queue_len: self.peak_queue_len,
             adversary_turn_truncations: self.adversary_turn_truncations,
             purge_cascade_truncations: self.purge_cascade_truncations,
+            adversary_rounds: self.adversary_rounds,
+            purges_collapsed: self.purges_collapsed,
             admission_bytes: sealed.admission_bytes,
             workload_stream_bytes: self.stream.resident_bytes(),
             estimates: self.estimates,

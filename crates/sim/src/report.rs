@@ -80,6 +80,15 @@ pub struct SimReport {
     /// Times an instant-purge cascade was cut off by the engine's bound on
     /// back-to-back purge rounds at one event time (16).
     pub purge_cascade_truncations: u64,
+    /// Act/join/purge rounds of adversary turns, the cycles in
+    /// `purges_collapsed` included: the same count whichever way the
+    /// cycles ran.
+    pub adversary_rounds: u64,
+    /// Purges the defense applied in closed form
+    /// ([`Defense::repeat_purge_cycles`](crate::defense::Defense::repeat_purge_cycles));
+    /// the rest of `purges` resolved one at a time. Where the time went,
+    /// not a decision: every other field reads the same either way.
+    pub purges_collapsed: u64,
     /// Resident bytes of the packed admission map at the end of the run
     /// (segments are only allocated for sessions actually touched).
     pub admission_bytes: usize,

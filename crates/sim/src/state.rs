@@ -13,7 +13,7 @@
 
 use crate::admission::{self, AdmissionMap, AdmissionState};
 use crate::cost::{Cost, FixedLedger, Ledger, Purpose};
-use crate::defense::{PeriodicReport, PurgeReport};
+use crate::defense::{PeriodicReport, PurgeCycles, PurgeReport};
 
 /// What one run has recorded so far about its good IDs and its spending.
 ///
@@ -119,6 +119,17 @@ impl RunState {
     pub fn apply_purge(&mut self, report: &PurgeReport) {
         self.ledger.charge_good(Purpose::Purge, report.good_cost);
         self.ledger.charge_adversary(Purpose::Purge, report.adv_cost);
+    }
+
+    /// Applies `cycles.cycles` purge cycles at once: each one's entrance
+    /// batch and its purge, charged exactly as that many
+    /// [`charge_adversary`](Self::charge_adversary) and
+    /// [`apply_purge`](Self::apply_purge) calls would charge them.
+    pub(crate) fn apply_purge_cycles(&mut self, cycles: &PurgeCycles) {
+        let PurgeCycles { cycles: k, batch, purge } = *cycles;
+        self.ledger.charge_adversary_times(Purpose::Entrance, batch.spent, k);
+        self.ledger.charge_good_times(Purpose::Purge, purge.good_cost, k);
+        self.ledger.charge_adversary_times(Purpose::Purge, purge.adv_cost, k);
     }
 
     /// Applies a periodic charge.
