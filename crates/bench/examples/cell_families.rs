@@ -1,7 +1,8 @@
 //! Where `replay_attack`'s cell time goes, by defense family: the
 //! benchmark's roster (4 networks × the Figure 8 roster × `T` ∈ {2¹⁰, 2¹⁵,
 //! 2²⁰}, horizon 700 s, seed 1), each cell timed best of `rounds`, summed
-//! per family with its purges and the purges applied in closed form. Also
+//! per family with its purges, the purges applied in closed form and the
+//! events the calendar queue served (`SimReport::queue_pops`). Also
 //! prints the gnutella ERGO-SF cells and every network's CCom `T = 2²⁰`
 //! cell alone. Workloads are cached before any timing.
 //!
@@ -42,14 +43,16 @@ fn main() {
             }
         }
     }
-    // Best time, purges and collapsed purges per cell.
-    let mut best = vec![(f64::INFINITY, 0, 0); cells.len()];
+    // Best time, purges, collapsed purges and queue pops per cell.
+    let mut best = vec![(f64::INFINITY, 0, 0, 0); cells.len()];
     for _ in 0..rounds {
         for (i, &(ni, algo, t)) in cells.iter().enumerate() {
             let started = Instant::now();
             let report = std::hint::black_box(sweep::run_report(&nets[ni], algo, t, params));
             let ms = started.elapsed().as_secs_f64() * 1e3;
-            best[i] = (best[i].0.min(ms), report.purges, report.purges_collapsed);
+            let (purges, collapsed, pops) =
+                (report.purges, report.purges_collapsed, report.queue_pops);
+            best[i] = (best[i].0.min(ms), purges, collapsed, pops);
         }
     }
     let total: f64 = best.iter().map(|b| b.0).sum();
@@ -58,13 +61,15 @@ fn main() {
         let ms: f64 = of_family().map(|(_, b)| b.0).sum();
         let purges: u64 = of_family().map(|(_, b)| b.1).sum();
         let collapsed: u64 = of_family().map(|(_, b)| b.2).sum();
+        let pops: u64 = of_family().map(|(_, b)| b.3).sum();
         println!(
-            "{fam:<14} {ms:8.1} ms  {:5.1} %  {purges:>10} purges, {collapsed:>10} collapsed",
+            "{fam:<14} {ms:8.1} ms  {:5.1} %  {purges:>10} purges, {collapsed:>10} collapsed, \
+             {pops:>8} queue pops",
             100.0 * ms / total
         );
     }
     println!("{:<14} {total:8.1} ms", format!("all {} cells", cells.len()));
-    for (&(ni, algo, t), &(ms, purges, collapsed)) in cells.iter().zip(&best) {
+    for (&(ni, algo, t), &(ms, purges, collapsed, _)) in cells.iter().zip(&best) {
         let fam = family(algo);
         let ccom_top = fam == "CCom" && t > 1e6;
         if ccom_top || (nets[ni].name == "gnutella" && fam == "ERGO-SF") {

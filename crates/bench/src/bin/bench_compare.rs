@@ -87,6 +87,9 @@ struct Scenario {
     /// closed form: where a scenario's purges went, printed and never
     /// gated (`None` for baselines that predate the fields).
     rounds: Option<(f64, f64)>,
+    /// Events the calendar queue served, out of the scenario's events:
+    /// printed and never gated (`None` for baselines that predate it).
+    queue_pops: Option<f64>,
 }
 
 /// Scenarios whose steady-state event loop must allocate **exactly
@@ -134,6 +137,7 @@ fn parse_scenarios(root: &Value) -> Result<Vec<Scenario>, String> {
             },
             allocs_per_event: body.num("allocs_per_event").ok(),
             rounds: body.num("adversary_rounds").ok().zip(body.num("purges_collapsed").ok()),
+            queue_pops: body.num("queue_pops").ok(),
         });
     }
     Ok(out)
@@ -372,6 +376,10 @@ fn compare(
                 ""
             );
         }
+        if let Some(pops) = now.queue_pops {
+            let base = base.queue_pops.map_or_else(String::new, |b| format!(" (baseline {b:.0})"));
+            println!("  {:<28} {pops:.0} queue pops{base}", "");
+        }
     }
     failures
 }
@@ -529,6 +537,7 @@ mod tests {
             fingerprint: fp(purges),
             allocs_per_event: None,
             rounds: None,
+            queue_pops: None,
         }
     }
 
@@ -575,6 +584,7 @@ mod tests {
         assert_eq!(s[0].events_per_sec, 1234.5);
         assert_eq!(s[0].fingerprint, fp(7.0));
         assert_eq!(s[0].rounds, None);
+        assert_eq!(s[0].queue_pops, None);
         assert!(compare(&s, &s, 0.25, 1.0).is_empty());
         assert_eq!(s[1].name, "b");
         assert_eq!(s[1].events_per_sec, 50.0);
@@ -605,6 +615,7 @@ mod tests {
                 allocs_per_event: 0.007,
                 adversary_rounds: 12,
                 purges_collapsed: 2,
+                queue_pops: 40,
                 fingerprint: Fingerprint {
                     good_joins_admitted: 1,
                     bad_joins_admitted: 2,
@@ -630,6 +641,7 @@ mod tests {
         assert_eq!(parsed[0].fingerprint.good_spend, 4.5);
         assert_eq!(parsed[0].allocs_per_event, Some(0.007));
         assert_eq!(parsed[0].rounds, Some((12.0, 2.0)));
+        assert_eq!(parsed[0].queue_pops, Some(40.0));
         assert_eq!(parse_queue(&json), vec![("queue_calendar".to_string(), 100.0)]);
         let gate = GateScenario {
             name: "gate_honest".into(),
@@ -845,6 +857,7 @@ mod tests {
             fingerprint: fp(1.0),
             allocs_per_event: ape,
             rounds: None,
+            queue_pops: None,
         }
     }
 

@@ -72,6 +72,10 @@ pub struct ScenarioResult {
     /// ([`SimReport::purges_collapsed`](sybil_sim::SimReport::purges_collapsed)),
     /// out of the fingerprint's `purges`.
     pub purges_collapsed: u64,
+    /// Events the calendar queue served
+    /// ([`SimReport::queue_pops`](sybil_sim::SimReport::queue_pops)), out
+    /// of `events`.
+    pub queue_pops: u64,
     /// Behavior fingerprint: counters that must not change for identical
     /// seeds when only performance work happens.
     pub fingerprint: Fingerprint,
@@ -273,6 +277,7 @@ struct Rep {
     allocs: LoopAllocs,
     adversary_rounds: u64,
     purges_collapsed: u64,
+    queue_pops: u64,
     fingerprint: Fingerprint,
 }
 
@@ -287,6 +292,7 @@ impl Rep {
         self.allocs.bytes += allocs.bytes;
         self.adversary_rounds += report.adversary_rounds;
         self.purges_collapsed += report.purges_collapsed;
+        self.queue_pops += report.queue_pops;
         let fp = &mut self.fingerprint;
         fp.good_joins_admitted += report.good_joins_admitted;
         fp.bad_joins_admitted += report.bad_joins_admitted;
@@ -321,9 +327,9 @@ fn measure(name: &str, mut run: impl FnMut(&mut Rep)) -> ScenarioResult {
                     "{name}: nondeterministic fingerprint"
                 );
                 assert_eq!(
-                    (rep.adversary_rounds, rep.purges_collapsed),
-                    (first.adversary_rounds, first.purges_collapsed),
-                    "{name}: nondeterministic adversary rounds"
+                    (rep.adversary_rounds, rep.purges_collapsed, rep.queue_pops),
+                    (first.adversary_rounds, first.purges_collapsed, first.queue_pops),
+                    "{name}: nondeterministic adversary rounds or queue pops"
                 );
             }
         }
@@ -342,6 +348,7 @@ fn measure(name: &str, mut run: impl FnMut(&mut Rep)) -> ScenarioResult {
         allocs_per_event: measured.allocs as f64 / (rep.events as f64).max(1.0),
         adversary_rounds: rep.adversary_rounds,
         purges_collapsed: rep.purges_collapsed,
+        queue_pops: rep.queue_pops,
         fingerprint: rep.fingerprint,
     }
 }
@@ -573,6 +580,7 @@ pub fn to_json(report: &PerfReport) -> String {
             ("allocs_per_event", s.allocs_per_event.into()),
             ("adversary_rounds", s.adversary_rounds.into()),
             ("purges_collapsed", s.purges_collapsed.into()),
+            ("queue_pops", s.queue_pops.into()),
             (
                 "fingerprint",
                 Value::obj([
@@ -634,7 +642,7 @@ pub fn to_json(report: &PerfReport) -> String {
 pub fn render(report: &PerfReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<28} {:>14} {:>10} {:>16} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12}\n",
+        "{:<28} {:>14} {:>10} {:>16} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
         "benchmark",
         "events/ops",
         "wall (s)",
@@ -644,17 +652,18 @@ pub fn render(report: &PerfReport) -> String {
         "loop allocs",
         "adv rounds",
         "purges",
-        "collapsed"
+        "collapsed",
+        "queue pops"
     ));
     for q in &report.queue {
         out.push_str(&format!(
-            "{:<28} {:>14} {:>10.3} {:>16.0} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12}\n",
-            q.name, q.ops, q.wall_secs, q.ops_per_sec, "-", "-", "-", "-", "-", "-"
+            "{:<28} {:>14} {:>10.3} {:>16.0} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
+            q.name, q.ops, q.wall_secs, q.ops_per_sec, "-", "-", "-", "-", "-", "-", "-"
         ));
     }
     for s in &report.scenarios {
         out.push_str(&format!(
-            "{:<28} {:>14} {:>10.3} {:>16.0} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12}\n",
+            "{:<28} {:>14} {:>10.3} {:>16.0} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
             s.name,
             s.events,
             s.wall_secs,
@@ -664,7 +673,8 @@ pub fn render(report: &PerfReport) -> String {
             s.loop_allocs,
             s.adversary_rounds,
             s.fingerprint.purges,
-            s.purges_collapsed
+            s.purges_collapsed,
+            s.queue_pops
         ));
     }
     // An op is one push or one pop (one ledger call), so a pair costs two.
@@ -722,6 +732,7 @@ mod tests {
                 allocs_per_event: 1.4,
                 adversary_rounds: 21,
                 purges_collapsed: 9,
+                queue_pops: 4,
                 fingerprint: Fingerprint {
                     good_joins_admitted: 11,
                     bad_joins_admitted: 12,
@@ -753,7 +764,7 @@ mod tests {
             Some(&want(
                 r#"{"s": {"events": 5, "wall_secs": 0.5, "events_per_sec": 10,
                     "peak_queue_len": 3, "resident_bytes": 4096, "loop_allocs": 7, "loop_alloc_bytes": 256, "allocs_per_event": 1.4,
-                    "adversary_rounds": 21, "purges_collapsed": 9,
+                    "adversary_rounds": 21, "purges_collapsed": 9, "queue_pops": 4,
                     "fingerprint": {"good_joins_admitted": 11, "bad_joins_admitted": 12,
                                     "purges": 13, "good_spend": 14.5, "adv_spend": 0.00001}}}"#
             ))

@@ -171,6 +171,7 @@ pub struct Simulation<D, A, W: WorkloadSource = Workload> {
     purge_cascade_truncations: u64,
     adversary_rounds: u64,
     purges_collapsed: u64,
+    queue_pops: u64,
     good_join_times: Vec<Time>,
     timeline: Vec<TimelinePoint>,
     /// The engine's recycled defense-event buffer: handed to
@@ -274,6 +275,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             purge_cascade_truncations: 0,
             adversary_rounds: 0,
             purges_collapsed: 0,
+            queue_pops: 0,
             good_join_times: Vec::with_capacity(good_join_cap),
             timeline: Vec::with_capacity(timeline_cap),
             events_scratch: Vec::with_capacity(256),
@@ -312,6 +314,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         // Loop-local counters: `dispatch(&mut self)` would otherwise force
         // these through memory on every event.
         let mut events_processed = 0u64;
+        let mut queue_pops = 0u64;
         let heads = |join: &Option<_>, initial: &Option<_>| {
             usize::from(join.is_some()) + usize::from(initial.is_some())
         };
@@ -336,7 +339,10 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             events_processed += 1;
             self.accrue_budget(t);
             match queued {
-                Some((_, ev)) => self.dispatch(t, ev),
+                Some((_, ev)) => {
+                    queue_pops += 1;
+                    self.dispatch(t, ev);
+                }
                 None if join_first => {
                     let (i, s, seq) = join.expect("the join head is the least key");
                     // The departure carries the join time, so departure
@@ -357,6 +363,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         }
         exit();
         self.events_processed = events_processed;
+        self.queue_pops = queue_pops;
         self.peak_queue_len = peak_queue_len;
         self.finish()
     }
@@ -684,6 +691,7 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             purge_cascade_truncations: self.purge_cascade_truncations,
             adversary_rounds: self.adversary_rounds,
             purges_collapsed: self.purges_collapsed,
+            queue_pops: self.queue_pops,
             admission_bytes: sealed.admission_bytes,
             workload_stream_bytes: self.stream.resident_bytes(),
             estimates: self.estimates,
@@ -718,6 +726,15 @@ mod tests {
         assert_eq!(report.max_bad_fraction, 0.0);
         // init (100) + joins (50) each cost 1.
         assert_eq!(report.ledger.good_total().value(), 150.0);
+    }
+
+    /// Session joins come from the feed, their departures from the queue.
+    #[test]
+    fn queue_pops_count_the_calendar_only() {
+        let cfg = SimConfig { horizon: Time(1000.0), ..SimConfig::default() };
+        let report =
+            Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, small_workload()).run();
+        assert_eq!((report.events_processed, report.queue_pops), (100, 50));
     }
 
     #[test]

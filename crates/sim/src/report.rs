@@ -89,6 +89,10 @@ pub struct SimReport {
     /// the rest of `purges` resolved one at a time. Where the time went,
     /// not a decision: every other field reads the same either way.
     pub purges_collapsed: u64,
+    /// Events the engine's calendar queue served, out of
+    /// `events_processed`; the rest came from the feeds the run loop holds
+    /// beside it. Where the time went, not a decision.
+    pub queue_pops: u64,
     /// Resident bytes of the packed admission map at the end of the run
     /// (segments are only allocated for sessions actually touched).
     pub admission_bytes: usize,
