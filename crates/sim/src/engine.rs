@@ -104,17 +104,14 @@ impl std::fmt::Display for SimBuildError {
 
 impl std::error::Error for SimBuildError {}
 
-/// A queued event. Joins and initial departures are not among them: they
-/// arrive sorted from the workload stream, and the run loop holds the next
-/// of each beside the queue.
+/// A queued event. Joins, initial departures and adversary wakeups are
+/// not among them: the run loop holds the next of each beside the queue.
 #[derive(Clone, Copy, Debug)]
 enum Event {
     /// Departure of an arrival session, carrying its join time so the
     /// workload record never needs to be re-read (the stream may have
     /// come from disk).
     GoodDepart(SessionIndex, Time),
-    /// Adversary wakeup.
-    AdvWake,
     /// Periodic defense work is due.
     Periodic,
     /// A purge round resolves.
@@ -123,24 +120,35 @@ enum Event {
     Sample,
 }
 
+/// Which of the events held beside the queue comes next.
+#[derive(Clone, Copy)]
+enum Held {
+    Join,
+    Initial,
+    Wake,
+}
+
 /// A single simulation run binding a defense, an adversary, and a workload.
 ///
 /// The workload is *not* loaded into the event queue up front. The
 /// [`WorkloadStream`] yields sessions in join order and initial
 /// departures in time order, so the run loop holds the next of each (the
-/// two *heads*) beside the queue and at every step processes whichever of
-/// the heads and the queue front has the least `(time, seq)` key. A
-/// session's departure is queued only once its join has been processed;
-/// departures, adversary wakeups, periodic charges, purge resolutions and
-/// samples are the queue's traffic. The queue therefore holds O(active
-/// sessions) entries instead of O(workload), and the reported
-/// `peak_queue_len` counts the heads that are present as well, as if they
-/// were queued.
+/// two *heads*) beside the queue. The adversary has at most one wakeup
+/// pending, so the loop holds that beside the queue too, in a one-entry
+/// *slot*. At every step it processes whichever of the heads, the slot
+/// and the queue front has the least `(time, seq)` key. A session's
+/// departure is queued only once its join has been processed; departures,
+/// periodic charges, purge resolutions and samples are the queue's
+/// traffic. The queue therefore holds O(active sessions) entries instead
+/// of O(workload), and the reported `peak_queue_len` counts the heads and
+/// the slot when they are occupied, as if they were queued.
 ///
 /// Determinism: each streamed event carries a sequence number that orders
 /// it against every other event exactly as an eager scheduler's would
-/// (see [`WorkloadStream`]), so tie-breaking — and with it every
-/// simulation counter — is bit-identical to eager scheduling. Every run,
+/// (see [`WorkloadStream`]), and a wakeup draws its sequence number from
+/// the queue's counter ([`EventQueue::take_seq`]) at the point where it
+/// would have been pushed, so tie-breaking — and with it every simulation
+/// counter — is bit-identical to eager scheduling. Every run,
 /// from memory or from disk, goes through this one loop
 /// ([`run_spanned`](Self::run_spanned)) on one thread.
 pub struct Simulation<D, A, W: WorkloadSource = Workload> {
@@ -304,10 +312,11 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
     /// identical to [`run_with_defense`](Self::run_with_defense).
     pub fn run_spanned(mut self, enter: impl FnOnce(), exit: impl FnOnce()) -> (SimReport, D) {
         self.queue.advance_seq_to(self.stream.seq_floor());
-        self.schedule_internal();
+        let mut wake = self.schedule_internal();
         self.initialize();
         // The two sorted feeds' heads. Streams yield only in-horizon
-        // events, so only a queued event can end the run.
+        // events and the slot only in-horizon wakeups, so only a queued
+        // event can end the run.
         let mut join = self.stream.next_session();
         let mut initial = self.stream.next_initial_departure();
         enter();
@@ -315,22 +324,27 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         // these through memory on every event.
         let mut events_processed = 0u64;
         let mut queue_pops = 0u64;
-        let heads = |join: &Option<_>, initial: &Option<_>| {
-            usize::from(join.is_some()) + usize::from(initial.is_some())
+        let held = |join: &Option<_>, initial: &Option<_>, wake: &Option<_>| {
+            usize::from(join.is_some())
+                + usize::from(initial.is_some())
+                + usize::from(wake.is_some())
         };
-        let mut peak_queue_len = self.queue.len() + heads(&join, &initial);
+        let mut peak_queue_len = self.queue.len() + held(&join, &initial, &wake);
         loop {
-            let join_key = join.map(|(_, s, seq)| (s.join, seq));
-            let (feed_key, join_first) = match (join_key, initial) {
-                (Some(j), Some(i)) => (Some(j.min(i)), j < i),
-                (Some(j), None) => (Some(j), true),
-                (None, i) => (i, false),
-            };
-            let queued = match feed_key {
-                Some(key) => self.queue.pop_before(key),
+            // The least key held beside the queue, and whose it is.
+            let mut next_held = join.map(|(_, s, seq)| ((s.join, seq), Held::Join));
+            for (key, which) in [(initial, Held::Initial), (wake, Held::Wake)] {
+                if let Some(key) = key {
+                    if next_held.is_none_or(|(least, _)| key < least) {
+                        next_held = Some((key, which));
+                    }
+                }
+            }
+            let queued = match next_held {
+                Some((key, _)) => self.queue.pop_before(key),
                 None => self.queue.pop(),
             };
-            let Some(t) = queued.map(|(t, _)| t).or(feed_key.map(|(t, _)| t)) else {
+            let Some(t) = queued.map(|(t, _)| t).or(next_held.map(|((t, _), _)| t)) else {
                 break;
             };
             if t > self.cfg.horizon {
@@ -338,12 +352,12 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             }
             events_processed += 1;
             self.accrue_budget(t);
-            match queued {
-                Some((_, ev)) => {
+            match (queued, next_held) {
+                (Some((_, ev)), _) => {
                     queue_pops += 1;
                     self.dispatch(t, ev);
                 }
-                None if join_first => {
+                (None, Some((_, Held::Join))) => {
                     let (i, s, seq) = join.expect("the join head is the least key");
                     // The departure carries the join time, so departure
                     // handling never re-reads the workload record.
@@ -353,13 +367,15 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
                     join = self.stream.next_session();
                     self.handle_good_join(t, i);
                 }
-                None => {
+                (None, Some((_, Held::Initial))) => {
                     initial = self.stream.next_initial_departure();
                     self.handle_initial_depart(t);
                 }
+                (None, Some((_, Held::Wake))) => wake = self.adversary_wake(t),
+                (None, None) => unreachable!("an empty queue and no held event end the run"),
             }
             self.check_purge(t);
-            peak_queue_len = peak_queue_len.max(self.queue.len() + heads(&join, &initial));
+            peak_queue_len = peak_queue_len.max(self.queue.len() + held(&join, &initial, &wake));
         }
         exit();
         self.events_processed = events_processed;
@@ -368,17 +384,16 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         self.finish()
     }
 
-    /// Queues the initial internal events (adversary wakeup, first timeline
-    /// sample). Push order matters: these draw the first sequence numbers
-    /// above the workload floor.
-    fn schedule_internal(&mut self) {
-        if self.cfg.adv_rate > 0.0 {
-            self.queue.push(Time::ZERO, Event::AdvWake);
-        }
+    /// Queues the first timeline sample and returns the adversary's first
+    /// wakeup for the slot. Order matters: the two draw the first sequence
+    /// numbers above the workload floor, the wakeup first.
+    fn schedule_internal(&mut self) -> Option<(Time, u64)> {
+        let wake = (self.cfg.adv_rate > 0.0).then(|| (Time::ZERO, self.queue.take_seq()));
         if let Some(dt) = self.cfg.timeline_resolution {
             assert!(dt > 0.0, "timeline resolution must be positive");
             self.queue.push(Time::ZERO, Event::Sample);
         }
+        wake
     }
 
     fn initialize(&mut self) {
@@ -454,14 +469,6 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
     fn dispatch(&mut self, now: Time, ev: Event) {
         match ev {
             Event::GoodDepart(i, joined_at) => self.handle_good_depart(now, i, joined_at),
-            Event::AdvWake => {
-                self.adversary_turn(now);
-                if let Some(next) = self.adversary.next_wakeup(now) {
-                    if next <= self.cfg.horizon {
-                        self.queue.push(next, Event::AdvWake);
-                    }
-                }
-            }
             Event::Periodic => {
                 self.periodic_charge(now);
                 if let Some(next) = self.defense.next_periodic() {
@@ -489,6 +496,18 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
                 }
             }
         }
+    }
+
+    /// An adversary wakeup: its turn, then the next wakeup's key for the
+    /// slot, if it is within the horizon. The key's sequence number is
+    /// drawn where a push of the wakeup would draw it: after any purge
+    /// round the turn queued and before the loop's `check_purge` can queue
+    /// one, so the slot orders against queued events exactly as a queued
+    /// wakeup would.
+    fn adversary_wake(&mut self, now: Time) -> Option<(Time, u64)> {
+        self.adversary_turn(now);
+        let next = self.adversary.next_wakeup(now).filter(|&next| next <= self.cfg.horizon)?;
+        Some((next, self.queue.take_seq()))
     }
 
     /// Lets the adversary spend: departures, then batched joins, resolving

@@ -24,10 +24,12 @@
 //!   is inserted in order, O(1) when it is the new maximum (the engine's
 //!   pop-then-push-a-successor pattern) or the new minimum.
 //!
-//! The engine keeps its two pre-sorted workload feeds (the next session's
-//! join, the next initial departure) outside the queue and merges them in
-//! with [`EventQueue::pop_before`], which pops the front only if it
-//! precedes the least feed key. When the near buffer is empty, that call
+//! The engine keeps three events outside the queue: the heads of its two
+//! pre-sorted workload feeds (the next session's join, the next initial
+//! departure) and the adversary's next wakeup, whose key it draws with
+//! [`EventQueue::take_seq`]. It merges them in with
+//! [`EventQueue::pop_before`], which pops the front only if it precedes
+//! the least of their keys. When the near buffer is empty, that call
 //! moves the cursor at most to the key's bucket: a cursor that ran ahead
 //! to the next occupied bucket would turn every departure the feed pushes
 //! after it into a sorted insert into the near buffer.
@@ -250,9 +252,18 @@ impl<E> EventQueue<E> {
     // dropped (alternated runs: `replay_stream` +1.5 % without them,
     // `bench_report` scenarios within ±2 %; the old body lost 10-18 %).
     pub fn push(&mut self, at: Time, event: E) {
+        let seq = self.take_seq();
+        self.calendar.push(Entry { at, seq, event });
+    }
+
+    /// Draws the sequence number [`push`](Self::push) would have drawn
+    /// here, and queues nothing: an event its caller holds outside the
+    /// queue keys on it, and orders against queued events exactly as if it
+    /// had been pushed.
+    pub fn take_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.calendar.push(Entry { at, seq, event });
+        seq
     }
 
     /// Schedules `event` at time `at` with an explicit tie-breaking
@@ -376,6 +387,21 @@ mod tests {
     fn push_with_seq_rejects_unreserved() {
         let mut q: EventQueue<()> = EventQueue::with_horizon(Time(10.0), 64);
         q.push_with_seq(Time(1.0), 0, ());
+    }
+
+    /// A drawn number is the one a push there would have taken: the
+    /// event held outside keys between the pushes around it.
+    #[test]
+    fn take_seq_draws_the_next_push_number() {
+        let mut q = queue();
+        q.push(Time(1.0), 0);
+        let held = (Time(1.0), q.take_seq());
+        q.push(Time(1.0), 2);
+        assert_eq!(held.1, 1);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_before(held), Some((Time(1.0), 0)));
+        assert_eq!(q.pop_before(held), None);
+        assert_eq!(q.pop(), Some((Time(1.0), 2)));
     }
 
     #[test]
