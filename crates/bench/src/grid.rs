@@ -315,13 +315,27 @@ impl TrialGrid {
 
 /// The cache directory the figure drivers share:
 /// `SYBIL_EXP_CACHE_DIR` if set, else `target/workload_cache` under the
-/// repo root (cache entries are derived artifacts, never committed).
+/// repo root (cache entries are derived artifacts, never committed). A
+/// value [`parse_cache_dir`] rejects exits 2.
 pub fn default_cache_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("SYBIL_EXP_CACHE_DIR") {
-        return PathBuf::from(dir);
+    let raw = std::env::var("SYBIL_EXP_CACHE_DIR");
+    if let Some(dir) = sybil_exp::env::or_abort(parse_cache_dir(raw)) {
+        return dir;
     }
     let raw = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     raw.canonicalize().unwrap_or(raw).join("target").join("workload_cache")
+}
+
+/// Parses a `SYBIL_EXP_CACHE_DIR` setting, trimmed like every knob. An
+/// empty value is an error: as a path it names the current directory,
+/// where the cache would write its entries and sweep its stale temporary
+/// files. So is a value that is not Unicode, rather than a silent
+/// fall-back to the default.
+fn parse_cache_dir(raw: Result<String, std::env::VarError>) -> Result<Option<PathBuf>, String> {
+    sybil_exp::env::parse("SYBIL_EXP_CACHE_DIR", raw, |v| match v {
+        "" => Err("is empty: name a directory, or unset it for target/workload_cache".into()),
+        dir => Ok(PathBuf::from(dir)),
+    })
 }
 
 /// The part every spend experiment runs: the (networks × roster × T) grid
@@ -453,6 +467,7 @@ pub(crate) fn ergo_mean(cells: &[CellResult], like: &CellResult) -> Option<f64> 
 mod tests {
     use super::*;
     use crate::experiment::REGISTRY;
+    use std::env::VarError;
     use crate::figure9::AXIS_FRAC;
     use sybil_churn::networks;
     use sybil_exp::spec::Axis;
@@ -594,5 +609,18 @@ invariants_millions cf8f6ffef1588398dd896376967a307b0064327d3f9a54afc535bfb56394
         }
         drop(store);
         remove_artifacts(&name);
+    }
+
+    #[test]
+    fn cache_dir_parsing_is_strict() {
+        assert_eq!(parse_cache_dir(Err(VarError::NotPresent)), Ok(None));
+        assert_eq!(parse_cache_dir(Ok(" /tmp/wk ".into())), Ok(Some(PathBuf::from("/tmp/wk"))));
+        for empty in ["", "  "] {
+            let err = parse_cache_dir(Ok(empty.into())).unwrap_err();
+            assert!(err.starts_with("SYBIL_EXP_CACHE_DIR=\"\" is empty"), "{err}");
+        }
+        let not_unicode = VarError::NotUnicode(std::ffi::OsString::from("\u{fffd}"));
+        let err = parse_cache_dir(Err(not_unicode)).unwrap_err();
+        assert!(err.starts_with("SYBIL_EXP_CACHE_DIR is not valid unicode"), "{err}");
     }
 }

@@ -4,8 +4,8 @@
 //! a valid value overrides, and *anything else aborts with an actionable
 //! message* — a typo like `SYBIL_BENCH_WORKERS=all` must never silently
 //! launch an hours-long run with the wrong shape. This module is the one
-//! implementation: every `SYBIL_BENCH_*` knob and the gate service's
-//! `SYBIL_GATE_*` knobs parse through it.
+//! implementation: every `SYBIL_BENCH_*` knob, `SYBIL_EXP_CACHE_DIR` and
+//! the gate service's `SYBIL_GATE_*` knobs parse through it.
 //!
 //! Parsers are pure over the raw `std::env::var` result so tests exercise
 //! them without touching the process environment (env mutation would race
