@@ -146,7 +146,7 @@ enum Held {
 /// Determinism: each streamed event carries a sequence number that orders
 /// it against every other event exactly as an eager scheduler's would
 /// (see [`WorkloadStream`]), and a wakeup draws its sequence number from
-/// the queue's counter ([`EventQueue::take_seq`]) at the point where it
+/// the queue's counter (`EventQueue::take_seq`) at the point where it
 /// would have been pushed, so tie-breaking — and with it every simulation
 /// counter — is bit-identical to eager scheduling. Every run,
 /// from memory or from disk, goes through this one loop

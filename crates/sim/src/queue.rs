@@ -27,7 +27,7 @@
 //! The engine keeps three events outside the queue: the heads of its two
 //! pre-sorted workload feeds (the next session's join, the next initial
 //! departure) and the adversary's next wakeup, whose key it draws with
-//! [`EventQueue::take_seq`]. It merges them in with
+//! `EventQueue::take_seq`. It merges them in with
 //! [`EventQueue::pop_before`], which pops the front only if it precedes
 //! the least of their keys. When the near buffer is empty, that call
 //! moves the cursor at most to the key's bucket: a cursor that ran ahead
@@ -260,7 +260,7 @@ impl<E> EventQueue<E> {
     /// here, and queues nothing: an event its caller holds outside the
     /// queue keys on it, and orders against queued events exactly as if it
     /// had been pushed.
-    pub fn take_seq(&mut self) -> u64 {
+    pub(crate) fn take_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
         seq
