@@ -50,9 +50,8 @@ fn main() {
             let started = Instant::now();
             let report = std::hint::black_box(sweep::run_report(&nets[ni], algo, t, params));
             let ms = started.elapsed().as_secs_f64() * 1e3;
-            let (purges, collapsed, pops) =
-                (report.purges, report.purges_collapsed, report.queue_pops);
-            best[i] = (best[i].0.min(ms), purges, collapsed, pops);
+            best[i] =
+                (best[i].0.min(ms), report.purges, report.purges_collapsed, report.queue_pops);
         }
     }
     let total: f64 = best.iter().map(|b| b.0).sum();

@@ -467,8 +467,8 @@ pub(crate) fn ergo_mean(cells: &[CellResult], like: &CellResult) -> Option<f64> 
 mod tests {
     use super::*;
     use crate::experiment::REGISTRY;
-    use std::env::VarError;
     use crate::figure9::AXIS_FRAC;
+    use std::env::VarError;
     use sybil_churn::networks;
     use sybil_exp::spec::Axis;
     use sybil_exp::ResultsStore;
