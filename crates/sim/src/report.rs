@@ -90,8 +90,9 @@ pub struct SimReport {
     /// not a decision: every other field reads the same either way.
     pub purges_collapsed: u64,
     /// Events the engine's calendar queue served, out of
-    /// `events_processed`; the rest came from the feeds the run loop holds
-    /// beside it. Where the time went, not a decision.
+    /// `events_processed`; the rest are the workload feeds' joins and
+    /// initial departures and the adversary's wakeups, which the run loop
+    /// holds beside the queue. Where the time went, not a decision.
     pub queue_pops: u64,
     /// Resident bytes of the packed admission map at the end of the run
     /// (segments are only allocated for sessions actually touched).
