@@ -33,12 +33,11 @@ pub const EXPERIMENT: Experiment = Experiment {
     parts,
 };
 
-/// The million-ID Figure-8-shaped grid (ROADMAP "scale sweeps to
-/// million-ID workloads"): the [`networks::millions`] model at 10⁶ initial
-/// IDs, ERGO / CCOM / SybilControl, four attack rates, ≥ 5 trials per
-/// cell — every run disk-streamed from the content-addressed cache, so
-/// resident workload memory stays at two read buffers per run instead of
-/// the ~16 MB schedule.
+/// The million-ID Figure-8-shaped grid: the [`networks::millions`] model
+/// at 10⁶ initial IDs, ERGO / CCOM / SybilControl, four attack rates, ≥ 5
+/// trials per cell — every run disk-streamed from the content-addressed
+/// cache, so resident workload memory stays at two read buffers per run
+/// instead of the ~16 MB schedule.
 ///
 /// The horizon is 500 s (as in the `macro_millions` perf scenario): at
 /// this scale each trial replays ~170 k events, so the full grid is

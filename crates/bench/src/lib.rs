@@ -138,6 +138,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ablation_exp;
 pub mod committee_exp;

@@ -482,10 +482,10 @@ fn run_queue_depth_bench(name: &str, depth: usize, n_ops: u64) -> QueueBenchResu
     QueueBenchResult::new(name, 2 * pairs, wall_secs)
 }
 
-/// What the engine's ledger does once per purge round trip (ROADMAP
-/// 4(b)): the adversary's batch is charged, then the purge it triggered
-/// is applied — three `f64` → Q64.64 conversions and three checked `i128`
-/// sums. A [`RunState`] with `members` admitted sessions, as the engine
+/// What the engine's ledger does once per purge round trip: the
+/// adversary's batch is charged, then the purge it triggered is applied —
+/// three `f64` → Q64.64 conversions and three checked `i128` sums.
+/// A [`RunState`] with `members` admitted sessions, as the engine
 /// has at the purge (a ledger that splits a sweep over its members, as
 /// PR 24's parent did, pays for it here); costs are seeded and
 /// non-dyadic, from a table built untimed. An op is one of the two calls,

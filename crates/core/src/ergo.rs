@@ -61,7 +61,7 @@ type Stamp = (Time, u64);
 ///
 /// * a **batch** run — the initial Sybils, or what one ungated
 ///   `bad_join_batch` call admitted — joined as one event and leaves as one
-///   event per removal (ROADMAP 4(a)'s seam);
+///   event per removal (ROADMAP direction 7's seam);
 /// * a **gated** run holds IDs the classifier gate admitted one at a time,
 ///   and they leave one at a time: GoodJEst takes them in prefixes cut
 ///   where a single departure would end its interval (or set Heuristic 1's

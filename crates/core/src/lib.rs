@@ -21,10 +21,8 @@
 //!   estimator, Heuristic 2, and epoch analysis.
 //! * [`gate`] — classifier gating (Heuristic 4 / ERGO-SF).
 //! * [`defid`] — the DefID problem statement and invariant checker.
-//! * [`incentives`] — the Section 13.1 reward-lottery and difficulty-
-//!   retargeting sketches, built out.
-//! * [`params`] — the paper's constants (`5/12`, `1/11`, `κ ≤ 1/18`,
-//!   `ε < 1/12`) and configuration types.
+//! * [`params`] — the paper's constants (`5/12`, `1/11`, `κ ≤ 1/18`) and
+//!   configuration types.
 //!
 //! # Quick start
 //!
@@ -68,12 +66,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod defid;
 pub mod ergo;
 pub mod gate;
 pub mod goodjest;
-pub mod incentives;
 pub mod params;
 pub mod symdiff;
 pub mod window;

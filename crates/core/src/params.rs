@@ -68,21 +68,11 @@ impl std::fmt::Display for Ratio {
 /// The paper's bound on adversary power: `κ ≤ 1/18` (Theorem 1).
 pub const KAPPA_DEFAULT: f64 = 1.0 / 18.0;
 
-/// The strict bound on the fraction of bad IDs: `3κ ≤ 1/6` (Lemma 9).
-pub const BAD_FRACTION_BOUND: f64 = 1.0 / 6.0;
-
-/// The bound on per-round good departures: `ε < 1/12` (Section 2).
-pub const EPSILON_BOUND: f64 = 1.0 / 12.0;
-
 /// GoodJEst interval threshold: intervals end when `|S(t')△S(t)| ≥ 5/12·|S(t')|`.
 pub const INTERVAL_THRESHOLD: Ratio = Ratio::new(5, 12);
 
 /// Ergo iteration threshold: purge when joins+departures exceed `|S(τ)|/11`.
 pub const ITERATION_THRESHOLD: Ratio = Ratio::new(1, 11);
-
-/// Epoch threshold from the ABC churn model: epochs end when the symmetric
-/// difference of *good* sets reaches `1/2` the starting good population.
-pub const EPOCH_THRESHOLD: Ratio = Ratio::new(1, 2);
 
 /// Heuristic 3's constant `c` (Section 10.3: "we set c = 1/11").
 pub const HEURISTIC3_C: f64 = 1.0 / 11.0;

@@ -18,15 +18,17 @@
 //! its Sybil bound. Without one, the adversary takes half the ring and
 //! routing collapses; with Ergo's `< 1/6` invariant, redundant routing
 //! stays near-perfect at any attack budget.
+//!
+//! Each ring is a snapshot: maintaining the ring under churn (the "and
+//! maintain" half of Section 13.2's question) is not built.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod experiment;
 pub mod lookup;
-pub mod maintenance;
 pub mod ring;
 
 pub use lookup::{lookup_greedy, lookup_redundant, lookup_wide, LookupOutcome, REPLICATION};
-pub use maintenance::{probe_under_churn, MaintainedRing, ProbePoint};
 pub use ring::{NodeEntry, Ring};

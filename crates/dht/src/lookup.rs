@@ -17,7 +17,7 @@
 //!   lost only if the whole frontier is Sybil (`≈ f^w`), so success stays
 //!   near-perfect exactly while `f` is bounded — the bound Ergo provides.
 
-use crate::ring::{key_position, NodeEntry, Ring};
+use crate::ring::{NodeEntry, Ring};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -74,12 +74,7 @@ fn can_finish(ring: &Ring, current: &NodeEntry, replicas: &[u64], r: usize) -> b
 }
 
 /// One greedy lookup from `origin` for `key` with replication `r`.
-pub fn lookup_greedy_replicated(
-    ring: &Ring,
-    origin: NodeEntry,
-    key: u64,
-    r: usize,
-) -> LookupOutcome {
+fn lookup_greedy_replicated(ring: &Ring, origin: NodeEntry, key: u64, r: usize) -> LookupOutcome {
     let replicas = replica_positions(ring, key, r);
     let mut current = origin;
     for hops in 0..MAX_HOPS {
@@ -137,11 +132,6 @@ pub fn lookup_redundant(
         }
     }
     (last, paths)
-}
-
-/// Convenience: look up a byte key.
-pub fn lookup_key(ring: &Ring, key: &[u8], paths: u32, rng: &mut StdRng) -> (LookupOutcome, u32) {
-    lookup_redundant(ring, key_position(key), paths, rng)
 }
 
 /// A *wide-path* lookup: the frontier holds up to `width` nodes per hop;
@@ -290,15 +280,6 @@ mod tests {
             (0..trials).filter(|_| lookup_wide(&ring, rng.gen(), 8, &mut rng).is_success()).count();
         let rate = ok as f64 / trials as f64;
         assert!(rate < 0.95, "even wide paths degrade at 80% bad: {rate}");
-    }
-
-    #[test]
-    fn byte_key_lookup_works() {
-        let ring = mixed_ring(256, 0);
-        let mut rng = StdRng::seed_from_u64(5);
-        let (outcome, attempts) = lookup_key(&ring, b"block/0000abcd", 4, &mut rng);
-        assert!(outcome.is_success());
-        assert_eq!(attempts, 1);
     }
 
     #[test]

@@ -26,12 +26,6 @@ pub fn position_of(id: Id) -> u64 {
     u64::from_be_bytes(digest.as_bytes()[..8].try_into().expect("8 bytes"))
 }
 
-/// Hashes an arbitrary key to a ring position.
-pub fn key_position(key: &[u8]) -> u64 {
-    let digest = Sha256::digest(key);
-    u64::from_be_bytes(digest.as_bytes()[..8].try_into().expect("8 bytes"))
-}
-
 /// A consistent-hashing ring with successor lists and finger tables.
 #[derive(Clone, Debug, Default)]
 pub struct Ring {

@@ -57,6 +57,7 @@
 // `GlobalAlloc` impl in [`alloc`], which carries a scoped allow.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod alloc;
 pub mod cache;

@@ -123,13 +123,13 @@ pub enum Response {
 
 /// Decision-log record kinds (first byte of each 17-byte record).
 pub(crate) mod logkind {
-    pub const HELLO: u8 = 0;
-    pub const GRANTED: u8 = 1;
-    pub const REJECTED_POW: u8 = 2;
-    pub const ADMITTED: u8 = 3;
-    pub const MINE_REFUSED: u8 = 4;
-    pub const DEPARTED: u8 = 5;
-    pub const DROPPED: u8 = 6;
+    pub(crate) const HELLO: u8 = 0;
+    pub(crate) const GRANTED: u8 = 1;
+    pub(crate) const REJECTED_POW: u8 = 2;
+    pub(crate) const ADMITTED: u8 = 3;
+    pub(crate) const MINE_REFUSED: u8 = 4;
+    pub(crate) const DEPARTED: u8 = 5;
+    pub(crate) const DROPPED: u8 = 6;
 }
 
 /// The deterministic challenge nonce for connection `conn` under `seed`.

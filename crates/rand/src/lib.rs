@@ -12,6 +12,7 @@
 //! generator.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use std::ops::{Range, RangeInclusive};
 

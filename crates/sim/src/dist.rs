@@ -232,39 +232,6 @@ impl Sample for LogNormal {
     }
 }
 
-/// Samples a Poisson-distributed count with the given mean, via Knuth's
-/// product method for small means and a normal approximation above 30.
-pub fn poisson_count<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-    assert!(mean >= 0.0 && mean.is_finite(), "mean must be non-negative and finite");
-    if mean == 0.0 {
-        return 0;
-    }
-    if mean < 30.0 {
-        let limit = (-mean).exp();
-        let mut count = 0u64;
-        let mut product = 1.0;
-        loop {
-            product *= open_unit(rng);
-            if product <= limit {
-                return count;
-            }
-            count += 1;
-        }
-    } else {
-        // Normal approximation with continuity correction; adequate for the
-        // bulk arrival counts used by the workload generators.
-        let u1 = open_unit(rng);
-        let u2 = open_unit(rng);
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        let x = mean + mean.sqrt() * z + 0.5;
-        if x < 0.0 {
-            0
-        } else {
-            x as u64
-        }
-    }
-}
-
 /// The gamma function, via the Lanczos approximation (g = 7, n = 9).
 ///
 /// Accurate to ~15 significant digits for positive arguments, which is what
@@ -361,18 +328,6 @@ mod tests {
         let analytic = d.mean();
         let m = sample_mean(&d, 400_000, 4);
         assert!((m - analytic).abs() / analytic < 0.02, "sample mean {m}");
-    }
-
-    #[test]
-    fn poisson_count_small_and_large_means() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for mean in [0.5, 4.0, 50.0, 400.0] {
-            let n = 40_000;
-            let total: u64 = (0..n).map(|_| poisson_count(&mut rng, mean)).sum();
-            let m = total as f64 / n as f64;
-            assert!((m - mean).abs() / mean < 0.05, "poisson mean {mean}: sample {m}");
-        }
-        assert_eq!(poisson_count(&mut rng, 0.0), 0);
     }
 
     #[test]

@@ -24,11 +24,10 @@
 //! | [`sim`](sybil_sim) | discrete-event engine, cost ledger, adversary strategies, distributions |
 //! | [`churn`](sybil_churn) | Bitcoin/BitTorrent/Ethereum/Gnutella workloads, ABC model tools |
 //! | [`crypto`](sybil_crypto) | SHA-256, HMAC, `k`-hard proof-of-work challenges (from scratch) |
-//! | [`classifier`](sybil_classifier) | SybilFuse-style graph classifier for ERGO-SF |
 //! | [`defenses`](sybil_defenses) | CCom, SybilControl, REMP baselines; Theorem-3 lower bound |
 //! | [`net`](sybil_net) | synchronous authenticated message passing |
 //! | [`committee`](sybil_committee) | GenID, committee election, SMR, decentralized Ergo |
-//! | [`dht`](sybil_dht) | Sybil-resistant DHT (Section 13.2 future work, built) |
+//! | [`dht`](sybil_dht) | Sybil-resistant DHT lookups (Section 13.2 future work; no maintenance under churn) |
 //!
 //! # Example
 //!
@@ -48,10 +47,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use ergo_core;
 pub use sybil_churn;
-pub use sybil_classifier;
 pub use sybil_committee;
 pub use sybil_crypto;
 pub use sybil_defenses;
