@@ -23,12 +23,6 @@ pub enum ArrivalProcess {
         /// Modulation period, seconds (86 400 for a day).
         period: f64,
     },
-    /// Deterministic arrivals every `1/rate` seconds (tests and the β = 1
-    /// illustrations in the paper's Figure 2).
-    Regular {
-        /// Arrival rate, IDs/second.
-        rate: f64,
-    },
 }
 
 impl ArrivalProcess {
@@ -37,7 +31,6 @@ impl ArrivalProcess {
         match *self {
             ArrivalProcess::Poisson { rate } => rate,
             ArrivalProcess::Diurnal { base, .. } => base,
-            ArrivalProcess::Regular { rate } => rate,
         }
     }
 
@@ -73,15 +66,6 @@ impl ArrivalProcess {
                     t += inter.sample(rng);
                 }
             }
-            ArrivalProcess::Regular { rate } => {
-                assert!(rate > 0.0, "rate must be positive");
-                let step = 1.0 / rate;
-                let mut t = step;
-                while t <= horizon {
-                    out.push(t);
-                    t += step;
-                }
-            }
         }
         out
     }
@@ -101,13 +85,6 @@ mod tests {
         assert!((rate - 2.0).abs() < 0.05, "rate {rate}");
         assert!(a.windows(2).all(|w| w[0] <= w[1]));
         assert!(a.iter().all(|&t| t > 0.0 && t <= 50_000.0));
-    }
-
-    #[test]
-    fn regular_is_evenly_spaced() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = ArrivalProcess::Regular { rate: 0.5 }.arrivals(10.0, &mut rng);
-        assert_eq!(a, vec![2.0, 4.0, 6.0, 8.0, 10.0]);
     }
 
     #[test]

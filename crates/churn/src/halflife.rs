@@ -82,21 +82,6 @@ pub fn half_life_from(workload: &Workload, from: Time, horizon: Time) -> HalfLif
     HalfLife { from, doubling, halving }
 }
 
-/// The system half-life: the minimum half-life over sampled reference times.
-///
-/// Samples `probes` evenly spaced instants in `[0, horizon)`.
-pub fn system_half_life(workload: &Workload, horizon: Time, probes: usize) -> Option<f64> {
-    assert!(probes > 0, "at least one probe required");
-    let mut best: Option<f64> = None;
-    for i in 0..probes {
-        let from = Time(horizon.as_secs() * i as f64 / probes as f64);
-        if let Some(v) = half_life_from(workload, from, horizon).value() {
-            best = Some(best.map_or(v, |b: f64| b.min(v)));
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,13 +111,6 @@ mod tests {
         let w = Workload::new(vec![Time(1e9); 10], vec![]);
         let hl = half_life_from(&w, Time::ZERO, Time(100.0));
         assert_eq!(hl.value(), None);
-    }
-
-    #[test]
-    fn system_half_life_is_min_over_probes() {
-        let shl = system_half_life(&workload(), Time(100.0), 10);
-        assert!(shl.is_some());
-        assert!(shl.unwrap() <= 10.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Provides the good-ID churn side of the paper's experiments:
 //!
-//! * [`session`] / [`arrival`] — session-time models (Weibull, exponential,
-//!   Pareto, log-normal) and arrival processes (Poisson, diurnal, regular);
+//! * [`session`] / [`arrival`] — session-time models (Weibull, exponential)
+//!   and arrival processes (Poisson, diurnal);
 //! * [`model`] — [`model::ChurnModel`] combining the two into a generator of
 //!   [`sybil_sim::Workload`]s;
 //! * [`networks`] — the paper's four evaluation networks: Bitcoin (synthetic

@@ -3,11 +3,11 @@
 //! A session time is how long an ID stays in the system. The paper's
 //! datasets characterize churn by session-time distributions (Section 10):
 //! Weibull for BitTorrent and Ethereum, exponential for Gnutella. Heavy
-//! tails (Weibull shape < 1, Pareto) are the realistic regime — a few IDs
-//! stay very long while most churn quickly.
+//! tails (Weibull shape < 1) are the realistic regime — a few IDs stay
+//! very long while most churn quickly.
 
 use rand::Rng;
-use sybil_sim::dist::{Exponential, LogNormal, Pareto, Sample, Weibull};
+use sybil_sim::dist::{Exponential, Sample, Weibull};
 
 /// A distribution over session durations, in seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -24,20 +24,6 @@ pub enum SessionModel {
         /// Mean session length, seconds.
         mean: f64,
     },
-    /// Pareto with minimum session `x_min` (seconds) and tail index `alpha`.
-    Pareto {
-        /// Minimum session length, seconds.
-        x_min: f64,
-        /// Tail index; `≤ 1` has infinite mean.
-        alpha: f64,
-    },
-    /// Log-normal with the underlying normal's parameters.
-    LogNormal {
-        /// Mean of `ln(session)`.
-        mu: f64,
-        /// Std-dev of `ln(session)`.
-        sigma: f64,
-    },
     /// Every session lasts exactly this long (useful in tests).
     Fixed(f64),
 }
@@ -48,8 +34,6 @@ impl SessionModel {
         match *self {
             SessionModel::Weibull { shape, scale } => Weibull::new(shape, scale).sample(rng),
             SessionModel::Exponential { mean } => Exponential::with_mean(mean).sample(rng),
-            SessionModel::Pareto { x_min, alpha } => Pareto::new(x_min, alpha).sample(rng),
-            SessionModel::LogNormal { mu, sigma } => LogNormal::new(mu, sigma).sample(rng),
             SessionModel::Fixed(d) => d,
         }
     }
@@ -67,24 +51,15 @@ impl SessionModel {
             SessionModel::Exponential { mean } => {
                 Exponential::with_mean(mean).sample_fill(rng, out)
             }
-            SessionModel::Pareto { x_min, alpha } => {
-                Pareto::new(x_min, alpha).sample_fill(rng, out)
-            }
-            SessionModel::LogNormal { mu, sigma } => {
-                LogNormal::new(mu, sigma).sample_fill(rng, out)
-            }
             SessionModel::Fixed(d) => out.fill(d),
         }
     }
 
-    /// The analytic mean session duration (seconds); infinite for Pareto
-    /// tails with `alpha ≤ 1`.
+    /// The analytic mean session duration (seconds).
     pub fn mean(&self) -> f64 {
         match *self {
             SessionModel::Weibull { shape, scale } => Weibull::new(shape, scale).mean(),
             SessionModel::Exponential { mean } => mean,
-            SessionModel::Pareto { x_min, alpha } => Pareto::new(x_min, alpha).mean(),
-            SessionModel::LogNormal { mu, sigma } => LogNormal::new(mu, sigma).mean(),
             SessionModel::Fixed(d) => d,
         }
     }
@@ -97,19 +72,6 @@ impl SessionModel {
         match *self {
             SessionModel::Weibull { shape, scale } => (-(t / scale).powf(shape)).exp(),
             SessionModel::Exponential { mean } => (-t / mean).exp(),
-            SessionModel::Pareto { x_min, alpha } => {
-                if t < x_min {
-                    1.0
-                } else {
-                    (x_min / t).powf(alpha)
-                }
-            }
-            SessionModel::LogNormal { mu, sigma } => {
-                if sigma == 0.0 {
-                    return if t < mu.exp() { 1.0 } else { 0.0 };
-                }
-                1.0 - normal_cdf((t.ln() - mu) / sigma)
-            }
             SessionModel::Fixed(d) => {
                 if t < d {
                     1.0
@@ -131,8 +93,8 @@ impl SessionModel {
     ///
     /// # Panics
     ///
-    /// Panics if the session mean is not finite (e.g. Pareto with
-    /// `alpha ≤ 1` has no stationary regime).
+    /// Panics if the session mean is not finite and positive: such a
+    /// model has no stationary regime.
     pub fn residual_sampler(&self) -> ResidualSampler {
         let mean = self.mean();
         assert!(
@@ -171,21 +133,6 @@ impl SessionModel {
         }
         ResidualSampler { xs, cdf }
     }
-}
-
-/// Standard normal CDF via the Abramowitz–Stegun 7.1.26 erf approximation
-/// (absolute error < 1.5e-7 — ample for workload generation).
-fn normal_cdf(z: f64) -> f64 {
-    let x = z / std::f64::consts::SQRT_2;
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let poly = t
-        * (0.254_829_592
-            + t * (-0.284_496_736
-                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    let erf = sign * (1.0 - poly * (-x * x).exp());
-    0.5 * (1.0 + erf)
 }
 
 /// Inverse-CDF sampler for residual session times (see
@@ -254,8 +201,6 @@ mod tests {
         let models = [
             SessionModel::Weibull { shape: 0.59, scale: 41.0 },
             SessionModel::Exponential { mean: 100.0 },
-            SessionModel::Pareto { x_min: 10.0, alpha: 2.5 },
-            SessionModel::LogNormal { mu: 3.0, sigma: 0.5 },
         ];
         for m in models {
             let n = 300_000;
@@ -279,8 +224,6 @@ mod tests {
         let models = [
             SessionModel::Weibull { shape: 0.6, scale: 100.0 },
             SessionModel::Exponential { mean: 100.0 },
-            SessionModel::Pareto { x_min: 10.0, alpha: 2.0 },
-            SessionModel::LogNormal { mu: 3.0, sigma: 1.0 },
             SessionModel::Fixed(50.0),
         ];
         for m in models {
@@ -343,7 +286,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite")]
     fn infinite_mean_has_no_residual() {
-        let _ = SessionModel::Pareto { x_min: 1.0, alpha: 0.9 }.residual_sampler();
+        let _ = SessionModel::Exponential { mean: f64::INFINITY }.residual_sampler();
     }
 
     /// Blocked sampling must consume the RNG exactly like one-at-a-time
@@ -353,8 +296,6 @@ mod tests {
         let models = [
             SessionModel::Weibull { shape: 0.59, scale: 41.0 },
             SessionModel::Exponential { mean: 100.0 },
-            SessionModel::Pareto { x_min: 10.0, alpha: 2.5 },
-            SessionModel::LogNormal { mu: 3.0, sigma: 0.5 },
             SessionModel::Fixed(42.0),
         ];
         for m in models {

@@ -604,8 +604,8 @@ impl Defense for Ergo {
     }
 
     fn purge_due(&self, _now: Time) -> bool {
-        // Equivalent to `iteration_threshold.lt_scaled(progress, size)`
-        // via the cached cap — this runs on every engine event.
+        // `progress · den > size · num` via the cached cap — this runs on
+        // every engine event.
         self.iter_progress() > self.iter_admission_cap
     }
 

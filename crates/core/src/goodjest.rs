@@ -305,11 +305,6 @@ impl GoodJEst {
         self.updates += 1;
     }
 
-    /// Drains the completed-interval log.
-    pub fn drain_intervals(&mut self) -> Vec<IntervalRecord> {
-        std::mem::take(&mut self.log)
-    }
-
     /// Visits and clears the completed-interval log without allocating —
     /// the log's capacity is retained for the next intervals.
     pub fn drain_intervals_with(&mut self, mut f: impl FnMut(IntervalRecord)) {
@@ -328,6 +323,13 @@ mod tests {
         GoodJEstConfig::default()
     }
 
+    /// The completed-interval log, drained.
+    fn drain(est: &mut GoodJEst) -> Vec<IntervalRecord> {
+        let mut log = Vec::new();
+        est.drain_intervals_with(|rec| log.push(rec));
+        log
+    }
+
     #[test]
     fn initial_estimate_uses_init_duration() {
         let est = GoodJEst::new(GoodJEstConfig { init_duration: 2.0, ..cfg() }, Time::ZERO, 100);
@@ -343,10 +345,10 @@ mod tests {
         let mut est = GoodJEst::new(cfg(), Time::ZERO, 12);
         for k in 1..=8 {
             est.on_join(Time(k as f64), 1);
-            assert!(est.drain_intervals().is_empty(), "rolled early at k={k}");
+            assert!(drain(&mut est).is_empty(), "rolled early at k={k}");
         }
         est.on_join(Time(9.0), 1);
-        let log = est.drain_intervals();
+        let log = drain(&mut est);
         assert_eq!(log.len(), 1);
         // |S(t')| = 21 over 9 seconds.
         assert!((log[0].estimate - 21.0 / 9.0).abs() < 1e-12);
@@ -390,10 +392,10 @@ mod tests {
             est.on_join(Time(k as f64), 1);
         }
         // Threshold long since crossed, but no roll yet.
-        assert!(est.drain_intervals().is_empty());
+        assert!(drain(&mut est).is_empty());
         let before = est.estimate();
         est.on_purge_complete(Time(25.0));
-        let log = est.drain_intervals();
+        let log = drain(&mut est);
         assert_eq!(log.len(), 1);
         assert_ne!(est.estimate(), before);
         assert_eq!(log[0].end, Time(25.0));
@@ -409,7 +411,7 @@ mod tests {
         assert_eq!(est.estimate(), 12.0); // unchanged
                                           // Time advances: the next event rolls the interval.
         est.on_join(Time(2.0), 1);
-        assert!(est.drain_intervals().len() == 1);
+        assert!(drain(&mut est).len() == 1);
     }
 
     #[test]
@@ -417,12 +419,12 @@ mod tests {
         let mut est = GoodJEst::new(cfg(), Time::ZERO, 1000);
         est.on_join(Time(1.0), 500);
         // 12·500 ≥ 5·1500 → 6000 ≥ 7500: not yet.
-        assert_eq!(est.drain_intervals().len(), 0);
+        assert_eq!(drain(&mut est).len(), 0);
         est.on_join(Time(2.0), 200);
         // symdiff 700, size 1700: 8400 ≥ 8500? No.
         est.on_join(Time(3.0), 50);
         // symdiff 750, size 1750: 9000 ≥ 8750 → rolls.
-        let log = est.drain_intervals();
+        let log = drain(&mut est);
         assert_eq!(log.len(), 1);
         assert!((log[0].estimate - 1750.0 / 3.0).abs() < 1e-9);
     }
@@ -616,8 +618,8 @@ mod tests {
             est.on_join(Time(k as f64), 1);
         }
         // After k joins: 2k ≥ 10 + k → k ≥ 10.
-        assert!(est.drain_intervals().is_empty());
+        assert!(drain(&mut est).is_empty());
         est.on_join(Time(10.0), 1);
-        assert_eq!(est.drain_intervals().len(), 1);
+        assert_eq!(drain(&mut est).len(), 1);
     }
 }

@@ -45,14 +45,6 @@ impl Ratio {
         }
     }
 
-    /// True if `lhs > (num/den)·rhs`, computed exactly in integers.
-    pub fn lt_scaled(&self, lhs: u64, rhs: u64) -> bool {
-        match (lhs.checked_mul(self.den), rhs.checked_mul(self.num)) {
-            (Some(l), Some(r)) => l > r,
-            _ => (lhs as u128) * (self.den as u128) > (rhs as u128) * (self.num as u128),
-        }
-    }
-
     /// The ratio as a float.
     pub fn as_f64(&self) -> f64 {
         self.num as f64 / self.den as f64
@@ -213,8 +205,6 @@ mod tests {
         // 5/12 of 24 = 10.
         assert!(r.le_scaled(10, 24));
         assert!(!r.le_scaled(9, 24));
-        assert!(r.lt_scaled(11, 24));
-        assert!(!r.lt_scaled(10, 24));
         assert!((r.as_f64() - 5.0 / 12.0).abs() < 1e-15);
         assert_eq!(r.to_string(), "5/12");
     }

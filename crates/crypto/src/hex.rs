@@ -1,4 +1,4 @@
-//! Minimal hexadecimal encode/decode helpers.
+//! Minimal hexadecimal encoding: digests, fingerprints and cache keys as text.
 
 /// Encodes `bytes` as a lowercase hex string.
 ///
@@ -17,61 +17,12 @@ pub fn encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Decodes a hex string (upper or lower case) into bytes.
-///
-/// Returns `None` on odd length or non-hex characters.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(sybil_crypto::hex::decode("DEAD"), Some(vec![0xde, 0xad]));
-/// assert_eq!(sybil_crypto::hex::decode("xy"), None);
-/// ```
-pub fn decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    fn nibble(c: u8) -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            b'A'..=b'F' => Some(c - b'A' + 10),
-            _ => None,
-        }
-    }
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_all_bytes() {
-        let data: Vec<u8> = (0u8..=255).collect();
-        assert_eq!(decode(&encode(&data)).unwrap(), data);
-    }
-
-    #[test]
     fn empty() {
         assert_eq!(encode(&[]), "");
-        assert_eq!(decode("").unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn rejects_bad_input() {
-        assert!(decode("abc").is_none(), "odd length");
-        assert!(decode("zz").is_none(), "non-hex char");
-        assert!(decode("a ").is_none(), "whitespace");
-    }
-
-    #[test]
-    fn mixed_case() {
-        assert_eq!(decode("AaBb").unwrap(), vec![0xaa, 0xbb]);
     }
 }

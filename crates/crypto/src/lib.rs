@@ -12,7 +12,7 @@
 //!   requires, in expectation, `k` units of hashing work and whose solutions
 //!   "cannot be stolen or pre-computed" because they bind the challenger nonce
 //!   and the solver identity;
-//! * [`hex`] — small hex encode/decode helpers for display and tests.
+//! * [`hex`] — a small hex encoder for digests, fingerprints and cache keys.
 //!
 //! # Example
 //!

@@ -30,15 +30,6 @@ impl Digest {
         b.copy_from_slice(&self.0[..16]);
         u128::from_be_bytes(b)
     }
-
-    /// Parses a digest from a 64-character hex string.
-    ///
-    /// Returns `None` if the string is not exactly 64 hex characters.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        let bytes = crate::hex::decode(s)?;
-        let arr: [u8; 32] = bytes.try_into().ok()?;
-        Some(Digest(arr))
-    }
 }
 
 impl std::fmt::Debug for Digest {
@@ -344,15 +335,6 @@ mod tests {
             0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ]);
         assert_eq!(d.prefix_u128(), 1u128 << 120);
-    }
-
-    #[test]
-    fn digest_from_hex_roundtrip() {
-        let d = Sha256::digest(b"roundtrip");
-        let parsed = Digest::from_hex(&d.to_string()).unwrap();
-        assert_eq!(parsed, d);
-        assert!(Digest::from_hex("xyz").is_none());
-        assert!(Digest::from_hex("aabb").is_none());
     }
 
     #[test]

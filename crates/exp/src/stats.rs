@@ -105,36 +105,14 @@ pub struct MetricSummary {
 
 impl MetricSummary {
     /// The `<name>_mean`, `<name>_ci95_lo`, `<name>_ci95_hi` store-field
-    /// triple every grid driver records per metric. This is the naming
-    /// contract [`from_record`](Self::from_record) reads back; keeping
-    /// both sides here keeps it single-sourced across drivers.
+    /// triple every grid driver records per metric; keeping the naming
+    /// here keeps it single-sourced across drivers.
     pub fn fields(&self, name: &str) -> [(String, f64); 3] {
         [
             (format!("{name}_mean"), self.mean),
             (format!("{name}_ci95_lo"), self.ci95_lo),
             (format!("{name}_ci95_hi"), self.ci95_hi),
         ]
-    }
-
-    /// Reads the triple written by [`fields`](Self::fields) back out of a
-    /// results-store record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record lacks one of the three fields — a driver/store
-    /// schema mismatch, not a runtime condition.
-    pub fn from_record(record: &crate::store::Record, name: &str, trials: u64) -> MetricSummary {
-        let get = |suffix: &str| {
-            record.get(&format!("{name}_{suffix}")).unwrap_or_else(|| {
-                panic!("results store record {} lacks field {name}_{suffix}", record.cell_id)
-            })
-        };
-        MetricSummary {
-            n: trials,
-            mean: get("mean"),
-            ci95_lo: get("ci95_lo"),
-            ci95_hi: get("ci95_hi"),
-        }
     }
 }
 
@@ -173,8 +151,9 @@ mod tests {
         }
         let s = w.summary();
         let record = crate::store::Record::new("cell", s.fields("good_rate").into_iter().collect());
-        let back = MetricSummary::from_record(&record, "good_rate", s.n);
-        assert_eq!(back, s);
+        assert_eq!(record.get("good_rate_mean"), Some(s.mean));
+        assert_eq!(record.get("good_rate_ci95_lo"), Some(s.ci95_lo));
+        assert_eq!(record.get("good_rate_ci95_hi"), Some(s.ci95_hi));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! between all pairs of IDs in the committee", plus a channel between each
 //! committee member and each system ID. This crate simulates that model:
 //!
-//! * [`network`] — a round-stepped network: sends queued during round `r`
-//!   are delivered at round `r + 1`; Byzantine fault injection can drop or
-//!   duplicate messages from designated nodes;
+//! * [`network`] — a round-stepped, lossless network: sends queued during
+//!   round `r` are delivered at round `r + 1` (the SMR's Byzantine members
+//!   misbehave in `sybil-committee`, not in the network);
 //! * [`auth`] — pairwise-keyed HMAC-SHA256 channel authentication (built on
 //!   `sybil-crypto`), so forged senders are detectable exactly as the model
 //!   assumes.

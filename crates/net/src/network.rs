@@ -44,12 +44,7 @@ pub struct Network<M> {
     round: u64,
     in_flight: Vec<Envelope<M>>,
     inboxes: HashMap<NodeId, Vec<Envelope<M>>>,
-    /// Nodes whose outgoing messages are dropped (crash/partition injection).
-    silenced: Vec<NodeId>,
-    /// Directed links that drop messages.
-    cut_links: Vec<(NodeId, NodeId)>,
     delivered: u64,
-    dropped: u64,
 }
 
 impl<M> Default for Network<M> {
@@ -66,10 +61,7 @@ impl<M> Network<M> {
             round: 0,
             in_flight: Vec::new(),
             inboxes: HashMap::new(),
-            silenced: Vec::new(),
-            cut_links: Vec::new(),
             delivered: 0,
-            dropped: 0,
         }
     }
 
@@ -96,37 +88,6 @@ impl<M> Network<M> {
         self.in_flight.push(Envelope { from, to, payload });
     }
 
-    /// Queues a message to every registered node (including the sender).
-    pub fn broadcast(&mut self, from: NodeId, payload: M)
-    where
-        M: Clone,
-    {
-        let targets: Vec<NodeId> = self.inboxes.keys().copied().collect();
-        for to in targets {
-            self.send(from, to, payload.clone());
-        }
-    }
-
-    /// Injects a fault: all messages *from* `node` are dropped until
-    /// [`restore`](Self::restore).
-    pub fn silence(&mut self, node: NodeId) {
-        if !self.silenced.contains(&node) {
-            self.silenced.push(node);
-        }
-    }
-
-    /// Clears a [`silence`](Self::silence) fault.
-    pub fn restore(&mut self, node: NodeId) {
-        self.silenced.retain(|&n| n != node);
-    }
-
-    /// Injects a fault on the directed link `from → to`.
-    pub fn cut_link(&mut self, from: NodeId, to: NodeId) {
-        if !self.cut_links.contains(&(from, to)) {
-            self.cut_links.push((from, to));
-        }
-    }
-
     /// Advances one synchronous round, delivering queued messages (clearing
     /// last round's inboxes first).
     pub fn step(&mut self) {
@@ -135,10 +96,6 @@ impl<M> Network<M> {
         }
         let pending = std::mem::take(&mut self.in_flight);
         for env in pending {
-            if self.silenced.contains(&env.from) || self.cut_links.contains(&(env.from, env.to)) {
-                self.dropped += 1;
-                continue;
-            }
             self.delivered += 1;
             self.inboxes.get_mut(&env.to).expect("recipient validated at send").push(env);
         }
@@ -157,11 +114,6 @@ impl<M> Network<M> {
     /// Total messages delivered so far (message-complexity accounting).
     pub fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// Total messages dropped by fault injection.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -182,49 +134,6 @@ mod tests {
         // Inboxes clear the following round.
         net.step();
         assert!(net.inbox(b).is_empty());
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        let mut net: Network<&str> = Network::new();
-        let nodes: Vec<NodeId> = (0..5).map(|_| net.register()).collect();
-        net.broadcast(nodes[0], "hi");
-        net.step();
-        for &n in &nodes {
-            assert_eq!(net.inbox(n).len(), 1);
-        }
-        assert_eq!(net.delivered(), 5);
-    }
-
-    #[test]
-    fn silenced_node_messages_drop() {
-        let mut net: Network<u32> = Network::new();
-        let a = net.register();
-        let b = net.register();
-        net.silence(a);
-        net.send(a, b, 1);
-        net.send(b, a, 2);
-        net.step();
-        assert!(net.inbox(b).is_empty());
-        assert_eq!(net.inbox(a).len(), 1);
-        assert_eq!(net.dropped(), 1);
-        net.restore(a);
-        net.send(a, b, 3);
-        net.step();
-        assert_eq!(net.inbox(b).len(), 1);
-    }
-
-    #[test]
-    fn cut_link_is_directional() {
-        let mut net: Network<u32> = Network::new();
-        let a = net.register();
-        let b = net.register();
-        net.cut_link(a, b);
-        net.send(a, b, 1);
-        net.send(b, a, 2);
-        net.step();
-        assert!(net.inbox(b).is_empty());
-        assert_eq!(net.inbox(a).len(), 1);
     }
 
     #[test]

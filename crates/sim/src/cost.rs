@@ -111,7 +111,8 @@ pub enum Purpose {
     Periodic,
 }
 
-/// Double-entry style ledger of resource burning.
+/// Resource burning by payer and purpose, as a run's report carries it;
+/// built by [`FixedLedger::to_ledger`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Ledger {
     good_entrance: Cost,
@@ -123,11 +124,6 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// A ledger with all balances zero.
-    pub fn new() -> Self {
-        Ledger::default()
-    }
-
     /// Builds a ledger from per-purpose balances in `[Entrance, Purge,
     /// Periodic]` order — the seam through which the fixed-point ledger
     /// materializes its final float report.
@@ -139,26 +135,6 @@ impl Ledger {
             adv_entrance: adv[0],
             adv_purge: adv[1],
             adv_periodic: adv[2],
-        }
-    }
-
-    /// Records spending by good IDs.
-    pub fn charge_good(&mut self, purpose: Purpose, amount: Cost) {
-        debug_assert!(amount.value() >= 0.0, "negative charge");
-        match purpose {
-            Purpose::Entrance => self.good_entrance += amount,
-            Purpose::Purge => self.good_purge += amount,
-            Purpose::Periodic => self.good_periodic += amount,
-        }
-    }
-
-    /// Records spending by the adversary.
-    pub fn charge_adversary(&mut self, purpose: Purpose, amount: Cost) {
-        debug_assert!(amount.value() >= 0.0, "negative charge");
-        match purpose {
-            Purpose::Entrance => self.adv_entrance += amount,
-            Purpose::Purge => self.adv_purge += amount,
-            Purpose::Periodic => self.adv_periodic += amount,
         }
     }
 
@@ -385,25 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_splits_by_payer_and_purpose() {
-        let mut l = Ledger::new();
-        l.charge_good(Purpose::Entrance, Cost(2.0));
-        l.charge_good(Purpose::Purge, Cost(3.0));
-        l.charge_good(Purpose::Periodic, Cost(5.0));
-        l.charge_adversary(Purpose::Entrance, Cost(7.0));
-        l.charge_adversary(Purpose::Purge, Cost(11.0));
-        l.charge_adversary(Purpose::Periodic, Cost(13.0));
-        assert_eq!(l.good_total(), Cost(10.0));
-        assert_eq!(l.adversary_total(), Cost(31.0));
-        assert_eq!(l.good_entrance(), Cost(2.0));
-        assert_eq!(l.good_purge(), Cost(3.0));
-        assert_eq!(l.good_periodic(), Cost(5.0));
-        assert_eq!(l.adversary_entrance(), Cost(7.0));
-        assert_eq!(l.adversary_purge(), Cost(11.0));
-        assert_eq!(l.adversary_periodic(), Cost(13.0));
-    }
-
-    #[test]
     fn display() {
         assert_eq!(Cost(1.5).to_string(), "1.50rb");
     }
@@ -430,6 +387,8 @@ mod tests {
         fl.charge_adversary(Purpose::Purge, Cost(11.0));
         fl.charge_adversary(Purpose::Periodic, Cost(13.0));
         let l = fl.to_ledger();
+        assert_eq!(l.good_total(), Cost(10.0));
+        assert_eq!(l.adversary_total(), Cost(31.0));
         assert_eq!(l.good_entrance(), Cost(2.0));
         assert_eq!(l.good_purge(), Cost(3.0));
         assert_eq!(l.good_periodic(), Cost(5.0));

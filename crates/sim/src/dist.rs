@@ -150,88 +150,6 @@ impl Sample for Weibull {
     }
 }
 
-/// Pareto (type I) distribution with minimum `x_min` and tail index `alpha`.
-///
-/// Provided for heavy-tailed session-time experiments beyond the paper's
-/// four datasets (e.g. Kazaa-like workloads mentioned in Section 4.2).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x_min` or `alpha` is not positive and finite.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0 && x_min.is_finite(), "x_min must be positive and finite");
-        assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be positive and finite");
-        Pareto { x_min, alpha }
-    }
-}
-
-impl Sample for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.x_min / open_unit(rng).powf(1.0 / self.alpha)
-    }
-
-    fn mean(&self) -> f64 {
-        if self.alpha <= 1.0 {
-            f64::INFINITY
-        } else {
-            self.alpha * self.x_min / (self.alpha - 1.0)
-        }
-    }
-
-    fn sample_fill<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        fill_open_unit(rng, out);
-        // Same expression shape as `sample` (divide, not multiply by the
-        // negated power): the batch must be bit-identical, not just
-        // mathematically equal.
-        let inv_alpha = 1.0 / self.alpha;
-        for u in out.iter_mut() {
-            *u = self.x_min / u.powf(inv_alpha);
-        }
-    }
-}
-
-/// Log-normal distribution parameterized by the underlying normal's
-/// `mu` and `sigma`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a log-normal distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or either parameter is non-finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(mu.is_finite() && sigma.is_finite() && sigma >= 0.0);
-        LogNormal { mu, sigma }
-    }
-}
-
-impl Sample for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // Box-Muller using two uniforms; only one normal variate is consumed.
-        let u1 = open_unit(rng);
-        let u2 = open_unit(rng);
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        (self.mu + self.sigma * z).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-}
-
 /// The gamma function, via the Lanczos approximation (g = 7, n = 9).
 ///
 /// Accurate to ~15 significant digits for positive arguments, which is what
@@ -314,23 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_mean() {
-        let d = Pareto::new(1.0, 3.0);
-        assert!((d.mean() - 1.5).abs() < 1e-12);
-        let m = sample_mean(&d, 400_000, 3);
-        assert!((m - 1.5).abs() < 0.05, "sample mean {m}");
-        assert!(Pareto::new(1.0, 0.9).mean().is_infinite());
-    }
-
-    #[test]
-    fn lognormal_mean() {
-        let d = LogNormal::new(0.0, 0.5);
-        let analytic = d.mean();
-        let m = sample_mean(&d, 400_000, 4);
-        assert!((m - analytic).abs() / analytic < 0.02, "sample mean {m}");
-    }
-
-    #[test]
     fn samples_are_non_negative() {
         let mut rng = StdRng::seed_from_u64(6);
         let w = Weibull::new(0.52, 9.8);
@@ -368,7 +269,5 @@ mod tests {
         check(&Weibull::new(0.59, 41.0), 11);
         check(&Weibull::new(0.52, 9.8), 12);
         check(&Exponential::with_mean(8280.0), 13);
-        check(&Pareto::new(10.0, 2.5), 14);
-        check(&LogNormal::new(3.0, 0.5), 15);
     }
 }

@@ -2,7 +2,6 @@
 //!
 //! Every joining ID is treated as new (paper Section 2.1.1: a join-event
 //! counter is concatenated to the chosen name, guaranteeing uniqueness).
-//! The simulation mirrors this with a monotone allocator.
 
 /// An opaque identifier for a (virtual) participant.
 ///
@@ -24,53 +23,9 @@ impl Id {
     }
 }
 
-/// Ground truth about an ID, known to the engine but never to defenses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Kind {
-    /// Obeys the protocol; join/departure driven by the churn trace.
-    Good,
-    /// Controlled by the Sybil adversary.
-    Bad,
-}
-
-/// Monotone allocator implementing the paper's join-event counter.
-#[derive(Clone, Debug, Default)]
-pub struct IdAllocator {
-    next: u64,
-}
-
-impl IdAllocator {
-    /// A fresh allocator starting at `id0`.
-    pub fn new() -> Self {
-        IdAllocator::default()
-    }
-
-    /// Allocates the next unique ID.
-    pub fn fresh(&mut self) -> Id {
-        let id = Id(self.next);
-        self.next += 1;
-        id
-    }
-
-    /// Number of IDs allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allocator_is_monotone_and_unique() {
-        let mut alloc = IdAllocator::new();
-        let a = alloc.fresh();
-        let b = alloc.fresh();
-        assert_ne!(a, b);
-        assert!(a < b);
-        assert_eq!(alloc.allocated(), 2);
-    }
 
     #[test]
     fn id_bytes_roundtrip() {

@@ -6,8 +6,8 @@
 //! * [`time`], [`id`], [`cost`] — core vocabulary types (virtual seconds,
 //!   opaque identifiers, resource-burning units and the split ledger);
 //! * [`queue`] — a deterministic, FIFO-tie-broken event queue;
-//! * [`dist`] — from-scratch Weibull/exponential/Pareto/log-normal samplers
-//!   and a Poisson counter, driving the churn workloads;
+//! * [`dist`] — from-scratch Weibull and exponential samplers, driving the
+//!   churn workloads;
 //! * [`workload`] / [`workload_io`] — good-ID session schedules replayed by
 //!   the engine, resident in memory or streamed from a versioned on-disk
 //!   format;
@@ -63,7 +63,7 @@ pub use admission::{AdmissionMap, AdmissionState};
 pub use cost::{Cost, FixedCost, FixedLedger, Ledger, Purpose};
 pub use defense::{Admission, BatchAdmission, BatchStop, Defense};
 pub use engine::{SimBuildError, SimConfig, Simulation};
-pub use id::{Id, IdAllocator, Kind};
+pub use id::Id;
 pub use report::SimReport;
 pub use state::RunState;
 pub use time::Time;

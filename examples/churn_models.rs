@@ -9,7 +9,7 @@
 
 use bankrupting_sybil::prelude::*;
 use sybil_churn::abc::{detect_epochs, estimate_beta, measure_alpha};
-use sybil_churn::halflife::{half_life_from, system_half_life};
+use sybil_churn::halflife::half_life_from;
 
 fn main() {
     // --- 1. Synthetic ABC traces: generate with (α, β), measure them back ---
@@ -38,7 +38,7 @@ fn main() {
     println!("\n--- churn characteristics of the evaluation networks (5 000 s) ---");
     println!(
         "{:>11} {:>8} {:>9} {:>8} {:>10} {:>10} {:>12}",
-        "network", "epochs", "rho(avg)", "alpha", "beta(est)", "half-life", "epoch 1 len"
+        "network", "epochs", "rho(avg)", "alpha", "beta(est)", "hl (t=0)", "epoch 1 len"
     );
     let horizon = Time(5_000.0);
     for net in networks::all_networks() {
@@ -51,7 +51,7 @@ fn main() {
         } else {
             epochs.iter().map(Epoch::rho).sum::<f64>() / epochs.len() as f64
         };
-        let hl = system_half_life(&workload, horizon, 8);
+        let hl = half_life_from(&workload, Time::ZERO, horizon).value();
         println!(
             "{:>11} {:>8} {:>9.2} {:>8.2} {:>10.2} {:>10} {:>12}",
             net.name,
