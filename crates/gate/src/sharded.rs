@@ -259,6 +259,9 @@ impl ShardedGate {
         if admitted {
             s.admission.set(identity, AdmissionState::Admitted);
             s.est.on_join(now, 1);
+            // The gate reads only the estimate: a completed interval's
+            // record is dropped at once, or the log grows for ever.
+            s.est.drain_intervals_with(|_| {});
             s.counters.admitted += 1;
             s.push_record(logkind::ADMITTED, identity, salt);
             Response::Reply(Frame::Admitted { identity })
@@ -291,6 +294,7 @@ impl ShardedGate {
         s.admission.set(identity, AdmissionState::Refused);
         let old = s.est.classify_old(joined_at);
         s.est.on_depart(now, old, 1);
+        s.est.drain_intervals_with(|_| {});
         s.counters.departed += 1;
         s.push_record(logkind::DEPARTED, identity, 0);
         Response::Reply(Frame::DepartAck { identity })
@@ -324,11 +328,6 @@ impl ShardedGate {
     /// SHA-256 over the decision log: the run's decision fingerprint.
     pub fn fingerprint(&self) -> Digest {
         Sha256::digest(&lock(&self.state).log)
-    }
-
-    /// Current good-join-rate estimate (`J̃`).
-    pub fn estimated_join_rate(&self) -> f64 {
-        lock(&self.state).est.estimate()
     }
 
     /// Total identities ever issued (bootstrap included).
@@ -635,6 +634,25 @@ mod tests {
         assert_eq!(state.log.len(), 1002 * 17);
         assert!(state.log.chunks(17).all(|record| record[0] == logkind::HELLO));
         assert_eq!(state.counters, GateCounters::default());
+    }
+
+    #[test]
+    fn the_estimator_keeps_no_completed_intervals() {
+        let gate = ShardedGate::new(test_cfg(), 1);
+        let mut departures = Vec::new();
+        for k in 1..=12u64 {
+            departures.push(admit(&gate, 100 + k, Time(k as f64)));
+        }
+        for (k, (identity, token)) in (13..).zip(departures) {
+            let (conn, _) = gate.connect(Time(k as f64));
+            let reply = gate.handle(conn, &Frame::Depart { identity, token }, Time(k as f64));
+            assert_eq!(reply, Response::Reply(Frame::DepartAck { identity }));
+        }
+        let mut state = lock(&gate.state);
+        assert!(state.est.update_count() >= 3, "{} interval rolls", state.est.update_count());
+        let mut held = 0;
+        state.est.drain_intervals_with(|_| held += 1);
+        assert_eq!(held, 0, "completed intervals stay in the estimator");
     }
 
     #[test]
