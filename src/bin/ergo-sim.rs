@@ -6,13 +6,19 @@
 //!   --network   bitcoin|bittorrent|gnutella|ethereum   (default gnutella)
 //!   --defense   ergo|ccom|ergo-ch1|ergo-ch2|ergo-sf|sybilcontrol|remp
 //!                                                      (default ergo)
-//!   --adversary budget|burst|churn|survivor            (default budget)
+//!   --adversary none|budget|burst|churn-force|purge-survive|fraction-keep
+//!                                                      (default budget)
 //!   --t         adversary spend rate per second        (default 10000)
 //!   --horizon   simulated seconds                      (default 2000)
 //!   --seed      RNG seed                               (default 1)
 //!   --accuracy  classifier accuracy for ergo-sf        (default 0.98)
 //!   --timeline  print a membership timeline every N seconds
 //! ```
+//!
+//! Networks and adversaries are looked up by name in the library's tables
+//! (`networks::all_networks`, `sybil_sim::adversary::STRATEGY_NAMES`);
+//! an adversary gets `StrategyParams::rate(--t)`, so `burst` fires every
+//! 60 s and `fraction-keep` holds a target fraction of 0.
 //!
 //! A flag outside its accepted range is a usage error (exit status 2,
 //! naming the flag and the range), never a library assertion.
@@ -25,7 +31,7 @@
 
 use bankrupting_sybil::prelude::*;
 use sybil_defenses as defs;
-use sybil_sim::adversary::Adversary;
+use sybil_sim::adversary::{build_strategy, StrategyParams, STRATEGY_NAMES};
 use sybil_sim::Defense as DefenseTrait;
 
 struct Options {
@@ -102,14 +108,14 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// The names `--network` accepts, `|`-separated.
+fn network_names() -> String {
+    networks::all_networks().iter().map(|n| n.name).collect::<Vec<_>>().join("|")
+}
+
 fn network(name: &str) -> Result<ChurnModel, String> {
-    Ok(match name {
-        "bitcoin" => networks::bitcoin(),
-        "bittorrent" => networks::bittorrent(),
-        "gnutella" => networks::gnutella(),
-        "ethereum" => networks::ethereum(),
-        other => return Err(format!("unknown network {other}")),
-    })
+    let found = networks::all_networks().into_iter().find(|n| n.name == name);
+    found.ok_or_else(|| format!("unknown network {name} (known: {})", network_names()))
 }
 
 fn defense(opts: &Options) -> Result<Box<dyn DefenseTrait>, String> {
@@ -125,7 +131,8 @@ fn defense(opts: &Options) -> Result<Box<dyn DefenseTrait>, String> {
     })
 }
 
-fn run<A: Adversary>(opts: &Options, adversary: A) -> Result<SimReport, String> {
+fn run(opts: &Options) -> Result<SimReport, String> {
+    let adversary = build_strategy(&opts.adversary, &StrategyParams::rate(opts.t))?;
     let net = network(&opts.network)?;
     let workload = net.generate(Time(opts.horizon), opts.seed);
     let cfg = SimConfig {
@@ -145,24 +152,19 @@ fn main() {
                 eprintln!("error: {msg}\n");
             }
             eprintln!(
-                "usage: ergo-sim [--network bitcoin|bittorrent|gnutella|ethereum]\n\
+                "usage: ergo-sim [--network {}]\n\
                  \x20               [--defense ergo|ccom|ergo-ch1|ergo-ch2|ergo-sf|sybilcontrol|remp]\n\
-                 \x20               [--adversary budget|burst|churn|survivor]\n\
+                 \x20               [--adversary {}]\n\
                  \x20               [--t RATE] [--horizon SECS] [--seed N]\n\
-                 \x20               [--accuracy P] [--timeline SECS]"
+                 \x20               [--accuracy P] [--timeline SECS]",
+                network_names(),
+                STRATEGY_NAMES.join("|")
             );
             std::process::exit(if msg.is_empty() { 0 } else { 2 });
         }
     };
 
-    let result = match opts.adversary.as_str() {
-        "budget" => run(&opts, BudgetJoiner::new(opts.t)),
-        "burst" => run(&opts, BurstJoiner::new(opts.t, 60.0)),
-        "churn" => run(&opts, ChurnForcer::new(opts.t)),
-        "survivor" => run(&opts, PurgeSurvivor::new(opts.t)),
-        other => Err(format!("unknown adversary {other}")),
-    };
-    let report = match result {
+    let report = match run(&opts) {
         Ok(r) => r,
         Err(msg) => {
             eprintln!("error: {msg}");

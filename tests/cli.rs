@@ -1,6 +1,7 @@
 //! Drives the built `ergo-sim` binary: a flag outside its accepted range
 //! is a usage error naming the flag (exit status 2, no library assertion
-//! and no backtrace), and a run is a deterministic function of its flags.
+//! and no backtrace), an unknown adversary lists the registry's roster,
+//! and a run is a deterministic function of its flags.
 
 use std::process::{Command, Output};
 
@@ -73,4 +74,15 @@ fn a_spend_beyond_the_ledger_range_is_an_overflow_not_a_negative_rate() {
 fn a_spend_that_passes_the_ledger_range_first_is_a_ledger_overflow() {
     let stderr = overflow_message("sybilcontrol");
     assert!(stderr.contains("ledger overflow: 9000000000000000000 + "), "{stderr}");
+}
+
+#[test]
+fn an_unknown_adversary_is_a_usage_error_listing_the_roster() {
+    let out = ergo_sim(&["--adversary", "survivor", "--horizon", "10"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "no report");
+    for name in sybil_sim::adversary::STRATEGY_NAMES {
+        assert!(stderr.contains(name), "{name} missing from: {stderr}");
+    }
 }
