@@ -1,0 +1,164 @@
+#!/usr/bin/env bash
+# Lists the `pub` and `pub(crate)` items, and the variants of `pub` and
+# `pub(crate)` enums, that no other non-test file names: the candidates
+# ROADMAP direction 12(a) prunes. `unreachable_pub` cannot find these
+# when their module is `pub`.
+#
+#   scripts/unreached.sh [checkout=.]
+#
+# Items are read from `crates/` and `src/`; names are looked for there
+# and in `benchmark/src` (frozen: what it names stays reached, and its
+# own items are not listed). Test code is skipped: every file under a
+# `tests/` or `examples/` directory, and every item (a `mod tests`
+# included) under a `#[cfg(test)]` attribute.
+#
+# Naming is by identifier, not by path, so two items with one name reach
+# each other and such an item is missed. Comments and `pub use` lines
+# name nothing, and neither does the line that defines a name (so `pub fn
+# x` in one file does not reach `pub fn x` in another); string literals
+# do name, for `format!("{NAME}")`.
+#
+# Each kept item has a line `file name  # reason` in
+# `scripts/unreached.keep` (next to this script). Prints every unreached
+# item without one, every keep line without a reason, and every keep line
+# that no longer matches an unreached item; exits 1 if it printed
+# anything. bash + find/awk only.
+set -euo pipefail
+
+keep="$(cd "$(dirname "$0")" && pwd)/unreached.keep"
+cd "${1:-.}"
+
+find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/null |
+    LC_ALL=C sort |
+    awk -v keep="$keep" '
+    BEGIN {
+        q = sprintf("%c", 39)
+        char_literal = q "(\\\\.|[^" q "\\\\])" q
+    }
+    # Drops comments; a `//` inside a string literal is not one. Block
+    # comments are taken to open and close on one line. Char literals are
+    # blanked, so a quote in one opens no string.
+    function code(s,    i, c, out, quoted) {
+        gsub(char_literal, q q, s)
+        gsub(/\/\*.*\*\//, "", s)
+        if (!index(s, "//")) return s
+        if (!index(s, "\"")) { sub(/\/\/.*/, "", s); return s }
+        out = ""
+        for (i = 1; i <= length(s); i++) {
+            c = substr(s, i, 1)
+            if (quoted && c == "\\") { out = out c substr(s, i + 1, 1); i++; continue }
+            if (c == "\"") quoted = !quoted
+            else if (!quoted && substr(s, i, 2) == "//") break
+            out = out c
+        }
+        return out
+    }
+    # The name a `pub`/`pub(crate)` item line defines ("" if none); sets
+    # `is_enum` when the item is an enum.
+    function item(s,    t) {
+        is_enum = 0
+        t = s
+        sub(/^[ \t]+/, "", t)
+        if (t !~ /^pub(\(crate\))? /) return ""
+        sub(/^pub(\(crate\))? +/, "", t)
+        sub(/^((const|unsafe|async) +)+fn /, "fn ", t)
+        if (t !~ /^(fn|struct|enum|trait|type|const|static|union|mod) +[A-Za-z_]/) return ""
+        is_enum = t ~ /^enum /
+        sub(/^[a-z]+ +/, "", t)
+        sub(/[^A-Za-z0-9_].*/, "", t)
+        return t
+    }
+    function add(name, file) {
+        if (!((file " " name) in listed_at)) defs[++ndefs] = file " " name
+        listed_at[file " " name] = 1
+    }
+    {
+        file = $0
+        n = split(file, part, "/")
+        whole = 0
+        for (i = 1; i < n; i++)
+            if (part[i] == "tests" || part[i] == "examples") whole = 1
+        if (whole) next
+        listed = part[1] != "benchmark"
+        depth = 0; enum_depth = -1; in_use = 0; skip = 0
+        while ((getline line < file) > 0) {
+            # `s` is code; `bare` also has its string literals emptied, so
+            # it is what the braces and the item patterns are read from.
+            # Strings still name things: `format!("{SPEC_MAGIC}")`.
+            s = code(line)
+            if (s ~ /^[ \t]*$/) continue
+            bare = s
+            gsub(/r#+"([^"]|"[^#])*"#+/, "\"\"", bare)
+            gsub(/"(\\.|[^"\\])*"/, "\"\"", bare)
+            stripped = bare
+            sub(/^[ \t]+/, "", stripped)
+            opens = gsub(/[{]/, "{", bare); closes = gsub(/[}]/, "}", bare)
+            # The item after a `#[cfg(test)]` is test code: skip its
+            # attributes, then the item up to its closing brace or `;`. A
+            # top-level test module runs to the end of the file.
+            if (skip) {
+                depth += opens - closes
+                if (stripped ~ /^#\[/) continue
+                if (skip_depth == 0 && !skip_open && stripped ~ /^mod /) break
+                if (opens) skip_open = 1
+                if (skip_open ? depth <= skip_depth : bare ~ /;[ \t]*$/) skip = 0
+                continue
+            }
+            if (stripped ~ /^#\[cfg\(test\)\]/) {
+                skip = 1; skip_open = 0; skip_depth = depth
+                continue
+            }
+            # A `pub use` re-exports; it does not use. It may span lines.
+            if (in_use || stripped ~ /^pub(\(crate\))? use /) {
+                depth += opens - closes
+                in_use = bare !~ /;/
+                continue
+            }
+            name = item(bare)
+            if (listed) {
+                if (name != "") add(name, file)
+                else if (enum_depth >= 0 && depth == enum_depth + 1 &&
+                         stripped ~ /^[A-Z][A-Za-z0-9_]*[ \t]*([{(,=]|$)/) {
+                    name = stripped
+                    sub(/[^A-Za-z0-9_].*/, "", name)
+                    add(name, file)
+                }
+            }
+            if (is_enum && enum_depth < 0) enum_depth = depth
+            # Every identifier on the line names something, except the
+            # one the line defines.
+            words = s
+            gsub(/[^A-Za-z0-9_]+/, " ", words)
+            k = split(words, word, " ")
+            skipped = 0
+            for (i = 1; i <= k; i++) {
+                w = word[i]
+                if (w == name && !skipped) { skipped = 1; continue }
+                if (!((w, file) in seen)) { seen[w, file] = 1; files[w]++ }
+            }
+            depth += opens - closes
+            if (enum_depth >= 0 && depth <= enum_depth && (opens || closes)) enum_depth = -1
+        }
+        close(file)
+    }
+    END {
+        status = 0
+        while ((getline line < keep) > 0) {
+            if (line ~ /^[ \t]*(#|$)/) continue
+            split(line, f, " ")
+            kept[f[1] " " f[2]] = 0
+            order[++nkept] = f[1] " " f[2]
+            if (line !~ /^[^ ]+ [^ ]+ +# *[^ ]/) { print "keep line without a reason: " line; status = 1 }
+        }
+        for (d = 1; d <= ndefs; d++) {
+            split(defs[d], f, " ")
+            elsewhere = files[f[2]] - ((f[2], f[1]) in seen ? 1 : 0)
+            if (elsewhere > 0) continue
+            if (defs[d] in kept) { kept[defs[d]] = 1; continue }
+            print "unreached: " defs[d]
+            status = 1
+        }
+        for (k = 1; k <= nkept; k++)
+            if (!kept[order[k]]) { print "stale keep line: " order[k]; status = 1 }
+        exit status
+    }'
