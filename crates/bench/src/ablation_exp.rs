@@ -23,7 +23,7 @@ use ergo_core::params::{ErgoConfig, GoodJEstConfig, Ratio};
 use ergo_core::Ergo;
 use sybil_churn::networks;
 use sybil_exp::spec::{AxisValue, CellSpec};
-use sybil_exp::{GridOptions, Welford};
+use sybil_exp::{Durability, Welford};
 use sybil_sim::adversary::BudgetJoiner;
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
@@ -168,7 +168,7 @@ fn parts(fast: bool) -> Vec<Part> {
     ];
     vec![Part {
         grid: grid(fast),
-        opts: GridOptions::default(),
+        durability: Durability::Flush,
         measure: Box::new(move |cell, trials| {
             let (_, _, cfg, round) = knobs
                 .iter()

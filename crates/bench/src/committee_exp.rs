@@ -23,7 +23,7 @@ use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
 use sybil_committee::{DecentralConfig, DecentralizedErgo};
 use sybil_exp::spec::{AxisValue, CellSpec, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{GridOptions, Welford};
+use sybil_exp::{Durability, Welford};
 use sybil_sim::adversary::{build_strategy, StrategyParams, STRATEGY_NONE};
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
@@ -132,7 +132,7 @@ fn parts(fast: bool) -> Vec<Part> {
     ];
     vec![Part {
         grid: grid(fast),
-        opts: GridOptions::default(),
+        durability: Durability::Flush,
         measure: Box::new(|cell, trials| {
             let strategy = cell.str_value(AXIS_STRATEGY);
             let t = cell.f64_value(AXIS_T);

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use sybil_churn::networks;
 use sybil_dht::{lookup_wide, Ring};
 use sybil_exp::spec::{cell_seed, AxisValue, CellSpec, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{GridOptions, Welford};
+use sybil_exp::{Durability, Welford};
 use sybil_sim::adversary::{build_strategy, StrategyParams, STRATEGY_NONE};
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::id::Id;
@@ -188,7 +188,7 @@ fn parts(fast: bool) -> Vec<Part> {
     ];
     vec![Part {
         grid: end_to_end_grid(fast),
-        opts: GridOptions::default(),
+        durability: Durability::Flush,
         measure: Box::new(move |cell, trials| {
             let strategy = cell.str_value(AXIS_STRATEGY);
             let t = cell.f64_value(AXIS_T);

@@ -23,7 +23,7 @@ use crate::{
 };
 use std::process::ExitCode;
 use sybil_exp::spec::{AxisValue, CellSpec};
-use sybil_exp::{GridOptions, RunSummary};
+use sybil_exp::{Durability, RunSummary};
 
 /// One experiment: what `cargo bench -p sybil-bench --bench experiments --
 /// <name>` runs.
@@ -63,8 +63,8 @@ pub type Measure = Box<dyn Fn(&CellSpec, &[Trial<'_>]) -> Vec<(String, f64)> + S
 pub struct Part {
     /// The grid: cells, store identity, networks, trial parameters.
     pub grid: TrialGrid,
-    /// Retry and durability policy of the run.
-    pub opts: GridOptions,
+    /// How hard the store pushes each record to disk.
+    pub durability: Durability,
     /// Fills one cell's record.
     pub measure: Measure,
     /// True for a cell whose data fails the experiment (Lemma 9's
@@ -78,7 +78,7 @@ impl Part {
     /// Runs the grid (resuming its store) and returns the cell results in
     /// grid order with the run summary.
     pub fn run(&self) -> (Vec<CellResult>, RunSummary) {
-        self.grid.run(default_workers(), &self.opts, &*self.measure)
+        self.grid.run(default_workers(), self.durability, &*self.measure)
     }
 }
 
@@ -237,9 +237,8 @@ mod tests {
     use super::*;
     use crate::table::results_dir;
     use sybil_exp::spec::AXIS_T;
-    use sybil_exp::RetryPolicy;
 
-    /// A grid of two cells (T = 0, 1), one trial, no retry, one table.
+    /// A grid of two cells (T = 0, 1), one trial, one table.
     fn two_cells(tag: &str, measure: Measure, violated: Option<fn(&CellResult) -> bool>) -> Part {
         let name = format!("runner-test-{tag}-{}", std::process::id());
         let cells =
@@ -251,10 +250,7 @@ mod tests {
         ];
         Part {
             grid: TrialGrid::from_cells(&name, cells, "runner test", &[], 1, 1.0, 0),
-            opts: GridOptions {
-                retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
-                ..GridOptions::default()
-            },
+            durability: Durability::Flush,
             measure,
             violated,
             tables: vec![TableSpec::per_cell(&name, columns)],

@@ -29,7 +29,7 @@ use ergo_core::{Ergo, ErgoConfig};
 use std::collections::HashMap;
 use sybil_churn::networks;
 use sybil_exp::spec::{Axis, AXIS_NETWORK, AXIS_T};
-use sybil_exp::{ExperimentSpec, GridOptions, Welford};
+use sybil_exp::{Durability, ExperimentSpec, Welford};
 use sybil_sim::adversary::FractionKeeper;
 use sybil_sim::engine::{SimConfig, Simulation};
 use sybil_sim::time::Time;
@@ -174,7 +174,7 @@ fn parts(fast: bool) -> Vec<Part> {
     ];
     vec![Part {
         grid: grid(fast),
-        opts: GridOptions::default(),
+        durability: Durability::Flush,
         measure: Box::new(move |cell, trials| {
             let fraction = frac_by_label[cell.str_value(AXIS_FRAC)];
             let t = cell.f64_value(AXIS_T);

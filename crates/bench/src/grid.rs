@@ -7,7 +7,7 @@
 //! measurement; [`TrialGrid::run`] does the rest — opens the shared
 //! content-addressed [`WorkloadCache`], hands each cell its [`Trial`]s
 //! (seeds derived grid-wide, workloads materialized once and
-//! disk-streamed), executes on the `sybil-exp` pool with resume, retry and
+//! disk-streamed), executes on the `sybil-exp` pool with resume and
 //! quarantine, prints the run summary, and returns the records zipped
 //! with their cells as [`CellResult`]s for the experiment's columns.
 //!
@@ -22,7 +22,7 @@ use sybil_churn::model::ChurnModel;
 use sybil_exp::runner::RunSummary;
 use sybil_exp::spec::{text_fingerprint, AxisValue, CellSpec, AXIS_ALGO, AXIS_NETWORK, AXIS_T};
 use sybil_exp::{
-    defense_seed, trial_seed, ExperimentSpec, GridOptions, Record, Welford, WorkloadCache,
+    defense_seed, trial_seed, Durability, ExperimentSpec, Record, Welford, WorkloadCache,
 };
 use sybil_sim::engine::SimConfig;
 use sybil_sim::time::Time;
@@ -241,8 +241,8 @@ impl TrialGrid {
     /// `run_cell` measures one cell: it receives the cell and its
     /// [`Trial`]s and returns the record fields (by convention a leading
     /// `trials` count, then [`sybil_exp::MetricSummary::fields`] triples). It must be
-    /// a pure function of its arguments — it runs on pool workers, and
-    /// again if an attempt fails. Finished cells land in
+    /// a pure function of its arguments — it runs on pool workers. Finished
+    /// cells land in
     /// `results/<name>.store`; re-running the same grid resumes, skipping
     /// them. A grid without networks opens no workload cache.
     ///
@@ -252,7 +252,7 @@ impl TrialGrid {
     pub fn run<F>(
         &self,
         workers: usize,
-        opts: &GridOptions,
+        durability: Durability,
         run_cell: F,
     ) -> (Vec<CellResult>, RunSummary)
     where
@@ -280,13 +280,13 @@ impl TrialGrid {
             run_cell(cell, &trials)
         };
         let outcome = match &self.spec {
-            Some((spec, context)) => sybil_exp::run_spec_grid_opts(
+            Some((spec, context)) => sybil_exp::run_spec_grid_with(
                 spec,
                 context,
                 &results_dir(),
                 cache.as_ref(),
                 workers,
-                opts,
+                durability,
                 run,
             ),
             None => sybil_exp::run_grid(
@@ -296,7 +296,7 @@ impl TrialGrid {
                 self.cells.iter().map(|cell| (cell.id(), cell.clone())).collect(),
                 cache.as_ref(),
                 workers,
-                opts,
+                durability,
                 run,
             ),
         }
@@ -401,7 +401,7 @@ pub fn spend_part(
     let roster = roster.to_vec();
     Part {
         grid: TrialGrid::from_spec(spec, context, nets),
-        opts: GridOptions::default(),
+        durability: Durability::Flush,
         measure: Box::new(move |cell, trials| {
             let (algo, t) = (algo_of(&roster, cell), cell.f64_value(AXIS_T));
             let mut acc = [Welford::new(); 4];
@@ -589,7 +589,7 @@ invariants_millions cf8f6ffef1588398dd896376967a307b0064327d3f9a54afc535bfb56394
         };
         let grid = TrialGrid::from_spec(spec, String::new(), &[networks::gnutella()]);
         let run = || {
-            grid.run(2, &GridOptions::default(), |_, trials| {
+            grid.run(2, Durability::Flush, |_, trials| {
                 let sessions = trials.iter().map(|t| t.workload().session_count()).sum::<u64>();
                 vec![("trials".into(), trials.len() as f64), ("sessions".into(), sessions as f64)]
             })

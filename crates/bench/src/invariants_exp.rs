@@ -29,7 +29,7 @@ use ergo_core::{Ergo, ErgoConfig};
 use sybil_churn::model::ChurnModel;
 use sybil_churn::networks;
 use sybil_exp::spec::{Axis, AxisValue, AXIS_ALGO, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{Durability, ExperimentSpec, GridOptions, Welford};
+use sybil_exp::{Durability, ExperimentSpec, Welford};
 use sybil_sim::adversary::{
     build_strategy, strategy_fingerprint, StrategyParams, STRATEGY_BUDGET, STRATEGY_BURST,
     STRATEGY_CHURN_FORCE, STRATEGY_PURGE_SURVIVE,
@@ -70,7 +70,7 @@ fn parts(fast: bool) -> Vec<Part> {
         trials_for(fast),
         if fast { 300.0 } else { 5_000.0 },
         23,
-        GridOptions::default(),
+        Durability::Flush,
     );
     vec![invariants, scaling_part(fast)]
 }
@@ -84,7 +84,7 @@ fn millions_parts(fast: bool) -> Vec<Part> {
         trials_for(fast),
         500.0,
         23,
-        GridOptions { durability: Durability::Sync, ..GridOptions::default() },
+        Durability::Sync,
     )]
 }
 
@@ -141,7 +141,7 @@ pub fn run_strategy_once(
 /// to the trial statistics — the single worst instantaneous Sybil fraction
 /// any trial reached: the invariant is about the worst case, so the
 /// `held` verdict (and the run's exit status) reads that, not the mean.
-/// `opts` is the grid's retry/durability policy. The per-strategy
+/// `durability` is the store's. The per-strategy
 /// parameter fingerprints are folded into the store's configuration
 /// context, so a change to what a registry name *means* (a different
 /// burst period, say) re-runs the grid instead of resuming stale cells.
@@ -158,7 +158,7 @@ pub fn invariant_part(
     trials: u32,
     horizon: f64,
     base_seed: u64,
-    opts: GridOptions,
+    durability: Durability,
 ) -> Part {
     let spec = ExperimentSpec {
         name: name.into(),
@@ -199,7 +199,7 @@ pub fn invariant_part(
     ];
     Part {
         grid: TrialGrid::from_spec(spec, context, nets),
-        opts,
+        durability,
         measure: Box::new(|cell, trials| {
             let strategy = cell.str_value(AXIS_STRATEGY);
             let t = cell.f64_value(AXIS_T);
@@ -289,7 +289,7 @@ fn scaling_part(fast: bool) -> Part {
     };
     Part {
         grid: scaling_grid(fast),
-        opts: GridOptions::default(),
+        durability: Durability::Flush,
         measure: Box::new(|cell, trials| {
             let algo = algo_of(&scaling_roster(), cell);
             let t = cell.f64_value(AXIS_T);

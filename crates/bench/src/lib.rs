@@ -43,7 +43,7 @@
 //! use sybil_bench::sweep::fast_mode;
 //! use sybil_churn::networks;
 //! use sybil_exp::spec::{Axis, AXIS_NETWORK, AXIS_T};
-//! use sybil_exp::{ExperimentSpec, GridOptions, Welford};
+//! use sybil_exp::{Durability, ExperimentSpec, Welford};
 //! use sybil_sim::adversary::BudgetJoiner;
 //! use sybil_sim::engine::{SimConfig, Simulation};
 //! use sybil_sim::time::Time;
@@ -75,7 +75,7 @@
 //!     let context = format!("networks = {nets:?}\ndefense = {:?}\n", ErgoConfig::default());
 //!     vec![Part {
 //!         grid: TrialGrid::from_spec(spec, context, &nets),
-//!         opts: GridOptions::default(),
+//!         durability: Durability::Flush,
 //!         // 3. The measurement: one cell's trials, folded into record
 //!         //    fields (by convention a leading `trials` count).
 //!         measure: Box::new(|cell, trials| {

@@ -14,7 +14,7 @@ use crate::experiment::{Column, Experiment, Part, TableSpec};
 use crate::grid::TrialGrid;
 use sybil_defenses::lower_bound::{run_lower_bound, CostFunction};
 use sybil_exp::spec::{Axis, AXIS_T};
-use sybil_exp::{ExperimentSpec, GridOptions};
+use sybil_exp::{Durability, ExperimentSpec};
 
 /// The Theorem 3 experiment, declared.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -81,7 +81,7 @@ fn parts(fast: bool) -> Vec<Part> {
     ];
     vec![Part {
         grid: grid(fast),
-        opts: GridOptions::default(),
+        durability: Durability::Flush,
         measure: Box::new(move |cell, trials| {
             let label = cell.str_value(AXIS_COST);
             let f = *costs.iter().find(|f| f.label() == label).expect("cell names a cost function");

@@ -8,7 +8,7 @@ use sybil_bench::invariants_exp::{bound, invariant_part, strategy_roster};
 use sybil_bench::table::results_dir;
 use sybil_churn::networks;
 use sybil_exp::spec::{Axis, AXIS_NETWORK, AXIS_STRATEGY, AXIS_T};
-use sybil_exp::{ExperimentSpec, GridOptions, ResultsStore};
+use sybil_exp::{Durability, ExperimentSpec, ResultsStore};
 use sybil_sim::engine::SimConfig;
 
 /// Rebuilds the exact spec `invariant_part` derives, so the test can pin
@@ -42,7 +42,7 @@ fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
         trials,
         horizon,
         seed,
-        GridOptions::default(),
+        Durability::Flush,
     );
     let mean_bits = |row: &sybil_bench::grid::CellResult, metric: &str| {
         row.get(&format!("{metric}_mean")).to_bits()

@@ -28,7 +28,6 @@
 //! exempt, and entries whose mtime cannot be read are never preferred
 //! victims).
 
-use crate::fault::{self, Site};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -172,9 +171,9 @@ impl WorkloadCache {
             // Generate OUTSIDE the lock; write to a unique temp name, then
             // rename into place. Racing generators produce byte-identical
             // deterministic files, so whichever rename lands last is
-            // correct. A failed write or rename (real or injected) removes
-            // the temp and retries the whole attempt — regeneration is the
-            // fallback, never a propagated panic.
+            // correct. A failed write or rename removes the temp and
+            // retries the whole attempt — regeneration is the fallback,
+            // never a propagated panic.
             let workload = model.generate(horizon, seed);
             let tmp = self.dir.join(format!(
                 ".tmp_{}_{}_{}",
@@ -182,14 +181,14 @@ impl WorkloadCache {
                 unique_suffix(),
                 path.file_name().and_then(|n| n.to_str()).unwrap_or("wk")
             ));
-            let key = Self::key(model, horizon, seed);
-            if let Err(e) = write_entry(&tmp, &path, &workload, &key) {
+            let written =
+                write_workload_file(&tmp, &workload).and_then(|()| fs::rename(&tmp, &path));
+            drop(workload);
+            if let Err(e) = written {
                 fs::remove_file(&tmp).ok();
                 last_err = Some(e);
-                drop(workload);
                 continue;
             }
-            drop(workload);
             self.stats.lock().expect("cache stats poisoned").misses += 1;
             self.enforce_budget(&path)?;
             match DiskWorkload::open(&path) {
@@ -257,33 +256,6 @@ impl WorkloadCache {
 fn unique_suffix() -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     COUNTER.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Writes `workload` to `tmp` and renames it into place at `path`, routed
-/// through the fault seam: under `fault-inject` an active plan can fail the
-/// write outright ([`Site::CacheWrite`]), truncate it to a short write
-/// (leaving a torn temp, as `ENOSPC` mid-write would), or fail the rename
-/// ([`Site::CacheRename`]). Without the feature the seam calls compile to
-/// no-ops and this is exactly write-then-rename.
-fn write_entry(
-    tmp: &Path,
-    path: &Path,
-    workload: &sybil_sim::workload::Workload,
-    key: &str,
-) -> io::Result<()> {
-    fault::check_io(Site::CacheWrite, key)?;
-    write_workload_file(tmp, workload)?;
-    let full = fs::metadata(tmp)?.len();
-    if let Some(n) = fault::short_write_len(Site::CacheWrite, key, full as usize) {
-        // Simulate a torn write by cutting the finished file: the bytes
-        // past `n` never reached the disk.
-        fs::OpenOptions::new().write(true).open(tmp)?.set_len(n as u64)?;
-        return Err(io::Error::other(format!(
-            "injected fault: short cache write for {key} ({n}/{full} bytes)"
-        )));
-    }
-    fault::check_io(Site::CacheRename, key)?;
-    fs::rename(tmp, path)
 }
 
 /// Removes `.tmp_*` files left behind by interrupted runs, returning
@@ -390,11 +362,15 @@ mod tests {
         let first = cache.get_or_create(&model, Time(200.0), 9).unwrap();
         let path = first.path().to_path_buf();
         let good = fs::read(&path).unwrap();
-        // Truncate the file mid-record.
-        fs::write(&path, &good[..good.len() - 5]).unwrap();
-        let again = cache.get_or_create(&model, Time(200.0), 9).unwrap();
-        assert_eq!(cache.stats().rejected, 1);
-        assert_eq!(fs::read(again.path()).unwrap(), good, "regenerated bytes differ");
+        // Truncate the file mid-record, then at every offset of its header.
+        let header_len = sybil_sim::workload_io::HEADER_LEN as usize;
+        let cuts = std::iter::once(good.len() - 5).chain(0..header_len);
+        for (rejected, cut) in (1..).zip(cuts) {
+            fs::write(&path, &good[..cut]).unwrap();
+            let again = cache.get_or_create(&model, Time(200.0), 9).unwrap();
+            assert_eq!(cache.stats().rejected, rejected, "cut at {cut}");
+            assert_eq!(fs::read(again.path()).unwrap(), good, "regenerated bytes differ");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

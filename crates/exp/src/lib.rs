@@ -35,18 +35,14 @@
 //!   ([`PoolStats`](pool::PoolStats)) and panic-isolated: each job runs
 //!   under `catch_unwind`, so one poisoned cell never aborts its
 //!   siblings;
-//! * [`fault`] — deterministic, seeded fault injection
-//!   ([`FaultPlan`](fault::FaultPlan)) behind the `fault-inject` cargo
-//!   feature: worker panics, IO errors, torn writes, and delays, pure in
-//!   `(seed, site, key, attempt)` so chaos runs reproduce bit-for-bit;
 //! * [`runner`] — [`run_spec_grid`](runner::run_spec_grid) (declarative
-//!   grids; [`run_spec_grid_opts`](runner::run_spec_grid_opts) takes
-//!   explicit options) and [`run_grid`](runner::run_grid) (explicit cell
-//!   lists) tying the pieces together
-//!   with a [`RunSummary`](runner::RunSummary), rejecting duplicate cell
-//!   ids up front, retrying failed cells with bounded backoff, and
-//!   quarantining cells that exhaust their retries as explicit holes
-//!   (see the [`runner`] module docs for the failure semantics).
+//!   grids; [`run_spec_grid_with`](runner::run_spec_grid_with) takes an
+//!   explicit store durability) and [`run_grid`](runner::run_grid)
+//!   (explicit cell lists) tying the pieces together with a
+//!   [`RunSummary`](runner::RunSummary), rejecting duplicate cell ids up
+//!   front and quarantining a cell that panics or fails its append as an
+//!   explicit hole (see the [`runner`] module docs for the failure
+//!   semantics).
 //!
 //! The bench crate's experiments (one declaration each, see
 //! `sybil_bench::experiment`) are thin maps from paper rosters to this
@@ -62,7 +58,6 @@
 pub mod alloc;
 pub mod cache;
 pub mod env;
-pub mod fault;
 pub mod json;
 pub mod pool;
 pub mod runner;
@@ -72,11 +67,9 @@ pub mod store;
 
 pub use alloc::{counting_enabled, disarm_trap, trap_after, AllocStats, CountingAlloc};
 pub use cache::{CacheStats, WorkloadCache};
-pub use fault::FaultPlan;
 pub use pool::{run_parallel_catch, JobOutcome, PoolStats};
 pub use runner::{
-    run_grid, run_spec_grid, run_spec_grid_opts, CellFailure, GridOptions, GridOutcome,
-    RetryPolicy, RunSummary,
+    run_grid, run_spec_grid, run_spec_grid_with, CellFailure, GridOutcome, RunSummary,
 };
 pub use spec::{defense_seed, trial_seed, Axis, AxisValue, CellSpec, ExperimentSpec};
 pub use stats::{MetricSummary, Welford};

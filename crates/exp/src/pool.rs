@@ -73,28 +73,6 @@ impl PoolStats {
         self.workers.iter().map(|w| w.panics).sum()
     }
 
-    /// Merges another run's counters into this one: per-worker counters
-    /// add elementwise (extra workers append), wall time accumulates.
-    /// Used by the grid runner to fold retry rounds into one report; the
-    /// chunk size stays the first (bulk) round's.
-    pub fn absorb(&mut self, other: &PoolStats) {
-        for (i, w) in other.workers.iter().enumerate() {
-            if i < self.workers.len() {
-                let mine = &mut self.workers[i];
-                mine.jobs += w.jobs;
-                mine.chunks += w.chunks;
-                mine.panics += w.panics;
-                mine.busy_secs += w.busy_secs;
-            } else {
-                self.workers.push(*w);
-            }
-        }
-        self.wall_secs += other.wall_secs;
-        if self.chunk_size == 0 {
-            self.chunk_size = other.chunk_size;
-        }
-    }
-
     /// One-line human summary for experiment run reports.
     pub fn render(&self) -> String {
         let jobs: Vec<u64> = self.workers.iter().map(|w| w.jobs).collect();
@@ -331,30 +309,6 @@ mod tests {
         let jobs: Vec<Job<usize>> = (0..64usize).map(|i| Box::new(move || i) as _).collect();
         let (_, stats) = run_ok(jobs, 2);
         assert_eq!(stats.chunk_size, 64 / (2 * 8));
-    }
-
-    #[test]
-    fn absorb_merges_worker_counters_elementwise() {
-        let mut a = PoolStats {
-            workers: vec![WorkerStats { jobs: 3, chunks: 1, panics: 0, busy_secs: 0.5 }],
-            wall_secs: 1.0,
-            chunk_size: 2,
-        };
-        let b = PoolStats {
-            workers: vec![
-                WorkerStats { jobs: 2, chunks: 2, panics: 1, busy_secs: 0.25 },
-                WorkerStats { jobs: 4, chunks: 1, panics: 0, busy_secs: 0.75 },
-            ],
-            wall_secs: 0.5,
-            chunk_size: 1,
-        };
-        a.absorb(&b);
-        assert_eq!(a.total_jobs(), 9);
-        assert_eq!(a.total_panics(), 1);
-        assert_eq!(a.workers.len(), 2);
-        assert_eq!(a.workers[0].jobs, 5);
-        assert_eq!(a.wall_secs, 1.5);
-        assert_eq!(a.chunk_size, 2, "first round's chunk size wins");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Grid orchestration: resume-aware, fault-tolerant parallel execution of
-//! experiment cells.
+//! Grid orchestration: resume-aware parallel execution of experiment
+//! cells.
 //!
 //! [`run_grid`] is the generic engine: given `(cell id, payload)` pairs and
 //! a cell-runner closure, it loads the results store, skips every cell the
@@ -11,20 +11,20 @@
 //! [`CellSpec::id`] as the key, which keeps the canonical collision-free
 //! id derivation.
 //!
-//! [`run_spec_grid`] (and [`run_spec_grid_opts`], the same with explicit
-//! [`GridOptions`]) layers the declarative [`ExperimentSpec`] on top: it
-//! validates the spec, writes its canonical text next to the store for
-//! provenance, and enumerates the named-axis grid.
+//! [`run_spec_grid`] (and [`run_spec_grid_with`], the same with an
+//! explicit [`Durability`]) layers the declarative [`ExperimentSpec`] on
+//! top: it validates the spec, writes its canonical text next to the store
+//! for provenance, and enumerates the named-axis grid.
 //!
 //! # Failure semantics
 //!
 //! A cell that panics or whose store append fails does **not** abort the
-//! grid. It is retried up to [`RetryPolicy::max_attempts`] times with
-//! bounded exponential backoff and deterministic jitter; a cell that
-//! exhausts its retries is *quarantined*: the grid completes with that
-//! cell as an explicit hole (`None` in [`GridOutcome::records`]), the
-//! failures are listed in a `<store>.failures` manifest next to the store,
-//! and [`RunSummary::has_holes`] tells the driver to exit nonzero. A plain
+//! grid, and is not retried: a cell is a pure function of its payload, so
+//! a panic would only repeat. It is *quarantined* at once: the grid
+//! completes with that cell as an explicit hole (`None` in
+//! [`GridOutcome::records`]), the failures are listed in a
+//! `<store>.failures` manifest next to the store, and
+//! [`RunSummary::has_holes`] tells the driver to exit nonzero. A plain
 //! re-run resumes every recorded cell and re-attempts exactly the holes.
 //!
 //! Every entry point rejects duplicate cell ids up front: two cells that
@@ -33,66 +33,19 @@
 //! silently merge their records.
 
 use crate::cache::{CacheStats, WorkloadCache};
-use crate::fault;
 use crate::pool::{run_parallel_catch, JobOutcome, PoolStats};
 use crate::spec::{CellSpec, ExperimentSpec};
 use crate::store::{Durability, Record, ResultsStore};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Bounded-retry policy for failed (panicked or append-failed) cells.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per cell, including the first (`1` = never retry).
-    pub max_attempts: u32,
-    /// Backoff before attempt 2; doubles each further attempt.
-    pub base_delay_ms: u64,
-    /// Ceiling on the backoff delay.
-    pub max_delay_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_attempts: 3, base_delay_ms: 25, max_delay_ms: 1000 }
-    }
-}
-
-impl RetryPolicy {
-    /// The pre-attempt backoff: exponential in the retry round, capped,
-    /// plus deterministic jitter drawn from `(cell id, attempt)` — pure in
-    /// its inputs, so reproducing a run reproduces its schedule, while two
-    /// cells retrying in the same round still de-synchronize.
-    fn backoff(&self, cell_id: &str, attempt: u32) -> Duration {
-        if attempt <= 1 || self.base_delay_ms == 0 {
-            return Duration::ZERO;
-        }
-        let exp = self.base_delay_ms.saturating_mul(1u64 << (attempt - 2).min(16));
-        let capped = exp.min(self.max_delay_ms);
-        let jitter = fault::mix(fault::fnv1a(cell_id.as_bytes()).wrapping_add(attempt as u64))
-            % (capped / 2).max(1);
-        Duration::from_millis(capped / 2 + jitter)
-    }
-}
-
-/// Knobs for a grid run beyond the required arguments.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct GridOptions {
-    /// Retry policy for failed cells.
-    pub retry: RetryPolicy,
-    /// Store durability (see [`Durability`]); crash-safety-critical runs
-    /// pass [`Durability::Sync`].
-    pub durability: Durability,
-}
-
-/// One quarantined cell: every attempt failed.
+/// One quarantined cell: it panicked or its append failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellFailure {
     /// The cell's results-store id.
     pub cell_id: String,
-    /// Attempts made before giving up.
-    pub attempts: u32,
-    /// The last attempt's failure (panic message or append error).
+    /// The failure (panic message or append error).
     pub error: String,
 }
 
@@ -112,14 +65,12 @@ pub struct RunSummary {
     /// Workload-cache behavior over this run (zeroed when no cache is
     /// attached, e.g. the closed-form lower-bound experiment).
     pub cache: CacheStats,
-    /// Pool scheduling stats for the executed cells (all retry rounds
-    /// folded together).
+    /// Pool scheduling stats for the executed cells; caught panics are
+    /// [`PoolStats::total_panics`].
     pub pool: PoolStats,
-    /// Jobs run in retry rounds (attempt ≥ 2).
+    /// Always 0: cells are not retried. Kept for readers of the summary.
     pub retries: u64,
-    /// Cell attempts that ended in a caught panic.
-    pub panics: u64,
-    /// Cells that exhausted every attempt and were quarantined.
+    /// Cells that panicked or whose append failed, quarantined as holes.
     pub quarantined: Vec<CellFailure>,
     /// Where the failure manifest was written (only when cells were
     /// quarantined).
@@ -152,19 +103,8 @@ impl RunSummary {
         if self.cells_executed > 0 {
             out.push_str(&format!("  {}\n", self.pool.render()));
         }
-        if self.retries > 0 || self.panics > 0 || !self.quarantined.is_empty() {
-            out.push_str(&format!(
-                "  faults: {} retried job(s), {} panic(s) caught, {} cell(s) quarantined\n",
-                self.retries,
-                self.panics,
-                self.quarantined.len()
-            ));
-        }
         for failure in &self.quarantined {
-            out.push_str(&format!(
-                "  QUARANTINED {} after {} attempts: {}\n",
-                failure.cell_id, failure.attempts, failure.error
-            ));
+            out.push_str(&format!("  QUARANTINED {}: {}\n", failure.cell_id, failure.error));
         }
         if let Some(manifest) = &self.manifest_path {
             out.push_str(&format!("  failure manifest: {}\n", manifest.display()));
@@ -184,21 +124,18 @@ pub struct GridOutcome {
     pub summary: RunSummary,
 }
 
-/// Runs a grid of `(cell id, payload)` cells with resume, retry, and
-/// quarantine.
+/// Runs a grid of `(cell id, payload)` cells with resume and quarantine.
 ///
 /// `fingerprint` identifies the experiment configuration: a store created
 /// under a different fingerprint is discarded and rebuilt, so a changed
 /// grid can never silently serve stale cells. `run_cell` must be a pure
 /// function of its payload (plus immutable shared state such as a
-/// [`WorkloadCache`]) — it runs on pool worker threads, possibly more
-/// than once if its first attempt fails.
+/// [`WorkloadCache`]) — it runs on pool worker threads.
 ///
 /// Each finished cell is appended (and flushed) to the store *before* the
 /// run completes, so interrupting a long grid loses at most the in-flight
-/// cells. A cell whose attempt panics or whose append fails retries under
-/// `opts.retry` and is quarantined (a `None` hole in the outcome) when it
-/// exhausts its attempts; see the module docs for the full failure
+/// cells. A cell that panics or whose append fails is quarantined (a
+/// `None` hole in the outcome); see the module docs for the full failure
 /// semantics.
 #[allow(clippy::too_many_arguments)] // one past the limit
 pub fn run_grid<C, F>(
@@ -208,7 +145,7 @@ pub fn run_grid<C, F>(
     cells: Vec<(String, C)>,
     cache: Option<&WorkloadCache>,
     workers: usize,
-    opts: &GridOptions,
+    durability: Durability,
     run_cell: F,
 ) -> io::Result<GridOutcome>
 where
@@ -216,7 +153,6 @@ where
     F: Fn(&C) -> Vec<(String, f64)> + Send + Sync,
 {
     let started = Instant::now();
-    fault::init_from_env();
     {
         let mut ids = std::collections::BTreeSet::new();
         for (id, _) in &cells {
@@ -229,7 +165,7 @@ where
         }
     }
     let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
-    let (store, resumed) = ResultsStore::open_with(store_path, fingerprint, opts.durability)?;
+    let (store, resumed) = ResultsStore::open_with(store_path, fingerprint, durability)?;
 
     // Partition into already-done (record pulled from the store) and
     // pending, remembering each cell's grid position.
@@ -247,72 +183,31 @@ where
     let cells_executed = pending.len();
 
     // Execute pending cells on the pool; append to the store inside the
-    // job so completion is durable immediately. Failed cells go through
-    // retry rounds (with per-cell backoff inside the job, so a round's
-    // healthy cells are not stalled behind a sleeping sibling) until they
-    // succeed or exhaust `opts.retry.max_attempts`.
+    // job so completion is durable immediately.
     let store_ref = &store;
     let run_ref = &run_cell;
-    let max_attempts = opts.retry.max_attempts.max(1);
-    let mut pool = PoolStats::default();
-    let mut retries = 0u64;
-    let mut panics = 0u64;
-    // Indices into `pending` still unresolved, plus each one's last error.
-    let mut active: Vec<usize> = (0..pending.len()).collect();
-    let mut last_error: Vec<String> = vec![String::new(); pending.len()];
-    for attempt in 1..=max_attempts {
-        if active.is_empty() {
-            break;
-        }
-        let jobs: Vec<_> = active
-            .iter()
-            .map(|&slot| {
-                let (idx, id, payload) = &pending[slot];
-                let retry = opts.retry;
-                move || {
-                    std::thread::sleep(retry.backoff(id, attempt));
-                    fault::maybe_delay(id);
-                    fault::maybe_panic(id);
-                    let record = Record::new(id.clone(), run_ref(payload));
-                    match store_ref.append(&record) {
-                        Ok(()) => Ok((*idx, record)),
-                        Err(e) => Err(format!("results-store append failed: {e}")),
-                    }
-                }
-            })
-            .collect();
-        let (outcomes, round_stats) = run_parallel_catch(jobs, workers);
-        if attempt == 1 {
-            pool = round_stats;
-        } else {
-            retries += outcomes.len() as u64;
-            pool.absorb(&round_stats);
-        }
-        let mut still_failing = Vec::new();
-        for (&slot, outcome) in active.iter().zip(outcomes) {
-            match outcome {
-                JobOutcome::Done(Ok((idx, record))) => records[idx] = Some(record),
-                JobOutcome::Done(Err(error)) => {
-                    last_error[slot] = error;
-                    still_failing.push(slot);
-                }
-                JobOutcome::Panicked(msg) => {
-                    panics += 1;
-                    last_error[slot] = format!("panicked: {msg}");
-                    still_failing.push(slot);
-                }
-            }
-        }
-        active = still_failing;
-    }
-    let quarantined: Vec<CellFailure> = active
+    let jobs: Vec<_> = pending
         .iter()
-        .map(|&slot| CellFailure {
-            cell_id: pending[slot].1.clone(),
-            attempts: max_attempts,
-            error: last_error[slot].clone(),
+        .map(|(_, id, payload)| {
+            move || {
+                let record = Record::new(id.clone(), run_ref(payload));
+                store_ref.append(&record).map(|()| record)
+            }
         })
         .collect();
+    let (outcomes, pool) = run_parallel_catch(jobs, workers);
+    let mut quarantined = Vec::new();
+    for ((idx, id, _), outcome) in pending.iter().zip(outcomes) {
+        let error = match outcome {
+            JobOutcome::Done(Ok(record)) => {
+                records[*idx] = Some(record);
+                continue;
+            }
+            JobOutcome::Done(Err(e)) => format!("results-store append failed: {e}"),
+            JobOutcome::Panicked(msg) => format!("panicked: {msg}"),
+        };
+        quarantined.push(CellFailure { cell_id: id.clone(), error });
+    }
     let manifest_path = write_failure_manifest(name, store_path, &quarantined)?;
 
     let cache_after = cache.map(|c| c.stats()).unwrap_or_default();
@@ -332,8 +227,7 @@ where
             temp_sweep_failures: cache_after.temp_sweep_failures,
         },
         pool,
-        retries,
-        panics,
+        retries: 0,
         quarantined,
         manifest_path,
         wall_secs: started.elapsed().as_secs_f64(),
@@ -361,9 +255,8 @@ fn write_failure_manifest(
     let mut text = format!("experiment {name}: {} quarantined cell(s)\n", quarantined.len());
     for failure in quarantined {
         text.push_str(&format!(
-            "cell {} attempts={} error={}\n",
+            "cell {} error={}\n",
             failure.cell_id,
-            failure.attempts,
             failure.error.replace('\n', " ")
         ));
     }
@@ -397,17 +290,17 @@ pub fn run_spec_grid<F>(
 where
     F: Fn(&CellSpec) -> Vec<(String, f64)> + Send + Sync,
 {
-    run_spec_grid_opts(spec, context, store_dir, cache, workers, &GridOptions::default(), run_cell)
+    run_spec_grid_with(spec, context, store_dir, cache, workers, Durability::Flush, run_cell)
 }
 
-/// [`run_spec_grid`] with explicit [`GridOptions`].
-pub fn run_spec_grid_opts<F>(
+/// [`run_spec_grid`] with an explicit store [`Durability`].
+pub fn run_spec_grid_with<F>(
     spec: &ExperimentSpec,
     context: &str,
     store_dir: &Path,
     cache: Option<&WorkloadCache>,
     workers: usize,
-    opts: &GridOptions,
+    durability: Durability,
     run_cell: F,
 ) -> io::Result<GridOutcome>
 where
@@ -419,7 +312,7 @@ where
     let store_path = store_dir.join(format!("{}.store", spec.name));
     let cells: Vec<(String, CellSpec)> = spec.cells().into_iter().map(|c| (c.id(), c)).collect();
     let fingerprint = crate::spec::text_fingerprint(&format!("{}\n{context}", spec.to_text()));
-    run_grid(&spec.name, &fingerprint, &store_path, cells, cache, workers, opts, run_cell)
+    run_grid(&spec.name, &fingerprint, &store_path, cells, cache, workers, durability, run_cell)
 }
 
 #[cfg(test)]
@@ -523,10 +416,10 @@ mod tests {
     fn duplicate_cell_ids_are_rejected_up_front() {
         let dir = temp_dir("dup");
         let cells = vec![("same".to_string(), 1u32), ("same".to_string(), 2u32)];
-        let opts = GridOptions::default();
         let store_path = dir.join("dup.store");
+        let flush = Durability::Flush;
         let err =
-            run_grid("dup-test", "fp", &store_path, cells, None, 1, &opts, |_| vec![]).unwrap_err();
+            run_grid("dup-test", "fp", &store_path, cells, None, 1, flush, |_| vec![]).unwrap_err();
         assert!(err.to_string().contains("duplicate cell id"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -546,61 +439,31 @@ mod tests {
                 .collect()
         };
         let store_path = dir.join("cells.store");
-        let opts = GridOptions::default();
+        let flush = Durability::Flush;
         let run = |&v: &f64| vec![("mean".to_string(), v)];
-        let out = run_grid("cell-test", "fp", &store_path, cells(), None, 1, &opts, run).unwrap();
+        let out = run_grid("cell-test", "fp", &store_path, cells(), None, 1, flush, run).unwrap();
         assert_eq!(out.summary.cells_executed, 2);
         // Both cells landed under distinct keys and resume independently.
-        let warm = run_grid("cell-test", "fp", &store_path, cells(), None, 1, &opts, run).unwrap();
+        let warm = run_grid("cell-test", "fp", &store_path, cells(), None, 1, flush, run).unwrap();
         assert_eq!(warm.summary.cells_skipped, 2);
         assert_eq!(warm.records[0].as_ref().unwrap().get("mean"), Some(0.5));
         assert_eq!(warm.records[1].as_ref().unwrap().get("mean"), Some(99.0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A transiently failing cell retries to success: the grid ends
-    /// hole-free, with the retry visible in the summary counters.
-    #[test]
-    fn transient_panic_retries_to_success() {
-        let dir = temp_dir("retry");
-        let store_path = dir.join("retry.store");
-        let cells: Vec<(String, u32)> = (0..4).map(|i| (format!("cell-{i}"), i)).collect();
-        let flaky_attempts = AtomicU64::new(0);
-        let opts = GridOptions {
-            retry: RetryPolicy { max_attempts: 3, base_delay_ms: 1, max_delay_ms: 4 },
-            ..GridOptions::default()
-        };
-        let out =
-            run_grid("retry-test", "fp", &store_path, cells, None, 2, &opts, |&payload: &u32| {
-                if payload == 2 && flaky_attempts.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("transient failure in cell 2");
-                }
-                vec![("mean".to_string(), payload as f64)]
-            })
-            .unwrap();
-        assert!(!out.summary.has_holes(), "{}", out.summary.render());
-        assert_eq!(out.summary.retries, 1);
-        assert_eq!(out.summary.panics, 1);
-        assert_eq!(out.records[2].as_ref().unwrap().get("mean"), Some(2.0));
-        assert!(out.summary.manifest_path.is_none());
-        let line = out.summary.render();
-        assert!(line.contains("1 retried job(s), 1 panic(s) caught"), "{line}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A persistently failing cell is quarantined: the grid completes with
-    /// an explicit hole and a failure manifest, every other cell lands,
-    /// and a later healthy resume re-attempts exactly the hole (clearing
-    /// the manifest).
+    /// A failing cell is quarantined after one attempt: the grid completes
+    /// with an explicit hole and a failure manifest, every other cell
+    /// lands, and a later healthy resume re-attempts exactly the hole
+    /// (clearing the manifest). The resumed store is then the store of a
+    /// run in which no cell failed, canonical byte for canonical byte.
     #[test]
     fn persistent_panic_quarantines_and_resume_fills_the_hole() {
         let dir = temp_dir("quarantine");
         let store_path = dir.join("q.store");
         let cells: Vec<(String, u32)> = (0..4).map(|i| (format!("cell-{i}"), i)).collect();
-        let opts = GridOptions {
-            retry: RetryPolicy { max_attempts: 2, base_delay_ms: 1, max_delay_ms: 2 },
-            ..GridOptions::default()
-        };
+        let healthy = |&payload: &u32| vec![("mean".to_string(), payload as f64)];
+        let flush = Durability::Flush;
+        let broken_calls = AtomicU64::new(0);
         let out = run_grid(
             "q-test",
             "fp",
@@ -608,43 +471,60 @@ mod tests {
             cells.clone(),
             None,
             2,
-            &opts,
-            |&payload: &u32| {
-                if payload == 1 {
+            flush,
+            |payload: &u32| {
+                if *payload == 1 {
+                    broken_calls.fetch_add(1, Ordering::Relaxed);
                     panic!("cell 1 is broken");
                 }
-                vec![("mean".to_string(), payload as f64)]
+                healthy(payload)
             },
         )
         .unwrap();
+        assert_eq!(broken_calls.load(Ordering::Relaxed), 1, "a failed cell is not retried");
         assert!(out.summary.has_holes());
+        assert_eq!(out.summary.retries, 0);
+        assert_eq!(out.summary.pool.total_panics(), 1);
         assert_eq!(out.summary.quarantined.len(), 1);
         let failure = &out.summary.quarantined[0];
         assert_eq!(failure.cell_id, "cell-1");
-        assert_eq!(failure.attempts, 2);
         assert!(failure.error.contains("cell 1 is broken"), "{}", failure.error);
         assert!(out.records[1].is_none(), "quarantined cell must be a hole");
         assert!(out.records[0].is_some() && out.records[2].is_some() && out.records[3].is_some());
         // The manifest names the cell.
         let manifest = out.summary.manifest_path.clone().expect("manifest written");
         let text = std::fs::read_to_string(&manifest).unwrap();
-        assert!(text.contains("cell cell-1") && text.contains("cell 1 is broken"), "{text}");
+        assert_eq!(text, "experiment q-test: 1 quarantined cell(s)\ncell cell-1 error=panicked: cell 1 is broken\n");
         assert!(out.summary.render().contains("QUARANTINED cell-1"), "{}", out.summary.render());
 
         // Healthy resume: only the hole re-runs; the manifest is cleared.
         let runs = AtomicU64::new(0);
-        let resumed =
-            run_grid("q-test", "fp", &store_path, cells, None, 2, &opts, |&payload: &u32| {
+        let resumed = run_grid(
+            "q-test",
+            "fp",
+            &store_path,
+            cells.clone(),
+            None,
+            2,
+            flush,
+            |payload: &u32| {
                 runs.fetch_add(1, Ordering::Relaxed);
-                vec![("mean".to_string(), payload as f64)]
-            })
-            .unwrap();
+                healthy(payload)
+            },
+        )
+        .unwrap();
         assert_eq!(resumed.summary.cells_skipped, 3);
         assert_eq!(resumed.summary.cells_executed, 1);
         assert_eq!(runs.load(Ordering::Relaxed), 1, "resume re-attempts exactly the hole");
         assert!(!resumed.summary.has_holes());
         assert_eq!(resumed.records[1].as_ref().unwrap().get("mean"), Some(1.0));
         assert!(!manifest.exists(), "manifest must be cleared once hole-free");
+
+        // Crash equivalence: quarantine + resume == a run with no failure.
+        let clean_path = dir.join("clean.store");
+        run_grid("q-test", "fp", &clean_path, cells, None, 2, flush, healthy).unwrap();
+        let canonical = |path: &Path| ResultsStore::open(path, "fp").unwrap().0.canonical_bytes();
+        assert_eq!(canonical(&store_path).unwrap(), canonical(&clean_path).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

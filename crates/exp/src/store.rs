@@ -18,10 +18,9 @@
 //! must reproduce *exactly* what the original run measured, so the store
 //! never round-trips floats through decimal.
 
-use crate::fault::{self, Site};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
@@ -88,8 +87,8 @@ impl Record {
 
 /// The file handle plus the length of the durable, well-formed prefix.
 /// Tracking `valid_len` lets a failed append *self-heal*: the file is
-/// truncated back to the last good record, so an injected (or real) torn
-/// write can never corrupt the line a later append starts.
+/// truncated back to the last good record, so a torn write can never
+/// corrupt the line a later append starts.
 #[derive(Debug)]
 struct StoreWriter {
     file: File,
@@ -200,49 +199,35 @@ impl ResultsStore {
     ///
     /// Every append writes a complete line ending in `\n` in one flush, so
     /// a final fragment *without* a trailing newline can only be a torn
-    /// write from a killed run — it is dropped (the caller truncates it)
-    /// while all previously flushed records are kept. A malformed line
+    /// write from a killed run — it is dropped undecoded (the cut may fall
+    /// inside a multi-byte character; the caller truncates it) while all
+    /// previously flushed records are kept. A malformed or non-UTF-8 line
     /// that *is* newline-terminated, by contrast, cannot come from a torn
     /// append and marks the whole store corrupt.
     fn load(path: &Path, spec_fingerprint: &str) -> io::Result<(BTreeMap<String, Record>, u64)> {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let mut text = String::new();
-        File::open(path)?.read_to_string(&mut text)?;
-        let mut valid_len = 0u64;
-        let mut lines = text.split_inclusive('\n').map(|raw| {
-            let complete = raw.ends_with('\n');
-            (raw.len() as u64, raw.trim(), complete)
-        });
-        let (header_len, header, header_complete) =
-            lines.next().ok_or_else(|| bad("empty store".into()))?;
+        let bytes = std::fs::read(path)?;
+        let valid_len = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let text = std::str::from_utf8(&bytes[..valid_len])
+            .map_err(|e| bad(format!("store is not UTF-8: {e}")))?;
+        let mut lines = text.split_terminator('\n').map(str::trim);
+        let header = lines.next().ok_or_else(|| bad("empty store".into()))?;
         let expect = format!("{STORE_MAGIC} v{STORE_VERSION}");
-        if !header_complete || header != expect {
+        if header != expect {
             return Err(bad(format!("bad store header {header:?}")));
         }
-        valid_len += header_len;
-        let (fp_len, fp_line, fp_complete) =
-            lines.next().ok_or_else(|| bad("missing fingerprint line".into()))?;
+        let fp_line = lines.next().ok_or_else(|| bad("missing fingerprint line".into()))?;
         let fp = fp_line
             .strip_prefix("spec_fingerprint =")
             .map(str::trim)
-            .filter(|_| fp_complete)
             .ok_or_else(|| bad(format!("bad fingerprint line {fp_line:?}")))?;
         if fp != spec_fingerprint {
             return Err(bad(format!(
                 "store belongs to spec {fp}, current spec is {spec_fingerprint}"
             )));
         }
-        valid_len += fp_len;
         let mut done = BTreeMap::new();
-        for (raw_len, line, complete) in lines {
-            if !complete {
-                // Torn final append: keep everything before it.
-                break;
-            }
-            if line.is_empty() {
-                valid_len += raw_len;
-                continue;
-            }
+        for line in lines.filter(|line| !line.is_empty()) {
             let parse = || -> Result<Record, String> {
                 let rest = line
                     .strip_prefix("cell ")
@@ -263,9 +248,8 @@ impl ResultsStore {
             };
             let record = parse().map_err(bad)?;
             done.insert(record.cell_id.clone(), record);
-            valid_len += raw_len;
         }
-        Ok((done, valid_len))
+        Ok((done, valid_len as u64))
     }
 
     /// The store file path.
@@ -296,10 +280,10 @@ impl ResultsStore {
     /// Appends a finished cell and flushes it to disk. Thread-safe.
     ///
     /// The whole line goes down in one `write(2)` (plus `fdatasync` under
-    /// [`Durability::Sync`]). If the write fails partway — a real `ENOSPC`
-    /// or an injected short write — the file is truncated back to the last
-    /// good record before the error is returned, so a failed append can
-    /// never corrupt the line a retried append starts.
+    /// [`Durability::Sync`]). If the write fails partway — `ENOSPC`, say —
+    /// the file is truncated back to the last good record before the error
+    /// is returned, so a failed append can never corrupt the line a later
+    /// append starts.
     ///
     /// Appending does not update the in-memory `done` set — the set
     /// answers "was this done before *this* run", and cells are only run
@@ -307,34 +291,22 @@ impl ResultsStore {
     pub fn append(&self, record: &Record) -> io::Result<()> {
         record.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let line = Self::render_line(record);
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let result = Self::write_line(&mut writer, &record.cell_id, line.as_bytes());
-        if result.is_err() {
+        let mut guard = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let writer = &mut *guard;
+        let mut result = writer.file.write_all(line.as_bytes());
+        if result.is_ok() && writer.durability == Durability::Sync {
+            result = writer.file.sync_data();
+        }
+        if result.is_ok() {
+            writer.valid_len += line.len() as u64;
+        } else {
             // Self-heal: drop any torn bytes so the next append starts a
             // clean line. If even the truncation fails, the torn fragment
             // stays on disk and reopen-time truncation handles it.
-            let valid_len = writer.valid_len;
-            let _ = writer.file.set_len(valid_len);
-            let _ = writer.file.seek(SeekFrom::Start(valid_len));
+            let _ = writer.file.set_len(writer.valid_len);
+            let _ = writer.file.seek(SeekFrom::Start(writer.valid_len));
         }
         result
-    }
-
-    fn write_line(writer: &mut StoreWriter, cell_id: &str, line: &[u8]) -> io::Result<()> {
-        fault::check_io(Site::StoreAppend, cell_id)?;
-        if let Some(n) = fault::short_write_len(Site::StoreAppend, cell_id, line.len()) {
-            writer.file.write_all(&line[..n])?;
-            return Err(io::Error::other(format!(
-                "injected fault: short store append for {cell_id} ({n}/{} bytes)",
-                line.len()
-            )));
-        }
-        writer.file.write_all(line)?;
-        if writer.durability == Durability::Sync {
-            writer.file.sync_data()?;
-        }
-        writer.valid_len += line.len() as u64;
-        Ok(())
     }
 
     fn render_line(record: &Record) -> String {
@@ -349,11 +321,11 @@ impl ResultsStore {
     /// The order-insensitive canonical rendering of the store on disk:
     /// header, fingerprint line, then one line per cell sorted by id.
     ///
-    /// Parallel workers and retry rounds append records in nondeterministic
-    /// order, so two equivalent runs rarely produce byte-identical *files*.
-    /// They do produce identical canonical bytes, which is the identity the
-    /// chaos suite asserts for crash-equivalence (fault-injected run +
-    /// resume == fault-free run, bit for bit).
+    /// Parallel workers append records in nondeterministic order, so two
+    /// equivalent runs rarely produce byte-identical *files*. They do
+    /// produce identical canonical bytes: a run with a quarantined cell
+    /// plus the resume that fills it equals a run without the failure,
+    /// bit for bit.
     pub fn canonical_bytes(&self) -> io::Result<Vec<u8>> {
         let (done, _) = Self::load(&self.path, &self.fingerprint)?;
         let mut out =
@@ -464,39 +436,41 @@ mod tests {
     }
 
     /// A kill can also tear a write *mid-record*: the line made it partway
-    /// to disk, cut inside the field list rather than appended cleanly as
-    /// a short trailing fragment. The cut record is lost, everything before
-    /// it survives, and re-appending the cell works.
+    /// to disk, cut anywhere inside it — for a non-ASCII cell id possibly
+    /// inside a multi-byte character. At every cut through the last two of
+    /// three records, the records wholly before the cut survive and
+    /// re-appending the cut cell works.
     #[test]
     fn torn_write_mid_record_keeps_prior_cells() {
-        let path = temp_store("torn_mid");
-        let (store, _) = ResultsStore::open(&path, "fp").unwrap();
-        store.append(&record("a", 1.0)).unwrap();
-        store.append(&record("b", 2.0)).unwrap();
-        drop(store);
-        // Cut the file in the middle of b's record (well past "cell b "
-        // but before its newline), as a crash mid-write(2) would.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let b_start = text.find("cell b ").unwrap();
-        let cut = b_start + "cell b mean=0x40".len();
-        assert!(cut < text.len() - 1, "cut must land mid-record");
-        let file = OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(cut as u64).unwrap();
-        drop(file);
-
-        let (store, resumed) = ResultsStore::open(&path, "fp").unwrap();
-        assert!(resumed, "a mid-record tear must not discard the store");
-        assert_eq!(store.len(), 1);
-        assert!(store.is_done("a") && !store.is_done("b"));
-        store.append(&record("b", 2.0)).unwrap();
-        drop(store);
-        let (store, _) = ResultsStore::open(&path, "fp").unwrap();
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.get("b").unwrap().get("mean"), Some(2.0));
-        std::fs::remove_file(&path).ok();
+        for ids in [["a", "b", "c"], ["a", "ε=0.1", "ε=0.2"]] {
+            let path = temp_store("torn_mid");
+            let (store, _) = ResultsStore::open(&path, "fp").unwrap();
+            for (i, id) in ids.iter().enumerate() {
+                store.append(&record(id, i as f64)).unwrap();
+            }
+            drop(store);
+            let full = std::fs::read(&path).unwrap();
+            // Where each record's line ends: the last three newlines.
+            let newlines: Vec<usize> = (1..=full.len()).filter(|&i| full[i - 1] == b'\n').collect();
+            let ends = &newlines[newlines.len() - 3..];
+            for cut in ends[0]..full.len() {
+                std::fs::write(&path, &full[..cut]).unwrap();
+                let (store, resumed) = ResultsStore::open(&path, "fp").unwrap();
+                assert!(resumed, "{ids:?} cut at {cut}: a torn record discarded the store");
+                let lost = ends.iter().position(|&end| end > cut).unwrap();
+                assert_eq!(store.len(), lost, "{ids:?} cut at {cut}");
+                assert!(ids[..lost].iter().all(|id| store.is_done(id)), "{ids:?} cut at {cut}");
+                store.append(&record(ids[lost], lost as f64)).unwrap();
+                drop(store);
+                let (store, _) = ResultsStore::open(&path, "fp").unwrap();
+                assert_eq!(store.len(), lost + 1, "{ids:?} cut at {cut}");
+                assert_eq!(store.get(ids[lost]).unwrap().get("mean"), Some(lost as f64));
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
-    /// Append order differs between runs (parallel workers, retries);
+    /// Append order differs between runs (parallel workers);
     /// canonical bytes are the order-insensitive identity.
     #[test]
     fn canonical_bytes_ignore_append_order() {
