@@ -3,8 +3,9 @@
 //! 2²⁰}, horizon 700 s, seed 1), each cell timed best of `rounds`, summed
 //! per family with its purges, the purges applied in closed form and the
 //! events the calendar queue served (`SimReport::queue_pops`). Also
-//! prints the gnutella ERGO-SF cells and every network's CCom `T = 2²⁰`
-//! cell alone. Workloads are cached before any timing.
+//! prints every network's CCom and ERGO-SF `T = 2²⁰` cells alone, and
+//! gnutella's smaller ERGO-SF cells. Workloads are cached before any
+//! timing.
 //!
 //! ```text
 //! cargo run --release -p sybil-bench --example cell_families -- [rounds=5]
@@ -70,8 +71,8 @@ fn main() {
     println!("{:<14} {total:8.1} ms", format!("all {} cells", cells.len()));
     for (&(ni, algo, t), &(ms, purges, collapsed, _)) in cells.iter().zip(&best) {
         let fam = family(algo);
-        let ccom_top = fam == "CCom" && t > 1e6;
-        if ccom_top || (nets[ni].name == "gnutella" && fam == "ERGO-SF") {
+        let top = t > 1e6 && (fam == "CCom" || fam == "ERGO-SF");
+        if top || (nets[ni].name == "gnutella" && fam == "ERGO-SF") {
             println!(
                 "{} {} T={t}: {ms:.1} ms, {purges} purges, {collapsed} collapsed",
                 nets[ni].name,

@@ -26,7 +26,10 @@
 //!   refusals before it are charged in one step) plus O(1) bookkeeping: the
 //!   quote and the purge condition advance by counting, and admissions
 //!   reach the window, the counters and GoodJEst in stretches that end only
-//!   where a single join would end an estimator interval;
+//!   where a single join would end an estimator interval. The draw is a
+//!   load and a compare in the gate's refusal table (no `ln`, see
+//!   [`ClassifierGate`]), and a multiply-compare tells a budget that
+//!   funds the refusal run without dividing it by the quote;
 //! * a purge or a voluntary departure is O(runs removed), a run being
 //!   Sybil IDs that GoodJEst cannot tell apart (see `BadRun`), plus one
 //!   step per estimator interval it ends;
@@ -560,8 +563,20 @@ impl Defense for Ergo {
                         .expect("gate present in gated branch")
                         .refusals_before_bad_admit();
                     let attempts_left = max_attempts - attempts;
-                    // Can the budget fund all refusals plus the admission?
-                    let affordable_attempts = ((budget - spent) / q) as u64;
+                    // Can the budget fund all refusals plus the admission,
+                    // that is, is `⌊fl(left / q)⌋ > refusals`? A product
+                    // settles most runs without the divide: with
+                    // `n = refusals + 1` exact (below 2⁵³) and each rounding
+                    // off by a factor of at most `1 ± 2⁻⁵³`,
+                    // `fl(fl(n·q)·(1 + 2⁻⁵⁰)) ≤ left` (`4ε = 2⁻⁵⁰`) gives
+                    // `left ≥ n·q·(1 + 2⁻⁵⁰)(1 − 2⁻⁵³)² > n·q`, so
+                    // `fl(left / q) ≥ n`. Below, only `… <= refusals` and
+                    // `min(…, refusals)` read the count, and `n` answers
+                    // both as the exact count does.
+                    let left = budget - spent;
+                    let funded = refusals < 1 << 53
+                        && (refusals + 1) as f64 * q * (1.0 + 4.0 * f64::EPSILON) <= left;
+                    let affordable_attempts = if funded { refusals + 1 } else { (left / q) as u64 };
                     if refusals >= attempts_left || affordable_attempts <= refusals {
                         // Budget or attempt limit dies inside the refusal run.
                         let burn = affordable_attempts.min(attempts_left).min(refusals);
@@ -1215,6 +1230,10 @@ mod differential {
             let mut cfg = match case / 3 % 4 {
                 0 | 1 => ErgoConfig::default(),
                 2 => ErgoConfig::with_heuristics(Heuristics::ch2()),
+                // A fractional entrance cost makes `n·q` round.
+                _ if case % 2 == 1 => {
+                    ErgoConfig { entrance: EntrancePolicy::Constant(0.3), ..ErgoConfig::ccom() }
+                }
                 _ => ErgoConfig::ccom(),
             };
             cfg.estimator.interval_threshold = thresholds[(case / 12 % 3) as usize];
@@ -1258,8 +1277,17 @@ mod differential {
                     }
                     rolled
                 } else if op < 7 {
-                    let budget =
-                        Cost(pick(&mut rng, &[0.5, 1.0, 3.0, 10.0, 40.0, 300.0, 5e3, 1e6]));
+                    // Exact multiples of the quote, and a few ulps either
+                    // side, put the first run's funding on the guard band:
+                    // `(1 + 2⁻⁵⁰)` is 4 to 8 ulps.
+                    let budget = Cost(if rng.gen_bool(0.5) {
+                        pick(&mut rng, &[0.5, 1.0, 3.0, 10.0, 40.0, 300.0, 5e3, 1e6])
+                    } else {
+                        let q = pair.production.quote(now).value();
+                        let edge = pick(&mut rng, &[1.0, 2.0, 3.0, 4.0, 7.0, 50.0]) * q;
+                        let ulps = pick(&mut rng, &[-4, -1, 0, 1, 4, 8]);
+                        f64::from_bits(edge.to_bits().wrapping_add_signed(ulps))
+                    });
                     let max = pick(&mut rng, &[1, 2, 5, 50, u64::MAX]);
                     let call = format!("bad_join_batch({}, {max})", budget.value());
                     pair.call(now, call, |e, reference| {
