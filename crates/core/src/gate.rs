@@ -211,9 +211,9 @@ impl ClassifierGate {
             1 << OFFSET_BITS
         } else if top == bottom + 1 {
             // `r(lo) = top` and `r(hi) = bottom` throughout. The step is
-            // within a few dozen patterns of `exp(top · ln(1 − p))`:
-            // strides doubling out from there bracket it, and bisection
-            // finishes, in about a dozen evaluations instead of 45.
+            // a few patterns from `exp(top · ln(1 − p))`: strides doubling
+            // out from there bracket it and bisection finishes, in about
+            // five evaluations of `r` where bisection alone takes 46.
             let (mut lo, mut hi) = (first, last);
             let hint = (top as f64 * self.ln_refuse).exp().to_bits().clamp(first, last);
             let mut stride = 1;
