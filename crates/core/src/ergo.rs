@@ -1217,10 +1217,12 @@ mod differential {
 
     /// Seeded random call sequences on ERGO-SF at three accuracies,
     /// ERGO-SF-Full (Heuristics 1–3 and the gate) and a gated constant
-    /// entrance, each at interval thresholds 5/12, 1/2 and 7/9, with and
-    /// without initial Sybils. Right after an estimator interval ends or a
-    /// purge resolves, the next call is likely a Sybil batch at the same
-    /// instant, so stretches start on an interval start (the tie).
+    /// entrance (cost 1 or 0.3), each at interval thresholds 5/12, 1/2 and
+    /// 7/9, with and without initial Sybils. Right after an estimator
+    /// interval ends or a purge resolves, the next call is likely a Sybil
+    /// batch at the same instant, so stretches start on an interval start
+    /// (the tie). Half the budgets sit within a few ulps of a multiple of
+    /// the quote, where the funding check's guard band decides.
     #[test]
     fn stretches_decide_what_one_admission_at_a_time_decided() {
         let thresholds = [Ratio::new(5, 12), Ratio::new(1, 2), Ratio::new(7, 9)];
