@@ -3,8 +3,8 @@
 //! 2²⁰}, horizon 700 s, seed 1), each cell timed best of `rounds`, summed
 //! per family with its purges, the purges applied in closed form and the
 //! events the calendar queue served (`SimReport::queue_pops`). Also
-//! prints every network's CCom and ERGO-SF `T = 2²⁰` cells alone, and
-//! gnutella's smaller ERGO-SF cells. Workloads are cached before any
+//! prints every network's Ergo, CCom and ERGO-SF `T = 2²⁰` cells alone,
+//! and gnutella's smaller ERGO-SF cells. Workloads are cached before any
 //! timing.
 //!
 //! ```text
@@ -71,7 +71,7 @@ fn main() {
     println!("{:<14} {total:8.1} ms", format!("all {} cells", cells.len()));
     for (&(ni, algo, t), &(ms, purges, collapsed, _)) in cells.iter().zip(&best) {
         let fam = family(algo);
-        let top = t > 1e6 && (fam == "CCom" || fam == "ERGO-SF");
+        let top = t > 1e6 && matches!(fam, "Ergo" | "CCom" | "ERGO-SF");
         if top || (nets[ni].name == "gnutella" && fam == "ERGO-SF") {
             println!(
                 "{} {} T={t}: {ms:.1} ms, {purges} purges, {collapsed} collapsed",

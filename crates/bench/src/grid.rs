@@ -538,9 +538,16 @@ invariants_millions cf8f6ffef1588398dd896376967a307b0064327d3f9a54afc535bfb56394
         assert_eq!(bits(cold), bits(warm));
     }
 
-    fn remove_artifacts(name: &str) {
-        std::fs::remove_file(results_dir().join(format!("{name}.store"))).ok();
-        std::fs::remove_file(results_dir().join(format!("{name}.spec"))).ok();
+    /// Removes what the grid `name` wrote under `results/` when dropped,
+    /// so a failed assertion leaves nothing behind either.
+    struct Artifacts(String);
+
+    impl Drop for Artifacts {
+        fn drop(&mut self) {
+            for ext in ["store", "spec", "store.failures", "store.prev"] {
+                std::fs::remove_file(results_dir().join(format!("{}.{ext}", self.0))).ok();
+            }
+        }
     }
 
     #[test]
@@ -548,6 +555,7 @@ invariants_millions cf8f6ffef1588398dd896376967a307b0064327d3f9a54afc535bfb56394
         // 1 network × 2 algorithms × 2 T, 2 trials. The cache and store
         // dirs are process-global, so the experiment's name is unique.
         let name = format!("grid-test-{}", std::process::id());
+        let _artifacts = Artifacts(name.clone());
         let roster = [Algo::Ergo, Algo::CCom];
         let part = spend_part(&name, &[networks::gnutella()], &roster, &[0.0, 64.0], 2, 50.0, 5);
         let (cold, summary) = part.run();
@@ -567,13 +575,13 @@ invariants_millions cf8f6ffef1588398dd896376967a307b0064327d3f9a54afc535bfb56394
         assert_eq!(summary2.cells_skipped, 4);
         assert!(summary2.resumed);
         assert_same_records(&cold, &warm);
-        remove_artifacts(&name);
 
         // Four named axes, the fourth with labels containing the store's
         // separator `/`: cold → warm the same way, and the store must hold
         // exactly |grid| distinct keys under the fingerprint the grid
         // declares — the structural guard against cell-id aliasing.
         let name = format!("grid-test-axes-{}", std::process::id());
+        let _axes_artifacts = Artifacts(name.clone());
         let spec = ExperimentSpec {
             name: name.clone(),
             axes: vec![
@@ -608,7 +616,6 @@ invariants_millions cf8f6ffef1588398dd896376967a307b0064327d3f9a54afc535bfb56394
             assert!(store.is_done(&cell.id()), "missing cell {}", cell.id());
         }
         drop(store);
-        remove_artifacts(&name);
     }
 
     #[test]

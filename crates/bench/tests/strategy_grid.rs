@@ -29,9 +29,22 @@ fn expected_spec(name: &str, trials: u32, horizon: f64, seed: u64) -> Experiment
     }
 }
 
+/// Removes what the grid `name` wrote under `results/` when dropped,
+/// so a failed assertion leaves nothing behind either.
+struct Artifacts(String);
+
+impl Drop for Artifacts {
+    fn drop(&mut self) {
+        for ext in ["store", "spec", "store.failures", "store.prev"] {
+            std::fs::remove_file(results_dir().join(format!("{}.{ext}", self.0))).ok();
+        }
+    }
+}
+
 #[test]
 fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
     let name = format!("strategy-grid-test-{}", std::process::id());
+    let _artifacts = Artifacts(name.clone());
     let nets = [networks::gnutella()];
     let (trials, horizon, seed) = (2u32, 100.0, 31u64);
     let part = invariant_part(
@@ -111,9 +124,4 @@ fn strategy_axis_grid_resumes_from_the_store_with_distinct_keys() {
         strategy_roster().len(),
         "strategy cells must map to distinct store keys"
     );
-
-    std::fs::remove_file(&store_path).ok();
-    // The bogus-fingerprint open displaced the cold store to `.prev`.
-    std::fs::remove_file(store_path.with_extension("store.prev")).ok();
-    std::fs::remove_file(&spec_path).ok();
 }

@@ -53,6 +53,10 @@ use sybil_sim::defense::{
 };
 use sybil_sim::time::Time;
 
+/// `2⁵²`: below it a budget's ulp is at most 1/2, so subtracting an
+/// integer from it is exact (see [`Ergo::cycles_afforded`]).
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
 /// A (time, sequence) stamp totally ordering join events, including several
 /// at the same instant (batched Sybil joins and inline purges can share a
 /// timestamp).
@@ -271,6 +275,44 @@ impl Ergo {
             EntrancePolicy::RateBased => batch_cost(q0, n),
             EntrancePolicy::Constant(c) => c * n as f64,
         }
+    }
+
+    /// How many batch→purge cycles of `h` admissions from quote `q0`,
+    /// `spent` each, the budget `b` pays for, at most `max_cycles`, and
+    /// what is left of `b` after them. The purge retains nothing, so it
+    /// charges the budget 0.
+    ///
+    /// This is the engine's walk: before each subtraction, the cycle's
+    /// spend must fit (`spent ≤ b`) and the ungated branch must afford
+    /// the whole batch. One division stands in for the walk when `spent`
+    /// is an integer, `b < 2⁵²` and the per-ID cost is an integer (every
+    /// rate-based quote is `1 +` a count; a constant cost must be one).
+    /// Then `spent ≤ b` implies the affordability test: rate-based,
+    /// [`max_affordable`] is the largest `n` whose `batch_cost` is at most
+    /// `b`, and `batch_cost(q0, h)` is `spent`; at a constant integral
+    /// `c`, `spent ≤ b < 2⁵²` makes `spent = c·h` exact, so `b/c ≥ h` and
+    /// its rounding too. And every subtraction is exact: `b`'s ulp is at
+    /// most 1/2, so the integer `spent` and the difference are multiples
+    /// of it below `2⁵³` of them. After `k` cycles `b` reads `b − k·spent`
+    /// exactly, and `k` is `⌊b⌋ / spent` in integers. Anything else walks.
+    fn cycles_afforded(&self, q0: f64, h: u64, spent: f64, mut b: f64, max: u64) -> (u64, f64) {
+        let integral_cost = match self.cfg.entrance {
+            EntrancePolicy::RateBased => true,
+            EntrancePolicy::Constant(c) => c.fract() == 0.0,
+        };
+        if integral_cost && spent.fract() == 0.0 && spent >= 1.0 && (0.0..TWO_52).contains(&b) {
+            let k = (b as u64 / spent as u64).min(max);
+            return (k, b - k as f64 * spent);
+        }
+        // A budget below one batch's spend affords no batch; that compare
+        // goes first because the affordability test costs a division or a
+        // square root.
+        let mut k = 0;
+        while k < max && spent <= b && self.affordable(q0, b) >= h {
+            b -= spent;
+            k += 1;
+        }
+        (k, b)
     }
 
     /// Recomputes the cached `⌊iter_start_size·num/den⌋` threshold; must be
@@ -669,8 +711,8 @@ impl Defense for Ergo {
     ///   interval-start tie, the engine runs that cycle itself);
     /// * GoodJEst absorbing `h` joins and their departure unchanged.
     ///
-    /// Cycles are counted by walking the budget as the engine spends it,
-    /// testing the ungated branch's affordability at each step.
+    /// [`Ergo::cycles_afforded`] counts the cycles and the budget they
+    /// leave.
     fn repeat_purge_cycles(
         &mut self,
         now: Time,
@@ -686,15 +728,7 @@ impl Defense for Ergo {
         }
         let (h, q0) = (self.admissions_until_purge(), self.quote(now).value());
         let spent = self.batch_spend(q0, h);
-        let (mut b, mut k) = (budget.value(), 0);
-        // The purge retains nothing, so it charges the budget 0. A budget
-        // below one batch's spend affords no batch; that compare goes first
-        // because the affordability test costs a division or a square root
-        // (an ulp where the two disagree only leaves a cycle to the loop).
-        while k < max_cycles && spent <= b && self.affordable(q0, b) >= h {
-            b -= spent;
-            k += 1;
-        }
+        let (k, budget_left) = self.cycles_afforded(q0, h, spent, budget.value(), max_cycles);
         // `k == 0` is the common case: what a purge leaves of the budget
         // seldom affords another whole batch.
         if k == 0 || (now, self.seq) <= self.est_start || !self.est.absorbs_transient_joins(now, h)
@@ -705,6 +739,7 @@ impl Defense for Ergo {
         self.iter_start_stamp = (now, self.seq);
         Some(PurgeCycles {
             cycles: k,
+            budget_left: Cost(budget_left),
             batch: BatchAdmission {
                 admitted: h,
                 attempts: h,
@@ -999,6 +1034,7 @@ mod tests {
             assert_eq!(cycle(&mut looped, now, &mut b), (cycles.batch, cycles.purge));
         }
         assert_eq!(format!("{collapsed:?}"), format!("{looped:?}"));
+        assert_eq!(cycles.budget_left.value().to_bits(), b.to_bits(), "budget {budget:e}");
         if cycles.cycles < max {
             let last = looped.bad_join_batch(now, Cost(b), u64::MAX);
             assert_eq!(last.stop, BatchStop::Budget, "{last:?}");
@@ -1034,6 +1070,83 @@ mod tests {
             gated.init(Time::ZERO, 1100, 0);
             cycle(&mut gated, Time(1.0), &mut 1e9);
             assert_eq!(gated.repeat_purge_cycles(Time(1.0), Cost(1e9), u64::MAX), None);
+        }
+    }
+
+    /// The walk [`Ergo::cycles_afforded`] replaces where it can.
+    fn walked(e: &Ergo, q0: f64, h: u64, spent: f64, mut b: f64, max: u64) -> (u64, f64) {
+        let mut k = 0;
+        while k < max && spent <= b && e.affordable(q0, b) >= h {
+            b -= spent;
+            k += 1;
+        }
+        (k, b)
+    }
+
+    /// `b` moved by `ulps` units in the last place (negative: down).
+    fn ulps(b: f64, ulps: i32) -> f64 {
+        (0..ulps.abs()).fold(b, |b, _| if ulps < 0 { b.next_down() } else { b.next_up() })
+    }
+
+    /// The division counts the cycles and leaves the budget the walk does,
+    /// bit for bit, at budgets a few ulps either side of whole multiples
+    /// of a cycle's spend, under the `max_cycles` cap and near `2⁵²`; a
+    /// non-integral constant cost (1.37) walks.
+    #[test]
+    fn the_closed_cycle_count_is_the_walk() {
+        let cost = |c| ErgoConfig { entrance: EntrancePolicy::Constant(c), ..ErgoConfig::ccom() };
+        for cfg in [ErgoConfig::default(), ErgoConfig::ccom(), cost(3.0), cost(1.37)] {
+            let e = Ergo::new(cfg);
+            for (q0, h) in [(1.0, 1), (1.0, 101), (7.0, 101), (1.0, 4097), (250.0, 33)] {
+                let spent = e.batch_spend(q0, h);
+                for m in [0.0, 1.0, 2.0, 3.0, 7.0, 50.0, 1000.0] {
+                    for moved in [-4, -1, 0, 1, 4, 8] {
+                        let b = ulps(m * spent, moved);
+                        for max in [u64::MAX, 3, 0] {
+                            let (k, left) = e.cycles_afforded(q0, h, spent, b, max);
+                            let (wk, wleft) = walked(&e, q0, h, spent, b, max);
+                            assert_eq!((k, left.to_bits()), (wk, wleft.to_bits()), "{cfg:?} {b:e}");
+                        }
+                    }
+                }
+                // Near 2⁵² the walk is too long to run whole: cap it.
+                for b in [ulps(TWO_52, -1), ulps(TWO_52, -3) - 0.5, TWO_52, 3e15 + 0.25] {
+                    let (k, left) = e.cycles_afforded(q0, h, spent, b, 5);
+                    assert_eq!((k, left.to_bits()), {
+                        let (wk, wleft) = walked(&e, q0, h, spent, b, 5);
+                        (wk, wleft.to_bits())
+                    });
+                }
+            }
+        }
+    }
+
+    /// The same budgets through `repeat_purge_cycles` against the cycles
+    /// one at a time, budget left included. (At 1.37 the engine's own
+    /// subtractions round, so 40 cycles' worth may buy 39.)
+    #[test]
+    fn repeated_cycles_at_exact_multiples_of_the_spend() {
+        let odd_cost =
+            ErgoConfig { entrance: EntrancePolicy::Constant(1.37), ..ErgoConfig::ccom() };
+        for cfg in [ErgoConfig::ccom(), ErgoConfig::default(), odd_cost] {
+            let mut e = Ergo::new(cfg);
+            e.init(Time::ZERO, 1100, 0);
+            let mut budget = 1e6;
+            cycle(&mut e, Time(1.0), &mut budget);
+            let per_cycle = e.batch_spend(1.0, 101);
+            for m in [1.0, 2.0, 7.0, 40.0] {
+                for moved in [-4, -1, 0, 1, 4] {
+                    let b = ulps(m * per_cycle, moved);
+                    let k = check_repeats(&e, Time(1.0), b, u64::MAX);
+                    let capped = check_repeats(&e, Time(1.0), b, 3);
+                    assert_eq!(capped, k.min(3));
+                    if per_cycle.fract() == 0.0 {
+                        // Integral: every subtraction exact, so an ulp
+                        // short of `m` cycles affords one fewer.
+                        assert_eq!(k, m as u64 - u64::from(moved < 0), "{cfg:?} {b:e}");
+                    }
+                }
+            }
         }
     }
 

@@ -1,10 +1,9 @@
-//! The chunked work-stealing job pool ([`run_parallel_catch`]) with
-//! per-worker instrumentation ([`PoolStats`]). One job is one grid cell
-//! on one thread; the pool is the only parallelism above `sybil-sim`.
+//! The job pool ([`run_parallel_catch`]) with per-worker instrumentation
+//! ([`PoolStats`]). One job is one grid cell on one thread; the pool is the
+//! only parallelism above `sybil-sim`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::PoisonError;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Per-worker scheduling counters from one pool run.
@@ -12,10 +11,6 @@ use std::time::Instant;
 pub struct WorkerStats {
     /// Jobs this worker executed.
     pub jobs: u64,
-    /// Chunks this worker claimed off the shared cursor. A worker claiming
-    /// many more chunks than `jobs / chunk size` would imply under static
-    /// partitioning has been stealing slack from slower siblings.
-    pub chunks: u64,
     /// Jobs whose closure panicked (caught; the worker kept running).
     pub panics: u64,
     /// Wall seconds this worker spent inside job closures.
@@ -29,8 +24,6 @@ pub struct PoolStats {
     pub workers: Vec<WorkerStats>,
     /// Wall seconds from first spawn to last join.
     pub wall_secs: f64,
-    /// Chunk size used for cursor claims.
-    pub chunk_size: usize,
 }
 
 impl PoolStats {
@@ -40,9 +33,9 @@ impl PoolStats {
     }
 
     /// Fraction of total worker-seconds spent *outside* job closures —
-    /// scheduling overhead plus tail idling while the last chunks drain.
-    /// Near 0 is perfect scaling; large values at high core counts mean
-    /// the chunking (or the job mix) is leaving workers starved.
+    /// scheduling overhead plus tail idling while the last jobs drain.
+    /// Near 0 is perfect scaling; large values mean the job order (or the
+    /// job mix) is leaving workers starved at the end.
     pub fn idle_fraction(&self) -> f64 {
         let capacity = self.wall_secs * self.workers.len() as f64;
         if capacity <= 0.0 {
@@ -79,11 +72,10 @@ impl PoolStats {
         let panics = self.total_panics();
         let panic_note = if panics > 0 { format!(", {panics} panicked") } else { String::new() };
         format!(
-            "pool: {} jobs on {} workers in {:.2}s (chunk {}, idle {:.1}%, imbalance {:.2}{panic_note}, per-worker jobs {:?})",
+            "pool: {} jobs on {} workers in {:.2}s (idle {:.1}%, imbalance {:.2}{panic_note}, per-worker jobs {:?})",
             self.total_jobs(),
             self.workers.len(),
             self.wall_secs,
-            self.chunk_size,
             self.idle_fraction() * 100.0,
             self.job_imbalance(),
             jobs,
@@ -119,18 +111,16 @@ type WorkerBuffer<T> = (Vec<(usize, JobOutcome<T>)>, WorkerStats);
 /// Runs `jobs` on `workers` threads, preserving input order of results,
 /// catching per-job panics, and reporting per-worker scheduling stats.
 ///
-/// Scheduling is chunked work-stealing: workers claim contiguous chunks of
-/// roughly `n / (workers · 8)` jobs off a shared atomic cursor, so fast
-/// workers steal the slack of slow ones at chunk granularity while the
-/// claim itself is a single uncontended `fetch_add`. Results land in
-/// per-worker buffers; no lock is held while a job runs.
+/// A worker claims one job at a time, in input order, off one shared
+/// iterator under one lock: a job (a grid cell) runs for milliseconds,
+/// so the claim costs nothing beside it, and the jobs at the end of
+/// `jobs` are the last to start — the runner puts the cheap ones there.
+/// Results land in per-worker buffers; no lock is held while a job runs,
+/// so the lock cannot be poisoned.
 ///
 /// Each job runs under [`catch_unwind`]: a panicking closure yields
 /// [`JobOutcome::Panicked`] with its message while every other job — on
-/// the same worker or its siblings — runs to completion. Job-slot claims
-/// ignore mutex poisoning (a slot's guard is never held across user code,
-/// so poison there can only mean a *sibling* worker's panic mid-claim,
-/// which must not cascade).
+/// the same worker or its siblings — runs to completion.
 ///
 /// Determinism: a job closure must depend only on what it captured (the
 /// experiment drivers capture fixed seeds; multi-trial drivers derive
@@ -148,45 +138,29 @@ where
         return (Vec::new(), PoolStats::default());
     }
     let workers = workers.min(n);
-    // Chunks small enough that a slow chunk can be compensated by steals,
-    // large enough to amortize the atomic claim.
-    let chunk = (n / (workers * 8)).max(1);
-    let jobs: Vec<std::sync::Mutex<Option<F>>> =
-        jobs.into_iter().map(|f| std::sync::Mutex::new(Some(f))).collect();
-    let cursor = AtomicUsize::new(0);
+    let queue = Mutex::new(jobs.into_iter().enumerate());
     let started = Instant::now();
-    let mut buffers: Vec<WorkerBuffer<T>> = Vec::new();
-    std::thread::scope(|scope| {
+    let buffers: Vec<WorkerBuffer<T>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut local: Vec<(usize, JobOutcome<T>)> = Vec::new();
                     let mut stats = WorkerStats::default();
                     loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        stats.chunks += 1;
-                        let end = (start + chunk).min(n);
-                        for (slot, idx) in jobs[start..end].iter().zip(start..end) {
-                            let f = slot
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .take()
-                                .expect("job claimed twice");
-                            let job_started = Instant::now();
-                            let outcome = match catch_unwind(AssertUnwindSafe(f)) {
-                                Ok(value) => JobOutcome::Done(value),
-                                Err(payload) => {
-                                    stats.panics += 1;
-                                    JobOutcome::Panicked(panic_message(payload))
-                                }
-                            };
-                            local.push((idx, outcome));
-                            stats.busy_secs += job_started.elapsed().as_secs_f64();
-                            stats.jobs += 1;
-                        }
+                        // The guard drops at the end of this statement.
+                        let claim = queue.lock().expect("no job runs under the claim lock").next();
+                        let Some((idx, f)) = claim else { break };
+                        let job_started = Instant::now();
+                        let outcome = match catch_unwind(AssertUnwindSafe(f)) {
+                            Ok(value) => JobOutcome::Done(value),
+                            Err(payload) => {
+                                stats.panics += 1;
+                                JobOutcome::Panicked(panic_message(payload))
+                            }
+                        };
+                        local.push((idx, outcome));
+                        stats.busy_secs += job_started.elapsed().as_secs_f64();
+                        stats.jobs += 1;
                     }
                     (local, stats)
                 })
@@ -194,7 +168,7 @@ where
             .collect();
         // Workers catch job panics, so a join can only fail if the worker
         // thread itself died (e.g. an abort) — genuinely unrecoverable.
-        buffers = handles.into_iter().map(|h| h.join().expect("worker thread died")).collect();
+        handles.into_iter().map(|h| h.join().expect("worker thread died")).collect()
     });
     let wall_secs = started.elapsed().as_secs_f64();
     let mut results: Vec<Option<JobOutcome<T>>> = (0..n).map(|_| None).collect();
@@ -205,7 +179,7 @@ where
             results[idx] = Some(value);
         }
     }
-    let stats = PoolStats { workers: worker_stats, wall_secs, chunk_size: chunk };
+    let stats = PoolStats { workers: worker_stats, wall_secs };
     (results.into_iter().map(|r| r.expect("job resolved")).collect(), stats)
 }
 
@@ -248,17 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_account_for_every_job_and_chunk() {
+    fn stats_account_for_every_job() {
         let jobs: Vec<Job<usize>> = (0..40usize).map(|i| Box::new(move || i) as _).collect();
         let (out, stats) = run_ok(jobs, 4);
         assert_eq!(out.len(), 40);
         assert_eq!(stats.total_jobs(), 40);
         assert_eq!(stats.workers.len(), 4);
-        let chunks: u64 = stats.workers.iter().map(|w| w.chunks).sum();
-        // Every claimed chunk is non-empty, and together they cover the
-        // jobs exactly once.
-        assert!((1..=40).contains(&chunks));
-        assert!(stats.chunk_size >= 1);
         assert!(stats.wall_secs >= 0.0);
         assert!((0.0..=1.0).contains(&stats.idle_fraction()));
         assert!(stats.job_imbalance() >= 1.0 - 1e-9);
@@ -302,13 +271,6 @@ mod tests {
         }
         let line = stats.render();
         assert!(line.contains("1 panicked"), "{line}");
-    }
-
-    #[test]
-    fn computed_chunk_is_recorded_in_stats() {
-        let jobs: Vec<Job<usize>> = (0..64usize).map(|i| Box::new(move || i) as _).collect();
-        let (_, stats) = run_ok(jobs, 2);
-        assert_eq!(stats.chunk_size, 64 / (2 * 8));
     }
 
     #[test]

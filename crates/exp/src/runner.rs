@@ -3,9 +3,9 @@
 //!
 //! [`run_grid`] is the generic engine: given `(cell id, payload)` pairs and
 //! a cell-runner closure, it loads the results store, skips every cell the
-//! store already has, executes the remainder on the work-stealing pool
-//! (appending each record as its cell finishes, so a killed run resumes
-//! mid-grid), and reports a [`RunSummary`] with skip/execute counts, cache
+//! store already has, executes the remainder on the pool, heaviest cell
+//! first (appending each record as its cell finishes, so a killed run
+//! resumes mid-grid), and reports a [`RunSummary`] with skip/execute counts, cache
 //! behavior, and pool-efficiency stats. Cell sets that are not a full
 //! cartesian product (e.g. the ablation knob list) come here with
 //! [`CellSpec::id`] as the key, which keeps the canonical collision-free
@@ -182,6 +182,14 @@ where
     let cells_skipped = cells_total - pending.len();
     let cells_executed = pending.len();
 
+    // Heaviest first: a cell's cost grows with its attack rate `T`, so
+    // the pool starts the cells in descending `T` (stable, so equal `T`
+    // and grids without a `T` axis keep grid order) and the last to start
+    // are the cheap ones no worker waits long on. Records still land in
+    // grid order below.
+    let weight = |id: &str| crate::spec::id_t(id).unwrap_or(f64::NEG_INFINITY);
+    pending.sort_by(|a, b| weight(&b.1).total_cmp(&weight(&a.1)));
+
     // Execute pending cells on the pool; append to the store inside the
     // job so completion is durable immediately.
     let store_ref = &store;
@@ -206,8 +214,10 @@ where
             JobOutcome::Done(Err(e)) => format!("results-store append failed: {e}"),
             JobOutcome::Panicked(msg) => format!("panicked: {msg}"),
         };
-        quarantined.push(CellFailure { cell_id: id.clone(), error });
+        quarantined.push((*idx, CellFailure { cell_id: id.clone(), error }));
     }
+    quarantined.sort_by_key(|&(idx, _)| idx);
+    let quarantined: Vec<CellFailure> = quarantined.into_iter().map(|(_, f)| f).collect();
     let manifest_path = write_failure_manifest(name, store_path, &quarantined)?;
 
     let cache_after = cache.map(|c| c.stats()).unwrap_or_default();
@@ -318,6 +328,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::fmt_f64_exact;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -448,6 +459,57 @@ mod tests {
         assert_eq!(warm.summary.cells_skipped, 2);
         assert_eq!(warm.records[0].as_ref().unwrap().get("mean"), Some(0.5));
         assert_eq!(warm.records[1].as_ref().unwrap().get("mean"), Some(99.0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One worker starts the pending cells in descending `T`, equal `T`
+    /// in grid order, and a grid without a `T` axis in grid order; the
+    /// records come back in grid order all the same, and a warm re-run
+    /// runs nothing.
+    #[test]
+    fn cells_start_heaviest_first_and_land_in_grid_order() {
+        use crate::spec::Axis;
+        let dir = temp_dir("order");
+        let order = |spec: &ExperimentSpec| {
+            let calls = std::sync::Mutex::new(Vec::new());
+            let run_cell = |c: &CellSpec| {
+                calls.lock().unwrap().push(c.id());
+                vec![("mean".to_string(), 1.0)]
+            };
+            let cold = run_spec_grid(spec, "ctx", &dir, None, 1, run_cell).unwrap();
+            let ids: Vec<String> = spec.cells().iter().map(CellSpec::id).collect();
+            let landed: Vec<String> =
+                cold.records.iter().map(|r| r.as_ref().unwrap().cell_id.clone()).collect();
+            assert_eq!(landed, ids, "records in grid order");
+            let warm = run_spec_grid(spec, "ctx", &dir, None, 1, run_cell).unwrap();
+            assert_eq!((warm.summary.cells_skipped, warm.summary.cells_executed), (ids.len(), 0));
+            assert_eq!(warm.records, cold.records);
+            calls.into_inner().unwrap()
+        };
+        let mut spec = toy_spec();
+        spec.axes[2] = Axis::floats(crate::spec::AXIS_T, [8.0, 0.0, 1024.0, 0.5]);
+        let called = order(&spec);
+        let t = |net: &str, t: &str| format!("network={net}/algo=X/T={t}");
+        let half = fmt_f64_exact(0.5);
+        let expected = [
+            t("netA", "1024"),
+            t("netB", "1024"),
+            t("netA", "8"),
+            t("netB", "8"),
+            t("netA", &half),
+            t("netB", &half),
+            t("netA", "0"),
+            t("netB", "0"),
+        ];
+        assert_eq!(called, expected);
+
+        let no_t = ExperimentSpec {
+            name: "runner-test-no-t".into(),
+            axes: vec![Axis::strs("network", ["netB", "netA"]), Axis::floats("frac", [2.0, 1.0])],
+            ..toy_spec()
+        };
+        let ids: Vec<String> = no_t.cells().iter().map(CellSpec::id).collect();
+        assert_eq!(order(&no_t), ids);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -247,6 +247,19 @@ pub fn fmt_f64_exact(x: f64) -> String {
     }
 }
 
+/// The float a cell id assigns to the `T` axis ([`AXIS_T`]), read back
+/// from its canonical `name=value` form ([`CellSpec::id`]); `None` when
+/// the id has no `T` component or a string-valued one. Float renderings
+/// are never escaped and string renderings never look like one (see
+/// [`AxisValue::render`]), so this inverts [`fmt_f64_exact`] exactly.
+pub(crate) fn id_t(id: &str) -> Option<f64> {
+    let value = id.split('/').find_map(|pair| pair.strip_prefix(AXIS_T)?.strip_prefix('='))?;
+    match value.strip_prefix("0x") {
+        Some(bits) => u64::from_str_radix(bits, 16).ok().map(f64::from_bits),
+        None => value.parse::<i64>().ok().map(|x| x as f64),
+    }
+}
+
 /// True iff `s` has the exact shape of a [`fmt_f64_exact`] output: an
 /// optionally-negative decimal integer, or `0x` + 16 hex digits. Used by
 /// [`AxisValue::render`] to keep string and float renderings disjoint.
@@ -648,6 +661,24 @@ mod tests {
         assert_ne!(fmt_f64_exact(0.0), fmt_f64_exact(-0.0));
         // Ordinary negatives keep the readable integer form.
         assert_eq!(fmt_f64_exact(-3.0), "-3");
+    }
+
+    /// `id_t` reads back, bit for bit, every float `T` a cell id renders,
+    /// and nothing from a string-valued `T`, another axis or a name that
+    /// only starts with `T`.
+    #[test]
+    fn id_t_reads_back_the_t_a_cell_id_renders() {
+        let id = |axes: Vec<(&str, AxisValue)>| {
+            CellSpec::new(axes.into_iter().map(|(n, v)| (n.to_string(), v)).collect()).id()
+        };
+        for t in [0.0, -0.0, 1024.0, 1_048_576.0, -3.0, 0.5, 1e15, 1e300, f64::MIN_POSITIVE] {
+            let cell =
+                id(vec![(AXIS_NETWORK, AxisValue::Str("a/b".into())), (AXIS_T, AxisValue::F64(t))]);
+            assert_eq!(id_t(&cell).map(f64::to_bits), Some(t.to_bits()), "{cell}");
+        }
+        assert_eq!(id_t(&id(vec![(AXIS_T, AxisValue::Str("1024".into()))])), None);
+        assert_eq!(id_t(&id(vec![("TT", AxisValue::F64(5.0))])), None);
+        assert_eq!(id_t(&id(vec![("frac", AxisValue::F64(5.0))])), None);
     }
 
     #[test]

@@ -85,6 +85,11 @@ pub struct PurgeReport {
 pub struct PurgeCycles {
     /// How many cycles were applied; at least 1.
     pub cycles: u64,
+    /// What is left of the budget after the last cycle: the budget less
+    /// each cycle's `batch.spent`, one `f64` subtraction per cycle, as
+    /// the engine would have subtracted them. The engine takes it as its
+    /// budget.
+    pub budget_left: Cost,
     /// What each cycle's batch reported (it stopped on the purge condition).
     pub batch: BatchAdmission,
     /// What each cycle's purge reported (not `skipped`: each one ran).

@@ -578,12 +578,10 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
         let Some(cycles) = self.defense.repeat_purge_cycles(now, budget, max_cycles) else {
             return 0;
         };
-        let PurgeCycles { cycles: k, batch, purge } = cycles;
-        // Each purge retained nothing and so charged nothing: the budget
-        // moves by the batches alone, one subtraction each, in order.
-        for _ in 0..k {
-            self.budget -= batch.spent.value();
-        }
+        let PurgeCycles { cycles: k, budget_left, batch, purge } = cycles;
+        // A cycle is only applied if `budget` paid for its batch, so it was
+        // positive and not clamped: the defense walked this budget.
+        self.budget = budget_left.value();
         self.state.apply_purge_cycles(&cycles);
         self.bad_joins_admitted += k * batch.admitted;
         self.bad_join_attempts += k * batch.attempts;

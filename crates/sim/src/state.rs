@@ -126,7 +126,7 @@ impl RunState {
     /// [`charge_adversary`](Self::charge_adversary) and
     /// [`apply_purge`](Self::apply_purge) calls would charge them.
     pub(crate) fn apply_purge_cycles(&mut self, cycles: &PurgeCycles) {
-        let PurgeCycles { cycles: k, batch, purge } = *cycles;
+        let PurgeCycles { cycles: k, batch, purge, .. } = *cycles;
         self.ledger.charge_adversary_times(Purpose::Entrance, batch.spent, k);
         self.ledger.charge_good_times(Purpose::Purge, purge.good_cost, k);
         self.ledger.charge_adversary_times(Purpose::Purge, purge.adv_cost, k);
