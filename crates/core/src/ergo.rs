@@ -21,7 +21,10 @@
 //! the simulation engine. What a call costs:
 //!
 //! * an ungated Sybil batch is O(1) whatever its size: one closed-form
-//!   arithmetic-series cost (see [`crate::window`]) and one recorded event;
+//!   arithmetic-series cost (see [`crate::window`]; how many IDs the
+//!   budget affords is an integer square root for every rate-based quote
+//!   below `2²⁴` and budget below `2⁵⁰`, see [`max_affordable`]) and one
+//!   recorded event;
 //! * a classifier-gated batch pays one geometric draw per admission (the
 //!   refusals before it are charged in one step) plus O(1) bookkeeping: the
 //!   quote and the purge condition advance by counting, and admissions
@@ -34,8 +37,10 @@
 //!   Sybil IDs that GoodJEst cannot tell apart (see `BadRun`), plus one
 //!   step per estimator interval it ends;
 //! * the identical batch→purge cycles an ungated cascade repeats at one
-//!   instant are applied in one call, one budget subtraction per cycle
-//!   (`repeat_purge_cycles`).
+//!   instant are applied in one call (`repeat_purge_cycles`), counted by
+//!   one division where a cycle's spend and the per-ID cost are integers
+//!   and the budget is below `2⁵²` (every rate-based cascade, and CCom at
+//!   an integral cost), else by walking the budget one cycle at a time.
 //!
 //! So a cell under attack costs O(events) plus one draw per gated
 //! admission, even at adversary spend rates of `2²⁰`/s.

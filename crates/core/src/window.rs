@@ -188,9 +188,10 @@ const EXACT_BUDGET: f64 = 1_125_899_906_842_624.0;
 /// `batch_cost` never decreases in `n` (each of its roundings is
 /// monotone), so the float formula's fixups stop at `n*` as the integers
 /// do. Anything else takes the float formula, [`max_affordable_float`].
-/// Its fixup loops never walked in a profile of an Ergo `T = 2²⁰` cell
-/// (0 of 106 266 calls); what the integer root saves is the float root
-/// itself, a square root and a division.
+/// Its fixup loops do not walk (in a profile of an Ergo `T = 2²⁰` cell
+/// their bodies drew no sample), yet it held 47.6 % of that cell: one
+/// dependent chain of a square root, a division and the two `batch_cost`
+/// checks. The integer root is a square root and integer arithmetic.
 pub fn max_affordable(q0: f64, budget: f64) -> u64 {
     if budget < q0 {
         return 0;
@@ -204,8 +205,11 @@ pub fn max_affordable(q0: f64, budget: f64) -> u64 {
 /// The largest `n` with `n·q + n(n−1)/2 ≤ budget`, in integers, for
 /// `q ≥ 1`. With `m = 2q − 1` the condition is `(2n + m)² ≤ 8·budget +
 /// m²`, so `n = ⌊(s − m)/2⌋` for `s` the integer square root of the
-/// right side: one float root of an integer below `2⁵⁴`, then `±1`
-/// fixups to the exact `s² ≤ d < (s + 1)²`.
+/// right side `d`: one float root of an integer below `2⁵⁴`, then `±1`
+/// fixups to the exact `s² ≤ d < (s + 1)²`. Within [`max_affordable`]'s
+/// bounds the float root is already exact, even where `d` passes `2⁵³`
+/// and its conversion rounds (`window::tests` checks that edge), so the
+/// fixups cost a compare each and never iterate.
 fn max_affordable_exact(q: u64, budget: u64) -> u64 {
     let m = 2 * q - 1;
     let d = 8 * budget + m * m;
@@ -397,6 +401,32 @@ mod tests {
             let edge = batch_cost(q0, n);
             check_integer_root(q0, edge);
             check_integer_root(q0, batch_cost(q0, n + 1).next_down());
+        }
+    }
+
+    /// Near the budget bound with a large quote, `d = 8·budget + m²`
+    /// passes `2⁵³`, and at a budget of exactly `batch_cost(q0, n)` it is
+    /// an odd square, which the conversion to `f64` rounds: the seed still
+    /// lands on the root there (`√(t² − 1)` is within half an ulp of `t`
+    /// for `t < 2²⁷`), so inside the bounds the fixups never iterate, and
+    /// the answers are exact.
+    #[test]
+    fn integer_root_seed_is_exact_past_2_53() {
+        for q in [(1 << 23) + 1, (1 << 24) - 1, 12_345_679] {
+            let q0 = q as f64;
+            let top = max_affordable(q0, EXACT_BUDGET.next_down());
+            for n in top - 400..=top {
+                let budget = batch_cost(q0, n);
+                let m = 2 * q - 1;
+                let d = 8 * budget as u64 + m * m;
+                let root = 2 * n + m;
+                assert_eq!(root * root, d);
+                assert!(d > 1 << 53 && (d as f64) as u64 != d, "d={d} is exact in f64");
+                assert_eq!((d as f64).sqrt() as u64, root, "d={d}");
+                assert_eq!(max_affordable(q0, budget), n, "q0={q0} n={n}");
+                check_integer_root(q0, budget);
+                check_integer_root(q0, budget.next_down());
+            }
         }
     }
 
