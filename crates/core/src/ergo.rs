@@ -283,7 +283,7 @@ impl Ergo {
     }
 
     /// How many batch→purge cycles of `h` admissions from quote `q0`,
-    /// `spent` each, the budget `b` pays for, at most `max_cycles`, and
+    /// `spent` each, the budget `b` pays for, at most `max`, and
     /// what is left of `b` after them. The purge retains nothing, so it
     /// charges the budget 0.
     ///
@@ -298,8 +298,9 @@ impl Ergo {
     /// `c`, `spent ≤ b < 2⁵²` makes `spent = c·h` exact, so `b/c ≥ h` and
     /// its rounding too. And every subtraction is exact: `b`'s ulp is at
     /// most 1/2, so the integer `spent` and the difference are multiples
-    /// of it below `2⁵³` of them. After `k` cycles `b` reads `b − k·spent`
-    /// exactly, and `k` is `⌊b⌋ / spent` in integers. Anything else walks.
+    /// of it, fewer than `2⁵³` of them. After `k` cycles `b` reads
+    /// `b − k·spent` exactly, and `k` is `⌊b⌋ / spent` in integers.
+    /// Anything else walks.
     fn cycles_afforded(&self, q0: f64, h: u64, spent: f64, mut b: f64, max: u64) -> (u64, f64) {
         let integral_cost = match self.cfg.entrance {
             EntrancePolicy::RateBased => true,
@@ -716,7 +717,7 @@ impl Defense for Ergo {
     ///   interval-start tie, the engine runs that cycle itself);
     /// * GoodJEst absorbing `h` joins and their departure unchanged.
     ///
-    /// [`Ergo::cycles_afforded`] counts the cycles and the budget they
+    /// `Ergo::cycles_afforded` counts the cycles and the budget they
     /// leave.
     fn repeat_purge_cycles(
         &mut self,

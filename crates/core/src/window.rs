@@ -182,12 +182,12 @@ const EXACT_BUDGET: f64 = 1_125_899_906_842_624.0;
 ///
 /// An integral quote `1 ≤ q0 < 2²⁴` with `budget < 2⁵⁰` — every
 /// rate-based quote is `1 +` a count, so all but absurd ones qualify —
-/// is answered in integers by [`max_affordable_exact`], which is the float
+/// is answered in integers by `max_affordable_exact`, which is the float
 /// formula's answer: below those bounds every `batch_cost` at or under
 /// the boundary `n* + 1` is an integer below `2⁵¹` and so exact, and
 /// `batch_cost` never decreases in `n` (each of its roundings is
 /// monotone), so the float formula's fixups stop at `n*` as the integers
-/// do. Anything else takes the float formula, [`max_affordable_float`].
+/// do. Anything else takes the float formula, `max_affordable_float`.
 /// Its fixup loops do not walk (in a profile of an Ergo `T = 2²⁰` cell
 /// their bodies drew no sample), yet it held 47.6 % of that cell: one
 /// dependent chain of a square root, a division and the two `batch_cost`
@@ -360,8 +360,8 @@ mod tests {
         }
     }
 
-    /// The integer root answers as the float formula does, and takes
-    /// the answer itself only inside its bounds.
+    /// The integer root, and `max_affordable` by whichever path it
+    /// takes, answer as the float formula does.
     fn check_integer_root(q0: f64, budget: f64) {
         let float = max_affordable_float(q0, budget);
         assert_eq!(max_affordable(q0, budget), float, "q0={q0} budget={budget:e}");

@@ -29,9 +29,9 @@
 //! * [`store`] — append-only [`ResultsStore`](store::ResultsStore): one
 //!   flushed line per finished cell, so interrupted grids resume by
 //!   skipping completed cells;
-//! * [`pool`] — the chunked work-stealing pool
+//! * [`pool`] — the job pool (one job a claim)
 //!   ([`run_parallel_catch`](pool::run_parallel_catch)), instrumented
-//!   with per-worker job/chunk/busy counters
+//!   with per-worker job/panic/busy counters
 //!   ([`PoolStats`](pool::PoolStats)) and panic-isolated: each job runs
 //!   under `catch_unwind`, so one poisoned cell never aborts its
 //!   siblings;

@@ -5,11 +5,11 @@
 //! a cell-runner closure, it loads the results store, skips every cell the
 //! store already has, executes the remainder on the pool, heaviest cell
 //! first (appending each record as its cell finishes, so a killed run
-//! resumes mid-grid), and reports a [`RunSummary`] with skip/execute counts, cache
-//! behavior, and pool-efficiency stats. Cell sets that are not a full
-//! cartesian product (e.g. the ablation knob list) come here with
-//! [`CellSpec::id`] as the key, which keeps the canonical collision-free
-//! id derivation.
+//! resumes mid-grid), and reports a [`RunSummary`] with skip/execute
+//! counts, cache behavior, and pool-efficiency stats. Cell sets that are
+//! not a full cartesian product (e.g. the ablation knob list) come here
+//! with [`CellSpec::id`] as the key, which keeps the canonical
+//! collision-free id derivation.
 //!
 //! [`run_spec_grid`] (and [`run_spec_grid_with`], the same with an
 //! explicit [`Durability`]) layers the declarative [`ExperimentSpec`] on
@@ -132,6 +132,9 @@ pub struct GridOutcome {
 /// function of its payload (plus immutable shared state such as a
 /// [`WorkloadCache`]) — it runs on pool worker threads.
 ///
+/// Pending cells start in descending `T` (the cell id's
+/// [`AXIS_T`](crate::spec::AXIS_T) value, stable, so grid order among
+/// equal `T` and without a `T` axis); records come back in grid order.
 /// Each finished cell is appended (and flushed) to the store *before* the
 /// run completes, so interrupting a long grid loses at most the in-flight
 /// cells. A cell that panics or whose append fails is quarantined (a
@@ -182,11 +185,9 @@ where
     let cells_skipped = cells_total - pending.len();
     let cells_executed = pending.len();
 
-    // Heaviest first: a cell's cost grows with its attack rate `T`, so
-    // the pool starts the cells in descending `T` (stable, so equal `T`
-    // and grids without a `T` axis keep grid order) and the last to start
-    // are the cheap ones no worker waits long on. Records still land in
-    // grid order below.
+    // A cell's cost grows with its attack rate `T`: starting the heavy
+    // cells first leaves cheap ones for the end, where no worker waits
+    // long on a sibling.
     let weight = |id: &str| crate::spec::id_t(id).unwrap_or(f64::NEG_INFINITY);
     pending.sort_by(|a, b| weight(&b.1).total_cmp(&weight(&a.1)));
 
@@ -214,10 +215,8 @@ where
             JobOutcome::Done(Err(e)) => format!("results-store append failed: {e}"),
             JobOutcome::Panicked(msg) => format!("panicked: {msg}"),
         };
-        quarantined.push((*idx, CellFailure { cell_id: id.clone(), error }));
+        quarantined.push(CellFailure { cell_id: id.clone(), error });
     }
-    quarantined.sort_by_key(|&(idx, _)| idx);
-    let quarantined: Vec<CellFailure> = quarantined.into_iter().map(|(_, f)| f).collect();
     let manifest_path = write_failure_manifest(name, store_path, &quarantined)?;
 
     let cache_after = cache.map(|c| c.stats()).unwrap_or_default();
