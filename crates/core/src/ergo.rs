@@ -1063,6 +1063,20 @@ mod tests {
             assert_eq!(k, 10, "{cfg:?}");
             assert_eq!(check_repeats(&e, Time(1.0), 10.5 * per_cycle, 4), 4);
             assert_eq!(check_repeats(&e, Time(1.0), 0.5 * per_cycle, u64::MAX), 0);
+            // A few ulps either side of whole multiples of the spend. At
+            // 1.37 the engine's own subtractions round, so 40 cycles'
+            // worth may buy 39; integral spends subtract exactly, so an
+            // ulp short of `m` cycles affords one fewer.
+            for m in [1.0, 2.0, 7.0, 40.0] {
+                for moved in [-4, -1, 0, 1, 4] {
+                    let b = ulps(m * per_cycle, moved);
+                    let k = check_repeats(&e, Time(1.0), b, u64::MAX);
+                    assert_eq!(check_repeats(&e, Time(1.0), b, 3), k.min(3));
+                    if per_cycle.fract() == 0.0 {
+                        assert_eq!(k, m as u64 - u64::from(moved < 0), "{cfg:?} {b:e}");
+                    }
+                }
+            }
             // Not after a batch that left Sybil IDs behind, nor with a gate.
             let mut partial = e.clone();
             assert_eq!(partial.bad_join_batch(Time(1.0), Cost(1.5), u64::MAX).admitted, 1);
@@ -1118,39 +1132,8 @@ mod tests {
                 // Near 2⁵² the walk is too long to run whole: cap it.
                 for b in [ulps(TWO_52, -1), ulps(TWO_52, -3) - 0.5, TWO_52, 3e15 + 0.25] {
                     let (k, left) = e.cycles_afforded(q0, h, spent, b, 5);
-                    assert_eq!((k, left.to_bits()), {
-                        let (wk, wleft) = walked(&e, q0, h, spent, b, 5);
-                        (wk, wleft.to_bits())
-                    });
-                }
-            }
-        }
-    }
-
-    /// The same budgets through `repeat_purge_cycles` against the cycles
-    /// one at a time, budget left included. (At 1.37 the engine's own
-    /// subtractions round, so 40 cycles' worth may buy 39.)
-    #[test]
-    fn repeated_cycles_at_exact_multiples_of_the_spend() {
-        let odd_cost =
-            ErgoConfig { entrance: EntrancePolicy::Constant(1.37), ..ErgoConfig::ccom() };
-        for cfg in [ErgoConfig::ccom(), ErgoConfig::default(), odd_cost] {
-            let mut e = Ergo::new(cfg);
-            e.init(Time::ZERO, 1100, 0);
-            let mut budget = 1e6;
-            cycle(&mut e, Time(1.0), &mut budget);
-            let per_cycle = e.batch_spend(1.0, 101);
-            for m in [1.0, 2.0, 7.0, 40.0] {
-                for moved in [-4, -1, 0, 1, 4] {
-                    let b = ulps(m * per_cycle, moved);
-                    let k = check_repeats(&e, Time(1.0), b, u64::MAX);
-                    let capped = check_repeats(&e, Time(1.0), b, 3);
-                    assert_eq!(capped, k.min(3));
-                    if per_cycle.fract() == 0.0 {
-                        // Integral: every subtraction exact, so an ulp
-                        // short of `m` cycles affords one fewer.
-                        assert_eq!(k, m as u64 - u64::from(moved < 0), "{cfg:?} {b:e}");
-                    }
+                    let (wk, wleft) = walked(&e, q0, h, spent, b, 5);
+                    assert_eq!((k, left.to_bits()), (wk, wleft.to_bits()), "{cfg:?} {b:e}");
                 }
             }
         }
