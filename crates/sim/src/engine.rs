@@ -579,8 +579,8 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             return 0;
         };
         let PurgeCycles { cycles: k, budget_left, batch, purge } = cycles;
-        // A cycle is only applied if `budget` paid for its batch, so it was
-        // positive and not clamped: the defense walked this budget.
+        // The defense applies a cycle only if `budget` paid for its batch,
+        // so the budget was positive and the clamp above left it as it is.
         self.budget = budget_left.value();
         self.state.apply_purge_cycles(&cycles);
         self.bad_joins_admitted += k * batch.admitted;
