@@ -29,7 +29,10 @@
 //!   `sybil_crypto::Sha256`, so the rule is: a change to `Sha256`
 //!   regenerates the committed report in the same change. Compared against
 //!   a report made with the old hasher, a faster one reads as a faster
-//!   machine and raises every floor by its speed-up.
+//!   machine and raises every floor by its speed-up. The calibration is
+//!   CPU-bound and can miss how far a contended box slows the
+//!   memory-bound scenarios, so when a floor fails every shared
+//!   scenario's own fresh/baseline ratio is printed beside it.
 //! * **libm rounding.** The spend fields of a fingerprint are f64 sums
 //!   whose `ln`/`powf` inputs are not correctly rounded and may differ by
 //!   ulps across libm versions; they are compared with a 1e-9 relative
@@ -226,13 +229,34 @@ fn floor_failure(
     let expected = base * speed_ratio;
     (now < expected * (1.0 - tolerance)).then(|| {
         format!(
-            "{what}: {now:.0} {unit} is a {:.0}% regression from the machine-adjusted baseline \
+            "{what}: {now:.0} {unit} is a {:.0}% {FLOOR_FAILED} \
              {expected:.0} (raw baseline {base:.0} × speed ratio {speed_ratio:.2}; tolerance \
              {:.0}%)",
             100.0 * (1.0 - now / expected),
             100.0 * tolerance,
         )
     })
+}
+
+/// What every failed throughput floor says.
+const FLOOR_FAILED: &str = "regression from the machine-adjusted baseline";
+
+/// Whether the code or the box moved, printed when a floor fails: every
+/// shared scenario's fresh/baseline events/s beside the `sha256_64b`
+/// ratio that scaled the floors. Scenarios the change cannot reach that
+/// slowed far more than the calibration say the box was contended, not
+/// that the code regressed. Nothing here is gated.
+fn box_moved(baseline: &[Scenario], fresh: &[Scenario], speed_ratio: f64) -> Vec<String> {
+    let mut lines = vec![format!(
+        "a floor failed; fresh/baseline events/s beside sha256_64b {speed_ratio:.2}×:"
+    )];
+    for base in baseline {
+        if let Some(now) = fresh.iter().find(|s| s.name == base.name) {
+            let ratio = now.events_per_sec / base.events_per_sec;
+            lines.push(format!("  {:<28} {ratio:.2}× (sha256_64b {speed_ratio:.2}×)", base.name));
+        }
+    }
+    lines
 }
 
 /// Parses the `"queue"` section into `(name, ops_per_sec)` pairs.
@@ -501,6 +525,11 @@ fn main() -> ExitCode {
         );
     }
     failures.extend(alloc_failures(&baseline, &fresh, base_counting, fresh_counting));
+    if failures.iter().any(|f| f.contains(FLOOR_FAILED)) {
+        for line in box_moved(&baseline, &fresh, ratio) {
+            println!("{line}");
+        }
+    }
     if failures.is_empty() {
         println!(
             "OK: no scenario regressed more than {:.0}% (machine-adjusted)",
@@ -682,6 +711,24 @@ mod tests {
         // And a real engine regression still fails under the scaled floor.
         let engine_only = vec![scale_scenario("a", 300.0, 7.0), b];
         assert_eq!(compare(&baseline, &engine_only, 0.25, 0.5).len(), 1);
+    }
+
+    /// A failed floor says it failed in the words `main` looks for, and
+    /// the box report then gives each shared scenario's own ratio beside
+    /// the calibration's (a scenario only one side has is left out).
+    #[test]
+    fn a_failed_floor_prints_every_shared_scenario_ratio_beside_the_calibration() {
+        let baseline = parse_scenarios(&sample_report(1000.0, 7)).unwrap();
+        let fresh = [scale_scenario("a", 500.0, 7.0), scale_scenario("c", 1.0, 1.0)];
+        let failures = compare(&baseline, &fresh, 0.25, 0.8);
+        assert!(failures.iter().any(|f| f.contains(FLOOR_FAILED)), "{failures:?}");
+        let lines = box_moved(&baseline, &fresh, 0.8);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].contains("sha256_64b 0.80×"), "{lines:?}");
+        assert!(
+            lines[1].contains('a') && lines[1].contains("0.50× (sha256_64b 0.80×)"),
+            "{lines:?}"
+        );
     }
 
     #[test]

@@ -215,6 +215,18 @@ mod tests {
         assert!(r.le_scaled(u64::MAX / 2, u64::MAX));
     }
 
+    /// The 128-bit fallback decides the boundary exactly: `5·2⁶⁰` is
+    /// exactly 5/12 of `12·2⁶⁰` (a threshold met is met, as Figure 5's
+    /// `≥ 5/12` reads), one less is not, and both products pass `u64`.
+    #[test]
+    fn ratio_boundary_is_exact_past_u64_products() {
+        let r = Ratio::new(5, 12);
+        let (lhs, rhs) = (5u64 << 60, 12u64 << 60);
+        assert!(lhs.checked_mul(12).is_none() && rhs.checked_mul(5).is_none());
+        assert!(r.le_scaled(lhs, rhs));
+        assert!(!r.le_scaled(lhs - 1, rhs));
+    }
+
     #[test]
     fn n0_bound_matches_paper() {
         // For small gamma and beta the 6000 floor dominates... gamma=1 gives

@@ -430,8 +430,11 @@ impl<D: Defense, A: Adversary, W: WorkloadSource> Simulation<D, A, W> {
             self.frac_integral += self.last_frac * dt;
             self.last_frac_time = now;
         }
+        // With no Sybil ID the quotient is +0.0 (or the empty system's
+        // 0.0): the divide is skipped, not the value.
+        let bad = self.defense.n_bad();
         let members = self.defense.n_members();
-        let frac = if members == 0 { 0.0 } else { self.defense.n_bad() as f64 / members as f64 };
+        let frac = if bad == 0 || members == 0 { 0.0 } else { bad as f64 / members as f64 };
         self.last_frac = frac;
         if frac > self.max_bad_fraction {
             self.max_bad_fraction = frac;

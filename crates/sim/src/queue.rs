@@ -9,36 +9,52 @@
 //! # The calendar
 //!
 //! The queue ([`EventQueue::with_horizon`]) is a static calendar over
-//! `[0, horizon]` divided into fixed-width buckets, in two tiers split at
-//! a cursor that only moves forward:
+//! `[0, horizon]` divided into fixed-width buckets, grouped 64 to a coarse
+//! *span*, in three tiers split at a cursor that only moves forward:
 //!
-//! * **Far** — buckets after the cursor. A bucket is an unordered singly
-//!   linked list through one node arena shared by all buckets; `heads`
-//!   holds one `u32` per bucket (at most 256 KiB). A push takes the node
-//!   the last unlink freed and links it at its bucket's head: no compare,
-//!   no search, no allocator call.
+//! * **Staged** — spans two or more past the cursor's. Each span holds
+//!   one unordered list of 8-entry chunks; `staged` holds one `u32` per
+//!   span. A push appends to its span's first chunk: no compare, no
+//!   search, no allocator call.
+//! * **Fine** — the buckets after the cursor in its span and the next.
+//!   Each bucket is a list of chunks the same way (`heads`, one `u32` per
+//!   bucket, at most 256 KiB). When the cursor enters a span, the span
+//!   after it leaves staging: its chunks are read once, front to back,
+//!   and each entry is appended to its bucket's list.
 //! * **Near** — one sorted buffer holding every entry whose bucket is at
 //!   or behind the cursor. When it runs dry the cursor moves to the next
-//!   occupied bucket, whose list is unlinked into the buffer and sorted
+//!   occupied bucket, whose chunks are moved into the buffer and sorted
 //!   once. Pops take the buffer's front; a push at or behind the cursor
 //!   is inserted in order, O(1) when it is the new maximum (the engine's
 //!   pop-then-push-a-successor pattern) or the new minimum.
+//!
+//! Both list tiers share one chunk arena, and a drained chunk goes on a
+//! free list that the next new chunk takes. Staging is for the engine's
+//! far-future departures: a session's departure is pushed at its join and
+//! popped about 1 300 simulated seconds later. Linked straight into its
+//! bucket, each landed in a random arena slot, cold by the time the
+//! cursor came to it; staged, the entries of a span sit together in a few
+//! chunks, and a bucket's chunks were written a span or two before they
+//! are read.
 //!
 //! The engine keeps three events outside the queue: the heads of its two
 //! pre-sorted workload feeds (the next session's join, the next initial
 //! departure) and the adversary's next wakeup, whose key it draws with
 //! `EventQueue::take_seq`. It merges them in with
 //! [`EventQueue::pop_before`], which pops the front only if it precedes
-//! the least of their keys. When the near buffer is empty, that call
-//! moves the cursor at most to the key's bucket: a cursor that ran ahead
-//! to the next occupied bucket would turn every departure the feed pushes
-//! after it into a sorted insert into the near buffer.
+//! the least of their keys. With the near buffer empty, a key before the
+//! exact first time past the cursor's bucket is refused on that one
+//! compare; any other key moves the cursor at most to the key's bucket: a
+//! cursor that ran ahead to the next occupied bucket would turn every
+//! departure the feed pushes after it into a sorted insert into the near
+//! buffer.
 //!
 //! Simulation time only moves forward, so push and pop are amortized
 //! `O(1)` when events spread over the horizon, which is exactly the
-//! engine's workload, and the memory is the arena: one node per far entry
-//! at the peak, reused through a free list. Events past the horizon share
-//! one overflow bucket (the engine stops at the first such event anyway).
+//! engine's workload, and the memory is the arena: at the peak, a chunk
+//! per 8 pending entries plus at most one part-filled chunk per list,
+//! reused through the free list. Events past the horizon share one
+//! overflow bucket (the engine stops at the first such event anyway).
 //!
 //! Every entry's `(time, seq)` key is unique, so the pop order is total
 //! and strictly increasing; `tests::calendar_agrees_with_reference_model`
@@ -84,81 +100,170 @@ impl<E> Entry<E> {
     }
 }
 
-/// "No node": the end of a bucket's list and of the free list.
+/// "No chunk": the end of a list and of the free list.
 const NIL: u32 = u32::MAX;
 
-/// One arena slot: a far entry linked into its bucket's list, or a vacant
-/// slot (`entry` is `None`) linked into the free list.
+/// Fine buckets per coarse span.
+const SPAN: usize = 64;
+
+/// Entries per chunk.
+const CHUNK: usize = 8;
+
+/// One arena slot: up to [`CHUNK`] entries of one list (a fine bucket's
+/// or a staged span's), the first `len` of them filled; or a vacant slot
+/// (`len` is 0) linked into the free list.
 #[derive(Clone, Debug)]
-struct Node<E> {
+struct Chunk<E> {
     next: u32,
-    entry: Option<Entry<E>>,
+    len: u32,
+    entries: [Option<Entry<E>>; CHUNK],
 }
 
-/// Arena and near-buffer capacity reserved at construction, outside the
-/// engine's measured span: the fully resident scenarios never outgrow it,
-/// so their loops stay at zero allocations. Deeper queues double from it.
-const ARENA_RESERVE: usize = 1024;
+/// The chunk arena both far tiers share, with its free list.
+#[derive(Clone, Debug)]
+struct Chunks<E> {
+    slots: Vec<Chunk<E>>,
+    /// First vacant chunk, chained through `next`.
+    free: u32,
+}
+
+impl<E> Chunks<E> {
+    /// Adds `entry` to the list headed by `head`: into its first chunk if
+    /// that has room, else into a new first chunk, the one the last drain
+    /// freed.
+    fn append(&mut self, head: &mut u32, entry: Entry<E>) {
+        if let Some(chunk) = self.slots.get_mut(*head as usize) {
+            if let Some(slot) = chunk.entries.get_mut(chunk.len as usize) {
+                *slot = Some(entry);
+                chunk.len += 1;
+                return;
+            }
+        }
+        let slot = match self.free {
+            NIL => {
+                let slot = self.slots.len();
+                assert!(slot < NIL as usize, "event queue arena outgrew its u32 chunk indices");
+                self.slots.push(Chunk {
+                    next: NIL,
+                    len: 0,
+                    entries: std::array::from_fn(|_| None),
+                });
+                slot as u32
+            }
+            slot => {
+                self.free = self.slots[slot as usize].next;
+                slot
+            }
+        };
+        let chunk = &mut self.slots[slot as usize];
+        chunk.next = std::mem::replace(head, slot);
+        chunk.entries[0] = Some(entry);
+        chunk.len = 1;
+    }
+
+    /// Takes the entries of `chunk` out one by one into `each`, then frees
+    /// it and returns the next chunk of its list. `each` may append to other
+    /// lists: `chunk` is freed only after its last entry is out.
+    fn drain(&mut self, chunk: u32, mut each: impl FnMut(&mut Self, Entry<E>)) -> u32 {
+        let len = std::mem::take(&mut self.slots[chunk as usize].len);
+        for k in 0..len as usize {
+            let entry = self.slots[chunk as usize].entries[k].take();
+            each(self, entry.expect("a filled slot holds an entry"));
+        }
+        std::mem::replace(
+            &mut self.slots[chunk as usize].next,
+            std::mem::replace(&mut self.free, chunk),
+        )
+    }
+}
+
+/// Near-buffer capacity reserved at construction, beside one arena chunk
+/// per span, outside the engine's measured span: the fully resident
+/// scenarios never outgrow them, so their loops stay at zero allocations.
+/// Deeper queues double from them.
 const NEAR_RESERVE: usize = 256;
 
 /// The calendar: fixed-width buckets over `[0, horizon]`, plus one
 /// overflow bucket for times past the horizon (see the module docs).
 #[derive(Clone, Debug)]
 struct Calendar<E> {
-    /// Per bucket after the cursor, the arena index of the first node of
-    /// its list ([`NIL`] when empty). Buckets at or behind the cursor are
-    /// always empty here: their entries live in `near`.
+    /// Per fine bucket after the cursor, in the cursor's span or the next
+    /// one, the first chunk of its list ([`NIL`] when empty). Every other
+    /// bucket is empty here: its entries are in `near` or staged.
     heads: Vec<u32>,
-    nodes: Vec<Node<E>>,
-    /// First vacant node, chained through `next`.
-    free: u32,
+    /// Per span two or more past the cursor's, the first chunk of the list
+    /// its entries are staged in. Spans up to the cursor's next are empty.
+    staged: Vec<u32>,
+    chunks: Chunks<E>,
     /// Every entry whose bucket is `<= cursor`, ascending by `(time, seq)`.
     near: VecDeque<Entry<E>>,
     /// Buckets per second (`n_buckets / horizon`).
     inv_width: f64,
     cursor: usize,
-    /// Entries in both tiers.
+    /// The least time whose bucket is past the cursor's.
+    past_cursor: f64,
+    /// Entries in all three tiers.
     len: usize,
+}
+
+/// The bucket of `at` at `inv_width` buckets per second: times before 0
+/// clamp to bucket 0, times past the horizon to the overflow bucket,
+/// `last`.
+fn bucket_of(at: Time, inv_width: f64, last: usize) -> usize {
+    ((at.as_secs().max(0.0) * inv_width) as usize).min(last)
 }
 
 impl<E> Calendar<E> {
     fn new(horizon: Time, n_buckets: usize) -> Self {
         let n = n_buckets.max(1);
-        Calendar {
+        let spans = (n + 1).div_ceil(SPAN);
+        let mut calendar = Calendar {
             heads: vec![NIL; n + 1],
-            nodes: Vec::with_capacity(ARENA_RESERVE),
-            free: NIL,
+            staged: vec![NIL; spans],
+            chunks: Chunks { slots: Vec::with_capacity(spans), free: NIL },
             near: VecDeque::with_capacity(NEAR_RESERVE),
             inv_width: n as f64 / horizon.as_secs().max(f64::MIN_POSITIVE),
             cursor: 0,
+            past_cursor: 0.0,
             len: 0,
-        }
+        };
+        calendar.past_cursor = calendar.first_time_past(0);
+        calendar
     }
 
     fn bucket_index(&self, at: Time) -> usize {
-        // Times before 0 clamp to bucket 0, times past the horizon to the
-        // overflow bucket (last index).
-        let raw = at.as_secs().max(0.0) * self.inv_width;
-        (raw as usize).min(self.heads.len() - 1)
+        bucket_of(at, self.inv_width, self.heads.len() - 1)
+    }
+
+    /// The least time whose bucket is past `bucket` (infinite past the
+    /// overflow bucket). `bucket_index` is monotone in time, so the float
+    /// quotient is stepped by ulps to the exact edge.
+    fn first_time_past(&self, bucket: usize) -> f64 {
+        let edge = bucket + 1;
+        if edge >= self.heads.len() {
+            return f64::INFINITY;
+        }
+        let mut t = edge as f64 / self.inv_width;
+        while self.bucket_index(Time(t)) < edge {
+            t = t.next_up();
+        }
+        while t > 0.0 && self.bucket_index(Time(t.next_down())) >= edge {
+            t = t.next_down();
+        }
+        t
     }
 
     fn push(&mut self, entry: Entry<E>) {
         let idx = self.bucket_index(entry.at);
         self.len += 1;
         if idx > self.cursor {
-            let node = Node { next: self.heads[idx], entry: Some(entry) };
-            self.heads[idx] = match self.free {
-                NIL => {
-                    let slot = self.nodes.len();
-                    assert!(slot < NIL as usize, "event queue arena outgrew its u32 node indices");
-                    self.nodes.push(node);
-                    slot as u32
-                }
-                slot => {
-                    self.free = std::mem::replace(&mut self.nodes[slot as usize], node).next;
-                    slot
-                }
+            let span = idx / SPAN;
+            let head = if span > self.cursor / SPAN + 1 {
+                &mut self.staged[span]
+            } else {
+                &mut self.heads[idx]
             };
+            self.chunks.append(head, entry);
             return;
         }
         match self.near.back() {
@@ -171,26 +276,42 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Moves the cursor to the next occupied bucket (every entry is in the
-    /// far tier, so there is one) and loads it.
-    fn load_next_bucket(&mut self) {
-        debug_assert!(self.near.is_empty() && self.len > 0);
+    /// Moves the cursor one bucket on. Entering a span moves the span
+    /// after it out of staging into its fine buckets.
+    fn step_cursor(&mut self) {
         self.cursor += 1;
-        while self.heads[self.cursor] == NIL {
-            self.cursor += 1;
+        if self.cursor.is_multiple_of(SPAN) {
+            let span = self.cursor / SPAN + 1;
+            let Some(head) = self.staged.get_mut(span) else { return };
+            let mut chunk = std::mem::replace(head, NIL);
+            let (heads, inv_width) = (&mut self.heads, self.inv_width);
+            let last = heads.len() - 1;
+            while chunk != NIL {
+                chunk = self.chunks.drain(chunk, |chunks, entry| {
+                    chunks.append(&mut heads[bucket_of(entry.at, inv_width, last)], entry);
+                });
+            }
         }
-        self.load_cursor_bucket();
     }
 
-    /// Unlinks the cursor bucket's list into the empty `near`, sorted.
+    /// Moves the cursor to the next occupied bucket (every entry is past
+    /// the cursor, so there is one) and loads it.
+    fn load_next_bucket(&mut self) {
+        debug_assert!(self.near.is_empty() && self.len > 0);
+        self.step_cursor();
+        while self.heads[self.cursor] == NIL {
+            self.step_cursor();
+        }
+        self.load_cursor_bucket();
+        self.past_cursor = self.first_time_past(self.cursor);
+    }
+
+    /// Moves the cursor bucket's list into the empty `near`, sorted.
     fn load_cursor_bucket(&mut self) {
-        let mut slot = std::mem::replace(&mut self.heads[self.cursor], NIL);
-        while slot != NIL {
-            let node = &mut self.nodes[slot as usize];
-            self.near.push_back(node.entry.take().expect("linked node holds an entry"));
-            let next = std::mem::replace(&mut node.next, self.free);
-            self.free = slot;
-            slot = next;
+        let mut chunk = std::mem::replace(&mut self.heads[self.cursor], NIL);
+        let near = &mut self.near;
+        while chunk != NIL {
+            chunk = self.chunks.drain(chunk, |_, entry| near.push_back(entry));
         }
         self.near.make_contiguous().sort_unstable_by_key(Entry::key);
     }
@@ -206,20 +327,17 @@ impl<E> Calendar<E> {
         self.near.pop_front()
     }
 
-    /// Pops the minimum if its key is below `key`. With nothing loaded,
-    /// the cursor walks only as far as `key`'s bucket and loads the first
-    /// occupied bucket it meets there; entries past that bucket cannot
-    /// precede `key`, so they stay in the far tier.
+    /// Pops the minimum if its key is below `key`. With nothing loaded, a
+    /// key before `past_cursor` is refused on that one compare (every
+    /// entry is past the cursor's bucket); otherwise
+    /// [`walk_to`](Self::walk_to) moves the cursor towards the key.
+    #[inline]
     fn pop_before(&mut self, key: (Time, u64)) -> Option<Entry<E>> {
-        if self.near.is_empty() && self.len > 0 {
-            let limit = self.bucket_index(key.0);
-            while self.cursor < limit {
-                self.cursor += 1;
-                if self.heads[self.cursor] != NIL {
-                    self.load_cursor_bucket();
-                    break;
-                }
+        if self.near.is_empty() {
+            if self.len == 0 || key.0.as_secs() < self.past_cursor {
+                return None;
             }
+            self.walk_to(key.0);
         }
         if self.near.front()?.key() < key {
             self.len -= 1;
@@ -227,6 +345,22 @@ impl<E> Calendar<E> {
         } else {
             None
         }
+    }
+
+    /// Walks the cursor only as far as `at`'s bucket and loads the first
+    /// occupied bucket it meets there. Entries past that bucket cannot
+    /// precede `at`, so they stay where they are.
+    #[inline(never)]
+    fn walk_to(&mut self, at: Time) {
+        let limit = self.bucket_index(at);
+        while self.cursor < limit {
+            self.step_cursor();
+            if self.heads[self.cursor] != NIL {
+                self.load_cursor_bucket();
+                break;
+            }
+        }
+        self.past_cursor = self.first_time_past(self.cursor);
     }
 }
 
@@ -434,20 +568,31 @@ mod tests {
     /// entries) behind the cursor, at it, up to 256 s ahead of it (past a
     /// shallow trial's sparse far tier) and past the horizon. A refused
     /// `pop_before` leaves the cursor at or before the key's bucket, or
-    /// where it was.
+    /// where it was. The wide shapes (a span of 64 buckets is 1 s and
+    /// 1/16 s) stage most far pushes. In those that push only ahead of
+    /// the cursor the near buffer runs dry, and both pops and
+    /// `pop_before`s carry the cursor across span edges; each such trial
+    /// checks it did.
     #[test]
     fn calendar_agrees_with_reference_model() {
         use std::collections::BTreeMap;
         const HORIZON: f64 = 64.0;
         let mut next = lcg(0x1234_5678_9abc_def0);
-        let shapes = std::iter::repeat_n((0usize, 400usize), 50).chain([(10_000, 100_000)]);
-        for (trial, (standing, ops)) in shapes.enumerate() {
-            let mut q: EventQueue<u64> = EventQueue::with_horizon(Time(HORIZON), standing + 128);
+        // (standing entries, operations, buckets, pushes only ahead)
+        let shapes = std::iter::repeat_n((0usize, 400usize, 128usize, false), 50)
+            .chain(std::iter::repeat_n((0, 2000, 4096, false), 10))
+            .chain(std::iter::repeat_n((0, 2000, 4096, true), 10))
+            .chain(std::iter::repeat_n((500, 4000, 65_536, true), 5))
+            .chain([(10_000, 100_000, 10_128, false), (20_000, 100_000, 65_536, false)]);
+        for (trial, (standing, ops, buckets, ahead)) in shapes.enumerate() {
+            let mut q: EventQueue<u64> = EventQueue::with_horizon(Time(HORIZON), buckets);
             let mut reference: BTreeMap<(Time, u64), u64> = BTreeMap::new();
             let mut seq = 0u64;
             let mut now = 0.0f64;
+            let (mut staged, mut crossed_by_pop, mut crossed_by_pop_before) = (false, false, false);
             for op in 0..standing + ops {
                 let r = next();
+                let span = q.calendar.cursor / SPAN;
                 if op >= standing && r % 4 == 3 {
                     let step = ((r >> 4) % 256) as f64;
                     let at = match (r >> 2) % 4 {
@@ -459,6 +604,7 @@ mod tests {
                     let key = (Time(at), (r >> 12) % (seq + 1));
                     let cursor = q.calendar.cursor;
                     let popped = q.pop_before(key);
+                    crossed_by_pop_before |= q.calendar.cursor / SPAN > span;
                     match reference.first_key_value() {
                         Some((&first, &want)) if first < key => {
                             reference.pop_first();
@@ -474,6 +620,7 @@ mod tests {
                 } else if op < standing || r.is_multiple_of(2) || reference.is_empty() {
                     let step = ((r >> 4) % 256) as f64 * 0.25;
                     let at = match (r >> 1) % 8 {
+                        _ if ahead && op >= standing => now.max(0.0) + 0.25 + step % 8.0,
                         0 => now,
                         1 => now - step.min(2.0),
                         2 => -1.0 - step,
@@ -486,15 +633,64 @@ mod tests {
                 } else {
                     let ((at, _), want) = reference.pop_first().expect("non-empty");
                     assert_eq!(q.pop(), Some((at, want)), "trial {trial} op {op}");
+                    crossed_by_pop |= q.calendar.cursor / SPAN > span;
                     now = at.as_secs();
                 }
                 assert_eq!(q.len(), reference.len(), "trial {trial} op {op}");
+                staged |= q.calendar.staged.iter().any(|&head| head != NIL);
             }
+            assert!(staged || buckets < 4096, "trial {trial}");
+            assert!(
+                !ahead || (crossed_by_pop && crossed_by_pop_before),
+                "trial {trial} {crossed_by_pop} {crossed_by_pop_before}"
+            );
             // Drain; both must agree to the end.
             for ((at, _), want) in reference {
                 assert_eq!(q.pop(), Some((at, want)), "trial {trial}");
             }
             assert!(q.pop().is_none() && q.is_empty());
+        }
+    }
+
+    /// `past_cursor` is the exact edge of the cursor's bucket: the bucket
+    /// of that time is past the cursor, and the bucket of the float just
+    /// below it is not. Checked at random horizons, bucket counts and
+    /// cursors, at the overflow bucket (no time lies past it), and on a
+    /// queue whose cursor the walks themselves moved.
+    #[test]
+    fn past_cursor_is_the_exact_bucket_edge() {
+        let mut next = lcg(0xed9e);
+        for trial in 0..2000 {
+            let horizon = match trial % 4 {
+                0 => 4000.0,
+                1 => 700.0,
+                2 => (next() % 100_000 + 1) as f64 / 7.0,
+                _ => f64::from_bits(next() % (1 << 40) + 0x3f00_0000_0000_0000),
+            };
+            let q: EventQueue<()> =
+                EventQueue::with_horizon(Time(horizon), (next() % 70_000) as usize);
+            let last = q.calendar.heads.len() - 1;
+            for cursor in [0, last - 1, last, next() as usize % last] {
+                let edge = q.calendar.first_time_past(cursor);
+                if cursor == last {
+                    assert_eq!(edge, f64::INFINITY);
+                    continue;
+                }
+                assert!(q.calendar.bucket_index(Time(edge)) > cursor, "trial {trial}");
+                let below = Time(edge.next_down());
+                assert!(q.calendar.bucket_index(below) <= cursor, "trial {trial} at {cursor}");
+            }
+        }
+        let mut q: EventQueue<u32> = EventQueue::with_horizon(Time(4000.0), 65_536);
+        for i in 0..5000 {
+            q.push(Time((next() % 4_000_000) as f64 / 1000.0), i);
+        }
+        while !q.is_empty() {
+            let key = (Time((next() % 4_000_000) as f64 / 1000.0), 0);
+            if q.pop_before(key).is_none() {
+                q.pop();
+            }
+            assert_eq!(q.calendar.past_cursor, q.calendar.first_time_past(q.calendar.cursor));
         }
     }
 
@@ -519,15 +715,28 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// A node freed by an unlink is the next one a far push takes: the
-    /// arena never holds more nodes than entries were pending at once.
+    /// A chunk freed by a drain is the next one a new list chunk takes:
+    /// a far entry popped before the next is pushed leaves one chunk in
+    /// the arena, and a random walk of a million operations never holds
+    /// more chunks than its lists can need at once (one partly filled
+    /// chunk per fine bucket in two spans and per staged span, the rest
+    /// full).
     #[test]
-    fn arena_reuses_freed_nodes() {
+    fn arena_reuses_freed_chunks() {
+        let mut q: EventQueue<u32> = EventQueue::with_horizon(Time(1e6), 4096);
+        for i in 0..1000 {
+            q.push(Time(f64::from(i) * 997.0), i);
+            assert_eq!(q.pop(), Some((Time(f64::from(i) * 997.0), i)));
+        }
+        assert_eq!(q.calendar.chunks.slots.len(), 1);
+
         let mut next = lcg(7);
         let mut q: EventQueue<u32> = EventQueue::with_horizon(Time(1e6), 4096);
         for i in 0..1000 {
             q.push(Time((next() % 1000) as f64), i);
         }
+        let spans = q.calendar.staged.len();
+        let bound = |peak_len: usize| 2 * SPAN + spans + peak_len.div_ceil(CHUNK);
         let mut peak_len = q.len();
         for _ in 0..1_000_000 {
             let (now, event) = q.pop().expect("standing population");
@@ -541,7 +750,7 @@ mod tests {
                 q.pop();
             }
             peak_len = peak_len.max(q.len());
-            assert!(q.calendar.nodes.len() <= peak_len);
+            assert!(q.calendar.chunks.slots.len() <= bound(peak_len));
         }
         assert!(peak_len < 2000, "the population random-walks, it does not grow: {peak_len}");
     }

@@ -29,11 +29,23 @@
 //! in-memory source this permutes and shifts the seqs of payload-identical
 //! initial-departure events and nothing else, so replayed `SimReport`s are
 //! bit-identical either way (see [`WorkloadStream`]'s contract).
+//!
+//! # Decoding
+//!
+//! The replay reads one record per event, so the two reads are the hot
+//! path: each parses a whole record straight out of the reader's buffer
+//! ([`BufReader::buffer`]) and consumes it, and is `#[inline]` and small
+//! enough to inline into the event loop. What is rare goes through
+//! `#[cold]` helpers: a refill (a record the buffer does not hold whole,
+//! one in 512 sessions at the default 8 KiB, which `read_exact` completes
+//! across the refill) and the corrupt-record panics, whose formatting
+//! kept the reads out of line when it sat in them. The checks are the
+//! same on both paths.
 
 use crate::time::Time;
 use crate::workload::{Session, SessionIndex, Workload, WorkloadSource, WorkloadStream};
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// The 8-byte magic at offset 0.
@@ -143,18 +155,39 @@ impl DiskWorkload {
         HEADER_LEN + self.initial_count * 8
     }
 
-    /// Opens a buffered reader positioned at `offset`.
-    fn reader_at(&self, offset: u64) -> io::Result<BufReader<File>> {
+    /// Opens a file handle positioned at `offset`, buffered by `buffer`.
+    fn reader_at(
+        &self,
+        offset: u64,
+        buffer: fn(File) -> BufReader<File>,
+    ) -> io::Result<BufReader<File>> {
         let mut file = File::open(&self.path)?;
         file.seek(SeekFrom::Start(offset))?;
-        Ok(BufReader::new(file))
+        Ok(buffer(file))
     }
-}
 
-fn read_f64(r: &mut impl Read) -> io::Result<f64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(f64::from_le_bytes(buf))
+    /// [`into_stream`](WorkloadSource::into_stream) over readers that
+    /// `buffer` builds; the tests shrink the buffer so that records
+    /// straddle its refills.
+    fn stream_with(self, horizon: Time, buffer: fn(File) -> BufReader<File>) -> DiskStream {
+        let fail = |e: &dyn std::fmt::Display| -> ! {
+            panic!("workload file {}: {e}", self.path.display())
+        };
+        DiskStream {
+            sessions: self.reader_at(self.sessions_offset(), buffer).unwrap_or_else(|e| fail(&e)),
+            initial: self.reader_at(HEADER_LEN, buffer).unwrap_or_else(|e| fail(&e)),
+            horizon,
+            next_index: 0,
+            next_session_seq: 0,
+            sessions_remaining: self.session_count,
+            prev_join: f64::NEG_INFINITY,
+            initial_base: 2 * self.session_count,
+            initial_read: 0,
+            initial_count: self.initial_count,
+            prev_initial: f64::NEG_INFINITY,
+            path: self.path,
+        }
+    }
 }
 
 impl WorkloadSource for DiskWorkload {
@@ -178,23 +211,7 @@ impl WorkloadSource for DiskWorkload {
     /// non-finite, inverted sessions); [`write_workload`] can produce
     /// neither, so this indicates a corrupt or foreign file.
     fn into_stream(self, horizon: Time) -> DiskStream {
-        let fail = |e: &dyn std::fmt::Display| -> ! {
-            panic!("workload file {}: {e}", self.path.display())
-        };
-        DiskStream {
-            sessions: self.reader_at(self.sessions_offset()).unwrap_or_else(|e| fail(&e)),
-            initial: self.reader_at(HEADER_LEN).unwrap_or_else(|e| fail(&e)),
-            horizon,
-            next_index: 0,
-            next_session_seq: 0,
-            sessions_remaining: self.session_count,
-            prev_join: f64::NEG_INFINITY,
-            initial_base: 2 * self.session_count,
-            initial_read: 0,
-            initial_count: self.initial_count,
-            prev_initial: f64::NEG_INFINITY,
-            path: self.path,
-        }
+        self.stream_with(horizon, BufReader::new)
     }
 }
 
@@ -229,6 +246,56 @@ pub struct DiskStream {
     prev_initial: f64,
 }
 
+/// The replay's slow paths, out of line so that the two record reads of
+/// the `WorkloadStream` impl below inline into the event loop (see the
+/// module docs, "Decoding").
+impl DiskStream {
+    #[cold]
+    #[inline(never)]
+    fn refill_session(&mut self) -> [u8; 16] {
+        // Record counts were checked at open; a read failure here means
+        // the file changed underneath us.
+        let mut record = [0u8; 16];
+        self.sessions.read_exact(&mut record).unwrap_or_else(|e| {
+            panic!("workload file {}: session unreadable mid-replay: {e}", self.path.display())
+        });
+        record
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn refill_initial(&mut self) -> [u8; 8] {
+        let mut record = [0u8; 8];
+        self.initial.read_exact(&mut record).unwrap_or_else(|e| {
+            panic!(
+                "workload file {}: initial departure unreadable mid-replay: {e}",
+                self.path.display()
+            )
+        });
+        record
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn corrupt_session(&self, join: f64, depart: f64) -> ! {
+        panic!(
+            "workload file {}: corrupt session {}: join {join}, depart {depart}",
+            self.path.display(),
+            self.next_index
+        );
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn corrupt_initial(&self, i: u64, d: f64) -> ! {
+        panic!(
+            "workload file {}: corrupt initial departure {i}: {d} after {}",
+            self.path.display(),
+            self.prev_initial
+        );
+    }
+}
+
 impl WorkloadStream for DiskStream {
     fn seq_floor(&self) -> u64 {
         self.initial_base + self.initial_count
@@ -239,26 +306,23 @@ impl WorkloadStream for DiskStream {
     /// Panics on a record that is non-finite, departs before it joins or
     /// joins before its predecessor, naming its index (`corrupt session
     /// <i>`), and if the file can no longer be read.
+    #[inline]
     fn next_session(&mut self) -> Option<(SessionIndex, Session, u64)> {
         if self.sessions_remaining == 0 {
             return None;
         }
         self.sessions_remaining -= 1;
-        // Record counts were checked at open; a read failure here means
-        // the file changed underneath us.
-        let mut record = |what: &str| -> f64 {
-            read_f64(&mut self.sessions).unwrap_or_else(|e| {
-                panic!("workload file {}: {what} unreadable mid-replay: {e}", self.path.display())
-            })
+        let record = match self.sessions.buffer().first_chunk::<16>() {
+            Some(&record) => {
+                self.sessions.consume(16);
+                record
+            }
+            None => self.refill_session(),
         };
-        let join = record("session join");
-        let depart = record("session depart");
+        let record = u128::from_le_bytes(record);
+        let (join, depart) = (f64::from_bits(record as u64), f64::from_bits((record >> 64) as u64));
         if !join.is_finite() || !depart.is_finite() || depart < join || join < self.prev_join {
-            panic!(
-                "workload file {}: corrupt session {}: join {join}, depart {depart}",
-                self.path.display(),
-                self.next_index
-            );
+            self.corrupt_session(join, depart);
         }
         self.prev_join = join;
         if Time(join) > self.horizon {
@@ -279,24 +343,23 @@ impl WorkloadStream for DiskStream {
     /// Panics on a record that is non-finite or below its predecessor,
     /// naming its index (`corrupt initial departure <i>`), and if the file
     /// can no longer be read.
+    #[inline]
     fn next_initial_departure(&mut self) -> Option<(Time, u64)> {
         if self.initial_read == self.initial_count {
             return None;
         }
         let i = self.initial_read;
         self.initial_read += 1;
-        let d = read_f64(&mut self.initial).unwrap_or_else(|e| {
-            panic!(
-                "workload file {}: initial departure unreadable mid-replay: {e}",
-                self.path.display()
-            )
-        });
+        let record = match self.initial.buffer().first_chunk::<8>() {
+            Some(&record) => {
+                self.initial.consume(8);
+                record
+            }
+            None => self.refill_initial(),
+        };
+        let d = f64::from_le_bytes(record);
         if !d.is_finite() || d < self.prev_initial {
-            panic!(
-                "workload file {}: corrupt initial departure {i}: {d} after {}",
-                self.path.display(),
-                self.prev_initial
-            );
+            self.corrupt_initial(i, d);
         }
         self.prev_initial = d;
         if Time(d) > self.horizon {
@@ -484,34 +547,97 @@ mod tests {
 
     /// A file whose header is sound but whose records break the format
     /// opens, and its replay stops with a panic naming the first bad
-    /// record: an inverted, NaN or out-of-order session, or an
-    /// out-of-order or NaN initial departure.
+    /// record: an inverted, NaN, infinite or out-of-order session, or an
+    /// out-of-order or NaN initial departure. The same panic comes from a
+    /// stream over 24-byte buffers, where the record may arrive split
+    /// across a refill.
     #[test]
     fn corrupt_records_panic_during_replay() {
         use crate::adversary::NullAdversary;
         use crate::engine::{SimConfig, Simulation};
         use crate::testutil::UnitCostDefense;
         type Case = (&'static [f64], &'static [(f64, f64)], &'static str);
-        let cases: [Case; 5] = [
+        let cases: [Case; 7] = [
             (&[], &[(1.0, 2.0), (3.0, 4.0), (2.0, 5.0)], "corrupt session 2:"),
             (&[7.0], &[(1.0, 2.0), (f64::NAN, 3.0)], "corrupt session 1:"),
             (&[7.0], &[(1.0, 2.0), (3.0, 2.5)], "corrupt session 1:"),
+            (
+                &[],
+                &[(1.0, 2.0), (3.0, 4.0), (5.0, 6.0), (f64::INFINITY, 7.0)],
+                "corrupt session 3:",
+            ),
             (&[1.0, 5.0, 3.0], &[(1.0, 2.0)], "corrupt initial departure 2:"),
+            (&[1.0, 5.0, 6.0, 3.0], &[(1.0, 2.0)], "corrupt initial departure 3:"),
             (&[1.0, f64::NAN], &[], "corrupt initial departure 1:"),
         ];
+        let through_the_engine = |disk: DiskWorkload| {
+            let cfg = SimConfig { horizon: Time(100.0), ..SimConfig::default() };
+            Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, disk).run();
+        };
+        let through_tiny_buffers = |disk: DiskWorkload| {
+            drain(disk.stream_with(Time(100.0), tiny_buffer));
+        };
+        let replays: [&dyn Fn(DiskWorkload); 2] = [&through_the_engine, &through_tiny_buffers];
         for (initial, sessions, want) in cases {
             let path = temp_path("corrupt");
             write_raw(&path, initial, sessions);
-            let disk = DiskWorkload::open(&path).expect("header and length are sound");
-            let cfg = SimConfig { horizon: Time(100.0), ..SimConfig::default() };
-            let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Simulation::new(cfg, UnitCostDefense::new(), NullAdversary, disk).run()
-            }));
+            for replay in replays {
+                let disk = DiskWorkload::open(&path).expect("header and length are sound");
+                let replay =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| replay(disk)));
+                let payload = replay.expect_err(want);
+                let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+                assert!(message.contains(want), "{want}: {message}");
+            }
             std::fs::remove_file(&path).ok();
-            let payload = replay.expect_err(want);
-            let message = payload.downcast_ref::<String>().expect("a formatted panic message");
-            assert!(message.contains(want), "{want}: {message}");
         }
+    }
+
+    /// A 24-byte read buffer: every other 16-byte session record
+    /// straddles a refill.
+    fn tiny_buffer(file: File) -> BufReader<File> {
+        BufReader::with_capacity(24, file)
+    }
+
+    /// A stream's sessions and initial departures, as it yields them.
+    type Records = (Vec<(SessionIndex, Session, u64)>, Vec<(Time, u64)>);
+
+    /// Every record, in order, that `stream` yields.
+    fn drain(mut stream: impl WorkloadStream) -> Records {
+        let sessions = std::iter::from_fn(|| stream.next_session()).collect();
+        let initial = std::iter::from_fn(|| stream.next_initial_departure()).collect();
+        (sessions, initial)
+    }
+
+    /// Records split across refills decode as whole ones: a stream over
+    /// 24-byte buffers yields what the default 8 KiB stream and the
+    /// in-memory stream yield, over thousands of records, with sessions
+    /// and departures ending inside and past the horizon.
+    #[test]
+    fn records_straddling_the_read_buffer_replay_the_same_events() {
+        let mut next = 0x5eed_u64;
+        let mut draw = move || {
+            next = next.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (next >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let initial = (0..1500).map(|_| Time(draw() * 1200.0)).collect();
+        let mut joins: Vec<f64> = (0..3000).map(|_| draw() * 1200.0).collect();
+        joins.sort_by(f64::total_cmp);
+        let sessions =
+            joins.iter().map(|&j| Session::new(Time(j), Time(j + draw() * 300.0))).collect();
+        let w = Workload::new(initial, sessions);
+        let path = temp_path("straddle");
+        write_workload_file(&path, &w).unwrap();
+        let horizon = Time(1000.0);
+        let tiny = drain(DiskWorkload::open(&path).unwrap().stream_with(horizon, tiny_buffer));
+        let default = drain(DiskWorkload::open(&path).unwrap().into_stream(horizon));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(tiny, default);
+        let memory = drain(w.into_stream(horizon));
+        assert_eq!(tiny.0, memory.0);
+        let times = |initial: &[(Time, u64)]| initial.iter().map(|&(t, _)| t).collect::<Vec<_>>();
+        assert_eq!(times(&tiny.1), times(&memory.1));
+        assert!(tiny.0.len() > 2000 && tiny.1.len() > 1000, "most records are in the horizon");
     }
 
     #[test]

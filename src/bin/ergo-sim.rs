@@ -23,6 +23,12 @@
 //! A flag outside its accepted range is a usage error (exit status 2,
 //! naming the flag and the range), never a library assertion.
 //!
+//! A run the engine cut short (an adversary turn or a purge cascade that
+//! hit its round bound, counted in `SimReport::adversary_turn_truncations`
+//! and `purge_cascade_truncations`) is not a result: the report prints
+//! both counts, `TRUNCATED` in place of the invariant verdict, and the
+//! process exits with status 3.
+//!
 //! Example:
 //!
 //! ```text
@@ -193,11 +199,22 @@ fn main() {
     );
     println!("purges:                {} (skipped {})", report.purges, report.purges_skipped);
     println!(
-        "bad fraction:          max {:.4} | mean {:.4} | bound {:.4} -> {}",
+        "truncations:           adversary turns {} | purge cascades {}",
+        report.adversary_turn_truncations, report.purge_cascade_truncations
+    );
+    let truncated = report.adversary_turn_truncations > 0 || report.purge_cascade_truncations > 0;
+    let verdict = if truncated {
+        "TRUNCATED"
+    } else if report.max_bad_fraction < 1.0 / 6.0 {
+        "INVARIANT HELD"
+    } else {
+        "VIOLATED"
+    };
+    println!(
+        "bad fraction:          max {:.4} | mean {:.4} | bound {:.4} -> {verdict}",
         report.max_bad_fraction,
         report.mean_bad_fraction,
         1.0 / 6.0,
-        if report.max_bad_fraction < 1.0 / 6.0 { "INVARIANT HELD" } else { "VIOLATED" }
     );
     println!("final membership:      {} ({} Sybil)", report.final_members, report.final_bad);
     if !report.estimates.is_empty() {
@@ -219,5 +236,8 @@ fn main() {
                 p.bad as f64 / p.members.max(1) as f64
             );
         }
+    }
+    if truncated {
+        std::process::exit(3);
     }
 }

@@ -1,7 +1,8 @@
 //! Drives the built `ergo-sim` binary: a flag outside its accepted range
 //! is a usage error naming the flag (exit status 2, no library assertion
 //! and no backtrace), an unknown adversary lists the registry's roster,
-//! and a run is a deterministic function of its flags.
+//! a run is a deterministic function of its flags, and a run the engine
+//! cut short exits 3.
 
 use std::process::{Command, Output};
 
@@ -44,6 +45,27 @@ fn a_run_holds_the_invariant_and_is_a_function_of_its_seed() {
     assert!(report.contains("INVARIANT HELD"), "{report}");
     assert_eq!(report, run("7"), "same seed, same stdout");
     assert_ne!(report, run("8"), "a different seed changes the workload");
+}
+
+/// A run the engine cut short is not a clean one: at `T = 10¹¹` CCom's
+/// adversary turns hit their round bound, and the report prints the cut
+/// counts and `TRUNCATED` in place of the invariant verdict, and exits 3.
+/// (`T = 2³⁰` over 0.025 s, which cuts `purge_cycles`' 150-ID synthetic
+/// workload, collapses into closed-form cycles on all four networks.)
+#[test]
+fn a_truncated_run_says_so_and_exits_3() {
+    let out = ergo_sim(&["--defense", "ccom", "--t", "1e11", "--horizon", "0.025"]);
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "{report}");
+    assert!(report.contains("truncations:           adversary turns 2 |"), "{report}");
+    assert!(report.contains("-> TRUNCATED"), "{report}");
+    assert!(!report.contains("INVARIANT HELD") && !report.contains("VIOLATED"), "{report}");
+    let clean = ergo_sim(&["--t", "4096", "--horizon", "300"]);
+    let clean = String::from_utf8_lossy(&clean.stdout);
+    assert!(
+        clean.contains("truncations:           adversary turns 0 | purge cascades 0"),
+        "{clean}"
+    );
 }
 
 /// A run whose spend or membership leaves its range dies on a checked sum
