@@ -547,19 +547,20 @@ mod tests {
 
     /// A file whose header is sound but whose records break the format
     /// opens, and its replay stops with a panic naming the first bad
-    /// record: an inverted, NaN, infinite or out-of-order session, or an
-    /// out-of-order or NaN initial departure. The same panic comes from a
-    /// stream over 24-byte buffers, where the record may arrive split
-    /// across a refill.
+    /// record: an inverted, NaN, infinite (either end) or out-of-order
+    /// session, or an out-of-order or NaN initial departure. The same
+    /// panic comes from a stream over 24-byte buffers, where the record
+    /// may arrive split across a refill.
     #[test]
     fn corrupt_records_panic_during_replay() {
         use crate::adversary::NullAdversary;
         use crate::engine::{SimConfig, Simulation};
         use crate::testutil::UnitCostDefense;
         type Case = (&'static [f64], &'static [(f64, f64)], &'static str);
-        let cases: [Case; 7] = [
+        let cases: [Case; 8] = [
             (&[], &[(1.0, 2.0), (3.0, 4.0), (2.0, 5.0)], "corrupt session 2:"),
             (&[7.0], &[(1.0, 2.0), (f64::NAN, 3.0)], "corrupt session 1:"),
+            (&[7.0], &[(1.0, 2.0), (3.0, f64::INFINITY)], "corrupt session 1:"),
             (&[7.0], &[(1.0, 2.0), (3.0, 2.5)], "corrupt session 1:"),
             (
                 &[],
