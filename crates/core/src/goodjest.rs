@@ -114,6 +114,11 @@ impl GoodJEst {
         self.log.reserve(n);
     }
 
+    /// Heap bytes the interval log holds, at its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.log.capacity() * std::mem::size_of::<IntervalRecord>()
+    }
+
     /// Number of completed intervals (estimate updates) so far. Zero means
     /// the current estimate is still the initialization guess.
     pub fn update_count(&self) -> u64 {

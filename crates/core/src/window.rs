@@ -85,6 +85,11 @@ impl JoinWindow {
         self.counts.reserve(n);
     }
 
+    /// Heap bytes the history holds, at its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        (self.times.capacity() + self.counts.capacity()) * 8
+    }
+
     /// Total joins recorded this iteration.
     pub fn total(&self) -> u64 {
         self.counts.last().copied().unwrap_or(0)
@@ -196,8 +201,14 @@ pub fn max_affordable(q0: f64, budget: f64) -> u64 {
     if budget < q0 {
         return 0;
     }
-    if q0.fract() == 0.0 && (1.0..EXACT_QUOTE).contains(&q0) && budget < EXACT_BUDGET {
-        return max_affordable_exact(q0 as u64, budget as u64);
+    // Range first: on `[1, 2²⁴)` a round trip through `u64` is exact for
+    // an integral quote and truncates any other, and unlike `fract` it
+    // needs no software `trunc` where the target lacks SSE4.1.
+    if (1.0..EXACT_QUOTE).contains(&q0) && budget < EXACT_BUDGET {
+        let q = q0 as u64;
+        if q as f64 == q0 {
+            return max_affordable_exact(q, budget as u64);
+        }
     }
     max_affordable_float(q0, budget)
 }

@@ -62,7 +62,8 @@ fn main() {
     );
     println!(
         "note: the gate implements Figure 4's entrance cost and not its purge, so it bounds the \
-         rate of Sybil entry, not the Sybil fraction"
+         rate of Sybil entry, not the Sybil fraction; a grant is never reclaimed, so each one \
+         keeps a few dozen bytes for the life of the process"
     );
     let service = Arc::new(ShardedGate::new(cfg, 1));
     if let Err(e) = transport::serve(listener, service, workers) {

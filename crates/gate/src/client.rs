@@ -323,6 +323,7 @@ mod tests {
         };
         let (log_a, counters_a) = run();
         let (log_b, counters_b) = run();
+        assert!(!log_a.is_empty(), "the replay must produce decisions");
         assert_eq!(log_a, log_b, "decision logs must be byte-identical");
         assert_eq!(counters_a, counters_b);
     }

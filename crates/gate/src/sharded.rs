@@ -4,14 +4,14 @@
 //! * **Under the lock**: the connection table, the join-rate estimator
 //!   and its window, one [`AdmissionMap`] entry per identity ever issued
 //!   and one [`IdentityRecord`] per identity issued over the wire, the
-//!   monotone counters and the decision log. Bootstrap identities have
-//!   no record: they follow a rule, identity `i < initial_size` has
+//!   monotone counters and the decision fingerprint. Bootstrap identities
+//!   have no record: they follow a rule, identity `i < initial_size` has
 //!   client tag `i` and joined at time 0. A departure, like a refused
 //!   mining submission, leaves the identity's admission entry in the
 //!   terminal `Refused` state. The state transition, the estimator call,
-//!   the counters and the log record of one decision share one critical
-//!   section, so the log is the order in which transitions happened and
-//!   in which the estimator saw them.
+//!   the counters and the decision record of one decision share one
+//!   critical section, so the records reach the fingerprint in the order
+//!   in which transitions happened and in which the estimator saw them.
 //! * **Outside it**: every digest — the PoW verification, the token
 //!   HMAC and the memory-hard `fill_and_mix`. A frame therefore takes
 //!   the lock twice, once to read what the digest needs and once to
@@ -20,12 +20,20 @@
 //!   computing costs its sender a digest but cannot double-admit or
 //!   double-depart.
 //!
+//! The fingerprint is a running SHA-256 over the 17-byte decision
+//! records; the records are not kept. A connection that closes without a
+//! grant, or whose join is rejected, therefore leaves nothing behind.
+//! What still grows is per grant: an [`IdentityRecord`], an admission
+//! entry and a [`JoinWindow`] entry ([`ShardedGate::state_bytes`] reads
+//! them).
+//!
 //! Driven serially, the gate's decision log is a function of its input
 //! alone — the tests in this module pin its SHA-256. Driven
 //! concurrently, record order *across* identities follows the scheduler
 //! (so parallel benchmarks record no fingerprint), but per identity
 //! `GRANTED`, then `ADMITTED` or `MINE_REFUSED`, then `DEPARTED` appear
 //! in that order, and the counters and per-identity outcomes are exact.
+//! This crate's unit tests, which parse records, also keep them raw.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
@@ -44,8 +52,8 @@ use crate::transport::SharedGate;
 use crate::wire::{Frame, PROTOCOL_VERSION};
 
 /// Locks a mutex, recovering from poisoning: gate state is monotone
-/// counters, maps, and a log, all valid at every step, so a panicking
-/// sibling must not take the gate down with it.
+/// counters, maps, and a running hash, all valid at every step, so a
+/// panicking sibling must not take the gate down with it.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -64,14 +72,27 @@ struct State {
     records: Vec<IdentityRecord>,
     admission: AdmissionMap,
     counters: GateCounters,
+    /// SHA-256 over every decision record so far, in the order they took
+    /// effect; the records themselves are not kept.
+    fingerprint: Sha256,
+    /// The raw records, kept only in this crate's unit tests, which parse
+    /// them.
+    #[cfg(test)]
     log: Vec<u8>,
 }
 
 impl State {
+    /// Feeds one 17-byte decision record to the running hash. The hasher
+    /// buffers a partial block itself, and SHA-256 does not depend on how
+    /// its input is chunked, so the digest is the one of the whole log.
     fn push_record(&mut self, kind: u8, a: u64, b: u64) {
-        self.log.push(kind);
-        self.log.extend_from_slice(&a.to_le_bytes());
-        self.log.extend_from_slice(&b.to_le_bytes());
+        let mut record = [0u8; 17];
+        record[0] = kind;
+        record[1..9].copy_from_slice(&a.to_le_bytes());
+        record[9..].copy_from_slice(&b.to_le_bytes());
+        self.fingerprint.update(&record);
+        #[cfg(test)]
+        self.log.extend_from_slice(&record);
     }
 
     fn drop_conn(&mut self, conn: u64, code: u64) -> Response {
@@ -142,6 +163,8 @@ impl ShardedGate {
             records: Vec::new(),
             admission: AdmissionMap::filled(cfg.initial_size, AdmissionState::Admitted),
             counters: GateCounters::default(),
+            fingerprint: Sha256::new(),
+            #[cfg(test)]
             log: Vec::new(),
         };
         ShardedGate { cfg, state: Mutex::new(state) }
@@ -315,19 +338,37 @@ impl ShardedGate {
         lock(&self.state).counters
     }
 
-    /// A copy of the raw decision log: 17-byte records of `(kind, a, b)`
-    /// with little-endian `u64` operands, in the order the decisions
-    /// took effect. Contains connection ids, identities, difficulties,
-    /// and salts — but never wall-clock time, so equal serially-driven
-    /// inputs give equal logs on any machine; under concurrency the
-    /// order across identities follows the scheduler.
-    pub fn decision_log(&self) -> Vec<u8> {
+    /// A copy of the raw decision log, which only this crate's unit tests
+    /// keep: 17-byte records of `(kind, a, b)` with little-endian `u64`
+    /// operands, in the order the decisions took effect. Contains
+    /// connection ids, identities, difficulties, and salts — but never
+    /// wall-clock time, so equal serially-driven inputs give equal logs on
+    /// any machine; under concurrency the order across identities follows
+    /// the scheduler.
+    #[cfg(test)]
+    pub(crate) fn decision_log(&self) -> Vec<u8> {
         lock(&self.state).log.clone()
     }
 
-    /// SHA-256 over the decision log: the run's decision fingerprint.
+    /// SHA-256 over the decision log so far: the run's decision
+    /// fingerprint. The log is hashed as it is written and not kept.
     pub fn fingerprint(&self) -> Digest {
-        Sha256::digest(&lock(&self.state).log)
+        let running = lock(&self.state).fingerprint.clone();
+        running.finalize()
+    }
+
+    /// Heap bytes the gate's state retains: the connection table, the
+    /// identity records, the admission map and the join-rate estimator
+    /// with its window (not the raw log unit tests keep). The connection
+    /// table is counted at its capacity with one control byte per slot,
+    /// an estimate of what the allocator holds for it.
+    pub fn state_bytes(&self) -> usize {
+        let s = lock(&self.state);
+        s.conns.capacity() * (std::mem::size_of::<(u64, ConnState)>() + 1)
+            + s.records.capacity() * std::mem::size_of::<IdentityRecord>()
+            + s.admission.allocated_bytes()
+            + s.window.heap_bytes()
+            + s.est.heap_bytes()
     }
 
     /// Total identities ever issued (bootstrap included).

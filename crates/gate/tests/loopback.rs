@@ -34,22 +34,23 @@ fn gate_cfg(initial_size: u64) -> GateConfig {
     }
 }
 
-/// Same seed and workload ⇒ byte-identical decision logs and equal
-/// fingerprints, across fresh service instances.
+/// Same seed and workload ⇒ equal fingerprints, counters and connection
+/// counts across fresh service instances. The production gate keeps no
+/// raw log; `client::tests::replay_is_deterministic_across_runs` compares
+/// the raw logs byte for byte.
 #[test]
-fn replay_decision_log_is_byte_identical() {
+fn replay_decision_fingerprint_is_identical() {
     let run = || {
         let wl = workload();
         let initial = wl.initial_size();
         let cfg = ReplayConfig { horizon: Time(12.0), adversarial_fraction: 0.25, seed: 5 };
         let (gate, report) = replay(wl, ShardedGate::new(gate_cfg(initial), 1), &cfg);
-        (gate.decision_log(), gate.fingerprint(), gate.counters(), report.connections)
+        (gate.fingerprint(), gate.counters(), report.connections)
     };
-    let (log_a, fp_a, counters_a, conns_a) = run();
-    let (log_b, fp_b, counters_b, conns_b) = run();
-    assert!(!log_a.is_empty(), "the replay must produce decisions");
-    assert_eq!(log_a, log_b, "decision logs must be byte-identical");
-    assert_eq!(fp_a, fp_b);
+    let (fp_a, counters_a, conns_a) = run();
+    let (fp_b, counters_b, conns_b) = run();
+    assert!(conns_a > 0, "the replay must produce decisions");
+    assert_eq!(fp_a, fp_b, "decision fingerprints must be identical");
     assert_eq!(counters_a, counters_b);
     assert_eq!(conns_a, conns_b);
     // The mix covers every decision kind the bench fingerprints.
