@@ -1,6 +1,6 @@
 //! Shared experiment machinery: algorithm roster and spend-rate runs.
 
-use ergo_core::defid::DefIdChecker;
+use ergo_core::defid::bad_fraction_bound;
 use sybil_churn::model::ChurnModel;
 use sybil_defenses as defs;
 use sybil_exp::defense_seed;
@@ -273,8 +273,7 @@ pub fn run_report_measured(
 /// Validates the DefID invariant over a report (bad fraction < 3κ for the
 /// Ergo family).
 pub fn check_invariant(report: &SimReport, kappa: f64) -> bool {
-    let checker = DefIdChecker::with_kappa(kappa);
-    report.max_bad_fraction < checker.bound()
+    report.max_bad_fraction < bad_fraction_bound(kappa)
 }
 
 /// The Figure 8/10 adversary spend grid: `T = 2⁰ … 2²⁰` (even exponents),

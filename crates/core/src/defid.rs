@@ -1,4 +1,4 @@
-//! The DefID problem (paper Section 2.2) and its invariant checker.
+//! The DefID problem (paper Section 2.2) and its invariant's bound.
 //!
 //! **DefID** generalizes the well-studied GenID problem to churn: at *every*
 //! time `t`, all good IDs must know a set `S(t)` such that (1) all good IDs
@@ -7,112 +7,18 @@
 //! pushes the bad fraction up, and re-running a GenID solution per event
 //! costs `Ω(n)` resource burning per event.
 //!
-//! [`DefIdChecker`] verifies requirement (2) — the Lemma 9 invariant
-//! `bad fraction < 3κ` — over a stream of membership snapshots, and is used
-//! by the integration tests and the invariant benchmarks.
+//! [`bad_fraction_bound`] is requirement (2)'s bound — the Lemma 9
+//! invariant `bad fraction < 3κ` — which the integration tests and the
+//! invariant experiments hold a run's `max_bad_fraction` to.
 
-use crate::params::KAPPA_DEFAULT;
-use sybil_sim::time::Time;
-
-/// A violation of the DefID bad-fraction bound.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Violation {
-    /// When the violation was observed.
-    pub at: Time,
-    /// The offending bad fraction.
-    pub fraction: f64,
-    /// Members at the time.
-    pub members: u64,
-    /// Bad members at the time.
-    pub bad: u64,
-}
-
-/// Streaming checker for the `bad fraction < 3κ` invariant.
+/// The Lemma 9 bound `3κ` on the bad fraction.
 ///
-/// # Example
+/// # Panics
 ///
-/// ```
-/// use ergo_core::defid::DefIdChecker;
-/// use sybil_sim::time::Time;
-///
-/// let mut checker = DefIdChecker::with_kappa(1.0 / 18.0);
-/// checker.observe(Time(1.0), 100, 10); // 10% < 1/6: fine
-/// checker.observe(Time(2.0), 100, 20); // 20% ≥ 1/6: violation
-/// assert_eq!(checker.violations().len(), 1);
-/// assert!(!checker.holds());
-/// ```
-#[derive(Clone, Debug)]
-pub struct DefIdChecker {
-    bound: f64,
-    max_fraction: f64,
-    violations: Vec<Violation>,
-    observations: u64,
-}
-
-impl Default for DefIdChecker {
-    fn default() -> Self {
-        Self::with_kappa(KAPPA_DEFAULT)
-    }
-}
-
-impl DefIdChecker {
-    /// A checker enforcing `bad fraction < 3κ` for the given `κ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kappa` is not in `(0, 1/3)`.
-    pub fn with_kappa(kappa: f64) -> Self {
-        assert!(kappa > 0.0 && kappa < 1.0 / 3.0, "kappa must be in (0, 1/3)");
-        Self::with_bound(3.0 * kappa)
-    }
-
-    /// A checker enforcing an explicit fraction bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is not in `(0, 1)`.
-    pub fn with_bound(bound: f64) -> Self {
-        assert!(bound > 0.0 && bound < 1.0, "bound must be in (0,1)");
-        DefIdChecker { bound, max_fraction: 0.0, violations: Vec::new(), observations: 0 }
-    }
-
-    /// The enforced bound (`3κ`).
-    pub fn bound(&self) -> f64 {
-        self.bound
-    }
-
-    /// Feeds a membership snapshot.
-    pub fn observe(&mut self, at: Time, members: u64, bad: u64) {
-        debug_assert!(bad <= members, "bad exceeds membership");
-        self.observations += 1;
-        let fraction = if members == 0 { 0.0 } else { bad as f64 / members as f64 };
-        if fraction > self.max_fraction {
-            self.max_fraction = fraction;
-        }
-        if fraction >= self.bound {
-            self.violations.push(Violation { at, fraction, members, bad });
-        }
-    }
-
-    /// True if no snapshot violated the bound.
-    pub fn holds(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// The largest bad fraction observed.
-    pub fn max_fraction(&self) -> f64 {
-        self.max_fraction
-    }
-
-    /// All violations, in observation order.
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// Number of snapshots observed.
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
+/// Panics if `kappa` is not in `(0, 1/3)`.
+pub fn bad_fraction_bound(kappa: f64) -> f64 {
+    assert!(kappa > 0.0 && kappa < 1.0 / 3.0, "kappa must be in (0, 1/3)");
+    3.0 * kappa
 }
 
 #[cfg(test)]
@@ -121,33 +27,13 @@ mod tests {
 
     #[test]
     fn default_bound_is_one_sixth() {
-        let c = DefIdChecker::default();
-        assert!((c.bound() - 1.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn detects_violations_at_boundary() {
-        let mut c = DefIdChecker::with_bound(0.25);
-        c.observe(Time(1.0), 100, 24); // below
-        assert!(c.holds());
-        c.observe(Time(2.0), 100, 25); // fraction == bound counts as violation (strict bound)
-        assert!(!c.holds());
-        assert_eq!(c.violations()[0].bad, 25);
-        assert_eq!(c.max_fraction(), 0.25);
-        assert_eq!(c.observations(), 2);
-    }
-
-    #[test]
-    fn empty_system_is_fine() {
-        let mut c = DefIdChecker::default();
-        c.observe(Time(0.0), 0, 0);
-        assert!(c.holds());
-        assert_eq!(c.max_fraction(), 0.0);
+        // The paper's bound on adversary power, κ ≤ 1/18 (Theorem 1).
+        assert!((bad_fraction_bound(1.0 / 18.0) - 1.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "kappa")]
     fn kappa_out_of_range_panics() {
-        let _ = DefIdChecker::with_kappa(0.4);
+        let _ = bad_fraction_bound(0.4);
     }
 }

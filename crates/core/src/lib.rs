@@ -76,7 +76,7 @@ pub mod params;
 pub mod symdiff;
 pub mod window;
 
-pub use defid::DefIdChecker;
+pub use defid::bad_fraction_bound;
 pub use ergo::Ergo;
 pub use gate::ClassifierGate;
 pub use goodjest::GoodJEst;

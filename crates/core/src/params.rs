@@ -57,9 +57,6 @@ impl std::fmt::Display for Ratio {
     }
 }
 
-/// The paper's bound on adversary power: `κ ≤ 1/18` (Theorem 1).
-pub const KAPPA_DEFAULT: f64 = 1.0 / 18.0;
-
 /// GoodJEst interval threshold: intervals end when `|S(t')△S(t)| ≥ 5/12·|S(t')|`.
 pub const INTERVAL_THRESHOLD: Ratio = Ratio::new(5, 12);
 

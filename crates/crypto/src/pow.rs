@@ -77,11 +77,6 @@ impl Challenge {
         Challenge::try_new(nonce, solver_id, hardness.max(1)).expect("hardness clamped to >= 1")
     }
 
-    /// The hardness `k` of this challenge.
-    pub fn hardness(&self) -> u64 {
-        self.hardness
-    }
-
     /// The target threshold: digests with a 128-bit prefix strictly below
     /// this value are valid solutions.
     pub fn target(&self) -> u128 {
@@ -208,7 +203,6 @@ mod tests {
         assert!(!ZeroHardness.to_string().is_empty());
         // …while the literal-hardness convenience clamps to 1.
         let clamped = Challenge::new(b"a", b"b", 0);
-        assert_eq!(clamped.hardness(), 1);
         assert_eq!(clamped, Challenge::try_new(b"a", b"b", 1).unwrap());
     }
 

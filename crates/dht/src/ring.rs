@@ -54,18 +54,6 @@ impl Ring {
         self.nodes.entry(position).or_insert(NodeEntry { id, position, is_bad });
     }
 
-    /// Removes a node by ID; returns true if it was present.
-    pub fn leave(&mut self, id: Id) -> bool {
-        let position = position_of(id);
-        match self.nodes.get(&position) {
-            Some(e) if e.id == id => {
-                self.nodes.remove(&position);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -182,16 +170,13 @@ mod tests {
     }
 
     #[test]
-    fn join_leave_roundtrip() {
+    fn join_adds_a_node() {
         let mut ring = ring_of(10);
         assert_eq!(ring.len(), 10);
+        assert_eq!(ring.bad_fraction(), 0.0);
         ring.join(Id(100), true);
         assert_eq!(ring.len(), 11);
         assert!(ring.bad_fraction() > 0.0);
-        assert!(ring.leave(Id(100)));
-        assert!(!ring.leave(Id(100)));
-        assert_eq!(ring.len(), 10);
-        assert_eq!(ring.bad_fraction(), 0.0);
     }
 
     #[test]

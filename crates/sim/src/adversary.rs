@@ -130,20 +130,23 @@ impl Adversary for Box<dyn Adversary> {
     }
 }
 
-/// Precomputes the wakeup step `clamp(1/rate, min_step, max_step)` shared
+/// The rate-funded strategies' shortest wakeup step: keeps event counts
+/// bounded.
+const MIN_STEP: f64 = 0.01;
+/// Their longest: quotes are re-checked as defense windows decay.
+const MAX_STEP: f64 = 0.5;
+
+/// Precomputes the wakeup step `clamp(1/rate, MIN_STEP, MAX_STEP)` shared
 /// by the rate-funded strategies, `∞` for an idle (rate-0) adversary.
 ///
 /// The step is consulted once per adversary wakeup — the hottest event
 /// class in attack sweeps — so strategies cache this value at construction
-/// and [`next_wakeup_at`] reads it without recomputing the clamp. The
-/// bounds: a floor so event counts stay bounded, a ceiling so quotes are
-/// re-checked as defense windows decay.
-fn wakeup_step(rate: f64, min_step: f64, max_step: f64) -> f64 {
-    assert!(min_step > 0.0 && max_step >= min_step);
+/// and [`next_wakeup_at`] reads it without recomputing the clamp.
+fn wakeup_step(rate: f64) -> f64 {
     if rate == 0.0 {
         f64::INFINITY
     } else {
-        min_step.max(1.0 / rate).min(max_step)
+        MIN_STEP.max(1.0 / rate).min(MAX_STEP)
     }
 }
 
@@ -203,13 +206,7 @@ impl BudgetJoiner {
     /// Creates a joiner for spend rate `rate` (may be 0, which idles).
     pub fn new(rate: f64) -> Self {
         assert!(rate >= 0.0 && rate.is_finite(), "rate must be non-negative");
-        BudgetJoiner { rate, step: wakeup_step(rate, 0.01, 0.5) }
-    }
-
-    /// Overrides the wakeup step bounds (testing/precision control).
-    pub fn with_steps(mut self, min_step: f64, max_step: f64) -> Self {
-        self.step = wakeup_step(self.rate, min_step, max_step);
-        self
+        BudgetJoiner { rate, step: wakeup_step(rate) }
     }
 }
 
@@ -425,8 +422,7 @@ impl Adversary for ChurnForcer {
 #[derive(Clone, Copy, Debug)]
 pub struct PurgeSurvivor {
     rate: f64,
-    /// Cached [`wakeup_step`], shared with [`BudgetJoiner`] (the old form
-    /// recomputed `min_step.max(1/rate).min(0.5)` on every wakeup).
+    /// Cached [`wakeup_step`], shared with [`BudgetJoiner`].
     step: f64,
 }
 
@@ -434,13 +430,7 @@ impl PurgeSurvivor {
     /// Creates a purge-surviving adversary funded at `rate`.
     pub fn new(rate: f64) -> Self {
         assert!(rate >= 0.0 && rate.is_finite());
-        PurgeSurvivor { rate, step: wakeup_step(rate, 0.01, 0.5) }
-    }
-
-    /// Overrides the wakeup step bounds (testing/precision control).
-    pub fn with_steps(mut self, min_step: f64, max_step: f64) -> Self {
-        self.step = wakeup_step(self.rate, min_step, max_step);
-        self
+        PurgeSurvivor { rate, step: wakeup_step(rate) }
     }
 }
 
@@ -713,9 +703,6 @@ mod tests {
             assert_eq!(s.0.to_bits(), b.0.to_bits(), "rate {rate}: shared step diverged");
         }
         assert_eq!(PurgeSurvivor::new(0.0).next_wakeup(Time(0.0)), None);
-        // with_steps overrides both bounds, as on BudgetJoiner.
-        let wide = PurgeSurvivor::new(1.0).with_steps(2.0, 8.0);
-        assert_eq!(wide.next_wakeup(Time(0.0)), Some(Time(2.0)));
     }
 
     #[test]

@@ -60,7 +60,9 @@ pub use sybil_sim;
 
 /// The most common imports for driving simulations.
 pub mod prelude {
-    pub use ergo_core::{ClassifierGate, DefIdChecker, Ergo, ErgoConfig, GoodJEst, Heuristics};
+    pub use ergo_core::{
+        bad_fraction_bound, ClassifierGate, Ergo, ErgoConfig, GoodJEst, Heuristics,
+    };
     pub use sybil_churn::{networks, AbcTraceGenerator, ChurnModel};
     pub use sybil_sim::adversary::{
         BudgetJoiner, BurstJoiner, ChurnForcer, FractionKeeper, NullAdversary, PurgeSurvivor,

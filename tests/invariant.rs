@@ -3,7 +3,6 @@
 //! strategies, and spend rates — including the purge-survivor worst case.
 
 use bankrupting_sybil::prelude::*;
-use ergo_core::DefIdChecker;
 
 const HORIZON: Time = Time(800.0);
 
@@ -20,12 +19,12 @@ fn run_with<A: sybil_sim::adversary::Adversary>(
 
 #[test]
 fn invariant_holds_across_networks_and_rates() {
-    let checker = DefIdChecker::default();
+    let bound = bad_fraction_bound(SimConfig::default().kappa);
     for net in networks::all_networks() {
         for t in [100.0, 10_000.0] {
             let r = run_with(&net, BudgetJoiner::new(t), t, 31);
             assert!(
-                r.max_bad_fraction < checker.bound(),
+                r.max_bad_fraction < bound,
                 "{} at T={t}: fraction {}",
                 net.name,
                 r.max_bad_fraction
