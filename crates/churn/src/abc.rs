@@ -44,11 +44,6 @@ impl Epoch {
         self.end - self.start
     }
 
-    /// True for zero-length epochs (cannot occur from [`detect_epochs`]).
-    pub fn is_empty(&self) -> bool {
-        self.len() <= 0.0
-    }
-
     /// The good join rate `ρ` of this epoch (joins per second).
     pub fn rho(&self) -> f64 {
         self.joins as f64 / self.len()
@@ -405,7 +400,6 @@ mod tests {
         assert!((epochs.len() as i64 - 6).unsigned_abs() <= 1, "found {} epochs", epochs.len());
         for ep in &epochs {
             assert!(ep.len() > 0.0);
-            assert!(!ep.is_empty());
             assert!(ep.joins > 0);
             // Size-stable: joins ≈ departs.
             let ratio = ep.joins as f64 / ep.departs.max(1) as f64;

@@ -22,7 +22,8 @@
 //! let workload = networks::gnutella().generate(Time(1000.0), 42);
 //! assert_eq!(workload.initial_size(), 10_000);
 //! // Gnutella arrivals are Poisson at 1 ID/s.
-//! assert!((workload.join_rate(Time(1000.0)) - 1.0).abs() < 0.2);
+//! let joins = workload.sessions.iter().filter(|s| s.join < Time(1000.0)).count();
+//! assert!((joins as f64 / 1000.0 - 1.0).abs() < 0.2);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -31,21 +31,6 @@ pub struct GenIdOutcome {
     pub adv_cost: f64,
 }
 
-impl GenIdOutcome {
-    /// Total agreed membership.
-    pub fn n_members(&self) -> u64 {
-        self.n_good + self.n_bad
-    }
-
-    /// Fraction of the agreed set that is Sybil.
-    pub fn bad_fraction(&self) -> f64 {
-        if self.n_members() == 0 {
-            return 0.0;
-        }
-        self.n_bad as f64 / self.n_members() as f64
-    }
-}
-
 /// Runs the (modeled) GenID bootstrap.
 ///
 /// `kappa` bounds the adversary's challenge-solving capacity: it can place
@@ -88,7 +73,8 @@ mod tests {
     fn bootstrap_respects_kappa() {
         let out = bootstrap(10_000, 1.0 / 18.0, 30.0, 1);
         assert_eq!(out.n_good, 10_000);
-        assert!(out.bad_fraction() <= 1.0 / 18.0 + 1e-9, "{}", out.bad_fraction());
+        let bad_fraction = out.n_bad as f64 / (out.n_good + out.n_bad) as f64;
+        assert!(bad_fraction <= 1.0 / 18.0 + 1e-9, "{bad_fraction}");
         assert!(out.n_bad > 0);
         assert_eq!(out.good_cost, 10_000.0);
     }
@@ -106,7 +92,6 @@ mod tests {
     fn zero_kappa_means_no_sybils() {
         let out = bootstrap(100, 0.0, 10.0, 2);
         assert_eq!(out.n_bad, 0);
-        assert_eq!(out.bad_fraction(), 0.0);
         assert_eq!(out.committee.bad, 0);
     }
 

@@ -18,7 +18,7 @@
 //! use sybil_committee::genid::bootstrap;
 //!
 //! let out = bootstrap(10_000, 1.0 / 18.0, 30.0, 7);
-//! assert!(out.bad_fraction() <= 1.0 / 18.0);
+//! assert!(out.n_bad as f64 <= (out.n_good + out.n_bad) as f64 / 18.0);
 //! assert!(out.committee.good_majority());
 //! ```
 

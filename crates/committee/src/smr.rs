@@ -98,11 +98,6 @@ impl SmrCluster {
         SmrCluster { net, keys: AuthKeys::new(master_secret), replicas, committed: Vec::new() }
     }
 
-    /// Number of replicas.
-    pub fn size(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// The committed log (the ordering Ergo/GoodJEst consume).
     pub fn committed(&self) -> &[u64] {
         &self.committed
@@ -224,7 +219,7 @@ mod tests {
     #[test]
     fn commits_with_honest_majority() {
         let mut cluster = SmrCluster::new(7, &[ByzantineMode::RejectAll; 3], b"secret");
-        assert_eq!(cluster.size(), 10);
+        assert_eq!(cluster.replicas.len(), 10);
         for entry in 0..20 {
             assert!(cluster.propose(entry), "entry {entry} failed to commit");
         }

@@ -44,11 +44,6 @@ impl Ratio {
             _ => (lhs as u128) * (self.den as u128) >= (rhs as u128) * (self.num as u128),
         }
     }
-
-    /// The ratio as a float.
-    pub fn as_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
 }
 
 impl std::fmt::Display for Ratio {
@@ -202,7 +197,6 @@ mod tests {
         // 5/12 of 24 = 10.
         assert!(r.le_scaled(10, 24));
         assert!(!r.le_scaled(9, 24));
-        assert!((r.as_f64() - 5.0 / 12.0).abs() < 1e-15);
         assert_eq!(r.to_string(), "5/12");
     }
 

@@ -59,11 +59,6 @@ impl SymdiffTracker {
         self.new_present
     }
 
-    /// Number of reference-set members that have departed (the `|A − B|` half).
-    pub fn old_departed(&self) -> u64 {
-        self.old_departed
-    }
-
     /// Re-anchors the reference set to the current membership.
     pub fn reset(&mut self) {
         self.old_departed = 0;
@@ -87,7 +82,7 @@ mod tests {
         t.on_depart_old(4);
         assert_eq!(t.symdiff(), 6);
         assert_eq!(t.new_present(), 2);
-        assert_eq!(t.old_departed(), 4);
+        assert_eq!(t.old_departed, 4);
         t.reset();
         assert_eq!(t.symdiff(), 0);
     }

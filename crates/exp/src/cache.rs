@@ -108,11 +108,6 @@ impl WorkloadCache {
         Ok(WorkloadCache { dir, budget_bytes, stats: Mutex::new(stats) })
     }
 
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Snapshot of the behavior counters.
     pub fn stats(&self) -> CacheStats {
         *self.stats.lock().expect("cache stats poisoned")

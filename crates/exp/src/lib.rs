@@ -9,8 +9,7 @@
 //! * [`spec`] — declarative [`ExperimentSpec`](spec::ExperimentSpec)
 //!   (serializable, versioned, named [`Axis`](spec::Axis) lists with
 //!   injective escaped cell ids) and deterministic cell→seed derivation
-//!   ([`spec::trial_seed`] / [`spec::defense_seed`] /
-//!   [`ExperimentSpec::cell_seed`](spec::ExperimentSpec::cell_seed));
+//!   ([`spec::trial_seed`] / [`spec::defense_seed`] / [`spec::cell_seed`]);
 //! * [`cache`] — content-addressed on-disk
 //!   [`WorkloadCache`](cache::WorkloadCache): each (churn model, seed,
 //!   horizon) workload is generated once through

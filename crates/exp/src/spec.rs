@@ -35,7 +35,7 @@
 //!   from one file;
 //! * defense seed = [`defense_seed`]`(workload seed)` — a distinct stream
 //!   so classifier-gated defenses never share draws with trace generation;
-//! * for drivers that need per-cell streams, [`ExperimentSpec::cell_seed`]
+//! * for drivers that need per-cell streams, [`cell_seed`]
 //!   keys a seed on the canonical cell id (so it inherits the id's
 //!   no-collision guarantee).
 //!
@@ -347,11 +347,6 @@ impl ExperimentSpec {
         }
     }
 
-    /// The values of a named axis, if present.
-    pub fn axis(&self, name: &str) -> Option<&Axis> {
-        self.axes.iter().find(|a| a.name == name)
-    }
-
     /// Checks the spec is runnable: a non-empty grid of uniquely-named
     /// axes, each axis single-kind with distinct values, positive horizon
     /// and trial count, and κ in `[0, 1)`.
@@ -459,20 +454,6 @@ impl ExperimentSpec {
         defense_seed(self.workload_seed(index))
     }
 
-    /// A per-cell seed stream, keyed on the **canonical cell id** (so it
-    /// inherits the id's no-collision guarantee: distinct cells get
-    /// distinct streams, and the stream survives axis renames only if the
-    /// id is unchanged). Workload seeds deliberately stay grid-wide
-    /// ([`workload_seed`](Self::workload_seed)) so every cell of a trial
-    /// replays one cached workload; this stream is for the randomness
-    /// cells must *not* share — the DHT end-to-end driver derives its
-    /// per-cell lookup RNG from it, which freezes the derivation (see
-    /// [`cell_seed`]) as a compatibility contract: changing it would
-    /// silently change stored results under resume.
-    pub fn cell_seed(&self, cell: &CellSpec, trial: u32) -> u64 {
-        cell_seed(self.seed, cell, trial as u64)
-    }
-
     /// Serializes to the versioned text format:
     ///
     /// ```text
@@ -510,12 +491,6 @@ impl ExperimentSpec {
         ));
         out
     }
-
-    /// SHA-256 of the canonical text form — the identity a results store
-    /// records so resumes can detect a changed grid.
-    pub fn fingerprint(&self) -> String {
-        text_fingerprint(&self.to_text())
-    }
 }
 
 /// SHA-256 fingerprint of an arbitrary canonical configuration text.
@@ -532,12 +507,15 @@ pub fn text_fingerprint(text: &str) -> String {
 /// first 8 bytes of SHA-256 of the canonical cell id folded into the base
 /// seed, then chained through [`trial_seed`].
 ///
-/// The free-function form exists for drivers that assemble explicit
-/// [`CellSpec`] lists (run through `run_grid` under their ids) without an
-/// [`ExperimentSpec`]; [`ExperimentSpec::cell_seed`] delegates here. The
-/// derivation is a **frozen compatibility contract**: stores record
-/// results produced under it, and a resumed grid must replay identical
-/// streams.
+/// The stream is keyed on the **canonical cell id**, so it inherits the
+/// id's no-collision guarantee: distinct cells get distinct streams.
+/// Workload seeds deliberately stay grid-wide
+/// ([`ExperimentSpec::workload_seed`]) so every cell of a trial replays
+/// one cached workload; this stream is for the randomness cells must
+/// *not* share — the DHT end-to-end driver derives its per-cell lookup
+/// RNG from it. The derivation is a **frozen compatibility contract**:
+/// stores record results produced under it, and a resumed grid must
+/// replay identical streams.
 pub fn cell_seed(base: u64, cell: &CellSpec, trial: u64) -> u64 {
     let digest = sybil_crypto::sha256::Sha256::digest(cell.id().as_bytes());
     let mut first = [0u8; 8];
@@ -862,29 +840,29 @@ mod tests {
         let s = spec();
         let cells = s.cells();
         // Distinct cells get distinct streams; the same cell is stable.
-        let a = s.cell_seed(&cells[0], 0);
-        assert_eq!(a, s.cell_seed(&cells[0], 0));
-        assert_ne!(a, s.cell_seed(&cells[1], 0));
-        assert_ne!(a, s.cell_seed(&cells[0], 1));
+        let a = cell_seed(s.seed, &cells[0], 0);
+        assert_eq!(a, cell_seed(s.seed, &cells[0], 0));
+        assert_ne!(a, cell_seed(s.seed, &cells[1], 0));
+        assert_ne!(a, cell_seed(s.seed, &cells[0], 1));
         // Keyed on the id, not the struct: an identical assignment built
         // by hand produces the same seed.
         let rebuilt = CellSpec::new(cells[0].assignment.clone());
-        assert_eq!(a, s.cell_seed(&rebuilt, 0));
-        // The free-function form is the same frozen derivation.
-        assert_eq!(a, cell_seed(s.seed, &cells[0], 0));
+        assert_eq!(a, cell_seed(s.seed, &rebuilt, 0));
     }
 
     #[test]
     fn fingerprint_tracks_content() {
+        // A results store is bound to the fingerprint of the spec's text.
+        let fingerprint = |s: &ExperimentSpec| text_fingerprint(&s.to_text());
         let a = spec();
         let mut b = spec();
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(fingerprint(&a), fingerprint(&b));
         b.trials += 1;
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint().len(), 64);
+        assert_ne!(fingerprint(&a), fingerprint(&b));
+        assert_eq!(fingerprint(&a).len(), 64);
         // Axis naming is part of the identity.
         let mut c = spec();
         c.axes[2].name = "rate".into();
-        assert_ne!(a.fingerprint(), c.fingerprint());
+        assert_ne!(fingerprint(&a), fingerprint(&c));
     }
 }

@@ -252,11 +252,6 @@ impl ResultsStore {
         Ok((done, valid_len as u64))
     }
 
-    /// The store file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// True if `cell_id` already has a recorded result.
     pub fn is_done(&self, cell_id: &str) -> bool {
         self.done.contains_key(cell_id)

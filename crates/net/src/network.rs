@@ -73,11 +73,6 @@ impl<M> Network<M> {
         id
     }
 
-    /// The current round number.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// Queues a message for delivery next round.
     ///
     /// # Panics

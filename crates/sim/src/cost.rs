@@ -192,9 +192,6 @@ impl Ledger {
 pub struct FixedCost(i128);
 
 impl FixedCost {
-    /// Zero.
-    pub const ZERO: FixedCost = FixedCost(0);
-
     /// Fractional bits.
     const FRAC_BITS: i32 = 64;
 
@@ -370,7 +367,7 @@ mod tests {
         for v in [0.0, 1.0, 1.5, 150.0, 0.25, 1e7] {
             assert_eq!(FixedCost::from_cost(Cost(v)).to_cost(), Cost(v));
         }
-        let mut sum = FixedCost::ZERO;
+        let mut sum = FixedCost::default();
         for _ in 0..150 {
             sum += FixedCost::from_cost(Cost::ONE);
         }

@@ -119,16 +119,6 @@ impl Weibull {
         assert!(scale > 0.0 && scale.is_finite(), "scale must be positive and finite");
         Weibull { shape, scale }
     }
-
-    /// The shape parameter `k`. Shapes below 1 give heavy-tailed sessions.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// The scale parameter `lambda`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
 }
 
 impl Sample for Weibull {

@@ -19,16 +19,6 @@ impl Time {
     /// The simulation origin, `t = 0`.
     pub const ZERO: Time = Time(0.0);
 
-    /// Creates a time from seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is NaN.
-    pub fn from_secs(secs: f64) -> Self {
-        assert!(!secs.is_nan(), "time cannot be NaN");
-        Time(secs)
-    }
-
     /// Seconds since the simulation origin.
     pub fn as_secs(&self) -> f64 {
         self.0
@@ -147,12 +137,6 @@ mod tests {
         assert_eq!(u, Time(2.5));
         u -= 0.5;
         assert_eq!(u, Time(2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn nan_rejected() {
-        let _ = Time::from_secs(f64::NAN);
     }
 
     #[test]

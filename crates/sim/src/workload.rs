@@ -47,11 +47,6 @@ impl Session {
         assert!(depart >= join, "session departs before it joins");
         Session { join, depart }
     }
-
-    /// Session length in seconds.
-    pub fn duration(&self) -> f64 {
-        self.depart - self.join
-    }
 }
 
 /// The good-ID churn schedule for one simulation run.
@@ -64,11 +59,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// An empty workload (no good IDs at all).
-    pub fn empty() -> Self {
-        Workload::default()
-    }
-
     /// Creates a workload, sorting sessions by join time.
     pub fn new(initial_departures: Vec<Time>, mut sessions: Vec<Session>) -> Self {
         sessions.sort_by_key(|s| s.join);
@@ -78,15 +68,6 @@ impl Workload {
     /// Number of good IDs present at `t = 0`.
     pub fn initial_size(&self) -> u64 {
         self.initial_departures.len() as u64
-    }
-
-    /// Good join rate over `[0, horizon)`: arrivals per second.
-    pub fn join_rate(&self, horizon: Time) -> f64 {
-        if horizon.as_secs() <= 0.0 {
-            return 0.0;
-        }
-        let joins = self.sessions.iter().filter(|s| s.join < horizon).count();
-        joins as f64 / horizon.as_secs()
     }
 
     /// Validates internal consistency; used by generators and tests.
@@ -375,20 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn join_rate_counts_in_horizon() {
-        let w = Workload::new(
-            vec![],
-            vec![
-                Session::new(Time(1.0), Time(2.0)),
-                Session::new(Time(3.0), Time(9.0)),
-                Session::new(Time(50.0), Time(60.0)),
-            ],
-        );
-        assert_eq!(w.join_rate(Time(10.0)), 0.2);
-        assert_eq!(w.join_rate(Time(0.0)), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "departs before")]
     fn bad_session_panics() {
         let _ = Session::new(Time(2.0), Time(1.0));
@@ -422,11 +389,6 @@ mod tests {
         assert!(inf_depart.validate().unwrap_err().contains("non-finite"));
         let nan_initial = Workload { initial_departures: vec![Time(f64::NAN)], sessions: vec![] };
         assert!(nan_initial.validate().unwrap_err().contains("non-finite"));
-    }
-
-    #[test]
-    fn session_duration() {
-        assert_eq!(Session::new(Time(1.0), Time(4.5)).duration(), 3.5);
     }
 
     #[test]

@@ -644,7 +644,7 @@ mod tests {
     #[test]
     fn empty_workload_roundtrips() {
         let path = temp_path("empty");
-        write_workload_file(&path, &Workload::empty()).unwrap();
+        write_workload_file(&path, &Workload::default()).unwrap();
         let disk = DiskWorkload::open(&path).unwrap();
         assert_eq!(disk.initial_size(), 0);
         assert_eq!(disk.session_count(), 0);

@@ -230,7 +230,7 @@ fn every_registry_strategy_replays_identically_from_disk() {
 fn empty_and_tiny_workloads_replay_identically_from_disk() {
     let horizon = Time(10.0);
     let cases = [
-        Workload::empty(),
+        Workload::default(),
         Workload::new(vec![Time(1.0)], vec![]),
         Workload::new(vec![], vec![Session::new(Time(1.0), Time(2.0))]),
         Workload::new(vec![Time(5.0); 3], vec![Session::new(Time(0.0), Time(100.0))]),

@@ -47,7 +47,9 @@ fn main() {
         let alpha = measure_alpha(&epochs);
         let beta = estimate_beta(&workload, &epochs, horizon);
         let rho_avg = if epochs.is_empty() {
-            workload.join_rate(horizon)
+            // The join rate over the whole horizon.
+            let joins = workload.sessions.iter().filter(|s| s.join < horizon).count();
+            joins as f64 / horizon.as_secs()
         } else {
             epochs.iter().map(Epoch::rho).sum::<f64>() / epochs.len() as f64
         };

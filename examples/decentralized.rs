@@ -21,10 +21,11 @@ fn main() {
     let outcome = bootstrap(n_good, kappa, 30.0, 7);
     println!("--- GenID bootstrap ---");
     println!("{} good IDs solved 1-hard PoW challenges ({} total hash units burned)", n_good, work);
+    let members = outcome.n_good + outcome.n_bad;
     println!(
         "agreed set: {} members ({:.1}% Sybil, kappa bound {:.1}%)",
-        outcome.n_members(),
-        outcome.bad_fraction() * 100.0,
+        members,
+        outcome.n_bad as f64 / members as f64 * 100.0,
         kappa * 100.0
     );
     println!(

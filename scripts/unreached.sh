@@ -12,25 +12,29 @@
 # `tests/` or `examples/` directory, and every item (a `mod tests`
 # included) under a `#[cfg(test)]` attribute.
 #
-# Naming is by identifier, not by path, so two items with one name reach
+# An item in an `impl T` block (or `impl Trait for T`) is `T::name`, and
+# another file reaches it by `T::name` (`Self::name` inside an `impl T`,
+# turbofish generics dropped) or by a `.name(` call in a file that names
+# `T`. So a method shared by two types, or named like a std method
+# (`len`, `size`…), is not reached by the other type's calls. Any other
+# item is named by its identifier, so two such items with one name reach
 # each other and such an item is missed. Comments and `pub use` lines
 # name nothing, and neither does the line that defines a name (so `pub fn
 # x` in one file does not reach `pub fn x` in another); string literals
 # do name, for `format!("{NAME}")`.
 #
-# Each kept item has a line `file name  # reason` in
-# `scripts/unreached.keep` (next to this script). Prints every unreached
-# item without one, every keep line without a reason, and every keep line
-# that no longer matches an unreached item; exits 1 if it printed
-# anything. bash + find/awk only.
+# Each kept item has a line `file name  # reason` in the checkout's
+# `scripts/unreached.keep` (`name` is `T::name` in an `impl`). Prints
+# every unreached item without one, every keep line without a reason, and
+# every keep line that no longer matches an unreached item; exits 1 if it
+# printed anything. bash + find/awk only.
 set -euo pipefail
 
-keep="$(cd "$(dirname "$0")" && pwd)/unreached.keep"
 cd "${1:-.}"
 
 find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/null |
     LC_ALL=C sort |
-    awk -v keep="$keep" '
+    awk -v keep=scripts/unreached.keep '
     BEGIN {
         q = sprintf("%c", 39)
         char_literal = q "(\\\\.|[^" q "\\\\])" q
@@ -72,6 +76,52 @@ find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/
         if (!((file " " name) in listed_at)) defs[++ndefs] = file " " name
         listed_at[file " " name] = 1
     }
+    # The type an `impl` line is for: the last path segment of what follows
+    # `impl` and its generics, or `for` in a trait impl.
+    function impl_type(s,    t, i, c, d) {
+        t = s
+        gsub(/->/, "", t)
+        sub(/^(unsafe +)?impl */, "", t)
+        if (substr(t, 1, 1) == "<") {
+            d = 0
+            for (i = 1; i <= length(t); i++) {
+                c = substr(t, i, 1)
+                if (c == "<") d++
+                else if (c == ">" && --d == 0) break
+            }
+            t = substr(t, i + 1)
+        }
+        sub(/.* for /, "", t)
+        sub(/^[ \t&]*(dyn +)?/, "", t)
+        sub(/[^A-Za-z0-9_:].*/, "", t)
+        sub(/.*::/, "", t)
+        return t
+    }
+    function note(key, file) {
+        if (!((key, file) in qseen)) { qseen[key, file] = 1; qfiles[key]++ }
+    }
+    # Notes every `A::b` on the line (`Self::b` inside an `impl T` is
+    # `T::b`), and every method call `.b(`.
+    function qualify(s, file,    t, pair) {
+        while (match(s, /::<[^<>]*(<[^<>]*>[^<>]*)*>/))
+            s = substr(s, 1, RSTART - 1) substr(s, RSTART + RLENGTH)
+        t = s
+        while (match(t, /[A-Za-z_][A-Za-z0-9_]*[ \t]*::[ \t]*[A-Za-z_][A-Za-z0-9_]*/)) {
+            pair = substr(t, RSTART, RLENGTH)
+            t = substr(t, RSTART + index(pair, "::") + 1)
+            gsub(/[ \t]/, "", pair)
+            if (pair ~ /^Self::/ && impl_t != "") pair = impl_t substr(pair, 5)
+            note(pair, file)
+        }
+        t = s
+        while (match(t, /\.[ \t]*[A-Za-z_][A-Za-z0-9_]*[ \t]*(\(|::<)/)) {
+            pair = substr(t, RSTART + 1, RLENGTH - 1)
+            t = substr(t, RSTART + RLENGTH)
+            sub(/[ \t]*(\(|::<)$/, "", pair)
+            sub(/^[ \t]*/, "", pair)
+            called[pair, file] = 1
+        }
+    }
     {
         file = $0
         n = split(file, part, "/")
@@ -80,7 +130,8 @@ find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/
             if (part[i] == "tests" || part[i] == "examples") whole = 1
         if (whole) next
         listed = part[1] != "benchmark"
-        depth = 0; enum_depth = -1; in_use = 0; skip = 0
+        scanned[++nscanned] = file
+        depth = 0; enum_depth = -1; impl_depth = -1; impl_t = ""; in_use = 0; skip = 0
         while ((getline line < file) > 0) {
             # `s` is code; `bare` also has its string literals emptied, so
             # it is what the braces and the item patterns are read from.
@@ -114,9 +165,15 @@ find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/
                 in_use = bare !~ /;/
                 continue
             }
+            if (impl_depth < 0 && stripped ~ /^(unsafe +)?impl[ <]/) {
+                impl_depth = depth
+                impl_t = impl_type(stripped)
+            }
             name = item(bare)
             if (listed) {
-                if (name != "") add(name, file)
+                if (name != "" && impl_depth >= 0 && depth == impl_depth + 1)
+                    add(impl_t "::" name, file)
+                else if (name != "") add(name, file)
                 else if (enum_depth >= 0 && depth == enum_depth + 1 &&
                          stripped ~ /^[A-Z][A-Za-z0-9_]*[ \t]*([{(,=]|$)/) {
                     name = stripped
@@ -136,8 +193,12 @@ find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/
                 if (w == name && !skipped) { skipped = 1; continue }
                 if (!((w, file) in seen)) { seen[w, file] = 1; files[w]++ }
             }
+            qualify(s, file)
             depth += opens - closes
             if (enum_depth >= 0 && depth <= enum_depth && (opens || closes)) enum_depth = -1
+            if (impl_depth >= 0 && depth <= impl_depth && (opens || closes)) {
+                impl_depth = -1; impl_t = ""
+            }
         }
         close(file)
     }
@@ -152,7 +213,12 @@ find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/
         }
         for (d = 1; d <= ndefs; d++) {
             split(defs[d], f, " ")
-            elsewhere = files[f[2]] - ((f[2], f[1]) in seen ? 1 : 0)
+            if (split(f[2], m, "::") == 2) {
+                elsewhere = qfiles[f[2]] - ((f[2], f[1]) in qseen ? 1 : 0)
+                for (g = 1; g <= nscanned && !elsewhere; g++)
+                    elsewhere = scanned[g] != f[1] && (m[2], scanned[g]) in called &&
+                                (m[1], scanned[g]) in seen
+            } else elsewhere = files[f[2]] - ((f[2], f[1]) in seen ? 1 : 0)
             if (elsewhere > 0) continue
             if (defs[d] in kept) { kept[defs[d]] = 1; continue }
             print "unreached: " defs[d]
