@@ -216,17 +216,12 @@ pub trait WorkloadStream {
 
 /// In-memory stream over a [`Workload`].
 ///
-/// Retains the workload vectors (they are already resident), a join-sorted
-/// permutation fallback for hand-built unsorted workloads, and the
-/// descending-sorted initial-departure cursor.
+/// Retains the workload vectors (they are already resident) and the
+/// descending-sorted initial-departure cursor; sessions stream straight
+/// off their join-sorted vector.
 pub struct MemoryStream {
     workload: Workload,
     horizon: Time,
-    /// `(session index, join seq)` in descending join order, popped from
-    /// the tail — only built when the workload's sessions arrive unsorted
-    /// (hand-constructed); sorted workloads stream straight off the vector
-    /// via `next_session`/`next_session_seq`.
-    permutation: Option<Vec<(usize, u64)>>,
     /// Index of the next session whose join has not been yielded.
     next_session: usize,
     /// Sequence number for the next session event.
@@ -256,31 +251,27 @@ impl WorkloadSource for Workload {
 
     /// One O(n) pass assigns every in-horizon workload event the sequence
     /// number an eager scheduler would have used (see [`WorkloadStream`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sessions are not sorted by join time, as
+    /// [`Workload::new`] leaves them (the fields are public, so a
+    /// hand-built workload can break that).
     fn into_stream(self, horizon: Time) -> MemoryStream {
         let sessions = &self.sessions;
-        // Workload::new sorts sessions; hand-built workloads may not be.
-        // The sorted fast path streams straight off the vector, the
-        // fallback walks a join-sorted permutation — seq assignment is by
-        // input order either way, exactly as the eager scheduler did it.
-        let sorted = sessions.windows(2).all(|w| w[0].join <= w[1].join);
+        assert!(
+            sessions.windows(2).all(|w| w[0].join <= w[1].join),
+            "sessions must be sorted by join time, as Workload::new sorts them"
+        );
         let mut seq = 0u64;
-        let mut perm: Vec<(usize, u64)> = Vec::new();
-        for (i, s) in sessions.iter().enumerate() {
+        for s in sessions {
             if s.join <= horizon {
-                if !sorted {
-                    perm.push((i, seq));
-                }
                 seq += 1;
                 if s.depart <= horizon {
                     seq += 1;
                 }
             }
         }
-        let permutation = (!sorted).then(|| {
-            // Descending (join, seq): the next session pops off the tail.
-            perm.sort_by(|a, b| (sessions[b.0].join, b.1).cmp(&(sessions[a.0].join, a.1)));
-            perm
-        });
         let mut initial: Vec<(Time, u64)> = Vec::with_capacity(self.initial_departures.len());
         for &d in &self.initial_departures {
             if d <= horizon {
@@ -292,7 +283,6 @@ impl WorkloadSource for Workload {
         MemoryStream {
             workload: self,
             horizon,
-            permutation,
             next_session: 0,
             next_session_seq: 0,
             initial,
@@ -307,22 +297,17 @@ impl WorkloadStream for MemoryStream {
     }
 
     fn next_session(&mut self) -> Option<(SessionIndex, Session, u64)> {
-        let (i, join_seq) = if let Some(perm) = &mut self.permutation {
-            perm.pop()?
-        } else {
-            let i = self.next_session;
-            let s = self.workload.sessions.get(i).copied()?;
-            if s.join > self.horizon {
-                // Sessions are sorted: everything further is out too.
-                self.next_session = self.workload.sessions.len();
-                return None;
-            }
-            let join_seq = self.next_session_seq;
-            self.next_session = i + 1;
-            self.next_session_seq = join_seq + if s.depart <= self.horizon { 2 } else { 1 };
-            (i, join_seq)
-        };
-        Some((i as SessionIndex, self.workload.sessions[i], join_seq))
+        let i = self.next_session;
+        let s = self.workload.sessions.get(i).copied()?;
+        if s.join > self.horizon {
+            // Sessions are sorted: everything further is out too.
+            self.next_session = self.workload.sessions.len();
+            return None;
+        }
+        let join_seq = self.next_session_seq;
+        self.next_session = i + 1;
+        self.next_session_seq = join_seq + if s.depart <= self.horizon { 2 } else { 1 };
+        Some((i as SessionIndex, s, join_seq))
     }
 
     fn next_initial_departure(&mut self) -> Option<(Time, u64)> {
@@ -333,10 +318,6 @@ impl WorkloadStream for MemoryStream {
         self.workload.sessions.capacity() * std::mem::size_of::<Session>()
             + self.workload.initial_departures.capacity() * std::mem::size_of::<Time>()
             + self.initial.capacity() * std::mem::size_of::<(Time, u64)>()
-            + self
-                .permutation
-                .as_ref()
-                .map_or(0, |p| p.capacity() * std::mem::size_of::<(usize, u64)>())
     }
 }
 
@@ -415,20 +396,13 @@ mod tests {
     }
 
     #[test]
-    fn memory_stream_unsorted_fallback_matches_input_order_seqs() {
-        // Hand-built (bypassing Workload::new's sort): seqs follow *input*
-        // order, yield follows join order.
+    #[should_panic(expected = "Workload::new")]
+    fn memory_stream_rejects_unsorted_sessions() {
+        // Hand-built, bypassing Workload::new's sort.
         let w = Workload {
             initial_departures: vec![],
-            sessions: vec![
-                Session::new(Time(5.0), Time(6.0)), // seqs 0 (join), 1 (depart)
-                Session::new(Time(1.0), Time(9.0)), // seqs 2, 3
-            ],
+            sessions: vec![Session::new(Time(5.0), Time(6.0)), Session::new(Time(1.0), Time(9.0))],
         };
-        let mut stream = w.into_stream(Time(10.0));
-        assert_eq!(stream.seq_floor(), 4);
-        assert_eq!(stream.next_session(), Some((1, Session::new(Time(1.0), Time(9.0)), 2)));
-        assert_eq!(stream.next_session(), Some((0, Session::new(Time(5.0), Time(6.0)), 0)));
-        assert_eq!(stream.next_session(), None);
+        let _ = w.into_stream(Time(10.0));
     }
 }
