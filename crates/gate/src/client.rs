@@ -75,7 +75,8 @@ type DepartKey = Reverse<(u64, u64)>;
 
 /// Replays `source` against `gate` through the loopback transport.
 /// Returns the driven service (decision log, counters) and the
-/// client-side report.
+/// client-side report. The merge hands the loopback non-decreasing
+/// times, which it asserts.
 pub fn replay<S: WorkloadSource>(
     source: S,
     gate: ShardedGate,

@@ -20,6 +20,13 @@
 //!   computing costs its sender a digest but cannot double-admit or
 //!   double-depart.
 //!
+//! Times used under the lock never go back. A handler reads the clock
+//! before its first acquisition, so two handlers can reach their commits
+//! out of clock order; the state keeps the latest time it has used and
+//! commits at `max(now, latest)`. Serial drivers pass non-decreasing times
+//! (the loopback transport asserts it), and there the clamp changes
+//! nothing.
+//!
 //! The fingerprint is a running SHA-256 over the 17-byte decision
 //! records; the records are not kept. A connection that closes without a
 //! grant, or whose join is rejected, therefore leaves nothing behind.
@@ -62,6 +69,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct State {
     est: GoodJEst,
     window: JoinWindow,
+    /// The latest time used under the lock; see [`State::clock`].
+    latest: Time,
     conns: HashMap<u64, ConnState>,
     next_conn: u64,
     /// The bootstrap set's size: identities below it follow the rule in
@@ -82,6 +91,17 @@ struct State {
 }
 
 impl State {
+    /// The time to use under the lock: `now`, or the latest time already
+    /// used if that is later. A handler reads the clock before its first
+    /// lock and commits at its second, so two handlers can reach their
+    /// commits out of clock order, and the join window and the estimator
+    /// need times that never go back. A serial driver hands the gate
+    /// non-decreasing times, so there `now` is returned as it is.
+    fn clock(&mut self, now: Time) -> Time {
+        self.latest = self.latest.max(now);
+        self.latest
+    }
+
     /// Feeds one 17-byte decision record to the running hash. The hasher
     /// buffers a partial block itself, and SHA-256 does not depend on how
     /// its input is chunked, so the digest is the one of the whole log.
@@ -157,6 +177,7 @@ impl ShardedGate {
         let state = State {
             est: GoodJEst::new(cfg.estimator, Time::ZERO, cfg.initial_size),
             window: JoinWindow::new(),
+            latest: Time::ZERO,
             conns: HashMap::new(),
             next_conn: 0,
             initial: cfg.initial_size,
@@ -178,6 +199,7 @@ impl ShardedGate {
         let conn = s.next_conn;
         s.next_conn += 1;
         let nonce = challenge_nonce(self.cfg.seed, conn);
+        let now = s.clock(now);
         let difficulty = quote_difficulty(&self.cfg, &s.est, &s.window, now);
         s.conns.insert(conn, ConnState { nonce, difficulty });
         s.push_record(logkind::HELLO, conn, difficulty);
@@ -238,6 +260,7 @@ impl ShardedGate {
                 s.push_record(logkind::REJECTED_POW, conn, state.difficulty);
                 return Response::Drop;
             }
+            let now = s.clock(now);
             let identity = s.issue(client_tag, now);
             s.window.record(now, 1);
             s.counters.granted += 1;
@@ -281,6 +304,7 @@ impl ShardedGate {
         }
         if admitted {
             s.admission.set(identity, AdmissionState::Admitted);
+            let now = s.clock(now);
             s.est.on_join(now, 1);
             // The gate reads only the estimate: a completed interval's
             // record is dropped at once, or the log grows for ever.
@@ -316,6 +340,7 @@ impl ShardedGate {
         }
         s.admission.set(identity, AdmissionState::Refused);
         let old = s.est.classify_old(joined_at);
+        let now = s.clock(now);
         s.est.on_depart(now, old, 1);
         s.est.drain_intervals_with(|_| {});
         s.counters.departed += 1;
@@ -835,6 +860,59 @@ mod tests {
             inverted.len(),
             inverted.first().map(|&id| (id, position[id]))
         );
+    }
+
+    #[test]
+    fn a_grant_committed_after_a_later_one_takes_the_later_time() {
+        // Two handlers read the clock at 3.0 and 2.0, and the one at 2.0
+        // commits second. The window and the estimator must still see
+        // times that never go back (the window's debug assertion panics
+        // otherwise), so the second grant is recorded at 3.0.
+        let gate = ShardedGate::new(test_cfg(), 1);
+        let (first, _) = join(&gate, 1, Time(3.0));
+        let (second, _) = join(&gate, 2, Time(2.0));
+        assert_eq!(gate.counters().granted, 2);
+        let s = lock(&gate.state);
+        let joined_at = |identity: u64| s.records[(identity - s.initial) as usize].joined_at;
+        assert_eq!((joined_at(first), joined_at(second)), (Time(3.0), Time(3.0)));
+        assert_eq!(s.window.count_within(Time(3.0), 0.5), 2);
+    }
+
+    #[test]
+    fn handlers_that_read_the_clock_before_the_lock_commit_in_time_order() {
+        // Each thread reads the clock as a transport handler does: for
+        // `connect`, and again for `handle`, outside the lock. A thread
+        // preempted between its read and its commit reaches the window
+        // after a thread that read a later time.
+        const THREADS: u64 = 8;
+        const JOINS: u64 = 2_000;
+        let cfg = GateConfig { difficulty_floor: 2, difficulty_cap: 2, ..test_cfg() };
+        let gate = ShardedGate::new(cfg, 1);
+        let start = std::time::Instant::now();
+        let now = || Time(start.elapsed().as_secs_f64());
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (gate, now) = (&gate, &now);
+                scope.spawn(move || {
+                    for k in 0..JOINS {
+                        let client_tag = (t << 32) | k;
+                        let (conn, hello) = gate.connect(now());
+                        let Frame::Hello { difficulty, nonce, .. } = hello else { panic!() };
+                        let challenge =
+                            Challenge::new(&nonce, &client_tag.to_be_bytes(), difficulty);
+                        let solution = Solver::new().solve(&challenge).nonce;
+                        let reply = gate.handle(conn, &Frame::Join { client_tag, solution }, now());
+                        assert!(
+                            matches!(reply, Response::Reply(Frame::Granted { .. })),
+                            "{reply:?}"
+                        );
+                    }
+                });
+            }
+        });
+        let c = gate.counters();
+        assert_eq!((c.granted, c.pow_verifications), (THREADS * JOINS, THREADS * JOINS));
+        assert_eq!(lock(&gate.state).window.total(), THREADS * JOINS);
     }
 
     #[test]

@@ -23,20 +23,40 @@ use crate::sharded::lock;
 use crate::wire::{read_frame, Frame};
 
 /// An in-process connection to a gate, speaking real wire bytes.
+///
+/// It is a serial driver: each call must pass a time no earlier than the
+/// one before, so the gate's clamp of its clock (which orders commits of
+/// concurrent handlers) leaves every time as it is.
 pub struct Loopback<G> {
     service: G,
+    /// The time of the latest call.
+    latest: Time,
 }
 
 impl<G: SharedGate> Loopback<G> {
     /// Wraps a service in a loopback transport.
     pub fn new(service: G) -> Self {
-        Loopback { service }
+        Loopback { service, latest: Time::ZERO }
+    }
+
+    fn advance(&mut self, now: Time) {
+        assert!(
+            now >= self.latest,
+            "a serial driver went back in time: {now} after {}",
+            self.latest
+        );
+        self.latest = now;
     }
 
     /// Opens a connection at `now`; returns the connection id and the
     /// decoded hello frame, after pushing it through encode/decode as a
     /// socket write would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` precedes the time of an earlier call.
     pub fn connect(&mut self, now: Time) -> (u64, Frame) {
+        self.advance(now);
         let (conn, hello) = self.service.connect(now);
         let bytes = hello.encode();
         let (decoded, _) = Frame::decode(&bytes).expect("hello frames always round-trip");
@@ -46,7 +66,12 @@ impl<G: SharedGate> Loopback<G> {
     /// Sends one client frame and returns the server's reply, or `None`
     /// when the server silently drops. Both directions cross the wire
     /// encoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` precedes the time of an earlier call.
     pub fn request(&mut self, conn: u64, frame: &Frame, now: Time) -> Option<Frame> {
+        self.advance(now);
         let bytes = frame.encode();
         let (decoded, _) = Frame::decode(&bytes).expect("well-formed frames round-trip");
         match self.service.handle(conn, &decoded, now) {
@@ -377,6 +402,14 @@ mod tests {
         assert_eq!(identity, Some(0));
         let c = lb.service().counters();
         assert_eq!((c.granted, c.admitted), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "went back in time")]
+    fn loopback_refuses_a_time_that_goes_back() {
+        let mut lb = Loopback::new(ShardedGate::new(small_cfg(), 1));
+        let (conn, _) = lb.connect(Time(2.0));
+        lb.request(conn, &Frame::Join { client_tag: 1, solution: 0 }, Time(1.0));
     }
 
     #[test]
