@@ -24,9 +24,9 @@ use crate::wire::{read_frame, Frame};
 
 /// An in-process connection to a gate, speaking real wire bytes.
 ///
-/// It is a serial driver: each call must pass a time no earlier than the
-/// one before, so the gate's clamp of its clock (which orders commits of
-/// concurrent handlers) leaves every time as it is.
+/// It is a serial driver: a call panics if its time precedes an earlier
+/// call's, so the gate's clamp of its clock (which orders the commits of
+/// concurrent handlers) leaves every time it is given as it is.
 pub struct Loopback<G> {
     service: G,
     /// The time of the latest call.
@@ -51,10 +51,6 @@ impl<G: SharedGate> Loopback<G> {
     /// Opens a connection at `now`; returns the connection id and the
     /// decoded hello frame, after pushing it through encode/decode as a
     /// socket write would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the time of an earlier call.
     pub fn connect(&mut self, now: Time) -> (u64, Frame) {
         self.advance(now);
         let (conn, hello) = self.service.connect(now);
@@ -66,10 +62,6 @@ impl<G: SharedGate> Loopback<G> {
     /// Sends one client frame and returns the server's reply, or `None`
     /// when the server silently drops. Both directions cross the wire
     /// encoding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the time of an earlier call.
     pub fn request(&mut self, conn: u64, frame: &Frame, now: Time) -> Option<Frame> {
         self.advance(now);
         let bytes = frame.encode();
