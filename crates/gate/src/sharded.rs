@@ -92,11 +92,8 @@ struct State {
 
 impl State {
     /// The time to use under the lock: `now`, or the latest time already
-    /// used if that is later. A handler reads the clock before its first
-    /// lock and commits at its second, so two handlers can reach their
-    /// commits out of clock order, and the join window and the estimator
-    /// need times that never go back. A serial driver hands the gate
-    /// non-decreasing times, so there `now` is returned as it is.
+    /// used if that is later, so the join window and the estimator never
+    /// see time go back (see the module docs).
     fn clock(&mut self, now: Time) -> Time {
         self.latest = self.latest.max(now);
         self.latest
