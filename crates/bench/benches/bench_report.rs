@@ -89,6 +89,10 @@ fn main() {
     let mut report = perf::run_suite();
     report.gate = run_gate_scenarios();
     print!("{}", perf::render(&report));
+    println!(
+        "SHA-256 backend: {} (sha256_64b always runs the portable body)",
+        sybil_crypto::sha256::backend()
+    );
     std::fs::write(&path, perf::to_json(&report))
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     println!("\nwrote {} in {:.1?}", path.display(), started.elapsed());

@@ -10,9 +10,10 @@
 //!   `ledger_charge`, the ledger's half of a purge round trip
 //!   (`run_ledger_bench`), and `sha256_64b`, the machine-speed
 //!   calibration and the only entry `bench_compare` scales floors by. It
-//!   runs `sybil_crypto::Sha256` alone, so the rule is: a change to
-//!   `Sha256` regenerates this report in the same change, or every floor
-//!   moves by the hasher's own speed-up.
+//!   runs SHA-256's portable compression body alone, on every CPU, so the
+//!   rule is: a change to the *portable* compression re-bases the report
+//!   and regenerates it in the same change, or every floor moves by that
+//!   body's own speed-up.
 //! * **Macro scenarios** — full [`Simulation`] runs through the same
 //!   [`crate::sweep::run_report`] path the figure sweeps use, measured in
 //!   engine events per wall second. `macro_sweep` is the headline number: a
@@ -535,8 +536,8 @@ pub fn run_suite() -> PerfReport {
         queue.push(best_of(&|| run_queue_depth_bench(name, depth, n_ops)));
     }
     queue.push(best_of(&|| run_ledger_bench("ledger_charge", n_ops)));
-    // The machine-speed calibration `bench_compare` scales by: SHA-256,
-    // because the entries above are code under test.
+    // The machine-speed calibration `bench_compare` scales by: SHA-256's
+    // portable body, because the entries above are code under test.
     queue.push(best_of(&|| {
         let (ops, wall_secs) = sybil_crypto::sha256::calibrate_64b();
         QueueBenchResult::new("sha256_64b", ops, wall_secs)

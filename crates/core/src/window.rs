@@ -97,10 +97,9 @@ impl JoinWindow {
 
     /// Number of joins in the half-open window `(now − width, now]`.
     ///
-    /// A non-positive or non-finite `width` counts nothing / everything
-    /// respectively consistent with `1/J̃` semantics: `width = ∞` (estimate
-    /// 0) counts the whole iteration; `width = 0` counts only joins at
-    /// exactly `now`.
+    /// A width of `+∞` (estimate 0 in `1/J̃`) counts the whole iteration.
+    /// Width 0 is the empty window `(now, now]`: it counts nothing, joins at
+    /// exactly `now` included. A NaN width counts nothing.
     pub fn count_within(&self, now: Time, width: f64) -> u64 {
         let n = self.times.len();
         if n == 0 {
@@ -297,6 +296,17 @@ mod tests {
         w.record(Time(1.0), 2);
         assert_eq!(w.total(), 3);
         assert_eq!(w.count_within(Time(1.0), 0.5), 3);
+    }
+
+    /// Width 0 is the empty window `(now, now]`: joins at exactly `now` are
+    /// outside it, and any positive width takes them in.
+    #[test]
+    fn zero_width_counts_nothing_at_now() {
+        let mut w = JoinWindow::new();
+        w.record(Time(3.0), 1);
+        w.record(Time(3.0), 1);
+        assert_eq!(w.count_within(Time(3.0), 0.0), 0);
+        assert_eq!(w.count_within(Time(3.0), 1e-9), 2);
     }
 
     /// A NaN width must return 0 regardless of where earlier queries left

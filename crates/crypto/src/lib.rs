@@ -28,7 +28,7 @@
 //! assert!(!stolen.verify(&solution));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 

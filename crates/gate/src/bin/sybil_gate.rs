@@ -57,8 +57,10 @@ fn main() {
     });
     println!(
         "sybil-gate listening on {addr} (difficulty floor {}, mine bits {}, up to {workers} \
-         workers)",
-        cfg.difficulty_floor, cfg.mine_bits
+         workers, SHA-256 on {})",
+        cfg.difficulty_floor,
+        cfg.mine_bits,
+        sybil_crypto::sha256::backend()
     );
     println!(
         "note: the gate implements Figure 4's entrance cost and not its purge, so it bounds the \
