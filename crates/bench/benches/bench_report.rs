@@ -4,7 +4,7 @@
 //! repository root; a bare `cargo bench` skips this target).
 //! `perf::run_suite()` measures the engine (`SYBIL_BENCH_FAST=1` shrinks
 //! the queue micro-benches, `SYBIL_BENCH_REPS` is best-of-K,
-//! `SYBIL_BENCH_ALLOC` picks the alloc columns), then the admission gate
+//! `SYBIL_BENCH_ALLOC=1` requires measured alloc columns), then the admission gate
 //! replays a ~110k-session churn workload through its loopback transport,
 //! honest and 30 % adversarial: always at full size and once each, since
 //! the decision fingerprints are only comparable at that size and are the
@@ -69,7 +69,9 @@ fn run_gate_scenarios() -> Vec<GateResult> {
             mem_verifications: c.mem_verifications,
             client_pow_work: r.client_pow_work,
             mine_attempts: r.mine_attempts,
-            pow_handle_secs: r.pow_handle_secs,
+            // Not finite, and so written as `null`, if no time was spent
+            // in `Join` handling.
+            verifications_per_sec: c.pow_verifications as f64 / r.pow_handle_secs,
             wall_secs: started.elapsed().as_secs_f64(),
             latency_ns: [h.percentile(0.50), h.percentile(0.99), h.percentile(0.999), h.max()],
             decision_fingerprint: hex::encode(gate.fingerprint().as_bytes()),

@@ -25,11 +25,16 @@
 //! Every scenario is deterministic (fixed seeds); the JSON also records
 //! each run's counter or decision-log fingerprint so regressions in
 //! *behavior* (not just speed) are visible in the artifact diff.
+//!
+//! This module owns the report's format: [`to_json`] writes it and
+//! [`from_json`] reads it back, so the key names, the field set and the
+//! checks on values live here alone.
 
 use crate::sweep::{run_report_measured, run_report_with_measured, Algo, LoopAllocs, RunParams};
 use std::time::Instant;
 use sybil_churn::networks;
 use sybil_exp::defense_seed;
+use sybil_exp::json::Value;
 use sybil_sim::cost::{Cost, Purpose};
 use sybil_sim::defense::PurgeReport;
 use sybil_sim::engine::SimConfig;
@@ -39,7 +44,7 @@ use sybil_sim::time::Time;
 use sybil_sim::workload_io::{write_workload_file, DiskWorkload};
 
 /// One measured macro scenario.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScenarioResult {
     /// Scenario name (stable across PRs; used as the JSON key).
     pub name: String,
@@ -97,8 +102,23 @@ pub struct Fingerprint {
     pub adv_spend: f64,
 }
 
+impl Fingerprint {
+    /// True when `other` is behaviorally identical: exact on the integer
+    /// counters, within 1e-9 relative on the spend sums, whose `ln`/`powf`
+    /// inputs are not correctly rounded and may differ by ulps across
+    /// libm versions.
+    pub fn matches(&self, other: &Fingerprint) -> bool {
+        const REL_TOL: f64 = 1e-9;
+        let close = |a: f64, b: f64| (a - b).abs() <= REL_TOL * a.abs().max(b.abs());
+        (self.good_joins_admitted, self.bad_joins_admitted, self.purges)
+            == (other.good_joins_admitted, other.bad_joins_admitted, other.purges)
+            && close(self.good_spend, other.good_spend)
+            && close(self.adv_spend, other.adv_spend)
+    }
+}
+
 /// One measured queue micro-bench.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueueBenchResult {
     /// Bench name (`queue_calendar`, `queue_depth_1e2`…, `ledger_charge`,
     /// `sha256_64b`).
@@ -119,7 +139,7 @@ impl QueueBenchResult {
 }
 
 /// One admission-gate replay, in plain numbers (no `sybil-gate` types).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GateResult {
     /// Scenario name (`gate_honest`, `gate_adversarial`; the JSON key).
     pub name: String,
@@ -143,8 +163,9 @@ pub struct GateResult {
     pub client_pow_work: u64,
     /// Memory-hard salts tried by honest clients.
     pub mine_attempts: u64,
-    /// Wall-clock seconds the server spent inside `Join` handling.
-    pub pow_handle_secs: f64,
+    /// PoW verifications per second of the server's `Join` handling: not
+    /// finite, and so written as `null`, when no time was spent there.
+    pub verifications_per_sec: f64,
     /// Wall-clock seconds of the whole replay.
     pub wall_secs: f64,
     /// Admission-decision latency p50, p99, p99.9 and max, in nanoseconds.
@@ -153,16 +174,8 @@ pub struct GateResult {
     pub decision_fingerprint: String,
 }
 
-impl GateResult {
-    /// PoW verifications per second of `Join` handling: not finite, and so
-    /// written as `null`, when no time was spent there.
-    pub fn verifications_per_sec(&self) -> f64 {
-        self.pow_verifications as f64 / self.pow_handle_secs
-    }
-}
-
 /// The full suite result.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PerfReport {
     /// Queue micro-bench results.
     pub queue: Vec<QueueBenchResult>,
@@ -172,16 +185,17 @@ pub struct PerfReport {
     pub gate: Vec<GateResult>,
 }
 
-/// The macro scenario grid. `macro_sweep` (the acceptance headline)
-/// aggregates a miniature Figure-8-style cell grid; the single-cell
-/// scenarios isolate heavy-churn and heavy-periodic defenses, and the two
-/// `_t1m` cells the two families that dominate Figure 8 at its top attack
-/// rate, T = 2²⁰: classifier-gated admissions one at a time (ERGO-SF) and
-/// a purge every few events (CCom).
 /// One scenario cell: `(algo, T, horizon, seed)`.
 type Cell = (Algo, f64, f64, u64);
 
-fn scenario_specs() -> Vec<(&'static str, Vec<Cell>)> {
+/// The fully resident macro scenarios, whose steady-state loop
+/// `bench_compare` holds at zero allocations. `macro_sweep` (the
+/// acceptance headline) aggregates a miniature Figure-8-style cell grid;
+/// the single-cell scenarios isolate heavy-churn and heavy-periodic
+/// defenses, and the two `_t1m` cells the two families that dominate
+/// Figure 8 at its top attack rate, T = 2²⁰: classifier-gated admissions
+/// one at a time (ERGO-SF) and a purge every few events (CCom).
+pub fn scenario_specs() -> Vec<(&'static str, Vec<Cell>)> {
     let sweep_cells: Vec<Cell> = {
         let mut cells = Vec::new();
         for algo in [Algo::Ergo, Algo::CCom, Algo::SybilControl] {
@@ -219,54 +233,43 @@ fn parse_reps(raw: Result<String, std::env::VarError>) -> Result<usize, String> 
     Ok(reps.unwrap_or(5))
 }
 
-/// Parses a `SYBIL_BENCH_ALLOC` setting: `1` forces allocation counting on
+/// Parses a `SYBIL_BENCH_ALLOC` setting: `1` requires allocation counting
 /// (the run aborts unless the binary was built with `--features
-/// alloc-count`, so "measured" can never silently mean "all zeros"), `0`
-/// forces the allocation columns off even in a counting build, and unset
-/// publishes whatever the build provides. Strict like the other knobs:
-/// anything else is an error, not a silent default.
-fn parse_alloc_mode(raw: Result<String, std::env::VarError>) -> Result<Option<bool>, String> {
-    sybil_exp::env::parse("SYBIL_BENCH_ALLOC", raw, |v| match v {
-        "1" => Ok(true),
-        "0" => Ok(false),
+/// alloc-count`, so "measured" can never silently mean "all zeros"), and
+/// unset publishes whatever the build measures. Strict like the other
+/// knobs: anything else is an error, not a silent default.
+fn parse_alloc_required(raw: Result<String, std::env::VarError>) -> Result<bool, String> {
+    let required = sybil_exp::env::parse("SYBIL_BENCH_ALLOC", raw, |v| match v {
+        "1" => Ok(()),
         _ => Err("is not valid: use 1 (require the counting allocator; abort if the binary \
-                  was not built with --features alloc-count), 0 (report zeros even in a \
-                  counting build), or unset (publish whatever the build measures)"
+                  was not built with --features alloc-count) or unset (publish whatever the \
+                  build measures)"
             .to_string()),
-    })
+    })?;
+    Ok(required.is_some())
 }
 
-/// Whether this run publishes *measured* allocation numbers, resolving the
-/// `SYBIL_BENCH_ALLOC` override against the live-probe of the global
-/// allocator. Cached for the process lifetime.
-pub fn alloc_counting() -> bool {
+/// Whether `SYBIL_BENCH_ALLOC=1` is set.
+fn alloc_required() -> bool {
+    sybil_exp::env::or_abort(parse_alloc_required(std::env::var("SYBIL_BENCH_ALLOC")))
+}
+
+/// Whether this run publishes *measured* allocation numbers: the live
+/// probe of the global allocator, which `SYBIL_BENCH_ALLOC=1` requires.
+/// Cached for the process lifetime.
+fn alloc_counting() -> bool {
     static COUNTING: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *COUNTING.get_or_init(|| {
-        let forced = sybil_exp::env::or_abort(parse_alloc_mode(std::env::var("SYBIL_BENCH_ALLOC")));
         let live = sybil_exp::alloc::counting_enabled();
-        match forced {
-            Some(true) if !live => {
-                eprintln!(
-                    "SYBIL_BENCH_ALLOC=1 but the counting allocator is not registered: \
-                     rebuild with `--features alloc-count` (sybil-bench forwards it to \
-                     sybil-exp)"
-                );
-                std::process::exit(2);
-            }
-            Some(on) => on,
-            None => live,
+        if alloc_required() && !live {
+            eprintln!(
+                "SYBIL_BENCH_ALLOC=1 but the counting allocator is not registered: \
+                 rebuild with `--features alloc-count`"
+            );
+            std::process::exit(2);
         }
+        live
     })
-}
-
-/// The `SYBIL_BENCH_ALLOC` setting this run resolved to, for the JSON
-/// (`"1"`, `"0"`, or `"auto"` when unset).
-fn alloc_mode_label() -> &'static str {
-    match sybil_exp::env::or_abort(parse_alloc_mode(std::env::var("SYBIL_BENCH_ALLOC"))) {
-        Some(true) => "1",
-        Some(false) => "0",
-        None => "auto",
-    }
 }
 
 /// What one repetition of a scenario observed, folded over its cells.
@@ -555,7 +558,6 @@ pub fn run_suite() -> PerfReport {
 
 /// Serializes the report as pretty-printed JSON through [`sybil_exp::json`].
 pub fn to_json(report: &PerfReport) -> String {
-    use sybil_exp::json::Value;
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -608,7 +610,7 @@ pub fn to_json(report: &PerfReport) -> String {
             ("mem_verifications", g.mem_verifications.into()),
             ("client_pow_work", g.client_pow_work.into()),
             ("mine_attempts", g.mine_attempts.into()),
-            ("verifications_per_sec", g.verifications_per_sec().into()),
+            ("verifications_per_sec", g.verifications_per_sec.into()),
             ("wall_secs", g.wall_secs.into()),
             ("latency_p50_ns", p50.into()),
             ("latency_p99_ns", p99.into()),
@@ -627,16 +629,133 @@ pub fn to_json(report: &PerfReport) -> String {
             std::thread::available_parallelism().map_or(1, |n| n.get()).into(),
         ),
         // Whether the alloc_* scenario fields are live measurements (counting
-        // allocator registered and not forced off) or structural zeros, plus
-        // the SYBIL_BENCH_ALLOC setting that produced them — so a JSON is
-        // self-describing no matter how its run was built or invoked.
+        // allocator registered) or structural zeros, plus the
+        // SYBIL_BENCH_ALLOC setting that produced them ("1", or "auto" when
+        // unset) — so a JSON is self-describing no matter how its run was
+        // built or invoked.
         ("alloc_counting", alloc_counting().into()),
-        ("alloc_mode", alloc_mode_label().into()),
+        ("alloc_mode", if alloc_required() { "1" } else { "auto" }.into()),
         ("queue", Value::obj(queue)),
         ("scenarios", Value::obj(scenarios)),
         ("gate", Value::obj(gate)),
     ])
     .to_pretty()
+}
+
+/// Reads a report [`to_json`] wrote back into the [`PerfReport`], with
+/// whether its alloc columns are measurements (`alloc_counting`). Strict:
+/// every key `to_json` writes must be there, a counter must be a
+/// non-negative integer below 2⁵³ and a rate finite (a `null` is named as
+/// non-finite). An error names the section, the entry and the key. Keys
+/// this version does not write are ignored.
+pub fn from_json(root: &Value) -> Result<(PerfReport, bool), String> {
+    count(root, "generated_unix_secs")?;
+    count(root, "available_parallelism")?;
+    let alloc_counting = match root.get("alloc_counting") {
+        Some(Value::Bool(counting)) => *counting,
+        Some(_) => return Err("alloc_counting is not a boolean".into()),
+        None => return Err("no alloc_counting".into()),
+    };
+    text(root, "alloc_mode")?;
+    let queue = section(root, "queue", |name, q| {
+        Ok(QueueBenchResult {
+            name,
+            ops: count(q, "ops")?,
+            wall_secs: q.num("wall_secs")?,
+            ops_per_sec: q.num("ops_per_sec")?,
+        })
+    })?;
+    let scenarios = section(root, "scenarios", |name, s| {
+        let fp = s.get("fingerprint").ok_or("no fingerprint")?;
+        let fingerprint = read_fingerprint(fp).map_err(|e| format!("fingerprint: {e}"))?;
+        Ok(ScenarioResult {
+            name,
+            events: count(s, "events")?,
+            wall_secs: s.num("wall_secs")?,
+            events_per_sec: s.num("events_per_sec")?,
+            peak_queue_len: count(s, "peak_queue_len")? as usize,
+            resident_bytes: count(s, "resident_bytes")? as usize,
+            loop_allocs: count(s, "loop_allocs")?,
+            loop_alloc_bytes: count(s, "loop_alloc_bytes")?,
+            allocs_per_event: s.num("allocs_per_event")?,
+            adversary_rounds: count(s, "adversary_rounds")?,
+            purges_collapsed: count(s, "purges_collapsed")?,
+            queue_pops: count(s, "queue_pops")?,
+            fingerprint,
+        })
+    })?;
+    let gate = section(root, "gate", |name, g| {
+        Ok(GateResult {
+            name,
+            connections: count(g, "connections")?,
+            granted: count(g, "granted")?,
+            admitted: count(g, "admitted")?,
+            rejected_pow: count(g, "rejected_pow")?,
+            refused_mine: count(g, "refused_mine")?,
+            departed: count(g, "departed")?,
+            pow_verifications: count(g, "pow_verifications")?,
+            mem_verifications: count(g, "mem_verifications")?,
+            client_pow_work: count(g, "client_pow_work")?,
+            mine_attempts: count(g, "mine_attempts")?,
+            verifications_per_sec: g.num("verifications_per_sec")?,
+            wall_secs: g.num("wall_secs")?,
+            latency_ns: [
+                count(g, "latency_p50_ns")?,
+                count(g, "latency_p99_ns")?,
+                count(g, "latency_p999_ns")?,
+                count(g, "latency_max_ns")?,
+            ],
+            decision_fingerprint: text(g, "decision_fingerprint")?.to_string(),
+        })
+    })?;
+    Ok((PerfReport { queue, scenarios, gate }, alloc_counting))
+}
+
+/// A scenario's `fingerprint` object.
+fn read_fingerprint(fp: &Value) -> Result<Fingerprint, String> {
+    Ok(Fingerprint {
+        good_joins_admitted: count(fp, "good_joins_admitted")?,
+        bad_joins_admitted: count(fp, "bad_joins_admitted")?,
+        purges: count(fp, "purges")?,
+        good_spend: fp.num("good_spend")?,
+        adv_spend: fp.num("adv_spend")?,
+    })
+}
+
+/// The entries of the top-level object `key`, each read by `read` from its
+/// name and body.
+fn section<T>(
+    root: &Value,
+    key: &str,
+    read: impl Fn(String, &Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    match root.get(key) {
+        Some(Value::Obj(entries)) => entries
+            .iter()
+            .map(|(name, body)| read(name.clone(), body).map_err(|e| format!("{key}: {name}: {e}")))
+            .collect(),
+        Some(_) => Err(format!("{key} is not an object")),
+        None => Err(format!("no {key}")),
+    }
+}
+
+/// The counter `key` of `body`: a non-negative integer below 2⁵³, the
+/// range in which an `f64` holds every integer exactly.
+fn count(body: &Value, key: &str) -> Result<u64, String> {
+    let x = body.num(key)?;
+    if (0.0..9_007_199_254_740_992.0).contains(&x) && x.fract() == 0.0 {
+        Ok(x as u64)
+    } else {
+        Err(format!("{key} is {x}, not an integer in [0, 2^53)"))
+    }
+}
+
+/// The string member `key` of `body`.
+fn text<'a>(body: &'a Value, key: &str) -> Result<&'a str, String> {
+    body.get(key)
+        .ok_or_else(|| format!("no {key}"))?
+        .as_str()
+        .ok_or_else(|| format!("{key} is not a string"))
 }
 
 /// Renders a human-readable summary table.
@@ -685,7 +804,7 @@ pub fn render(report: &PerfReport) -> String {
     }
     out.push('\n');
     for g in &report.gate {
-        let (name, vps, p99) = (&g.name, g.verifications_per_sec(), g.latency_ns[1]);
+        let (name, vps, p99) = (&g.name, g.verifications_per_sec, g.latency_ns[1]);
         let (conns, admitted, rejected) = (g.connections, g.admitted, g.rejected_pow);
         out.push_str(&format!(
             "{name:<28} {conns} conns, {admitted} admitted, {rejected} rejected, \
@@ -709,42 +828,94 @@ mod tests {
         assert!(a.events > 0);
     }
 
+    /// A report with every section filled, and values that are exact in
+    /// binary and ones that are not.
+    fn full_report() -> PerfReport {
+        let scenario = |name: &str, events: u64| ScenarioResult {
+            name: name.into(),
+            events,
+            wall_secs: 0.5,
+            events_per_sec: 10.0,
+            peak_queue_len: 3,
+            resident_bytes: 4096,
+            loop_allocs: 7,
+            loop_alloc_bytes: 256,
+            allocs_per_event: 1.4,
+            adversary_rounds: 21,
+            purges_collapsed: 9,
+            queue_pops: 4,
+            fingerprint: Fingerprint {
+                good_joins_admitted: 11,
+                bad_joins_admitted: 12,
+                purges: 13,
+                good_spend: 14.5,
+                adv_spend: 1e-5,
+            },
+        };
+        PerfReport {
+            queue: vec![
+                QueueBenchResult {
+                    name: "queue_calendar".into(),
+                    ops: 10,
+                    wall_secs: 0.1,
+                    ops_per_sec: 100.0,
+                },
+                QueueBenchResult::new("sha256_64b", 1000, 0.3),
+            ],
+            scenarios: vec![scenario("s", 5), scenario("t", (1 << 53) - 1)],
+            gate: vec![
+                GateResult {
+                    name: "gate_honest".into(),
+                    connections: 9,
+                    granted: 6,
+                    admitted: 5,
+                    rejected_pow: 4,
+                    refused_mine: 3,
+                    departed: 2,
+                    pow_verifications: 8,
+                    mem_verifications: 7,
+                    client_pow_work: 70,
+                    mine_attempts: 30,
+                    verifications_per_sec: 16.0,
+                    wall_secs: 2.5,
+                    latency_ns: [20, 40, 40, 40],
+                    decision_fingerprint: "abc123".into(),
+                },
+                GateResult {
+                    name: "gate_adversarial".into(),
+                    verifications_per_sec: 1.0 / 3.0,
+                    ..GateResult::default()
+                },
+            ],
+        }
+    }
+
+    /// A copy of the object tree `v` with the member at `path` replaced by
+    /// `new`, or dropped when `new` is `None`.
+    fn edit(v: &Value, path: &[&str], new: Option<Value>) -> Value {
+        let (head, rest) = path.split_first().expect("a non-empty path");
+        let members = v.members().iter().filter_map(|(key, member)| match key == head {
+            false => Some((key.clone(), member.clone())),
+            true if rest.is_empty() => new.clone().map(|new| (key.clone(), new)),
+            true => Some((key.clone(), edit(member, rest, new.clone()))),
+        });
+        Value::Obj(members.collect())
+    }
+
+    fn written(report: &PerfReport) -> Value {
+        sybil_exp::json::parse(to_json(report).as_bytes()).unwrap()
+    }
+
     /// Every field `to_json` writes reads back through the `exp::json`
     /// reader at the nesting level it was written at, with its value.
     #[test]
     fn json_is_well_formed_enough() {
-        use sybil_exp::json::{parse, Value};
-        let mut report = PerfReport {
-            queue: vec![QueueBenchResult {
-                name: "queue_calendar".into(),
-                ops: 10,
-                wall_secs: 0.1,
-                ops_per_sec: 100.0,
-            }],
-            scenarios: vec![ScenarioResult {
-                name: "s".into(),
-                events: 5,
-                wall_secs: 0.5,
-                events_per_sec: 10.0,
-                peak_queue_len: 3,
-                resident_bytes: 4096,
-                loop_allocs: 7,
-                loop_alloc_bytes: 256,
-                allocs_per_event: 1.4,
-                adversary_rounds: 21,
-                purges_collapsed: 9,
-                queue_pops: 4,
-                fingerprint: Fingerprint {
-                    good_joins_admitted: 11,
-                    bad_joins_admitted: 12,
-                    purges: 13,
-                    good_spend: 14.5,
-                    adv_spend: 1e-5,
-                },
-            }],
-            gate: Vec::new(),
-        };
-        let root = parse(to_json(&report).as_bytes()).unwrap();
+        use sybil_exp::json::parse;
+        let mut report = full_report();
+        report.queue.truncate(1);
+        report.scenarios.truncate(1);
+        report.gate.clear();
+        let root = written(&report);
         let keys: Vec<&str> = root.members().iter().map(|(k, _)| k.as_str()).collect();
         let sections = ["alloc_counting", "alloc_mode", "queue", "scenarios", "gate"];
         assert_eq!(keys[..2], ["generated_unix_secs", "available_parallelism"]);
@@ -752,7 +923,8 @@ mod tests {
         assert!(root.num("generated_unix_secs").unwrap() > 0.0);
         assert!(root.num("available_parallelism").unwrap() >= 1.0);
         assert_eq!(root.get("alloc_counting"), Some(&Value::Bool(alloc_counting())));
-        assert_eq!(root.get("alloc_mode").and_then(Value::as_str), Some(alloc_mode_label()));
+        let mode = if alloc_required() { "1" } else { "auto" };
+        assert_eq!(root.get("alloc_mode").and_then(Value::as_str), Some(mode));
         // The measured sections, member for member and in order (`purges`
         // lives in the fingerprint, not at scenario level).
         let want = |text: &str| parse(text.as_bytes()).unwrap();
@@ -771,49 +943,30 @@ mod tests {
             ))
         );
 
-        // A non-finite throughput is written as null and reads back as
+        // A non-finite throughput is written as null and read back as
         // "non-finite", not as a missing field.
         report.scenarios[0].events_per_sec = f64::INFINITY;
         let json = to_json(&report);
         assert!(json.contains("\"events_per_sec\": null"), "{json}");
-        let root = parse(json.as_bytes()).unwrap();
-        let err = root.get("scenarios").unwrap().get("s").unwrap().num("events_per_sec");
-        assert!(err.unwrap_err().contains("non-finite"));
+        let err = from_json(&parse(json.as_bytes()).unwrap()).unwrap_err();
+        assert_eq!(err, "scenarios: s: events_per_sec is non-finite (written as null)");
     }
 
     /// Every field of the gate section reads back through the `exp::json`
     /// reader at its nesting level, with its value.
     #[test]
     fn gate_json_round_trips_field_for_field() {
-        use sybil_exp::json::{parse, Value};
-        let serial = GateResult {
-            name: "gate_honest".into(),
-            connections: 9,
-            granted: 6,
-            admitted: 5,
-            rejected_pow: 4,
-            refused_mine: 3,
-            departed: 2,
-            pow_verifications: 8,
-            mem_verifications: 7,
-            client_pow_work: 70,
-            mine_attempts: 30,
-            pow_handle_secs: 0.5,
-            wall_secs: 2.5,
-            latency_ns: [20, 40, 40, 40],
-            decision_fingerprint: "abc123".into(),
-        };
+        use sybil_exp::json::parse;
+        let mut report = full_report();
         // No handle time at all: the rate is 0/0, written as null.
-        let idle = GateResult { name: "gate_idle".into(), ..GateResult::default() };
-        let calibration = QueueBenchResult::new("sha256_64b", 1000, 0.25);
-        let report = PerfReport {
-            queue: vec![calibration],
-            scenarios: Vec::new(),
-            gate: vec![serial, idle],
+        report.gate[1] = GateResult {
+            name: "gate_idle".into(),
+            verifications_per_sec: f64::NAN,
+            ..GateResult::default()
         };
-        let root = parse(to_json(&report).as_bytes()).unwrap();
+        let root = written(&report);
         let calibration = root.get("queue").unwrap().get("sha256_64b").unwrap();
-        assert_eq!(calibration.num("ops_per_sec"), Ok(4000.0));
+        assert_eq!(calibration.num("ops_per_sec"), Ok(1000.0 / 0.3));
 
         // The measured scenario, member for member and in order.
         let gate = root.get("gate").unwrap();
@@ -828,7 +981,82 @@ mod tests {
         let idle = gate.get("gate_idle").unwrap();
         assert_eq!(idle.get("decision_fingerprint").and_then(Value::as_str), Some(""));
         assert_eq!(idle.get("verifications_per_sec"), Some(&Value::Null));
-        assert!(idle.num("verifications_per_sec").unwrap_err().contains("non-finite"));
+        let err = from_json(&root).unwrap_err();
+        assert_eq!(err, "gate: gate_idle: verifications_per_sec is non-finite (written as null)");
+    }
+
+    #[test]
+    fn from_json_reads_back_what_to_json_wrote() {
+        let report = full_report();
+        assert_eq!(from_json(&written(&report)), Ok((report, alloc_counting())));
+        let empty = PerfReport { queue: Vec::new(), scenarios: Vec::new(), gate: Vec::new() };
+        assert_eq!(from_json(&written(&empty)), Ok((empty, alloc_counting())));
+    }
+
+    /// Every key `to_json` writes is required: at the top level, in each
+    /// section's entries and in a fingerprint. The error names the key and
+    /// where it was missing.
+    #[test]
+    fn dropping_any_written_key_fails_naming_it() {
+        let root = written(&full_report());
+        let mut paths: Vec<Vec<&String>> = Vec::new();
+        for (key, section) in root.members() {
+            paths.push(vec![key]);
+            for (entry, fields) in section.members() {
+                for (field, nested) in fields.members() {
+                    paths.push(vec![key, entry, field]);
+                    paths.extend(
+                        nested.members().iter().map(|(sub, _)| vec![key, entry, field, sub]),
+                    );
+                }
+            }
+        }
+        // 7 top-level keys, 2 × 3 queue, 2 × (12 + 5) scenario and 2 × 17
+        // gate fields.
+        assert_eq!(paths.len(), 7 + 2 * 3 + 2 * 17 + 2 * 17);
+        for path in paths {
+            let path: Vec<&str> = path.into_iter().map(String::as_str).collect();
+            let (key, at) = path.split_last().unwrap();
+            let want: String =
+                at.iter().map(|k| format!("{k}: ")).collect::<String>() + "no " + key;
+            let err = from_json(&edit(&root, &path, None)).unwrap_err();
+            assert_eq!(err, want, "{path:?}");
+        }
+    }
+
+    #[test]
+    fn counters_are_integers_below_2_pow_53_and_rates_are_finite() {
+        let root = written(&full_report());
+        let read = |path: &[&str], value: Value| from_json(&edit(&root, path, Some(value)));
+        let events = ["scenarios", "s", "events"];
+        let top = 9_007_199_254_740_991.0;
+        assert_eq!(read(&events, top.into()).unwrap().0.scenarios[0].events, (1 << 53) - 1);
+        for bad in [-1.0, 0.5, top + 1.0, 1e300] {
+            let err = read(&events, bad.into()).unwrap_err();
+            assert_eq!(err, format!("scenarios: s: events is {bad}, not an integer in [0, 2^53)"));
+        }
+        let err = read(&["gate", "gate_honest", "latency_p99_ns"], "40".into()).unwrap_err();
+        assert_eq!(err, "gate: gate_honest: latency_p99_ns is not a number");
+        let err = read(&["queue", "sha256_64b", "ops_per_sec"], Value::Null).unwrap_err();
+        assert_eq!(err, "queue: sha256_64b: ops_per_sec is non-finite (written as null)");
+        let err = read(&["gate", "gate_honest", "decision_fingerprint"], 1.0.into()).unwrap_err();
+        assert_eq!(err, "gate: gate_honest: decision_fingerprint is not a string");
+        assert_eq!(
+            read(&["alloc_counting"], "true".into()).unwrap_err(),
+            "alloc_counting is not a boolean"
+        );
+        assert_eq!(read(&["gate"], Value::Arr(Vec::new())).unwrap_err(), "gate is not an object");
+    }
+
+    #[test]
+    fn alloc_setting_is_1_or_unset() {
+        use std::env::VarError;
+        assert_eq!(parse_alloc_required(Err(VarError::NotPresent)), Ok(false));
+        assert_eq!(parse_alloc_required(Ok("1".into())), Ok(true));
+        for bad in ["0", "true", "false", "2", ""] {
+            let err = parse_alloc_required(Ok(bad.into())).unwrap_err();
+            assert!(err.starts_with("SYBIL_BENCH_ALLOC="), "{err}");
+        }
     }
 
     #[test]

@@ -171,7 +171,7 @@ pub fn run_report_with<W: WorkloadSource>(
 /// loop (the span `Simulation::run_spanned` brackets: after scheduling and
 /// initialization, before report assembly). All zeros unless the binary
 /// registered [`sybil_exp::alloc::CountingAlloc`] as its global allocator
-/// (the `alloc-count` feature) — check
+/// (this crate's `alloc-count` feature) — check
 /// [`sybil_exp::alloc::counting_enabled`] to tell a structural zero from a
 /// measured one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -447,7 +447,9 @@ mod tests {
     #[test]
     fn guarantee_cutoffs() {
         assert!(Algo::Ergo.guarantee_covers(1e9, 10_000));
-        assert!(!Algo::Remp(1e7).guarantee_covers(2e7, 10_000));
+        // REMP's guarantee holds up to and including Tmax.
+        assert!(Algo::Remp(1e7).guarantee_covers(1e7, 10_000));
+        assert!(!Algo::Remp(1e7).guarantee_covers(1.1e7, 10_000));
         assert!(Algo::SybilControl.guarantee_covers(100.0, 10_000));
         assert!(!Algo::SybilControl.guarantee_covers(1e6, 10_000));
     }

@@ -152,7 +152,19 @@ pub struct Ergo {
 
 impl Ergo {
     /// Creates an Ergo instance; call [`Defense::init`] before use.
+    ///
+    /// # Panics
+    ///
+    /// Panics when Heuristic 1's two copies disagree: Ergo reads the
+    /// estimator's `align_to_iterations`, while the configuration's Debug
+    /// text (a store identity) shows `heuristics.h1_align_estimates`.
+    /// [`ErgoConfig::with_heuristics`] sets both.
     pub fn new(cfg: ErgoConfig) -> Self {
+        assert_eq!(
+            cfg.heuristics.h1_align_estimates, cfg.estimator.align_to_iterations,
+            "Heuristic 1 is stored twice and the copies disagree: build the config with \
+             ErgoConfig::with_heuristics"
+        );
         Ergo {
             cfg,
             gate: None,
@@ -989,6 +1001,14 @@ mod tests {
         assert_eq!(r.bad_removed, 20);
         assert_eq!(e.n_bad(), 0);
         assert_eq!(e.n_good(), 88);
+    }
+
+    /// A hand-built config with Heuristic 1 on in `heuristics` alone would
+    /// run without it while its Debug text says it is on.
+    #[test]
+    #[should_panic(expected = "Heuristic 1 is stored twice and the copies disagree")]
+    fn a_config_whose_heuristic_1_copies_disagree_panics() {
+        Ergo::new(ErgoConfig { heuristics: Heuristics::ch1(), ..ErgoConfig::default() });
     }
 
     /// Both profiles stop at the membership counter, ahead of the

@@ -8,9 +8,10 @@
 //!
 //! # Wiring
 //!
-//! The counters are always compiled; what is feature-gated is the
-//! *registration*. A consuming binary or test opts in by registering the
-//! wrapper as its global allocator under the `alloc-count` feature:
+//! The counters always compile, and this crate registers nothing. A
+//! consuming binary or test opts in by registering the wrapper as its
+//! global allocator, behind a feature of its own crate (`sybil-bench`'s
+//! `alloc-count` gates `bench_report` and the budget tests):
 //!
 //! ```ignore
 //! #[cfg(feature = "alloc-count")]
@@ -18,7 +19,7 @@
 //! static ALLOC: sybil_exp::alloc::CountingAlloc = sybil_exp::alloc::CountingAlloc;
 //! ```
 //!
-//! Without the feature the guard still compiles but every delta reads zero;
+//! Without it the guard still compiles but every delta reads zero;
 //! [`counting_enabled`] probes at runtime whether counting is actually live,
 //! so reports can be self-describing regardless of how they were built.
 //!
@@ -170,8 +171,8 @@ impl AllocStats {
 mod tests {
     use super::*;
 
-    // The test binary does not register the allocator unless built with
-    // `--features alloc-count`, so assertions branch on the live probe.
+    // This crate's test binary registers no allocator, so the assertions
+    // branch on the live probe.
 
     #[test]
     fn guard_reads_zero_or_counts_consistently() {
