@@ -87,7 +87,10 @@ impl Algo {
             Algo::SybilControl => {
                 t < defs::SybilControl::default().breakdown_rate(n_good, 1.0 / 6.0)
             }
-            Algo::Remp(t_max) => t <= t_max,
+            Algo::Remp(t_max) => {
+                defs::Remp::new(defs::RempConfig { t_max, ..defs::RempConfig::default() })
+                    .guarantee_covers(t)
+            }
             _ => true,
         }
     }

@@ -61,6 +61,11 @@ impl Remp {
     pub fn analytic_good_rate(&self) -> f64 {
         (1.0 - self.cfg.kappa) * self.cfg.t_max / self.cfg.kappa
     }
+
+    /// True if REMP's minority guarantee covers adversary spend rate `t`.
+    pub fn guarantee_covers(&self, t: f64) -> bool {
+        t <= self.cfg.t_max
+    }
 }
 
 impl Default for Remp {
@@ -198,6 +203,13 @@ mod tests {
             (measured - analytic_no_attack).abs() / analytic_no_attack < 0.05,
             "measured {measured} vs analytic {analytic_no_attack}"
         );
+    }
+
+    #[test]
+    fn guarantee_cutoff() {
+        let r = Remp::default();
+        assert!(r.guarantee_covers(1e7));
+        assert!(!r.guarantee_covers(1.1e7));
     }
 
     #[test]
