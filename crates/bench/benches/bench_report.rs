@@ -1,14 +1,16 @@
 //! Regenerates `BENCH_engine.json`, the one committed performance report:
-//! `cargo bench -p sybil-bench [--features alloc-count] --bench
-//! bench_report -- [OUT.json]` (a relative path is taken from the
-//! repository root; a bare `cargo bench` skips this target).
-//! `perf::run_suite()` measures the engine (`SYBIL_BENCH_FAST=1` shrinks
-//! the queue micro-benches, `SYBIL_BENCH_REPS` is best-of-K,
-//! `SYBIL_BENCH_ALLOC=1` requires measured alloc columns), then the admission gate
-//! replays a ~110k-session churn workload through its loopback transport,
-//! honest and 30 % adversarial: always at full size and once each, since
-//! the decision fingerprints are only comparable at that size and are the
-//! determinism check.
+//! `cargo bench -p sybil-bench --bench bench_report -- [OUT.json]` (a
+//! relative path is taken from the repository root; a bare `cargo bench`
+//! skips this target). The binary registers the counting allocator, so
+//! the report's alloc columns are always measured. `perf::run_suite()`
+//! measures the engine (`SYBIL_BENCH_FAST=1` shrinks the queue
+//! micro-benches, `SYBIL_BENCH_REPS` is best-of-K,
+//! `SYBIL_BENCH_ALLOC_TRAP=N` aborts at the `N`-th allocation of a
+//! measured loop; a `SYBIL_BENCH_*` name no bench target reads exits 2),
+//! then the admission gate replays a ~110k-session churn workload through its
+//! loopback transport, honest and 30 % adversarial: always at full size
+//! and once each, since the decision fingerprints are only comparable at
+//! that size and are the determinism check.
 
 use std::path::Path;
 use std::time::Instant;
@@ -19,10 +21,9 @@ use sybil_crypto::hex;
 use sybil_gate::{replay, GateConfig, MemHardParams, ReplayConfig, ShardedGate};
 use sybil_sim::{write_workload_file, DiskWorkload, Time, WorkloadSource};
 
-// Under `alloc-count` every heap allocation in this process is counted on
-// thread-local counters; the perf scenarios read the deltas around the
-// engine's steady-state loop and publish allocs_per_event.
-#[cfg(feature = "alloc-count")]
+// Every heap allocation in this process is counted on thread-local
+// counters; the perf scenarios read the deltas around the engine's
+// steady-state loop and publish allocs_per_event.
 #[global_allocator]
 static ALLOC: sybil_exp::alloc::CountingAlloc = sybil_exp::alloc::CountingAlloc;
 
@@ -82,6 +83,7 @@ fn run_gate_scenarios() -> Vec<GateResult> {
 }
 
 fn main() {
+    sybil_bench::sweep::reject_unknown_env();
     // `cargo bench` appends `--bench` to the arguments of every target.
     let out = std::env::args().skip(1).find(|a| a != "--bench");
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -26,13 +26,17 @@
 //!   entry (a fresh report that lost it fails: `micro_failures`). Two of
 //!   the entries, `queue_calendar` and `ledger_charge`, are held to the
 //!   same scaled floor as a scenario. The calibration is itself code,
-//!   `sybil_crypto::Sha256`, so the rule is: a change to `Sha256`
-//!   regenerates the committed report in the same change. Compared against
-//!   a report made with the old hasher, a faster one reads as a faster
-//!   machine and raises every floor by its speed-up. The calibration is
-//!   CPU-bound and can miss how far a contended box slows the
-//!   memory-bound scenarios, so when a floor fails every shared
-//!   scenario's own fresh/baseline ratio is printed beside it.
+//!   SHA-256's portable compression body (`calibrate_64b` runs it on
+//!   every CPU, whatever body `Sha256` picks), so the rule is
+//!   `perf`'s: a change to the portable body regenerates the committed
+//!   report in the same change, or it reads as a faster machine and raises
+//!   every floor by its speed-up. The calibration is CPU-bound and can
+//!   miss how far a contended box slows the memory-bound scenarios, so
+//!   when a floor fails every shared scenario's own fresh/baseline ratio
+//!   is printed beside it. It can also run ahead of the probes: on a box
+//!   whose portable SHA-256 runs twice the committed report's speed while
+//!   its queue and ledger hardly move, `queue_calendar` and
+//!   `ledger_charge` FAIL as 48–53 % regressions on unchanged code.
 //! * **libm rounding.** The spend fields of a fingerprint are f64 sums
 //!   whose `ln`/`powf` inputs are not correctly rounded and may differ by
 //!   ulps across libm versions; they are compared with a 1e-9 relative
@@ -46,7 +50,9 @@
 //!
 //! Both reports are read by `perf::from_json`, the reader beside the
 //! `perf::to_json` that wrote them, which owns the format: a report
-//! missing any field is a parse error naming it.
+//! missing any field is a parse error naming it. Both carry measured
+//! allocation counts (`bench_report` always counts), so the two alloc
+//! gates of [`alloc_failures`] always apply.
 
 use std::process::ExitCode;
 use sybil_bench::perf::{self, GateResult, PerfReport, QueueBenchResult, ScenarioResult};
@@ -263,31 +269,21 @@ fn compare(
     failures
 }
 
-/// Gates steady-state allocation budgets within and across reports.
-///
-/// Two independent gates, both conditioned on the *fresh* report being a
-/// live measurement (`fresh_counting`; a non-counting build reports
-/// structural zeros, which must never pass as a budget):
+/// Gates steady-state allocation budgets within and across reports. Both
+/// reports are measurements: `bench_report` registers the counting
+/// allocator, and `perf::run_suite` refuses to run without it.
 ///
 /// * **Zero budget** — every fully resident scenario
 ///   (`perf::scenario_specs`) in the fresh report must hold
 ///   `allocs_per_event` at exactly zero. Nothing there is lazily
 ///   materialized inside the loop. This gate needs no baseline: zero is
 ///   the contract, not a relative floor.
-/// * **Regression** — when the baseline was *also* measured, a shared
-///   scenario's `allocs_per_event` may not exceed the baseline beyond
-///   [`ALLOC_ABS_SLACK`]. Allocation counts are event-order-determined,
-///   not machine-speed-dependent, so no speed ratio applies.
-fn alloc_failures(
-    baseline: &[ScenarioResult],
-    fresh: &[ScenarioResult],
-    base_counting: bool,
-    fresh_counting: bool,
-) -> Vec<String> {
+/// * **Regression** — a shared scenario's `allocs_per_event` may not
+///   exceed the baseline beyond [`ALLOC_ABS_SLACK`]. Allocation counts are
+///   event-order-determined, not machine-speed-dependent, so no speed
+///   ratio applies.
+fn alloc_failures(baseline: &[ScenarioResult], fresh: &[ScenarioResult]) -> Vec<String> {
     let mut failures = Vec::new();
-    if !fresh_counting {
-        return failures; // Announced by the caller; not silently dropped.
-    }
     for (name, _) in perf::scenario_specs() {
         let Some(now) = fresh.iter().find(|s| s.name == name) else { continue };
         let ape = now.allocs_per_event;
@@ -299,18 +295,16 @@ fn alloc_failures(
             ));
         }
     }
-    if base_counting {
-        for base in baseline {
-            let Some(now) = fresh.iter().find(|s| s.name == base.name) else { continue };
-            let (then, now) = (base.allocs_per_event, now.allocs_per_event);
-            if now > then + ALLOC_ABS_SLACK {
-                failures.push(format!(
-                    "scenario {:?}: allocs/event grew from {then} to {now} \
-                     (slack {ALLOC_ABS_SLACK}) — the steady-state loop allocates more than \
-                     the committed baseline",
-                    base.name,
-                ));
-            }
+    for base in baseline {
+        let Some(now) = fresh.iter().find(|s| s.name == base.name) else { continue };
+        let (then, now) = (base.allocs_per_event, now.allocs_per_event);
+        if now > then + ALLOC_ABS_SLACK {
+            failures.push(format!(
+                "scenario {:?}: allocs/event grew from {then} to {now} \
+                 (slack {ALLOC_ABS_SLACK}) — the steady-state loop allocates more than \
+                 the committed baseline",
+                base.name,
+            ));
         }
     }
     failures
@@ -337,16 +331,14 @@ fn main() -> ExitCode {
     if paths.len() != 2 || !(0.0..1.0).contains(&tolerance) {
         usage();
     }
-    let read = |path: &str| -> (PerfReport, bool) {
+    let read = |path: &str| -> PerfReport {
         let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         sybil_exp::json::parse(&bytes)
             .and_then(|root| perf::from_json(&root))
             .unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
     };
-    let (PerfReport { scenarios: baseline, gate: base_gate, queue: base_queue }, base_counting) =
-        read(&paths[0]);
-    let (PerfReport { scenarios: fresh, gate: fresh_gate, queue: fresh_queue }, fresh_counting) =
-        read(&paths[1]);
+    let PerfReport { scenarios: baseline, gate: base_gate, queue: base_queue } = read(&paths[0]);
+    let PerfReport { scenarios: fresh, gate: fresh_gate, queue: fresh_queue } = read(&paths[1]);
     let ratio = speed_ratio(&base_queue, &fresh_queue);
     println!(
         "comparing {} baseline scenario(s) against {} (machine speed ratio {ratio:.2})",
@@ -360,20 +352,7 @@ fn main() -> ExitCode {
     failures.extend(compare_gate(&base_gate, &fresh_gate, tolerance, ratio));
     failures.extend(micro_failures(&base_queue, &fresh_queue, tolerance, ratio));
     failures.extend(depth_failures(&fresh_queue));
-    if fresh_counting {
-        if !base_counting {
-            println!(
-                "alloc regression gate skipped: baseline has no measured allocation data \
-                 (zero-budget gate still applies)"
-            );
-        }
-    } else {
-        println!(
-            "alloc gates skipped: fresh report was not produced by a counting build \
-             (run the bench_report target with --features alloc-count to measure)"
-        );
-    }
-    failures.extend(alloc_failures(&baseline, &fresh, base_counting, fresh_counting));
+    failures.extend(alloc_failures(&baseline, &fresh));
     if failures.iter().any(|f| f.contains(FLOOR_FAILED)) {
         for line in box_moved(&baseline, &fresh, ratio) {
             println!("{line}");
@@ -443,7 +422,7 @@ mod tests {
     }
 
     /// `report` as `perf::to_json` writes it, read back by `from_json`.
-    fn round_trip(report: &PerfReport) -> Result<(PerfReport, bool), String> {
+    fn round_trip(report: &PerfReport) -> Result<PerfReport, String> {
         perf::from_json(&parse(perf::to_json(report).as_bytes()).unwrap())
     }
 
@@ -456,21 +435,19 @@ mod tests {
             scenarios: baseline(1234.5, 7),
             gate: gate(5e4, "abc123"),
         };
-        let (read, _) = round_trip(&report).unwrap();
+        let read = round_trip(&report).unwrap();
         assert_eq!(read, report);
         assert!(compare(&read.scenarios, &report.scenarios, 0.25, 1.0).is_empty());
         assert!(compare_gate(&read.gate, &report.gate, 0.25, 1.0).is_empty());
         assert!(micro_failures(&read.queue, &report.queue, 0.25, 1.0).is_empty());
     }
 
-    /// The committed report reads, counted, and passes every gate against
-    /// itself.
+    /// The committed report reads and passes every gate against itself.
     #[test]
     fn parses_the_real_report_shape() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
         let bytes = std::fs::read(path).unwrap();
-        let (report, counting) = perf::from_json(&parse(&bytes).unwrap()).unwrap();
-        assert!(counting);
+        let report = perf::from_json(&parse(&bytes).unwrap()).unwrap();
         let names = |names: Vec<&str>| names.join(" ");
         assert_eq!(
             names(report.queue.iter().map(|q| q.name.as_str()).collect()),
@@ -492,7 +469,7 @@ mod tests {
         assert!(compare_gate(&report.gate, &report.gate, 0.25, 1.0).is_empty());
         assert!(micro_failures(queue, queue, 0.25, 1.0).is_empty());
         assert!(depth_failures(queue).is_empty());
-        assert!(alloc_failures(scenarios, scenarios, true, true).is_empty());
+        assert!(alloc_failures(scenarios, scenarios).is_empty());
     }
 
     #[test]
@@ -648,7 +625,7 @@ mod tests {
         let report =
             PerfReport { queue: Vec::new(), scenarios: Vec::new(), gate: gate(5e4, "abc") };
         let root = parse(perf::to_json(&report).as_bytes()).unwrap();
-        assert_eq!(perf::from_json(&root).unwrap().0, report);
+        assert_eq!(perf::from_json(&root).unwrap(), report);
         let sybil_exp::json::Value::Obj(mut members) = root else { panic!("not an object") };
         members.retain(|(key, _)| key != "scenarios");
         let err = perf::from_json(&sybil_exp::json::Value::Obj(members)).unwrap_err();
@@ -703,7 +680,7 @@ mod tests {
         // A core scenario allocating in the steady-state loop fails…
         let fresh =
             vec![alloc_scenario("macro_sweep", 0.25), alloc_scenario("macro_millions", 0.01)];
-        let failures = alloc_failures(&[], &fresh, false, true);
+        let failures = alloc_failures(&[], &fresh);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("macro_sweep"), "{}", failures[0]);
         assert!(failures[0].contains("zero-allocation"), "{}", failures[0]);
@@ -714,10 +691,7 @@ mod tests {
             alloc_scenario("gnutella_sybilcontrol_t64", 0.0),
             alloc_scenario("macro_millions", 0.01),
         ];
-        assert!(alloc_failures(&[], &clean, false, true).is_empty());
-        // A non-counting fresh report is never gated: its zeros are
-        // structural, not measurements.
-        assert!(alloc_failures(&[], &fresh, false, false).is_empty());
+        assert!(alloc_failures(&[], &clean).is_empty());
     }
 
     /// The zero budget covers every resident scenario `perf` runs, so one
@@ -727,25 +701,23 @@ mod tests {
         let specs = perf::scenario_specs();
         assert_eq!(specs.len(), 5);
         for (name, _) in specs {
-            let failures = alloc_failures(&[], &[alloc_scenario(name, 1e-6)], false, true);
+            let failures = alloc_failures(&[], &[alloc_scenario(name, 1e-6)]);
             assert_eq!(failures.len(), 1, "{name}");
             assert!(failures[0].starts_with(&format!("scenario {name:?}: ")), "{}", failures[0]);
         }
     }
 
     #[test]
-    fn alloc_regression_gate_needs_both_sides_measured() {
+    fn alloc_regression_gate_allows_the_slack_and_no_more() {
         let baseline = vec![alloc_scenario("macro_millions", 0.001)];
+        // Growth beyond the slack fails.
         let grown = vec![alloc_scenario("macro_millions", 0.1)];
-        // Both measured: growth beyond the slack fails.
-        let failures = alloc_failures(&baseline, &grown, true, true);
+        let failures = alloc_failures(&baseline, &grown);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("allocs/event grew"), "{}", failures[0]);
         // Within the slack: scheduling jitter, not a regression.
         let jitter = vec![alloc_scenario("macro_millions", 0.0015)];
-        assert!(alloc_failures(&baseline, &jitter, true, true).is_empty());
-        // Unmeasured baseline: only the zero-budget gate applies.
-        assert!(alloc_failures(&baseline, &grown, false, true).is_empty());
+        assert!(alloc_failures(&baseline, &jitter).is_empty());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub const COMMITTEE_BOUND: f64 = 7.0 / 8.0;
 
 /// One decentralization trial (one workload seed, one strategy, one T).
 #[derive(Clone, Debug)]
-pub struct CommitteeTrial {
+struct CommitteeTrial {
     /// Committees elected over the run.
     pub elections: usize,
     /// Mean committee size.
@@ -65,7 +65,7 @@ pub struct CommitteeTrial {
 /// instead).
 ///
 /// [`DiskWorkload`]: sybil_sim::workload_io::DiskWorkload
-pub fn run_trial<W1, W2>(
+fn run_trial<W1, W2>(
     decentralized: W1,
     centralized: W2,
     strategy: &str,

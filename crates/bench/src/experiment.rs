@@ -15,7 +15,7 @@
 //! CSV files and whether the run counts as complete.
 
 use crate::grid::{CellResult, Trial, TrialGrid};
-use crate::sweep::{default_workers, fast_mode};
+use crate::sweep::{default_workers, fast_mode, reject_unknown_env};
 use crate::table::{fmt_num, Table};
 use crate::{
     ablation_exp, committee_exp, dht_exp, figure10, figure8, figure9, invariants_exp,
@@ -209,9 +209,11 @@ pub fn run(experiment: &Experiment, fast: bool) -> bool {
 }
 
 /// The `experiments` bench target: runs the named experiments, or the
-/// paper's eight when none is named. Exits 2 on a name the registry does
-/// not hold (before anything runs) and 1 when a run was not complete.
+/// paper's eight when none is named. Exits 2, before anything runs, on a
+/// name the registry does not hold or a `SYBIL_BENCH_*` variable no bench
+/// target reads, and 1 when a run was not complete.
 pub fn main(names: &[String]) -> ExitCode {
+    reject_unknown_env();
     let mut selected: Vec<&Experiment> = Vec::new();
     for name in names {
         match REGISTRY.iter().find(|e| e.name == name) {

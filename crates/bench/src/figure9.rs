@@ -47,7 +47,7 @@ pub const EXPERIMENT: Experiment = Experiment {
 pub const AXIS_FRAC: &str = "frac";
 
 /// The persistent Sybil fractions on Figure 9's x-axis.
-pub fn fractions() -> Vec<(String, f64)> {
+fn fractions() -> Vec<(String, f64)> {
     vec![
         ("1/1536".into(), 1.0 / 1536.0),
         ("1/384".into(), 1.0 / 384.0),
@@ -59,7 +59,7 @@ pub fn fractions() -> Vec<(String, f64)> {
 
 /// Raw per-trial measurements (one workload seed, one run).
 #[derive(Clone, Debug)]
-pub struct TrialQuality {
+struct TrialQuality {
     /// Number of estimator intervals observed.
     pub intervals: usize,
     /// Minimum of `J̃ / true rate` over intervals.
@@ -71,12 +71,7 @@ pub struct TrialQuality {
 }
 
 /// Runs one (workload, fraction, T) trial against any workload source.
-pub fn run_trial<W: WorkloadSource>(
-    workload: W,
-    fraction: f64,
-    t: f64,
-    horizon: f64,
-) -> TrialQuality {
+fn run_trial<W: WorkloadSource>(workload: W, fraction: f64, t: f64, horizon: f64) -> TrialQuality {
     let n0 = workload.initial_size();
     let initial_bad = ((fraction / (1.0 - fraction)) * n0 as f64).round() as u64;
     let cfg = SimConfig {

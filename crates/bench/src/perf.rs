@@ -62,9 +62,7 @@ pub struct ScenarioResult {
     /// in-memory ones, the schedule vectors).
     pub resident_bytes: usize,
     /// Allocator calls during the steady-state event loop (summed over the
-    /// scenario's cells, minimum across reps; engine thread only). Zero
-    /// when counting is off — the report's top-level `alloc_counting`
-    /// field says which.
+    /// scenario's cells, minimum across reps; engine thread only).
     pub loop_allocs: u64,
     /// Bytes requested by those loop allocations.
     pub loop_alloc_bytes: u64,
@@ -233,45 +231,6 @@ fn parse_reps(raw: Result<String, std::env::VarError>) -> Result<usize, String> 
     Ok(reps.unwrap_or(5))
 }
 
-/// Parses a `SYBIL_BENCH_ALLOC` setting: `1` requires allocation counting
-/// (the run aborts unless the binary was built with `--features
-/// alloc-count`, so "measured" can never silently mean "all zeros"), and
-/// unset publishes whatever the build measures. Strict like the other
-/// knobs: anything else is an error, not a silent default.
-fn parse_alloc_required(raw: Result<String, std::env::VarError>) -> Result<bool, String> {
-    let required = sybil_exp::env::parse("SYBIL_BENCH_ALLOC", raw, |v| match v {
-        "1" => Ok(()),
-        _ => Err("is not valid: use 1 (require the counting allocator; abort if the binary \
-                  was not built with --features alloc-count) or unset (publish whatever the \
-                  build measures)"
-            .to_string()),
-    })?;
-    Ok(required.is_some())
-}
-
-/// Whether `SYBIL_BENCH_ALLOC=1` is set.
-fn alloc_required() -> bool {
-    sybil_exp::env::or_abort(parse_alloc_required(std::env::var("SYBIL_BENCH_ALLOC")))
-}
-
-/// Whether this run publishes *measured* allocation numbers: the live
-/// probe of the global allocator, which `SYBIL_BENCH_ALLOC=1` requires.
-/// Cached for the process lifetime.
-fn alloc_counting() -> bool {
-    static COUNTING: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *COUNTING.get_or_init(|| {
-        let live = sybil_exp::alloc::counting_enabled();
-        if alloc_required() && !live {
-            eprintln!(
-                "SYBIL_BENCH_ALLOC=1 but the counting allocator is not registered: \
-                 rebuild with `--features alloc-count`"
-            );
-            std::process::exit(2);
-        }
-        live
-    })
-}
-
 /// What one repetition of a scenario observed, folded over its cells.
 #[derive(Default)]
 struct Rep {
@@ -339,7 +298,6 @@ fn measure(name: &str, mut run: impl FnMut(&mut Rep)) -> ScenarioResult {
         }
     }
     let rep = first.expect("at least one repetition");
-    let measured = if alloc_counting() { best_allocs } else { LoopAllocs::default() };
     ScenarioResult {
         name: name.to_string(),
         events: rep.events,
@@ -347,9 +305,9 @@ fn measure(name: &str, mut run: impl FnMut(&mut Rep)) -> ScenarioResult {
         events_per_sec: rep.events as f64 / best_wall.max(1e-12),
         peak_queue_len: rep.peak_queue_len,
         resident_bytes: rep.resident_bytes,
-        loop_allocs: measured.allocs,
-        loop_alloc_bytes: measured.bytes,
-        allocs_per_event: measured.allocs as f64 / (rep.events as f64).max(1.0),
+        loop_allocs: best_allocs.allocs,
+        loop_alloc_bytes: best_allocs.bytes,
+        allocs_per_event: best_allocs.allocs as f64 / (rep.events as f64).max(1.0),
         adversary_rounds: rep.adversary_rounds,
         purges_collapsed: rep.purges_collapsed,
         queue_pops: rep.queue_pops,
@@ -522,8 +480,14 @@ fn run_ledger_bench(name: &str, n_ops: u64) -> QueueBenchResult {
 }
 
 /// Runs the full suite. All measurements are single-threaded so the
-/// numbers compare engine work, not scheduling luck.
+/// numbers compare engine work, not scheduling luck. Panics unless the
+/// binary registered [`sybil_exp::alloc::CountingAlloc`], so the alloc
+/// columns are always measurements.
 pub fn run_suite() -> PerfReport {
+    assert!(
+        sybil_exp::counting_enabled(),
+        "the counting allocator is not registered: the alloc columns would read zero"
+    );
     let n_ops = if crate::sweep::fast_mode() { 400_000 } else { 2_000_000 };
     let best_of = |run: &dyn Fn() -> QueueBenchResult| {
         (0..reps())
@@ -628,13 +592,6 @@ pub fn to_json(report: &PerfReport) -> String {
             "available_parallelism",
             std::thread::available_parallelism().map_or(1, |n| n.get()).into(),
         ),
-        // Whether the alloc_* scenario fields are live measurements (counting
-        // allocator registered) or structural zeros, plus the
-        // SYBIL_BENCH_ALLOC setting that produced them ("1", or "auto" when
-        // unset) — so a JSON is self-describing no matter how its run was
-        // built or invoked.
-        ("alloc_counting", alloc_counting().into()),
-        ("alloc_mode", if alloc_required() { "1" } else { "auto" }.into()),
         ("queue", Value::obj(queue)),
         ("scenarios", Value::obj(scenarios)),
         ("gate", Value::obj(gate)),
@@ -642,21 +599,14 @@ pub fn to_json(report: &PerfReport) -> String {
     .to_pretty()
 }
 
-/// Reads a report [`to_json`] wrote back into the [`PerfReport`], with
-/// whether its alloc columns are measurements (`alloc_counting`). Strict:
+/// Reads a report [`to_json`] wrote back into the [`PerfReport`]. Strict:
 /// every key `to_json` writes must be there, a counter must be a
 /// non-negative integer below 2⁵³ and a rate finite (a `null` is named as
 /// non-finite). An error names the section, the entry and the key. Keys
 /// this version does not write are ignored.
-pub fn from_json(root: &Value) -> Result<(PerfReport, bool), String> {
+pub fn from_json(root: &Value) -> Result<PerfReport, String> {
     count(root, "generated_unix_secs")?;
     count(root, "available_parallelism")?;
-    let alloc_counting = match root.get("alloc_counting") {
-        Some(Value::Bool(counting)) => *counting,
-        Some(_) => return Err("alloc_counting is not a boolean".into()),
-        None => return Err("no alloc_counting".into()),
-    };
-    text(root, "alloc_mode")?;
     let queue = section(root, "queue", |name, q| {
         Ok(QueueBenchResult {
             name,
@@ -708,7 +658,7 @@ pub fn from_json(root: &Value) -> Result<(PerfReport, bool), String> {
             decision_fingerprint: text(g, "decision_fingerprint")?.to_string(),
         })
     })?;
-    Ok((PerfReport { queue, scenarios, gate }, alloc_counting))
+    Ok(PerfReport { queue, scenarios, gate })
 }
 
 /// A scenario's `fingerprint` object.
@@ -917,14 +867,10 @@ mod tests {
         report.gate.clear();
         let root = written(&report);
         let keys: Vec<&str> = root.members().iter().map(|(k, _)| k.as_str()).collect();
-        let sections = ["alloc_counting", "alloc_mode", "queue", "scenarios", "gate"];
         assert_eq!(keys[..2], ["generated_unix_secs", "available_parallelism"]);
-        assert_eq!(keys[2..], sections);
+        assert_eq!(keys[2..], ["queue", "scenarios", "gate"]);
         assert!(root.num("generated_unix_secs").unwrap() > 0.0);
         assert!(root.num("available_parallelism").unwrap() >= 1.0);
-        assert_eq!(root.get("alloc_counting"), Some(&Value::Bool(alloc_counting())));
-        let mode = if alloc_required() { "1" } else { "auto" };
-        assert_eq!(root.get("alloc_mode").and_then(Value::as_str), Some(mode));
         // The measured sections, member for member and in order (`purges`
         // lives in the fingerprint, not at scenario level).
         let want = |text: &str| parse(text.as_bytes()).unwrap();
@@ -988,9 +934,9 @@ mod tests {
     #[test]
     fn from_json_reads_back_what_to_json_wrote() {
         let report = full_report();
-        assert_eq!(from_json(&written(&report)), Ok((report, alloc_counting())));
+        assert_eq!(from_json(&written(&report)), Ok(report));
         let empty = PerfReport { queue: Vec::new(), scenarios: Vec::new(), gate: Vec::new() };
-        assert_eq!(from_json(&written(&empty)), Ok((empty, alloc_counting())));
+        assert_eq!(from_json(&written(&empty)), Ok(empty));
     }
 
     /// Every key `to_json` writes is required: at the top level, in each
@@ -1011,9 +957,9 @@ mod tests {
                 }
             }
         }
-        // 7 top-level keys, 2 × 3 queue, 2 × (12 + 5) scenario and 2 × 17
+        // 5 top-level keys, 2 × 3 queue, 2 × (12 + 5) scenario and 2 × 17
         // gate fields.
-        assert_eq!(paths.len(), 7 + 2 * 3 + 2 * 17 + 2 * 17);
+        assert_eq!(paths.len(), 5 + 2 * 3 + 2 * 17 + 2 * 17);
         for path in paths {
             let path: Vec<&str> = path.into_iter().map(String::as_str).collect();
             let (key, at) = path.split_last().unwrap();
@@ -1030,7 +976,7 @@ mod tests {
         let read = |path: &[&str], value: Value| from_json(&edit(&root, path, Some(value)));
         let events = ["scenarios", "s", "events"];
         let top = 9_007_199_254_740_991.0;
-        assert_eq!(read(&events, top.into()).unwrap().0.scenarios[0].events, (1 << 53) - 1);
+        assert_eq!(read(&events, top.into()).unwrap().scenarios[0].events, (1 << 53) - 1);
         for bad in [-1.0, 0.5, top + 1.0, 1e300] {
             let err = read(&events, bad.into()).unwrap_err();
             assert_eq!(err, format!("scenarios: s: events is {bad}, not an integer in [0, 2^53)"));
@@ -1041,22 +987,7 @@ mod tests {
         assert_eq!(err, "queue: sha256_64b: ops_per_sec is non-finite (written as null)");
         let err = read(&["gate", "gate_honest", "decision_fingerprint"], 1.0.into()).unwrap_err();
         assert_eq!(err, "gate: gate_honest: decision_fingerprint is not a string");
-        assert_eq!(
-            read(&["alloc_counting"], "true".into()).unwrap_err(),
-            "alloc_counting is not a boolean"
-        );
         assert_eq!(read(&["gate"], Value::Arr(Vec::new())).unwrap_err(), "gate is not an object");
-    }
-
-    #[test]
-    fn alloc_setting_is_1_or_unset() {
-        use std::env::VarError;
-        assert_eq!(parse_alloc_required(Err(VarError::NotPresent)), Ok(false));
-        assert_eq!(parse_alloc_required(Ok("1".into())), Ok(true));
-        for bad in ["0", "true", "false", "2", ""] {
-            let err = parse_alloc_required(Ok(bad.into())).unwrap_err();
-            assert!(err.starts_with("SYBIL_BENCH_ALLOC="), "{err}");
-        }
     }
 
     #[test]

@@ -173,10 +173,8 @@ pub fn run_report_with<W: WorkloadSource>(
 /// Heap-allocation counters measured over the engine's steady-state event
 /// loop (the span `Simulation::run_spanned` brackets: after scheduling and
 /// initialization, before report assembly). All zeros unless the binary
-/// registered [`sybil_exp::alloc::CountingAlloc`] as its global allocator
-/// (this crate's `alloc-count` feature) — check
-/// [`sybil_exp::alloc::counting_enabled`] to tell a structural zero from a
-/// measured one.
+/// registered [`sybil_exp::alloc::CountingAlloc`] as its global allocator,
+/// as `bench_report` and the allocation-budget tests do.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoopAllocs {
     /// Allocator calls during the event loop, on the engine's thread.
@@ -341,6 +339,20 @@ pub fn fast_mode() -> bool {
     })
 }
 
+/// Every `SYBIL_BENCH_*` variable the bench targets read: the three
+/// parsed in this file and `perf`'s `SYBIL_BENCH_REPS`.
+const KNOWN_ENV: [&str; 4] =
+    ["SYBIL_BENCH_FAST", "SYBIL_BENCH_REPS", "SYBIL_BENCH_WORKERS", "SYBIL_BENCH_ALLOC_TRAP"];
+
+/// Exits 2 naming a `SYBIL_BENCH_*` variable outside [`KNOWN_ENV`]: a
+/// removed knob (`SYBIL_BENCH_ALLOC`) or a misspelt one would otherwise be
+/// ignored, and the run would start with the default shape. The bench
+/// targets call it before anything runs.
+pub fn reject_unknown_env() {
+    let names = std::env::vars_os().map(|(name, _)| name.to_string_lossy().into_owned());
+    sybil_exp::env::or_abort(sybil_exp::env::unknown_names("SYBIL_BENCH_", &KNOWN_ENV, names));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,6 +450,22 @@ mod tests {
             assert!(err.contains("SYBIL_BENCH_ALLOC_TRAP"), "{err}");
         }
         assert_eq!(alloc_trap(), alloc_trap());
+    }
+
+    /// A leftover `SYBIL_BENCH_ALLOC=1` and a misspelt `SYBIL_BENCH_FAST`
+    /// are named, not ignored; the four knobs and other variables pass.
+    #[test]
+    fn unknown_bench_knobs_are_named() {
+        let check = |names: &[&str]| {
+            let names = names.iter().map(|n| n.to_string());
+            sybil_exp::env::unknown_names("SYBIL_BENCH_", &KNOWN_ENV, names)
+        };
+        assert_eq!(check(&KNOWN_ENV), Ok(()));
+        assert_eq!(check(&["PATH", "SYBIL_GATE_WORKERS"]), Ok(()));
+        for stray in ["SYBIL_BENCH_ALLOC", "SYBIL_BENCH_FST"] {
+            let err = check(&["SYBIL_BENCH_REPS", stray]).unwrap_err();
+            assert!(err.starts_with(&format!("{stray} is not a variable")), "{err}");
+        }
     }
 
     #[test]

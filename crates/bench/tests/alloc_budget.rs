@@ -9,23 +9,21 @@
 //! budget"). The warm-up is structural: everything before the span is the
 //! warm-up, and the assertion covers every event after it.
 //!
-//! The measurements are only live when this binary is built with
-//! `--features alloc-count` (the CI `alloc` job does); without it the
-//! counters read zero structurally and the budget assertions are
-//! vacuous, so the cases still run as behavioral smoke but say so.
+//! This binary registers the counting allocator, so every build measures:
+//! `cargo test -p sybil-bench --test alloc_budget` in either profile.
 
 use sybil_bench::sweep::{run_report_measured, Algo, RunParams};
 use sybil_churn::networks;
 
-// Under `alloc-count` every heap allocation in this process is counted on
-// thread-local counters; each test thread measures its own span.
-#[cfg(feature = "alloc-count")]
+// Every heap allocation in this process is counted on thread-local
+// counters; each test thread measures its own span.
 #[global_allocator]
 static ALLOC: sybil_exp::alloc::CountingAlloc = sybil_exp::alloc::CountingAlloc;
 
 /// Asserts the steady-state loop of one (defense, T) cell allocates
-/// nothing — when the counting allocator is registered.
+/// nothing.
 fn assert_zero_budget(algo: Algo, t: f64) {
+    assert!(sybil_exp::counting_enabled(), "the counting allocator is not registered");
     let net = networks::gnutella();
     let params = RunParams { horizon: 1000.0, seed: 1, ..RunParams::default() };
     let (report, allocs) = run_report_measured(&net, algo, t, params);
@@ -34,16 +32,12 @@ fn assert_zero_budget(algo: Algo, t: f64) {
         report.good_joins_admitted + report.bad_joins_admitted > 0,
         "{algo:?} T={t}: cell admitted nothing; the budget span covered no work"
     );
-    if sybil_exp::counting_enabled() {
-        assert_eq!(
-            allocs.allocs, 0,
-            "{algo:?} T={t}: {} allocation(s) ({} bytes) in the steady-state event loop — \
-             the zero-allocation contract is broken",
-            allocs.allocs, allocs.bytes
-        );
-    } else {
-        eprintln!("note: {algo:?} T={t} ran without --features alloc-count; budget not measured");
-    }
+    assert_eq!(
+        allocs.allocs, 0,
+        "{algo:?} T={t}: {} allocation(s) ({} bytes) in the steady-state event loop — \
+         the zero-allocation contract is broken",
+        allocs.allocs, allocs.bytes
+    );
 }
 
 #[test]

@@ -18,7 +18,7 @@ use sybil_sim::id::Id;
 
 /// A lookup routing strategy under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Strategy {
+enum Strategy {
     /// One greedy finger-routing path.
     Greedy,
     /// `n` independent greedy paths from random good entry points.
@@ -29,7 +29,7 @@ pub enum Strategy {
 
 impl Strategy {
     /// Label for tables.
-    pub fn label(&self) -> String {
+    fn label(&self) -> String {
         match *self {
             Strategy::Greedy => "greedy-1".into(),
             Strategy::RedundantPaths(n) => format!("paths-{n}"),
@@ -68,7 +68,7 @@ pub fn build_ring(n: u64, bad_fraction: f64) -> Ring {
 }
 
 /// Runs one cell: `trials` random-key lookups with the given strategy.
-pub fn run_cell(n: u64, bad_fraction: f64, strategy: Strategy, trials: u32, seed: u64) -> DhtCell {
+fn run_cell(n: u64, bad_fraction: f64, strategy: Strategy, trials: u32, seed: u64) -> DhtCell {
     let ring = build_ring(n, bad_fraction);
     let mut rng = StdRng::seed_from_u64(seed);
     let successes =

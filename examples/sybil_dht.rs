@@ -11,7 +11,7 @@
 use bankrupting_sybil::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sybil_dht::experiment::{run_cell, Strategy};
+use sybil_dht::experiment::run_grid;
 use sybil_dht::{lookup_wide, Ring};
 use sybil_sim::id::Id;
 
@@ -19,10 +19,8 @@ fn main() {
     // --- 1. Strategy comparison on fixed Sybil fractions ---
     println!("--- lookup success rate by routing strategy (2000-node ring) ---");
     println!("{:>13} {:>10} {:>10} {:>10}", "bad fraction", "greedy-1", "paths-8", "wide-8");
-    for f in [0.0, 0.05, 1.0 / 6.0 - 0.01, 0.30, 0.50] {
-        let g = run_cell(2_000, f, Strategy::Greedy, 400, 3);
-        let p = run_cell(2_000, f, Strategy::RedundantPaths(8), 400, 3);
-        let w = run_cell(2_000, f, Strategy::WidePath(8), 400, 3);
+    for row in run_grid(2_000, 400, 3).chunks(3) {
+        let [g, p, w] = row else { unreachable!("three strategies a fraction") };
         println!(
             "{:>13.3} {:>10.3} {:>10.3} {:>10.3}",
             g.bad_fraction, g.success_rate, p.success_rate, w.success_rate

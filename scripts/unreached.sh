@@ -17,11 +17,14 @@
 # turbofish generics dropped) or by a `.name(` call in a file that names
 # `T`. So a method shared by two types, or named like a std method
 # (`len`, `size`…), is not reached by the other type's calls. Any other
-# item is named by its identifier, so two such items with one name reach
-# each other and such an item is missed. Comments and `pub use` lines
-# name nothing, and neither does the line that defines a name (so `pub fn
-# x` in one file does not reach `pub fn x` in another); string literals
-# do name, for `format!("{NAME}")`.
+# item, a free item or an enum variant, is reached by a path (`m::name`,
+# `Enum::Variant`, `name::x`) or by a `use` that imports it; a bare
+# identifier of the same name does not reach it, except in a file with a
+# glob import. A file names a type `T` the same way, and an `Enum::T`
+# path, where `Enum` has a variant `T`, names the variant, not the type.
+# Comments and `pub use` lines name nothing, and neither does the line
+# that defines a name (so `pub fn x` in one file does not reach `pub fn
+# x` in another); string literals are read as code.
 #
 # Each kept item has a line `file name  # reason` in the checkout's
 # `scripts/unreached.keep` (`name` is `T::name` in an `impl`). Prints
@@ -97,8 +100,26 @@ find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/
         sub(/.*::/, "", t)
         return t
     }
-    function note(key, file) {
+    function note(key, file,    cut, head, tail) {
         if (!((key, file) in qseen)) { qseen[key, file] = 1; qfiles[key]++ }
+        # The head of a path names its item; the tail is kept with its
+        # prefix, since `Enum::T` names a variant and not the type `T`.
+        cut = index(key, "::")
+        head = substr(key, 1, cut - 1)
+        tail = substr(key, cut + 2)
+        named[head, file] = 1
+        prefixes[tail, file] = prefixes[tail, file] " " head
+    }
+    # Whether `file` names the item `w` by a path or an import, or by any
+    # identifier under a glob import. For a variant of the enum `of`, the
+    # path is `of::w`; for any other item, a path `P::w` where `P` is an
+    # enum with a variant `w` names the variant instead.
+    function names(w, file, of,    n, p, i) {
+        if ((w, file) in named || (glob[file] && (w, file) in seen)) return 1
+        n = split(prefixes[w, file], p, " ")
+        for (i = 1; i <= n; i++)
+            if (of != "" ? p[i] == of : !((p[i] "::" w) in variants)) return 1
+        return 0
     }
     # Notes every `A::b` on the line (`Self::b` inside an `impl T` is
     # `T::b`), and every method call `.b(`.
@@ -132,6 +153,7 @@ find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/
         listed = part[1] != "benchmark"
         scanned[++nscanned] = file
         depth = 0; enum_depth = -1; impl_depth = -1; impl_t = ""; in_use = 0; skip = 0
+        importing = 0
         while ((getline line < file) > 0) {
             # `s` is code; `bare` also has its string literals emptied, so
             # it is what the braces and the item patterns are read from.
@@ -165,25 +187,31 @@ find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/
                 in_use = bare !~ /;/
                 continue
             }
+            # A `use` names what it imports. It may span lines.
+            imports = importing || stripped ~ /^use /
+            if (imports) {
+                importing = bare !~ /;/
+                if (stripped ~ /::[ \t]*\*[ \t]*;/) glob[file] = 1
+            }
             if (impl_depth < 0 && stripped ~ /^(unsafe +)?impl[ <]/) {
                 impl_depth = depth
                 impl_t = impl_type(stripped)
             }
             name = item(bare)
-            if (listed) {
-                if (name != "" && impl_depth >= 0 && depth == impl_depth + 1)
-                    add(impl_t "::" name, file)
-                else if (name != "") add(name, file)
-                else if (enum_depth >= 0 && depth == enum_depth + 1 &&
-                         stripped ~ /^[A-Z][A-Za-z0-9_]*[ \t]*([{(,=]|$)/) {
-                    name = stripped
-                    sub(/[^A-Za-z0-9_].*/, "", name)
-                    add(name, file)
-                }
+            of = ""
+            if (name == "" && enum_depth >= 0 && depth == enum_depth + 1 &&
+                stripped ~ /^[A-Z][A-Za-z0-9_]*[ \t]*([{(,=]|$)/) {
+                name = stripped
+                sub(/[^A-Za-z0-9_].*/, "", name)
+                of = enum_name
+                variants[of "::" name] = 1
             }
-            if (is_enum && enum_depth < 0) enum_depth = depth
-            # Every identifier on the line names something, except the
-            # one the line defines.
+            if (listed && of != "") { add(name, file); variant_of[file " " name] = of }
+            else if (listed && name != "")
+                add(impl_depth >= 0 && depth == impl_depth + 1 ? impl_t "::" name : name, file)
+            if (is_enum && enum_depth < 0) { enum_depth = depth; enum_name = name }
+            # Every identifier on the line is seen, except the one the line
+            # defines; an identifier of a `use` is also named.
             words = s
             gsub(/[^A-Za-z0-9_]+/, " ", words)
             k = split(words, word, " ")
@@ -191,7 +219,8 @@ find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/
             for (i = 1; i <= k; i++) {
                 w = word[i]
                 if (w == name && !skipped) { skipped = 1; continue }
-                if (!((w, file) in seen)) { seen[w, file] = 1; files[w]++ }
+                seen[w, file] = 1
+                if (imports) named[w, file] = 1
             }
             qualify(s, file)
             depth += opens - closes
@@ -217,8 +246,12 @@ find crates src benchmark/src -name target -prune -o -name '*.rs' -print 2>/dev/
                 elsewhere = qfiles[f[2]] - ((f[2], f[1]) in qseen ? 1 : 0)
                 for (g = 1; g <= nscanned && !elsewhere; g++)
                     elsewhere = scanned[g] != f[1] && (m[2], scanned[g]) in called &&
-                                (m[1], scanned[g]) in seen
-            } else elsewhere = files[f[2]] - ((f[2], f[1]) in seen ? 1 : 0)
+                                names(m[1], scanned[g], "")
+            } else {
+                elsewhere = 0
+                for (g = 1; g <= nscanned && !elsewhere; g++)
+                    elsewhere = scanned[g] != f[1] && names(f[2], scanned[g], variant_of[defs[d]])
+            }
             if (elsewhere > 0) continue
             if (defs[d] in kept) { kept[defs[d]] = 1; continue }
             print "unreached: " defs[d]

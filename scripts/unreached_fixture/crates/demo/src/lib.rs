@@ -1,6 +1,7 @@
 //! A fixture for the self-test of `scripts/unreached.sh`: a tree its
 //! exact listing (`expected.txt`) is checked against. Never compiled.
 
+mod hexagon;
 pub mod shapes;
 mod user;
 
@@ -8,5 +9,5 @@ mod user;
 pub use shapes::Square;
 
 fn main() {
-    let _ = user::total(&[user::unit()]);
+    let _ = user::total(&[user::unit()]) + user::kinds();
 }

@@ -41,3 +41,35 @@ impl Square {
         self.side == 0
     }
 }
+
+/// Reached by the path `shapes::perimeter`.
+pub fn perimeter(c: &Circle) -> u64 {
+    6 * c.r
+}
+
+/// `user.rs` has a local `area` and neither imports this one nor names a
+/// path to it: unreached.
+pub fn area(c: &Circle) -> u64 {
+    3 * c.r * c.r
+}
+
+/// Reached: `user.rs` imports it.
+pub enum Kind {
+    /// Reached by the path `Kind::Round`.
+    Round,
+    /// Reached by the path `Kind::Hexagon`.
+    Hexagon,
+    /// `user.rs` names only its own `Star`: unreached.
+    Star,
+}
+
+impl Kind {
+    /// Reached by `.sides(` in a file that imports `Kind`.
+    pub fn sides(&self) -> u64 {
+        match self {
+            Kind::Round => 0,
+            Kind::Hexagon => 6,
+            Kind::Star => 10,
+        }
+    }
+}
