@@ -43,19 +43,19 @@ pub const COMMITTEE_BOUND: f64 = 7.0 / 8.0;
 #[derive(Clone, Debug)]
 struct CommitteeTrial {
     /// Committees elected over the run.
-    pub elections: usize,
+    elections: usize,
     /// Mean committee size.
-    pub mean_size: f64,
+    mean_size: f64,
     /// Smallest good fraction any committee held (incl. attrition).
-    pub min_good_fraction: f64,
+    min_good_fraction: f64,
     /// SMR messages exchanged.
-    pub messages: u64,
+    messages: u64,
     /// Good spend rate (must match centralized Ergo).
-    pub good_rate: f64,
+    good_rate: f64,
     /// Centralized Ergo's good spend rate on the identical run.
-    pub centralized_rate: f64,
+    centralized_rate: f64,
     /// Max bad fraction over the run.
-    pub max_bad_fraction: f64,
+    max_bad_fraction: f64,
 }
 
 /// Runs one decentralization trial: the decentralized and centralized

@@ -61,13 +61,13 @@ fn fractions() -> Vec<(String, f64)> {
 #[derive(Clone, Debug)]
 struct TrialQuality {
     /// Number of estimator intervals observed.
-    pub intervals: usize,
+    intervals: usize,
     /// Minimum of `J̃ / true rate` over intervals.
-    pub min_ratio: f64,
+    min_ratio: f64,
     /// Median ratio.
-    pub median_ratio: f64,
+    median_ratio: f64,
     /// Maximum ratio.
-    pub max_ratio: f64,
+    max_ratio: f64,
 }
 
 /// Runs one (workload, fraction, T) trial against any workload source.

@@ -217,14 +217,17 @@ pub fn scenario_specs() -> Vec<(&'static str, Vec<Cell>)> {
 /// containers) only ever *adds* time, so best-of-K is the stable estimator
 /// of intrinsic cost.
 fn reps() -> usize {
-    sybil_exp::env::or_abort(parse_reps(std::env::var("SYBIL_BENCH_REPS")))
+    sybil_exp::env::or_abort(parse_reps(std::env::var(REPS_ENV)))
 }
+
+/// The best-of-K knob's name; see [`parse_reps`].
+pub(crate) const REPS_ENV: &str = "SYBIL_BENCH_REPS";
 
 /// Parses a `SYBIL_BENCH_REPS` setting (default 5). Strict like every
 /// other knob: `0` or garbage is an error, not a silent default.
 fn parse_reps(raw: Result<String, std::env::VarError>) -> Result<usize, String> {
     let reps = sybil_exp::env::positive_usize(
-        "SYBIL_BENCH_REPS",
+        REPS_ENV,
         raw,
         "best-of-K needs at least one repetition (unset the variable for the default 5)",
     )?;

@@ -229,20 +229,21 @@ pub fn run_report_with_measured<W: WorkloadSource>(
     (report, measured.get())
 }
 
+/// The allocation-trap knob's name; see [`parse_alloc_trap`].
+const ALLOC_TRAP_ENV: &str = "SYBIL_BENCH_ALLOC_TRAP";
+
 /// Parses `SYBIL_BENCH_ALLOC_TRAP=N`: abort with a backtrace at the `N`-th
 /// allocation inside each measured event loop ([`sybil_exp::alloc::trap_after`]).
 /// `0` or garbage is an error, not a silently disarmed trap.
 fn parse_alloc_trap(raw: Result<String, std::env::VarError>) -> Result<Option<usize>, String> {
     let why = "the trap counts allocations from 1 (unset the variable to disarm it)";
-    sybil_exp::env::positive_usize("SYBIL_BENCH_ALLOC_TRAP", raw, why)
+    sybil_exp::env::positive_usize(ALLOC_TRAP_ENV, raw, why)
 }
 
 /// [`parse_alloc_trap`] of the environment, read once per process.
 fn alloc_trap() -> Option<usize> {
     static TRAP: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *TRAP.get_or_init(|| {
-        sybil_exp::env::or_abort(parse_alloc_trap(std::env::var("SYBIL_BENCH_ALLOC_TRAP")))
-    })
+    *TRAP.get_or_init(|| sybil_exp::env::or_abort(parse_alloc_trap(std::env::var(ALLOC_TRAP_ENV))))
 }
 
 /// Runs one cell and returns the full simulation report. Workloads come
@@ -285,6 +286,9 @@ pub fn t_grid() -> Vec<f64> {
     grid
 }
 
+/// The worker-count knob's name; see [`workers_from_env`].
+const WORKERS_ENV: &str = "SYBIL_BENCH_WORKERS";
+
 /// Parses a worker-count override from `SYBIL_BENCH_WORKERS`.
 ///
 /// Returns `Ok(None)` when the variable is unset, `Err` (with an
@@ -292,8 +296,8 @@ pub fn t_grid() -> Vec<f64> {
 /// fallbacks here used to mask typos like `SYBIL_BENCH_WORKERS=all`.
 pub fn workers_from_env() -> Result<Option<usize>, String> {
     sybil_exp::env::positive_usize(
-        "SYBIL_BENCH_WORKERS",
-        std::env::var("SYBIL_BENCH_WORKERS"),
+        WORKERS_ENV,
+        std::env::var(WORKERS_ENV),
         "need at least one worker (unset the variable to use all cores)",
     )
 }
@@ -306,6 +310,9 @@ pub fn default_workers() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
 }
 
+/// The fast-mode knob's name; see [`parse_fast_mode`].
+const FAST_ENV: &str = "SYBIL_BENCH_FAST";
+
 /// Parses a `SYBIL_BENCH_FAST` setting: `1` is fast mode, `0` (or unset)
 /// is the full paper-scale run.
 ///
@@ -315,7 +322,7 @@ pub fn default_workers() -> usize {
 /// hours-long paper suite on a machine that asked for the one-minute
 /// smoke.
 fn parse_fast_mode(raw: Result<String, std::env::VarError>) -> Result<bool, String> {
-    let parsed = sybil_exp::env::parse("SYBIL_BENCH_FAST", raw, |v| match v {
+    let parsed = sybil_exp::env::parse(FAST_ENV, raw, |v| match v {
         "1" => Ok(true),
         "0" => Ok(false),
         _ => Err("is not valid: use 1 (fast smoke grids) or 0 / unset (full paper-scale run)"
@@ -334,18 +341,17 @@ fn parse_fast_mode(raw: Result<String, std::env::VarError>) -> Result<bool, Stri
 /// environment cannot change under a running bench anyway.
 pub fn fast_mode() -> bool {
     static FAST: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FAST.get_or_init(|| {
-        sybil_exp::env::or_abort(parse_fast_mode(std::env::var("SYBIL_BENCH_FAST")))
-    })
+    *FAST.get_or_init(|| sybil_exp::env::or_abort(parse_fast_mode(std::env::var(FAST_ENV))))
 }
 
 /// Every `SYBIL_BENCH_*` variable the bench targets read: the three
-/// parsed in this file and `perf`'s `SYBIL_BENCH_REPS`.
-const KNOWN_ENV: [&str; 4] =
-    ["SYBIL_BENCH_FAST", "SYBIL_BENCH_REPS", "SYBIL_BENCH_WORKERS", "SYBIL_BENCH_ALLOC_TRAP"];
+/// parsed in this file and `perf`'s [`REPS_ENV`](crate::perf::REPS_ENV).
+/// Each parser reads its name from the constant listed here, so every
+/// name is spelt once.
+const KNOWN_ENV: [&str; 4] = [FAST_ENV, crate::perf::REPS_ENV, WORKERS_ENV, ALLOC_TRAP_ENV];
 
 /// Exits 2 naming a `SYBIL_BENCH_*` variable outside [`KNOWN_ENV`]: a
-/// removed knob (`SYBIL_BENCH_ALLOC`) or a misspelt one would otherwise be
+/// removed knob or a misspelt one would otherwise be
 /// ignored, and the run would start with the default shape. The bench
 /// targets call it before anything runs.
 pub fn reject_unknown_env() {
