@@ -6,13 +6,13 @@
 //! while staying deterministic and sandbox-friendly. The TCP transport
 //! serves a [`SharedGate`] — the
 //! [`ShardedGate`](crate::sharded::ShardedGate), or a wrapper around it —
-//! from a pool of handler threads, started on demand up to a hard cap and
-//! reused from one connection to the next, under per-frame deadlines.
+//! from a pool of handler threads that accept their own connections,
+//! started on demand up to a hard cap, under per-frame deadlines.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -126,21 +126,17 @@ impl Deadlines {
 }
 
 /// Serves a gate over TCP until the listener fails (the first accept
-/// error ends it). Connections are served by a pool of handler threads
-/// that is started on demand: a connection that arrives while no worker is
-/// idle starts one, up to `max_conns`, and a worker that has finished a
-/// connection waits for the next, so a listener nobody dials costs no
-/// thread and a flood of short connections costs a wake-up each, not a
-/// spawn. A connection that arrives while `max_conns` workers are all busy
-/// — or while the OS refuses another thread — is closed without a hello.
-/// A worker sends the hello and then reads frames under [`Deadlines`]. The
-/// accept thread itself never reads from, writes to or waits on a client
-/// or a worker (the hand-off is a push under a short lock), so no peer can
-/// stall it. A panicking handler costs exactly its own connection and its
-/// own thread, and the next connection may start a replacement. Before
-/// `serve` returns it wakes the idle workers and joins every one: nothing
-/// it started outlives it, and a worker in mid-connection finishes that
-/// connection first, each step of it still bounded by the deadlines.
+/// error ends it). Every handler thread, this one included, blocks in
+/// `accept` and serves what it accepted: the kernel's accept queue is the
+/// only hand-off. A thread that accepts while no other is in `accept`
+/// first starts one, up to `max_conns` serving plus one accepting, so a
+/// listener nobody dials costs no thread and no peer can stall accepting.
+/// A connection accepted at that cap, or when the OS refuses a thread, is
+/// closed without a hello. A thread sends the hello and reads frames under
+/// [`Deadlines`]; a handler's panic costs its connection, never a thread.
+/// `serve` returns the first accept error once every thread has exited:
+/// each one still in `accept` is woken by a dial, and one in
+/// mid-connection finishes it first, each step still under the deadlines.
 /// Timestamps are seconds since serve start.
 pub fn serve<G: SharedGate + 'static>(
     listener: TcpListener,
@@ -152,7 +148,7 @@ pub fn serve<G: SharedGate + 'static>(
 
 /// [`serve`] with explicit deadlines, so tests need not wait out the
 /// shipped ones. By reference, and the handler reads unbuffered, on
-/// purpose: a worker allocates per connection exactly what a handler
+/// purpose: a thread allocates per connection exactly what a handler
 /// thread did before there were deadlines or a pool. glibc hands threads
 /// whichever arena is free, the main one included, and `benchmark/`'s
 /// `gate_admit` showed a bigger spawn closure or a per-connection read
@@ -163,120 +159,111 @@ pub(crate) fn serve_with<G: SharedGate + 'static>(
     max_conns: usize,
     deadlines: &'static Deadlines,
 ) -> std::io::Result<()> {
-    let start = Instant::now();
-    let pool = Arc::new(Pool::default());
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    let error = loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) => break e,
-        };
-        let mut state = lock(&pool.state);
-        if state.idle > 0 {
-            state.idle -= 1;
-            state.queue.push_back(stream);
-            drop(state);
-            pool.wake.notify_one();
-        } else if state.workers < max_conns.max(1) {
-            state.workers += 1;
-            let n = state.workers;
-            drop(state);
-            let (shared, service) = (Arc::clone(&pool), Arc::clone(&service));
-            let worker = move || work(&shared, stream, &*service, start, deadlines);
-            match std::thread::Builder::new().name(format!("gate-worker-{n}")).spawn(worker) {
-                Ok(handle) => {
-                    // Replacements for panicked workers must not pile up.
-                    handles.retain(|h| !h.is_finished());
-                    handles.push(handle);
-                }
-                // No thread to be had is over the cap by another name: the
-                // dropped closure has closed the stream.
-                Err(_) => lock(&pool.state).workers -= 1,
-            }
-        } else {
-            drop(state);
-            drop(stream); // Refused: closed at once, without a hello.
-        }
-    };
-    lock(&pool.state).closed = true;
-    pool.wake.notify_all();
-    for handle in handles {
-        let _ = handle.join(); // A handler's panic was its own connection's.
+    let state = Mutex::new(PoolState { accepting: 1, ..PoolState::default() });
+    let (start, max_conns) = (Instant::now(), max_conns.max(1));
+    let pool = Arc::new(Pool { listener, service, start, deadlines, max_conns, state });
+    Arc::clone(&pool).run();
+    let threads = std::mem::take(&mut lock(&pool.state).threads); // Closed: no more.
+    for thread in threads {
+        let _ = thread.join();
     }
-    Err(error)
+    let error = lock(&pool.state).error.take();
+    Err(error.expect("a pool closes only on an accept error"))
 }
 
-/// What the accept thread and its workers decide a hand-off by.
+/// What the threads of one [`serve`] decide by, each right after its
+/// `accept` returns. While the pool is open every thread is accepting,
+/// serving or the one holding the lock, so a thread that finds no other
+/// accepting is one of at most `max_conns` serving, and the one it starts
+/// keeps the total within `max_conns + 1`.
 #[derive(Default)]
 struct PoolState {
-    /// Accepted connections, each promised to a waiting worker.
-    queue: VecDeque<TcpStream>,
-    /// Workers between connections that no queued connection is promised to.
-    idle: usize,
-    /// Workers alive: serving, waiting or being started.
-    workers: usize,
-    /// The listener failed: a worker that finds the queue empty exits.
-    closed: bool,
+    /// Threads in `accept`, or on their way there.
+    accepting: usize,
+    /// Threads serving a connection.
+    serving: usize,
+    /// Every thread started, `serve`'s own aside.
+    threads: Vec<JoinHandle<()>>,
+    /// The first accept error. Once it is set the pool is closed: a thread
+    /// that returns from `accept` or finishes a connection exits.
+    error: Option<std::io::Error>,
 }
 
-/// The handler pool of one [`serve`].
-#[derive(Default)]
-struct Pool {
-    /// Every update is a counter step or a queue push or pop, valid at
-    /// every point, so a poisoned lock is recovered ([`lock`]); nothing
-    /// that can panic runs under it anyway.
+/// The handler threads of one [`serve`] and what they share.
+struct Pool<G> {
+    listener: TcpListener,
+    service: Arc<G>,
+    start: Instant,
+    deadlines: &'static Deadlines,
+    max_conns: usize,
+    /// Every update is a counter step, a push or a store, valid at every
+    /// point, so a poisoned lock is recovered ([`lock`]).
     state: Mutex<PoolState>,
-    wake: Condvar,
 }
 
-impl Pool {
-    /// Waits for the next connection handed to a worker; `None` once the
-    /// pool is closed and the queue is empty.
-    fn next(&self) -> Option<TcpStream> {
-        let mut state = lock(&self.state);
+impl<G: SharedGate + 'static> Pool<G> {
+    /// A pool thread's life: accept, serve or refuse what it accepted, and
+    /// accept again, until the pool closes.
+    fn run(self: Arc<Self>) {
         loop {
-            if let Some(stream) = state.queue.pop_front() {
-                return Some(stream);
+            let accepted = self.listener.accept();
+            let mut state = lock(&self.state);
+            state.accepting -= 1;
+            if state.error.is_some() {
+                return; // Woken to exit: the connection goes unserved.
             }
-            if state.closed {
-                return None;
+            let stream = match accepted {
+                Ok((stream, _)) => stream,
+                Err(error) => {
+                    state.error = Some(error);
+                    let parked = state.accepting;
+                    drop(state);
+                    return self.wake(parked);
+                }
+            };
+            // Refused, at the cap or for want of a thread, a connection is
+            // closed at once, without a hello.
+            if state.serving < self.max_conns && (state.accepting > 0 || self.spawn(&mut state)) {
+                state.serving += 1;
+                drop(state);
+                let serve = || handle_conn(&stream, &*self.service, self.start, self.deadlines);
+                let _ = std::panic::catch_unwind(AssertUnwindSafe(serve));
+                state = lock(&self.state);
+                state.serving -= 1;
             }
-            state = self.wake.wait(state).unwrap_or_else(PoisonError::into_inner);
+            // Back in `accept` before `stream` closes, so a client that has
+            // seen a connection end is never refused on its account.
+            if state.error.is_some() {
+                return;
+            }
+            state.accepting += 1;
+            drop(state);
         }
     }
-}
 
-/// A worker's life: the connection it was started for, then every
-/// connection the accept thread hands it, until the pool closes.
-fn work<G: SharedGate>(
-    pool: &Pool,
-    first: TcpStream,
-    service: &G,
-    start: Instant,
-    deadlines: &Deadlines,
-) {
-    let mut first = Some(first);
-    while let Some(stream) = first.take().or_else(|| pool.next()) {
-        // Dropped before `stream`, on return and on a panicking handler's
-        // unwind alike: the worker is free (or counted out) before the
-        // socket closes, so a client that has seen this connection end can
-        // never be refused on its account.
-        let _release = Release(pool);
-        let _ = handle_conn(&stream, service, start, deadlines);
+    /// Starts a thread to accept in this one's place (under the lock: no
+    /// thread is counted before it exists); false if the OS refuses one.
+    fn spawn(self: &Arc<Self>, state: &mut PoolState) -> bool {
+        let (pool, n) = (Arc::clone(self), state.threads.len() + 1);
+        let thread = std::thread::Builder::new().name(format!("gate-worker-{n}"));
+        let Ok(thread) = thread.spawn(move || pool.run()) else { return false };
+        state.accepting += 1;
+        state.threads.push(thread);
+        true
     }
-}
 
-/// Ends a worker's connection in the pool's books: the worker is idle
-/// again, or, when its handler panicked, gone.
-struct Release<'a>(&'a Pool);
-
-impl Drop for Release<'_> {
-    fn drop(&mut self) {
-        let mut state = lock(&self.0.state);
-        if std::thread::panicking() {
-            state.workers -= 1;
-        } else {
-            state.idle += 1;
+    /// Dials the listener (on loopback, if it is bound to an unspecified
+    /// address) once per thread still in `accept`: each wakes, finds the
+    /// pool closed and exits.
+    fn wake(&self, parked: usize) {
+        let Ok(mut addr) = self.listener.local_addr() else { return };
+        match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        for _ in 0..parked {
+            let _ = TcpStream::connect(addr);
         }
     }
 }
@@ -455,6 +442,15 @@ mod tests {
         std::thread::spawn(move || serve_with(listener, gate, max_conns, &DEADLINES))
     }
 
+    /// Waits for a [`spawn_serve`] to return, failing the test instead of
+    /// hanging it after [`CLIENT_PATIENCE`].
+    fn returned(serving: JoinHandle<std::io::Result<()>>) -> std::io::Result<()> {
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(serving.join()));
+        let result = returned.recv_timeout(CLIENT_PATIENCE).expect("serve never returned");
+        result.expect("serve does not panic")
+    }
+
     /// A listener on a fresh loopback port; `None` where the sandbox cannot
     /// bind one.
     fn bind_loopback() -> Option<(TcpListener, std::net::SocketAddr)> {
@@ -523,7 +519,7 @@ mod tests {
         assert_closed_silently(dial(addr), "the panicked connection");
         // The only slot was A's. B is dialled after A's socket closed, so
         // it gets a hello only if the unwind freed the slot first — and
-        // only if the acceptor is still there to hand it out.
+        // only if a thread is still in accept to take it.
         dial_for_hello(addr);
     }
 
@@ -534,8 +530,8 @@ mod tests {
         let holders = [dial_for_hello(addr).0, dial_for_hello(addr).0];
         // Every slot is taken by a peer that says nothing. The next
         // connection is refused at once — closed without a hello — rather
-        // than served on the accept thread, which would then be stuck
-        // behind it.
+        // than served by the one thread left in accept, which would then
+        // leave nobody to accept.
         assert_closed_silently(dial(addr), "the connection over the cap");
         // The holders are closed at their deadline, and a slot is free by
         // the time a socket closes, so the next peer is served.
@@ -582,7 +578,7 @@ mod tests {
     }
 
     /// A gate that notes which thread ran each `connect` — the pool's
-    /// workers, as far as a test can see them — and panics in the first
+    /// threads, as far as a test can see them — and panics in the first
     /// `panics` of them.
     struct Watched {
         inner: ShardedGate,
@@ -627,8 +623,8 @@ mod tests {
     }
 
     /// Ends a well-behaved connection: hangs up and waits for the server
-    /// to close its end, which a worker does last, after it is back in the
-    /// pool.
+    /// to close its end, which a thread does last, after it is counted
+    /// back into accept.
     fn hang_up(stream: TcpStream) {
         stream.shutdown(Shutdown::Write).expect("hang up");
         assert_closed_silently(stream, "a connection that hung up");
@@ -643,9 +639,11 @@ mod tests {
             hang_up(dial_for_hello(addr).0);
         }
         assert_eq!(gate.served_by().len(), 200);
-        // Each dial found the one worker idle again: it frees itself before
-        // its socket closes. A thread per connection would read 200.
-        assert_eq!(gate.distinct_workers(), 1);
+        // `serve`'s own thread and the one it started at the first
+        // connection, each back in accept before its socket closes: no
+        // thread is started after the first. A thread per connection
+        // would read 200.
+        assert_eq!(gate.distinct_workers(), 2);
     }
 
     #[test]
@@ -662,7 +660,9 @@ mod tests {
             hang_up(dial_for_hello(addr).0);
         }
         assert_eq!(gate.served_by().len(), 53, "the refused connection reached no handler");
-        assert_eq!(gate.distinct_workers(), 3, "no thread beyond the three that were needed");
+        // Three serving and the one that refused, each of which serves
+        // again: no thread beyond the cap plus one.
+        assert_eq!(gate.distinct_workers(), 4, "no thread beyond the three serving and one more");
     }
 
     #[test]
@@ -671,33 +671,54 @@ mod tests {
         let Some((listener, addr)) = bind_loopback() else { return };
         let stop = listener.try_clone().expect("a listener handle can be duplicated");
         let serving = spawn_serve(listener, Arc::clone(&gate), 4);
-        // Two idle workers and one in mid-connection when the listener fails.
+        // Three threads in accept and one in mid-connection when the
+        // listener fails.
         let holders = [dial_for_hello(addr).0, dial_for_hello(addr).0];
         let busy = dial_for_hello(addr).0;
         holders.into_iter().for_each(hang_up);
         assert_eq!(gate.distinct_workers(), 3);
-        // What `benchmark/`'s teardown does: the next accept fails with
-        // `WouldBlock`, and one last connection wakes the blocked one.
+        // What `benchmark/`'s teardown does: one last connection wakes a
+        // thread in accept, and its next accept fails with `WouldBlock`.
         stop.set_nonblocking(true).expect("make the listening socket non-blocking");
         drop(TcpStream::connect(addr));
-        hang_up(busy); // `serve` waits for this connection's worker.
-        let result = serving.join().expect("serve does not panic");
+        hang_up(busy); // `serve` waits for this connection's thread.
+        let result = returned(serving);
         assert_eq!(result.expect_err("serve ends on an error").kind(), ErrorKind::WouldBlock);
-        assert_eq!(Arc::strong_count(&gate), 1, "a worker outlived its serve");
+        assert_eq!(Arc::strong_count(&gate), 1, "a thread outlived its serve");
+    }
+
+    #[test]
+    fn serve_returns_once_every_parked_thread_is_woken() {
+        let gate = Watched::new(0);
+        let Some((listener, addr)) = bind_loopback() else { return };
+        let stop = listener.try_clone().expect("a listener handle can be duplicated");
+        let serving = spawn_serve(listener, Arc::clone(&gate), 4);
+        // Four connections at once fill the cap and start a fifth thread;
+        // once they hang up, all five are in accept.
+        let holders: Vec<_> = (0..4).map(|_| dial_for_hello(addr).0).collect();
+        holders.into_iter().for_each(hang_up);
+        assert_eq!(gate.distinct_workers(), 4);
+        // `benchmark/`'s teardown: one dial wakes one thread, and only the
+        // failed accept after it can wake the other four.
+        stop.set_nonblocking(true).expect("make the listening socket non-blocking");
+        drop(TcpStream::connect(addr));
+        let result = returned(serving);
+        assert_eq!(result.expect_err("serve ends on an error").kind(), ErrorKind::WouldBlock);
+        assert_eq!(Arc::strong_count(&gate), 1, "a thread outlived its serve");
     }
 
     #[test]
     fn panicking_handlers_do_not_shrink_the_pool() {
         let gate = Watched::new(3);
         let Some(addr) = serve_on_loopback(Arc::clone(&gate), 1) else { return };
-        // Three times over, the only worker the cap allows dies in
-        // `connect`. Each unwind must count it out before its socket
+        // Three times over, the only connection the cap allows panics in
+        // `connect`. Each unwind must free the slot before its socket
         // closes, or the next dial is refused for good.
         for _ in 0..3 {
             assert_closed_silently(dial(addr), "a panicked connection");
         }
         dial_for_hello(addr);
-        assert_eq!(gate.distinct_workers(), 4, "a panic costs its own thread, and only that");
+        assert!(gate.distinct_workers() <= 2, "a panic costs its connection, not a thread");
     }
 
     #[test]
@@ -714,8 +735,7 @@ mod tests {
         assert_eq!(gate.inner.decision_log(), log, "a truncated frame is not a decision");
         assert_eq!(gate.inner.counters(), counters);
         dial_for_hello(addr);
-        let served_by = gate.served_by();
-        assert_eq!(served_by[0], served_by[1], "the same worker serves the next connection");
+        assert!(gate.distinct_workers() <= 2, "no new thread serves the next connection");
     }
 
     #[test]
@@ -740,9 +760,8 @@ mod tests {
         let logged = gate.inner.decision_log();
         assert!(logged.starts_with(&log) && logged.len() == 2 * log.len(), "one more hello");
         assert_eq!(gate.inner.counters(), crate::service::GateCounters::default());
-        let served_by = gate.served_by();
-        assert_eq!(served_by.len(), 2, "a refused dial reaches no handler");
-        assert_eq!(served_by[0], served_by[1], "the worker outlived the failed read");
+        assert_eq!(gate.served_by().len(), 2, "a refused dial reaches no handler");
+        assert!(gate.distinct_workers() <= 2, "the thread outlived the failed read");
     }
 
     /// A half-open socket: the client sends a whole `Join` and shuts its
@@ -768,8 +787,7 @@ mod tests {
         assert!(logged.len() > log.len() && logged.starts_with(&log), "the grant is logged");
         assert_eq!(gate.inner.open_connections(), 0, "the FIN frees the connection state");
         dial_for_hello(addr);
-        let served_by = gate.served_by();
-        assert_eq!(served_by.len(), 2);
-        assert_eq!(served_by[0], served_by[1], "the same worker serves the next dial");
+        assert_eq!(gate.served_by().len(), 2);
+        assert!(gate.distinct_workers() <= 2, "no new thread serves the next dial");
     }
 }

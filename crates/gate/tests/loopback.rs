@@ -3,8 +3,8 @@
 //!
 //! The loopback tests are the CI contract — they exercise the full wire
 //! encode/decode path deterministically with no sockets. The TCP test
-//! covers the pooled server with a real kernel socket pair on
-//! 127.0.0.1.
+//! covers `transport::serve`, whose handler threads each accept their own
+//! connections, with a real kernel socket pair on 127.0.0.1.
 
 use std::sync::Arc;
 
